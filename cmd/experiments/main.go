@@ -18,11 +18,6 @@
 //	            availability and lookup cost under a rolling crash storm
 //	            plus a full blackout (WAL recovery, anti-entropy, client
 //	            failover with serve-stale), diversity vs baseline
-//	forward     extra: wire-format data plane — differential replay of
-//	            seeded traffic through the in-memory fabric and the
-//	            batched forwarding engine (fingerprints must match),
-//	            plus per-core forwarding throughput, batched vs
-//	            per-packet, MAC on/off
 //	tournament  extra: path-selection strategy tournament — every
 //	            registered policy (single-best, round-robin, weighted,
 //	            latency, disjoint, hybrid) scored on identical
@@ -48,6 +43,8 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -57,9 +54,21 @@ import (
 	"scionmpr/internal/telemetry"
 )
 
+// experimentNames is every value -exp accepts: "all", then each
+// experiment main runs, each followed by its aliases.
+var experimentNames = []string{
+	"all", "table1", "fig5", "overhead", "fig6", "fig6a", "fig6b",
+	"capacity", "churn", "serve", "failover", "tournament",
+	"scionlab", "fig7", "fig8", "fig9", "convergence", "ablation", "gridsearch",
+}
+
+// knownExperiment reports whether -exp name selects anything; main
+// rejects other names instead of running nothing and exiting 0.
+func knownExperiment(name string) bool { return slices.Contains(experimentNames, name) }
+
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1 | fig5 (alias: overhead) | fig6 | capacity | churn | serve | failover | forward | tournament | scionlab | convergence | ablation | gridsearch | all")
+		exp       = flag.String("exp", "all", "experiment: table1 | fig5 (alias: overhead) | fig6 | capacity | churn | serve | failover | tournament | scionlab | convergence | ablation | gridsearch | all")
 		scaleStr  = flag.String("scale", "default", "scale preset: smoke | default | paper")
 		duration  = flag.Duration("duration", 0, "override beaconing duration")
 		pairs     = flag.Int("pairs", 0, "override sampled AS pairs")
@@ -71,6 +80,10 @@ func main() {
 		traceOut  = flag.String("trace", "", "write the structured trace event log (JSONL) to this file at exit")
 	)
 	flag.Parse()
+	if !knownExperiment(*exp) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q; valid: %s\n", *exp, strings.Join(experimentNames, ", "))
+		os.Exit(2)
+	}
 
 	// flushProfiles finalizes any requested profiles exactly once; it runs
 	// both on the normal exit path and from the SIGINT handler so that a
@@ -254,16 +267,6 @@ func main() {
 	if want("failover") {
 		runOne("failover", func() error {
 			res, err := experiments.RunFailover(scale, experiments.DefaultFailoverConfig())
-			if err != nil {
-				return err
-			}
-			res.Print(os.Stdout)
-			return nil
-		})
-	}
-	if want("forward") {
-		runOne("forward", func() error {
-			res, err := experiments.RunForward(experiments.DefaultForwardConfig())
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -257,6 +258,7 @@ func TestScheduleValidation(t *testing.T) {
 		{Kind: Flap, Link: 1, Down: 0},
 		{Kind: Gray, Link: 1, Down: time.Second, Rate: 0},
 		{Kind: Gray, Link: 1, Down: time.Second, Rate: 1.5},
+		{Kind: Gray, Link: 1, Down: time.Second, Rate: math.NaN()},
 		{Kind: Spike, Link: 1, Down: time.Second, Delay: 0},
 		// A periodic event whose outage outlasts its period would overlap
 		// itself and hide re-injections behind the depth counting.
@@ -404,6 +406,7 @@ func TestParseScheduleRejectsInvalidEvents(t *testing.T) {
 		{"unknown crash target", "end 10s\ncrash 99-ff00:0:999 at 1s down 1s", "unknown AS"},
 		{"gray without rate", "end 10s\ngray 1 at 1s down 1s", "rate in (0, 1]"},
 		{"gray rate above one", "end 10s\ngray 1 at 1s down 1s rate 1.25", "rate in (0, 1]"},
+		{"gray rate NaN", "end 10s\ngray 1 at 1s down 1s rate NaN", "rate in (0, 1]"},
 		{"spike without delay", "end 10s\nspike 1 at 1s down 1s", "delay > 0"},
 	} {
 		_, err := ParseSchedule(strings.NewReader(tc.text), g)

@@ -151,19 +151,9 @@ func parseEvent(fields []string, g *topology.Graph) (*Event, error) {
 		}
 	}
 	// Validate the assembled event here rather than at Apply time, so a
-	// bad schedule file fails with its line number. The same invariants
-	// are re-checked in occurrences for programmatic schedules.
-	if ev.Down <= 0 {
-		return nil, fmt.Errorf("%s event needs down > 0", ev.Kind)
-	}
-	if ev.Period > 0 && ev.Down > ev.Period {
-		return nil, fmt.Errorf("%s event overlaps itself: down %v > period %v", ev.Kind, ev.Down, ev.Period)
-	}
-	if ev.Kind == Gray && (ev.Rate <= 0 || ev.Rate > 1) {
-		return nil, fmt.Errorf("gray event needs rate in (0, 1], got %g", ev.Rate)
-	}
-	if ev.Kind == Spike && ev.Delay <= 0 {
-		return nil, fmt.Errorf("spike event needs delay > 0")
+	// bad schedule file fails with its line number.
+	if err := ev.validate(); err != nil {
+		return nil, err
 	}
 	return ev, nil
 }

@@ -62,23 +62,33 @@ type Event struct {
 	Jitter time.Duration
 }
 
-// occurrences expands the event into concrete injection times, drawing
-// any jitter from rng (consumed in a fixed order for determinism).
-func (ev *Event) occurrences(end sim.Time, rng *rand.Rand) ([]sim.Time, error) {
+// validate checks the invariants every event must satisfy, whether it
+// was parsed from a schedule file or built in code. The comparisons
+// are written so a NaN rate fails them.
+func (ev *Event) validate() error {
 	if ev.Down <= 0 {
-		return nil, fmt.Errorf("%s event needs Down > 0", ev.Kind)
+		return fmt.Errorf("%s event needs down > 0", ev.Kind)
 	}
 	// A periodic event must heal before it re-fires: otherwise the same
 	// event's occurrences overlap and the depth counting that lets
 	// *different* events overlap deliberately would mask re-injections.
 	if ev.Period > 0 && ev.Down > ev.Period {
-		return nil, fmt.Errorf("%s event overlaps itself: Down %v > Period %v", ev.Kind, ev.Down, ev.Period)
+		return fmt.Errorf("%s event overlaps itself: down %v > period %v", ev.Kind, ev.Down, ev.Period)
 	}
-	if ev.Kind == Gray && (ev.Rate <= 0 || ev.Rate > 1) {
-		return nil, fmt.Errorf("gray event needs Rate in (0, 1], got %g", ev.Rate)
+	if ev.Kind == Gray && !(ev.Rate > 0 && ev.Rate <= 1) {
+		return fmt.Errorf("gray event needs rate in (0, 1], got %g", ev.Rate)
 	}
 	if ev.Kind == Spike && ev.Delay <= 0 {
-		return nil, fmt.Errorf("spike event needs Delay > 0")
+		return fmt.Errorf("spike event needs delay > 0")
+	}
+	return nil
+}
+
+// occurrences expands the event into concrete injection times, drawing
+// any jitter from rng (consumed in a fixed order for determinism).
+func (ev *Event) occurrences(end sim.Time, rng *rand.Rand) ([]sim.Time, error) {
+	if err := ev.validate(); err != nil {
+		return nil, err
 	}
 	until := ev.Until
 	if until == 0 {

@@ -6,28 +6,18 @@ import (
 	"scionmpr/internal/slayers"
 )
 
-// benchForward measures single-core forwarding throughput of the wire
-// engine: one pre-encoded packet is injected repeatedly as raw bytes
-// and driven end to end (decode, MAC verify, per-hop forwarding,
-// delivery). Workers is pinned to 1 so pkts/s is per core; the batch
-// variants differ only in BatchSize, which controls whether the MAC
-// path amortizes key schedules and verdicts across a batch.
-func benchForward(b *testing.B, batchSize int, disableMAC bool) {
+// BenchmarkForward measures single-core forwarding throughput of the
+// default-constructed wire engine (one worker, so pkts/s is per core):
+// one pre-encoded packet is injected repeatedly as raw bytes and driven
+// end to end (decode, MAC verify, per-hop forwarding, delivery).
+func BenchmarkForward(b *testing.B) {
 	e := newEnv(b)
 	eng := NewEngine(e.topo, e.infra.ForwardingKey)
-	eng.Workers = 1
-	eng.BatchSize = batchSize
-	eng.DisableMAC = disableMAC
 
 	var delivered int
 	eng.OnDeliver(a4, func(s *slayers.SCION) { delivered++ })
 
-	pkt := testPacket(e, 0, make([]byte, 128), 1)
-	buf := make([]byte, pkt.WireLen())
-	var s slayers.SCION
-	if _, err := EncodePacket(&s, pkt, buf); err != nil {
-		b.Fatal(err)
-	}
+	buf := encodeTestPacket(b, testPacket(e, 0, make([]byte, 128), 1))
 	mtu := e.paths[0].MTU
 
 	// Warm pools and caches outside the timed region.
@@ -61,11 +51,4 @@ func benchForward(b *testing.B, batchSize int, disableMAC bool) {
 	pps := float64(b.N) / b.Elapsed().Seconds()
 	b.ReportMetric(pps, "pkts/s")
 	b.ReportMetric(pps*float64(len(e.paths[0].Hops)), "hops/s")
-}
-
-func BenchmarkForward(b *testing.B) {
-	b.Run("single_mac", func(b *testing.B) { benchForward(b, 1, false) })
-	b.Run("single_nomac", func(b *testing.B) { benchForward(b, 1, true) })
-	b.Run("batch_mac", func(b *testing.B) { benchForward(b, defaultBatchSize, false) })
-	b.Run("batch_nomac", func(b *testing.B) { benchForward(b, defaultBatchSize, true) })
 }

@@ -10,14 +10,12 @@ package dataplane
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/combinator"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/slayers"
 	"scionmpr/internal/telemetry"
@@ -75,7 +73,7 @@ type EngineStats struct {
 // ring; workers own disjoint AS subsets and drain their rings in
 // batches, so a frame's whole lifetime — decode, MAC check, egress
 // lookup, hand-off to the next ring — happens on packet bytes without
-// allocating. Configure the exported knobs before the first Inject.
+// allocating. Configure the exported fields before the first Inject.
 type Engine struct {
 	Topo *topology.Graph
 	Keys KeyFunc
@@ -84,21 +82,14 @@ type Engine struct {
 	// 1; single-worker flushes run inline on the caller's goroutine so
 	// benchmarks measure per-core throughput cleanly).
 	Workers int
-	// BatchSize is how many frames a worker drains from one ring per
-	// batch (default 32). BatchSize <= 1 selects per-packet mode: each
-	// MAC is verified with a fresh HMAC key schedule and no shared
-	// state — the naive baseline batch mode is measured against.
-	BatchSize int
-	// DisableMAC skips hop-field verification (for measuring the MAC
-	// share of forwarding cost; never set in differential runs).
-	DisableMAC bool
-	// Seed keys the default hash-based gray-loss decision (see
-	// HashLoss). Ignored when LossFunc is set.
-	Seed uint64
 	// LossFunc decides gray-failure drops. The engine is concurrent, so
-	// only pure per-packet decisions are meaningful; nil defaults to
-	// HashLoss(Seed).
+	// only pure per-packet decisions are meaningful; NewEngine installs
+	// HashLoss(0).
 	LossFunc func(flow uint32, link topology.LinkID, rate float64) bool
+
+	// Link fault state (chaos.FaultTarget's FailLink, RestoreLink,
+	// SetLinkLoss) and the egress decision over it.
+	linkFaults
 
 	ias []addr.IA
 	idx map[addr.IA]int32
@@ -113,11 +104,9 @@ type Engine struct {
 	// duration of a Flush (ownership is a pure function of the AS index
 	// and the worker count, so it never migrates mid-flush).
 	verifiers []macVerifier
-
-	// Fault state, indexed by LinkID (dense: IDs are sequential from 1).
-	failed  []atomic.Bool
-	loss    []atomic.Uint64 // math.Float64bits of the drop rate
-	delayNs []atomic.Int64  // recorded only: the engine models throughput, not latency
+	// workers[w] is worker w's scratch, kept across flushes so a warmed
+	// engine allocates nothing per Flush either.
+	workers []*workerCtx
 
 	pool     *framePool
 	inflight atomic.Int64
@@ -128,8 +117,10 @@ type Engine struct {
 }
 
 const (
-	defaultBatchSize = 32
-	defaultRingCap   = 1024
+	// batchSize is how many frames a worker drains from one ring per
+	// batch, i.e. per MAC-verifier lock acquisition.
+	batchSize      = 32
+	defaultRingCap = 1024
 )
 
 // NewEngine builds an engine over the topology. Keys resolves each
@@ -138,32 +129,25 @@ const (
 func NewEngine(topo *topology.Graph, keys KeyFunc) *Engine {
 	ias := topo.IAs()
 	e := &Engine{
-		Topo:      topo,
-		Keys:      keys,
-		ias:       ias,
-		idx:       make(map[addr.IA]int32, len(ias)),
-		ifTable:   make([][]ifEntry, len(ias)),
-		keys:      make([][]byte, len(ias)),
-		rings:     make([]*ring, len(ias)),
-		deliver:   make([]WireDeliverFunc, len(ias)),
-		scmp:      make([]WireSCMPFunc, len(ias)),
-		verifiers: make([]macVerifier, len(ias)),
-		pool:      newFramePool(),
+		Topo:       topo,
+		Keys:       keys,
+		LossFunc:   HashLoss(0),
+		linkFaults: newLinkFaults(topo),
+		ias:        ias,
+		idx:        make(map[addr.IA]int32, len(ias)),
+		ifTable:    make([][]ifEntry, len(ias)),
+		keys:       make([][]byte, len(ias)),
+		rings:      make([]*ring, len(ias)),
+		deliver:    make([]WireDeliverFunc, len(ias)),
+		scmp:       make([]WireSCMPFunc, len(ias)),
+		verifiers:  make([]macVerifier, len(ias)),
+		pool:       newFramePool(),
 	}
 	for i, ia := range ias {
 		e.idx[ia] = int32(i)
 		e.keys[i] = keys(ia)
 		e.rings[i] = newRing(defaultRingCap)
 	}
-	maxID := topology.LinkID(0)
-	for _, l := range topo.Links {
-		if l.ID > maxID {
-			maxID = l.ID
-		}
-	}
-	e.failed = make([]atomic.Bool, int(maxID)+1)
-	e.loss = make([]atomic.Uint64, int(maxID)+1)
-	e.delayNs = make([]atomic.Int64, int(maxID)+1)
 	for _, l := range topo.Links {
 		a, b := e.idx[l.A], e.idx[l.B]
 		e.setIf(a, l.AIf, ifEntry{link: l, dst: b})
@@ -204,65 +188,10 @@ func (e *Engine) OnSCMP(ia addr.IA, fn WireSCMPFunc) {
 	}
 }
 
-// FailLink marks a link as failed (chaos.FaultTarget).
-func (e *Engine) FailLink(id topology.LinkID) {
-	if int(id) < len(e.failed) {
-		e.failed[id].Store(true)
-	}
-}
-
-// RestoreLink clears a failure (chaos.FaultTarget).
-func (e *Engine) RestoreLink(id topology.LinkID) {
-	if int(id) < len(e.failed) {
-		e.failed[id].Store(false)
-	}
-}
-
-// Failed reports whether a link is failed.
-func (e *Engine) Failed(id topology.LinkID) bool {
-	return int(id) < len(e.failed) && e.failed[id].Load()
-}
-
-// SetLinkLoss sets the gray-failure drop probability of a link
-// (chaos.FaultTarget).
-func (e *Engine) SetLinkLoss(id topology.LinkID, rate float64) {
-	if int(id) >= len(e.loss) {
-		return
-	}
-	if rate <= 0 {
-		e.loss[id].Store(0)
-		return
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	e.loss[id].Store(math.Float64bits(rate))
-}
-
-// LinkLoss returns the gray-failure drop probability of a link.
-func (e *Engine) LinkLoss(id topology.LinkID) float64 {
-	if int(id) >= len(e.loss) {
-		return 0
-	}
-	return math.Float64frombits(e.loss[id].Load())
-}
-
-// SetLinkDelay records a latency override (chaos.FaultTarget). The
-// engine models forwarding throughput, not propagation latency, so the
-// value is observable via LinkDelay but has no behavioral effect.
-func (e *Engine) SetLinkDelay(id topology.LinkID, d time.Duration) {
-	if int(id) < len(e.delayNs) {
-		e.delayNs[id].Store(int64(d))
-	}
-}
-
-// LinkDelay returns the recorded latency override of a link.
-func (e *Engine) LinkDelay(id topology.LinkID) time.Duration {
-	if int(id) >= len(e.delayNs) {
-		return 0
-	}
-	return time.Duration(e.delayNs[id].Load())
-}
+// SetLinkDelay accepts a latency override and ignores it
+// (chaos.FaultTarget): the engine models forwarding throughput, not
+// propagation latency.
+func (e *Engine) SetLinkDelay(topology.LinkID, time.Duration) {}
 
 // Stats snapshots the forwarding counters. Call between flushes for
 // exact values (workers update them with atomics during a Flush).
@@ -378,15 +307,21 @@ func (e *Engine) enqueue(a int32, f *frame) {
 // flight, then return. Deliver/SCMP handlers run on worker goroutines
 // and may Inject follow-up packets (they extend the same flush).
 func (e *Engine) Flush() {
-	if e.LossFunc == nil {
-		e.LossFunc = HashLoss(e.Seed)
-	}
 	w := e.Workers
 	if w < 1 {
 		w = 1
 	}
 	if w > len(e.ias) {
 		w = len(e.ias)
+	}
+	for len(e.workers) < w {
+		e.workers = append(e.workers, &workerCtx{
+			batch: make([]*frame, 0, batchSize),
+			ss:    make([]slayers.SCION, batchSize),
+			jobs:  make([]macJob, 0, batchSize),
+			slots: make([]int, 0, batchSize),
+			ok:    make([]bool, batchSize),
+		})
 	}
 	if w == 1 {
 		e.runWorker(0, 1)
@@ -395,10 +330,12 @@ func (e *Engine) Flush() {
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		wg.Add(1)
-		go func(i int) {
+		// w is passed, not captured: a captured w would be heap-allocated
+		// on every Flush, the inline single-worker ones included.
+		go func(i, w int) {
 			defer wg.Done()
 			e.runWorker(i, w)
-		}(i)
+		}(i, w)
 	}
 	wg.Wait()
 }
@@ -408,38 +345,21 @@ func (e *Engine) Flush() {
 type workerCtx struct {
 	batch []*frame
 	ss    []slayers.SCION // decode scratch, one per batch slot
-	hfs   []slayers.HopField
-	jobs  []macJob
-	jmap  []int // batch slot of each job
-	ok    []bool
-	live  []bool        // slot still in play after verification
-	quote slayers.SCION // SCMP quote decode scratch
+	jobs  []macJob        // hop fields of the batch's data frames
+	slots []int           // batch slot of each job
+	ok    []bool          // verdict of each job
+	quote slayers.SCION   // SCMP quote decode scratch
 }
 
 func (e *Engine) runWorker(w, nw int) {
-	bs := e.BatchSize
-	if bs < 1 {
-		bs = 1
-	}
-	if e.BatchSize == 0 {
-		bs = defaultBatchSize
-	}
-	ctx := &workerCtx{
-		batch: make([]*frame, 0, bs),
-		ss:    make([]slayers.SCION, bs),
-		hfs:   make([]slayers.HopField, bs),
-		jobs:  make([]macJob, 0, bs),
-		jmap:  make([]int, 0, bs),
-		ok:    make([]bool, bs),
-		live:  make([]bool, bs),
-	}
+	ctx := e.workers[w]
 	for {
 		progress := false
 		for a := w; a < len(e.rings); a += nw {
 			r := e.rings[a]
 			for {
 				ctx.batch = ctx.batch[:0]
-				for len(ctx.batch) < bs {
+				for len(ctx.batch) < batchSize {
 					f := r.pop()
 					if f == nil {
 						break
@@ -473,14 +393,12 @@ func (e *Engine) terminal(f *frame) {
 // decode all frames, collect their hop-field MAC checks, verify them
 // in one pass against the router's key, then act on each verdict.
 func (e *Engine) processBatch(a int32, ctx *workerCtx) {
-	local := e.ias[a]
 	e.batches.Add(1)
 	e.batchPackets.Add(uint64(len(ctx.batch)))
 	ctx.jobs = ctx.jobs[:0]
-	ctx.jmap = ctx.jmap[:0]
+	ctx.slots = ctx.slots[:0]
 
 	for i, f := range ctx.batch {
-		ctx.live[i] = false
 		s := &ctx.ss[i]
 		if err := s.DecodeFromBytes(f.b); err != nil {
 			e.droppedMalformed.Add(1)
@@ -510,42 +428,16 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 			e.terminal(f)
 			continue
 		}
-		ctx.hfs[i] = hf
-		ctx.live[i] = true
-		if !e.DisableMAC {
-			ctx.jobs = append(ctx.jobs, macJob{in: hf.ConsIngress, out: hf.ConsEgress, mac: hf.MAC})
-			ctx.jmap = append(ctx.jmap, i)
-		} else {
-			ctx.ok[i] = true
-		}
+		ctx.jobs = append(ctx.jobs, macJob{in: hf.ConsIngress, out: hf.ConsEgress, mac: hf.MAC})
+		ctx.slots = append(ctx.slots, i)
 	}
 
-	if len(ctx.jobs) > 0 {
-		key := e.keys[a]
-		if e.BatchSize <= 1 {
-			// Per-packet mode: the naive baseline — fresh key schedule
-			// per MAC, no shared state, no verdict cache.
-			for j, job := range ctx.jobs {
-				want := hopMACUncached(key, combinatorHop(local, job.in, job.out))
-				ctx.ok[ctx.jmap[j]] = want == job.mac
-			}
-		} else {
-			okScratch := ctx.ok[:len(ctx.jobs)]
-			e.verifiers[a].verifyBatch(key, local, ctx.jobs, okScratch)
-			// Scatter job verdicts back to batch slots (in place is safe:
-			// job j's slot index jmap[j] >= j).
-			for j := len(ctx.jobs) - 1; j >= 0; j-- {
-				ctx.ok[ctx.jmap[j]] = okScratch[j]
-			}
-		}
-	}
+	ok := ctx.ok[:len(ctx.jobs)]
+	e.verifiers[a].verifyBatch(e.keys[a], e.ias[a], ctx.jobs, ok)
 
-	for i, f := range ctx.batch {
-		if !ctx.live[i] {
-			continue
-		}
-		s := &ctx.ss[i]
-		if !ctx.ok[i] {
+	for j, i := range ctx.slots {
+		f, s := ctx.batch[i], &ctx.ss[i]
+		if !ok[j] {
 			e.droppedBadMAC.Add(1)
 			if f.arrived {
 				e.emitSCMP(a, s, SCMPBadMAC, seg.LinkKey{})
@@ -562,45 +454,31 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 			e.terminal(f)
 			continue
 		}
-		e.egressStep(a, f, s, ctx.hfs[i])
+		e.egressStep(a, f, s, ctx.jobs[j].out)
 	}
 }
 
-// combinatorHop adapts a wire hop field to the MAC input tuple.
-func combinatorHop(ia addr.IA, in, out addr.IfID) combinator.Hop {
-	return combinator.Hop{IA: ia, In: in, Out: out}
-}
-
-// egressStep forwards a verified frame out of AS a's egress interface,
-// mirroring Fabric.forwardFrom: unknown interface drops with a
-// destination-unreachable SCMP, a failed link revokes, gray loss sheds
-// silently, otherwise the frame moves to the neighbor's ingress ring.
-func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, hf slayers.HopField) {
-	ent := e.lookupIf(a, hf.ConsEgress)
-	if ent.link == nil {
+// egressStep forwards a verified frame out of AS a's interface out: the
+// shared egress decision drops it (with the matching SCMP, or silently
+// for gray loss) or the frame moves to the neighbor's ingress ring.
+func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, out addr.IfID) {
+	ent := e.lookupIf(a, out)
+	switch e.egress(ent.link, s.FlowID, e.LossFunc) {
+	case egressNoRoute:
 		e.droppedNoRoute.Add(1)
 		e.emitSCMP(a, s, SCMPDestUnreachable, seg.LinkKey{})
-		e.terminal(f)
-		return
-	}
-	local := e.ias[a]
-	if e.failed[ent.link.ID].Load() {
+	case egressRevoked:
 		e.revocations.Add(1)
-		e.emitSCMP(a, s, SCMPRevokedLink, seg.LinkKey{IA: local, If: hf.ConsEgress})
-		e.terminal(f)
+		e.emitSCMP(a, s, SCMPRevokedLink, seg.LinkKey{IA: e.ias[a], If: out})
+	case egressGray:
+		e.droppedGray.Add(1)
+	default:
+		e.forwarded.Add(1)
+		f.arrived = true
+		e.rings[ent.dst].push(f)
 		return
 	}
-	if bits := e.loss[ent.link.ID].Load(); bits != 0 {
-		rate := math.Float64frombits(bits)
-		if e.LossFunc(s.FlowID, ent.link.ID, rate) {
-			e.droppedGray.Add(1)
-			e.terminal(f)
-			return
-		}
-	}
-	e.forwarded.Add(1)
-	f.arrived = true
-	e.rings[ent.dst].push(f)
+	e.terminal(f)
 }
 
 // emitSCMP generates a control message at AS a about the packet s and

@@ -71,9 +71,9 @@ type DeliverFunc func(pkt *Packet)
 type SCMPFunc func(msg *SCMP)
 
 // Fabric wires one border router per AS onto a sim.Network and forwards
-// packets hop by hop. It owns the set of failed links so experiments can
-// inject failures (paper §4.1: the border router observing a failed link
-// emits SCMP messages toward affected senders).
+// packets hop by hop. It owns link fault state so experiments can inject
+// failures (paper §4.1: the border router observing a failed link emits
+// SCMP messages toward affected senders).
 type Fabric struct {
 	Net  *sim.Network
 	Topo *topology.Graph
@@ -92,13 +92,11 @@ type Fabric struct {
 	// regardless of packet interleaving; nil keeps the historical
 	// sequence-dependent RNG behavior.
 	LossFunc func(flow uint32, link topology.LinkID, rate float64) bool
+	lossRNG  *rand.Rand
 
-	failed map[topology.LinkID]bool
-	// loss holds per-link gray-failure drop probabilities: packets are
-	// shed silently, with no SCMP — the defining property of a gray
-	// failure, which senders can only detect end to end.
-	loss    map[topology.LinkID]float64
-	lossRNG *rand.Rand
+	// Link fault state (FailLink, RestoreLink, Failed, SetLinkLoss,
+	// LinkLoss) and the egress decision over it.
+	linkFaults
 
 	deliver map[addr.IA]DeliverFunc
 	scmp    map[addr.IA]SCMPFunc
@@ -129,13 +127,12 @@ func (f *Fabric) SetTelemetry(reg *telemetry.Registry) {
 // NewFabric registers a router handler for every AS in the topology.
 func NewFabric(net *sim.Network, keys KeyFunc) *Fabric {
 	f := &Fabric{
-		Net:     net,
-		Topo:    net.Topo,
-		Keys:    keys,
-		failed:  map[topology.LinkID]bool{},
-		loss:    map[topology.LinkID]float64{},
-		deliver: map[addr.IA]DeliverFunc{},
-		scmp:    map[addr.IA]SCMPFunc{},
+		Net:        net,
+		Topo:       net.Topo,
+		Keys:       keys,
+		linkFaults: newLinkFaults(net.Topo),
+		deliver:    map[addr.IA]DeliverFunc{},
+		scmp:       map[addr.IA]SCMPFunc{},
 	}
 	for _, ia := range net.Topo.IAs() {
 		ia := ia
@@ -167,38 +164,17 @@ func (f *Fabric) AddSCMP(ia addr.IA, fn SCMPFunc) {
 	}
 }
 
-// FailLink marks one link as failed; packets routed over it trigger
-// revocations.
-func (f *Fabric) FailLink(id topology.LinkID) { f.failed[id] = true }
-
-// RestoreLink clears a failure.
-func (f *Fabric) RestoreLink(id topology.LinkID) { delete(f.failed, id) }
-
-// Failed reports whether a link is failed.
-func (f *Fabric) Failed(id topology.LinkID) bool { return f.failed[id] }
-
-// SetLinkLoss sets the gray-failure drop probability of a link (both
-// directions); rate <= 0 heals the link, rate >= 1 drops everything.
-func (f *Fabric) SetLinkLoss(id topology.LinkID, rate float64) {
-	if rate <= 0 {
-		delete(f.loss, id)
-		return
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	f.loss[id] = rate
-}
-
-// LinkLoss returns the gray-failure drop probability of a link.
-func (f *Fabric) LinkLoss(id topology.LinkID) float64 { return f.loss[id] }
-
 // SeedLoss reseeds the gray-failure randomness so drop decisions are
 // reproducible under a chosen seed (a fixed default seed is used
 // otherwise; the event loop is single-threaded either way).
 func (f *Fabric) SeedLoss(seed int64) { f.lossRNG = rand.New(rand.NewSource(seed)) }
 
-func (f *Fabric) dropByLoss(rate float64) bool {
+// dropGray is the fabric's gray-loss coin: LossFunc when set, else the
+// next draw of the seeded RNG.
+func (f *Fabric) dropGray(flow uint32, link topology.LinkID, rate float64) bool {
+	if f.LossFunc != nil {
+		return f.LossFunc(flow, link, rate)
+	}
 	if f.lossRNG == nil {
 		f.lossRNG = rand.New(rand.NewSource(1))
 	}
@@ -293,12 +269,11 @@ func (f *Fabric) forwardFrom(local addr.IA, pkt *Packet) {
 		}
 	}
 	link := f.Topo.LinkByIf(local, hf.Hop.Out)
-	if link == nil {
+	switch f.egress(link, pkt.FlowID, f.dropGray) {
+	case egressNoRoute:
 		f.DroppedNoRoute++
 		f.emitSCMP(local, pkt, &SCMP{Type: SCMPDestUnreachable, Offender: local, Orig: pkt})
-		return
-	}
-	if f.failed[link.ID] {
+	case egressRevoked:
 		f.Revocations++
 		f.emitSCMP(local, pkt, &SCMP{
 			Type:     SCMPRevokedLink,
@@ -306,22 +281,12 @@ func (f *Fabric) forwardFrom(local addr.IA, pkt *Packet) {
 			Offender: local,
 			Orig:     pkt,
 		})
-		return
+	case egressGray:
+		f.DroppedGray++
+	default:
+		f.Forwarded++
+		f.Net.Send(local, link, pkt)
 	}
-	if rate := f.loss[link.ID]; rate > 0 {
-		drop := false
-		if f.LossFunc != nil {
-			drop = f.LossFunc(pkt.FlowID, link.ID, rate)
-		} else {
-			drop = f.dropByLoss(rate)
-		}
-		if drop {
-			f.DroppedGray++
-			return
-		}
-	}
-	f.Forwarded++
-	f.Net.Send(local, link, pkt)
 }
 
 // emitSCMP routes a control message back toward the packet's sender over

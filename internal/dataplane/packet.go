@@ -52,46 +52,38 @@ var macStates = struct {
 	m map[string]hash.Hash
 }{m: map[string]hash.Hash{}}
 
-// macInput builds the 12 bytes the hop field MAC covers.
-func macInput(buf *[12]byte, h combinator.Hop) {
-	binary.BigEndian.PutUint64(buf[:8], h.IA.Uint64())
-	binary.BigEndian.PutUint16(buf[8:10], uint16(h.In))
-	binary.BigEndian.PutUint16(buf[10:12], uint16(h.Out))
-}
-
-// hopMAC computes the hop field MAC over (IA, in, out) with the AS key.
-func hopMAC(key []byte, h combinator.Hop) [MACLen]byte {
-	var buf [12]byte
-	macInput(&buf, h)
-	macStates.Lock()
+// keyedMAC returns the cached HMAC state of key. The caller holds
+// macStates locked for as long as it uses the state.
+func keyedMAC(key []byte) hash.Hash {
 	m := macStates.m[string(key)]
 	if m == nil {
 		m = hmac.New(sha256.New, key)
 		macStates.m[string(key)] = m
-	} else {
-		m.Reset()
 	}
-	m.Write(buf[:])
-	var sum [sha256.Size]byte
-	var out [MACLen]byte
-	copy(out[:], m.Sum(sum[:0]))
-	macStates.Unlock()
-	return out
+	return m
 }
 
-// hopMACUncached recomputes the HMAC from scratch — fresh key schedule,
-// no shared state. This is the naive per-packet baseline the batched
-// engine's single-packet mode uses; batch mode amortizes the keyed
-// state and the lock over whole batches instead (see macVerifier).
-func hopMACUncached(key []byte, h combinator.Hop) [MACLen]byte {
+// macOver is the hop field MAC: HMAC-SHA256 over the 12 bytes
+// (IA, in, out) on the keyed state m, truncated to MACLen. Everything
+// that stamps or checks a hop field computes it here.
+func macOver(m hash.Hash, ia addr.IA, in, out addr.IfID) [MACLen]byte {
 	var buf [12]byte
-	macInput(&buf, h)
-	m := hmac.New(sha256.New, key)
+	binary.BigEndian.PutUint64(buf[:8], ia.Uint64())
+	binary.BigEndian.PutUint16(buf[8:10], uint16(in))
+	binary.BigEndian.PutUint16(buf[10:12], uint16(out))
+	m.Reset()
 	m.Write(buf[:])
 	var sum [sha256.Size]byte
-	var out [MACLen]byte
-	copy(out[:], m.Sum(sum[:0]))
-	return out
+	var mac [MACLen]byte
+	copy(mac[:], m.Sum(sum[:0]))
+	return mac
+}
+
+// hopMAC computes the hop field MAC over (IA, in, out) with the AS key.
+func hopMAC(key []byte, h combinator.Hop) [MACLen]byte {
+	macStates.Lock()
+	defer macStates.Unlock()
+	return macOver(keyedMAC(key), h.IA, h.In, h.Out)
 }
 
 // macVerifier verifies hop field MACs for one border router draining
@@ -147,22 +139,12 @@ func (v *macVerifier) verifyBatch(key []byte, ia addr.IA, jobs []macJob, ok []bo
 		v.verdicts = make(map[[10]byte]bool, 64)
 	}
 	macStates.Lock()
-	m := macStates.m[string(key)]
-	if m == nil {
-		m = hmac.New(sha256.New, key)
-		macStates.m[string(key)] = m
-	}
-	var buf [12]byte
-	var sum [sha256.Size]byte
+	m := keyedMAC(key)
 	for _, i := range misses {
 		j := jobs[i]
-		macInput(&buf, combinator.Hop{IA: ia, In: j.in, Out: j.out})
-		m.Reset()
-		m.Write(buf[:])
-		got := m.Sum(sum[:0])
-		valid := hmac.Equal(got[:MACLen], j.mac[:])
-		ok[i] = valid
-		v.verdicts[verdictKey(j.in, j.out, j.mac)] = valid
+		want := macOver(m, ia, j.in, j.out)
+		ok[i] = hmac.Equal(want[:], j.mac[:])
+		v.verdicts[verdictKey(j.in, j.out, j.mac)] = ok[i]
 	}
 	macStates.Unlock()
 }

@@ -128,9 +128,10 @@ func (n *Network) LinkDelay(id topology.LinkID) time.Duration {
 }
 
 // SetLinkLoss sets the gray-failure drop probability of a link (both
-// directions); rate <= 0 heals the link, rate >= 1 drops everything.
+// directions); a rate that is not positive (NaN included) heals the
+// link, rate >= 1 drops everything.
 func (n *Network) SetLinkLoss(id topology.LinkID, rate float64) {
-	if rate <= 0 {
+	if !(rate > 0) {
 		delete(n.loss, id)
 		return
 	}

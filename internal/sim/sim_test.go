@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -279,5 +280,23 @@ func TestSetLinkDelay(t *testing.T) {
 	n.SetLinkDelay(link.ID, 0)
 	if d := n.LinkDelay(link.ID); d != 10*time.Millisecond {
 		t.Errorf("delay after reset = %v, want default", d)
+	}
+}
+
+// TestSetLinkLossRange: a rate that is not positive heals the link —
+// NaN included, which must never be stored as a live loss rate — and
+// rates above 1 clamp.
+func TestSetLinkLossRange(t *testing.T) {
+	var s Simulator
+	g := pairTopo()
+	n := NewNetwork(&s, g, time.Millisecond)
+	id := g.Links[0].ID
+	for _, tc := range []struct{ set, want float64 }{
+		{0.25, 0.25}, {math.NaN(), 0}, {0.5, 0.5}, {-1, 0}, {7, 1}, {0, 0},
+	} {
+		n.SetLinkLoss(id, tc.set)
+		if got := n.LinkLoss(id); got != tc.want {
+			t.Errorf("SetLinkLoss(%v): LinkLoss = %v, want %v", tc.set, got, tc.want)
+		}
 	}
 }

@@ -1,24 +1,12 @@
 #!/usr/bin/env bash
 # bench_compare.sh OLD.json NEW.json [threshold-pct]
-# bench_compare.sh --speedup FILE.json FAST_BENCH SLOW_BENCH MIN_RATIO
 #
-# Compare mode: compares allocs/op and pkts/s between two benchmark
-# capture files produced with
+# Compares allocs/op between two benchmark capture files produced with
 #   go test -json -run '^$' -bench ... -benchmem ... > BENCH_prN.json
-# and fails (exit 1) if any benchmark present in BOTH files regressed:
-#   - allocs/op grew by more than the threshold (default 20%), or
-#   - pkts/s shrank by more than twice the threshold (wall clock on
-#     shared CI runners is noisier than allocation counts, so the
-#     throughput gate gets double headroom).
+# and fails (exit 1) if any benchmark present in BOTH files grew its
+# allocs/op by more than the threshold (default 20%).
 # Benchmarks that exist in only one file are reported and skipped —
 # capture files from different PRs cover different packages.
-#
-# Speedup mode: reads one capture file and fails unless
-#   pkts/s(FAST_BENCH) >= MIN_RATIO * pkts/s(SLOW_BENCH).
-# Both benchmarks come from the same run on the same machine, so the
-# ratio is noise-robust even where absolute wall clock is not. CI uses
-# this to hold the batched forwarding engine to its >=2x speedup over
-# per-packet forwarding with MAC verification on.
 set -euo pipefail
 
 # Reassemble the benchmark output lines from the go-test-json stream: the
@@ -59,7 +47,7 @@ extract() {
             name = f[1]
             sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix
             for (j = 3; j < nf; j++) {
-                if (f[j + 1] == "allocs/op" || f[j + 1] == "pkts/s") {
+                if (f[j + 1] == "allocs/op") {
                     print name, f[j + 1], f[j]
                 }
             }
@@ -67,35 +55,8 @@ extract() {
     }' "$1"
 }
 
-if [ "${1:-}" = "--speedup" ]; then
-    if [ $# -ne 5 ]; then
-        echo "usage: $0 --speedup FILE.json FAST_BENCH SLOW_BENCH MIN_RATIO" >&2
-        exit 2
-    fi
-    file=$2 fast=$3 slow=$4 min=$5
-    extract "$file" | awk -v fast="$fast" -v slow="$slow" -v min="$min" '
-        $2 == "pkts/s" && $1 == fast { f = $3 + 0 }
-        $2 == "pkts/s" && $1 == slow { s = $3 + 0 }
-        END {
-            if (f == 0 || s == 0) {
-                printf "error: missing pkts/s for %s or %s\n", fast, slow > "/dev/stderr"
-                exit 2
-            }
-            ratio = f / s
-            printf "%s: %.0f pkts/s\n%s: %.0f pkts/s\nspeedup: %.2fx (required >= %sx)\n", \
-                fast, f, slow, s, ratio, min
-            if (ratio < min + 0) {
-                print "FAIL: speedup below required minimum" > "/dev/stderr"
-                exit 1
-            }
-            print "OK"
-        }'
-    exit $?
-fi
-
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
     echo "usage: $0 OLD.json NEW.json [threshold-pct]" >&2
-    echo "       $0 --speedup FILE.json FAST_BENCH SLOW_BENCH MIN_RATIO" >&2
     exit 2
 fi
 old_file=$1
@@ -120,17 +81,9 @@ printf '%s\n' "$old_data" "---" "$new_data" | awk -v thr="$threshold" \
             metric = kf[2]
             o = old[key] + 0
             n = new[key] + 0
-            if (metric == "pkts/s") {
-                # Lower throughput is the regression; double headroom
-                # for wall-clock noise.
-                pct = o > 0 ? (o - n) * 100.0 / o : 0
-                lim = 2 * thr
-            } else {
-                pct = o > 0 ? (n - o) * 100.0 / o : 0
-                lim = thr
-            }
+            pct = o > 0 ? (n - o) * 100.0 / o : 0
             marker = ""
-            if (pct > lim) { marker = "  REGRESSION"; failed++ }
+            if (pct > thr) { marker = "  REGRESSION"; failed++ }
             printf "%-60s %14.1f -> %14.1f %-10s %+7.1f%%%s\n", kf[1], o, n, metric, pct, marker
             if (pct > worst) worst = pct
         }
@@ -143,8 +96,8 @@ printf '%s\n' "$old_data" "---" "$new_data" | awk -v thr="$threshold" \
             exit 2
         }
         if (failed > 0) {
-            printf "FAIL: %d metric(s) regressed beyond their threshold\n", failed > "/dev/stderr"
+            printf "FAIL: %d metric(s) regressed beyond the threshold\n", failed > "/dev/stderr"
             exit 1
         }
-        printf "OK: no regression beyond thresholds (worst %+.1f%%)\n", worst
+        printf "OK: no regression beyond the threshold (worst %+.1f%%)\n", worst
     }'
