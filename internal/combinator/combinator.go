@@ -12,6 +12,8 @@ package combinator
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
@@ -27,7 +29,14 @@ type Hop struct {
 	Out addr.IfID
 }
 
-func (h Hop) String() string { return fmt.Sprintf("%s %s>%s", h.IA, h.In, h.Out) }
+func (h Hop) String() string { return string(h.appendFormat(nil)) }
+
+// appendFormat appends "isd-as in>out" to b.
+func (h Hop) appendFormat(b []byte) []byte {
+	b = append(h.IA.AppendFormat(b), ' ')
+	b = append(strconv.AppendUint(b, uint64(h.In), 10), '>')
+	return strconv.AppendUint(b, uint64(h.Out), 10)
+}
 
 // Path is an end-to-end forwarding path at interface granularity.
 type Path struct {
@@ -54,14 +63,18 @@ func (p *Path) Dst() addr.IA {
 }
 
 func (p *Path) String() string {
-	s := "path["
+	var b strings.Builder
+	b.Grow(8 + 24*len(p.Hops))
+	b.WriteString("path[")
+	var hop [40]byte
 	for i, h := range p.Hops {
 		if i > 0 {
-			s += " "
+			b.WriteByte(' ')
 		}
-		s += h.String()
+		b.Write(h.appendFormat(hop[:0]))
 	}
-	return s + "]"
+	b.WriteByte(']')
+	return b.String()
 }
 
 // Reverse returns the path in the opposite direction (SCION paths are
@@ -103,13 +116,17 @@ func (p *Path) Check(topo *topology.Graph) error {
 }
 
 // ContainsLoop reports whether an AS appears twice.
-func (p *Path) ContainsLoop() bool {
-	seen := map[addr.IA]bool{}
-	for _, h := range p.Hops {
-		if seen[h.IA] {
-			return true
+func (p *Path) ContainsLoop() bool { return hasLoop(p.Hops) }
+
+// hasLoop scans instead of hashing: paths are a dozen hops at most, and
+// AllPaths asks once per candidate.
+func hasLoop(hops []Hop) bool {
+	for i := 1; i < len(hops); i++ {
+		for j := 0; j < i; j++ {
+			if hops[j].IA == hops[i].IA {
+				return true
+			}
 		}
-		seen[h.IA] = true
 	}
 	return false
 }
@@ -121,85 +138,185 @@ var (
 	ErrEmptySegment  = errors.New("combinator: empty segment")
 )
 
-// terminated checks the segment ends with a leaf entry (egress 0).
-func terminated(s *seg.PCB) error {
-	if s.NumHops() == 0 {
-		return ErrEmptySegment
-	}
-	if s.ASEntries[s.NumHops()-1].Hop.ConsEgress != 0 {
-		return ErrNotTerminated
-	}
-	return nil
+// view is what combination needs of one segment, derived once however
+// many partners the segment is tried with.
+type view struct {
+	// err says why the segment cannot be combined: nil or empty, or not
+	// terminated (its last AS entry is not a leaf entry with egress 0).
+	err error
+	s   *seg.PCB
+	// fwd are the hops in beaconing direction (origin first): the beacon
+	// entered each AS via ConsIngress and left via ConsEgress, which is
+	// the data-plane direction core -> leaf. bwd is the same segment
+	// leaf first, the direction an up-segment is used.
+	fwd, bwd []Hop
+	// mtu is the smallest AS-entry MTU (0 if none set).
+	mtu uint16
+	// peered says some AS entry carries a peer entry.
+	peered bool
 }
 
-// segMTU returns the smallest AS-entry MTU of the segment (0 if none set).
-func segMTU(s *seg.PCB) uint16 {
-	var m uint16
-	for i := range s.ASEntries {
-		v := s.ASEntries[i].MTU
-		if v == 0 {
-			continue
-		}
-		if m == 0 || v < m {
-			m = v
-		}
+func newView(s *seg.PCB) view {
+	if s == nil || s.NumHops() == 0 {
+		return view{err: ErrEmptySegment}
 	}
-	return m
-}
-
-// minMTU combines segment MTUs, ignoring zeros.
-func minMTU(vals ...uint16) uint16 {
-	var m uint16
-	for _, v := range vals {
-		if v == 0 {
-			continue
-		}
-		if m == 0 || v < m {
-			m = v
-		}
+	n := len(s.ASEntries)
+	if s.ASEntries[n-1].Hop.ConsEgress != 0 {
+		return view{err: ErrNotTerminated}
 	}
-	return m
-}
-
-// forward converts a terminated segment into hops in beaconing direction
-// (origin first): the beacon entered each AS via ConsIngress and left via
-// ConsEgress, which is exactly the data-plane direction core -> leaf.
-func forward(s *seg.PCB) []Hop {
-	hops := make([]Hop, s.NumHops())
+	hops := make([]Hop, 2*n)
+	v := view{s: s, fwd: hops[:n:n], bwd: hops[n:]}
 	for i := range s.ASEntries {
 		e := &s.ASEntries[i]
-		hops[i] = Hop{IA: e.Local, In: e.Hop.ConsIngress, Out: e.Hop.ConsEgress}
+		v.fwd[i] = Hop{IA: e.Local, In: e.Hop.ConsIngress, Out: e.Hop.ConsEgress}
+		v.bwd[n-1-i] = Hop{IA: e.Local, In: e.Hop.ConsEgress, Out: e.Hop.ConsIngress}
+		v.mtu = minMTU(v.mtu, e.MTU)
+		v.peered = v.peered || len(e.Peers) > 0
 	}
-	return hops
+	return v
 }
 
-// backward converts a terminated segment into hops against beaconing
-// direction (leaf first), the direction an up-segment is used.
-func backward(s *seg.PCB) []Hop {
-	f := forward(s)
-	out := make([]Hop, len(f))
-	for i, h := range f {
-		out[len(f)-1-i] = Hop{IA: h.IA, In: h.Out, Out: h.In}
+// views returns the views of the segments that can be combined, in order.
+func views(segs []*seg.PCB) []*view {
+	all := make([]view, len(segs))
+	out := make([]*view, 0, len(segs))
+	for i, s := range segs {
+		if all[i] = newView(s); all[i].err == nil {
+			out = append(out, &all[i])
+		}
 	}
 	return out
 }
 
-// joinAdjacent concatenates hop lists where the junction AS appears as
-// the last hop of a and the first hop of b; the two half-hops merge.
-func joinAdjacent(a, b []Hop) ([]Hop, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return nil, ErrEmptySegment
+func (v *view) origin() addr.IA { return v.fwd[0].IA }
+func (v *view) leaf() addr.IA   { return v.bwd[0].IA }
+
+// minMTU combines MTUs, ignoring zeros (unknown).
+func minMTU(a, b uint16) uint16 {
+	if a == 0 || (b != 0 && b < a) {
+		return b
 	}
-	last, first := a[len(a)-1], b[0]
-	if last.IA != first.IA {
-		return nil, fmt.Errorf("%w: %s vs %s", ErrNoJunction, last.IA, first.IA)
+	return a
+}
+
+// combine builds in buf, which must be empty (its capacity is reused), the
+// hops of src -> core1 -> core2 -> dst from the segments present (nil =
+// absent): where two segments meet, the junction AS is the last hop of one
+// and the first of the next, and the two half-hops merge.
+func combine(buf []Hop, up, core, down *view) ([]Hop, uint16, error) {
+	parts := [3]*view{up, core, down}
+	for _, v := range parts {
+		if v != nil && v.err != nil {
+			return nil, 0, v.err
+		}
 	}
-	merged := Hop{IA: last.IA, In: last.In, Out: first.Out}
-	out := make([]Hop, 0, len(a)+len(b)-1)
-	out = append(out, a[:len(a)-1]...)
-	out = append(out, merged)
-	out = append(out, b[1:]...)
-	return out, nil
+	var mtu uint16
+	for i, v := range parts {
+		if v == nil {
+			continue
+		}
+		part := v.bwd
+		if i == 2 {
+			part = v.fwd
+		}
+		if len(buf) > 0 {
+			last := &buf[len(buf)-1]
+			if last.IA != part[0].IA {
+				return nil, 0, ErrNoJunction
+			}
+			last.Out = part[0].Out
+			part = part[1:]
+		}
+		buf = append(buf, part...)
+		mtu = minMTU(mtu, v.mtu)
+	}
+	if len(buf) == 0 {
+		return nil, 0, ErrEmptySegment
+	}
+	return buf, mtu, nil
+}
+
+// shortcut crosses over at the common AS closest to the endpoints: the
+// earliest hop of up (leaf first) that down also has.
+func shortcut(buf []Hop, up, down *view) ([]Hop, uint16, error) {
+	if err := firstErr(up, down); err != nil {
+		return nil, 0, err
+	}
+	for i, h := range up.bwd {
+		for j := range down.fwd {
+			if down.fwd[j].IA == h.IA {
+				buf = append(buf, up.bwd[:i]...)
+				buf = append(buf, Hop{IA: h.IA, In: h.In, Out: down.fwd[j].Out})
+				return append(buf, down.fwd[j+1:]...), minMTU(up.mtu, down.mtu), nil
+			}
+		}
+	}
+	return nil, 0, ErrNoJunction
+}
+
+// peering walks up from the endpoint, so the first peering link that
+// both segments advertise gives the shortest detour. Should a segment
+// list an AS twice, up's first entry for it counts, down's last, and of
+// several entries D holds for U the last.
+func peering(buf []Hop, up, down *view) ([]Hop, uint16, error) {
+	if err := firstErr(up, down); err != nil {
+		return nil, 0, err
+	}
+	if !up.peered || !down.peered {
+		return nil, 0, ErrNoJunction
+	}
+	for i, h := range up.bwd {
+		ue := 0
+		for up.s.ASEntries[ue].Local != h.IA {
+			ue++
+		}
+		for _, pe := range up.s.ASEntries[ue].Peers {
+			j := len(down.fwd) - 1
+			for j >= 0 && down.fwd[j].IA != pe.Peer {
+				j--
+			}
+			if j < 0 {
+				continue
+			}
+			// The same physical link: U's local interface must be the
+			// far side of D's entry and vice versa.
+			dp := down.s.ASEntries[j].Peers
+			k := len(dp) - 1
+			for k >= 0 && dp[k].Peer != h.IA {
+				k--
+			}
+			if k < 0 || dp[k].PeerIf != pe.LocalIf || dp[k].LocalIf != pe.PeerIf {
+				continue
+			}
+			buf = append(buf, up.bwd[:i]...)
+			buf = append(buf, Hop{IA: h.IA, In: h.In, Out: pe.LocalIf}, Hop{IA: pe.Peer, In: pe.PeerIf, Out: down.fwd[j].Out})
+			return append(buf, down.fwd[j+1:]...), minMTU(up.mtu, down.mtu), nil
+		}
+	}
+	return nil, 0, ErrNoJunction
+}
+
+func firstErr(up, down *view) error {
+	if up.err != nil {
+		return up.err
+	}
+	return down.err
+}
+
+func newPath(hops []Hop, mtu uint16, err error) (*Path, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Path{Hops: hops, MTU: mtu}, nil
+}
+
+// viewOrNil keeps Combine's "nil = segment absent".
+func viewOrNil(s *seg.PCB) *view {
+	if s == nil {
+		return nil
+	}
+	v := newView(s)
+	return &v
 }
 
 // Combine builds the full three-segment path src -> core1 -> core2 -> dst
@@ -208,78 +325,15 @@ func joinAdjacent(a, b []Hop) ([]Hop, error) {
 // Either up or down may be nil when the corresponding endpoint is itself
 // a core AS; core may be nil when both ISD cores coincide.
 func Combine(up, core, down *seg.PCB) (*Path, error) {
-	var parts [][]Hop
-	if up != nil {
-		if err := terminated(up); err != nil {
-			return nil, fmt.Errorf("up: %w", err)
-		}
-		parts = append(parts, backward(up))
-	}
-	if core != nil {
-		if err := terminated(core); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		parts = append(parts, backward(core))
-	}
-	if down != nil {
-		if err := terminated(down); err != nil {
-			return nil, fmt.Errorf("down: %w", err)
-		}
-		parts = append(parts, forward(down))
-	}
-	if len(parts) == 0 {
-		return nil, ErrEmptySegment
-	}
-	hops := parts[0]
-	for _, p := range parts[1:] {
-		var err error
-		hops, err = joinAdjacent(hops, p)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var mtus []uint16
-	for _, s := range []*seg.PCB{up, core, down} {
-		if s != nil {
-			mtus = append(mtus, segMTU(s))
-		}
-	}
-	return &Path{Hops: hops, MTU: minMTU(mtus...)}, nil
+	return newPath(combine(nil, viewOrNil(up), viewOrNil(core), viewOrNil(down)))
 }
 
 // Shortcut builds a path that crosses over at a non-core AS common to the
 // up- and down-segment, avoiding the core (paper §2.2). The crossover is
 // the common AS closest to the endpoints (deepest in both segments).
 func Shortcut(up, down *seg.PCB) (*Path, error) {
-	if err := terminated(up); err != nil {
-		return nil, fmt.Errorf("up: %w", err)
-	}
-	if err := terminated(down); err != nil {
-		return nil, fmt.Errorf("down: %w", err)
-	}
-	upHops := backward(up)    // src ... core1
-	downHops := forward(down) // core2 ... dst
-	// Find the crossover: the earliest hop in upHops (deepest AS) that
-	// also appears in downHops.
-	downIdx := map[addr.IA]int{}
-	for i, h := range downHops {
-		if _, ok := downIdx[h.IA]; !ok {
-			downIdx[h.IA] = i
-		}
-	}
-	for i, h := range upHops {
-		j, ok := downIdx[h.IA]
-		if !ok {
-			continue
-		}
-		cross := Hop{IA: h.IA, In: h.In, Out: downHops[j].Out}
-		hops := make([]Hop, 0, i+len(downHops)-j)
-		hops = append(hops, upHops[:i]...)
-		hops = append(hops, cross)
-		hops = append(hops, downHops[j+1:]...)
-		return &Path{Hops: hops, MTU: minMTU(segMTU(up), segMTU(down))}, nil
-	}
-	return nil, ErrNoJunction
+	u, d := newView(up), newView(down)
+	return newPath(shortcut(nil, &u, &d))
 }
 
 // PeeringShortcut joins the up- and down-segment over a peering link that
@@ -287,91 +341,106 @@ func Shortcut(up, down *seg.PCB) (*Path, error) {
 // D on the down-segment, and D carries the mirrored entry (valley-free
 // peering requires the same link in both segments, paper §2.2).
 func PeeringShortcut(up, down *seg.PCB) (*Path, error) {
-	if err := terminated(up); err != nil {
-		return nil, fmt.Errorf("up: %w", err)
-	}
-	if err := terminated(down); err != nil {
-		return nil, fmt.Errorf("down: %w", err)
-	}
-	upHops := backward(up)
-	downHops := forward(down)
+	u, d := newView(up), newView(down)
+	return newPath(peering(nil, &u, &d))
+}
 
-	// Index down-segment peer entries: AS -> peer -> (localIf, peerIf).
-	type peerIf struct{ local, remote addr.IfID }
-	downPeers := map[addr.IA]map[addr.IA]peerIf{}
-	downPos := map[addr.IA]int{}
-	for i, h := range downHops {
-		downPos[h.IA] = i
-	}
-	for i := range down.ASEntries {
-		e := &down.ASEntries[i]
-		m := map[addr.IA]peerIf{}
-		for _, pe := range e.Peers {
-			m[pe.Peer] = peerIf{local: pe.LocalIf, remote: pe.PeerIf}
-		}
-		downPeers[e.Local] = m
-	}
+// joiner combines the segment sets of one endpoint pair. Core segments
+// are bucketed by the junctions they connect, so an (up, down) pair
+// splices only the core segments that fit it, in their original order.
+// Nil, empty and unterminated segments are left out.
+type joiner struct {
+	ups, downs []*view
+	cores      map[[2]addr.IA][]*view // by (leaf, origin)
+	buf        []Hop                  // candidate under construction
+	out        []*Path
+}
 
-	// Walk the up-segment from the endpoint: the first matching peering
-	// link gives the shortest detour.
-	for i := range upHops {
-		u := upHops[i].IA
-		var uEntry *seg.ASEntry
-		for j := range up.ASEntries {
-			if up.ASEntries[j].Local == u {
-				uEntry = &up.ASEntries[j]
-				break
-			}
-		}
-		if uEntry == nil {
-			continue
-		}
-		for _, pe := range uEntry.Peers {
-			dm, onDown := downPeers[pe.Peer]
-			if !onDown {
-				continue
-			}
-			mirror, ok := dm[u]
-			if !ok {
-				continue
-			}
-			// The same physical link: U's local interface must be the
-			// far side of D's entry and vice versa.
-			if mirror.remote != pe.LocalIf || mirror.local != pe.PeerIf {
-				continue
-			}
-			j := downPos[pe.Peer]
-			crossU := Hop{IA: u, In: upHops[i].In, Out: pe.LocalIf}
-			crossD := Hop{IA: pe.Peer, In: pe.PeerIf, Out: downHops[j].Out}
-			hops := make([]Hop, 0, i+2+len(downHops)-j)
-			hops = append(hops, upHops[:i]...)
-			hops = append(hops, crossU, crossD)
-			hops = append(hops, downHops[j+1:]...)
-			return &Path{Hops: hops, MTU: minMTU(segMTU(up), segMTU(down))}, nil
-		}
+func newJoiner(ups, cores, downs []*seg.PCB) *joiner {
+	j := &joiner{ups: views(ups), downs: views(downs), cores: map[[2]addr.IA][]*view{}}
+	for _, c := range views(cores) {
+		k := [2]addr.IA{c.leaf(), c.origin()}
+		j.cores[k] = append(j.cores[k], c)
 	}
-	return nil, ErrNoJunction
+	return j
+}
+
+// add keeps a candidate that was built without error and has no loop.
+func (j *joiner) add(hops []Hop, mtu uint16, err error) {
+	if err != nil {
+		return
+	}
+	if !hasLoop(hops) {
+		j.out = append(j.out, &Path{Hops: append([]Hop(nil), hops...), MTU: mtu})
+	}
+	j.buf = hops[:0]
 }
 
 // AllPaths combines every compatible (up, core, down) triple plus all
 // shortcuts into the candidate path set an endpoint can choose from,
-// dropping looping paths.
+// dropping looping paths. The order is part of the contract (callers
+// sort stably and policies pick by index): ups outermost, then downs,
+// and per pair shortcut, peering shortcut, the fitting core segments in
+// the order given, and last the same-core junction without a core
+// segment. Nil, empty and unterminated segments are skipped.
 func AllPaths(ups, cores, downs []*seg.PCB) []*Path {
-	var out []*Path
-	add := func(p *Path, err error) {
-		if err == nil && !p.ContainsLoop() {
-			out = append(out, p)
+	j := newJoiner(ups, cores, downs)
+	for _, up := range j.ups {
+		for _, down := range j.downs {
+			j.add(shortcut(j.buf, up, down))
+			j.add(peering(j.buf, up, down))
+			for _, c := range j.cores[[2]addr.IA{up.origin(), down.origin()}] {
+				j.add(combine(j.buf, up, c, down))
+			}
+			if up.origin() == down.origin() {
+				j.add(combine(j.buf, up, nil, down))
+			}
 		}
 	}
-	for _, up := range ups {
-		for _, down := range downs {
-			add(Shortcut(up, down))
-			add(PeeringShortcut(up, down))
-			for _, c := range cores {
-				add(Combine(up, c, down))
+	return j.out
+}
+
+// CorePaths is AllPaths for a pair with a core AS at one or both ends,
+// which has no segment of its own on that side: the caller passes no ups
+// when src is the junction the core segments must end at, and no downs
+// when dst is the one they must start from. With both given no end is a
+// core AS and the answer is nil (that pair is AllPaths'). Shortcuts need
+// both an up- and a down-segment and do not apply. Per up- or
+// down-segment the direct junction comes first, then the fitting core
+// segments in the order given; paths that loop or do not run from src to
+// dst are dropped.
+func CorePaths(src, dst addr.IA, ups, cores, downs []*seg.PCB) []*Path {
+	if len(ups) > 0 && len(downs) > 0 {
+		return nil
+	}
+	j := newJoiner(ups, cores, downs)
+	if len(ups) == 0 {
+		j.ups = []*view{nil}
+	}
+	if len(downs) == 0 {
+		j.downs = []*view{nil}
+	}
+	for _, up := range j.ups {
+		for _, down := range j.downs {
+			from, to := src, dst
+			if up != nil {
+				from = up.origin()
 			}
-			// Same-core junction without a core segment.
-			add(Combine(up, nil, down))
+			if down != nil {
+				to = down.origin()
+			}
+			if from == to {
+				j.add(combine(j.buf, up, nil, down))
+			}
+			for _, c := range j.cores[[2]addr.IA{from, to}] {
+				j.add(combine(j.buf, up, c, down))
+			}
+		}
+	}
+	var out []*Path
+	for _, p := range j.out {
+		if p.Src() == src && p.Dst() == dst {
+			out = append(out, p)
 		}
 	}
 	return out

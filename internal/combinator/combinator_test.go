@@ -1,6 +1,8 @@
 package combinator
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -34,7 +36,7 @@ var (
 	b5 = addr.MustIA(2, 0xff00_0000_0205)
 )
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	topo := topology.Demo()
 	infra, err := trust.NewInfra(topo, trust.Sized)
@@ -57,7 +59,7 @@ func newFixture(t *testing.T) *fixture {
 // terminated returns the stored segments from origin at dst, terminated
 // with dst's AS entry (including dst's peer entries so that peering
 // shortcuts can be built).
-func (f *fixture) terminated(t *testing.T, run *beacon.RunResult, origin, dst addr.IA) []*seg.PCB {
+func (f *fixture) terminated(t testing.TB, run *beacon.RunResult, origin, dst addr.IA) []*seg.PCB {
 	t.Helper()
 	srv := run.Servers[dst]
 	var out []*seg.PCB
@@ -278,6 +280,45 @@ func TestNotTerminatedRejected(t *testing.T) {
 	}
 	if _, err := Combine(nil, nil, nil); err == nil {
 		t.Error("all-nil combine must fail")
+	}
+	if _, err := PeeringShortcut(raw, raw); !errors.Is(err, ErrNotTerminated) {
+		t.Errorf("PeeringShortcut(unterminated) = %v, want ErrNotTerminated", err)
+	}
+	if _, err := Combine(raw, nil, nil); !errors.Is(err, ErrNotTerminated) {
+		t.Errorf("Combine(unterminated) = %v, want ErrNotTerminated", err)
+	}
+
+	// A nil or empty segment is an error to the shortcut rules and is
+	// skipped inside an AllPaths set; neither may panic. (To Combine nil
+	// means "segment absent".)
+	good := f.terminated(t, f.intraRun, a2, a6)[0]
+	for _, bad := range []*seg.PCB{nil, {}} {
+		if _, err := Shortcut(bad, good); !errors.Is(err, ErrEmptySegment) {
+			t.Errorf("Shortcut(%v, d) = %v, want ErrEmptySegment", bad, err)
+		}
+		if _, err := Shortcut(good, bad); !errors.Is(err, ErrEmptySegment) {
+			t.Errorf("Shortcut(u, %v) = %v, want ErrEmptySegment", bad, err)
+		}
+		if _, err := PeeringShortcut(good, bad); !errors.Is(err, ErrEmptySegment) {
+			t.Errorf("PeeringShortcut(u, %v) = %v, want ErrEmptySegment", bad, err)
+		}
+		if _, err := PeeringShortcut(bad, good); !errors.Is(err, ErrEmptySegment) {
+			t.Errorf("PeeringShortcut(%v, d) = %v, want ErrEmptySegment", bad, err)
+		}
+		if got := AllPaths([]*seg.PCB{bad}, []*seg.PCB{bad}, []*seg.PCB{bad}); len(got) != 0 {
+			t.Errorf("AllPaths over %v segments = %v", bad, got)
+		}
+		want := AllPaths([]*seg.PCB{good}, nil, []*seg.PCB{good})
+		if got := AllPaths([]*seg.PCB{bad, good}, []*seg.PCB{bad}, []*seg.PCB{good, bad}); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("AllPaths with %v entries = %v, want them skipped: %v", bad, got, want)
+		}
+	}
+	if _, err := Combine(&seg.PCB{}, nil, good); !errors.Is(err, ErrEmptySegment) {
+		t.Errorf("Combine(empty up) = %v, want ErrEmptySegment", err)
+	}
+	other := f.terminated(t, f.intraRun, a1, a6)[0]
+	if _, err := Combine(other, nil, good); !errors.Is(err, ErrNoJunction) {
+		t.Errorf("Combine across cores without a core segment = %v, want ErrNoJunction", err)
 	}
 }
 

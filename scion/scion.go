@@ -19,6 +19,7 @@
 package scion
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"time"
@@ -346,9 +347,15 @@ func (n *Network) Paths(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
 	sort.SliceStable(cands, func(i, j int) bool { return len(cands[i].Hops) < len(cands[j].Hops) })
 	var out []*dataplane.FwdPath
 	seen := map[string]bool{} // dedup identical interface-level paths
+	var hk []byte
 	for _, c := range cands {
-		key := c.String()
-		if seen[key] {
+		hk = hk[:0]
+		for _, h := range c.Hops {
+			hk = binary.BigEndian.AppendUint64(hk, h.IA.Uint64())
+			hk = binary.BigEndian.AppendUint16(hk, uint16(h.In))
+			hk = binary.BigEndian.AppendUint16(hk, uint16(h.Out))
+		}
+		if seen[string(hk)] {
 			continue
 		}
 		if err := c.Check(n.Topo); err != nil {
@@ -358,7 +365,7 @@ func (n *Network) Paths(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
 		if err != nil {
 			continue
 		}
-		seen[key] = true
+		seen[string(hk)] = true
 		out = append(out, fp)
 	}
 	if len(out) == 0 {
@@ -398,8 +405,19 @@ func (n *Network) lookupSegments(now sim.Time, src, dst addr.IA) (ups, cores, do
 		ups = n.pathServers[src].LookupUp(now)
 	}
 	if !dstCore {
+		// Every core of the ISD holds the same registrations and answers
+		// with the same segments. A repeat can only rebuild paths its
+		// first occurrence already gave, which Paths would drop as
+		// duplicates, so it is dropped here before it multiplies the
+		// combinations.
+		seen := map[*seg.PCB]bool{}
 		for _, c := range n.coresOf(dst.ISD) {
-			downs = append(downs, n.pathServers[c].LookupDown(now, dst)...)
+			for _, d := range n.pathServers[c].LookupDown(now, dst) {
+				if !seen[d] {
+					seen[d] = true
+					downs = append(downs, d)
+				}
+			}
 		}
 	}
 	// Core segments between every (src-side core, dst-side core) pair,
@@ -430,37 +448,10 @@ func (n *Network) lookupSegments(now sim.Time, src, dst addr.IA) (ups, cores, do
 // when an endpoint is a core AS, the corresponding up/down part is
 // omitted (the path starts or ends at the core).
 func (n *Network) combineAll(src, dst addr.IA, ups, cores, downs []*seg.PCB) []*combinator.Path {
-	srcCore := n.Topo.AS(src).Core
-	dstCore := n.Topo.AS(dst).Core
-	var cands []*combinator.Path
-	add := func(p *combinator.Path, err error) {
-		if err == nil && !p.ContainsLoop() && p.Src() == src && p.Dst() == dst {
-			cands = append(cands, p)
-		}
+	if n.Topo.AS(src).Core || n.Topo.AS(dst).Core {
+		return combinator.CorePaths(src, dst, ups, cores, downs)
 	}
-	switch {
-	case srcCore && dstCore:
-		for _, c := range cores {
-			add(combinator.Combine(nil, c, nil))
-		}
-	case srcCore:
-		for _, d := range downs {
-			add(combinator.Combine(nil, nil, d)) // dst homed at src itself
-			for _, c := range cores {
-				add(combinator.Combine(nil, c, d))
-			}
-		}
-	case dstCore:
-		for _, u := range ups {
-			add(combinator.Combine(u, nil, nil)) // src homed at dst itself
-			for _, c := range cores {
-				add(combinator.Combine(u, c, nil))
-			}
-		}
-	default:
-		return combinator.AllPaths(ups, cores, downs)
-	}
-	return cands
+	return combinator.AllPaths(ups, cores, downs)
 }
 
 func (n *Network) coresOf(isd addr.ISD) []addr.IA {

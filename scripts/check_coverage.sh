@@ -20,7 +20,7 @@ scionmpr/internal/beacon 90
 scionmpr/internal/bgp 87
 scionmpr/internal/bgpsec 88
 scionmpr/internal/chaos 59
-scionmpr/internal/combinator 89
+scionmpr/internal/combinator 96
 scionmpr/internal/core 63
 scionmpr/internal/dataplane 80
 scionmpr/internal/deploy 91
@@ -38,7 +38,7 @@ scionmpr/internal/telemetry 88
 scionmpr/internal/topology 93
 scionmpr/internal/traffic 88
 scionmpr/internal/trust 89
-scionmpr/scion 83
+scionmpr/scion 87
 '
 
 awk -v floors="$floors" '
