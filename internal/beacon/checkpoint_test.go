@@ -10,6 +10,7 @@ import (
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
+	"scionmpr/internal/wire"
 )
 
 // chaosCfg builds the determinism scenario of detRun as a config: core
@@ -203,6 +204,36 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 	if _, err := Resume(cfg, bad); err == nil {
 		t.Error("corrupted snapshot: want error")
 	}
+
+	// Sections that pass the CRC but not their decoder. The network
+	// section's errors used to be dropped: a short one restored zeros.
+	secs, err := frames(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func(secs [][]byte){
+		"negative time":          func(secs [][]byte) { secs[0][6] |= 0x80 },
+		"header trailing byte":   func(secs [][]byte) { secs[0] = append(secs[0], 0) },
+		"network truncated":      func(secs [][]byte) { secs[1] = secs[1][:len(secs[1])-1] },
+		"network trailing byte":  func(secs [][]byte) { secs[1] = append(secs[1], 0) },
+		"network unbacked count": func(secs [][]byte) { secs[1][0] = 0x40 },
+		"server unbacked count":  func(secs [][]byte) { secs[2][51] = 0x40 },
+		"server trailing byte":   func(secs [][]byte) { secs[2] = append(secs[2], 0) },
+	} {
+		var edited []byte
+		mutable := make([][]byte, len(secs))
+		for i := range secs {
+			mutable[i] = append([]byte(nil), secs[i]...)
+		}
+		edit(mutable)
+		for _, sec := range mutable {
+			edited = wire.AppendFrame(edited, sec)
+		}
+		if _, err := Resume(cfg, edited); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+
 	withChaos := cfg
 	withChaos.Chaos = &chaos.Schedule{Seed: 1}
 	if _, err := Resume(withChaos, snap); err == nil || !strings.Contains(err.Error(), "chaos") {

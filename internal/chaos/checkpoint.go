@@ -2,13 +2,13 @@ package chaos
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 	"time"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/topology"
+	"scionmpr/internal/wire"
 )
 
 // AppendState serializes the engine's fault bookkeeping in canonical
@@ -92,105 +92,32 @@ func (e *Engine) AppendState(dst []byte) []byte {
 // freshly constructed engine. Call it before Apply, which registers the
 // surviving fault-plan actions.
 func (e *Engine) RestoreState(b []byte) error {
-	off := 0
-	fail := func(what string) error {
-		return fmt.Errorf("chaos: engine state truncated in %s at offset %d", what, off)
+	r := wire.NewReader("chaos: engine state", b)
+	for i, n := 0, r.Count(r.U32(), 8); i < n && r.Err() == nil; i++ {
+		e.failDepth[topology.LinkID(r.U32())] = int(r.U32())
 	}
-	u32 := func() (uint32, bool) {
-		if off+4 > len(b) {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint32(b[off:])
-		off += 4
-		return v, true
-	}
-	u64 := func() (uint64, bool) {
-		if off+8 > len(b) {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint64(b[off:])
-		off += 8
-		return v, true
-	}
-
-	n, ok := u32()
-	if !ok {
-		return fail("failDepth")
-	}
-	for i := uint32(0); i < n; i++ {
-		id, ok1 := u32()
-		depth, ok2 := u32()
-		if !ok1 || !ok2 {
-			return fail("failDepth")
-		}
-		e.failDepth[topology.LinkID(id)] = int(depth)
-	}
-
-	if n, ok = u32(); !ok {
-		return fail("grayRates")
-	}
-	for i := uint32(0); i < n; i++ {
-		id, ok1 := u32()
-		m, ok2 := u32()
-		if !ok1 || !ok2 {
-			return fail("grayRates")
-		}
-		rates := make([]float64, m)
+	for i, n := 0, r.Count(r.U32(), 8); i < n && r.Err() == nil; i++ {
+		id := topology.LinkID(r.U32())
+		rates := make([]float64, r.Count(r.U32(), 8))
 		for j := range rates {
-			bits, ok := u64()
-			if !ok {
-				return fail("grayRates")
-			}
-			rates[j] = math.Float64frombits(bits)
+			rates[j] = math.Float64frombits(r.U64())
 		}
-		e.grayRates[topology.LinkID(id)] = rates
+		e.grayRates[id] = rates
 	}
-
-	if n, ok = u32(); !ok {
-		return fail("spikes")
-	}
-	for i := uint32(0); i < n; i++ {
-		id, ok1 := u32()
-		m, ok2 := u32()
-		if !ok1 || !ok2 {
-			return fail("spikes")
-		}
-		ds := make([]time.Duration, m)
+	for i, n := 0, r.Count(r.U32(), 8); i < n && r.Err() == nil; i++ {
+		id := topology.LinkID(r.U32())
+		ds := make([]time.Duration, r.Count(r.U32(), 8))
 		for j := range ds {
-			v, ok := u64()
-			if !ok {
-				return fail("spikes")
-			}
-			ds[j] = time.Duration(v)
+			ds[j] = time.Duration(r.U64())
 		}
-		e.spikes[topology.LinkID(id)] = ds
+		e.spikes[id] = ds
 	}
-
-	if n, ok = u32(); !ok {
-		return fail("crashDepth")
+	for i, n := 0, r.Count(r.U32(), 12); i < n && r.Err() == nil; i++ {
+		e.crashDepth[addr.IAFromUint64(r.U64())] = int(r.U32())
 	}
-	for i := uint32(0); i < n; i++ {
-		ia, ok1 := u64()
-		depth, ok2 := u32()
-		if !ok1 || !ok2 {
-			return fail("crashDepth")
-		}
-		e.crashDepth[addr.IAFromUint64(ia)] = int(depth)
+	for i, n := 0, r.Count(r.U32(), 12); i < n && r.Err() == nil; i++ {
+		e.Injections[Kind(r.U32())] = r.U64()
 	}
-
-	if n, ok = u32(); !ok {
-		return fail("injections")
-	}
-	for i := uint32(0); i < n; i++ {
-		k, ok1 := u32()
-		count, ok2 := u64()
-		if !ok1 || !ok2 {
-			return fail("injections")
-		}
-		e.Injections[Kind(k)] = count
-	}
-	if off != len(b) {
-		return fmt.Errorf("chaos: engine state has %d trailing bytes", len(b)-off)
-	}
-	return nil
+	// Accept only what AppendState writes.
+	return r.Canonical(e.AppendState(nil))
 }

@@ -2,13 +2,13 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/wire"
 )
 
 // Checkpointer is implemented by stateful selectors that support run
@@ -22,75 +22,8 @@ type Checkpointer interface {
 	RestoreState(b []byte) error
 }
 
-// stateReader is a cursor over a selector state blob with sticky errors,
-// mirroring the seg wire-decoder discipline.
-type stateReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *stateReader) fail(format string, args ...interface{}) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *stateReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.b) {
-		r.fail("core: selector state truncated at offset %d (need %d of %d)", r.off, n, len(r.b))
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *stateReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *stateReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *stateReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *stateReader) str() string {
-	n := int(r.u32())
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (r *stateReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("core: selector state has %d trailing bytes", len(r.b)-r.off)
-	}
-	return nil
-}
+// statePrefix starts every error of a selector state decoder.
+const statePrefix = "core: selector state"
 
 // appendSentMap serializes a Sent PCBs List in canonical order: egress
 // interfaces ascending, then path keys in byte order. Expired records are
@@ -135,25 +68,24 @@ func appendSentMap(dst []byte, sent map[addr.IfID]map[string]sentRecord) []byte 
 	return dst
 }
 
-func readSentMap(r *stateReader) map[addr.IfID]map[string]sentRecord {
+func readSentMap(r *wire.Reader) map[addr.IfID]map[string]sentRecord {
 	sent := map[addr.IfID]map[string]sentRecord{}
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		eg := addr.IfID(r.u16())
-		key := r.str()
+	n := r.Count(r.U32(), 50)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		eg := addr.IfID(r.U16())
+		key := r.Str()
 		var rec sentRecord
-		rec.diversity = math.Float64frombits(r.u64())
-		rec.timestamp = sim.Time(r.u64())
-		rec.expiry = sim.Time(r.u64())
-		nl := int(r.u32())
-		if nl > 0 && r.err == nil {
+		rec.diversity = math.Float64frombits(r.U64())
+		rec.timestamp = sim.Time(r.U64())
+		rec.expiry = sim.Time(r.U64())
+		if nl := r.Count(r.U32(), 4); nl > 0 {
 			rec.links = make([]uint32, nl)
 			for j := range rec.links {
-				rec.links[j] = r.u32()
+				rec.links[j] = r.U32()
 			}
 		}
-		rec.origin = addr.IAFromUint64(r.u64())
-		rec.neighbor = addr.IAFromUint64(r.u64())
+		rec.origin = addr.IAFromUint64(r.U64())
+		rec.neighbor = addr.IAFromUint64(r.U64())
 		byKey := sent[eg]
 		if byKey == nil {
 			byKey = map[string]sentRecord{}
@@ -224,20 +156,20 @@ func (d *Diversity) AppendState(dst []byte) []byte {
 
 // RestoreState implements Checkpointer for the diversity algorithm.
 func (d *Diversity) RestoreState(b []byte) error {
-	r := &stateReader{b: b}
-	nIDs := int(r.u32())
+	r := wire.NewReader(statePrefix, b)
+	nIDs := r.Count(r.U32(), 10)
 	ids := make(map[seg.LinkKey]uint32, nIDs)
-	for i := 0; i < nIDs && r.err == nil; i++ {
-		lk := seg.LinkKey{IA: addr.IAFromUint64(r.u64()), If: addr.IfID(r.u16())}
+	for i := 0; i < nIDs && r.Err() == nil; i++ {
+		lk := seg.LinkKey{IA: addr.IAFromUint64(r.U64()), If: addr.IfID(r.U16())}
 		ids[lk] = uint32(i) + 1
 	}
-	nHist := int(r.u32())
+	nHist := r.Count(r.U32(), 24)
 	hist := map[addr.IA]map[addr.IA]map[uint32]int32{}
-	for i := 0; i < nHist && r.err == nil; i++ {
-		origin := addr.IAFromUint64(r.u64())
-		neighbor := addr.IAFromUint64(r.u64())
-		id := r.u32()
-		count := int32(r.u32())
+	for i := 0; i < nHist && r.Err() == nil; i++ {
+		origin := addr.IAFromUint64(r.U64())
+		neighbor := addr.IAFromUint64(r.U64())
+		id := r.U32()
+		count := int32(r.U32())
 		byN := hist[origin]
 		if byN == nil {
 			byN = map[addr.IA]map[uint32]int32{}
@@ -250,15 +182,18 @@ func (d *Diversity) RestoreState(b []byte) error {
 		}
 		t[id] = count
 	}
-	sent := readSentMap(r)
-	if err := r.done(); err != nil {
+	sent := readSentMap(&r)
+	if len(ids) != nIDs {
+		r.Failf("repeats a link key") // AppendState indexes by id
+	}
+	if err := r.Done(); err != nil {
 		return err
 	}
 	d.ids = ids
 	d.hist = hist
 	d.sent = sent
 	d.baseIDs = map[*seg.PCB][]uint32{}
-	return nil
+	return r.Canonical(d.AppendState(nil))
 }
 
 // AppendState implements Checkpointer for the latency-aware selector,
@@ -269,11 +204,11 @@ func (l *LatencyAware) AppendState(dst []byte) []byte {
 
 // RestoreState implements Checkpointer for the latency-aware selector.
 func (l *LatencyAware) RestoreState(b []byte) error {
-	r := &stateReader{b: b}
-	sent := readSentMap(r)
-	if err := r.done(); err != nil {
+	r := wire.NewReader(statePrefix, b)
+	sent := readSentMap(&r)
+	if err := r.Done(); err != nil {
 		return err
 	}
 	l.sent = sent
-	return nil
+	return r.Canonical(l.AppendState(nil))
 }

@@ -20,6 +20,7 @@ import (
 	"scionmpr/internal/addr"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/trust"
+	"scionmpr/internal/wire"
 )
 
 // MACLen is the length of a hop field MAC (SCION uses 6 bytes).
@@ -61,8 +62,11 @@ type ASEntry struct {
 }
 
 func (e *ASEntry) wireLen() int {
-	return 8 + 8 + hopFieldLen + 2 + 1 + len(e.Peers)*peerEntryLen + len(e.Signature)
+	return entryFixedLen + len(e.Peers)*peerEntryLen + len(e.Signature)
 }
+
+// entryFixedLen is an AS entry without its peer entries and signature.
+const entryFixedLen = 8 + 8 + hopFieldLen + 2 + 1
 
 // InfoField carries the PCB's identity and validity window.
 type InfoField struct {
@@ -216,92 +220,55 @@ func appendU64(buf []byte, v uint64) []byte {
 // signature cannot be distinguished on the wire, so Decode requires every
 // entry to be signed (which beaconing guarantees).
 func Decode(b []byte) (*PCB, error) {
-	r := &reader{b: b}
+	r := wire.NewReader("seg: PCB", b)
 	p := &PCB{}
-	p.Info.SegID = r.u16()
-	p.Info.Origin = addr.IAFromUint64(r.u64())
-	p.Info.Timestamp = sim.Time(r.u64())
-	p.Info.Expiry = sim.Time(r.u64())
-	n := int(r.u8())
-	for i := 0; i < n; i++ {
-		var e ASEntry
-		e.Local = addr.IAFromUint64(r.u64())
-		e.Next = addr.IAFromUint64(r.u64())
-		e.Hop.ConsIngress = addr.IfID(r.u16())
-		e.Hop.ConsEgress = addr.IfID(r.u16())
-		e.Hop.ExpTime = r.u8()
-		r.bytes(e.Hop.MAC[:])
-		e.MTU = r.u16()
-		np := int(r.u8())
-		for j := 0; j < np; j++ {
-			var pe PeerEntry
-			pe.Peer = addr.IAFromUint64(r.u64())
-			pe.PeerIf = addr.IfID(r.u16())
-			pe.LocalIf = addr.IfID(r.u16())
-			r.bytes(pe.HopMAC[:])
-			e.Peers = append(e.Peers, pe)
+	p.Info.SegID = r.U16()
+	p.Info.Origin = addr.IAFromUint64(r.U64())
+	p.Info.Timestamp = sim.Time(r.U64())
+	p.Info.Expiry = sim.Time(r.U64())
+	if n := r.Count(uint32(r.U8()), entryFixedLen+trust.SignatureLen); n > 0 {
+		p.ASEntries = make([]ASEntry, n)
+	}
+	for i := 0; i < len(p.ASEntries) && r.Err() == nil; i++ {
+		e := &p.ASEntries[i]
+		e.Local = addr.IAFromUint64(r.U64())
+		e.Next = addr.IAFromUint64(r.U64())
+		e.Hop.ConsIngress = addr.IfID(r.U16())
+		e.Hop.ConsEgress = addr.IfID(r.U16())
+		e.Hop.ExpTime = r.U8()
+		r.Copy(e.Hop.MAC[:])
+		e.MTU = r.U16()
+		if np := r.Count(uint32(r.U8()), peerEntryLen); np > 0 {
+			e.Peers = make([]PeerEntry, np)
+		}
+		for j := range e.Peers {
+			pe := &e.Peers[j]
+			pe.Peer = addr.IAFromUint64(r.U64())
+			pe.PeerIf = addr.IfID(r.U16())
+			pe.LocalIf = addr.IfID(r.U16())
+			r.Copy(pe.HopMAC[:])
 		}
 		e.Signature = make([]byte, trust.SignatureLen)
-		r.bytes(e.Signature)
-		p.ASEntries = append(p.ASEntries, e)
+		r.Copy(e.Signature)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("seg: decoding PCB: %w", r.err)
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("seg: decoding PCB: %d trailing bytes", len(b)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
+// Read decodes the PCB held in the next n bytes of r, for records that
+// embed length-prefixed PCBs; one that does not decode fails r.
+func Read(r *wire.Reader, n int) *PCB {
+	body := r.Bytes(n)
+	if r.Err() != nil {
 		return nil
 	}
-	if r.off+n > len(r.b) {
-		r.err = fmt.Errorf("truncated at offset %d (need %d of %d)", r.off, n, len(r.b))
-		return nil
+	p, err := Decode(body)
+	if err != nil {
+		r.Failf("%w", err)
 	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) bytes(dst []byte) {
-	b := r.take(len(dst))
-	if b != nil {
-		copy(dst, b)
-	}
+	return p
 }
 
 // encBuf pools scratch buffers for signature bodies, which are built,

@@ -1,6 +1,7 @@
 package seg
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"scionmpr/internal/sim"
 	"scionmpr/internal/topology"
 	"scionmpr/internal/trust"
+	"scionmpr/internal/wire"
 )
 
 const hour = sim.Time(time.Hour)
@@ -134,6 +136,46 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := Decode(nil); err == nil {
 		t.Error("empty input must fail (decodes zero entries but underflows header)")
+	}
+	// A header claiming 255 entries with nothing behind it fails at the
+	// count; it used to append 255 zero entries (96-byte signature each)
+	// before reporting the truncation.
+	unbacked := append(append([]byte(nil), b[:infoFieldLen]...), 255)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if p, err := Decode(unbacked); err == nil || p != nil {
+			t.Fatalf("unbacked entry count: %v, %v", p, err)
+		}
+	}); allocs > 8 { // the PCB, the error and its formatted arguments: 5 today, 269 before
+		t.Errorf("unbacked entry count: %v allocations, want no entries allocated", allocs)
+	}
+}
+
+// Read is how larger records (checkpoints, snapshots, lookup replies)
+// embed length-prefixed PCBs.
+func TestReadEmbeddedPCBs(t *testing.T) {
+	p := buildPCB(t, infra(t))
+	record := p.AppendEncode([]byte{0, byte(p.WireLen() >> 8), byte(p.WireLen())})
+	record = append(record, 0xab)
+
+	r := wire.NewReader("test: record", record)
+	r.U8()
+	back := Read(&r, int(r.U16()))
+	if tail := r.U8(); r.Done() != nil || tail != 0xab || back.HopsKey() != p.HopsKey() {
+		t.Fatalf("embedded PCB: %v, tail %#x, %v", back, tail, r.Err())
+	}
+
+	// A length that cuts the PCB short fails the record's reader, naming
+	// both the record and the PCB; one that overruns the record never
+	// reaches Decode.
+	r = wire.NewReader("test: record", record)
+	r.Bytes(3)
+	if got := Read(&r, p.WireLen()-1); got != nil || r.Err() == nil ||
+		!strings.HasPrefix(r.Err().Error(), "test: record seg: PCB truncated") {
+		t.Errorf("short PCB: %v, %v", got, r.Err())
+	}
+	r = wire.NewReader("test: record", record)
+	if got := Read(&r, len(record)+1); got != nil || r.Err() == nil {
+		t.Errorf("overrunning length: %v, %v", got, r.Err())
 	}
 }
 

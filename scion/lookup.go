@@ -8,6 +8,7 @@ import (
 	"scionmpr/internal/dataplane"
 	"scionmpr/internal/pathdb"
 	"scionmpr/internal/seg"
+	"scionmpr/internal/wire"
 )
 
 // Remote path-segment lookup: the paper describes down- and core-segment
@@ -33,13 +34,15 @@ func encodeRequest(req pathdb.Request) []byte {
 }
 
 func decodeRequest(b []byte) (pathdb.Request, error) {
-	if len(b) < 10 || b[0] != msgSegRequest {
-		return pathdb.Request{}, fmt.Errorf("scion: malformed segment request")
+	r := wire.NewReader("scion: segment request", b)
+	if tag := r.U8(); tag != msgSegRequest {
+		r.Failf("has tag %#x", tag)
 	}
-	return pathdb.Request{
-		Type: pathdb.SegType(b[1]),
-		Dst:  addr.IAFromUint64(binary.BigEndian.Uint64(b[2:10])),
-	}, nil
+	req := pathdb.Request{Type: pathdb.SegType(r.U8()), Dst: addr.IAFromUint64(r.U64())}
+	if err := r.Done(); err != nil {
+		return pathdb.Request{}, err
+	}
+	return req, nil
 }
 
 // encodeReplyFrame frames one page of a (possibly paginated) reply:
@@ -65,43 +68,27 @@ func encodeReply(segs []*seg.PCB) []byte { return encodeReplyFrame(0, 1, segs) }
 // decodeReplyFrame parses one page, returning its segments plus the
 // frame index and total frame count.
 func decodeReplyFrame(b []byte) ([]*seg.PCB, byte, byte, error) {
-	segs, idx, total, err := decodeReplyInner(b)
-	return segs, idx, total, err
+	r := wire.NewReader("scion: segment reply", b)
+	if tag := r.U8(); tag != msgSegReply {
+		r.Failf("has tag %#x", tag)
+	}
+	idx, total := r.U8(), r.U8()
+	var segs []*seg.PCB
+	for i, n := 0, r.Count(uint32(r.U16()), 2); i < n && r.Err() == nil; i++ {
+		segs = append(segs, seg.Read(&r, int(r.U16())))
+	}
+	if err := r.Done(); err != nil {
+		return nil, 0, 0, err
+	}
+	return segs, idx, total, nil
 }
 
 func decodeReply(b []byte) ([]*seg.PCB, error) {
-	segs, _, total, err := decodeReplyInner(b)
+	segs, _, total, err := decodeReplyFrame(b)
 	if err == nil && total != 1 {
 		return nil, fmt.Errorf("scion: multi-frame reply in single-frame decode")
 	}
 	return segs, err
-}
-
-func decodeReplyInner(b []byte) ([]*seg.PCB, byte, byte, error) {
-	if len(b) < 5 || b[0] != msgSegReply {
-		return nil, 0, 0, fmt.Errorf("scion: malformed segment reply")
-	}
-	idx, total := b[1], b[2]
-	count := int(binary.BigEndian.Uint16(b[3:5]))
-	b = b[5:]
-	var out []*seg.PCB
-	for i := 0; i < count; i++ {
-		if len(b) < 2 {
-			return nil, 0, 0, fmt.Errorf("scion: truncated reply segment %d", i)
-		}
-		n := int(binary.BigEndian.Uint16(b[:2]))
-		b = b[2:]
-		if len(b) < n {
-			return nil, 0, 0, fmt.Errorf("scion: short reply segment %d", i)
-		}
-		s, err := seg.Decode(b[:n])
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		out = append(out, s)
-		b = b[n:]
-	}
-	return out, idx, total, nil
 }
 
 // controlService answers segment requests arriving at an AS's control

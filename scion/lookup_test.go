@@ -99,3 +99,34 @@ func TestLookupWireCodecs(t *testing.T) {
 		t.Fatalf("empty reply round trip: %v %v", segs, err)
 	}
 }
+
+// The lookup decoders accept exactly what the encoders write.
+func TestLookupDecodersAreStrict(t *testing.T) {
+	n := demoNet(t)
+	res, err := n.RemoteLookup(a6, a6, pathdb.Request{Type: pathdb.Up})
+	if err != nil || len(res.Segments) == 0 {
+		t.Fatalf("no segments to encode: %v", err)
+	}
+	request := encodeRequest(pathdb.Request{Type: pathdb.Down, Dst: a4})
+	reply := encodeReply(res.Segments[:1])
+	if segs, err := decodeReply(reply); err != nil || len(segs) != 1 || segs[0].HopsKey() != res.Segments[0].HopsKey() {
+		t.Fatalf("reply round trip: %v %v", segs, err)
+	}
+	overcount := append([]byte(nil), reply...)
+	overcount[4]++ // claims two segments, carries one
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"request + 1 byte", func() error { _, err := decodeRequest(append(request, 0)); return err }},
+		{"request - 1 byte", func() error { _, err := decodeRequest(request[:len(request)-1]); return err }},
+		{"reply + 1 byte", func() error { _, err := decodeReply(append(reply, 0)); return err }},
+		{"reply - 1 byte", func() error { _, err := decodeReply(reply[:len(reply)-1]); return err }},
+		{"reply count exceeds what follows", func() error { _, err := decodeReply(overcount); return err }},
+		{"reply count with nothing behind it", func() error { _, err := decodeReply([]byte{msgSegReply, 0, 1, 0xff, 0xff}); return err }},
+	} {
+		if tc.decode() == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}

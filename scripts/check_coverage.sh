@@ -19,16 +19,16 @@ scionmpr/internal/addr 92
 scionmpr/internal/beacon 90
 scionmpr/internal/bgp 87
 scionmpr/internal/bgpsec 88
-scionmpr/internal/chaos 59
+scionmpr/internal/chaos 88
 scionmpr/internal/combinator 96
-scionmpr/internal/core 63
+scionmpr/internal/core 91
 scionmpr/internal/dataplane 80
 scionmpr/internal/deploy 91
 scionmpr/internal/experiments 87
 scionmpr/internal/graphalg 97
 scionmpr/internal/metrics 95
 scionmpr/internal/pathdb 83
-scionmpr/internal/pathsrv 91
+scionmpr/internal/pathsrv 92
 scionmpr/internal/seg 77
 scionmpr/internal/sig 93
 scionmpr/internal/slayers 88
@@ -38,7 +38,8 @@ scionmpr/internal/telemetry 88
 scionmpr/internal/topology 93
 scionmpr/internal/traffic 88
 scionmpr/internal/trust 89
-scionmpr/scion 87
+scionmpr/internal/wire 95
+scionmpr/scion 88
 '
 
 awk -v floors="$floors" '
