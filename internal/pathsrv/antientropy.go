@@ -20,7 +20,7 @@ package pathsrv
 //     snapshots are immutable) plus a deep copy of the leader's master
 //     lists (slices copied; *seg.PCB values are immutable and shared).
 //  3. A follower that pulled anything adopts the leader's epoch counter
-//     and link-shard index, then checkpoints its WAL — so a crash right
+//     and link shard masks, then checkpoints its WAL — so a crash right
 //     after a sync recovers to the synced state, not the pre-sync one.
 //
 // One round after the last crash recovery, every up replica's Digest
@@ -115,9 +115,13 @@ func (r *Replica) pullFrom(leader *Replica) (shards int, revocations bool) {
 		// Writer state: master lists are mutated in place by future
 		// upserts and prunes, so copy the slices (segments themselves are
 		// immutable and shared).
-		master := make(map[pairKey][]*seg.PCB, len(src.master[sh]))
-		for key, list := range src.master[sh] {
-			master[key] = append([]*seg.PCB(nil), list...)
+		master := make(map[pairKey]*pairMaster, len(src.master[sh]))
+		for key, pm := range src.master[sh] {
+			id := dst.pairID(key)
+			master[key] = &pairMaster{id: id, segs: append([]*seg.PCB(nil), pm.segs...)}
+			for _, p := range pm.segs {
+				dst.index(id, p, 0)
+			}
 		}
 		dst.master[sh] = master
 		if src.dirty&(1<<sh) != 0 {
@@ -130,14 +134,19 @@ func (r *Replica) pullFrom(leader *Replica) (shards int, revocations bool) {
 	if shards == 0 && !revocations {
 		return 0, false
 	}
-	// Adopt the leader's epoch counter and link index so future
-	// publications assign identical epochs and dirty masks on both —
-	// without this, a recovered replica would re-diverge on the very
-	// next publish even with identical content.
+	// Adopt the leader's epoch counter and link shard masks so future
+	// publications assign identical epochs and republish the same shards
+	// on both — without this, a recovered replica would re-diverge on the
+	// very next publish even with identical content. The link index keeps
+	// this replica's own pairs plus the pulled ones, and as what was
+	// pulled was not derived here, every shard is next rebuilt whole.
 	dst.epoch = src.epoch
-	dst.linkShards = make(map[seg.LinkKey]uint64, len(src.linkShards))
-	for lk, mask := range src.linkShards {
-		dst.linkShards[lk] = mask
+	for _, e := range dst.linkShards {
+		e.shards = 0
 	}
+	for lk, e := range src.linkShards {
+		dst.link(lk).shards = e.shards
+	}
+	clear(dst.masterMin)
 	return shards, revocations
 }

@@ -3,7 +3,7 @@ package pathsrv
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,16 +61,9 @@ type BenchResult struct {
 // Print writes the result as one aligned block.
 func (r BenchResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "readers=%d ops=%d qps=%.0f hit=%.3f empty=%.4f mutations=%d p50=%v p99=%v p999=%v elapsed=%v\n",
-		r.Readers, r.Ops, r.QPS, float64(r.Hits)/float64(max64(r.Ops, 1)),
-		float64(r.Empties)/float64(max64(r.Ops, 1)), r.Mutations,
+		r.Readers, r.Ops, r.QPS, float64(r.Hits)/float64(max(r.Ops, 1)),
+		float64(r.Empties)/float64(max(r.Ops, 1)), r.Mutations,
 		r.P50, r.P99, r.P999, r.Elapsed.Round(time.Millisecond))
-}
-
-func max64(v uint64, lo uint64) uint64 {
-	if v < lo {
-		return lo
-	}
-	return v
 }
 
 // RecoveryBenchResult is a RecoveryBench measurement: wall-clock cost
@@ -209,7 +202,7 @@ func ReadBench(svc *Service, cfg BenchConfig) BenchResult {
 		res.QPS = float64(res.Ops) / elapsed.Seconds()
 	}
 	if len(all) > 0 {
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		slices.Sort(all)
 		q := func(p float64) time.Duration {
 			i := int(p * float64(len(all)-1))
 			return all[i]

@@ -15,66 +15,33 @@ import (
 // chained, not replaced. ttl <= 0 uses the service's default revocation
 // TTL — the backstop in case the restore event is lost.
 func WireChaos(clock *sim.Simulator, eng *chaos.Engine, topo *topology.Graph, svc *Service, ttl sim.Time) {
-	keys := func(id topology.LinkID) (seg.LinkKey, seg.LinkKey, bool) {
-		l := topo.LinkByID(id)
-		if l == nil {
-			return seg.LinkKey{}, seg.LinkKey{}, false
-		}
-		return seg.LinkKey{IA: l.A, If: l.AIf}, seg.LinkKey{IA: l.B, If: l.BIf}, true
-	}
-	prevFail, prevRestore := eng.OnFail, eng.OnRestore
-	eng.OnFail = func(id topology.LinkID) {
-		if prevFail != nil {
-			prevFail(id)
-		}
-		if a, b, ok := keys(id); ok {
-			now := clock.Now()
-			svc.RevokeLink(now, a, ttl)
-			svc.RevokeLink(now, b, ttl)
-		}
-	}
-	eng.OnRestore = func(id topology.LinkID) {
-		if prevRestore != nil {
-			prevRestore(id)
-		}
-		if a, b, ok := keys(id); ok {
-			now := clock.Now()
-			svc.ReinstateLink(now, a)
-			svc.ReinstateLink(now, b)
-		}
-	}
+	wireChaos(clock, eng, topo,
+		func(now sim.Time, lk seg.LinkKey) { svc.RevokeLink(now, lk, ttl) },
+		func(now sim.Time, lk seg.LinkKey) { svc.ReinstateLink(now, lk) })
 }
 
 // WireChaosFleet is WireChaos for a replica fleet: link failures revoke
 // (and healings reinstate) both directed interfaces on every up replica.
 // Crashed replicas miss the events — the journal gap anti-entropy heals.
 func WireChaosFleet(clock *sim.Simulator, eng *chaos.Engine, topo *topology.Graph, fleet *Fleet, ttl sim.Time) {
-	keys := func(id topology.LinkID) (seg.LinkKey, seg.LinkKey, bool) {
-		l := topo.LinkByID(id)
-		if l == nil {
-			return seg.LinkKey{}, seg.LinkKey{}, false
-		}
-		return seg.LinkKey{IA: l.A, If: l.AIf}, seg.LinkKey{IA: l.B, If: l.BIf}, true
-	}
-	prevFail, prevRestore := eng.OnFail, eng.OnRestore
-	eng.OnFail = func(id topology.LinkID) {
-		if prevFail != nil {
-			prevFail(id)
-		}
-		if a, b, ok := keys(id); ok {
-			now := clock.Now()
-			fleet.RevokeLink(now, a, ttl)
-			fleet.RevokeLink(now, b, ttl)
-		}
-	}
-	eng.OnRestore = func(id topology.LinkID) {
-		if prevRestore != nil {
-			prevRestore(id)
-		}
-		if a, b, ok := keys(id); ok {
-			now := clock.Now()
-			fleet.ReinstateLink(now, a)
-			fleet.ReinstateLink(now, b)
+	wireChaos(clock, eng, topo,
+		func(now sim.Time, lk seg.LinkKey) { fleet.RevokeLink(now, lk, ttl) },
+		fleet.ReinstateLink)
+}
+
+func wireChaos(clock *sim.Simulator, eng *chaos.Engine, topo *topology.Graph, revoke, reinstate func(sim.Time, seg.LinkKey)) {
+	hook := func(prev func(topology.LinkID), apply func(sim.Time, seg.LinkKey)) func(topology.LinkID) {
+		return func(id topology.LinkID) {
+			if prev != nil {
+				prev(id)
+			}
+			if l := topo.LinkByID(id); l != nil {
+				now := clock.Now()
+				apply(now, seg.LinkKey{IA: l.A, If: l.AIf})
+				apply(now, seg.LinkKey{IA: l.B, If: l.BIf})
+			}
 		}
 	}
+	eng.OnFail = hook(eng.OnFail, revoke)
+	eng.OnRestore = hook(eng.OnRestore, reinstate)
 }

@@ -11,9 +11,10 @@
 // probe — no locks, no allocation on the fast path. All writes
 // (segment registrations from beacon servers, link revocations and
 // reinstatements from the chaos/fault plane) mutate a writer-owned
-// master copy and batch into epoch publications: Publish rebuilds only
-// the dirty shards and swaps their snapshot pointers. Lookups observe
-// either the old or the new epoch, never a torn mix.
+// master copy and batch into epoch publications that swap the affected
+// shards' snapshot pointers; a link index lets a revocation recompute
+// only the pairs over that link. Lookups observe either the old or the
+// new epoch, never a torn mix.
 //
 // Client-side, a Cache (one per client actor or reader goroutine)
 // memoizes (src, dst) replies. Invalidation is precise rather than
@@ -36,10 +37,13 @@
 package pathsrv
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -92,6 +96,22 @@ type snapshot struct {
 
 var emptySnapshot = &snapshot{pairs: map[pairKey]pairEntry{}}
 
+// pairMaster is one pair's writer-side state: its number in the link
+// index and its registered segments in reply order.
+type pairMaster struct {
+	id   uint32
+	segs []*seg.PCB
+}
+
+// linkEntry indexes one link: the shards a change to it republishes and
+// the pairs (indices into Service.pairKeys) with a master segment over
+// it — derived, never serialized, a superset but never a subset.
+type linkEntry struct {
+	shards uint64
+	last   uint32 // the pair appended last
+	pairs  []uint32
+}
+
 // Service is the sharded path-query service.
 type Service struct {
 	nshards uint32
@@ -103,12 +123,18 @@ type Service struct {
 
 	// Writer-owned state. Only the writer (serial simulator events, or
 	// the single writer goroutine outside the sim) may touch it.
-	master     []map[pairKey][]*seg.PCB
-	linkShards map[seg.LinkKey]uint64 // link -> bitmask of shards storing it
+	master     []map[pairKey]*pairMaster
+	linkShards map[seg.LinkKey]*linkEntry
 	revoked    map[seg.LinkKey]sim.Time
-	dirty      uint64 // bitmask of shards needing a rebuild
-	epoch      uint64
-	caches     []*Cache
+	dirty      uint64 // bitmask of shards with pending registrations
+	// touched[sh] holds the pairs to recompute at shard sh's next publish;
+	// from masterMin[sh] (earliest master expiry, 0: unknown) on, all are.
+	touched   [][]pairKey
+	masterMin []sim.Time
+	pairIDs   map[pairKey]uint32 // numbers pairs for linkEntry
+	pairKeys  []pairKey
+	epoch     uint64
+	caches    []*Cache
 
 	// Stats mirror the telemetry counters for registry-free use.
 	Registrations, Refreshes, Publishes, PublishedShards uint64
@@ -136,14 +162,17 @@ func New(cfg Config) *Service {
 		nshards:    uint32(n),
 		revTTL:     ttl,
 		snaps:      make([]atomic.Pointer[snapshot], n),
-		master:     make([]map[pairKey][]*seg.PCB, n),
-		linkShards: map[seg.LinkKey]uint64{},
+		master:     make([]map[pairKey]*pairMaster, n),
+		linkShards: map[seg.LinkKey]*linkEntry{},
 		revoked:    map[seg.LinkKey]sim.Time{},
+		touched:    make([][]pairKey, n),
+		masterMin:  make([]sim.Time, n),
+		pairIDs:    map[pairKey]uint32{},
 		clock:      cfg.Clock,
 	}
 	for i := range s.snaps {
 		s.snaps[i].Store(emptySnapshot)
-		s.master[i] = map[pairKey][]*seg.PCB{}
+		s.master[i] = map[pairKey]*pairMaster{}
 	}
 	s.setTelemetry(cfg.Telemetry)
 	return s
@@ -222,24 +251,73 @@ func (s *Service) Register(now sim.Time, p *seg.PCB) error {
 		return fmt.Errorf("pathsrv: degenerate segment %v", p)
 	}
 	sh := s.ShardOf(key.dst)
-	list, mutated, fresh := upsert(s.master[sh][key], p)
+	pm := s.master[sh][key]
+	if pm == nil {
+		pm = &pairMaster{id: s.pairID(key)}
+		s.master[sh][key] = pm
+	}
+	list, mutated, fresh := upsert(pm.segs, p)
 	if !mutated {
 		return nil
 	}
-	s.master[sh][key] = list
+	pm.segs = list
 	s.dirty |= 1 << sh
 	if fresh {
 		s.Registrations++
 		s.cReg.Inc()
-		mask := uint64(1) << sh
-		for _, lk := range p.Links() {
-			s.linkShards[lk] |= mask
-		}
+		s.index(pm.id, p, 1<<sh)
 	} else {
 		s.Refreshes++
 		s.cRefresh.Inc()
 	}
 	return nil
+}
+
+// index adds shards and pair id to the entries of the links p crosses,
+// one map operation per link.
+func (s *Service) index(id uint32, p *seg.PCB, shards uint64) {
+	for _, lk := range p.Links() {
+		e := s.link(lk)
+		e.shards |= shards
+		if len(e.pairs) == 0 || e.last != id {
+			e.pairs, e.last = append(e.pairs, id), id
+		}
+	}
+}
+
+func (s *Service) pairID(key pairKey) uint32 {
+	id, ok := s.pairIDs[key]
+	if !ok {
+		id = uint32(len(s.pairKeys))
+		s.pairIDs[key], s.pairKeys = id, append(s.pairKeys, key)
+	}
+	return id
+}
+
+func (s *Service) link(lk seg.LinkKey) *linkEntry {
+	e := s.linkShards[lk]
+	if e == nil {
+		e = &linkEntry{}
+		s.linkShards[lk] = e
+	}
+	return e
+}
+
+// touch marks the pairs over link for recomputation and returns the
+// shards a change to link republishes.
+func (s *Service) touch(link seg.LinkKey) uint64 {
+	e := s.linkShards[link]
+	if e == nil {
+		return 0
+	}
+	slices.Sort(e.pairs)
+	e.pairs = slices.Compact(e.pairs)
+	for _, id := range e.pairs {
+		k := s.pairKeys[id]
+		sh := s.ShardOf(k.dst)
+		s.touched[sh] = append(s.touched[sh], k)
+	}
+	return e.shards
 }
 
 // upsert inserts p into a (NumHops, HopsKey)-ordered list or refreshes
@@ -318,12 +396,11 @@ func (s *Service) RevokeLink(now sim.Time, link seg.LinkKey, ttl sim.Time) int {
 	s.Revocations++
 	s.cRev.Inc()
 	s.trace(telemetry.PathRevoked, link.IA.Uint64(), uint64(link.If), 0, "serve")
-	mask := s.linkShards[link]
+	mask := s.touch(link)
 	if mask == 0 {
 		return 0
 	}
-	s.dirty |= mask
-	return s.publish(now, "revoke", s.cInvRevoke)
+	return s.publish(now, s.dirty|mask, "revoke", s.cInvRevoke)
 }
 
 // ReinstateLink lifts a revocation early (the link healed) and
@@ -336,71 +413,64 @@ func (s *Service) ReinstateLink(now sim.Time, link seg.LinkKey) int {
 	s.Reinstatements++
 	s.cRein.Inc()
 	s.trace(telemetry.PathReinstated, link.IA.Uint64(), uint64(link.If), 0, "serve")
-	mask := s.linkShards[link]
+	mask := s.touch(link)
 	if mask == 0 {
 		return 0
 	}
-	s.dirty |= mask
-	return s.publish(now, "reinstate", s.cInvRetire)
+	return s.publish(now, s.dirty|mask, "reinstate", s.cInvRetire)
 }
 
 // Publish applies the accumulated registration batch (and any lapsed
-// revocations) by rebuilding every dirty shard and swapping its
-// snapshot. A no-op when nothing changed. Writer context only.
+// revocations) by republishing every affected shard. A no-op when
+// nothing changed. Writer context only.
 func (s *Service) Publish(now sim.Time) int {
-	s.expireRevocations(now)
+	shards := s.dirty | s.expireRevocations(now)
 	// Shards whose published snapshot now contains dead segments need a
 	// pruning rebuild even without new registrations.
 	for sh := uint32(0); sh < s.nshards; sh++ {
 		if snap := s.snaps[sh].Load(); snap.minExpiry > 0 && now >= snap.minExpiry {
-			s.dirty |= 1 << sh
+			shards |= 1 << sh
 		}
 	}
-	if s.dirty == 0 {
+	if shards == 0 {
 		return 0
 	}
-	return s.publish(now, "publish", s.cInvPublish)
+	return s.publish(now, shards, "publish", s.cInvPublish)
 }
 
-// expireRevocations lifts revocations whose TTL passed, in sorted link
-// order so trace output is deterministic.
-func (s *Service) expireRevocations(now sim.Time) {
+// expireRevocations lifts the revocations whose TTL passed, in link order
+// for a deterministic trace, and returns the shards to republish.
+func (s *Service) expireRevocations(now sim.Time) (shards uint64) {
 	var lapsed []seg.LinkKey
 	for lk, exp := range s.revoked {
 		if now >= exp {
 			lapsed = append(lapsed, lk)
 		}
 	}
-	if len(lapsed) == 0 {
-		return
-	}
-	sort.Slice(lapsed, func(i, j int) bool {
-		if lapsed[i].IA != lapsed[j].IA {
-			return lapsed[i].IA.Less(lapsed[j].IA)
-		}
-		return lapsed[i].If < lapsed[j].If
-	})
+	slices.SortFunc(lapsed, compareLinks)
 	for _, lk := range lapsed {
 		delete(s.revoked, lk)
 		s.Reinstatements++
 		s.cRein.Inc()
-		s.dirty |= s.linkShards[lk]
+		shards |= s.touch(lk)
 		s.trace(telemetry.PathReinstated, lk.IA.Uint64(), uint64(lk.If), 0, "lapse")
 	}
+	return shards
 }
 
-// publish rebuilds the dirty shards, swaps their snapshots under a new
+// publish rebuilds the given shards, swaps their snapshots under a new
 // epoch, and invalidates cached pairs whose reply changed.
-func (s *Service) publish(now sim.Time, reason string, invCell *telemetry.Cell) int {
+func (s *Service) publish(now sim.Time, shards uint64, reason string, invCell *telemetry.Cell) int {
 	s.epoch++
 	s.Publishes++
 	s.cPub.Inc()
 	var changed []pairKey
+	revoked := sortedLinks(s.revoked)
 	for sh := uint32(0); sh < s.nshards; sh++ {
-		if s.dirty&(1<<sh) == 0 {
+		if shards&(1<<sh) == 0 {
 			continue
 		}
-		changed = s.rebuild(sh, now, changed)
+		changed = s.rebuild(sh, now, revoked, changed)
 		s.PublishedShards++
 		s.trace(telemetry.SnapshotPublished, uint64(sh), s.epoch,
 			uint64(len(s.snaps[sh].Load().pairs)), reason)
@@ -412,47 +482,53 @@ func (s *Service) publish(now sim.Time, reason string, invCell *telemetry.Cell) 
 	return len(changed)
 }
 
-// rebuild constructs shard sh's new snapshot from the master copy,
-// dropping expired segments for good and hiding revoked ones, and
-// appends every pair whose visible path set changed to changed.
-func (s *Service) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairKey {
-	old := s.snaps[sh].Load()
-	master := s.master[sh]
-	pairs := make(map[pairKey]pairEntry, len(master))
-	var shardMin sim.Time
-	for key, list := range master {
+// rebuild constructs shard sh's new snapshot: the touched pairs are
+// recomputed from the master copy, dropping expired segments for good and
+// hiding revoked ones, the others copied from the old snapshot; every
+// pair whose visible path set changed is appended to changed. With
+// registrations pending or a master segment expired, all are touched.
+// revoked is the revocation set in canonical order.
+func (s *Service) rebuild(sh uint32, now sim.Time, revoked []seg.LinkKey, changed []pairKey) []pairKey {
+	old, master := s.snaps[sh].Load(), s.master[sh]
+	whole := s.dirty&(1<<sh) != 0 || now >= s.masterMin[sh]
+	var pairs map[pairKey]pairEntry
+	var masterMin sim.Time
+	recompute := func(key pairKey, pm *pairMaster) {
 		// Prune expired segments from the master copy in place; they can
-		// never come back.
-		live := list[:0]
-		for _, p := range list {
-			if !p.Expired(now) {
-				live = append(live, p)
+		// never come back. Before masterMin there are none.
+		live := pm.segs
+		if whole {
+			live = live[:0]
+			for _, p := range pm.segs {
+				if !p.Expired(now) {
+					live = append(live, p)
+					if masterMin == 0 || p.Info.Expiry < masterMin {
+						masterMin = p.Info.Expiry
+					}
+				}
 			}
 		}
-		if len(live) == 0 {
+		if pm.segs = live; len(live) == 0 {
 			delete(master, key)
-			if _, had := old.pairs[key]; had {
-				changed = append(changed, key)
-			}
-			continue
 		}
-		s.master[sh][key] = live
 
 		// The snapshot must own its slice: master backing arrays are
 		// mutated in place by later upserts and prunes while old
 		// snapshots may still be read concurrently.
 		visible := make([]*seg.PCB, 0, len(live))
 		for _, p := range live {
-			if len(s.revoked) > 0 && segmentRevoked(p, s.revoked) {
+			if len(revoked) > 0 && segmentRevoked(p, revoked) {
 				continue
 			}
 			visible = append(visible, p)
 		}
+		prev, had := old.pairs[key]
 		if len(visible) == 0 {
-			if _, had := old.pairs[key]; had {
+			delete(pairs, key)
+			if had {
 				changed = append(changed, key)
 			}
-			continue
+			return
 		}
 		min := visible[0].Info.Expiry
 		for _, p := range visible[1:] {
@@ -461,22 +537,40 @@ func (s *Service) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairKey 
 			}
 		}
 		pairs[key] = pairEntry{segs: visible, minExpiry: min}
-		if shardMin == 0 || min < shardMin {
-			shardMin = min
-		}
-		if !samePathSet(old.pairs[key].segs, visible) {
+		if !samePathSet(prev.segs, visible) {
 			changed = append(changed, key)
 		}
 	}
-	// Pairs present before but gone from master entirely (already pruned
-	// in an earlier rebuild) were handled above; install the new epoch.
+	keys := s.touched[sh]
+	if whole {
+		pairs = make(map[pairKey]pairEntry, len(master))
+		for key, pm := range master {
+			recompute(key, pm)
+		}
+		s.masterMin[sh] = masterMin
+	} else {
+		pairs = maps.Clone(old.pairs)
+		slices.SortFunc(keys, comparePairs)
+		for _, key := range slices.Compact(keys) {
+			if pm := master[key]; pm != nil { // else not in old.pairs either
+				recompute(key, pm)
+			}
+		}
+	}
+	s.touched[sh] = keys[:0]
+	var shardMin sim.Time
+	for _, e := range pairs {
+		if shardMin == 0 || e.minExpiry < shardMin {
+			shardMin = e.minExpiry
+		}
+	}
 	s.snaps[sh].Store(&snapshot{epoch: s.epoch, pairs: pairs, minExpiry: shardMin})
 	return changed
 }
 
-func segmentRevoked(p *seg.PCB, revoked map[seg.LinkKey]sim.Time) bool {
+func segmentRevoked(p *seg.PCB, revoked []seg.LinkKey) bool {
 	for _, lk := range p.Links() {
-		if _, ok := revoked[lk]; ok {
+		if _, ok := slices.BinarySearchFunc(revoked, lk, compareLinks); ok {
 			return true
 		}
 	}
@@ -584,33 +678,33 @@ func (s *Service) writeRevoked(h io.Writer) {
 	}
 }
 
-// sortedPairs returns m's keys in canonical (dst, src) order.
+// comparePairs is the canonical pair order: by dst, then src.
+func comparePairs(a, b pairKey) int {
+	return cmp.Or(cmp.Compare(a.dst.Uint64(), b.dst.Uint64()), cmp.Compare(a.src.Uint64(), b.src.Uint64()))
+}
+
+// compareLinks is the canonical link order: by IA, then If.
+func compareLinks(a, b seg.LinkKey) int {
+	return cmp.Or(cmp.Compare(a.IA.Uint64(), b.IA.Uint64()), cmp.Compare(a.If, b.If))
+}
+
+// sortedPairs returns m's keys in canonical order.
 func sortedPairs[V any](m map[pairKey]V) []pairKey {
 	keys := make([]pairKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dst != keys[j].dst {
-			return keys[i].dst.Less(keys[j].dst)
-		}
-		return keys[i].src.Less(keys[j].src)
-	})
+	slices.SortFunc(keys, comparePairs)
 	return keys
 }
 
-// sortedLinks returns m's keys in canonical (IA, If) order.
+// sortedLinks returns m's keys in canonical order.
 func sortedLinks[V any](m map[seg.LinkKey]V) []seg.LinkKey {
 	keys := make([]seg.LinkKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].IA != keys[j].IA {
-			return keys[i].IA.Less(keys[j].IA)
-		}
-		return keys[i].If < keys[j].If
-	})
+	slices.SortFunc(keys, compareLinks)
 	return keys
 }
 

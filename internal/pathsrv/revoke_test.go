@@ -1,0 +1,224 @@
+package pathsrv
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"scionmpr/internal/addr"
+	"scionmpr/internal/seg"
+	"scionmpr/internal/sim"
+	"scionmpr/internal/telemetry"
+)
+
+// linkOf is the link mkSeg's segments leave AS as over: every hop but
+// the last egresses on interface 2.
+func linkOf(as uint64) seg.LinkKey {
+	return seg.LinkKey{IA: addr.MustIA(1, addr.AS(as)), If: 2}
+}
+
+// checkpointLinks are the links checkpointScenario's segments use, plus
+// one nothing uses.
+var checkpointLinks = []seg.LinkKey{
+	linkOf(10), linkOf(11), linkOf(20), linkOf(21), linkOf(22), linkOf(23), linkOf(99),
+}
+
+// checkpointScenario journals a fixed history that leaves every kind of
+// state a checkpoint carries: two epochs of registrations, a refresh, a
+// revocation still active and one lapsed, an expiry prune, a hidden
+// segment past its expiry and a pending registration.
+func checkpointScenario(tb testing.TB) *walScenario {
+	tb.Helper()
+	sc := newWALScenario(Config{Shards: 8, RevocationTTL: hour})
+	for _, hops := range [][]uint64{
+		{10, 20, 30}, {10, 21, 30}, {10, 20, 31}, {11, 22, 32},
+		{11, 20, 22, 33}, {10, 23, 34}, {11, 21, 23, 34},
+	} {
+		sc.register(0, mkSeg(tb, 0, hops...))
+	}
+	sc.publish(0)
+	sc.revoke(hour, linkOf(20), 0) // lapses at 2h
+	sc.register(hour, mkSeg(tb, hour, 10, 20, 30))
+	sc.register(hour, mkSeg(tb, hour, 11, 21, 31))
+	sc.publish(hour)
+	sc.revoke(2*hour, linkOf(23), 10*hour)
+	sc.publish(3 * hour)
+	sc.register(4*hour, mkSeg(tb, 4*hour, 10, 21, 35))
+	sc.publish(4 * hour)
+	sc.publish(6*hour + 1)
+	sc.register(6*hour+1, mkSeg(tb, 6*hour+1, 11, 22, 30))
+	return sc
+}
+
+// goldenCheckpoint is the SHA-256 of checkpointScenario's checkpoint
+// image, recorded at the parent of the commit that replaced the per-link
+// shard mask by a link index: the format is unchanged.
+const goldenCheckpoint = "ab908beb8621e910cf228b8ffc71799e30e54767678e6275c96d9ac29f0e6677"
+
+func TestCheckpointGolden(t *testing.T) {
+	sum := sha256.Sum256(appendCheckpoint(nil, checkpointScenario(t).svc))
+	if got := hex.EncodeToString(sum[:]); got != goldenCheckpoint {
+		t.Errorf("checkpoint image SHA-256 = %s, want %s", got, goldenCheckpoint)
+	}
+}
+
+// tracedTwins attaches a fresh traced clock to both services.
+func tracedTwins(a, b *Service) (ta, tb *telemetry.Tracer) {
+	ta, tb = telemetry.NewTracer(1<<12), telemetry.NewTracer(1<<12)
+	ca, cb := &sim.Simulator{}, &sim.Simulator{}
+	ca.SetTracer(ta)
+	cb.SetTracer(tb)
+	a.AttachClock(ca)
+	b.AttachClock(cb)
+	return ta, tb
+}
+
+// assertSameUnderChurn revokes and reinstates every link on a live
+// service and on one recovered from it, asserting equal return values,
+// digests and trace events after each operation and equal checkpoint
+// images before and after.
+func assertSameUnderChurn(t *testing.T, live, got *Service, now sim.Time) {
+	t.Helper()
+	if !bytes.Equal(appendCheckpoint(nil, live), appendCheckpoint(nil, got)) {
+		t.Fatal("checkpoint image differs before churn")
+	}
+	ta, tb := tracedTwins(live, got)
+	check := func(what string, a, b int) {
+		t.Helper()
+		if a != b {
+			t.Fatalf("%s: live returned %d, recovered %d", what, a, b)
+		}
+		if live.Digest() != got.Digest() {
+			t.Fatalf("%s: digests differ", what)
+		}
+		if !reflect.DeepEqual(ta.Events(), tb.Events()) {
+			t.Fatalf("%s: trace events differ", what)
+		}
+	}
+	for _, lk := range checkpointLinks {
+		check("revoke "+lk.String(), live.RevokeLink(now, lk, hour), got.RevokeLink(now, lk, hour))
+		check("revoke again "+lk.String(), live.RevokeLink(now, lk, hour), got.RevokeLink(now, lk, hour))
+	}
+	for _, lk := range checkpointLinks[:3] {
+		check("reinstate "+lk.String(), live.ReinstateLink(now, lk), got.ReinstateLink(now, lk))
+	}
+	later := now + 2*hour
+	check("lapse", live.Publish(later), got.Publish(later))
+	for _, lk := range checkpointLinks {
+		check("revoke late "+lk.String(), live.RevokeLink(later, lk, hour), got.RevokeLink(later, lk, hour))
+		check("reinstate late "+lk.String(), live.ReinstateLink(later, lk), got.ReinstateLink(later, lk))
+	}
+	check("expiry", live.Publish(later+6*hour), got.Publish(later+6*hour))
+	if !bytes.Equal(appendCheckpoint(nil, live), appendCheckpoint(nil, got)) {
+		t.Fatal("checkpoint image differs after churn")
+	}
+}
+
+// TestDerivedStateAfterRestart: what a service derives rather than
+// journals must come back from the journal, from a checkpoint and from
+// an anti-entropy pull as the live service holds it.
+func TestDerivedStateAfterRestart(t *testing.T) {
+	cfg := Config{Shards: 8, RevocationTTL: hour}
+	now := 6*hour + 1
+	t.Run("journal", func(t *testing.T) {
+		sc := checkpointScenario(t)
+		got, st := Recover(sc.wal.Bytes(), cfg)
+		if st.Truncated || st.Checkpoints != 0 {
+			t.Fatalf("stats = %+v", st)
+		}
+		assertSameUnderChurn(t, sc.svc, got, now)
+	})
+	t.Run("checkpoint", func(t *testing.T) {
+		sc := checkpointScenario(t)
+		sc.wal.Checkpoint(now, sc.svc)
+		got, st := Recover(sc.wal.Bytes(), cfg)
+		if st.Truncated || st.Checkpoints != 1 {
+			t.Fatalf("stats = %+v", st)
+		}
+		assertSameUnderChurn(t, sc.svc, got, now)
+	})
+	t.Run("sync", func(t *testing.T) {
+		f := NewFleet(FleetConfig{Replicas: 2, Service: cfg})
+		for _, hops := range [][]uint64{{10, 20, 30}, {10, 21, 31}, {11, 22, 32}, {11, 23, 33}} {
+			f.Register(0, mkSeg(t, 0, hops...))
+		}
+		f.Publish(0)
+		f.Crash(f.Replica(1).IA)
+		for _, hops := range [][]uint64{{10, 22, 30}, {11, 20, 21, 34}, {10, 23, 35}} {
+			f.Register(hour, mkSeg(t, hour, hops...))
+		}
+		f.RevokeLink(hour, linkOf(21), 3*hour)
+		f.Publish(hour)
+		f.Restart(f.Replica(1).IA)
+		if st := f.Sync(hour); st.Pulls != 1 || st.PulledRevocations != 1 {
+			t.Fatalf("sync = %+v, want one pull with revocations", st)
+		}
+		assertSameUnderChurn(t, f.Replica(0).Service(), f.Replica(1).Service(), hour)
+	})
+}
+
+// oneOfMany publishes pairs (source, destination) pairs over 16 shards.
+// Every segment leaves the source over one shared link and then crosses
+// its pair's own link, which perLink consecutive pairs share; it returns
+// the service and those own links.
+func oneOfMany(tb testing.TB, pairs, segsPerPair, perLink int) (*Service, []seg.LinkKey) {
+	tb.Helper()
+	svc := New(Config{Shards: 16})
+	var links []seg.LinkKey
+	for d := 0; d < pairs; d++ {
+		mid := uint64(100_000 + d/perLink)
+		if d%perLink == 0 {
+			links = append(links, linkOf(mid))
+		}
+		hops := []uint64{10, mid}
+		for i := 0; i < segsPerPair; i++ {
+			if err := svc.Register(0, mkSeg(tb, 0, append(hops, uint64(1000+d))...)); err != nil {
+				tb.Fatal(err)
+			}
+			hops = append(hops, uint64(200_000+i))
+		}
+	}
+	svc.Publish(0)
+	return svc, links
+}
+
+// TestRevokeCostFollowsTouchedPairs: revoking a link only one pair uses
+// must cost what that pair costs, not what its shard holds.
+func TestRevokeCostFollowsTouchedPairs(t *testing.T) {
+	for _, size := range []struct{ pairs, segs int }{{512, 1}, {4096, 1}, {512, 6}} {
+		svc, links := oneOfMany(t, size.pairs, size.segs, 1)
+		link := links[len(links)/2]
+		if n := svc.RevokeLink(0, link, hour); n != 1 {
+			t.Fatalf("%+v: revoke changed %d pairs, want 1", size, n)
+		}
+		svc.ReinstateLink(0, link)
+		allocs := testing.AllocsPerRun(20, func() {
+			svc.RevokeLink(0, link, hour)
+			svc.ReinstateLink(0, link)
+		})
+		if bound := float64(16 + svc.NumShards()); allocs >= bound {
+			t.Errorf("%d pairs x %d segments: revoke+reinstate allocates %v, want < %v",
+				size.pairs, size.segs, allocs, bound)
+		}
+	}
+}
+
+// BenchmarkRevokeOneOfMany is shaped like lookup_churn's writer: many
+// links, each on a few pairs, revoked and reinstated in turn.
+func BenchmarkRevokeOneOfMany(b *testing.B) {
+	for _, pairs := range []int{1024, 8192} {
+		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
+			svc, links := oneOfMany(b, pairs, 4, 4)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lk := links[i%len(links)]
+				svc.RevokeLink(0, lk, hour)
+				svc.ReinstateLink(0, lk)
+			}
+		})
+	}
+}

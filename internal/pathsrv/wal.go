@@ -2,6 +2,7 @@ package pathsrv
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
@@ -157,7 +158,7 @@ func appendCheckpoint(dst []byte, svc *Service) []byte {
 		master := svc.master[sh]
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(master)))
 		for _, key := range sortedPairs(master) {
-			list := master[key]
+			list := master[key].segs
 			dst = binary.BigEndian.AppendUint64(dst, key.src.Uint64())
 			dst = binary.BigEndian.AppendUint64(dst, key.dst.Uint64())
 			entry, inSnap := snap.pairs[key]
@@ -196,11 +197,14 @@ func appendCheckpoint(dst []byte, svc *Service) []byte {
 		dst = binary.BigEndian.AppendUint16(dst, uint16(lk.If))
 		dst = binary.BigEndian.AppendUint64(dst, uint64(svc.revoked[lk]))
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(svc.linkShards)))
-	for _, lk := range sortedLinks(svc.linkShards) {
+	links := slices.DeleteFunc(sortedLinks(svc.linkShards), func(lk seg.LinkKey) bool {
+		return svc.linkShards[lk].shards == 0 // indexed for its pairs only
+	})
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(links)))
+	for _, lk := range links {
 		dst = binary.BigEndian.AppendUint64(dst, lk.IA.Uint64())
 		dst = binary.BigEndian.AppendUint16(dst, uint16(lk.If))
-		dst = binary.BigEndian.AppendUint64(dst, svc.linkShards[lk])
+		dst = binary.BigEndian.AppendUint64(dst, svc.linkShards[lk].shards)
 	}
 	return dst
 }
@@ -303,7 +307,8 @@ func readLink(r *wire.Reader) seg.LinkKey {
 // loadCheckpoint rebuilds a Service from a checkpoint body. The
 // decoded state is byte-for-byte the journaled one: master lists,
 // per-shard snapshots with their epochs, revocations, link-shard
-// bookkeeping, the dirty mask and the epoch counter.
+// bookkeeping, the dirty mask and the epoch counter. The link index's
+// pairs are derived while decoding; each shard is first rebuilt whole.
 func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 	r := wire.NewReader("pathsrv: checkpoint", body)
 	epoch := r.U64()
@@ -333,8 +338,12 @@ func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 			pairMin := sim.Time(r.U64())
 			nmaster := r.Count(uint32(r.U16()), 4)
 			list := make([]*seg.PCB, 0, nmaster)
+			id := svc.pairID(key)
 			for j := 0; j < nmaster && r.Err() == nil; j++ {
-				list = append(list, seg.Read(&r, int(r.U32())))
+				if p := seg.Read(&r, int(r.U32())); p != nil {
+					list = append(list, p)
+					svc.index(id, p, 0)
+				}
 			}
 			nvis := r.Count(uint32(r.U16()), 2)
 			visible := make([]*seg.PCB, 0, nvis)
@@ -347,7 +356,7 @@ func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 					r.Failf("visible index %d of %d", idx, len(list))
 				}
 			}
-			svc.master[sh][key] = list
+			svc.master[sh][key] = &pairMaster{id: id, segs: list}
 			if nvis > 0 {
 				pairs[key] = pairEntry{segs: visible, minExpiry: pairMin}
 			}
@@ -360,7 +369,7 @@ func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 	}
 	for i, n := 0, r.Count(r.U32(), 18); i < n && r.Err() == nil; i++ {
 		lk := readLink(&r)
-		svc.linkShards[lk] = r.U64()
+		svc.link(lk).shards = r.U64()
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -479,7 +479,7 @@ func (it *Interner) sigSpace() []byte {
 	}
 	off := len(it.sigSlab)
 	it.sigSlab = it.sigSlab[:off+trust.SignatureLen]
-	return it.sigSlab[off:off:off+trust.SignatureLen]
+	return it.sigSlab[off : off : off+trust.SignatureLen]
 }
 
 // internerCap bounds retained entries; topologies with heavy path churn
