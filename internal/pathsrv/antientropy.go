@@ -29,6 +29,8 @@ package pathsrv
 // assert.
 
 import (
+	"maps"
+
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
@@ -100,10 +102,7 @@ func (f *Fleet) electLeader() *Replica {
 func (r *Replica) pullFrom(leader *Replica) (shards int, revocations bool) {
 	src, dst := leader.svc, r.svc
 	if src.RevocationDigest() != dst.RevocationDigest() {
-		dst.revoked = make(map[seg.LinkKey]sim.Time, len(src.revoked))
-		for lk, exp := range src.revoked {
-			dst.revoked[lk] = exp
-		}
+		dst.revoked = maps.Clone(src.revoked)
 		revocations = true
 	}
 	for sh := uint32(0); sh < src.nshards; sh++ {
@@ -117,18 +116,10 @@ func (r *Replica) pullFrom(leader *Replica) (shards int, revocations bool) {
 		// immutable and shared).
 		master := make(map[pairKey]*pairMaster, len(src.master[sh]))
 		for key, pm := range src.master[sh] {
-			id := dst.pairID(key)
-			master[key] = &pairMaster{id: id, segs: append([]*seg.PCB(nil), pm.segs...)}
-			for _, p := range pm.segs {
-				dst.index(id, p, 0)
-			}
+			master[key] = &pairMaster{key: key, segs: append([]*seg.PCB(nil), pm.segs...)}
 		}
 		dst.master[sh] = master
-		if src.dirty&(1<<sh) != 0 {
-			dst.dirty |= 1 << sh
-		} else {
-			dst.dirty &^= 1 << sh
-		}
+		dst.dirty = dst.dirty&^(1<<sh) | src.dirty&(1<<sh)
 		shards++
 	}
 	if shards == 0 && !revocations {
@@ -137,9 +128,9 @@ func (r *Replica) pullFrom(leader *Replica) (shards int, revocations bool) {
 	// Adopt the leader's epoch counter and link shard masks so future
 	// publications assign identical epochs and republish the same shards
 	// on both — without this, a recovered replica would re-diverge on the
-	// very next publish even with identical content. The link index keeps
-	// this replica's own pairs plus the pulled ones, and as what was
-	// pulled was not derived here, every shard is next rebuilt whole.
+	// very next publish even with identical content. The segment index is
+	// rebuilt from the master lists and revocations now held, and as what
+	// was pulled was not derived here, every shard is next rebuilt whole.
 	dst.epoch = src.epoch
 	for _, e := range dst.linkShards {
 		e.shards = 0
@@ -147,6 +138,7 @@ func (r *Replica) pullFrom(leader *Replica) (shards int, revocations bool) {
 	for lk, e := range src.linkShards {
 		dst.link(lk).shards = e.shards
 	}
+	dst.reindex()
 	clear(dst.masterMin)
 	return shards, revocations
 }

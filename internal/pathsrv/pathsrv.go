@@ -96,20 +96,30 @@ type snapshot struct {
 
 var emptySnapshot = &snapshot{pairs: map[pairKey]pairEntry{}}
 
-// pairMaster is one pair's writer-side state: its number in the link
-// index and its registered segments in reply order.
+// pairMaster is one pair's writer-side state: its registered segments in
+// reply order and, parallel to them, the segments' ids; stamp is the last
+// touch that listed the pair.
 type pairMaster struct {
-	id   uint32
-	segs []*seg.PCB
+	key   pairKey
+	stamp uint64
+	segs  []*seg.PCB
+	ids   []uint32
+}
+
+// segState is what the revocation filter reads of one segment, by id:
+// its expiry, its pair and how many of its links are revoked.
+type segState struct {
+	expiry  sim.Time
+	pair    *pairMaster
+	revoked int32
 }
 
 // linkEntry indexes one link: the shards a change to it republishes and
-// the pairs (indices into Service.pairKeys) with a master segment over
-// it — derived, never serialized, a superset but never a subset.
+// the ids of the segments over it — derived, never serialized, a superset
+// but never a subset.
 type linkEntry struct {
 	shards uint64
-	last   uint32 // the pair appended last
-	pairs  []uint32
+	segs   []uint32
 }
 
 // Service is the sharded path-query service.
@@ -125,14 +135,16 @@ type Service struct {
 	// the single writer goroutine outside the sim) may touch it.
 	master     []map[pairKey]*pairMaster
 	linkShards map[seg.LinkKey]*linkEntry
+	linkMemo   [1024]linkSlot // see link
 	revoked    map[seg.LinkKey]sim.Time
 	dirty      uint64 // bitmask of shards with pending registrations
 	// touched[sh] holds the pairs to recompute at shard sh's next publish;
 	// from masterMin[sh] (earliest master expiry, 0: unknown) on, all are.
 	touched   [][]pairKey
 	masterMin []sim.Time
-	pairIDs   map[pairKey]uint32 // numbers pairs for linkEntry
-	pairKeys  []pairKey
+	segs      []segState // by segment id, renumbered only by reindex
+	stamp     uint64     // counts touches
+	dead      int        // ids no master list holds since the last reindex
 	epoch     uint64
 	caches    []*Cache
 
@@ -167,7 +179,6 @@ func New(cfg Config) *Service {
 		revoked:    map[seg.LinkKey]sim.Time{},
 		touched:    make([][]pairKey, n),
 		masterMin:  make([]sim.Time, n),
-		pairIDs:    map[pairKey]uint32{},
 		clock:      cfg.Clock,
 	}
 	for i := range s.snaps {
@@ -253,7 +264,7 @@ func (s *Service) Register(now sim.Time, p *seg.PCB) error {
 	sh := s.ShardOf(key.dst)
 	pm := s.master[sh][key]
 	if pm == nil {
-		pm = &pairMaster{id: s.pairID(key)}
+		pm = &pairMaster{key: key}
 		s.master[sh][key] = pm
 	}
 	list, mutated, fresh := upsert(pm.segs, p)
@@ -262,60 +273,101 @@ func (s *Service) Register(now sim.Time, p *seg.PCB) error {
 	}
 	pm.segs = list
 	s.dirty |= 1 << sh
+	at := slices.Index(list, p)
 	if fresh {
 		s.Registrations++
 		s.cReg.Inc()
-		s.index(pm.id, p, 1<<sh)
+		pm.ids = slices.Insert(pm.ids, at, s.index(pm, p, 1<<sh))
 	} else {
 		s.Refreshes++
 		s.cRefresh.Inc()
+		s.segs[pm.ids[at]].expiry = p.Info.Expiry
 	}
 	return nil
 }
 
-// index adds shards and pair id to the entries of the links p crosses,
-// one map operation per link.
-func (s *Service) index(id uint32, p *seg.PCB, shards uint64) {
-	for _, lk := range p.Links() {
+// index numbers a segment of pm and adds shards and its id to the entries
+// of the links it crosses (seg.PCB.Links's, walked without caching them
+// on p): one map operation per link, one more while links are revoked.
+func (s *Service) index(pm *pairMaster, p *seg.PCB, shards uint64) uint32 {
+	id := uint32(len(s.segs))
+	st := segState{expiry: p.Info.Expiry, pair: pm}
+	for i := range p.ASEntries {
+		a := &p.ASEntries[i]
+		if a.Hop.ConsEgress == 0 {
+			continue
+		}
+		lk := seg.LinkKey{IA: a.Local, If: a.Hop.ConsEgress}
 		e := s.link(lk)
 		e.shards |= shards
-		if len(e.pairs) == 0 || e.last != id {
-			e.pairs, e.last = append(e.pairs, id), id
+		e.segs = append(e.segs, id)
+		if len(s.revoked) > 0 {
+			if _, ok := s.revoked[lk]; ok {
+				st.revoked++
+			}
+		}
+	}
+	s.segs = append(s.segs, st)
+	return id
+}
+
+// reindex renumbers every master segment, dropping the ids no master
+// list holds any more.
+func (s *Service) reindex() {
+	s.segs, s.dead = s.segs[:0], 0
+	for _, e := range s.linkShards {
+		e.segs = e.segs[:0]
+	}
+	for _, master := range s.master {
+		for _, pm := range master {
+			pm.ids = pm.ids[:0]
+			for _, p := range pm.segs {
+				pm.ids = append(pm.ids, s.index(pm, p, 0))
+			}
 		}
 	}
 }
 
-func (s *Service) pairID(key pairKey) uint32 {
-	id, ok := s.pairIDs[key]
-	if !ok {
-		id = uint32(len(s.pairKeys))
-		s.pairIDs[key], s.pairKeys = id, append(s.pairKeys, key)
-	}
-	return id
+type linkSlot struct {
+	lk seg.LinkKey
+	e  *linkEntry
 }
 
+// link returns lk's entry, creating it. Entries are never removed, so a
+// direct-mapped memo in front of the map stays valid; it answers most
+// lookups without the map's hash of the padded key, which was the largest
+// cost of indexing a checkpoint.
 func (s *Service) link(lk seg.LinkKey) *linkEntry {
+	m := &s.linkMemo[(uint64(lk.IA.AS)<<16|uint64(lk.If))*0x9e3779b97f4a7c15>>54]
+	if m.e != nil && m.lk == lk {
+		return m.e
+	}
 	e := s.linkShards[lk]
 	if e == nil {
 		e = &linkEntry{}
 		s.linkShards[lk] = e
 	}
+	m.lk, m.e = lk, e
 	return e
 }
 
-// touch marks the pairs over link for recomputation and returns the
-// shards a change to link republishes.
-func (s *Service) touch(link seg.LinkKey) uint64 {
+// touch adds delta to the revoked-link count of every segment over link,
+// marks their pairs for recomputation, each once, and returns the shards
+// a change to link republishes.
+func (s *Service) touch(link seg.LinkKey, delta int32) uint64 {
 	e := s.linkShards[link]
 	if e == nil {
 		return 0
 	}
-	slices.Sort(e.pairs)
-	e.pairs = slices.Compact(e.pairs)
-	for _, id := range e.pairs {
-		k := s.pairKeys[id]
-		sh := s.ShardOf(k.dst)
-		s.touched[sh] = append(s.touched[sh], k)
+	s.stamp++
+	for _, id := range e.segs {
+		st := &s.segs[id]
+		st.revoked += delta
+		if pm := st.pair; pm.stamp != s.stamp {
+			pm.stamp = s.stamp
+			sh := s.ShardOf(pm.key.dst)
+			s.touched[sh] = append(s.touched[sh], pm.key)
+		}
 	}
 	return e.shards
 }
@@ -389,14 +441,15 @@ func (s *Service) RevokeLink(now sim.Time, link seg.LinkKey, ttl sim.Time) int {
 	if ttl <= 0 {
 		ttl = s.revTTL
 	}
-	exp := now + ttl
+	exp, had := now+ttl, len(s.revoked)
 	if cur, ok := s.revoked[link]; !ok || exp > cur {
 		s.revoked[link] = exp
 	}
 	s.Revocations++
 	s.cRev.Inc()
 	s.trace(telemetry.PathRevoked, link.IA.Uint64(), uint64(link.If), 0, "serve")
-	mask := s.touch(link)
+	// Count the link only when it is new to the set, not on an extended TTL.
+	mask := s.touch(link, int32(len(s.revoked)-had))
 	if mask == 0 {
 		return 0
 	}
@@ -413,7 +466,7 @@ func (s *Service) ReinstateLink(now sim.Time, link seg.LinkKey) int {
 	s.Reinstatements++
 	s.cRein.Inc()
 	s.trace(telemetry.PathReinstated, link.IA.Uint64(), uint64(link.If), 0, "serve")
-	mask := s.touch(link)
+	mask := s.touch(link, -1)
 	if mask == 0 {
 		return 0
 	}
@@ -452,7 +505,7 @@ func (s *Service) expireRevocations(now sim.Time) (shards uint64) {
 		delete(s.revoked, lk)
 		s.Reinstatements++
 		s.cRein.Inc()
-		shards |= s.touch(lk)
+		shards |= s.touch(lk, -1)
 		s.trace(telemetry.PathReinstated, lk.IA.Uint64(), uint64(lk.If), 0, "lapse")
 	}
 	return shards
@@ -465,17 +518,19 @@ func (s *Service) publish(now sim.Time, shards uint64, reason string, invCell *t
 	s.Publishes++
 	s.cPub.Inc()
 	var changed []pairKey
-	revoked := sortedLinks(s.revoked)
 	for sh := uint32(0); sh < s.nshards; sh++ {
 		if shards&(1<<sh) == 0 {
 			continue
 		}
-		changed = s.rebuild(sh, now, revoked, changed)
+		changed = s.rebuild(sh, now, changed)
 		s.PublishedShards++
 		s.trace(telemetry.SnapshotPublished, uint64(sh), s.epoch,
 			uint64(len(s.snaps[sh].Load().pairs)), reason)
 	}
 	s.dirty = 0
+	if s.dead > len(s.segs)/2 {
+		s.reindex()
+	}
 	if len(changed) > 0 {
 		s.invalidate(changed, invCell)
 	}
@@ -487,8 +542,8 @@ func (s *Service) publish(now sim.Time, shards uint64, reason string, invCell *t
 // hiding revoked ones, the others copied from the old snapshot; every
 // pair whose visible path set changed is appended to changed. With
 // registrations pending or a master segment expired, all are touched.
-// revoked is the revocation set in canonical order.
-func (s *Service) rebuild(sh uint32, now sim.Time, revoked []seg.LinkKey, changed []pairKey) []pairKey {
+// Expiries and revocations are read from the segments' states, by id.
+func (s *Service) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairKey {
 	old, master := s.snaps[sh].Load(), s.master[sh]
 	whole := s.dirty&(1<<sh) != 0 || now >= s.masterMin[sh]
 	var pairs map[pairKey]pairEntry
@@ -496,31 +551,35 @@ func (s *Service) rebuild(sh uint32, now sim.Time, revoked []seg.LinkKey, change
 	recompute := func(key pairKey, pm *pairMaster) {
 		// Prune expired segments from the master copy in place; they can
 		// never come back. Before masterMin there are none.
-		live := pm.segs
 		if whole {
-			live = live[:0]
-			for _, p := range pm.segs {
-				if !p.Expired(now) {
-					live = append(live, p)
-					if masterMin == 0 || p.Info.Expiry < masterMin {
-						masterMin = p.Info.Expiry
+			live, ids := pm.segs[:0], pm.ids[:0]
+			for i, id := range pm.ids {
+				if exp := s.segs[id].expiry; now < exp {
+					live, ids = append(live, pm.segs[i]), append(ids, id)
+					if masterMin == 0 || exp < masterMin {
+						masterMin = exp
 					}
 				}
 			}
+			s.dead += len(pm.ids) - len(ids)
+			pm.segs, pm.ids = live, ids
 		}
-		if pm.segs = live; len(live) == 0 {
+		if len(pm.segs) == 0 {
 			delete(master, key)
 		}
 
 		// The snapshot must own its slice: master backing arrays are
 		// mutated in place by later upserts and prunes while old
 		// snapshots may still be read concurrently.
-		visible := make([]*seg.PCB, 0, len(live))
-		for _, p := range live {
-			if len(revoked) > 0 && segmentRevoked(p, revoked) {
-				continue
+		visible := make([]*seg.PCB, 0, len(pm.segs))
+		var min sim.Time
+		for i, id := range pm.ids {
+			if st := &s.segs[id]; st.revoked == 0 {
+				if len(visible) == 0 || st.expiry < min {
+					min = st.expiry
+				}
+				visible = append(visible, pm.segs[i])
 			}
-			visible = append(visible, p)
 		}
 		prev, had := old.pairs[key]
 		if len(visible) == 0 {
@@ -529,12 +588,6 @@ func (s *Service) rebuild(sh uint32, now sim.Time, revoked []seg.LinkKey, change
 				changed = append(changed, key)
 			}
 			return
-		}
-		min := visible[0].Info.Expiry
-		for _, p := range visible[1:] {
-			if p.Info.Expiry < min {
-				min = p.Info.Expiry
-			}
 		}
 		pairs[key] = pairEntry{segs: visible, minExpiry: min}
 		if !samePathSet(prev.segs, visible) {
@@ -566,15 +619,6 @@ func (s *Service) rebuild(sh uint32, now sim.Time, revoked []seg.LinkKey, change
 	}
 	s.snaps[sh].Store(&snapshot{epoch: s.epoch, pairs: pairs, minExpiry: shardMin})
 	return changed
-}
-
-func segmentRevoked(p *seg.PCB, revoked []seg.LinkKey) bool {
-	for _, lk := range p.Links() {
-		if _, ok := slices.BinarySearchFunc(revoked, lk, compareLinks); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // samePathSet reports whether two canonical-ordered replies describe the

@@ -323,8 +323,41 @@ func (o *opsTwin) apply(op, arg byte) {
 	o.compare(what)
 }
 
+// checkIndex asserts the segment index's invariants for every master
+// segment: an id of its own pair, its expiry, the number of its links in
+// the revocation set, and its id listed on each of its links.
+func checkIndex(s *Service) error {
+	for sh, master := range s.master {
+		for key, pm := range master {
+			if len(pm.ids) != len(pm.segs) {
+				return fmt.Errorf("shard %d pair %v: %d ids for %d segments", sh, key, len(pm.ids), len(pm.segs))
+			}
+			for i, p := range pm.segs {
+				id := pm.ids[i]
+				if int(id) >= len(s.segs) {
+					return fmt.Errorf("pair %v segment %d: id %d of %d", key, i, id, len(s.segs))
+				}
+				st, revoked := s.segs[id], int32(0)
+				for _, lk := range p.Links() {
+					if _, ok := s.revoked[lk]; ok {
+						revoked++
+					}
+					if e := s.linkShards[lk]; e == nil || !slices.Contains(e.segs, id) {
+						return fmt.Errorf("link %v does not list segment %d of pair %v", lk, id, key)
+					}
+				}
+				if st.pair != pm || pm.key != key || st.expiry != p.Info.Expiry || st.revoked != revoked {
+					return fmt.Errorf("pair %v segment %d: expiry %v revoked %d, want expiry %v revoked %d (own pair: %v)",
+						key, id, st.expiry, st.revoked, p.Info.Expiry, revoked, st.pair == pm)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // compare asserts equal published and writer state, counters and trace,
-// and that the link index covers every pair's master segments.
+// and the segment index's invariants.
 func (o *opsTwin) compare(what string) {
 	o.t.Helper()
 	s, r := o.svc, o.ref
@@ -345,17 +378,13 @@ func (o *opsTwin) compare(what string) {
 		master := map[pairKey][]*seg.PCB{}
 		for key, pm := range s.master[sh] {
 			master[key] = pm.segs
-			for _, p := range pm.segs {
-				for _, lk := range p.Links() {
-					if e := s.linkShards[lk]; e == nil || !slices.Contains(e.pairs, pm.id) {
-						fail("link %v does not index pair %v", lk, key)
-					}
-				}
-			}
 		}
 		if !reflect.DeepEqual(master, r.master[sh]) {
 			fail("shard %d master differs", sh)
 		}
+	}
+	if err := checkIndex(s); err != nil {
+		fail("%v", err)
 	}
 	masks := map[seg.LinkKey]uint64{}
 	for lk, e := range s.linkShards {

@@ -76,17 +76,12 @@ func tracedTwins(a, b *Service) (ta, tb *telemetry.Tracer) {
 	return ta, tb
 }
 
-// assertSameUnderChurn revokes and reinstates every link on a live
-// service and on one recovered from it, asserting equal return values,
-// digests and trace events after each operation and equal checkpoint
-// images before and after.
-func assertSameUnderChurn(t *testing.T, live, got *Service, now sim.Time) {
-	t.Helper()
-	if !bytes.Equal(appendCheckpoint(nil, live), appendCheckpoint(nil, got)) {
-		t.Fatal("checkpoint image differs before churn")
-	}
+// twinChecker returns the comparison run after each operation on a live
+// service and on one derived from it: equal return values, digests and
+// trace events, and the segment index's invariants on both.
+func twinChecker(t *testing.T, live, got *Service) func(what string, a, b int) {
 	ta, tb := tracedTwins(live, got)
-	check := func(what string, a, b int) {
+	return func(what string, a, b int) {
 		t.Helper()
 		if a != b {
 			t.Fatalf("%s: live returned %d, recovered %d", what, a, b)
@@ -97,7 +92,24 @@ func assertSameUnderChurn(t *testing.T, live, got *Service, now sim.Time) {
 		if !reflect.DeepEqual(ta.Events(), tb.Events()) {
 			t.Fatalf("%s: trace events differ", what)
 		}
+		for _, s := range []*Service{live, got} {
+			if err := checkIndex(s); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
 	}
+}
+
+// assertSameUnderChurn revokes and reinstates every link on a live
+// service and on one recovered from it, asserting equal return values,
+// digests and trace events after each operation and equal checkpoint
+// images before and after.
+func assertSameUnderChurn(t *testing.T, live, got *Service, now sim.Time) {
+	t.Helper()
+	if !bytes.Equal(appendCheckpoint(nil, live), appendCheckpoint(nil, got)) {
+		t.Fatal("checkpoint image differs before churn")
+	}
+	check := twinChecker(t, live, got)
 	for _, lk := range checkpointLinks {
 		check("revoke "+lk.String(), live.RevokeLink(now, lk, hour), got.RevokeLink(now, lk, hour))
 		check("revoke again "+lk.String(), live.RevokeLink(now, lk, hour), got.RevokeLink(now, lk, hour))
@@ -158,6 +170,114 @@ func TestDerivedStateAfterRestart(t *testing.T) {
 		}
 		assertSameUnderChurn(t, f.Replica(0).Service(), f.Replica(1).Service(), hour)
 	})
+	// A revocation counted before the checkpoint must be lifted by a
+	// reinstatement after it.
+	t.Run("revoked across checkpoint", func(t *testing.T) {
+		sc := checkpointScenario(t)
+		sc.revoke(now, linkOf(21), 0)
+		sc.wal.Checkpoint(now, sc.svc)
+		got, _ := Recover(sc.wal.Bytes(), cfg)
+		check := twinChecker(t, sc.svc, got)
+		n := sc.svc.ReinstateLink(now, linkOf(21))
+		if check("reinstate after recovery", n, got.ReinstateLink(now, linkOf(21))); n == 0 {
+			t.Fatal("reinstating changed no pair")
+		}
+		assertSameUnderChurn(t, sc.svc, got, now)
+	})
+	// A segment registered over a revoked link is counted as it is
+	// indexed, live and in the replay.
+	t.Run("registered while revoked", func(t *testing.T) {
+		sc := checkpointScenario(t)
+		sc.revoke(now, linkOf(22), 0)
+		sc.register(now, mkSeg(t, now, 10, 22, 36))
+		sc.publish(now)
+		if segs, _ := sc.svc.Lookup(now, core1, addr.MustIA(1, 36)); len(segs) != 0 {
+			t.Fatal("segment over a revoked link is served")
+		}
+		got, _ := Recover(sc.wal.Bytes(), cfg)
+		check := twinChecker(t, sc.svc, got)
+		n := sc.svc.ReinstateLink(now, linkOf(22))
+		if check("reinstate after replay", n, got.ReinstateLink(now, linkOf(22))); n == 0 {
+			t.Fatal("reinstating changed no pair")
+		}
+		assertSameUnderChurn(t, sc.svc, got, now)
+	})
+	// The two halves of a pull apart: the revocation set alone, then
+	// shards over a link revoked on both sides.
+	t.Run("sync revocations only", func(t *testing.T) {
+		f := NewFleet(FleetConfig{Replicas: 2, Service: cfg})
+		f.Register(0, mkSeg(t, 0, 10, 20, 30))
+		f.Publish(0)
+		f.Crash(f.Replica(1).IA)
+		f.RevokeLink(hour, linkOf(99), 3*hour) // no segment crosses it yet
+		f.Restart(f.Replica(1).IA)
+		if st := f.Sync(hour); st.Pulls != 1 || st.PulledShards != 0 || st.PulledRevocations != 1 {
+			t.Fatalf("sync = %+v, want the revocation set alone", st)
+		}
+		f.Register(hour, mkSeg(t, hour, 99, 23, 31))
+		f.Publish(hour)
+		assertSameUnderChurn(t, f.Replica(0).Service(), f.Replica(1).Service(), hour)
+	})
+	t.Run("sync shards only", func(t *testing.T) {
+		f := NewFleet(FleetConfig{Replicas: 2, Service: cfg})
+		f.Register(0, mkSeg(t, 0, 10, 20, 30))
+		f.Publish(0)
+		f.RevokeLink(0, linkOf(21), 4*hour)
+		f.Crash(f.Replica(1).IA)
+		for _, hops := range [][]uint64{{10, 21, 31}, {11, 21, 23, 32}, {11, 22, 33}} {
+			f.Register(hour, mkSeg(t, hour, hops...))
+		}
+		f.Publish(hour)
+		f.Restart(f.Replica(1).IA)
+		if st := f.Sync(hour); st.Pulls != 1 || st.PulledShards == 0 || st.PulledRevocations != 0 {
+			t.Fatalf("sync = %+v, want shards alone", st)
+		}
+		assertSameUnderChurn(t, f.Replica(0).Service(), f.Replica(1).Service(), hour)
+	})
+}
+
+// TestSyncKeepsIndexBounded: ids left dead by expiry and by pulls are
+// dropped, so a hundred crash/sync rounds leave the follower no more ids
+// than its master segments plus one round's registrations, and the
+// leader, which only prunes, no more than twice its master segments.
+func TestSyncKeepsIndexBounded(t *testing.T) {
+	f := NewFleet(FleetConfig{Replicas: 2, Service: Config{Shards: 4, RevocationTTL: hour}, CheckpointEvery: 64})
+	const perRound = 6
+	held := func(s *Service) (n int) {
+		for _, master := range s.master {
+			for _, pm := range master {
+				n += len(pm.segs)
+			}
+		}
+		return n
+	}
+	pulls := 0
+	for round := 0; round < 100; round++ {
+		now := sim.Time(round) * hour / 4 // segments live 6 h: 24 rounds
+		f.Crash(f.Replica(1).IA)
+		for i := 0; i < perRound; i++ {
+			f.Register(now, mkSeg(t, now, 10+uint64(i%2), 20+uint64(round%9), uint64(100+round), uint64(30+i)))
+		}
+		f.RevokeLink(now, linkOf(20+uint64(round%9)), hour)
+		f.Publish(now)
+		f.Restart(f.Replica(1).IA)
+		pulls += f.Sync(now).Pulls
+		leader, follower := f.Replica(0).Service(), f.Replica(1).Service()
+		for _, s := range []*Service{leader, follower} {
+			if err := checkIndex(s); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		if n, live := len(follower.segs), held(follower); n > live+perRound {
+			t.Fatalf("round %d: follower holds %d ids for %d segments", round, n, live)
+		}
+		if n, live := len(leader.segs), held(leader); n > 2*live {
+			t.Fatalf("round %d: leader holds %d ids for %d segments", round, n, live)
+		}
+	}
+	if pulls != 100 {
+		t.Fatalf("%d of 100 rounds pulled", pulls)
+	}
 }
 
 // oneOfMany publishes pairs (source, destination) pairs over 16 shards.
@@ -207,11 +327,12 @@ func TestRevokeCostFollowsTouchedPairs(t *testing.T) {
 }
 
 // BenchmarkRevokeOneOfMany is shaped like lookup_churn's writer: many
-// links, each on a few pairs, revoked and reinstated in turn.
+// links, each on a few pairs, revoked and reinstated in turn. The segs=32
+// leg shows what filtering a touched pair's segments costs.
 func BenchmarkRevokeOneOfMany(b *testing.B) {
-	for _, pairs := range []int{1024, 8192} {
-		b.Run(fmt.Sprintf("pairs=%d", pairs), func(b *testing.B) {
-			svc, links := oneOfMany(b, pairs, 4, 4)
+	for _, leg := range []struct{ pairs, segs int }{{1024, 4}, {8192, 4}, {1024, 32}} {
+		b.Run(fmt.Sprintf("pairs=%d/segs=%d", leg.pairs, leg.segs), func(b *testing.B) {
+			svc, links := oneOfMany(b, leg.pairs, leg.segs, 4)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

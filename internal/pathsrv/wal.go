@@ -198,7 +198,7 @@ func appendCheckpoint(dst []byte, svc *Service) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(svc.revoked[lk]))
 	}
 	links := slices.DeleteFunc(sortedLinks(svc.linkShards), func(lk seg.LinkKey) bool {
-		return svc.linkShards[lk].shards == 0 // indexed for its pairs only
+		return svc.linkShards[lk].shards == 0 // indexed for its segments only
 	})
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(links)))
 	for _, lk := range links {
@@ -307,8 +307,8 @@ func readLink(r *wire.Reader) seg.LinkKey {
 // loadCheckpoint rebuilds a Service from a checkpoint body. The
 // decoded state is byte-for-byte the journaled one: master lists,
 // per-shard snapshots with their epochs, revocations, link-shard
-// bookkeeping, the dirty mask and the epoch counter. The link index's
-// pairs are derived while decoding; each shard is first rebuilt whole.
+// bookkeeping, the dirty mask and the epoch counter. The segment index is
+// derived while decoding; each shard is first rebuilt whole.
 func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 	r := wire.NewReader("pathsrv: checkpoint", body)
 	epoch := r.U64()
@@ -337,12 +337,11 @@ func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 			}
 			pairMin := sim.Time(r.U64())
 			nmaster := r.Count(uint32(r.U16()), 4)
-			list := make([]*seg.PCB, 0, nmaster)
-			id := svc.pairID(key)
+			pm := &pairMaster{key: key, segs: make([]*seg.PCB, 0, nmaster), ids: make([]uint32, 0, nmaster)}
 			for j := 0; j < nmaster && r.Err() == nil; j++ {
 				if p := seg.Read(&r, int(r.U32())); p != nil {
-					list = append(list, p)
-					svc.index(id, p, 0)
+					pm.segs = append(pm.segs, p)
+					pm.ids = append(pm.ids, svc.index(pm, p, 0))
 				}
 			}
 			nvis := r.Count(uint32(r.U16()), 2)
@@ -350,13 +349,13 @@ func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 			for j := 0; j < nvis && r.Err() == nil; j++ {
 				if idx := int(r.U16()); idx == 0xffff {
 					visible = append(visible, seg.Read(&r, int(r.U32())))
-				} else if idx < len(list) {
-					visible = append(visible, list[idx])
+				} else if idx < len(pm.segs) {
+					visible = append(visible, pm.segs[idx])
 				} else {
-					r.Failf("visible index %d of %d", idx, len(list))
+					r.Failf("visible index %d of %d", idx, len(pm.segs))
 				}
 			}
-			svc.master[sh][key] = &pairMaster{id: id, segs: list}
+			svc.master[sh][key] = pm
 			if nvis > 0 {
 				pairs[key] = pairEntry{segs: visible, minExpiry: pairMin}
 			}
@@ -366,6 +365,9 @@ func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 	for i, n := 0, r.Count(r.U32(), 18); i < n && r.Err() == nil; i++ {
 		lk := readLink(&r)
 		svc.revoked[lk] = sim.Time(r.U64())
+	}
+	for lk := range svc.revoked {
+		svc.touch(lk, 1) // count; every shard is rebuilt whole first
 	}
 	for i, n := 0, r.Count(r.U32(), 18); i < n && r.Err() == nil; i++ {
 		lk := readLink(&r)

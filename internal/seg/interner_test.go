@@ -1,0 +1,216 @@
+package seg
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"scionmpr/internal/addr"
+	"scionmpr/internal/trust"
+)
+
+// hop is one extension step of the chain the interner tests build.
+type hop struct {
+	local, next     addr.IA
+	ingress, egress addr.IfID
+	peers           []PeerEntry
+}
+
+var internHops = []hop{
+	{addr.MustIA(1, 0xff00_0000_0101), addr.MustIA(1, 0xff00_0000_0103), 0, 2, nil},
+	{addr.MustIA(1, 0xff00_0000_0103), addr.MustIA(1, 0xff00_0000_0105), 1, 2, nil},
+	{addr.MustIA(1, 0xff00_0000_0105), addr.IA{}, 1, 0, []PeerEntry{
+		{Peer: addr.MustIA(2, 0xff00_0000_0204), PeerIf: 9, LocalIf: 3},
+	}},
+}
+
+// extendChain extends a fresh beacon along internHops with extend and
+// returns every step.
+func extendChain(t *testing.T, inf *trust.Infra, extend func(p *PCB, signer trust.Signer, h hop) (*PCB, error)) []*PCB {
+	t.Helper()
+	p := NewPCB(internHops[0].local, 7, 0, 6*hour)
+	var out []*PCB
+	for _, h := range internHops {
+		var err error
+		if p, err = extend(p, inf.SignerFor(h.local), h); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+func plainExtend(p *PCB, signer trust.Signer, h hop) (*PCB, error) {
+	return p.Extend(signer, h.next, h.ingress, h.egress, h.peers, 1472)
+}
+
+func internedExtend(it *Interner) func(p *PCB, signer trust.Signer, h hop) (*PCB, error) {
+	return func(p *PCB, signer trust.Signer, h hop) (*PCB, error) {
+		return p.ExtendInterned(it, signer, h.next, h.ingress, h.egress, h.peers, 1472)
+	}
+}
+
+// assertSameBeacon compares wire bytes and both identity caches.
+func assertSameBeacon(t *testing.T, what string, got, want *PCB) {
+	t.Helper()
+	if !bytes.Equal(got.Encode(), want.Encode()) {
+		t.Errorf("%s: encoding differs from Extend's", what)
+	}
+	if got.HopsKey() != want.HopsKey() {
+		t.Errorf("%s: HopsKey %q, Extend gives %q", what, got.HopsKey(), want.HopsKey())
+	}
+	if !reflect.DeepEqual(got.Links(), want.Links()) {
+		t.Errorf("%s: Links %v, Extend gives %v", what, got.Links(), want.Links())
+	}
+}
+
+func TestExtendInternedMatchesExtend(t *testing.T) {
+	inf := infra(t)
+	want := extendChain(t, inf, plainExtend)
+	it := &Interner{}
+	for _, c := range []struct {
+		name   string
+		extend func(*PCB, trust.Signer, hop) (*PCB, error)
+	}{
+		{"no interner", internedExtend(nil)},
+		{"interner", internedExtend(it)},
+		{"interner, again", internedExtend(it)}, // every identity cache is a hit
+	} {
+		for i, p := range extendChain(t, inf, c.extend) {
+			assertSameBeacon(t, fmt.Sprintf("%s, step %d", c.name, i), p, want[i])
+		}
+	}
+	// A repeated extension shares the interned caches instead of building
+	// them again.
+	a, b := extendChain(t, inf, internedExtend(it)), extendChain(t, inf, internedExtend(it))
+	if &a[1].Links()[0] != &b[1].Links()[0] {
+		t.Error("repeated extension did not share the interned link slice")
+	}
+}
+
+// TestRecycledCarcassReextends: a recycled beacon's struct, entry array
+// and signature buffer, drawn again by the next extension, must yield the
+// bytes a fresh extension yields.
+func TestRecycledCarcassReextends(t *testing.T) {
+	inf := infra(t)
+	it := &Interner{}
+	base := extendChain(t, inf, internedExtend(it))[1]
+	h := internHops[2]
+	signer := inf.SignerFor(h.local)
+	want, err := base.Extend(signer, h.next, h.ingress, h.egress, h.peers, 1472)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := false
+	for try := 0; try < 64 && !reused; try++ {
+		p, err := base.ExtendInterned(it, signer, h.next, h.ingress, h.egress, h.peers, 1472)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBeacon(t, "extension", p, want)
+		Recycle(p)
+		if len(p.ASEntries) != 0 || cap(p.ASEntries) == 0 || cap(p.sigBuf) < trust.SignatureLen {
+			t.Fatalf("recycled carcass keeps %d entries (cap %d), signature buffer cap %d",
+				len(p.ASEntries), cap(p.ASEntries), cap(p.sigBuf))
+		}
+		for _, e := range p.ASEntries[:cap(p.ASEntries)] {
+			if e.Peers != nil || e.Signature != nil {
+				t.Fatal("recycled carcass still references its ancestors' peers or signatures")
+			}
+		}
+		q, err := base.ExtendInterned(it, signer, h.next, h.ingress, h.egress, h.peers, 1472)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused = q == p
+		assertSameBeacon(t, "re-extension", q, want)
+	}
+	if !reused {
+		t.Fatal("the extension pool never handed a recycled carcass back")
+	}
+	Recycle(nil) // a no-op
+}
+
+// TestArenaSlotsAreCapped: the arenas carve neighbouring beacons' entry
+// arrays and signatures from one chunk, so each slot is capped at its own
+// length and an append reallocates instead of writing into the next slot.
+func TestArenaSlotsAreCapped(t *testing.T) {
+	it := &Interner{}
+	a, b := it.entrySpace(2), it.entrySpace(3)
+	if cap(a) != 2 {
+		t.Fatalf("entry slot cap = %d, want 2", cap(a))
+	}
+	b[0].MTU = 1
+	a = append(a, ASEntry{MTU: 99})
+	if b[0].MTU != 1 || a[2].MTU != 99 {
+		t.Errorf("append to one entry slot wrote into its neighbour: %d", b[0].MTU)
+	}
+	big := it.entrySpace(300) // larger than a chunk: a chunk of its own
+	if len(big) != 300 || cap(big) != 300 {
+		t.Errorf("oversized entry slot len %d cap %d", len(big), cap(big))
+	}
+
+	s1, s2 := it.sigSpace(), it.sigSpace()
+	if len(s1) != 0 || cap(s1) != trust.SignatureLen {
+		t.Fatalf("signature slot len %d cap %d", len(s1), cap(s1))
+	}
+	sig := bytes.Repeat([]byte{7}, trust.SignatureLen)
+	s2 = append(s2, sig...)
+	s1 = append(s1, make([]byte, trust.SignatureLen)...) // fills its own slot
+	if past := append(s1, 0xff); &past[0] == &s1[0] || !bytes.Equal(s2, sig) {
+		t.Error("append past one signature slot wrote into its neighbour")
+	}
+	for i := 0; i < 64; i++ { // spill into a second chunk
+		if s := it.sigSpace(); cap(s) != trust.SignatureLen {
+			t.Fatalf("signature slot %d cap %d", i, cap(s))
+		}
+	}
+
+	seen := map[*PCB]bool{}
+	for i := 0; i < 130; i++ { // three struct chunks
+		p := it.newPCB()
+		if seen[p] {
+			t.Fatalf("PCB slot %d handed out twice", i)
+		}
+		seen[p] = true
+	}
+
+	// The same holds for beacons built on the arenas: growing one child's
+	// entries leaves its sibling's bytes alone.
+	inf := infra(t)
+	parent := extendChain(t, inf, internedExtend(it))[1]
+	h := internHops[2]
+	signer := inf.SignerFor(h.local)
+	c1, err := parent.ExtendInterned(it, signer, h.next, h.ingress, h.egress, h.peers, 1472)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := parent.ExtendInterned(it, signer, h.next, 2, h.egress, nil, 1472)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c2.Encode()
+	entries := append(c1.ASEntries, ASEntry{MTU: 1})
+	signature := append(c1.ASEntries[len(c1.ASEntries)-1].Signature, 0xff)
+	if !bytes.Equal(c2.Encode(), before) || len(entries) != 4 || len(signature) != trust.SignatureLen+1 {
+		t.Error("appending to one arena-built beacon changed its sibling")
+	}
+}
+
+func TestReinitPanicsOnExtendedPCB(t *testing.T) {
+	inf := infra(t)
+	base := NewPCB(internHops[0].local, 7, 0, 6*hour)
+	key := base.HopsKey()
+	base.Reinit(8, hour, 2*hour)
+	if base.Info.SegID != 8 || base.Info.Timestamp != hour || base.Info.Expiry != 3*hour || base.HopsKey() != key {
+		t.Errorf("Reinit: info %+v, hops key %q (was %q)", base.Info, base.HopsKey(), key)
+	}
+	extended := extendChain(t, inf, plainExtend)[0]
+	defer func() {
+		if recover() == nil {
+			t.Error("Reinit of an extended PCB did not panic")
+		}
+	}()
+	extended.Reinit(9, 0, hour)
+}

@@ -28,8 +28,8 @@ scionmpr/internal/experiments 87
 scionmpr/internal/graphalg 97
 scionmpr/internal/metrics 95
 scionmpr/internal/pathdb 83
-scionmpr/internal/pathsrv 92
-scionmpr/internal/seg 77
+scionmpr/internal/pathsrv 94
+scionmpr/internal/seg 94
 scionmpr/internal/sig 93
 scionmpr/internal/slayers 88
 scionmpr/internal/sim 77
