@@ -5,13 +5,13 @@
 // store, the selector state of stateful selectors, and the chaos engine's
 // overlap bookkeeping. Pending events are deliberately NOT serialized —
 // they are closures, and Resume re-creates the exact pending population
-// from the RunConfig (see the registration-order comment on runActors).
+// from the RunConfig (see the registration-order comment on Plane).
 //
 // Snapshots are only taken at beaconing-interval boundaries, where no
 // deliveries are in flight (link delays are far below the interval), so
 // the event queue at capture time consists purely of reconstructible
-// schedule entries: interval ticks, configured failures, and the chaos
-// plan (a pure function of its seed).
+// schedule entries: interval ticks and the chaos plan (a pure function of
+// its seed).
 //
 // A snapshot is a sequence of wire.AppendFrame frames (the path-server
 // WAL's framing), all fields big-endian, in fixed section order (header,
@@ -259,16 +259,16 @@ func restoreServerState(r *wire.Reader, srv *Server) error {
 
 // capture builds the full snapshot at simulated time now. Must run in
 // serial context (a BeforeStep hook) with no deliveries in flight.
-func (a *runActors) capture(cfg RunConfig, eng *chaos.Engine, now sim.Time) ([]byte, error) {
-	if n := a.s.PendingDeliveries(); n != 0 {
+func (p *Plane) capture(eng *chaos.Engine, now sim.Time) ([]byte, error) {
+	if n := p.Sim.PendingDeliveries(); n != 0 {
 		return nil, fmt.Errorf("beacon: checkpoint at %v with %d deliveries in flight", now, n)
 	}
 	var header []byte
 	header = binary.BigEndian.AppendUint32(header, snapMagic)
 	header = binary.BigEndian.AppendUint16(header, snapVersion)
 	header = binary.BigEndian.AppendUint64(header, uint64(now))
-	header = binary.BigEndian.AppendUint64(header, a.s.Executed)
-	ias := cfg.Topo.IAs()
+	header = binary.BigEndian.AppendUint64(header, p.Sim.Executed)
+	ias := p.Cfg.Topo.IAs()
 	header = binary.BigEndian.AppendUint32(header, uint32(len(ias)))
 	if eng != nil {
 		header = append(header, 1)
@@ -276,9 +276,9 @@ func (a *runActors) capture(cfg RunConfig, eng *chaos.Engine, now sim.Time) ([]b
 		header = append(header, 0)
 	}
 	snap := wire.AppendFrame(nil, header)
-	snap = wire.AppendFrame(snap, appendNetworkState(nil, a.net.CheckpointState()))
+	snap = wire.AppendFrame(snap, appendNetworkState(nil, p.Net.CheckpointState()))
 	for _, ia := range ias {
-		snap = wire.AppendFrame(snap, appendServerState(nil, a.servers[ia], now))
+		snap = wire.AppendFrame(snap, appendServerState(nil, p.Servers[ia], now))
 	}
 	if eng != nil {
 		snap = wire.AppendFrame(snap, eng.AppendState(nil))
@@ -298,7 +298,7 @@ func RunWithCheckpoint(cfg RunConfig, at time.Duration) (*RunResult, []byte, err
 	if at <= 0 || at > cfg.Duration {
 		return nil, nil, fmt.Errorf("beacon: checkpoint time %v outside run duration %v", at, cfg.Duration)
 	}
-	a, err := buildActors(cfg)
+	p, err := NewPlane(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -313,20 +313,18 @@ func RunWithCheckpoint(cfg RunConfig, at time.Duration) (*RunResult, []byte, err
 		snapErr error
 		eng     *chaos.Engine
 	)
-	a.s.BeforeStep(func(t sim.Time) {
+	p.Sim.BeforeStep(func(t sim.Time) {
 		if snap != nil || snapErr != nil || t < aligned || time.Duration(t)%iv != 0 {
 			return
 		}
-		snap, snapErr = a.capture(cfg, eng, t)
+		snap, snapErr = p.capture(eng, t)
 	})
-	a.scheduleTicks(cfg)
-	revokeAll := a.revokeAllFunc(cfg)
-	a.scheduleFailures(cfg, 0, revokeAll)
-	eng, err = a.applyChaos(cfg, revokeAll, nil)
+	p.ScheduleTicks()
+	eng, err = p.applyChaos(nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := a.finish(cfg, eng)
+	res := p.finish(eng)
 	if snapErr != nil {
 		return nil, nil, snapErr
 	}
@@ -376,7 +374,7 @@ func Resume(cfg RunConfig, snapshot []byte) (*RunResult, error) {
 		return nil, fmt.Errorf("beacon: snapshot has %d sections, want %d", len(secs), want)
 	}
 
-	a, err := buildActors(cfg)
+	p, err := NewPlane(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -384,37 +382,35 @@ func Resume(cfg RunConfig, snapshot []byte) (*RunResult, error) {
 	if len(ias) != numServers {
 		return nil, fmt.Errorf("beacon: snapshot has %d servers, topology has %d", numServers, len(ias))
 	}
-	if now < 0 || now > a.end {
+	if now < 0 || now > p.end {
 		return nil, fmt.Errorf("beacon: snapshot time %v outside run duration %v", time.Duration(now), cfg.Duration)
 	}
-	a.s.Restore(now, executed)
+	p.Sim.Restore(now, executed)
 	r := wire.NewReader(snapPrefix, secs[1])
 	st := readNetworkState(&r)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	a.net.RestoreState(st)
+	p.Net.RestoreState(st)
 	for i, ia := range ias {
 		r := wire.NewReader(snapPrefix, secs[2+i])
-		if err := restoreServerState(&r, a.servers[ia]); err != nil {
+		if err := restoreServerState(&r, p.Servers[ia]); err != nil {
 			return nil, err
 		}
 	}
-	// Registration order (failures, chaos plan, ticks) reproduces the
-	// original run's relative sequence numbers among same-timestamp
-	// events: setup-registered fault actions held smaller sequence
-	// numbers than the self-rescheduled interval ticks in flight at the
-	// checkpoint. See runActors.
-	revokeAll := a.revokeAllFunc(cfg)
-	a.scheduleFailures(cfg, now, revokeAll)
+	// Registration order (chaos plan, then ticks) reproduces the original
+	// run's relative sequence numbers among same-timestamp events:
+	// setup-registered fault actions held smaller sequence numbers than
+	// the self-rescheduled interval ticks in flight at the checkpoint.
+	// See Plane.
 	var chaosState []byte
 	if hasChaos {
 		chaosState = secs[len(secs)-1]
 	}
-	eng, err := a.applyChaos(cfg, revokeAll, chaosState)
+	eng, err := p.applyChaos(chaosState)
 	if err != nil {
 		return nil, err
 	}
-	a.scheduleTicks(cfg)
-	return a.finish(cfg, eng), nil
+	p.ScheduleTicks()
+	return p.finish(eng), nil
 }

@@ -99,18 +99,19 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 }
 
 // TestCheckpointResumeFailuresAndBaseline covers the stateless-selector
-// path (no selector blob) and configured link failures whose recovery is
-// scheduled after the checkpoint.
+// path (no selector blob) and link outages whose recovery is scheduled
+// after the checkpoint.
 func TestCheckpointResumeFailuresAndBaseline(t *testing.T) {
 	topo := checkpointTopo(t)
 	mk := func(workers int) RunConfig {
 		cfg := DefaultRunConfig(topo, CoreMode, core.NewBaseline(5), 15)
 		cfg.Duration = 80 * time.Minute
 		cfg.Workers = workers
-		cfg.Failures = []LinkFailure{
-			{Link: topo.Links[0], After: 25 * time.Minute, Recover: 30 * time.Minute},
-			{Link: topo.Links[1], After: 40 * time.Minute},
-		}
+		// The second outage outlasts the run.
+		cfg.Chaos = &chaos.Schedule{Events: []chaos.Event{
+			{Kind: chaos.Flap, Link: topo.Links[0].ID, At: sim.Time(25 * time.Minute), Down: 30 * time.Minute},
+			{Kind: chaos.Flap, Link: topo.Links[1].ID, At: sim.Time(40 * time.Minute), Down: time.Hour},
+		}}
 		return cfg
 	}
 	ref, err := Run(mk(1))
@@ -118,7 +119,7 @@ func TestCheckpointResumeFailuresAndBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ref.Fingerprint()
-	// Checkpoint lands exactly at 40 min, where the second failure is
+	// Checkpoint lands exactly at 40 min, where the second outage is
 	// pending but unexecuted; it must fire on the resumed run.
 	_, snap, err := RunWithCheckpoint(mk(1), 40*time.Minute)
 	if err != nil {

@@ -5,11 +5,21 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
+	"scionmpr/internal/chaos"
 	"scionmpr/internal/core"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/topology"
 )
+
+// outage is a chaos schedule that fails link at `at` and heals it `down`
+// later: the engine fails the link on the control network and revokes it
+// at every beacon server.
+func outage(link *topology.Link, at, down time.Duration) *chaos.Schedule {
+	return &chaos.Schedule{Events: []chaos.Event{
+		{Kind: chaos.Flap, Link: link.ID, At: sim.Time(at), Down: down},
+	}}
+}
 
 // A link failure halfway through the run: beacons must stop crossing the
 // failed link, revocation must purge it from every store, and the
@@ -37,7 +47,9 @@ func TestLiveLinkFailureRecovery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultRunConfig(coreTopo, CoreMode, tc.factory, 20)
 			cfg.Duration = 6 * time.Hour
-			cfg.Failures = []LinkFailure{{After: 3 * time.Hour, Link: failLink}}
+			// Heals a minute after the last interval's beacons landed, so
+			// nothing crosses it again within the run.
+			cfg.Chaos = outage(failLink, 3*time.Hour, 3*time.Hour+time.Minute)
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +153,7 @@ func TestLinkRecoveryRepopulatesStores(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultRunConfig(coreTopo, CoreMode, tc.factory, 20)
 			cfg.Duration = 6 * time.Hour
-			cfg.Failures = []LinkFailure{{After: 2 * time.Hour, Link: failLink, Recover: time.Hour}}
+			cfg.Chaos = outage(failLink, 2*time.Hour, time.Hour)
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

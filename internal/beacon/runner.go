@@ -34,15 +34,11 @@ type RunConfig struct {
 	Infra *trust.Infra
 	// Policies are per-AS beaconing policies (nil entries allow all).
 	Policies map[addr.IA]*Policy
-	// Failures injects link failures at the given virtual times: the
-	// link stops carrying beacons and every beacon server revokes
-	// affected state.
-	Failures []LinkFailure
 	// Chaos, if set, applies a full fault-injection schedule to the run:
 	// flaps, gray failures, latency spikes, and beacon-server crashes.
-	// Link failures trigger the same revocation reaction as Failures;
-	// on restore, neighbors re-propagate over the healed link at their
-	// next interval, repopulating the revoked state.
+	// A failed link stops carrying beacons and every beacon server
+	// revokes the state over it; on restore, neighbors re-propagate over
+	// the healed link at their next interval, repopulating that state.
 	Chaos *chaos.Schedule
 	// Workers is the simulator's parallel worker count: 1 forces
 	// sequential execution, 0 resolves the default (SCIONMPR_WORKERS or
@@ -57,15 +53,6 @@ type RunConfig struct {
 	// propagation, filtering, chaos faults) in deterministic order; its
 	// JSONL encoding is folded into Fingerprint.
 	Tracer *telemetry.Tracer
-}
-
-// LinkFailure schedules one link failure during a run. A positive
-// Recover restores the link that much later: beacon servers then
-// re-learn paths over it at the next beaconing interval.
-type LinkFailure struct {
-	After   time.Duration
-	Link    *topology.Link
-	Recover time.Duration
 }
 
 // DefaultRunConfig returns the paper's simulation parameters with the
@@ -96,24 +83,32 @@ type RunResult struct {
 	End sim.Time
 }
 
-// runActors bundles the constructed simulation actors. Run and Resume
-// share the construction (buildActors) but differ in how the event
-// population is (re)created: a fresh run registers ticks, then failures,
-// then the chaos plan; a resumed run registers failures, then chaos, then
-// ticks, which reproduces the relative sequence ordering the original
-// run's pending events had at the checkpoint (setup-registered fault
-// actions carry smaller sequence numbers than self-rescheduled ticks).
-type runActors struct {
-	infra   *trust.Infra
-	s       *sim.Simulator
-	net     *sim.Network
-	servers map[addr.IA]*Server
+// Plane is a live beaconing control plane: trust infra, a simulator, a
+// sharded control network and one beacon server per AS, built from a
+// RunConfig with no event scheduled yet. Run, RunWithCheckpoint and
+// Resume drive one to completion; the live experiments (churn, serving,
+// failover) add their data plane and periodic work on Sim and run it
+// themselves.
+//
+// Same-timestamp events execute in registration order, so the order of
+// the calls that register events is part of the result. A fresh run
+// registers ScheduleTicks, then the caller's own periodic work, then the
+// chaos plan. Resume registers the chaos plan before the ticks: that
+// reproduces the relative order the original run's pending events had at
+// the checkpoint (setup-registered fault actions carry smaller sequence
+// numbers than self-rescheduled ticks).
+type Plane struct {
+	Cfg     RunConfig
+	Infra   *trust.Infra
+	Sim     *sim.Simulator
+	Net     *sim.Network
+	Servers map[addr.IA]*Server
 	end     sim.Time
 }
 
-// buildActors validates cfg and constructs the simulator, network, and
+// NewPlane validates cfg and constructs the simulator, network, and
 // beacon servers, without scheduling any events.
-func buildActors(cfg RunConfig) (*runActors, error) {
+func NewPlane(cfg RunConfig) (*Plane, error) {
 	if cfg.Topo == nil || cfg.Selector == nil {
 		return nil, fmt.Errorf("beacon: run config missing topology or selector")
 	}
@@ -143,7 +138,7 @@ func buildActors(cfg RunConfig) (*runActors, error) {
 		verifier = infra
 	}
 	for _, ia := range cfg.Topo.IAs() {
-		srv, err := NewServer(ServerConfig{
+		srv, err := newServer(serverConfig{
 			Local:       ia,
 			Topo:        cfg.Topo,
 			Net:         net,
@@ -161,116 +156,84 @@ func buildActors(cfg RunConfig) (*runActors, error) {
 		srv.SetTelemetry(cfg.Telemetry)
 		servers[ia] = srv
 	}
-	return &runActors{infra: infra, s: s, net: net, servers: servers, end: sim.Time(cfg.Duration)}, nil
+	return &Plane{Cfg: cfg, Infra: infra, Sim: s, Net: net, Servers: servers, end: sim.Time(cfg.Duration)}, nil
 }
 
-// scheduleTicks registers the per-AS beaconing intervals, starting at the
-// simulator's current time (zero for a fresh run, the checkpoint time for
-// a resumed one — where the original run's tick events for that timestamp
-// were pending but unexecuted).
-func (a *runActors) scheduleTicks(cfg RunConfig) {
-	for _, ia := range cfg.Topo.IAs() {
-		srv := a.servers[ia]
-		a.s.EveryShard(a.net.Shard(ia), 0, cfg.Interval, a.end, srv.Tick)
+// ScheduleTicks registers every AS's beaconing interval on its own shard,
+// from the simulator's current time (zero for a fresh run, the checkpoint
+// time for a resumed one, where the original run's ticks for that
+// timestamp were pending but unexecuted) to the end of the run.
+func (p *Plane) ScheduleTicks() {
+	for _, ia := range p.Cfg.Topo.IAs() {
+		p.Sim.EveryShard(p.Net.Shard(ia), 0, p.Cfg.Interval, p.end, p.Servers[ia].Tick)
 	}
 }
 
-// revokeAllFunc builds the link-failure reaction shared by scheduled
-// failures and chaos faults.
-func (a *runActors) revokeAllFunc(cfg RunConfig) func(*topology.Link) {
-	return func(l *topology.Link) {
-		for _, ia := range cfg.Topo.IAs() {
-			a.servers[ia].HandleLinkFailure(l)
-		}
-	}
-}
-
-// scheduleFailures registers the configured link failures, skipping
-// actions strictly before `from` (already applied and captured in the
-// network state on a resumed run; actions at exactly `from` were pending
-// and unexecuted at the checkpoint, so they are re-registered).
-func (a *runActors) scheduleFailures(cfg RunConfig, from sim.Time, revokeAll func(*topology.Link)) {
-	for _, f := range cfg.Failures {
-		f := f
-		at := sim.Time(f.After)
-		if at < 0 {
-			at = 0
-		}
-		if at >= from {
-			a.s.At(at, func() {
-				a.net.FailLink(f.Link.ID)
-				revokeAll(f.Link)
-			})
-		}
-		if f.Recover > 0 {
-			rec := sim.Time(f.After + f.Recover)
-			if rec < 0 {
-				rec = 0
-			}
-			if rec >= from {
-				a.s.At(rec, func() {
-					a.net.RestoreLink(f.Link.ID)
-				})
+// NewChaos builds a fault-injection engine over the control network with
+// the plane's reactions wired: a failed link is revoked at every beacon
+// server (paper §4.1), and a crashed AS's beacon server is deaf and mute
+// until it restarts. Callers may add targets and chain hooks before they
+// Apply a schedule.
+func (p *Plane) NewChaos() *chaos.Engine {
+	eng := chaos.NewEngine(p.Sim, p.Net)
+	eng.SetTelemetry(p.Cfg.Telemetry)
+	eng.AddCrashTarget(serverCrashTarget{p.Servers})
+	ias := p.Cfg.Topo.IAs()
+	eng.OnFail = func(id topology.LinkID) {
+		if l := p.Cfg.Topo.LinkByID(id); l != nil {
+			for _, ia := range ias {
+				p.Servers[ia].handleLinkFailure(l)
 			}
 		}
 	}
+	return eng
 }
 
-// applyChaos builds the fault-injection engine and registers the
-// surviving plan actions. state, when non-nil, restores the engine's
-// bookkeeping (overlap depths, injection counts) from a checkpoint before
-// the plan is re-derived; Apply itself drops actions in the simulated
-// past, so a resumed engine re-registers exactly the actions that were
-// pending at the checkpoint.
-func (a *runActors) applyChaos(cfg RunConfig, revokeAll func(*topology.Link), state []byte) (*chaos.Engine, error) {
-	if cfg.Chaos == nil {
+// applyChaos applies Cfg.Chaos, if set, on a NewChaos engine. state,
+// when non-nil, restores the engine's bookkeeping (overlap depths,
+// injection counts) from a checkpoint before the plan is re-derived;
+// Apply itself drops actions in the simulated past, so a resumed engine
+// re-registers exactly the actions that were pending at the checkpoint.
+func (p *Plane) applyChaos(state []byte) (*chaos.Engine, error) {
+	if p.Cfg.Chaos == nil {
 		return nil, nil
 	}
-	eng := chaos.NewEngine(a.s, a.net)
-	eng.SetTelemetry(cfg.Telemetry)
-	eng.AddCrashTarget(serverCrashTarget{a.servers})
-	eng.OnFail = func(id topology.LinkID) {
-		if l := cfg.Topo.LinkByID(id); l != nil {
-			revokeAll(l)
-		}
-	}
+	eng := p.NewChaos()
 	if state != nil {
 		if err := eng.RestoreState(state); err != nil {
 			return nil, err
 		}
 	}
-	if err := eng.Apply(cfg.Chaos); err != nil {
+	if err := eng.Apply(p.Cfg.Chaos); err != nil {
 		return nil, err
 	}
 	return eng, nil
 }
 
 // finish drains the event queue and assembles the result.
-func (a *runActors) finish(cfg RunConfig, eng *chaos.Engine) *RunResult {
-	a.s.RunUntil(a.end)
+func (p *Plane) finish(eng *chaos.Engine) *RunResult {
+	p.Sim.RunUntil(p.end)
 	// Drain in-flight deliveries scheduled before the end time.
-	final := a.s.Run()
-	if final < a.end {
-		final = a.end
+	final := p.Sim.Run()
+	if final < p.end {
+		final = p.end
 	}
-	return &RunResult{Cfg: cfg, Sim: a.s, Net: a.net, Servers: a.servers, Chaos: eng, End: final}
+	return &RunResult{Cfg: p.Cfg, Sim: p.Sim, Net: p.Net, Servers: p.Servers, Chaos: eng, End: final}
 }
 
 // Run builds the beacon servers, schedules interval ticks for the whole
 // duration, and drains the event queue.
 func Run(cfg RunConfig) (*RunResult, error) {
-	a, err := buildActors(cfg)
+	p, err := NewPlane(cfg)
 	if err != nil {
 		return nil, err
 	}
-	a.scheduleTicks(cfg)
-	revokeAll := a.revokeAllFunc(cfg)
-	a.scheduleFailures(cfg, 0, revokeAll)
-	eng, err := a.applyChaos(cfg, revokeAll, nil)
+	p.ScheduleTicks()
+	eng, err := p.applyChaos(nil)
 	if err != nil {
 		return nil, err
 	}
-	return a.finish(cfg, eng), nil
+	return p.finish(eng), nil
 }
 
 // serverCrashTarget adapts the server map to chaos.CrashTarget.

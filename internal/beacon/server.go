@@ -39,8 +39,8 @@ type PCBMsg struct {
 // WireLen implements sim.Message with the exact encoded beacon size.
 func (m PCBMsg) WireLen() int { return m.PCB.WireLen() }
 
-// ServerConfig configures one AS's beacon server.
-type ServerConfig struct {
+// serverConfig configures one AS's beacon server.
+type serverConfig struct {
 	Local       addr.IA
 	Topo        *topology.Graph
 	Net         *sim.Network
@@ -59,7 +59,7 @@ type ServerConfig struct {
 // on every beaconing interval, originates (core ASes) and propagates
 // beacons according to its selector.
 type Server struct {
-	cfg   ServerConfig
+	cfg   serverConfig
 	store *Store
 	segID uint16
 	// down marks a crashed server: it neither handles incoming PCBs nor
@@ -102,9 +102,9 @@ type Server struct {
 	cRejVerify, cRejLoop, cRejPolicy, cRejStore       *telemetry.Cell
 }
 
-// NewServer creates a beacon server and registers it as the AS's message
+// newServer creates a beacon server and registers it as the AS's message
 // handler on the network.
-func NewServer(cfg ServerConfig) (*Server, error) {
+func newServer(cfg serverConfig) (*Server, error) {
 	if cfg.Topo.AS(cfg.Local) == nil {
 		return nil, fmt.Errorf("beacon: unknown AS %s", cfg.Local)
 	}
@@ -118,7 +118,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 }
 
 // SetTelemetry resolves the server's per-shard metric cells in reg.
-// Call after NewServer, before the simulation runs. Metric names carry
+// Call after newServer, before the simulation runs. Metric names carry
 // the beaconing mode so core and intra-ISD runs sharing one registry
 // stay separable.
 func (s *Server) SetTelemetry(reg *telemetry.Registry) {
@@ -415,20 +415,18 @@ func (s *Server) peerEntries() []seg.PeerEntry {
 	return s.peers
 }
 
-// HandleLinkFailure reacts to an inter-domain link failure: affected
+// handleLinkFailure reacts to an inter-domain link failure: affected
 // beacons are revoked from the store and the selector's per-link state is
 // cleared so alternatives are re-disseminated (paper §4.1 path
-// revocation, applied at the beacon server).
-func (s *Server) HandleLinkFailure(l *topology.Link) int {
-	keys := []seg.LinkKey{{IA: l.A, If: l.AIf}, {IA: l.B, If: l.BIf}}
-	dropped := 0
-	for _, key := range keys {
-		dropped += s.store.RevokeLink(key)
+// revocation, applied at the beacon server). Plane.NewChaos wires it to
+// every link the chaos engine fails.
+func (s *Server) handleLinkFailure(l *topology.Link) {
+	for _, key := range []seg.LinkKey{{IA: l.A, If: l.AIf}, {IA: l.B, If: l.BIf}} {
+		s.store.RevokeLink(key)
 		if r, ok := s.cfg.Selector.(core.Revoker); ok {
 			r.Revoke(key)
 		}
 	}
-	return dropped
 }
 
 // Segments returns the disseminated path segments currently available at

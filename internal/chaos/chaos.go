@@ -1,9 +1,9 @@
 // Package chaos is a deterministic, seeded fault-injection engine. It
 // applies a declarative Schedule of fault events — link flaps, gray
 // failures, latency spikes, and per-AS process crashes — to a running
-// simulation through a small FaultTarget interface that both
-// sim.Network (control plane) and dataplane.Fabric (data plane)
-// satisfy, so a single schedule degrades both planes consistently.
+// simulation through a small FaultTarget interface that sim.Network
+// (control plane), dataplane.Fabric and dataplane.Engine (data plane)
+// satisfy, so a single schedule degrades every plane consistently.
 //
 // Determinism: every injection time (including jitter) is drawn from
 // the schedule's seeded RNG when Apply is called, in a fixed order,
@@ -24,7 +24,7 @@ import (
 )
 
 // FaultTarget is the fault surface of one plane of the simulation.
-// sim.Network and dataplane.Fabric both implement it.
+// sim.Network, dataplane.Fabric and dataplane.Engine implement it.
 type FaultTarget interface {
 	FailLink(id topology.LinkID)
 	RestoreLink(id topology.LinkID)
@@ -277,9 +277,9 @@ func (e *Engine) applySpike(id topology.LinkID) {
 			max = d
 		}
 	}
-	// Delay overrides are a transport property; apply once on the first
-	// target that carries it (all targets share the underlying network
-	// in practice, and re-applying the same override is idempotent).
+	// Every target gets the override. Two targets over one network set
+	// it twice, which is idempotent; dataplane.Engine has no delay model
+	// and ignores it.
 	for _, t := range e.targets {
 		t.SetLinkDelay(id, max)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/beacon"
 	"scionmpr/internal/bgp"
 	"scionmpr/internal/chaos"
 	"scionmpr/internal/core"
@@ -144,13 +143,7 @@ func RunChurn(s Scale) (*ChurnResult, error) {
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("experiments: no flap candidate links on the sampled pairs")
 	}
-	nflap := len(cands) / 3
-	if nflap < 4 {
-		nflap = 4
-	}
-	if nflap > len(cands) {
-		nflap = len(cands)
-	}
+	nflap := stormSize(len(cands), 3, 4)
 	stormStart := sim.Time(churnTrafficStart + churnWarmLen)
 	stormEnd := stormStart + sim.Time(churnStormLen)
 	sched := chaos.FlapChurn(s.Seed, cands, nflap, stormStart, stormEnd,
@@ -162,13 +155,18 @@ func RunChurn(s Scale) (*ChurnResult, error) {
 		CandidateLinks: len(cands),
 		Pairs:          pairs,
 	}
-	div, err := scionChurn(e, "SCION Diversity",
+	// Both SCION variants sign and authorise with the same keys.
+	infra, err := trust.NewInfra(e.core, trust.Sized)
+	if err != nil {
+		return nil, err
+	}
+	div, err := scionChurn(e, infra, "SCION Diversity",
 		core.NewDiversity(core.DefaultParams(s.DissemLimit)), pairs, sched)
 	if err != nil {
 		return nil, err
 	}
 	res.Series = append(res.Series, div)
-	base, err := scionChurn(e, "SCION Baseline", core.NewBaseline(s.DissemLimit), pairs, sched)
+	base, err := scionChurn(e, infra, "SCION Baseline", core.NewBaseline(s.DissemLimit), pairs, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -220,50 +218,22 @@ func churnEnd() sim.Time {
 // fabric, and the chaos engine flaps links on both. Path lookups read the
 // beacon stores at lookup time, so dissemination lag and re-propagation
 // over healed links are part of what is measured.
-func scionChurn(e *env, name string, factory core.Factory, pairs [][2]addr.IA,
+func scionChurn(e *env, infra *trust.Infra, name string, factory core.Factory, pairs [][2]addr.IA,
 	sched *chaos.Schedule) (ChurnSeries, error) {
 
-	infra, err := trust.NewInfra(e.core, trust.Sized)
+	plane, err := e.livePlane(factory, infra, churnBeaconInterval, churnEnd(), nil, nil)
 	if err != nil {
 		return ChurnSeries{}, err
 	}
-	clock := &sim.Simulator{}
-	ctrl := sim.NewNetwork(clock, e.core, 10*time.Millisecond)
+	clock := plane.Sim
 	data := sim.NewNetwork(clock, e.core, 5*time.Millisecond)
 	fabric := dataplane.NewFabric(data, infra.ForwardingKey)
-	servers := map[addr.IA]*beacon.Server{}
-	for _, ia := range e.core.IAs() {
-		srv, err := beacon.NewServer(beacon.ServerConfig{
-			Local:       ia,
-			Topo:        e.core,
-			Net:         ctrl,
-			Signer:      infra.SignerFor(ia),
-			Selector:    factory(ia),
-			StoreLimit:  e.scale.StoreLimit,
-			Mode:        beacon.CoreMode,
-			PCBLifetime: time.Hour,
-		})
-		if err != nil {
-			return ChurnSeries{}, err
-		}
-		servers[ia] = srv
-	}
-	end := churnEnd()
-	for _, ia := range e.core.IAs() {
-		clock.Every(0, churnBeaconInterval, end, servers[ia].Tick)
-	}
 	// Flaps hit the PCB transport (silent drops) and the fabric (SCMP at
 	// the upstream router); beacon servers revoke affected state the
 	// moment a link goes down and re-learn it from neighbors' next ticks
 	// after it heals.
-	eng := chaos.NewEngine(clock, ctrl, fabric)
-	eng.OnFail = func(id topology.LinkID) {
-		if l := e.core.LinkByID(id); l != nil {
-			for _, ia := range e.core.IAs() {
-				servers[ia].HandleLinkFailure(l)
-			}
-		}
-	}
+	eng := plane.NewChaos()
+	eng.AddTarget(fabric)
 	if err := eng.Apply(sched); err != nil {
 		return ChurnSeries{}, err
 	}
@@ -273,7 +243,7 @@ func scionChurn(e *env, name string, factory core.Factory, pairs [][2]addr.IA,
 	authCache := map[string]*dataplane.FwdPath{}
 	provider := func(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
 		var out []*dataplane.FwdPath
-		for _, links := range servers[dst].Segments(clock.Now(), src) {
+		for _, links := range plane.Servers[dst].Segments(clock.Now(), src) {
 			key := segCacheKey(links)
 			fp := authCache[key]
 			if fp == nil {
@@ -294,7 +264,7 @@ func scionChurn(e *env, name string, factory core.Factory, pairs [][2]addr.IA,
 		}
 		return out, nil
 	}
-	ser, err := churnMeasure(clock, data, ctrl, fabric, provider,
+	ser, err := churnMeasure(clock, data, plane.Net, fabric, provider,
 		func() traffic.Scheduler { return &traffic.WeightedBottleneck{} }, pairs, eng, e.scale.Seed)
 	ser.Name = name
 	return ser, err

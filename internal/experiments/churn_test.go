@@ -2,8 +2,36 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 )
+
+// churnGoldenSmoke is the SHA-256 of RunChurn(SmokeScale()).Print.
+const churnGoldenSmoke = "89609615f0b141a5e1bd3508e4e5accd68c7348e1c0b5fb8557e7620c168715b"
+
+// TestChurnGolden pins the churn experiment's rendered output: the live
+// beaconing plane runs sharded, so its output must not depend on the
+// worker count.
+func TestChurnGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("churn experiment in -short mode")
+	}
+	for _, w := range []int{1, 4} {
+		s := SmokeScale()
+		s.Workers = w
+		res, err := RunChurn(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		res.Print(&buf)
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != churnGoldenSmoke {
+			t.Errorf("workers %d: output SHA-256 %s, pinned %s\n%s", w, got, churnGoldenSmoke, buf.String())
+		}
+	}
+}
 
 // TestChurnOrderingAndDeterminism runs the continuous-churn experiment
 // twice at smoke scale: the rendered output must be byte-identical (the

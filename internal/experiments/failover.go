@@ -5,18 +5,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/beacon"
 	"scionmpr/internal/chaos"
 	"scionmpr/internal/core"
 	"scionmpr/internal/metrics"
 	"scionmpr/internal/pathsrv"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
-	"scionmpr/internal/topology"
 	"scionmpr/internal/trust"
 )
 
@@ -165,12 +162,8 @@ func (r *FailoverResult) Fingerprint() [sha256.Size]byte {
 // tracer (Scale.Telemetry/Tracer are not shared across variants — the
 // per-variant snapshots would otherwise double-count).
 func RunFailover(s Scale, fc FailoverConfig) (*FailoverResult, error) {
-	if fc.Endpoints <= 0 || fc.Duration <= 0 {
-		return nil, fmt.Errorf("experiments: failover needs endpoints and a duration")
-	}
-	if sim.Time(fc.Duration) <= sim.Time(serveClientStart) {
-		return nil, fmt.Errorf("experiments: failover duration %v must exceed the client start %v",
-			fc.Duration, serveClientStart)
+	if err := fc.check("failover"); err != nil {
+		return nil, err
 	}
 	if fc.Replicas <= 0 {
 		fc.Replicas = 3
@@ -187,6 +180,16 @@ func RunFailover(s Scale, fc FailoverConfig) (*FailoverResult, error) {
 	if fc.CrashPeriod <= 0 {
 		fc.CrashPeriod = 2700 * time.Millisecond
 	}
+	// The topology and keys are deterministic, so both variants share one
+	// build of each.
+	e, err := newEnv(s)
+	if err != nil {
+		return nil, err
+	}
+	infra, err := trust.NewInfra(e.core, trust.Sized)
+	if err != nil {
+		return nil, err
+	}
 	res := &FailoverResult{Scale: s, Config: fc}
 	variants := []struct {
 		name    string
@@ -196,7 +199,7 @@ func RunFailover(s Scale, fc FailoverConfig) (*FailoverResult, error) {
 		{"SCION Baseline", core.NewBaseline(s.DissemLimit)},
 	}
 	for _, v := range variants {
-		run, err := runFailoverVariant(s, fc, v.name, v.factory)
+		run, err := runFailoverVariant(e, infra, fc, v.name, v.factory)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: failover %s: %w", v.name, err)
 		}
@@ -205,47 +208,15 @@ func RunFailover(s Scale, fc FailoverConfig) (*FailoverResult, error) {
 	return res, nil
 }
 
-func runFailoverVariant(s Scale, fc FailoverConfig, name string, factory core.Factory) (*FailoverRun, error) {
-	e, err := newEnv(s)
-	if err != nil {
-		return nil, err
-	}
-	infra, err := trust.NewInfra(e.core, trust.Sized)
-	if err != nil {
-		return nil, err
-	}
-
+func runFailoverVariant(e *env, infra *trust.Infra, fc FailoverConfig, name string, factory core.Factory) (*FailoverRun, error) {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(1 << 16)
-	clock := &sim.Simulator{}
-	clock.SetWorkers(s.Workers)
-	clock.SetTelemetry(reg)
-	clock.SetTracer(tracer)
 	end := sim.Time(fc.Duration)
-
-	ctrl := sim.NewNetwork(clock, e.core, 10*time.Millisecond)
-	ctrl.SetTelemetry(reg)
-	servers := map[addr.IA]*beacon.Server{}
-	for _, ia := range e.core.IAs() {
-		srv, err := beacon.NewServer(beacon.ServerConfig{
-			Local:       ia,
-			Topo:        e.core,
-			Net:         ctrl,
-			Signer:      infra.SignerFor(ia),
-			Selector:    factory(ia),
-			StoreLimit:  s.StoreLimit,
-			Mode:        beacon.CoreMode,
-			PCBLifetime: time.Hour,
-		})
-		if err != nil {
-			return nil, err
-		}
-		srv.SetTelemetry(reg)
-		servers[ia] = srv
+	plane, err := e.livePlane(factory, infra, serveBeaconInterval, end, reg, tracer)
+	if err != nil {
+		return nil, err
 	}
-	for _, ia := range e.core.IAs() {
-		clock.Every(0, serveBeaconInterval, end, servers[ia].Tick)
-	}
+	clock, ias := plane.Sim, e.core.IAs()
 
 	fleet := pathsrv.NewFleet(pathsrv.FleetConfig{
 		Replicas: fc.Replicas,
@@ -261,23 +232,8 @@ func runFailoverVariant(s Scale, fc FailoverConfig, name string, factory core.Fa
 	// Registration feed and publisher, fanned out to every up replica —
 	// a crashed replica misses the feed, which is the divergence the
 	// anti-entropy sweep (below) reconverges.
-	ias := e.core.IAs()
-	clock.Every(serveRegisterStart, serveRegisterInterval, end, func(now sim.Time) {
-		for _, ia := range ias {
-			st := servers[ia].Store()
-			for _, origin := range st.Origins() {
-				for _, p := range st.PCBs(now, origin) {
-					if p.Leaf() == origin {
-						continue
-					}
-					fleet.Register(now, p)
-				}
-			}
-		}
-	})
-	clock.Every(servePublishStart, servePublishInterval, end, func(now sim.Time) {
-		fleet.Publish(now)
-	})
+	registerFeed(plane, fleet.Register)
+	clock.Every(servePublishStart, servePublishInterval, end, fleet.Publish)
 	clock.Every(failoverSyncStart, fc.SyncInterval, end, func(now sim.Time) {
 		fleet.Sync(now)
 	})
@@ -288,23 +244,12 @@ func runFailoverVariant(s Scale, fc FailoverConfig, name string, factory core.Fa
 	// crashes overlap the rolling ones on the same replica, so the
 	// engine's depth-counted crash bookkeeping is exercised in every
 	// run, not just in its regression test.
-	stormStart := sim.Time(serveClientStart) + (end-sim.Time(serveClientStart))*2/5
-	stormEnd := sim.Time(serveClientStart) + (end-sim.Time(serveClientStart))*4/5
-	var cands []topology.LinkID
-	for _, l := range e.core.Links {
-		cands = append(cands, l.ID)
-	}
-	nflap := len(cands) / 4
-	if nflap < 2 {
-		nflap = 2
-	}
-	flaps := chaos.FlapChurn(s.Seed, cands, nflap, stormStart, stormEnd,
-		serveFlapDown, serveFlapPeriod)
+	flaps, stormStart, stormEnd := serveStorm(e, end)
 	var replicaIAs []addr.IA
 	for _, r := range fleet.Replicas() {
 		replicaIAs = append(replicaIAs, r.IA)
 	}
-	crashes := chaos.CrashStorm(s.Seed+1, replicaIAs, stormStart, stormEnd,
+	crashes := chaos.CrashStorm(e.scale.Seed+1, replicaIAs, stormStart, stormEnd,
 		fc.CrashDown, fc.CrashPeriod)
 	blackoutAt := stormStart + (stormEnd-stormStart)/2
 	for _, ia := range replicaIAs {
@@ -313,15 +258,7 @@ func runFailoverVariant(s Scale, fc FailoverConfig, name string, factory core.Fa
 		})
 	}
 
-	eng := chaos.NewEngine(clock, ctrl)
-	eng.SetTelemetry(reg)
-	eng.OnFail = func(id topology.LinkID) {
-		if l := e.core.LinkByID(id); l != nil {
-			for _, ia := range ias {
-				servers[ia].HandleLinkFailure(l)
-			}
-		}
-	}
+	eng := plane.NewChaos()
 	pathsrv.WireChaosFleet(clock, eng, e.core, fleet, sim.Time(fc.RevTTL))
 	eng.AddCrashTarget(fleet)
 	if err := eng.Apply(flaps); err != nil {
@@ -331,24 +268,9 @@ func runFailoverVariant(s Scale, fc FailoverConfig, name string, factory core.Fa
 		return nil, err
 	}
 
-	pool, err := pathsrv.NewFleetPool(clock, fleet, reg, pathsrv.ClientConfig{
-		Endpoints:   fc.Endpoints,
-		Actors:      fc.Actors,
-		Sources:     ias,
-		Dests:       ias,
-		ZipfS:       fc.ZipfS,
-		MeanThink:   fc.MeanThink,
-		MinThink:    fc.MinThink,
-		Tick:        fc.Tick,
-		Start:       sim.Time(serveClientStart),
-		End:         end,
-		Seed:        s.Seed,
-		CacheTTL:    sim.Time(fc.CacheTTL),
-		CacheCap:    fc.CacheCap,
-		RetryBudget: fc.RetryBudget,
-		BackoffBase: fc.BackoffBase,
-		BackoffMax:  fc.BackoffMax,
-	})
+	cc := fc.clients(ias, e.scale.Seed)
+	cc.RetryBudget, cc.BackoffBase, cc.BackoffMax = fc.RetryBudget, fc.BackoffBase, fc.BackoffMax
+	pool, err := pathsrv.NewFleetPool(clock, fleet, reg, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -402,21 +324,10 @@ func runFailoverVariant(s Scale, fc FailoverConfig, name string, factory core.Fa
 	run.SuccessRate = run.Totals.SuccessRate()
 	run.StaleRate = run.Totals.StaleRate()
 	run.HitRate = run.Totals.HitRate()
-	hCost := reg.Histogram("pathsrv_lookup_cost_ns", nil)
-	run.P50 = hCost.Quantile(0.50)
-	run.P99 = hCost.Quantile(0.99)
-	run.P999 = hCost.Quantile(0.999)
-
-	var snap strings.Builder
-	if err := reg.WriteSnapshot(&snap); err != nil {
+	run.P50, run.P99, run.P999 = lookupCost(reg)
+	if run.Snapshot, run.TraceJSONL, err = observe(reg, tracer); err != nil {
 		return nil, err
 	}
-	run.Snapshot = snap.String()
-	var tr strings.Builder
-	if err := tracer.WriteJSONL(&tr); err != nil {
-		return nil, err
-	}
-	run.TraceJSONL = tr.String()
 	return run, nil
 }
 

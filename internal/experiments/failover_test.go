@@ -33,11 +33,15 @@ func runFailoverAt(t *testing.T, workers int, seed int64) *FailoverResult {
 	return res
 }
 
+// failoverGoldenSeed1 is the seed-1 smoke fingerprint of both variants.
+const failoverGoldenSeed1 = "48663901c51e6a6ca438cda1fa689ffaa5bd3bb52eb4c9b9b88c84c54f986674"
+
 // TestFailoverGolden is the crash-recovery determinism gate: the whole
 // resilience stack — crash storm, WAL replay, anti-entropy, client
 // failover with jittered backoff, serve-stale — must produce
-// byte-identical fingerprints for every worker count, per seed, and
-// every run must end with all replicas converged on one digest.
+// byte-identical fingerprints for every worker count, per seed, seed 1
+// must match its pinned fingerprint, and every run must end with all
+// replicas converged on one digest.
 func TestFailoverGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker golden comparison is not short")
@@ -45,6 +49,9 @@ func TestFailoverGolden(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		ref := runFailoverAt(t, 1, seed)
 		refFP := ref.Fingerprint()
+		if got := hex.EncodeToString(refFP[:]); seed == 1 && got != failoverGoldenSeed1 {
+			t.Errorf("seed 1 fingerprint %s, pinned %s", got, failoverGoldenSeed1)
+		}
 
 		for _, run := range ref.Runs {
 			if run.Totals.Lookups == 0 {

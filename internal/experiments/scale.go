@@ -17,8 +17,10 @@ import (
 	"scionmpr/internal/beacon"
 	"scionmpr/internal/core"
 	"scionmpr/internal/graphalg"
+	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
+	"scionmpr/internal/trust"
 )
 
 // Scale parameterizes an experiment run.
@@ -192,6 +194,40 @@ func (e *env) runCore(factory core.Factory, storeLimit int) (*beacon.RunResult, 
 	cfg.Telemetry = e.scale.Telemetry
 	cfg.Tracer = e.scale.Tracer
 	return beacon.Run(cfg)
+}
+
+// livePlane builds the compressed-time core beaconing plane the live
+// experiments (churn, serve, failover) run on, ticks scheduled: one-hour
+// PCB lifetime, 10 ms control links, a tick every interval until end.
+// A nil infra or observer behaves as in beacon.RunConfig.
+func (e *env) livePlane(factory core.Factory, infra *trust.Infra, interval time.Duration, end sim.Time,
+	reg *telemetry.Registry, tracer *telemetry.Tracer) (*beacon.Plane, error) {
+
+	p, err := beacon.NewPlane(beacon.RunConfig{
+		Topo:       e.core,
+		Mode:       beacon.CoreMode,
+		Selector:   factory,
+		StoreLimit: e.scale.StoreLimit,
+		Interval:   interval,
+		Lifetime:   time.Hour,
+		Duration:   time.Duration(end),
+		LinkDelay:  10 * time.Millisecond,
+		Infra:      infra,
+		Workers:    e.scale.Workers,
+		Telemetry:  reg,
+		Tracer:     tracer,
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.ScheduleTicks()
+	return p, nil
+}
+
+// stormSize is how many of n candidate links a flap storm faults: one in
+// every `per`, at least `least`, never more than n.
+func stormSize(n, per, least int) int {
+	return min(max(n/per, least), n)
 }
 
 // samplePairs picks evaluation AS pairs on the core network.

@@ -14,10 +14,10 @@ import (
 	"scionmpr/internal/core"
 	"scionmpr/internal/metrics"
 	"scionmpr/internal/pathsrv"
+	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
-	"scionmpr/internal/trust"
 )
 
 // Serve timeline (compressed virtual time, same convention as the churn
@@ -77,6 +77,39 @@ func DefaultServeConfig() ServeConfig {
 		CacheTTL:  2 * time.Second,
 		CacheCap:  4096,
 		RevTTL:    1500 * time.Millisecond,
+	}
+}
+
+// check rejects a config with no clients or no client window; name
+// prefixes the error.
+func (sc ServeConfig) check(name string) error {
+	if sc.Endpoints <= 0 || sc.Duration <= 0 {
+		return fmt.Errorf("experiments: %s needs endpoints and a duration", name)
+	}
+	if sim.Time(sc.Duration) <= sim.Time(serveClientStart) {
+		return fmt.Errorf("experiments: %s duration %v must exceed the client start %v",
+			name, sc.Duration, serveClientStart)
+	}
+	return nil
+}
+
+// clients is the closed-loop client population of the serve and failover
+// experiments: ias query each other from serveClientStart to Duration.
+func (sc ServeConfig) clients(ias []addr.IA, seed int64) pathsrv.ClientConfig {
+	return pathsrv.ClientConfig{
+		Endpoints: sc.Endpoints,
+		Actors:    sc.Actors,
+		Sources:   ias,
+		Dests:     ias,
+		ZipfS:     sc.ZipfS,
+		MeanThink: sc.MeanThink,
+		MinThink:  sc.MinThink,
+		Tick:      sc.Tick,
+		Start:     sim.Time(serveClientStart),
+		End:       sim.Time(sc.Duration),
+		Seed:      seed,
+		CacheTTL:  sim.Time(sc.CacheTTL),
+		CacheCap:  sc.CacheCap,
 	}
 }
 
@@ -160,18 +193,10 @@ func (r *ServeResult) Fingerprint() [sha256.Size]byte {
 // mid-run (revoking and reinstating served paths), and the closed-loop
 // client population drives lookups throughout.
 func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
-	if sc.Endpoints <= 0 || sc.Duration <= 0 {
-		return nil, fmt.Errorf("experiments: serve needs endpoints and a duration")
-	}
-	if sim.Time(sc.Duration) <= sim.Time(serveClientStart) {
-		return nil, fmt.Errorf("experiments: serve duration %v must exceed the client start %v",
-			sc.Duration, serveClientStart)
-	}
-	e, err := newEnv(s)
-	if err != nil {
+	if err := sc.check("serve"); err != nil {
 		return nil, err
 	}
-	infra, err := trust.NewInfra(e.core, trust.Sized)
+	e, err := newEnv(s)
 	if err != nil {
 		return nil, err
 	}
@@ -184,37 +209,13 @@ func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
 	if tracer == nil {
 		tracer = telemetry.NewTracer(1 << 16)
 	}
-
-	clock := &sim.Simulator{}
-	clock.SetWorkers(s.Workers)
-	clock.SetTelemetry(reg)
-	clock.SetTracer(tracer)
 	end := sim.Time(sc.Duration)
-
-	ctrl := sim.NewNetwork(clock, e.core, 10*time.Millisecond)
-	ctrl.SetTelemetry(reg)
-	servers := map[addr.IA]*beacon.Server{}
-	factory := core.NewDiversity(core.DefaultParams(s.DissemLimit))
-	for _, ia := range e.core.IAs() {
-		srv, err := beacon.NewServer(beacon.ServerConfig{
-			Local:       ia,
-			Topo:        e.core,
-			Net:         ctrl,
-			Signer:      infra.SignerFor(ia),
-			Selector:    factory(ia),
-			StoreLimit:  s.StoreLimit,
-			Mode:        beacon.CoreMode,
-			PCBLifetime: time.Hour,
-		})
-		if err != nil {
-			return nil, err
-		}
-		srv.SetTelemetry(reg)
-		servers[ia] = srv
+	plane, err := e.livePlane(core.NewDiversity(core.DefaultParams(s.DissemLimit)), nil,
+		serveBeaconInterval, end, reg, tracer)
+	if err != nil {
+		return nil, err
 	}
-	for _, ia := range e.core.IAs() {
-		clock.Every(0, serveBeaconInterval, end, servers[ia].Tick)
-	}
+	clock, ias := plane.Sim, e.core.IAs()
 
 	svc := pathsrv.New(pathsrv.Config{
 		Shards:        sc.Shards,
@@ -222,24 +223,10 @@ func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
 		Clock:         clock,
 		Telemetry:     reg,
 	})
-	// Registration feed: every interval, sweep the beacon stores and
-	// register every live PCB under its (origin, leaf) pair. Re-seen
-	// paths are cheap refreshes; genuinely new ones dirty their shard.
-	ias := e.core.IAs()
-	clock.Every(serveRegisterStart, serveRegisterInterval, end, func(now sim.Time) {
-		for _, ia := range ias {
-			st := servers[ia].Store()
-			for _, origin := range st.Origins() {
-				for _, p := range st.PCBs(now, origin) {
-					if p.Leaf() == origin {
-						continue
-					}
-					// Errors mean expired-in-flight segments; they are
-					// counted by the service and safe to skip.
-					_ = svc.Register(now, p)
-				}
-			}
-		}
+	registerFeed(plane, func(now sim.Time, p *seg.PCB) {
+		// Errors mean expired-in-flight segments; they are counted by the
+		// service and safe to skip.
+		_ = svc.Register(now, p)
 	})
 	// Publisher: batch registrations into epoch snapshot swaps.
 	clock.Every(servePublishStart, servePublishInterval, end, func(now sim.Time) {
@@ -249,47 +236,14 @@ func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
 	// Chaos storm across the middle of the client window. Beacon servers
 	// learn of failures instantly (as in the churn experiment); the
 	// serving layer revokes and reinstates through WireChaos.
-	stormStart := sim.Time(serveClientStart) + (end-sim.Time(serveClientStart))*2/5
-	stormEnd := sim.Time(serveClientStart) + (end-sim.Time(serveClientStart))*4/5
-	var cands []topology.LinkID
-	for _, l := range e.core.Links {
-		cands = append(cands, l.ID)
-	}
-	nflap := len(cands) / 4
-	if nflap < 2 {
-		nflap = 2
-	}
-	sched := chaos.FlapChurn(s.Seed, cands, nflap, stormStart, stormEnd,
-		serveFlapDown, serveFlapPeriod)
-	eng := chaos.NewEngine(clock, ctrl)
-	eng.SetTelemetry(reg)
-	eng.OnFail = func(id topology.LinkID) {
-		if l := e.core.LinkByID(id); l != nil {
-			for _, ia := range ias {
-				servers[ia].HandleLinkFailure(l)
-			}
-		}
-	}
+	flaps, _, _ := serveStorm(e, end)
+	eng := plane.NewChaos()
 	pathsrv.WireChaos(clock, eng, e.core, svc, sim.Time(sc.RevTTL))
-	if err := eng.Apply(sched); err != nil {
+	if err := eng.Apply(flaps); err != nil {
 		return nil, err
 	}
 
-	pool, err := pathsrv.NewPool(clock, svc, reg, pathsrv.ClientConfig{
-		Endpoints: sc.Endpoints,
-		Actors:    sc.Actors,
-		Sources:   ias,
-		Dests:     ias,
-		ZipfS:     sc.ZipfS,
-		MeanThink: sc.MeanThink,
-		MinThink:  sc.MinThink,
-		Tick:      sc.Tick,
-		Start:     sim.Time(serveClientStart),
-		End:       end,
-		Seed:      s.Seed,
-		CacheTTL:  sim.Time(sc.CacheTTL),
-		CacheCap:  sc.CacheCap,
-	})
+	pool, err := pathsrv.NewPool(clock, svc, reg, sc.clients(ias, s.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -321,22 +275,68 @@ func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
 	res.VirtualQPS = float64(res.Totals.Lookups) / loadSeconds
 	res.HitRate = res.Totals.HitRate()
 	res.Imbalance = res.Totals.Imbalance()
-	hCost := reg.Histogram("pathsrv_lookup_cost_ns", nil)
-	res.P50 = hCost.Quantile(0.50)
-	res.P99 = hCost.Quantile(0.99)
-	res.P999 = hCost.Quantile(0.999)
-
-	var snap strings.Builder
-	if err := reg.WriteSnapshot(&snap); err != nil {
+	res.P50, res.P99, res.P999 = lookupCost(reg)
+	if res.Snapshot, res.TraceJSONL, err = observe(reg, tracer); err != nil {
 		return nil, err
 	}
-	res.Snapshot = snap.String()
-	var tr strings.Builder
-	if err := tracer.WriteJSONL(&tr); err != nil {
-		return nil, err
-	}
-	res.TraceJSONL = tr.String()
 	return res, nil
+}
+
+// registerFeed schedules the registration feed of the serve and failover
+// experiments: every interval, sweep the beacon stores and register every
+// live PCB under its (origin, leaf) pair. Re-seen paths are cheap
+// refreshes; genuinely new ones dirty their shard.
+func registerFeed(plane *beacon.Plane, register func(sim.Time, *seg.PCB)) {
+	ias := plane.Cfg.Topo.IAs()
+	end := sim.Time(plane.Cfg.Duration)
+	plane.Sim.Every(serveRegisterStart, serveRegisterInterval, end, func(now sim.Time) {
+		for _, ia := range ias {
+			st := plane.Servers[ia].Store()
+			for _, origin := range st.Origins() {
+				for _, p := range st.PCBs(now, origin) {
+					if p.Leaf() != origin {
+						register(now, p)
+					}
+				}
+			}
+		}
+	})
+}
+
+// serveStorm is the flap storm of the serve and failover experiments: a
+// quarter of the core links (at least two) flap across the middle fifth
+// of the client window, [2/5, 4/5). It returns the schedule and its window.
+func serveStorm(e *env, end sim.Time) (flaps *chaos.Schedule, start, stop sim.Time) {
+	clients := sim.Time(serveClientStart)
+	start = clients + (end-clients)*2/5
+	stop = clients + (end-clients)*4/5
+	var cands []topology.LinkID
+	for _, l := range e.core.Links {
+		cands = append(cands, l.ID)
+	}
+	flaps = chaos.FlapChurn(e.scale.Seed, cands, stormSize(len(cands), 4, 2), start, stop,
+		serveFlapDown, serveFlapPeriod)
+	return flaps, start, stop
+}
+
+// lookupCost reads the modeled lookup-cost quantiles (p50, p99, p999, in
+// nanoseconds) off the deterministic cost histogram.
+func lookupCost(reg *telemetry.Registry) (p50, p99, p999 float64) {
+	h := reg.Histogram("pathsrv_lookup_cost_ns", nil)
+	return h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
+}
+
+// observe renders the two text observables a serving run's fingerprint
+// folds in: the registry's deterministic snapshot and the trace JSONL.
+func observe(reg *telemetry.Registry, tracer *telemetry.Tracer) (snapshot, trace string, err error) {
+	var snap, tr strings.Builder
+	if err := reg.WriteSnapshot(&snap); err != nil {
+		return "", "", err
+	}
+	if err := tracer.WriteJSONL(&tr); err != nil {
+		return "", "", err
+	}
+	return snap.String(), tr.String(), nil
 }
 
 // Print renders the run deterministically (wall-clock values are marked

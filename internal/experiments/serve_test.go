@@ -34,10 +34,15 @@ func runServeAt(t *testing.T, workers int, seed int64) *ServeResult {
 	return res
 }
 
+// serveGoldenSeed1 is the seed-1 smoke fingerprint. Anything that moves
+// an event, a byte on the wire or a counter of the serve stack moves it.
+const serveGoldenSeed1 = "285cae48796bc014617f160e73f47d3dfb9b3ad6ecf8bbcd6296756df8927764"
+
 // TestServeGolden is the serving layer's end-to-end determinism gate:
 // the full stack — parallel client actors, beaconing, the registration
 // feed, epoch publication and the chaos storm — must produce
-// byte-identical fingerprints for every worker count, per seed.
+// byte-identical fingerprints for every worker count, per seed, and
+// seed 1 must match its pinned fingerprint.
 func TestServeGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker golden comparison is not short")
@@ -45,6 +50,9 @@ func TestServeGolden(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		ref := runServeAt(t, 1, seed)
 		refFP := ref.Fingerprint()
+		if got := hex.EncodeToString(refFP[:]); seed == 1 && got != serveGoldenSeed1 {
+			t.Errorf("seed 1 fingerprint %s, pinned %s", got, serveGoldenSeed1)
+		}
 
 		if ref.Totals.Lookups == 0 {
 			t.Fatalf("seed %d: no lookups", seed)

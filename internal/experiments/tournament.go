@@ -219,13 +219,7 @@ func tournamentRun(e *env, pairs [][2]addr.IA, topoAxis, wl, ch, pol string,
 	end := tournEnd()
 	stormStart := sim.Time(tournWarmLen)
 	stormEnd := stormStart + sim.Time(tournStormLen)
-	nfault := len(cands) / 3
-	if nfault < 4 {
-		nfault = 4
-	}
-	if nfault > len(cands) {
-		nfault = len(cands)
-	}
+	nfault := stormSize(len(cands), 3, 4)
 	var eng *chaos.Engine
 	switch ch {
 	case "calm":

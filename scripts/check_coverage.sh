@@ -24,7 +24,7 @@ scionmpr/internal/combinator 96
 scionmpr/internal/core 91
 scionmpr/internal/dataplane 80
 scionmpr/internal/deploy 91
-scionmpr/internal/experiments 87
+scionmpr/internal/experiments 88
 scionmpr/internal/graphalg 97
 scionmpr/internal/metrics 95
 scionmpr/internal/pathdb 83
