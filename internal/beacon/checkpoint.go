@@ -1,11 +1,14 @@
 // Checkpoint/restore for beaconing runs. A snapshot captures everything a
 // resumed run needs to finish with a RunResult fingerprint byte-identical
 // to the uninterrupted run: the simulator clock and executed count, the
-// network's counters and fault state, every server's stats and beacon
-// store, the selector state of stateful selectors, and the chaos engine's
-// overlap bookkeeping. Pending events are deliberately NOT serialized —
-// they are closures, and Resume re-creates the exact pending population
-// from the RunConfig (see the registration-order comment on Plane).
+// network's counters and gray-loss decision count, every server's stats
+// and beacon store, the selector state of stateful selectors, and the
+// chaos engine's overlap bookkeeping. The chaos section is the snapshot's
+// only record of injected faults: restoring it re-installs the failed
+// links, gray rates, latency spikes and crashed servers it holds. Pending
+// events are deliberately NOT serialized — they are closures, and Resume
+// re-creates the exact pending population from the RunConfig (see the
+// registration-order comment on Plane).
 //
 // Snapshots are only taken at beaconing-interval boundaries, where no
 // deliveries are in flight (link delays are far below the interval), so
@@ -22,7 +25,6 @@ package beacon
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -31,13 +33,13 @@ import (
 	"scionmpr/internal/core"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
-	"scionmpr/internal/topology"
 	"scionmpr/internal/wire"
 )
 
 const (
-	snapMagic   = 0x4D505243 // "MPRC"
-	snapVersion = 1
+	snapMagic = 0x4D505243 // "MPRC"
+	// Version 2 keeps fault state only in the chaos section.
+	snapVersion = 2
 	snapPrefix  = "beacon: snapshot section" // starts every wire.Reader error
 )
 
@@ -67,7 +69,7 @@ func checkpointSupported(cfg RunConfig) error {
 	return nil
 }
 
-// appendNetworkState serializes a NetworkState canonically (maps in
+// appendNetworkState serializes a NetworkState canonically (counters in
 // sorted key order).
 func appendNetworkState(dst []byte, st sim.NetworkState) []byte {
 	keys := make([]sim.IfKey, 0, len(st.Counters))
@@ -90,43 +92,7 @@ func appendNetworkState(dst []byte, st sim.NetworkState) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, c.RxBytes)
 		dst = binary.BigEndian.AppendUint64(dst, c.RxMsgs)
 	}
-
-	failed := append([]topology.LinkID(nil), st.Failed...)
-	sort.Slice(failed, func(i, j int) bool { return failed[i] < failed[j] })
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(failed)))
-	for _, id := range failed {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
-	}
-
-	ids := make([]topology.LinkID, 0, len(st.Delays))
-	for id := range st.Delays {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ids)))
-	for _, id := range ids {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
-		dst = binary.BigEndian.AppendUint64(dst, uint64(st.Delays[id]))
-	}
-
-	ids = ids[:0]
-	for id := range st.Loss {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ids)))
-	for _, id := range ids {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(st.Loss[id]))
-	}
-
-	if st.LossSeeded {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(st.LossSeed))
-	dst = binary.BigEndian.AppendUint64(dst, st.LossDraws)
+	dst = binary.BigEndian.AppendUint64(dst, st.LossSeq)
 	dst = binary.BigEndian.AppendUint64(dst, st.Dropped)
 	dst = binary.BigEndian.AppendUint64(dst, st.DroppedOnFailedLinks)
 	dst = binary.BigEndian.AppendUint64(dst, st.DroppedByLoss)
@@ -144,25 +110,7 @@ func readNetworkState(r *wire.Reader) sim.NetworkState {
 			RxBytes: r.U64(), RxMsgs: r.U64(),
 		}
 	}
-	n = r.Count(r.U32(), 4)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		st.Failed = append(st.Failed, topology.LinkID(r.U32()))
-	}
-	n = r.Count(r.U32(), 12)
-	st.Delays = make(map[topology.LinkID]time.Duration, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		id := topology.LinkID(r.U32())
-		st.Delays[id] = time.Duration(r.U64())
-	}
-	n = r.Count(r.U32(), 12)
-	st.Loss = make(map[topology.LinkID]float64, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		id := topology.LinkID(r.U32())
-		st.Loss[id] = math.Float64frombits(r.U64())
-	}
-	st.LossSeeded = r.U8() != 0
-	st.LossSeed = int64(r.U64())
-	st.LossDraws = r.U64()
+	st.LossSeq = r.U64()
 	st.Dropped = r.U64()
 	st.DroppedOnFailedLinks = r.U64()
 	st.DroppedByLoss = r.U64()
@@ -176,11 +124,6 @@ func readNetworkState(r *wire.Reader) sim.NetworkState {
 func appendServerState(dst []byte, srv *Server, now sim.Time) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, srv.cfg.Local.Uint64())
 	dst = binary.BigEndian.AppendUint16(dst, srv.segID)
-	if srv.down {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
 	dst = binary.BigEndian.AppendUint64(dst, srv.Originated)
 	dst = binary.BigEndian.AppendUint64(dst, srv.Propagated)
 	dst = binary.BigEndian.AppendUint64(dst, srv.Received)
@@ -220,7 +163,6 @@ func restoreServerState(r *wire.Reader, srv *Server) error {
 		return fmt.Errorf("beacon: snapshot server section for %v, want %v (topology mismatch?)", ia, srv.cfg.Local)
 	}
 	srv.segID = r.U16()
-	srv.down = r.U8() != 0
 	srv.Originated = r.U64()
 	srv.Propagated = r.U64()
 	srv.Received = r.U64()

@@ -1,6 +1,7 @@
 package beacon
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -71,8 +72,8 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	want := ref.Fingerprint()
 
 	// The checkpoint time is deliberately unaligned; capture happens at
-	// the next interval boundary (40 min), with the gray failure and
-	// several flaps active and their recoveries still pending.
+	// the next interval boundary (40 min), with the gray failure and the
+	// latency spike active, their recoveries and later flaps pending.
 	observed, snap, err := RunWithCheckpoint(chaosCfg(t, topo, seed, 1), 37*time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +83,17 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	}
 	if len(snap) == 0 {
 		t.Fatal("empty snapshot")
+	}
+	// The gray failure must shed beacons on both sides of the checkpoint,
+	// or the loss-decision count is never exercised across it.
+	secs, err := frames(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(snapPrefix, secs[1])
+	atSnap := readNetworkState(&r).DroppedByLoss
+	if atSnap == 0 || ref.Net.DroppedByLoss <= atSnap {
+		t.Fatalf("gray drops: %d at the checkpoint, %d at the end; want some before and more after", atSnap, ref.Net.DroppedByLoss)
 	}
 
 	for _, w := range []int{1, 2, 4, 8} {
@@ -99,8 +111,8 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 }
 
 // TestCheckpointResumeFailuresAndBaseline covers the stateless-selector
-// path (no selector blob) and link outages whose recovery is scheduled
-// after the checkpoint.
+// path (no selector blob), and a link outage and a server crash that are
+// active at the checkpoint: the chaos section alone must bring both back.
 func TestCheckpointResumeFailuresAndBaseline(t *testing.T) {
 	topo := checkpointTopo(t)
 	mk := func(workers int) RunConfig {
@@ -111,6 +123,7 @@ func TestCheckpointResumeFailuresAndBaseline(t *testing.T) {
 		cfg.Chaos = &chaos.Schedule{Events: []chaos.Event{
 			{Kind: chaos.Flap, Link: topo.Links[0].ID, At: sim.Time(25 * time.Minute), Down: 30 * time.Minute},
 			{Kind: chaos.Flap, Link: topo.Links[1].ID, At: sim.Time(40 * time.Minute), Down: time.Hour},
+			{Kind: chaos.CrashAS, IA: topo.IAs()[2], At: sim.Time(35 * time.Minute), Down: 20 * time.Minute},
 		}}
 		return cfg
 	}
@@ -218,7 +231,8 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 		"network truncated":      func(secs [][]byte) { secs[1] = secs[1][:len(secs[1])-1] },
 		"network trailing byte":  func(secs [][]byte) { secs[1] = append(secs[1], 0) },
 		"network unbacked count": func(secs [][]byte) { secs[1][0] = 0x40 },
-		"server unbacked count":  func(secs [][]byte) { secs[2][51] = 0x40 },
+		"version 1":              func(secs [][]byte) { binary.BigEndian.PutUint16(secs[0][4:], 1) },
+		"server unbacked count":  func(secs [][]byte) { secs[2][50] = 0x40 },
 		"server trailing byte":   func(secs [][]byte) { secs[2] = append(secs[2], 0) },
 	} {
 		var edited []byte
@@ -232,6 +246,8 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 		}
 		if _, err := Resume(cfg, edited); err == nil {
 			t.Errorf("%s: want error", name)
+		} else if name == "version 1" && !strings.Contains(err.Error(), "snapshot version 1, want 2") {
+			t.Errorf("version 1: got %v, want the version error", err)
 		}
 	}
 

@@ -35,7 +35,6 @@ func BenchmarkGrayDropDecision(b *testing.B) {
 	g := topology.Demo()
 	s := &sim.Simulator{}
 	n := sim.NewNetwork(s, g, time.Millisecond)
-	n.SeedLoss(1)
 	link := g.Links[0]
 	n.SetLinkLoss(link.ID, 1.0)
 	msg := benchMsg{}

@@ -278,8 +278,8 @@ func (e *Engine) applySpike(id topology.LinkID) {
 		}
 	}
 	// Every target gets the override. Two targets over one network set
-	// it twice, which is idempotent; dataplane.Engine has no delay model
-	// and ignores it.
+	// it twice, which is idempotent; dataplane.Engine stores it but has
+	// no delay model to act on it yet.
 	for _, t := range e.targets {
 		t.SetLinkDelay(id, max)
 	}

@@ -18,8 +18,9 @@ import (
 //
 // A resumed run re-derives the fault plan itself by re-running Apply with
 // the same schedule (the plan is a pure function of the schedule's seed);
-// this state carries only what the surviving recover actions need to
-// unwind correctly across the checkpoint boundary.
+// this state carries the faults active at the checkpoint, which
+// RestoreState re-installs, and what the surviving recover actions need
+// to unwind correctly across the checkpoint boundary.
 func (e *Engine) AppendState(dst []byte) []byte {
 	linkKeys := func(n int) []topology.LinkID { return make([]topology.LinkID, 0, n) }
 
@@ -89,18 +90,35 @@ func (e *Engine) AppendState(dst []byte) []byte {
 }
 
 // RestoreState rebuilds the bookkeeping serialized by AppendState on a
-// freshly constructed engine. Call it before Apply, which registers the
-// surviving fault-plan actions.
+// freshly constructed engine whose targets are already registered, and
+// re-installs the faults it holds on them: every held-down link fails,
+// every gray or spiked link gets its strongest active degradation, and
+// every crashed AS crashes again. The re-install fires no hook, emits no
+// trace and counts no injection — it restores a state, it does not
+// inject. Call it before Apply, which registers the surviving fault-plan
+// actions.
 func (e *Engine) RestoreState(b []byte) error {
 	r := wire.NewReader("chaos: engine state", b)
+	depth := func(what string) int {
+		d := int(r.U32())
+		if d == 0 {
+			r.Failf("%s depth 0", what)
+		}
+		return d
+	}
 	for i, n := 0, r.Count(r.U32(), 8); i < n && r.Err() == nil; i++ {
-		e.failDepth[topology.LinkID(r.U32())] = int(r.U32())
+		e.failDepth[topology.LinkID(r.U32())] = depth("link")
 	}
 	for i, n := 0, r.Count(r.U32(), 8); i < n && r.Err() == nil; i++ {
 		id := topology.LinkID(r.U32())
 		rates := make([]float64, r.Count(r.U32(), 8))
 		for j := range rates {
-			rates[j] = math.Float64frombits(r.U64())
+			if rates[j] = math.Float64frombits(r.U64()); !(rates[j] > 0 && rates[j] <= 1) {
+				r.Failf("gray rate %g outside (0, 1]", rates[j])
+			}
+		}
+		if len(rates) == 0 {
+			r.Failf("empty gray stack")
 		}
 		e.grayRates[id] = rates
 	}
@@ -108,16 +126,42 @@ func (e *Engine) RestoreState(b []byte) error {
 		id := topology.LinkID(r.U32())
 		ds := make([]time.Duration, r.Count(r.U32(), 8))
 		for j := range ds {
-			ds[j] = time.Duration(r.U64())
+			if ds[j] = time.Duration(r.U64()); ds[j] <= 0 {
+				r.Failf("spike delay %v not positive", ds[j])
+			}
+		}
+		if len(ds) == 0 {
+			r.Failf("empty spike stack")
 		}
 		e.spikes[id] = ds
 	}
 	for i, n := 0, r.Count(r.U32(), 12); i < n && r.Err() == nil; i++ {
-		e.crashDepth[addr.IAFromUint64(r.U64())] = int(r.U32())
+		e.crashDepth[addr.IAFromUint64(r.U64())] = depth("crash")
 	}
 	for i, n := 0, r.Count(r.U32(), 12); i < n && r.Err() == nil; i++ {
 		e.Injections[Kind(r.U32())] = r.U64()
 	}
 	// Accept only what AppendState writes.
-	return r.Canonical(e.AppendState(nil))
+	if err := r.Canonical(e.AppendState(nil)); err != nil {
+		return err
+	}
+	// Faults on different links and ASes are independent, so the order
+	// they are re-installed in does not matter.
+	for id := range e.failDepth {
+		for _, t := range e.targets {
+			t.FailLink(id)
+		}
+	}
+	for id := range e.grayRates {
+		e.applyGray(id)
+	}
+	for id := range e.spikes {
+		e.applySpike(id)
+	}
+	for ia := range e.crashDepth {
+		for _, t := range e.crash {
+			t.Crash(ia)
+		}
+	}
+	return nil
 }

@@ -3,12 +3,15 @@ package chaos
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
 	"testing"
 	"time"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/telemetry"
+	"scionmpr/internal/topology"
 )
 
 // midStormState is an engine's state 2.5 s into overlapping faults of
@@ -75,6 +78,88 @@ func TestEngineStateRejectsBadInput(t *testing.T) {
 	copy(repeated[12:20], blob[4:12])
 	if _, err := restore(repeated); err == nil {
 		t.Error("repeated failDepth key accepted")
+	}
+}
+
+// TestEngineStateReinstalls: a restored engine installs the faults it
+// holds on its targets — the links held down, the strongest gray rate and
+// the largest spike per link, the crashed ASes — and nothing else: no
+// hook fires, no trace is emitted, no injection is counted.
+func TestEngineStateReinstalls(t *testing.T) {
+	blob := midStormState(t)
+	s := &sim.Simulator{}
+	tracer := telemetry.NewTracer(16)
+	s.SetTracer(tracer)
+	rec := newRecorder(s)
+	e := NewEngine(s, rec)
+	e.AddCrashTarget(rec)
+	hooks := 0
+	e.OnFail = func(topology.LinkID) { hooks++ }
+	e.OnCrash = func(addr.IA) { hooks++ }
+	if err := e.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if !rec.failed[1] || !rec.failed[3] || len(rec.failed) != 2 {
+		t.Errorf("failed links %v, want 1 and 3", rec.failed)
+	}
+	if rec.loss[2] != 0.5 || len(rec.loss) != 1 {
+		t.Errorf("gray rates %v, want link 2 at the stronger 0.5", rec.loss)
+	}
+	if rec.delay[2] != 50*time.Millisecond || len(rec.delay) != 1 {
+		t.Errorf("spikes %v, want link 2 at 50ms", rec.delay)
+	}
+	if !rec.downAS[addr.MustIA(1, 7)] || len(rec.downAS) != 1 {
+		t.Errorf("crashed %v, want 1-7", rec.downAS)
+	}
+	if hooks != 0 || len(tracer.Events()) != 0 {
+		t.Errorf("re-install fired %d hooks and %d trace events", hooks, len(tracer.Events()))
+	}
+	if !bytes.Equal(e.AppendState(nil), blob) {
+		t.Error("re-install changed the engine's state")
+	}
+}
+
+// TestEngineStateRejectsUnwrittenValues: RestoreState installs what it
+// reads, so it accepts no value AppendState never writes — a zero depth,
+// an empty stack, a rate outside (0, 1], a delay that is not positive.
+func TestEngineStateRejectsUnwrittenValues(t *testing.T) {
+	u32 := binary.BigEndian.AppendUint32
+	u64 := binary.BigEndian.AppendUint64
+	none := func(b []byte, sections int) []byte {
+		for i := 0; i < sections; i++ {
+			b = u32(b, 0)
+		}
+		return b
+	}
+	gray := func(rate float64) []byte {
+		b := u32(u32(u32(u32(nil, 0), 1), 2), 1) // no links down; link 2, one rate
+		return none(u64(b, math.Float64bits(rate)), 3)
+	}
+	spike := func(d int64) []byte {
+		b := u32(u32(u32(none(nil, 2), 1), 2), 1) // link 2, one delay
+		return none(u64(b, uint64(d)), 2)
+	}
+	for name, blob := range map[string][]byte{
+		"zero link depth":  none(u32(u32(u32(nil, 1), 5), 0), 4),
+		"zero crash depth": none(u32(u64(u32(none(nil, 3), 1), addr.MustIA(1, 7).Uint64()), 0), 1),
+		"empty gray stack": none(u32(u32(u32(none(nil, 1), 1), 2), 0), 3),
+		"empty spike":      none(u32(u32(u32(none(nil, 2), 1), 2), 0), 2),
+		"rate 0":           gray(0),
+		"rate above 1":     gray(1.5),
+		"rate NaN":         gray(math.NaN()),
+		"negative rate":    gray(-0.25),
+		"delay 0":          spike(0),
+		"negative delay":   spike(-int64(time.Millisecond)),
+	} {
+		if _, err := restore(blob); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// The blob helpers are sound: the same shapes with written values pass.
+	for name, blob := range map[string][]byte{"rate 1": gray(1), "delay 1ns": spike(1)} {
+		if _, err := restore(blob); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

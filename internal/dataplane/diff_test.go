@@ -23,7 +23,7 @@ import (
 // the in-memory Fabric and through the wire-format Engine and demands
 // byte-identical run fingerprints: per-packet outcomes (delivered /
 // silently dropped / which SCMP came back) plus the full counter set.
-// Both planes share a pure per-packet loss function (HashLoss), and
+// Both planes decide gray loss with the pure per-packet sim.LossCoin, and
 // faults fire only at quiescent group boundaries, so the fingerprint
 // is independent of packet interleaving — which is exactly what lets
 // the concurrent engine (workers 1 and 4) be compared bit-for-bit
@@ -222,12 +222,11 @@ func diffPacketFor(p diffPacket) *Packet {
 }
 
 // runFabricTrace replays the trace through a fresh in-memory fabric.
-func runFabricTrace(t *testing.T, e *env, tr *diffTrace, seed uint64) string {
+func runFabricTrace(t *testing.T, e *env, tr *diffTrace) string {
 	t.Helper()
 	s := &sim.Simulator{}
 	net := sim.NewNetwork(s, e.topo, time.Millisecond)
 	fab := NewFabric(net, e.infra.ForwardingKey)
-	fab.LossFunc = HashLoss(seed)
 
 	outcomes := map[uint32]diffOutcome{}
 	for _, ia := range e.topo.IAs() {
@@ -260,11 +259,10 @@ func runFabricTrace(t *testing.T, e *env, tr *diffTrace, seed uint64) string {
 }
 
 // runEngineTrace replays the trace through a fresh wire engine.
-func runEngineTrace(t *testing.T, e *env, tr *diffTrace, seed uint64, workers int) string {
+func runEngineTrace(t *testing.T, e *env, tr *diffTrace, workers int) string {
 	t.Helper()
 	eng := NewEngine(e.topo, e.infra.ForwardingKey)
 	eng.Workers = workers
-	eng.LossFunc = HashLoss(seed)
 
 	var mu sync.Mutex
 	outcomes := map[uint32]diffOutcome{}
@@ -316,9 +314,9 @@ func TestDifferentialGolden(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			tr := buildDiffTrace(t, e, seed)
-			fabFP := runFabricTrace(t, e, tr, uint64(seed))
+			fabFP := runFabricTrace(t, e, tr)
 			for _, workers := range []int{1, 4} {
-				engFP := runEngineTrace(t, e, tr, uint64(seed), workers)
+				engFP := runEngineTrace(t, e, tr, workers)
 				if engFP != fabFP {
 					t.Errorf("workers=%d: engine fingerprint %s != fabric %s", workers, engFP, fabFP)
 				}
@@ -342,9 +340,7 @@ func TestDifferentialCounters(t *testing.T) {
 	s := &sim.Simulator{}
 	net := sim.NewNetwork(s, e.topo, time.Millisecond)
 	fab := NewFabric(net, e.infra.ForwardingKey)
-	fab.LossFunc = HashLoss(7)
 	eng := NewEngine(e.topo, e.infra.ForwardingKey)
-	eng.LossFunc = HashLoss(7)
 
 	for g := 0; g < diffGroups; g++ {
 		for _, fn := range tr.actions[g] {

@@ -13,10 +13,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
+	"scionmpr/internal/sim"
 	"scionmpr/internal/slayers"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
@@ -82,14 +82,11 @@ type Engine struct {
 	// 1; single-worker flushes run inline on the caller's goroutine so
 	// benchmarks measure per-core throughput cleanly).
 	Workers int
-	// LossFunc decides gray-failure drops. The engine is concurrent, so
-	// only pure per-packet decisions are meaningful; NewEngine installs
-	// HashLoss(0).
-	LossFunc func(flow uint32, link topology.LinkID, rate float64) bool
 
-	// Link fault state (chaos.FaultTarget's FailLink, RestoreLink,
-	// SetLinkLoss) and the egress decision over it.
-	linkFaults
+	// Link fault state (chaos.FaultTarget), read by the egress decision;
+	// gray loss is decided per (flow, link). The engine has no latency
+	// model yet: it stores delay overrides but does not act on them.
+	sim.LinkFaults
 
 	ias []addr.IA
 	idx map[addr.IA]int32
@@ -131,8 +128,7 @@ func NewEngine(topo *topology.Graph, keys KeyFunc) *Engine {
 	e := &Engine{
 		Topo:       topo,
 		Keys:       keys,
-		LossFunc:   HashLoss(0),
-		linkFaults: newLinkFaults(topo),
+		LinkFaults: sim.NewLinkFaults(topo),
 		ias:        ias,
 		idx:        make(map[addr.IA]int32, len(ias)),
 		ifTable:    make([][]ifEntry, len(ias)),
@@ -187,11 +183,6 @@ func (e *Engine) OnSCMP(ia addr.IA, fn WireSCMPFunc) {
 		e.scmp[i] = fn
 	}
 }
-
-// SetLinkDelay accepts a latency override and ignores it
-// (chaos.FaultTarget): the engine models forwarding throughput, not
-// propagation latency.
-func (e *Engine) SetLinkDelay(topology.LinkID, time.Duration) {}
 
 // Stats snapshots the forwarding counters. Call between flushes for
 // exact values (workers update them with atomics during a Flush).
@@ -463,7 +454,7 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 // for gray loss) or the frame moves to the neighbor's ingress ring.
 func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, out addr.IfID) {
 	ent := e.lookupIf(a, out)
-	switch e.egress(ent.link, s.FlowID, e.LossFunc) {
+	switch egress(&e.LinkFaults, ent.link, s.FlowID) {
 	case egressNoRoute:
 		e.droppedNoRoute.Add(1)
 		e.emitSCMP(a, s, SCMPDestUnreachable, seg.LinkKey{})

@@ -368,8 +368,13 @@ func TestEngineChaosSchedule(t *testing.T) {
 	}
 	grayed++
 
-	s.Run() // the spike window passes without effect: the engine has no latency model
-	if eng.LinkLoss(link.ID) != 0 || eng.Failed(link.ID) {
+	s.RunUntil(sim.Time(30500 * time.Millisecond)) // spike window
+	if d := eng.LinkDelay(link.ID); d != time.Millisecond {
+		t.Errorf("spike delay = %v, want 1ms stored", d)
+	}
+
+	s.Run()
+	if eng.LinkLoss(link.ID) != 0 || eng.Failed(link.ID) || eng.LinkDelay(link.ID) != 0 {
 		t.Error("faults not fully restored at end of schedule")
 	}
 	inject(3)
@@ -424,9 +429,9 @@ func TestRingOverflow(t *testing.T) {
 	_ = frames
 }
 
-// TestLinkDelayBounds: both planes share one fault table, and a fault
-// schedule may name links a plane does not carry — out-of-range link
-// IDs must be ignored, not panic.
+// TestLinkDelayBounds: every fault target keeps its faults in a
+// sim.LinkFaults table, and a fault schedule may name links a plane does
+// not carry — out-of-range link IDs must be ignored, not panic.
 func TestLinkDelayBounds(t *testing.T) {
 	e, eng := newWireEnv(t)
 	bad := topology.LinkID(9999)
@@ -434,12 +439,13 @@ func TestLinkDelayBounds(t *testing.T) {
 		chaos.FaultTarget
 		Failed(topology.LinkID) bool
 		LinkLoss(topology.LinkID) float64
-	}{"engine": eng, "fabric": e.fabric} {
+		LinkDelay(topology.LinkID) time.Duration
+	}{"engine": eng, "fabric": e.fabric, "network": e.fabric.Net} {
 		ft.FailLink(bad)
 		ft.RestoreLink(bad)
 		ft.SetLinkLoss(bad, 0.5)
 		ft.SetLinkDelay(bad, time.Second)
-		if ft.Failed(bad) || ft.LinkLoss(bad) != 0 {
+		if ft.Failed(bad) || ft.LinkLoss(bad) != 0 || ft.LinkDelay(bad) == time.Second {
 			t.Errorf("%s: out-of-range link state recorded", name)
 		}
 	}

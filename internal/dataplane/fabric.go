@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"scionmpr/internal/addr"
@@ -85,18 +84,10 @@ type Fabric struct {
 	// return value before leaving on the egress link.
 	IntraASDelay func(ia addr.IA, in, out addr.IfID) time.Duration
 
-	// LossFunc, if set, replaces the seeded-RNG gray-failure coin with a
-	// pure per-packet decision (keyed on the packet's FlowID and the
-	// link). The differential fabric-vs-wire-engine harness installs the
-	// same function on both planes so drop decisions are identical
-	// regardless of packet interleaving; nil keeps the historical
-	// sequence-dependent RNG behavior.
-	LossFunc func(flow uint32, link topology.LinkID, rate float64) bool
-	lossRNG  *rand.Rand
-
 	// Link fault state (FailLink, RestoreLink, Failed, SetLinkLoss,
-	// LinkLoss) and the egress decision over it.
-	linkFaults
+	// LinkLoss), read by the egress decision. Gray loss is decided per
+	// (flow, link), as in the Engine.
+	sim.LinkFaults
 
 	deliver map[addr.IA]DeliverFunc
 	scmp    map[addr.IA]SCMPFunc
@@ -130,7 +121,7 @@ func NewFabric(net *sim.Network, keys KeyFunc) *Fabric {
 		Net:        net,
 		Topo:       net.Topo,
 		Keys:       keys,
-		linkFaults: newLinkFaults(net.Topo),
+		LinkFaults: sim.NewLinkFaults(net.Topo),
 		deliver:    map[addr.IA]DeliverFunc{},
 		scmp:       map[addr.IA]SCMPFunc{},
 	}
@@ -162,23 +153,6 @@ func (f *Fabric) AddSCMP(ia addr.IA, fn SCMPFunc) {
 		prev(m)
 		fn(m)
 	}
-}
-
-// SeedLoss reseeds the gray-failure randomness so drop decisions are
-// reproducible under a chosen seed (a fixed default seed is used
-// otherwise; the event loop is single-threaded either way).
-func (f *Fabric) SeedLoss(seed int64) { f.lossRNG = rand.New(rand.NewSource(seed)) }
-
-// dropGray is the fabric's gray-loss coin: LossFunc when set, else the
-// next draw of the seeded RNG.
-func (f *Fabric) dropGray(flow uint32, link topology.LinkID, rate float64) bool {
-	if f.LossFunc != nil {
-		return f.LossFunc(flow, link, rate)
-	}
-	if f.lossRNG == nil {
-		f.lossRNG = rand.New(rand.NewSource(1))
-	}
-	return f.lossRNG.Float64() < rate
 }
 
 // SetLinkDelay overrides the one-way latency of a link on the underlying
@@ -269,7 +243,7 @@ func (f *Fabric) forwardFrom(local addr.IA, pkt *Packet) {
 		}
 	}
 	link := f.Topo.LinkByIf(local, hf.Hop.Out)
-	switch f.egress(link, pkt.FlowID, f.dropGray) {
+	switch egress(&f.LinkFaults, link, pkt.FlowID) {
 	case egressNoRoute:
 		f.DroppedNoRoute++
 		f.emitSCMP(local, pkt, &SCMP{Type: SCMPDestUnreachable, Offender: local, Orig: pkt})

@@ -243,9 +243,8 @@ type Packet struct {
 	// packet); it advances as the packet is forwarded.
 	HopIdx  int
 	Payload []byte
-	// FlowID identifies the packet's flow (20 bits on the wire). The
-	// differential fabric-vs-engine harness also keys its per-packet
-	// loss decisions on it (see Fabric.LossFunc).
+	// FlowID identifies the packet's flow (20 bits on the wire). Gray
+	// loss is decided per (flow, link) on it (see sim.LossCoin).
 	FlowID uint32
 }
 

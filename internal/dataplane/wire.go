@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"scionmpr/internal/slayers"
-	"scionmpr/internal/topology"
 )
 
 // WireInfo is the info field stamped on every serialized path. The
@@ -63,27 +62,4 @@ func EncodePacket(s *slayers.SCION, pkt *Packet, buf []byte) (int, error) {
 	}
 	copy(buf[hdr:n], pkt.Payload)
 	return n, nil
-}
-
-// splitmix64 is the finalizer of the splitmix64 generator: a cheap,
-// high-quality 64-bit mixer.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// HashLoss returns a pure per-packet gray-failure decision: drop iff a
-// seeded hash of (flow, link) falls below the link's drop rate. Unlike
-// the sequence-dependent RNG coin, the decision depends only on the
-// packet and the link, so the in-memory fabric and the wire-format
-// engine — which interleave packets differently — shed exactly the
-// same packets. Each (flow, link) pair is drawn at most once per path
-// traversal (paths are loop-free), preserving the drop rate.
-func HashLoss(seed uint64) func(flow uint32, link topology.LinkID, rate float64) bool {
-	return func(flow uint32, link topology.LinkID, rate float64) bool {
-		h := splitmix64(seed ^ uint64(flow)<<32 ^ uint64(link))
-		return float64(h>>11)/(1<<53) < rate
-	}
 }

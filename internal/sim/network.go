@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -53,25 +52,19 @@ type Network struct {
 	Topo  *topology.Graph
 	Delay time.Duration
 
+	// Link fault state (FailLink, RestoreLink, Failed, SetLinkLoss,
+	// LinkLoss, SetLinkDelay). A gray-failed link is up but silently
+	// sheds a fraction of messages; a link without a delay override uses
+	// the network-wide Delay.
+	LinkFaults
+
 	handlers map[addr.IA]Handler
 	counters map[IfKey]*Counter
-	failed   map[topology.LinkID]bool
-	// delays holds per-link latency overrides; links without an entry use
-	// the network-wide Delay.
-	delays map[topology.LinkID]time.Duration
-	// loss holds per-link drop probabilities in [0, 1], modelling gray
-	// failures: the link is up but silently sheds a fraction of messages.
-	loss map[topology.LinkID]float64
-	// lossRNG drives gray-failure drop decisions; drops are decided only
-	// from serial context (inline sends and the parallel commit phase run
-	// in sequence order), so a seeded source makes every run reproducible
-	// for any worker count.
-	lossRNG *rand.Rand
-	// lossSeed is the seed lossRNG was created from and lossDraws the
-	// number of decisions drawn so far — together they let a checkpoint
-	// restore reproduce the RNG stream by reseed-and-fast-forward.
-	lossSeed  int64
-	lossDraws uint64
+	// lossSeq counts gray-failure decisions drawn so far and keys the next
+	// one's LossCoin. Drops are decided only from serial context (inline
+	// sends and the parallel commit phase run in sequence order), so the
+	// count, and with it every decision, is the same for any worker count.
+	lossSeq uint64
 	// counterArena chunk-allocates Counter values so a 12k-AS run's
 	// hundreds of thousands of interface counters cost one allocation per
 	// chunk instead of one each.
@@ -81,7 +74,7 @@ type Network struct {
 	delPool sync.Pool
 	// sharded enables per-AS actor partitioning: each registered AS gets
 	// a simulator shard, deliveries are sharded by destination, and all
-	// shared-state mutations (counters, RNG draws, scheduling) are
+	// shared-state mutations (counters, loss decisions, scheduling) are
 	// deferred to the deterministic commit phase when executing in
 	// parallel.
 	sharded bool
@@ -97,79 +90,23 @@ type Network struct {
 // NewNetwork creates a network over topo with the given one-way link latency.
 func NewNetwork(s *Simulator, topo *topology.Graph, delay time.Duration) *Network {
 	return &Network{
-		Sim:      s,
-		Topo:     topo,
-		Delay:    delay,
-		handlers: map[addr.IA]Handler{},
-		counters: map[IfKey]*Counter{},
-		failed:   map[topology.LinkID]bool{},
-		delays:   map[topology.LinkID]time.Duration{},
-		loss:     map[topology.LinkID]float64{},
+		Sim:        s,
+		Topo:       topo,
+		Delay:      delay,
+		LinkFaults: NewLinkFaults(topo),
+		handlers:   map[addr.IA]Handler{},
+		counters:   map[IfKey]*Counter{},
 	}
 }
 
-// SetLinkDelay overrides the one-way latency of a single link (both
-// directions), modelling heterogeneous propagation delays; d <= 0 restores
-// the network-wide default.
-func (n *Network) SetLinkDelay(id topology.LinkID, d time.Duration) {
-	if d <= 0 {
-		delete(n.delays, id)
-		return
-	}
-	n.delays[id] = d
-}
-
-// LinkDelay returns the one-way latency of a link.
+// LinkDelay returns the one-way latency of a link: its override if one is
+// set, else the network-wide Delay.
 func (n *Network) LinkDelay(id topology.LinkID) time.Duration {
-	if d, ok := n.delays[id]; ok {
+	if d := n.LinkFaults.LinkDelay(id); d > 0 {
 		return d
 	}
 	return n.Delay
 }
-
-// SetLinkLoss sets the gray-failure drop probability of a link (both
-// directions); a rate that is not positive (NaN included) heals the
-// link, rate >= 1 drops everything.
-func (n *Network) SetLinkLoss(id topology.LinkID, rate float64) {
-	if !(rate > 0) {
-		delete(n.loss, id)
-		return
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	n.loss[id] = rate
-}
-
-// LinkLoss returns the gray-failure drop probability of a link.
-func (n *Network) LinkLoss(id topology.LinkID) float64 { return n.loss[id] }
-
-// SeedLoss reseeds the gray-failure randomness. Call it before the run
-// when drop decisions must be reproducible under a chosen seed; without
-// it the network uses a fixed default seed.
-func (n *Network) SeedLoss(seed int64) {
-	n.lossRNG = rand.New(rand.NewSource(seed))
-	n.lossSeed = seed
-	n.lossDraws = 0
-}
-
-// dropByLoss makes one gray-failure drop decision.
-func (n *Network) dropByLoss(rate float64) bool {
-	if n.lossRNG == nil {
-		n.SeedLoss(1)
-	}
-	n.lossDraws++
-	return n.lossRNG.Float64() < rate
-}
-
-// FailLink drops all future messages on the link (both directions).
-func (n *Network) FailLink(id topology.LinkID) { n.failed[id] = true }
-
-// RestoreLink clears a failure.
-func (n *Network) RestoreLink(id topology.LinkID) { delete(n.failed, id) }
-
-// LinkFailed reports whether a link is failed.
-func (n *Network) LinkFailed(id topology.LinkID) bool { return n.failed[id] }
 
 // EnableSharding turns on per-AS actor partitioning for this network:
 // every subsequently registered AS is assigned its own simulator shard,
@@ -225,7 +162,7 @@ func (n *Network) counter(k IfKey) *Counter {
 // of link, which would indicate a mis-wired control plane.
 //
 // When called from a handler executing on a parallel worker, the
-// transmission (failure/loss checks, RNG draw, counters, delivery
+// transmission (failure/loss checks, loss-decision count, counters, delivery
 // scheduling) is deferred as an effect of the sending actor and replayed
 // at commit in sequence order, so all observables match a sequential run.
 func (n *Network) Send(from addr.IA, link *topology.Link, msg Message) {
@@ -252,13 +189,16 @@ type delivery struct {
 
 // send performs the transmission; it must run in serial context.
 func (n *Network) send(from addr.IA, link *topology.Link, msg Message) {
-	if n.failed[link.ID] {
+	if n.Failed(link.ID) {
 		n.DroppedOnFailedLinks++
 		return
 	}
-	if rate := n.loss[link.ID]; rate > 0 && n.dropByLoss(rate) {
-		n.DroppedByLoss++
-		return
+	if rate := n.LinkLoss(link.ID); rate > 0 {
+		n.lossSeq++
+		if LossCoin(n.lossSeq, link.ID, rate) {
+			n.DroppedByLoss++
+			return
+		}
 	}
 	size := msg.WireLen()
 	tx := n.counter(IfKey{IA: from, If: link.LocalIf(from)})
@@ -399,18 +339,12 @@ func (n *Network) ResetCounters() {
 }
 
 // NetworkState is the shared network state a checkpoint must carry:
-// per-interface traffic counters, link fault state, and the gray-loss
-// RNG position (seed plus draw count, restored by reseed-and-fast-
-// forward so post-resume drop decisions replay the original stream).
+// per-interface traffic counters, the count of gray-loss decisions drawn
+// (which keys every later one), and the drop counts. Link faults are not
+// part of it: whoever injected them re-installs them on restore.
 type NetworkState struct {
 	Counters map[IfKey]Counter
-	Failed   []topology.LinkID
-	Delays   map[topology.LinkID]time.Duration
-	Loss     map[topology.LinkID]float64
-
-	LossSeeded bool
-	LossSeed   int64
-	LossDraws  uint64
+	LossSeq  uint64
 
 	Dropped              uint64
 	DroppedOnFailedLinks uint64
@@ -422,27 +356,13 @@ type NetworkState struct {
 func (n *Network) CheckpointState() NetworkState {
 	st := NetworkState{
 		Counters:             make(map[IfKey]Counter, len(n.counters)),
-		Failed:               make([]topology.LinkID, 0, len(n.failed)),
-		Delays:               make(map[topology.LinkID]time.Duration, len(n.delays)),
-		Loss:                 make(map[topology.LinkID]float64, len(n.loss)),
-		LossSeeded:           n.lossRNG != nil,
-		LossSeed:             n.lossSeed,
-		LossDraws:            n.lossDraws,
+		LossSeq:              n.lossSeq,
 		Dropped:              n.Dropped,
 		DroppedOnFailedLinks: n.DroppedOnFailedLinks,
 		DroppedByLoss:        n.DroppedByLoss,
 	}
 	for k, c := range n.counters {
 		st.Counters[k] = *c
-	}
-	for id := range n.failed {
-		st.Failed = append(st.Failed, id)
-	}
-	for id, d := range n.delays {
-		st.Delays[id] = d
-	}
-	for id, r := range n.loss {
-		st.Loss[id] = r
 	}
 	return st
 }
@@ -453,22 +373,7 @@ func (n *Network) RestoreState(st NetworkState) {
 	for k, c := range st.Counters {
 		*n.counter(k) = c
 	}
-	for _, id := range st.Failed {
-		n.failed[id] = true
-	}
-	for id, d := range st.Delays {
-		n.delays[id] = d
-	}
-	for id, r := range st.Loss {
-		n.loss[id] = r
-	}
-	if st.LossSeeded {
-		n.SeedLoss(st.LossSeed)
-		for i := uint64(0); i < st.LossDraws; i++ {
-			n.lossRNG.Float64()
-		}
-		n.lossDraws = st.LossDraws
-	}
+	n.lossSeq = st.LossSeq
 	n.Dropped = st.Dropped
 	n.DroppedOnFailedLinks = st.DroppedOnFailedLinks
 	n.DroppedByLoss = st.DroppedByLoss

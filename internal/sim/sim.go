@@ -23,8 +23,9 @@
 //     messages — are deferred into a per-event effect list and replayed
 //     after the segment in (time, seq) order, exactly the order a
 //     sequential run would have produced them in. Sequence numbers,
-//     traffic counters, and seeded RNG draws therefore come out
-//     identical for any worker count.
+//     traffic counters, and the gray-loss decision count (which keys
+//     each decision's coin) therefore come out identical for any worker
+//     count.
 //  2. Serial (shard 0) events act as barriers: all effects of earlier
 //     sharded events are committed before a serial event runs, and no
 //     sharded event of the same timestamp with a later sequence number
@@ -743,7 +744,7 @@ func (s *Simulator) runParallel(evs []event) {
 	}
 
 	// Commit deferred effects in sequence order: this replays schedules
-	// (assigning sequence numbers), traffic accounting, and RNG draws in
+	// (assigning sequence numbers), traffic accounting, and loss decisions in
 	// exactly the order a sequential run would have produced. Staged
 	// traces flush first — sequentially they were emitted while the event
 	// function ran, i.e. before any of its deferred effects applied.

@@ -277,7 +277,9 @@ func TestSetLinkDelay(t *testing.T) {
 	}
 
 	// d <= 0 restores the network-wide default.
-	n.SetLinkDelay(link.ID, 0)
+	for _, reset := range []time.Duration{0, 3 * time.Millisecond, -time.Second} {
+		n.SetLinkDelay(link.ID, reset)
+	}
 	if d := n.LinkDelay(link.ID); d != 10*time.Millisecond {
 		t.Errorf("delay after reset = %v, want default", d)
 	}
