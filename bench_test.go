@@ -41,7 +41,10 @@ func topos(b *testing.B) (*topology.Graph, *topology.Graph) {
 		p := topology.DefaultGenParams()
 		p.NumASes = 120
 		p.Tier1 = 6
-		full := topology.MustGenerate(p)
+		full, err := topology.Generate(p)
+		if err != nil {
+			panic(err)
+		}
 		coreT, err := topology.ExtractCore(full, 16)
 		if err != nil {
 			panic(err)
@@ -225,7 +228,7 @@ func BenchmarkFig6aResilience(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		total = 0
 		for _, p := range fig6.pairs {
-			total += graphalg.Resilience(fig6.run.PathSet(p[0], p[1]), p[0], p[1])
+			total += graphalg.UnionFlow(fig6.run.PathSet(p[0], p[1]), p[0], p[1])
 		}
 	}
 	b.ReportMetric(float64(total)/float64(len(fig6.pairs)), "resilience/pair")
@@ -241,7 +244,7 @@ func BenchmarkFig6bCapacity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		achieved, optimum = 0, 0
 		for _, p := range fig6.pairs {
-			achieved += graphalg.Capacity(fig6.run.PathSet(p[0], p[1]), p[0], p[1])
+			achieved += graphalg.UnionFlow(fig6.run.PathSet(p[0], p[1]), p[0], p[1])
 			optimum += graphalg.OptimalFlow(coreT, p[0], p[1])
 		}
 	}
@@ -517,7 +520,7 @@ func BenchmarkTokenBucketRefill(b *testing.B) {
 		// Advance virtual time so the refill path (not just the
 		// bucket-empty path) is exercised every call.
 		now += sim.Time(50 * time.Microsecond)
-		m.Admit(now, refs, 64<<10)
+		m.AdmitAtLeast(now, refs, 64<<10, 0)
 	}
 }
 

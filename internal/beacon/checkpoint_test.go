@@ -48,7 +48,10 @@ func checkpointTopo(t *testing.T) *topology.Graph {
 	p := topology.DefaultGenParams()
 	p.NumASes = 100
 	p.Tier1 = 5
-	full := topology.MustGenerate(p)
+	full, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	coreTopo, err := topology.ExtractCore(full, 14)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +158,10 @@ func TestCheckpointResumeIntraISD(t *testing.T) {
 	p := topology.DefaultGenParams()
 	p.NumASes = 80
 	p.Tier1 = 4
-	full := topology.MustGenerate(p)
+	full, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	isd, err := topology.BuildISD(full, 3)
 	if err != nil {
 		t.Fatal(err)

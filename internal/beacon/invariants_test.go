@@ -18,7 +18,10 @@ func TestBeaconingInvariants(t *testing.T) {
 	p := topology.DefaultGenParams()
 	p.NumASes = 150
 	p.Tier1 = 6
-	full := topology.MustGenerate(p)
+	full, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	coreTopo, err := topology.ExtractCore(full, 20)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +90,10 @@ func TestIntraISDBeaconsDescendHierarchy(t *testing.T) {
 	p := topology.DefaultGenParams()
 	p.NumASes = 150
 	p.Tier1 = 6
-	full := topology.MustGenerate(p)
+	full, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	isd, err := topology.BuildISD(full, 3)
 	if err != nil {
 		t.Fatal(err)

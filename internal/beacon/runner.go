@@ -290,16 +290,6 @@ func (r *RunResult) Quality(src, dst addr.IA) int {
 // TotalOverheadBytes is the total control-plane bytes transmitted.
 func (r *RunResult) TotalOverheadBytes() uint64 { return r.Net.GrandTotalTx() }
 
-// MonitorRxBytes returns received control-plane bytes at the given
-// "monitor" ASes, the Figure 5 observable.
-func (r *RunResult) MonitorRxBytes(monitors []addr.IA) []uint64 {
-	out := make([]uint64, len(monitors))
-	for i, ia := range monitors {
-		out[i] = r.Net.TotalRx(ia)
-	}
-	return out
-}
-
 // RevokeLink removes beacons traversing the failed link from every
 // beacon server's store and returns the total number of beacons dropped.
 // Combined with pathdb revocation and data-plane SCMP, this completes the

@@ -121,7 +121,7 @@ func TestPathSetSkipsUnresolvable(t *testing.T) {
 		Local: src,
 		Hop:   seg.HopField{ConsEgress: 999},
 	})
-	store.Insert(0, bogus, 77)
+	store.InsertPCB(0, bogus, 77)
 	after := res.PathSet(src, dst)
 	if len(after) != before {
 		t.Errorf("unresolvable beacon changed path set: %d -> %d", before, len(after))

@@ -155,9 +155,6 @@ func (s *Server) IsCore() bool { return s.cfg.Topo.AS(s.cfg.Local).Core }
 // simply age out and are repopulated by neighbors after restart.
 func (s *Server) SetDown(down bool) { s.down = down }
 
-// Down reports whether the server is crashed.
-func (s *Server) Down() bool { return s.down }
-
 // HandleMessage implements sim.Handler: verify (optionally) and store.
 func (s *Server) HandleMessage(from addr.IA, link *topology.Link, msg sim.Message) {
 	pm, ok := msg.(PCBMsg)

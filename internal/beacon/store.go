@@ -45,7 +45,7 @@ type Store struct {
 }
 
 // originSet is one origin's entries plus the bookkeeping that keeps the
-// full-store Insert path off O(Limit) map scans: a lower bound on the
+// full-store InsertPCB path off O(Limit) map scans: a lower bound on the
 // earliest stored expiry (no expired-entry sweep can succeed before it)
 // and a cached worst entry (eviction candidate; nil = recompute).
 // Both exploit that a stored entry's expiry only ever increases (in-place
@@ -105,19 +105,8 @@ const (
 )
 
 // Accepted reports whether the path is represented in the store after
-// the call (the legacy boolean Insert result).
+// the call.
 func (r InsertResult) Accepted() bool { return r <= DupStale }
-
-// Retained reports whether the store kept a reference to the presented
-// PCB; when false the caller still owns it.
-func (r InsertResult) Retained() bool { return r <= Refreshed }
-
-// Insert stores a received beacon. It returns false when the beacon was
-// dropped: expired on arrival, or the per-origin budget is full of
-// entries at least as good.
-func (s *Store) Insert(now sim.Time, p *seg.PCB, ingress addr.IfID) bool {
-	return s.InsertPCB(now, p, ingress).Accepted()
-}
 
 // InsertPCB stores a received beacon and reports the precise outcome.
 // "Better" prefers shorter paths, then later expiry, matching the
@@ -368,17 +357,6 @@ func (s *Store) PCBs(now sim.Time, origin addr.IA) []*seg.PCB {
 		out[i] = e.PCB
 	}
 	return out
-}
-
-// Prune removes expired beacons everywhere.
-func (s *Store) Prune(now sim.Time) {
-	for origin, os := range s.byOrigin {
-		os.sweep(s, now)
-		if len(os.m) == 0 {
-			delete(s.byOrigin, origin)
-		}
-	}
-	s.origins = nil
 }
 
 // RevokeLink drops every stored beacon whose path contains the given

@@ -114,15 +114,6 @@ func (m *storeModel) entries(now sim.Time, origin addr.IA) []*Entry {
 	return out
 }
 
-func (m *storeModel) prune(now sim.Time) {
-	for origin := range m.byOrigin {
-		m.dropExpired(now, origin)
-		if len(m.byOrigin[origin]) == 0 {
-			delete(m.byOrigin, origin)
-		}
-	}
-}
-
 func (m *storeModel) revokeLink(link seg.LinkKey) int {
 	dropped := 0
 	for origin, set := range m.byOrigin {
@@ -163,7 +154,7 @@ func (m *storeModel) len() int {
 
 // checkCaches compares the store's internal caches with full naive
 // recomputation. It does not mutate either side, so lazily-swept
-// expired entries survive to exercise Insert's sweep path later.
+// expired entries survive to exercise InsertPCB's sweep path later.
 func checkCaches(t *testing.T, step int, s *Store, m *storeModel) {
 	t.Helper()
 	if s.Len() != m.len() {
@@ -241,7 +232,7 @@ func checkObservables(t *testing.T, step int, now sim.Time, s *Store, m *storeMo
 
 // TestStorePropertyVsNaiveModel drives randomized operation sequences —
 // inserts (fresh paths, duplicate paths, near-expiry beacons), clock
-// advances that expire entries, prunes and link revocations — through
+// advances that expire entries and link revocations — through
 // the incremental store and the naive model in lockstep.
 func TestStorePropertyVsNaiveModel(t *testing.T) {
 	origins := []addr.IA{addr.MustIA(1, 100), addr.MustIA(1, 101), addr.MustIA(2, 200)}
@@ -269,10 +260,10 @@ func TestStorePropertyVsNaiveModel(t *testing.T) {
 					life := sim.Time(1+rng.Intn(20)) * hour / 10
 					p := mkPCB(t, origin, now, life, hops...)
 					ingress := addr.IfID(1 + rng.Intn(3))
-					got := s.Insert(now, p, ingress)
+					got := s.InsertPCB(now, p, ingress).Accepted()
 					want := m.insert(now, p, ingress)
 					if got != want {
-						t.Fatalf("limit=%d seed=%d step %d: Insert = %v, model %v (origin %s, %d hops, life %v)",
+						t.Fatalf("limit=%d seed=%d step %d: InsertPCB = %v, model %v (origin %s, %d hops, life %v)",
 							limit, seed, step, got, want, origin, nHops, life)
 					}
 				case op < 85: // advance the clock, expiring beacons
@@ -281,14 +272,11 @@ func TestStorePropertyVsNaiveModel(t *testing.T) {
 					origin := origins[rng.Intn(len(origins))]
 					_ = s.Entries(now, origin)
 					_ = m.entries(now, origin)
-				case op < 96: // revoke a random link
+				default: // revoke a random link
 					link := seg.LinkKey{IA: addr.MustIA(1, addr.AS(10+rng.Intn(4))), If: addr.IfID(1 + rng.Intn(3))}
 					if got, want := s.RevokeLink(link), m.revokeLink(link); got != want {
 						t.Fatalf("limit=%d seed=%d step %d: RevokeLink = %d, model %d", limit, seed, step, got, want)
 					}
-				default: // prune
-					s.Prune(now)
-					m.prune(now)
 				}
 				checkCaches(t, step, s, m)
 				if step%17 == 16 {

@@ -62,7 +62,10 @@ func TestTelemetryGoldenDeterminism(t *testing.T) {
 	p := topology.DefaultGenParams()
 	p.NumASes = 100
 	p.Tier1 = 5
-	full := topology.MustGenerate(p)
+	full, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	coreTopo, err := topology.ExtractCore(full, 14)
 	if err != nil {
 		t.Fatal(err)

@@ -314,9 +314,6 @@ func (s *Speaker) Flush(nb addr.IA) (announce []*Route, withdraw []addr.IA) {
 // Best returns the Loc-RIB route for a prefix, or nil.
 func (s *Speaker) Best(prefix addr.IA) *Route { return s.locRib[prefix] }
 
-// RibSize returns the number of Loc-RIB entries.
-func (s *Speaker) RibSize() int { return len(s.locRib) }
-
 // AdjInRoutes returns all Adj-RIB-In routes for a prefix (BGP multi-path
 // view, used by the Figure 6 path quality comparison where the paper
 // assumes full BGP multi-path support).
@@ -332,15 +329,5 @@ func (s *Speaker) AdjInRoutes(prefix addr.IA) []*Route {
 		}
 		return out[i].From.Less(out[j].From)
 	})
-	return out
-}
-
-// DebugAnnouncedCounts reports, per neighbor, how many prefixes this
-// speaker believes it has advertised (diagnostic hook).
-func (s *Speaker) DebugAnnouncedCounts() map[addr.IA]int {
-	out := map[addr.IA]int{}
-	for nb, m := range s.announced {
-		out[nb] = len(m)
-	}
 	return out
 }

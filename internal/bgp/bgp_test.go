@@ -160,7 +160,7 @@ func TestOverheadAccountedAtMonitors(t *testing.T) {
 	if res.Net.GrandTotalTx() == 0 {
 		t.Error("no wire bytes counted")
 	}
-	acct := DefaultAccounting(res.Cfg.Topo)
+	acct := MonthlyAccounting{Prefixes: SyntheticPrefixCounts(res.Cfg.Topo), ChurnPerMonth: 30}
 	for _, sp := range res.Speakers {
 		if b := acct.BGPMonthlyBytes(sp); b <= 0 {
 			t.Errorf("monthly bytes for %s = %v", sp.Local, b)
@@ -202,7 +202,10 @@ func TestConvergenceOnGeneratedTopology(t *testing.T) {
 	p := topology.DefaultGenParams()
 	p.NumASes = 120
 	p.Tier1 = 5
-	topo := topology.MustGenerate(p)
+	topo, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Run(DefaultConfig(topo))
 	if err != nil {
 		t.Fatal(err)

@@ -80,11 +80,6 @@ type MonthlyAccounting struct {
 	MaxAggregation int
 }
 
-// DefaultAccounting uses synthetic prefix counts and daily churn.
-func DefaultAccounting(topo *topology.Graph) MonthlyAccounting {
-	return MonthlyAccounting{Prefixes: SyntheticPrefixCounts(topo), ChurnPerMonth: 30}
-}
-
 func (a MonthlyAccounting) prefixCount(origin addr.IA) int {
 	if a.Prefixes == nil {
 		return 1

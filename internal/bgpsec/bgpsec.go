@@ -26,12 +26,6 @@ const (
 	fixedLen = 19 + 4 + 4 + 7 + 9 + 5 + 2 + 3
 )
 
-// UpdateWireLen is the size of one BGPsec update announcing one prefix
-// over a path of the given AS length.
-func UpdateWireLen(pathLen int) int {
-	return fixedLen + pathLen*(SecurePathSegmentLen+SignatureSegmentLen)
-}
-
 // Accounting scales a BGP convergence simulation into monthly BGPsec
 // bytes per monitor.
 type Accounting struct {
@@ -49,7 +43,7 @@ type Accounting struct {
 	Extrapolation float64
 }
 
-// DefaultAccounting mirrors bgp.DefaultAccounting for BGPsec.
+// DefaultAccounting uses the given prefix counts and daily churn.
 func DefaultAccounting(prefixes map[addr.IA]int) Accounting {
 	return Accounting{Prefixes: prefixes, ChurnPerMonth: 30, Extrapolation: 1}
 }

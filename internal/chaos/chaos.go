@@ -206,9 +206,6 @@ func (e *Engine) restoreLink(id topology.LinkID) {
 	}
 }
 
-// LinkDown reports whether the engine currently holds a link failed.
-func (e *Engine) LinkDown(id topology.LinkID) bool { return e.failDepth[id] > 0 }
-
 func (e *Engine) pushGray(id topology.LinkID, rate float64) {
 	if len(e.grayRates[id]) == 0 {
 		e.trace(telemetry.FaultApplied, 0, uint64(id), "gray")

@@ -77,16 +77,6 @@ func (p *Path) String() string {
 	return b.String()
 }
 
-// Reverse returns the path in the opposite direction (SCION paths are
-// bidirectional; up- and down-segments are interchangeable, §2.2).
-func (p *Path) Reverse() *Path {
-	out := &Path{Hops: make([]Hop, len(p.Hops)), MTU: p.MTU}
-	for i, h := range p.Hops {
-		out.Hops[len(p.Hops)-1-i] = Hop{IA: h.IA, In: h.Out, Out: h.In}
-	}
-	return out
-}
-
 // Links returns the traversed inter-domain links keyed by the upstream
 // side, for failure analysis.
 func (p *Path) Links() []seg.LinkKey {
@@ -114,9 +104,6 @@ func (p *Path) Check(topo *topology.Graph) error {
 	}
 	return nil
 }
-
-// ContainsLoop reports whether an AS appears twice.
-func (p *Path) ContainsLoop() bool { return hasLoop(p.Hops) }
 
 // hasLoop scans instead of hashing: paths are a dozen hops at most, and
 // AllPaths asks once per candidate.

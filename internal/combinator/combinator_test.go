@@ -101,16 +101,8 @@ func TestCombineThreeSegments(t *testing.T) {
 	if err := p.Check(f.topo); err != nil {
 		t.Errorf("invalid interfaces: %v", err)
 	}
-	if p.ContainsLoop() {
+	if hasLoop(p.Hops) {
 		t.Errorf("loop in %v", p)
-	}
-	// The reverse path is also valid.
-	rev := p.Reverse()
-	if rev.Src() != a6 || rev.Dst() != b3 {
-		t.Error("reverse endpoints wrong")
-	}
-	if err := rev.Check(f.topo); err != nil {
-		t.Errorf("reverse invalid: %v", err)
 	}
 }
 

@@ -13,40 +13,6 @@ type SearchSpace struct {
 	Alphas, Betas, Gammas, Thresholds []float64
 }
 
-// ExponentialSpace returns the coarse first-stage grid.
-func ExponentialSpace() SearchSpace {
-	return SearchSpace{
-		Alphas:     []float64{0.5, 1, 2, 4, 8, 16, 32},
-		Betas:      []float64{1, 2, 4, 8},
-		Gammas:     []float64{1, 2, 4, 8},
-		Thresholds: []float64{0.01, 0.05, 0.2},
-	}
-}
-
-// LinearSpaceAround returns the second-stage grid: linearly spaced values
-// bracketing a first-stage winner.
-func LinearSpaceAround(p Params, steps int) SearchSpace {
-	lin := func(center float64, frac float64) []float64 {
-		if steps < 1 {
-			return []float64{center}
-		}
-		var out []float64
-		for i := -steps; i <= steps; i++ {
-			v := center * (1 + frac*float64(i)/float64(steps))
-			if v > 0 {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	return SearchSpace{
-		Alphas:     lin(p.Alpha, 0.5),
-		Betas:      lin(p.Beta, 0.5),
-		Gammas:     lin(p.Gamma, 0.5),
-		Thresholds: lin(p.ScoreThreshold, 0.5),
-	}
-}
-
 // Size returns the number of parameter combinations in the grid.
 func (s SearchSpace) Size() int {
 	return len(s.Alphas) * len(s.Betas) * len(s.Gammas) * len(s.Thresholds)
@@ -82,11 +48,4 @@ func GridSearch(base Params, space SearchSpace, obj Objective) (Params, float64)
 		}
 	}
 	return best, bestScore
-}
-
-// TwoStageSearch runs the paper's methodology: the exponential grid
-// followed by a linear refinement around the winner.
-func TwoStageSearch(base Params, obj Objective, refineSteps int) (Params, float64) {
-	coarse, _ := GridSearch(base, ExponentialSpace(), obj)
-	return GridSearch(coarse, LinearSpaceAround(coarse, refineSteps), obj)
 }

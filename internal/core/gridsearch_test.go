@@ -8,13 +8,22 @@ import (
 	"scionmpr/internal/seg"
 )
 
+// testGrid is an exponentially spaced grid, the paper's first search
+// stage (§4.2).
+var testGrid = SearchSpace{
+	Alphas:     []float64{0.5, 1, 2, 4, 8, 16, 32},
+	Betas:      []float64{1, 2, 4, 8},
+	Gammas:     []float64{1, 2, 4, 8},
+	Thresholds: []float64{0.01, 0.05, 0.2},
+}
+
 func TestGridSearchFindsOptimum(t *testing.T) {
 	base := DefaultParams(5)
-	// Objective with a known optimum inside the exponential grid.
+	// Objective with a known optimum inside the grid.
 	obj := func(p Params) float64 {
 		return -(math.Abs(p.Alpha-4) + math.Abs(p.Beta-2) + math.Abs(p.Gamma-2) + math.Abs(p.ScoreThreshold-0.05))
 	}
-	best, score := GridSearch(base, ExponentialSpace(), obj)
+	best, score := GridSearch(base, testGrid, obj)
 	if best.Alpha != 4 || best.Beta != 2 || best.Gamma != 2 || best.ScoreThreshold != 0.05 {
 		t.Errorf("best = %+v (score %v)", best, score)
 	}
@@ -34,41 +43,12 @@ func TestGridSearchSkipsNaN(t *testing.T) {
 		}
 		return 1
 	}
-	best, score := GridSearch(base, ExponentialSpace(), obj)
+	best, score := GridSearch(base, testGrid, obj)
 	if best.Alpha != 1 || score != 1 {
 		t.Errorf("best alpha = %v score = %v", best.Alpha, score)
 	}
-	if calls != ExponentialSpace().Size() {
-		t.Errorf("calls = %d, want full grid %d", calls, ExponentialSpace().Size())
-	}
-}
-
-func TestLinearSpaceAround(t *testing.T) {
-	p := DefaultParams(5)
-	p.Alpha = 10
-	s := LinearSpaceAround(p, 2)
-	if len(s.Alphas) != 5 {
-		t.Fatalf("alphas = %v", s.Alphas)
-	}
-	for _, a := range s.Alphas {
-		if a < 5-1e-9 || a > 15+1e-9 {
-			t.Errorf("alpha %v outside +/-50%% of 10", a)
-		}
-	}
-	// Degenerate step count collapses to the center.
-	s0 := LinearSpaceAround(p, 0)
-	if len(s0.Alphas) != 1 || s0.Alphas[0] != 10 {
-		t.Errorf("zero-step space = %v", s0.Alphas)
-	}
-}
-
-func TestTwoStageSearchImproves(t *testing.T) {
-	base := DefaultParams(5)
-	obj := func(p Params) float64 { return -math.Abs(p.Alpha - 3) }
-	best, _ := TwoStageSearch(base, obj, 3)
-	// Coarse stage hits 2 or 4; refinement must get closer to 3.
-	if math.Abs(best.Alpha-3) > 1 {
-		t.Errorf("refined alpha = %v", best.Alpha)
+	if calls != testGrid.Size() {
+		t.Errorf("calls = %d, want full grid %d", calls, testGrid.Size())
 	}
 }
 

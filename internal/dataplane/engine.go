@@ -201,17 +201,6 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// ResetCounters zeroes all forwarding statistics.
-func (e *Engine) ResetCounters() {
-	for _, c := range []*atomic.Uint64{
-		&e.forwarded, &e.delivered, &e.droppedBadMAC, &e.droppedNoRoute,
-		&e.droppedTooBig, &e.revocations, &e.droppedGray,
-		&e.droppedMalformed, &e.batches, &e.batchPackets,
-	} {
-		c.Store(0)
-	}
-}
-
 // SetTelemetry registers the engine's counters as gauge funcs, under
 // engine_-prefixed names so a fabric and an engine can share one
 // registry in differential runs.

@@ -161,14 +161,6 @@ func (f *Fabric) SetLinkDelay(id topology.LinkID, d time.Duration) {
 	f.Net.SetLinkDelay(id, d)
 }
 
-// ResetCounters zeroes all forwarding statistics (e.g. after a warm-up
-// phase), mirroring sim.Network.ResetCounters on the data plane.
-func (f *Fabric) ResetCounters() {
-	f.Forwarded, f.Delivered = 0, 0
-	f.DroppedBadMAC, f.DroppedNoRoute, f.DroppedTooBig = 0, 0, 0
-	f.Revocations, f.DroppedGray = 0, 0
-}
-
 // Inject sends a packet from its source AS (HopIdx 0). The source border
 // router performs the first egress lookup immediately.
 func (f *Fabric) Inject(pkt *Packet) error {

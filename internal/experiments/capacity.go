@@ -212,15 +212,6 @@ func bgpBestPath(res *bgp.Result, topo *topology.Graph, keys dataplane.KeyFunc,
 	return dataplane.Authorize(&combinator.Path{Hops: hops, MTU: 1472}, keys)
 }
 
-// MeanMultiples returns each series' mean goodput in link multiples.
-func (r *CapacityResult) MeanMultiples() map[string]float64 {
-	out := map[string]float64{}
-	for _, s := range r.Series {
-		out[s.Name] = metrics.NewCDF(s.Multiples).Mean()
-	}
-	return out
-}
-
 // AggregateGoodput sums each series' per-pair goodput (bytes/s).
 func (r *CapacityResult) AggregateGoodput(name string) float64 {
 	for _, s := range r.Series {

@@ -135,38 +135,22 @@ func TestRunTable1(t *testing.T) {
 	if len(res.Rows) != 7 {
 		t.Fatalf("rows = %d, want 7", len(res.Rows))
 	}
-	byName := map[string]Table1Row{}
-	for _, r := range res.Rows {
-		byName[r.Component] = r
+	// Every row pinned exactly as EXPERIMENTS.md records it: scope and
+	// frequency match the paper's Table 1; messages and bytes are the
+	// measured reproduction.
+	want := []Table1Row{
+		{"Core Beaconing", "Global", "Minutes", 910, 392238},
+		{"Intra-ISD Beaconing", "ISD", "Minutes", 102, 22950},
+		{"Down-Path Segment Lookup", "Global", "Seconds", 400, 94807},
+		{"Core-Path Segment Lookup", "ISD", "Seconds", 200, 159044},
+		{"Endpoint Path Lookup", "AS", "Seconds", 200, 56300},
+		{"Path (De-)Registration", "ISD", "Minutes", 41, 24982},
+		{"Path Revocation", "ISD", "Seconds", 3, 72},
 	}
-	// Scope/frequency must match Table 1.
-	want := map[string][2]string{
-		"Core Beaconing":           {"Global", "Minutes"},
-		"Intra-ISD Beaconing":      {"ISD", "Minutes"},
-		"Down-Path Segment Lookup": {"Global", "Seconds"},
-		"Core-Path Segment Lookup": {"ISD", "Seconds"},
-		"Endpoint Path Lookup":     {"AS", "Seconds"},
-		"Path (De-)Registration":   {"ISD", "Minutes"},
-		"Path Revocation":          {"ISD", "Seconds"},
-	}
-	for name, sf := range want {
-		row, ok := byName[name]
-		if !ok {
-			t.Errorf("missing row %q", name)
-			continue
+	for i, w := range want {
+		if res.Rows[i] != w {
+			t.Errorf("row %d = %+v, want %+v", i, res.Rows[i], w)
 		}
-		if row.Scope != sf[0] || row.Frequency != sf[1] {
-			t.Errorf("%s: scope/freq = %s/%s, want %s/%s", name, row.Scope, row.Frequency, sf[0], sf[1])
-		}
-	}
-	// All beaconing and registration components must show real traffic.
-	for _, name := range []string{"Core Beaconing", "Intra-ISD Beaconing", "Path (De-)Registration", "Down-Path Segment Lookup"} {
-		if byName[name].Bytes == 0 {
-			t.Errorf("%s measured zero bytes", name)
-		}
-	}
-	if byName["Path Revocation"].Messages == 0 {
-		t.Error("revocation dropped no segments")
 	}
 	var sb strings.Builder
 	res.Print(&sb)

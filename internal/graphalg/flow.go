@@ -1,7 +1,6 @@
 // Package graphalg provides the graph algorithms behind the paper's path
 // quality evaluation: unit-capacity max-flow / min-cut (failure resilience
-// and aggregate capacity, Figures 6a/6b), breadth-first shortest paths, and
-// k-shortest-path enumeration.
+// and aggregate capacity, Figures 6a/6b), plus deterministic pair sampling.
 //
 // The paper treats the two quality metrics as duals (§5.3): the minimum
 // number of inter-AS link failures that disconnect a pair equals, by
@@ -42,13 +41,6 @@ func (f *FlowNetwork) addArc(u, v, c int) {
 	f.cap = append(f.cap, c)
 	f.next = append(f.next, f.head[u])
 	f.head[u] = len(f.to) - 1
-}
-
-// AddEdge adds a directed edge u->v with capacity c (plus its zero-capacity
-// residual reverse arc).
-func (f *FlowNetwork) AddEdge(u, v, c int) {
-	f.addArc(u, v, c)
-	f.addArc(v, u, 0)
 }
 
 // AddUndirected adds an undirected edge of capacity c: both arcs get
@@ -192,18 +184,4 @@ func UnionFlow(paths [][]PathLink, src, dst addr.IA) int {
 		net.AddUndirected(e.u, e.v, 1)
 	}
 	return net.MaxFlow(s, t)
-}
-
-// Resilience is an alias of UnionFlow named for the Figure 6a metric: the
-// minimum number of failing links that disconnect src from dst given the
-// disseminated path set.
-func Resilience(paths [][]PathLink, src, dst addr.IA) int {
-	return UnionFlow(paths, src, dst)
-}
-
-// Capacity is an alias of UnionFlow named for the Figure 6b metric: the
-// aggregate capacity between src and dst in multiples of a single inter-AS
-// link's capacity.
-func Capacity(paths [][]PathLink, src, dst addr.IA) int {
-	return UnionFlow(paths, src, dst)
 }

@@ -7,148 +7,6 @@ import (
 	"scionmpr/internal/topology"
 )
 
-// ShortestPath returns one shortest AS-level path (by hop count) from src
-// to dst as a sequence of IAs including both endpoints, or nil if dst is
-// unreachable.
-func ShortestPath(g *topology.Graph, src, dst addr.IA) []addr.IA {
-	if g.AS(src) == nil || g.AS(dst) == nil {
-		return nil
-	}
-	if src == dst {
-		return []addr.IA{src}
-	}
-	prev := map[addr.IA]addr.IA{src: src}
-	queue := []addr.IA{src}
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		for _, nb := range g.Neighbors(cur) {
-			if _, seen := prev[nb]; seen {
-				continue
-			}
-			prev[nb] = cur
-			if nb == dst {
-				return reconstruct(prev, src, dst)
-			}
-			queue = append(queue, nb)
-		}
-	}
-	return nil
-}
-
-func reconstruct(prev map[addr.IA]addr.IA, src, dst addr.IA) []addr.IA {
-	var rev []addr.IA
-	for cur := dst; ; cur = prev[cur] {
-		rev = append(rev, cur)
-		if cur == src {
-			break
-		}
-	}
-	out := make([]addr.IA, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// KShortestPaths enumerates up to k loop-free AS-level paths from src to
-// dst in non-decreasing hop-count order using a breadth-first search over
-// partial paths with loop suppression. It is used for optimum-path-set
-// baselines on small topologies; complexity grows with path diversity, so
-// maxHops bounds the search.
-func KShortestPaths(g *topology.Graph, src, dst addr.IA, k, maxHops int) [][]addr.IA {
-	if g.AS(src) == nil || g.AS(dst) == nil || k <= 0 {
-		return nil
-	}
-	type partial struct {
-		path []addr.IA
-		on   map[addr.IA]bool
-	}
-	var out [][]addr.IA
-	queue := []partial{{path: []addr.IA{src}, on: map[addr.IA]bool{src: true}}}
-	for qi := 0; qi < len(queue) && len(out) < k; qi++ {
-		p := queue[qi]
-		last := p.path[len(p.path)-1]
-		if last == dst {
-			cp := make([]addr.IA, len(p.path))
-			copy(cp, p.path)
-			out = append(out, cp)
-			continue
-		}
-		if len(p.path) > maxHops {
-			continue
-		}
-		for _, nb := range g.Neighbors(last) {
-			if p.on[nb] {
-				continue
-			}
-			np := make([]addr.IA, len(p.path)+1)
-			copy(np, p.path)
-			np[len(p.path)] = nb
-			non := make(map[addr.IA]bool, len(p.on)+1)
-			for ia := range p.on {
-				non[ia] = true
-			}
-			non[nb] = true
-			queue = append(queue, partial{path: np, on: non})
-		}
-	}
-	return out
-}
-
-// Reachable returns the set of IAs reachable from src, including src.
-func Reachable(g *topology.Graph, src addr.IA) map[addr.IA]bool {
-	seen := map[addr.IA]bool{}
-	if g.AS(src) == nil {
-		return seen
-	}
-	seen[src] = true
-	queue := []addr.IA{src}
-	for qi := 0; qi < len(queue); qi++ {
-		for _, nb := range g.Neighbors(queue[qi]) {
-			if !seen[nb] {
-				seen[nb] = true
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return seen
-}
-
-// Diameter returns the longest shortest-path hop count over sampled
-// sources (all sources if sample <= 0 or >= AS count). Sources are chosen
-// deterministically in sorted IA order.
-func Diameter(g *topology.Graph, sample int) int {
-	ias := g.IAs()
-	if sample > 0 && sample < len(ias) {
-		step := len(ias) / sample
-		var picked []addr.IA
-		for i := 0; i < len(ias); i += step {
-			picked = append(picked, ias[i])
-		}
-		ias = picked
-	}
-	max := 0
-	for _, src := range ias {
-		dist := map[addr.IA]int{src: 0}
-		queue := []addr.IA{src}
-		for qi := 0; qi < len(queue); qi++ {
-			cur := queue[qi]
-			for _, nb := range g.Neighbors(cur) {
-				if _, ok := dist[nb]; !ok {
-					dist[nb] = dist[cur] + 1
-					queue = append(queue, nb)
-				}
-			}
-		}
-		for _, d := range dist {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
 // SamplePairs deterministically selects up to n distinct (src, dst) pairs
 // from the graph's ASes, spread across the sorted IA order. It is used to
 // bound the cost of all-pairs metrics on large topologies.

@@ -17,97 +17,6 @@ func line(n int) *topology.Graph {
 	return g
 }
 
-func TestShortestPathLine(t *testing.T) {
-	g := line(5)
-	p := ShortestPath(g, ia(1, 1), ia(1, 5))
-	if len(p) != 5 {
-		t.Fatalf("path = %v, want 5 hops", p)
-	}
-	if p[0] != ia(1, 1) || p[4] != ia(1, 5) {
-		t.Errorf("endpoints wrong: %v", p)
-	}
-}
-
-func TestShortestPathEdgeCases(t *testing.T) {
-	g := line(3)
-	if p := ShortestPath(g, ia(1, 1), ia(1, 1)); len(p) != 1 {
-		t.Errorf("self path = %v", p)
-	}
-	if ShortestPath(g, ia(1, 1), ia(9, 9)) != nil {
-		t.Error("unknown dst must be nil")
-	}
-	g.AddAS(ia(1, 99), false) // isolated
-	if ShortestPath(g, ia(1, 1), ia(1, 99)) != nil {
-		t.Error("unreachable dst must be nil")
-	}
-}
-
-func TestKShortestPathsOrderAndCount(t *testing.T) {
-	// Diamond: 1-2-4 and 1-3-4 (len 3), plus 1-2-3-4 style detour via 2-3.
-	g := topology.New()
-	for i := 1; i <= 4; i++ {
-		g.AddAS(ia(1, uint64(i)), true)
-	}
-	g.MustConnect(ia(1, 1), ia(1, 2), topology.Core)
-	g.MustConnect(ia(1, 1), ia(1, 3), topology.Core)
-	g.MustConnect(ia(1, 2), ia(1, 4), topology.Core)
-	g.MustConnect(ia(1, 3), ia(1, 4), topology.Core)
-	g.MustConnect(ia(1, 2), ia(1, 3), topology.Core)
-
-	paths := KShortestPaths(g, ia(1, 1), ia(1, 4), 10, 8)
-	if len(paths) != 4 {
-		t.Fatalf("got %d paths, want 4: %v", len(paths), paths)
-	}
-	for i := 1; i < len(paths); i++ {
-		if len(paths[i]) < len(paths[i-1]) {
-			t.Errorf("paths not in length order: %v", paths)
-		}
-	}
-	// All paths loop-free.
-	for _, p := range paths {
-		seen := map[uint64]bool{}
-		for _, x := range p {
-			if seen[x.Uint64()] {
-				t.Errorf("loop in path %v", p)
-			}
-			seen[x.Uint64()] = true
-		}
-	}
-	// k truncates.
-	if got := KShortestPaths(g, ia(1, 1), ia(1, 4), 2, 8); len(got) != 2 {
-		t.Errorf("k=2 gave %d paths", len(got))
-	}
-	// maxHops truncates.
-	if got := KShortestPaths(g, ia(1, 1), ia(1, 4), 10, 2); len(got) != 2 {
-		t.Errorf("maxHops=2 gave %d paths (want only the two 2-hop paths)", len(got))
-	}
-	if KShortestPaths(g, ia(1, 1), ia(1, 4), 0, 8) != nil {
-		t.Error("k=0 must be nil")
-	}
-}
-
-func TestReachable(t *testing.T) {
-	g := line(4)
-	g.AddAS(ia(1, 99), false)
-	r := Reachable(g, ia(1, 1))
-	if len(r) != 4 || !r[ia(1, 4)] || r[ia(1, 99)] {
-		t.Errorf("reachable = %v", r)
-	}
-	if len(Reachable(g, ia(9, 9))) != 0 {
-		t.Error("unknown src must be empty")
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	g := line(6)
-	if d := Diameter(g, 0); d != 5 {
-		t.Errorf("diameter = %d, want 5", d)
-	}
-	if d := Diameter(g, 2); d < 3 || d > 5 {
-		t.Errorf("sampled diameter = %d, want within [3,5]", d)
-	}
-}
-
 func TestSamplePairs(t *testing.T) {
 	g := line(10)
 	pairs := SamplePairs(g, 8)

@@ -1,7 +1,6 @@
 // Package metrics provides the statistical helpers behind the paper's
-// figures: empirical CDFs, quantiles, geometric means, relative-overhead
-// series, and plain-text renderings of CDF curves and tables suitable for
-// terminal output and EXPERIMENTS.md.
+// figures: empirical CDFs, quantiles, and plain-text renderings of CDF
+// curves and tables suitable for terminal output and EXPERIMENTS.md.
 package metrics
 
 import (
@@ -32,9 +31,6 @@ func NewCDF(samples []float64) *CDF {
 	sort.Float64s(xs)
 	return &CDF{xs: xs}
 }
-
-// Len returns the sample count (after NaN filtering).
-func (c *CDF) Len() int { return len(c.xs) }
 
 // At returns the empirical P(X <= x). On an empty distribution every
 // probability is 0 (no sample is <= x); At(NaN) is NaN.
@@ -94,40 +90,6 @@ func (c *CDF) Mean() float64 {
 		s += x
 	}
 	return s / float64(len(c.xs))
-}
-
-// GeoMean returns the geometric mean of positive samples (zero/negative
-// samples are clamped to a small epsilon to stay defined).
-func GeoMean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range samples {
-		if x < 1e-12 {
-			x = 1e-12
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(samples)))
-}
-
-// Relative divides each element of num by the matching element of den.
-// Zero denominators yield +Inf entries, which quantiles handle naturally.
-func Relative(num, den []float64) []float64 {
-	n := len(num)
-	if len(den) < n {
-		n = len(den)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if den[i] == 0 {
-			out[i] = math.Inf(1)
-			continue
-		}
-		out[i] = num[i] / den[i]
-	}
-	return out
 }
 
 // Floats converts an integer sample set.

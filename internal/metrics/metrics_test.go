@@ -9,7 +9,7 @@ import (
 
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]float64{3, 1, 2, 4})
-	if c.Len() != 4 {
+	if len(c.xs) != 4 {
 		t.Fatal("len")
 	}
 	if got := c.At(2); got != 0.5 {
@@ -44,8 +44,8 @@ func TestCDFEmpty(t *testing.T) {
 
 func TestCDFDropsNaNSamples(t *testing.T) {
 	c := NewCDF([]float64{3, math.NaN(), 1, math.NaN(), 2})
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (NaNs dropped)", c.Len())
+	if len(c.xs) != 3 {
+		t.Fatalf("Len = %d, want 3 (NaNs dropped)", len(c.xs))
 	}
 	if c.Min() != 1 || c.Max() != 3 || c.Median() != 2 {
 		t.Errorf("min/max/median = %v/%v/%v", c.Min(), c.Max(), c.Median())
@@ -63,7 +63,7 @@ func TestCDFDropsNaNSamples(t *testing.T) {
 	}
 	// All-NaN input behaves exactly like empty input.
 	allNaN := NewCDF([]float64{math.NaN(), math.NaN()})
-	if allNaN.Len() != 0 || allNaN.At(1) != 0 || !math.IsNaN(allNaN.Quantile(0.5)) {
+	if len(allNaN.xs) != 0 || allNaN.At(1) != 0 || !math.IsNaN(allNaN.Quantile(0.5)) {
 		t.Error("all-NaN input must behave as empty")
 	}
 }
@@ -129,28 +129,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if gm := GeoMean([]float64{1, 100}); math.Abs(gm-10) > 1e-9 {
-		t.Errorf("geomean = %v", gm)
-	}
-	if !math.IsNaN(GeoMean(nil)) {
-		t.Error("empty geomean must be NaN")
-	}
-	if gm := GeoMean([]float64{0, 100}); gm <= 0 {
-		t.Error("zero-clamped geomean must stay positive")
-	}
-}
-
-func TestRelative(t *testing.T) {
-	r := Relative([]float64{10, 20, 5}, []float64{2, 0, 10})
-	if r[0] != 5 || !math.IsInf(r[1], 1) || r[2] != 0.5 {
-		t.Errorf("relative = %v", r)
-	}
-	if got := Relative([]float64{1, 2, 3}, []float64{1}); len(got) != 1 {
-		t.Error("length mismatch not truncated")
 	}
 }
 

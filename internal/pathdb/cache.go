@@ -1,7 +1,6 @@
 package pathdb
 
 import (
-	"math"
 	"math/rand"
 
 	"scionmpr/internal/addr"
@@ -61,9 +60,6 @@ func (c *Cache) Put(now sim.Time, k cacheKey, segs []*seg.PCB) {
 // Flush empties the cache (after revocations).
 func (c *Cache) Flush() { c.entries = map[cacheKey]cacheEntry{} }
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int { return len(c.entries) }
-
 // ZipfRanks draws indices in [0, n) with Zipf-distributed popularity —
 // rank 0 is the most popular. It backs both the lookup-cache workload here
 // and the traffic engine's destination-popularity model: Internet traffic
@@ -109,25 +105,4 @@ func (w *ZipfWorkload) Next() addr.IA {
 		return addr.IA{}
 	}
 	return w.dsts[w.ranks.Next()]
-}
-
-// ExpectedHitRate estimates the asymptotic cache hit rate of a Zipf(s)
-// workload over n destinations with a cache holding the c most popular
-// entries — used by the Table 1 experiment to report lookup scalability.
-func ExpectedHitRate(n, c int, s float64) float64 {
-	if n <= 0 || c <= 0 {
-		return 0
-	}
-	if c >= n {
-		return 1
-	}
-	total, top := 0.0, 0.0
-	for i := 1; i <= n; i++ {
-		p := 1 / math.Pow(float64(i), s)
-		total += p
-		if i <= c {
-			top += p
-		}
-	}
-	return top / total
 }

@@ -12,7 +12,6 @@ package pathdb
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
@@ -95,7 +94,7 @@ type Server struct {
 	// lastRevoked remembers when each link last had a revocation
 	// recorded. Unlike revoked it never lapses: it is the
 	// revocation-recency signal path-selection policies use to penalize
-	// recently flapping paths (RevocationRecency).
+	// recently flapping paths (LastRevocation).
 	lastRevoked map[seg.LinkKey]sim.Time
 
 	cache *Cache
@@ -208,6 +207,11 @@ func segLess(a, b *seg.PCB) bool {
 	return a.HopsKey() < b.HopsKey()
 }
 
+// upsert returns list with segment added or refreshed. Lookups hand
+// stored lists out and the cache keeps them, so an insertion never shifts
+// entries a reply can see: it appends past the end, which no reply
+// covers, or builds a new slice. Only a refresh writes in place, swapping
+// in the same path with a later expiry so that held replies see it too.
 func upsert(list []*seg.PCB, segment *seg.PCB) []*seg.PCB {
 	key := segment.HopsKey()
 	for i, old := range list {
@@ -220,21 +224,25 @@ func upsert(list []*seg.PCB, segment *seg.PCB) []*seg.PCB {
 		}
 	}
 	i := sort.Search(len(list), func(i int) bool { return !segLess(list[i], segment) })
-	list = append(list, nil)
-	copy(list[i+1:], list[i:])
-	list[i] = segment
-	return list
+	if i == len(list) {
+		return append(list, segment)
+	}
+	out := make([]*seg.PCB, 0, len(list)+1)
+	out = append(append(append(out, list[:i]...), segment), list[i:]...)
+	return out
 }
 
 // Deregister removes a previously registered down-segment by its path
-// identity (paper: path de-registration, an intra-ISD operation).
+// identity (paper: path de-registration, an intra-ISD operation) and
+// evicts cached replies. Like upsert, it leaves the old list untouched.
 func (s *Server) Deregister(segment *seg.PCB) bool {
 	dst := segment.Leaf()
 	key := segment.HopsKey()
 	list := s.down[dst]
 	for i, old := range list {
 		if old.HopsKey() == key {
-			s.down[dst] = append(list[:i], list[i+1:]...)
+			s.down[dst] = append(list[:i:i], list[i+1:]...)
+			s.cache.Flush()
 			s.Deregistrations++
 			s.cDereg.Inc()
 			return true
@@ -284,8 +292,8 @@ func (s *Server) LookupUp(now sim.Time) []*seg.PCB {
 	return s.live(now, s.up)
 }
 
-// live filters like valid and additionally hides segments that traverse
-// an actively revoked link. Stored lists are maintained in segLess order
+// live hides expired segments and segments that traverse an actively
+// revoked link. Stored lists are maintained in segLess order
 // (see upsert), so when nothing needs filtering the stored slice is
 // returned directly — the common case allocates and sorts nothing.
 // Callers must treat the reply as read-only.
@@ -347,36 +355,13 @@ func (s *Server) expireRevocations(now sim.Time) {
 	s.cache.Flush()
 }
 
-// RevokedActive reports whether link is under an unexpired revocation.
-func (s *Server) RevokedActive(now sim.Time, link seg.LinkKey) bool {
-	exp, ok := s.revoked[link]
-	return ok && now < exp
-}
-
 // LastRevocation returns when the server most recently recorded a
 // revocation for the link (via RevokeFor), and whether it ever has. The
 // record is permanent — it reports history, not whether the revocation
-// is still active (use RevokedActive for that).
+// is still active.
 func (s *Server) LastRevocation(link seg.LinkKey) (sim.Time, bool) {
 	t, ok := s.lastRevoked[link]
 	return t, ok
-}
-
-// RevocationRecency returns the time since the most recent revocation
-// the server ever recorded on any of the links — the per-path
-// revocation-recency signal for path-selection policies. Negative means
-// no revocation was ever recorded on any of them.
-func (s *Server) RevocationRecency(now sim.Time, links []seg.LinkKey) time.Duration {
-	latest := sim.Time(-1)
-	for _, lk := range links {
-		if t, ok := s.lastRevoked[lk]; ok && t > latest {
-			latest = t
-		}
-	}
-	if latest < 0 {
-		return -1
-	}
-	return time.Duration(now - latest)
 }
 
 // RevokeFor places link under a timed revocation: segments over it are

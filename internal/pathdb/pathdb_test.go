@@ -116,6 +116,39 @@ func TestDeregister(t *testing.T) {
 	}
 }
 
+// TestRepliesAreNeverEdited pins that the server never edits a list it
+// has handed out: deregistering each segment while ranging over a lookup
+// reply removes all of them, and a reply held across later registrations
+// keeps its contents.
+func TestRepliesAreNeverEdited(t *testing.T) {
+	s := NewServer(core1, true, hour)
+	for _, mid := range []uint64{20, 21, 22} {
+		if err := s.RegisterDown(0, mkSeg(t, core1, 0, 10, mid, 30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sg := range s.LookupDown(0, leafA) {
+		if !s.Deregister(sg) {
+			t.Errorf("deregister %v failed", sg)
+		}
+	}
+	if got := s.LookupDown(0, leafA); len(got) != 0 {
+		t.Errorf("lookup after deregistering every segment = %v", keysOf(got))
+	}
+
+	for _, mid := range []uint64{20, 21, 22} {
+		s.RegisterDown(0, mkSeg(t, core1, 0, 10, mid, 30))
+	}
+	s.Deregister(mkSeg(t, core1, 0, 10, 20, 30))
+	held := s.LookupDown(0, leafA)
+	want := keysOf(held)
+	s.RegisterDown(0, mkSeg(t, core1, 0, 10, 30)) // shorter: sorts first
+	s.RegisterDown(0, mkSeg(t, core1, 0, 10, 20, 30))
+	if got := keysOf(held); !sameKeys(got, want) {
+		t.Errorf("held reply changed under registration: %v, want %v", got, want)
+	}
+}
+
 func TestLookupFiltersExpired(t *testing.T) {
 	s := NewServer(core1, true, 0)
 	s.RegisterDown(0, mkSeg(t, core1, 0, 10, 20, 30))
@@ -259,7 +292,7 @@ func TestRevokeForReinstatementOrdering(t *testing.T) {
 	if n := s.RevokeFor(0, link, hour); n != 2 {
 		t.Fatalf("RevokeFor hid %d segments, want 2", n)
 	}
-	if !s.RevokedActive(30*sim.Time(time.Minute), link) {
+	if !revokedActive(s, 30*sim.Time(time.Minute), link) {
 		t.Error("revocation must be active before its TTL")
 	}
 	hidden := s.LookupDown(30*sim.Time(time.Minute), leafA)
@@ -274,7 +307,7 @@ func TestRevokeForReinstatementOrdering(t *testing.T) {
 	if !sameKeys(before, after) {
 		t.Errorf("reinstated reply %v != original %v", after, before)
 	}
-	if s.RevokedActive(hour+1, link) {
+	if revokedActive(s, hour+1, link) {
 		t.Error("revocation still active after TTL")
 	}
 	if s.Registrations != 3 {
@@ -339,7 +372,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Error("disabled cache returned a hit")
 	}
 	c.Put(0, cacheKey{typ: Down, dst: leafA}, nil)
-	if c.Len() != 0 {
+	if len(c.entries) != 0 {
 		t.Error("disabled cache stored an entry")
 	}
 }
@@ -365,23 +398,15 @@ func TestZipfWorkload(t *testing.T) {
 	}
 }
 
-func TestExpectedHitRate(t *testing.T) {
-	if hr := ExpectedHitRate(1000, 1000, 1.2); hr != 1 {
-		t.Errorf("full cache hit rate = %v", hr)
-	}
-	if hr := ExpectedHitRate(1000, 0, 1.2); hr != 0 {
-		t.Errorf("no cache hit rate = %v", hr)
-	}
-	small := ExpectedHitRate(1000, 10, 1.2)
-	big := ExpectedHitRate(1000, 100, 1.2)
-	if !(0 < small && small < big && big < 1) {
-		t.Errorf("hit rate monotonicity broken: %v vs %v", small, big)
-	}
+// revokedActive reports whether a revocation on link is in force at now.
+func revokedActive(s *Server, now sim.Time, link seg.LinkKey) bool {
+	exp, ok := s.revoked[link]
+	return ok && now < exp
 }
 
 // TestRevocationRecency pins the path-selection recency signal: the
 // record is permanent history, independent of whether the revocation is
-// still active, and the most recent revocation across the links wins.
+// still active, and a later revocation of the same link replaces it.
 func TestRevocationRecency(t *testing.T) {
 	s := NewServer(core1, true, hour)
 	linkA := seg.LinkKey{IA: addr.MustIA(1, 20), If: 2}
@@ -390,28 +415,22 @@ func TestRevocationRecency(t *testing.T) {
 	if _, ok := s.LastRevocation(linkA); ok {
 		t.Error("LastRevocation reported a record before any revocation")
 	}
-	if got := s.RevocationRecency(10, []seg.LinkKey{linkA, linkB}); got >= 0 {
-		t.Errorf("recency with no history = %v, want negative", got)
-	}
-
 	s.RevokeFor(5, linkA, sim.Time(time.Second))
 	s.RevokeFor(8, linkB, sim.Time(time.Second))
 	if at, ok := s.LastRevocation(linkA); !ok || at != 5 {
 		t.Errorf("LastRevocation(linkA) = %v, %v, want 5, true", at, ok)
 	}
-	// The newest revocation across the path's links dominates.
-	if got := s.RevocationRecency(10, []seg.LinkKey{linkA, linkB}); got != 2 {
-		t.Errorf("recency = %v, want 2", got)
-	}
 	// History outlives the revocation TTL.
 	later := sim.Time(time.Minute)
-	if s.RevokedActive(later, linkB) {
+	s.LookupDown(later, leafA)
+	if revokedActive(s, later, linkB) {
 		t.Error("revocation still active past its TTL")
 	}
-	if got := s.RevocationRecency(later, []seg.LinkKey{linkB}); got != time.Duration(later-8) {
-		t.Errorf("recency after lapse = %v, want %v", got, time.Duration(later-8))
+	if at, ok := s.LastRevocation(linkB); !ok || at != 8 {
+		t.Errorf("LastRevocation(linkB) after lapse = %v, %v, want 8, true", at, ok)
 	}
-	if got := s.RevocationRecency(later, nil); got >= 0 {
-		t.Errorf("recency over no links = %v, want negative", got)
+	s.RevokeFor(later, linkB, sim.Time(time.Second))
+	if at, _ := s.LastRevocation(linkB); at != later {
+		t.Errorf("LastRevocation(linkB) after a new revocation = %v, want %v", at, later)
 	}
 }

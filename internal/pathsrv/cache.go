@@ -177,6 +177,3 @@ func (c *Cache) maybeSweep(now sim.Time) {
 	}
 	c.nextDead = next
 }
-
-// Len returns the number of cached pairs.
-func (c *Cache) Len() int { return len(c.entries) }

@@ -501,6 +501,3 @@ func (p *Pool) Totals() PoolTotals {
 	}
 	return t
 }
-
-// Actors returns the actor count actually in use.
-func (p *Pool) Actors() int { return len(p.actors) }

@@ -200,7 +200,7 @@ func TestPoolValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Actors() != 1 {
-		t.Errorf("actors = %d, want clamped to 1", p.Actors())
+	if len(p.actors) != 1 {
+		t.Errorf("actors = %d, want clamped to 1", len(p.actors))
 	}
 }

@@ -752,11 +752,6 @@ func sortedLinks[V any](m map[seg.LinkKey]V) []seg.LinkKey {
 	return keys
 }
 
-// AttachClock re-attaches a simulator to a recovered service so trace
-// emission resumes (WAL replay runs clockless to avoid re-emitting the
-// journaled mutations' trace events). Writer context only.
-func (s *Service) AttachClock(clock *sim.Simulator) { s.clock = clock }
-
 // adoptCaches re-registers client caches on a recovered service: the
 // caches survive the crash (they live with the clients), the service
 // they were registered with did not.

@@ -236,14 +236,14 @@ func TestCacheInvalidationIsPrecise(t *testing.T) {
 	svc.Publish(0)
 	cache.Lookup(0, svc, core1, leafA)
 	cache.Lookup(0, svc, core1, leafB)
-	if cache.Len() != 2 {
-		t.Fatalf("cache len = %d", cache.Len())
+	if len(cache.entries) != 2 {
+		t.Fatalf("cache len = %d", len(cache.entries))
 	}
 
 	svc.RevokeLink(0, seg.LinkKey{IA: addr.MustIA(1, 20), If: 2}, hour)
 	// Only pair A's entry may be evicted.
-	if cache.Len() != 1 {
-		t.Fatalf("cache len after revoke = %d, want 1", cache.Len())
+	if len(cache.entries) != 1 {
+		t.Fatalf("cache len after revoke = %d, want 1", len(cache.entries))
 	}
 	if _, hit := cache.Lookup(0, svc, core1, leafB); !hit {
 		t.Error("untouched pair was invalidated")
@@ -294,8 +294,8 @@ func TestCacheCapSheds(t *testing.T) {
 	cache.Lookup(0, svc, core1, addr.MustIA(1, 30))
 	cache.Lookup(0, svc, core1, addr.MustIA(1, 31))
 	cache.Lookup(0, svc, core1, addr.MustIA(1, 32)) // over cap: shed all, insert one
-	if cache.Len() != 1 {
-		t.Fatalf("cache len = %d, want 1 after shedding", cache.Len())
+	if len(cache.entries) != 1 {
+		t.Fatalf("cache len = %d, want 1 after shedding", len(cache.entries))
 	}
 }
 
@@ -305,7 +305,7 @@ func TestNegativeRepliesNotCached(t *testing.T) {
 	if _, hit := cache.Lookup(0, svc, core1, leafA); hit {
 		t.Fatal("miss reported as hit")
 	}
-	if cache.Len() != 0 {
+	if len(cache.entries) != 0 {
 		t.Fatal("empty reply cached")
 	}
 	// Once the pair is published the cache must see it immediately.

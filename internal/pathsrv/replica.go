@@ -1,7 +1,6 @@
 package pathsrv
 
 import (
-	"fmt"
 	"time"
 
 	"scionmpr/internal/addr"
@@ -294,13 +293,6 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	return f
 }
 
-// NumShards returns the per-replica destination shard count.
-func (f *Fleet) NumShards() int { return f.proto.NumShards() }
-
-// ShardOf maps a destination IA to its shard — a pure function, valid
-// even while replicas are down.
-func (f *Fleet) ShardOf(dst addr.IA) uint32 { return f.proto.ShardOf(dst) }
-
 // trace emits a fleet lifecycle event (serial context only).
 func (f *Fleet) trace(kind telemetry.EventKind, actor, subject, aux uint64) {
 	if f.clock == nil {
@@ -319,17 +311,6 @@ func (f *Fleet) Replica(i int) *Replica { return f.reps[i] }
 
 // Replicas returns the replica slice (do not mutate).
 func (f *Fleet) Replicas() []*Replica { return f.reps }
-
-// Up counts currently running replicas.
-func (f *Fleet) Up() int {
-	n := 0
-	for _, r := range f.reps {
-		if !r.down {
-			n++
-		}
-	}
-	return n
-}
 
 // Crash implements chaos.CrashTarget: a CrashAS event addressed to a
 // replica's synthetic IA kills that replica. Unknown IAs (beacon-server
@@ -380,15 +361,4 @@ func (f *Fleet) Publish(now sim.Time) {
 	for _, r := range f.reps {
 		r.Publish(now)
 	}
-}
-
-// Summary renders fleet health deterministically.
-func (f *Fleet) Summary() string {
-	crashes, recoveries := uint64(0), uint64(0)
-	for _, r := range f.reps {
-		crashes += r.Crashes
-		recoveries += r.Recoveries
-	}
-	return fmt.Sprintf("fleet: replicas=%d up=%d crashes=%d recoveries=%d antientropy_rounds=%d pulls=%d shards=%d",
-		len(f.reps), f.Up(), crashes, recoveries, f.Rounds, f.Pulls, f.PulledShards)
 }

@@ -71,8 +71,8 @@ func tracedTwins(a, b *Service) (ta, tb *telemetry.Tracer) {
 	ca, cb := &sim.Simulator{}, &sim.Simulator{}
 	ca.SetTracer(ta)
 	cb.SetTracer(tb)
-	a.AttachClock(ca)
-	b.AttachClock(cb)
+	a.clock = ca
+	b.clock = cb
 	return ta, tb
 }
 

@@ -121,23 +121,6 @@ func (p *PCB) Reinit(segID uint16, now sim.Time, lifetime sim.Time) {
 	p.Info.Expiry = now + lifetime
 }
 
-// Clone deep-copies the PCB so each neighbor propagation can extend its
-// own copy.
-func (p *PCB) Clone() *PCB {
-	c := &PCB{Info: p.Info, ASEntries: make([]ASEntry, len(p.ASEntries)),
-		hopsKey: p.hopsKey, links: p.links}
-	copy(c.ASEntries, p.ASEntries)
-	for i := range c.ASEntries {
-		if p.ASEntries[i].Peers != nil {
-			c.ASEntries[i].Peers = append([]PeerEntry(nil), p.ASEntries[i].Peers...)
-		}
-		if p.ASEntries[i].Signature != nil {
-			c.ASEntries[i].Signature = append([]byte(nil), p.ASEntries[i].Signature...)
-		}
-	}
-	return c
-}
-
 // WireLen is the exact encoded size in bytes.
 func (p *PCB) WireLen() int {
 	n := infoFieldLen + 1
@@ -280,7 +263,7 @@ var encBuf = sync.Pool{New: func() interface{} { return new([]byte) }}
 //
 // The returned beacon shares the receiver's per-entry Peers and
 // Signature slices — safe because a built PCB is immutable (see the type
-// comment); use Clone for a fully independent copy.
+// comment).
 func (p *PCB) Extend(signer trust.Signer, next addr.IA, ingress, egress addr.IfID, peers []PeerEntry, mtu uint16) (*PCB, error) {
 	return p.extendInto(nil, signer, next, ingress, egress, peers, mtu)
 }

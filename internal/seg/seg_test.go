@@ -275,6 +275,22 @@ func TestContainsASAndLeaf(t *testing.T) {
 	}
 }
 
+// Clone deep-copies the PCB so a test can tamper with its own copy.
+func (p *PCB) Clone() *PCB {
+	c := &PCB{Info: p.Info, ASEntries: make([]ASEntry, len(p.ASEntries)),
+		hopsKey: p.hopsKey, links: p.links}
+	copy(c.ASEntries, p.ASEntries)
+	for i := range c.ASEntries {
+		if p.ASEntries[i].Peers != nil {
+			c.ASEntries[i].Peers = append([]PeerEntry(nil), p.ASEntries[i].Peers...)
+		}
+		if p.ASEntries[i].Signature != nil {
+			c.ASEntries[i].Signature = append([]byte(nil), p.ASEntries[i].Signature...)
+		}
+	}
+	return c
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	inf := infra(t)
 	p := buildPCB(t, inf)

@@ -55,9 +55,6 @@ func (m *ASMap) Lookup(ip netip.Addr) (addr.IA, bool) {
 	return addr.IA{}, false
 }
 
-// Len returns the number of mappings.
-func (m *ASMap) Len() int { return len(m.entries) }
-
 // IPPacket is a legacy IP packet entering or leaving the SCION network.
 type IPPacket struct {
 	Src, Dst netip.Addr

@@ -35,8 +35,8 @@ func TestASMapLongestPrefix(t *testing.T) {
 	if _, ok := m.Lookup(netip.MustParseAddr("192.168.1.1")); ok {
 		t.Error("unmapped address resolved")
 	}
-	if m.Len() != 2 {
-		t.Errorf("len = %d", m.Len())
+	if len(m.entries) != 2 {
+		t.Errorf("len = %d", len(m.entries))
 	}
 }
 

@@ -65,7 +65,10 @@ func roundRobinMakespan(groups []shardGroup, weight func(uint32) uint32, workers
 func TestLPTOrderingBeatsRoundRobin(t *testing.T) {
 	p := topology.DefaultGenParams()
 	p.NumASes = 1000
-	topo := topology.MustGenerate(p)
+	topo, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// One group per AS with a single event — the shape of every tick
 	// segment — built in registration order, exactly as EnableSharding

@@ -265,9 +265,6 @@ func (s *Simulator) Now() Time { return s.now }
 // order regardless of worker count.
 func (s *Simulator) SetTracer(t *telemetry.Tracer) { s.tracer = t }
 
-// Tracer returns the attached tracer (nil when tracing is disabled).
-func (s *Simulator) Tracer() *telemetry.Tracer { return s.tracer }
-
 // Trace records a telemetry trace event, stamping ev.Time from the
 // virtual clock. From serial context the event goes straight to the
 // ring; from parallel execution it is staged on the calling actor's
@@ -368,24 +365,6 @@ func (s *Simulator) Restore(now Time, executed uint64) {
 	s.now = now
 	s.Executed = executed
 }
-
-// Checkpoint is the simulator core's own snapshot. Pending events are
-// closures and deliberately not part of it: layers above (the beacon
-// runner) re-create their event population on resume, which is also what
-// keeps the format small and version-stable.
-type Checkpoint struct {
-	Now      Time
-	Executed uint64
-}
-
-// Checkpoint captures the simulator core's state. Take it from a
-// BeforeStep hook so no same-timestamp event has partially executed.
-func (s *Simulator) Checkpoint() Checkpoint {
-	return Checkpoint{Now: s.now, Executed: s.Executed}
-}
-
-// Resume is Restore from a Checkpoint.
-func (s *Simulator) Resume(c Checkpoint) { s.Restore(c.Now, c.Executed) }
 
 // SetWorkers sets the parallel worker count: 1 forces sequential
 // execution, n > 1 runs same-timestamp sharded events on up to n

@@ -19,8 +19,8 @@ func TestTraceParallelMatchesSequential(t *testing.T) {
 		s.SetWorkers(workers)
 		tr := telemetry.NewTracer(1 << 10)
 		s.SetTracer(tr)
-		if s.Tracer() != tr {
-			t.Fatal("Tracer() accessor")
+		if s.tracer != tr {
+			t.Fatal("SetTracer did not attach the tracer")
 		}
 		sh1, sh2 := s.NewShard(), s.NewShard()
 		at := Time(time.Second)

@@ -181,7 +181,7 @@ func checkMonotonicity(scorer func([]PathView) []float64, w HybridWeights, paths
 }
 
 func TestHybridMonotonicityAxiom(t *testing.T) {
-	h := NewHybrid()
+	h := &Hybrid{W: DefaultHybridWeights()}
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 5000; trial++ {
 		paths := randomPathSet(rng)
@@ -370,7 +370,7 @@ func runHybridChecks(scorer func([]PathView) []float64, w HybridWeights) error {
 func TestHybridMutationValidation(t *testing.T) {
 	w := DefaultHybridWeights()
 	// Sanity: the real scorer survives the full battery.
-	if err := runHybridChecks(NewHybrid().Scores, w); err != nil {
+	if err := runHybridChecks((&Hybrid{W: DefaultHybridWeights()}).Scores, w); err != nil {
 		t.Fatalf("real scorer failed its own battery: %v", err)
 	}
 	for _, m := range hybridMutants() {
@@ -464,4 +464,20 @@ func TestDisjointMutationValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Scores returns every path's score under the policy's weights, in path
+// order (revoked paths score 0 and are never picked): the axiom checks'
+// view of what Pick maximizes.
+func (h *Hybrid) Scores(paths []PathView) []float64 {
+	w := h.weights()
+	n := hybridNormalize(paths)
+	out := make([]float64, len(paths))
+	for i, p := range paths {
+		if !p.usable() {
+			continue
+		}
+		out[i] = w.score(p, n)
+	}
+	return out
 }

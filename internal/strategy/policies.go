@@ -236,9 +236,6 @@ type Hybrid struct {
 	scores []float64 // per-Pick scratch, reused to keep Pick 0-alloc
 }
 
-// NewHybrid builds a Hybrid with the default weights.
-func NewHybrid() *Hybrid { return &Hybrid{W: DefaultHybridWeights()} }
-
 // Name implements Policy.
 func (*Hybrid) Name() string { return "hybrid" }
 
@@ -298,22 +295,6 @@ func (h *Hybrid) weights() HybridWeights {
 		return DefaultHybridWeights()
 	}
 	return h.W
-}
-
-// Scores returns every path's score under the policy's weights, in path
-// order (revoked paths score 0 and are never picked). It allocates and is
-// meant for tests and offline analysis; Pick uses internal scratch.
-func (h *Hybrid) Scores(paths []PathView) []float64 {
-	w := h.weights()
-	n := hybridNormalize(paths)
-	out := make([]float64, len(paths))
-	for i, p := range paths {
-		if !p.usable() {
-			continue
-		}
-		out[i] = w.score(p, n)
-	}
-	return out
 }
 
 // Pick implements Policy.

@@ -128,7 +128,7 @@ func TestDisjointMaxPick(t *testing.T) {
 }
 
 func TestHybridPick(t *testing.T) {
-	h := NewHybrid()
+	h := &Hybrid{W: DefaultHybridWeights()}
 	// The dominant path (more capacity, less of everything bad) wins.
 	paths := []PathView{
 		{Hops: 4, Delay: 20 * time.Millisecond, Bottleneck: 1e8, Links: 4, RevokedAge: -1},
@@ -158,7 +158,7 @@ func TestHybridPick(t *testing.T) {
 }
 
 func TestHybridScoresMatchPick(t *testing.T) {
-	h := NewHybrid()
+	h := &Hybrid{W: DefaultHybridWeights()}
 	paths := []PathView{
 		{Hops: 3, Delay: 15 * time.Millisecond, Bottleneck: 1e8, Links: 3, Loss: 0.1, Shared: 1, RevokedAge: -1},
 		{Hops: 5, Delay: 25 * time.Millisecond, Bottleneck: 3e8, Links: 5, Shared: 0, RevokedAge: -1},

@@ -64,9 +64,8 @@ func (c *Cell) Inc() { c.Add(1) }
 
 // Counter is a monotonically increasing sum over per-shard cells.
 type Counter struct {
-	name     string
-	volatile bool
-	cells    []*Cell
+	name  string
+	cells []*Cell
 }
 
 // Cell returns (allocating if needed) the counter's cell for a shard.
@@ -86,18 +85,6 @@ func (c *Counter) Cell(shard uint32) *Cell {
 	return c.cells[shard]
 }
 
-// Add increments the serial (shard 0) cell. Convenience for code that
-// always runs in serial context.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.Cell(0).Add(n)
-}
-
-// Inc increments the serial cell by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value sums all cells. Call from serial context only.
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -112,12 +99,12 @@ func (c *Counter) Value() uint64 {
 	return sum
 }
 
-// Gauge is a settable value. Unlike counters, gauges have no shard
-// cells: set them from serial context only.
+// Gauge is a settable wall-clock-dependent value, excluded from the
+// deterministic snapshot. Unlike counters, gauges have no shard cells:
+// set them from serial context only.
 type Gauge struct {
-	name     string
-	volatile bool
-	v        float64
+	name string
+	v    float64
 }
 
 // Set stores the gauge value. No-op on a nil gauge.
@@ -126,14 +113,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.v = v
-}
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // HistCell is one shard's slot of a Histogram: per-bucket counts plus
@@ -301,37 +280,27 @@ func NewRegistry() *Registry {
 // Counter returns the deterministic counter with the given name,
 // creating it on first use. Names may carry a static Prometheus-style
 // label suffix, e.g. `beacon_rejected_total{reason="loop"}`.
-func (r *Registry) Counter(name string) *Counter { return r.counter(name, false) }
-
-// VolatileCounter is Counter for wall-clock-dependent values, excluded
-// from the deterministic snapshot.
-func (r *Registry) VolatileCounter(name string) *Counter { return r.counter(name, true) }
-
-func (r *Registry) counter(name string, volatile bool) *Counter {
+func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
 	c := r.counters[name]
 	if c == nil {
-		c = &Counter{name: name, volatile: volatile}
+		c = &Counter{name: name}
 		r.counters[name] = c
 	}
 	return c
 }
 
-// Gauge returns the deterministic gauge with the given name.
-func (r *Registry) Gauge(name string) *Gauge { return r.gauge(name, false) }
-
-// VolatileGauge is Gauge for wall-clock-dependent values.
-func (r *Registry) VolatileGauge(name string) *Gauge { return r.gauge(name, true) }
-
-func (r *Registry) gauge(name string, volatile bool) *Gauge {
+// VolatileGauge returns the gauge with the given name, creating it on
+// first use.
+func (r *Registry) VolatileGauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
 	g := r.gauges[name]
 	if g == nil {
-		g = &Gauge{name: name, volatile: volatile}
+		g = &Gauge{name: name}
 		r.gauges[name] = g
 	}
 	return g
@@ -423,10 +392,10 @@ func (r *Registry) lines() []snapshotLine {
 	}
 	var out []snapshotLine
 	for _, c := range r.counters {
-		out = append(out, snapshotLine{c.name, strconv.FormatUint(c.Value(), 10), c.volatile, "counter"})
+		out = append(out, snapshotLine{c.name, strconv.FormatUint(c.Value(), 10), false, "counter"})
 	}
 	for _, g := range r.gauges {
-		out = append(out, snapshotLine{g.name, fmtFloat(g.v), g.volatile, "gauge"})
+		out = append(out, snapshotLine{g.name, fmtFloat(g.v), true, "gauge"})
 	}
 	for _, g := range r.gaugeFuncs {
 		out = append(out, snapshotLine{g.name, fmtFloat(g.value()), g.volatile, "gauge"})

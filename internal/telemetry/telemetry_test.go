@@ -11,16 +11,15 @@ import (
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total")
-	c.Inc()
-	c.Add(5)
+	c.Cell(0).Add(5)
 	c.Cell(3).Add(7)
 	if got := c.Value(); got != 0 {
 		t.Fatalf("nil counter Value = %d, want 0", got)
 	}
-	g := r.Gauge("g")
+	g := r.VolatileGauge("g")
 	g.Set(3)
-	if got := g.Value(); got != 0 {
-		t.Fatalf("nil gauge Value = %g, want 0", got)
+	if g != nil {
+		t.Fatal("nil registry returned a gauge")
 	}
 	r.GaugeFunc("f", func() float64 { return 1 })
 	h := r.Histogram("h", ExpBuckets(1, 2, 4))
@@ -94,9 +93,7 @@ func TestGaugeFuncSumsDuplicates(t *testing.T) {
 
 func TestSnapshotExcludesVolatile(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("det_total").Add(1)
-	r.VolatileCounter("wall_total").Add(2)
-	r.Gauge("det_g").Set(3)
+	r.Counter("det_total").Cell(0).Add(1)
 	r.VolatileGauge("wall_g").Set(4)
 	r.VolatileGaugeFunc("wall_f", func() float64 { return 5 })
 
@@ -104,7 +101,7 @@ func TestSnapshotExcludesVolatile(t *testing.T) {
 	if err := r.WriteSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	want := "det_g 3\ndet_total 1\n"
+	want := "det_total 1\n"
 	if snap.String() != want {
 		t.Fatalf("snapshot = %q, want %q", snap.String(), want)
 	}
@@ -113,7 +110,7 @@ func TestSnapshotExcludesVolatile(t *testing.T) {
 	if err := r.WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"det_total", "wall_total", "det_g", "wall_g", "wall_f"} {
+	for _, name := range []string{"det_total", "wall_g", "wall_f"} {
 		if !strings.Contains(prom.String(), name) {
 			t.Fatalf("prom output missing %s:\n%s", name, prom.String())
 		}
@@ -127,7 +124,7 @@ func TestSnapshotStableAcrossInsertionOrder(t *testing.T) {
 	build := func(names []string) string {
 		r := NewRegistry()
 		for i, n := range names {
-			r.Counter(n).Add(uint64(i + 1))
+			r.Counter(n).Cell(0).Add(uint64(i + 1))
 		}
 		var buf bytes.Buffer
 		r.WriteSnapshot(&buf)
@@ -136,9 +133,9 @@ func TestSnapshotStableAcrossInsertionOrder(t *testing.T) {
 	a := build([]string{"a_total", "b_total", "c_total"})
 	// Same values registered in reverse order must render identically.
 	r := NewRegistry()
-	r.Counter("c_total").Add(3)
-	r.Counter("b_total").Add(2)
-	r.Counter("a_total").Add(1)
+	r.Counter("c_total").Cell(0).Add(3)
+	r.Counter("b_total").Cell(0).Add(2)
+	r.Counter("a_total").Cell(0).Add(1)
 	var buf bytes.Buffer
 	r.WriteSnapshot(&buf)
 	if a != buf.String() {
@@ -169,8 +166,8 @@ dur_seconds_sum{mode="core"} 55.5
 
 func TestWriteJSONIsValid(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(`c_total{reason="a\b"}`).Add(1)
-	r.Gauge("g").Set(2.5)
+	r.Counter(`c_total{reason="a\b"}`).Cell(0).Add(1)
+	r.VolatileGauge("g").Set(2.5)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -232,7 +229,7 @@ func TestStages(t *testing.T) {
 
 func TestServe(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("served_total").Add(42)
+	r.Counter("served_total").Cell(0).Add(42)
 	tr := NewTracer(8)
 	tr.Emit(Event{Kind: BeaconOriginated, Actor: 1})
 	addr, err := Serve("127.0.0.1:0", r, tr)

@@ -378,8 +378,6 @@ type Tracer struct {
 	// Dropped counts events discarded after the ring wrapped. Total
 	// emitted is Dropped + len(Events()).
 	Dropped uint64
-	// mask selects which kinds are recorded; default all.
-	mask [numEventKinds]bool
 }
 
 // NewTracer creates a tracer retaining the most recent capacity events.
@@ -387,31 +385,12 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	t := &Tracer{ring: make([]Event, 0, capacity)}
-	for i := range t.mask {
-		t.mask[i] = true
-	}
-	return t
-}
-
-// Only restricts the tracer to the given kinds (all others dropped
-// silently, not counted in Dropped).
-func (t *Tracer) Only(kinds ...EventKind) *Tracer {
-	if t == nil {
-		return nil
-	}
-	for i := range t.mask {
-		t.mask[i] = false
-	}
-	for _, k := range kinds {
-		t.mask[k] = true
-	}
-	return t
+	return &Tracer{ring: make([]Event, 0, capacity)}
 }
 
 // Emit records an event. Serial context only; no-op on a nil tracer.
 func (t *Tracer) Emit(e Event) {
-	if t == nil || !t.mask[e.Kind] {
+	if t == nil {
 		return
 	}
 	if len(t.ring) < cap(t.ring) {

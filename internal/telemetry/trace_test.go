@@ -114,21 +114,6 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
-func TestTracerOnly(t *testing.T) {
-	tr := NewTracer(8).Only(FaultApplied, FaultHealed)
-	tr.Emit(Event{Kind: BeaconOriginated})
-	tr.Emit(Event{Kind: FaultApplied})
-	tr.Emit(Event{Kind: FlowSwitch})
-	tr.Emit(Event{Kind: FaultHealed})
-	evs := tr.Events()
-	if len(evs) != 2 || evs[0].Kind != FaultApplied || evs[1].Kind != FaultHealed {
-		t.Fatalf("filtered events = %+v", evs)
-	}
-	if tr.Dropped != 0 {
-		t.Fatalf("masked events must not count as dropped, got %d", tr.Dropped)
-	}
-}
-
 func TestNilTracer(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{Kind: BeaconOriginated})
@@ -138,9 +123,6 @@ func TestNilTracer(t *testing.T) {
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil tracer WriteJSONL = %q, %v", buf.String(), err)
-	}
-	if tr.Only(FaultApplied) != nil {
-		t.Fatal("nil tracer Only must stay nil")
 	}
 }
 

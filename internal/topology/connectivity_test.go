@@ -4,9 +4,23 @@ import (
 	"testing"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/graphalg"
 	"scionmpr/internal/topology"
 )
+
+// reachable returns the set of ASes reachable from src over any link,
+// ignoring routing policy.
+func reachable(g *topology.Graph, src addr.IA) map[addr.IA]bool {
+	seen := map[addr.IA]bool{src: true}
+	for queue := []addr.IA{src}; len(queue) > 0; queue = queue[1:] {
+		for _, nb := range g.Neighbors(queue[0]) {
+			if !seen[nb] {
+				seen[nb] = true
+				queue = append(queue, nb)
+			}
+		}
+	}
+	return seen
+}
 
 // Structural properties of generated topologies that the experiments
 // rely on, checked across seeds.
@@ -16,11 +30,14 @@ func TestGeneratedTopologyConnectivity(t *testing.T) {
 		p.NumASes = 300
 		p.Tier1 = 8
 		p.Seed = seed
-		g := topology.MustGenerate(p)
+		g, err := topology.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		// The whole Internet is one connected component (everyone buys
 		// transit that chains up to the tier-1 clique).
-		reach := graphalg.Reachable(g, addr.IA{ISD: 1, AS: 1})
+		reach := reachable(g, addr.IA{ISD: 1, AS: 1})
 		if len(reach) != g.NumASes() {
 			t.Errorf("seed %d: only %d of %d ASes reachable", seed, len(reach), g.NumASes())
 		}
@@ -32,7 +49,7 @@ func TestGeneratedTopologyConnectivity(t *testing.T) {
 			t.Fatal(err)
 		}
 		cores := coreT.CoreIAs()
-		coreReach := graphalg.Reachable(coreT, cores[0])
+		coreReach := reachable(coreT, cores[0])
 		if len(coreReach) != len(cores) {
 			t.Errorf("seed %d: core network disconnected (%d of %d)", seed, len(coreReach), len(cores))
 		}
@@ -53,7 +70,10 @@ func TestISDConstructionSubsetInvariants(t *testing.T) {
 	p := topology.DefaultGenParams()
 	p.NumASes = 300
 	p.Tier1 = 8
-	g := topology.MustGenerate(p)
+	g, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	isd, err := topology.BuildISD(g, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -170,12 +170,3 @@ func Generate(p GenParams) (*Graph, error) {
 	}
 	return g, nil
 }
-
-// MustGenerate is Generate for tests and examples; it panics on error.
-func MustGenerate(p GenParams) *Graph {
-	g, err := Generate(p)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}

@@ -11,6 +11,16 @@ import (
 	"scionmpr/internal/addr"
 )
 
+// mustGenerate is Generate that fails the test on error.
+func mustGenerate(t testing.TB, p GenParams) *Graph {
+	t.Helper()
+	g, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func smallGenParams() GenParams {
 	p := DefaultGenParams()
 	p.NumASes = 400
@@ -19,8 +29,8 @@ func smallGenParams() GenParams {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := MustGenerate(smallGenParams())
-	b := MustGenerate(smallGenParams())
+	a := mustGenerate(t, smallGenParams())
+	b := mustGenerate(t, smallGenParams())
 	if a.NumASes() != b.NumASes() || len(a.Links) != len(b.Links) {
 		t.Fatalf("non-deterministic generation: %v vs %v", a.ComputeStats(), b.ComputeStats())
 	}
@@ -34,9 +44,9 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateSeedChangesTopology(t *testing.T) {
 	p := smallGenParams()
-	a := MustGenerate(p)
+	a := mustGenerate(t, p)
 	p.Seed = 99
-	b := MustGenerate(p)
+	b := mustGenerate(t, p)
 	if len(a.Links) == len(b.Links) {
 		same := true
 		for i := range a.Links {
@@ -53,7 +63,7 @@ func TestGenerateSeedChangesTopology(t *testing.T) {
 
 func TestGenerateStructure(t *testing.T) {
 	p := smallGenParams()
-	g := MustGenerate(p)
+	g := mustGenerate(t, p)
 	if g.NumASes() != p.NumASes {
 		t.Fatalf("ASes = %d, want %d", g.NumASes(), p.NumASes)
 	}
@@ -73,7 +83,7 @@ func TestGenerateStructure(t *testing.T) {
 		if uint64(x.AS) <= uint64(p.Tier1) {
 			continue
 		}
-		if len(g.Providers(x)) == 0 {
+		if len(providers(g, x)) == 0 {
 			t.Fatalf("AS %s has no provider", x)
 		}
 	}
@@ -84,7 +94,7 @@ func TestGenerateStructure(t *testing.T) {
 }
 
 func TestGeneratePowerLawCones(t *testing.T) {
-	g := MustGenerate(smallGenParams())
+	g := mustGenerate(t, smallGenParams())
 	// Tier-1 cones must dwarf median stub cones.
 	t1 := g.CustomerCone(ia(1, 1))
 	stub := g.CustomerCone(ia(1, 399))
@@ -107,7 +117,7 @@ func TestGenerateErrors(t *testing.T) {
 }
 
 func TestExtractCore(t *testing.T) {
-	g := MustGenerate(smallGenParams())
+	g := mustGenerate(t, smallGenParams())
 	core, err := ExtractCore(g, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +145,7 @@ func TestExtractCore(t *testing.T) {
 }
 
 func TestAssignISDs(t *testing.T) {
-	g := MustGenerate(smallGenParams())
+	g := mustGenerate(t, smallGenParams())
 	core, err := ExtractCore(g, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +178,7 @@ func TestAssignISDs(t *testing.T) {
 }
 
 func TestBuildISD(t *testing.T) {
-	g := MustGenerate(smallGenParams())
+	g := mustGenerate(t, smallGenParams())
 	isd, err := BuildISD(g, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -262,10 +272,10 @@ func TestCAIDARoundTrip(t *testing.T) {
 	if n := len(parsed.LinksBetween(ia(1, 1), ia(1, 3))); n != 2 {
 		t.Errorf("repeated pair must create parallel links, got %d", n)
 	}
-	if len(parsed.Providers(ia(1, 3))) != 2 {
+	if len(providers(parsed, ia(1, 3))) != 2 {
 		t.Error("provider relationships not parsed")
 	}
-	if len(parsed.Peers(ia(1, 1))) != 1 {
+	if len(peers(parsed, ia(1, 1))) != 1 {
 		t.Error("peer relationship not parsed")
 	}
 }
@@ -274,7 +284,7 @@ func TestCAIDAWriteParseConsistency(t *testing.T) {
 	p := smallGenParams()
 	p.NumASes = 50
 	p.Tier1 = 4
-	g := MustGenerate(p)
+	g := mustGenerate(t, p)
 	var buf bytes.Buffer
 	if err := WriteCAIDA(&buf, g); err != nil {
 		t.Fatal(err)
@@ -305,8 +315,8 @@ func TestCAIDAParseErrors(t *testing.T) {
 }
 
 func TestExtractCoreDeterministic(t *testing.T) {
-	g1 := MustGenerate(smallGenParams())
-	g2 := MustGenerate(smallGenParams())
+	g1 := mustGenerate(t, smallGenParams())
+	g2 := mustGenerate(t, smallGenParams())
 	c1, err := ExtractCore(g1, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -352,14 +362,14 @@ func TestGenerateFingerprint(t *testing.T) {
 		wantDefault = "984d315913e7b1a96d6198923159aa3a6ab4cf8f77de54ba455c8501fe63a0e5"
 		wantSmall   = "41d566d42606d26d6e96d0c9c1a6018a6572cdca26e6fc0ffffede1d948bacb3"
 	)
-	if got := fingerprint(MustGenerate(DefaultGenParams())); got != wantDefault {
+	if got := fingerprint(mustGenerate(t, DefaultGenParams())); got != wantDefault {
 		t.Errorf("DefaultGenParams fingerprint = %s, want %s", got, wantDefault)
 	}
-	if got := fingerprint(MustGenerate(smallGenParams())); got != wantSmall {
+	if got := fingerprint(mustGenerate(t, smallGenParams())); got != wantSmall {
 		t.Errorf("smallGenParams fingerprint = %s, want %s", got, wantSmall)
 	}
 	// The fingerprint itself must be stable across repeated generation.
-	if a, b := fingerprint(MustGenerate(smallGenParams())), fingerprint(MustGenerate(smallGenParams())); a != b {
+	if a, b := fingerprint(mustGenerate(t, smallGenParams())), fingerprint(mustGenerate(t, smallGenParams())); a != b {
 		t.Errorf("same params produced different fingerprints: %s vs %s", a, b)
 	}
 }

@@ -44,13 +44,6 @@ func (r Rel) String() string {
 	return fmt.Sprintf("rel(%d)", int(r))
 }
 
-// Reverse returns the relationship as seen from the B side.
-func (r Rel) Reverse() Rel {
-	// Core and PeerOf are symmetric; ProviderOf has no distinct reverse
-	// constant because links are always stored provider-side-first.
-	return r
-}
-
 // LinkID uniquely identifies one inter-domain link (one parallel link
 // between two neighboring ASes). It is the identifier counted in the
 // diversity algorithm's Link History Table (paper §4.2).
@@ -96,13 +89,6 @@ func (l *Link) RemoteIf(ia addr.IA) addr.IfID {
 		return l.BIf
 	}
 	return l.AIf
-}
-
-// RelFrom returns the relationship from ia's perspective: for a ProviderOf
-// link it reports ProviderOf when ia is the provider side and CustomerOf
-// semantics are expressed by the second return value being false.
-func (l *Link) isProviderSide(ia addr.IA) bool {
-	return l.Rel == ProviderOf && l.A == ia
 }
 
 // AS is one autonomous system in the topology.
@@ -264,23 +250,11 @@ func (g *Graph) LinksBetween(a, b addr.IA) []*Link {
 	return out
 }
 
-// Providers returns the IAs that are providers of ia.
-func (g *Graph) Providers(ia addr.IA) []addr.IA {
-	return g.relNeighbors(ia, func(l *Link) bool {
-		return l.Rel == ProviderOf && l.B == ia
-	})
-}
-
 // Customers returns the IAs that are customers of ia.
 func (g *Graph) Customers(ia addr.IA) []addr.IA {
 	return g.relNeighbors(ia, func(l *Link) bool {
 		return l.Rel == ProviderOf && l.A == ia
 	})
-}
-
-// Peers returns non-core peers of ia.
-func (g *Graph) Peers(ia addr.IA) []addr.IA {
-	return g.relNeighbors(ia, func(l *Link) bool { return l.Rel == PeerOf })
 }
 
 // CoreNeighbors returns core-linked neighbors of ia.

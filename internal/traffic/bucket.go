@@ -164,20 +164,18 @@ func (m *LinkModel) Bottleneck(path []dataplane.LinkRef) float64 {
 	return min
 }
 
-// Admit charges up to want bytes against every bucket along the path,
-// granting the minimum the buckets allow (the bottleneck share). When
-// nothing can be granted it returns the time to wait before retrying.
-func (m *LinkModel) Admit(now sim.Time, path []dataplane.LinkRef, want int64) (granted int64, wait time.Duration) {
-	return m.AdmitAtLeast(now, path, want, 0)
-}
-
-// AdmitAtLeast is Admit with a grant floor: instead of trickling out
-// whatever credit remains — which under contention degrades into a storm
-// of fragment-sized grants, each carrying a MAC-verified head packet —
-// it grants nothing until at least floor bytes are available on every
-// bucket, and advertises the wait until they will be. The floor is
-// clamped to the path's shallowest bucket so it can always be met.
-// A floor of zero or one is plain Admit.
+// AdmitAtLeast charges up to want bytes against every bucket along the
+// path, granting the minimum the buckets allow (the bottleneck share).
+// When nothing can be granted it returns the time to wait before
+// retrying.
+//
+// The grant floor keeps it from trickling out whatever credit remains —
+// which under contention degrades into a storm of fragment-sized grants,
+// each carrying a MAC-verified head packet: it grants nothing until at
+// least floor bytes are available on every bucket, and advertises the
+// wait until they will be. The floor is clamped to the path's shallowest
+// bucket so it can always be met. A floor of zero or one grants whatever
+// credit remains.
 func (m *LinkModel) AdmitAtLeast(now sim.Time, path []dataplane.LinkRef, want, floor int64) (granted int64, wait time.Duration) {
 	if want <= 0 || len(path) == 0 {
 		return 0, 0

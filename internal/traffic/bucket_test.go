@@ -27,23 +27,23 @@ func twoLinkPath(t *testing.T) []dataplane.LinkRef {
 func TestAdmitGrantsBottleneckShare(t *testing.T) {
 	refs := twoLinkPath(t)
 	m := NewLinkModel(UniformCapacity(1e6)) // 1 MB/s, 50ms burst = 50k tokens
-	granted, wait := m.Admit(0, refs, 30_000)
+	granted, wait := m.AdmitAtLeast(0, refs, 30_000, 0)
 	if granted != 30_000 || wait != 0 {
 		t.Fatalf("granted=%d wait=%v", granted, wait)
 	}
 	// 20k tokens left; asking for 64k grants the remainder.
-	granted, wait = m.Admit(0, refs, 64_000)
+	granted, wait = m.AdmitAtLeast(0, refs, 64_000, 0)
 	if granted != 20_000 || wait != 0 {
 		t.Fatalf("granted=%d wait=%v", granted, wait)
 	}
 	// Bucket empty: no grant, positive wait.
-	granted, wait = m.Admit(0, refs, 64_000)
+	granted, wait = m.AdmitAtLeast(0, refs, 64_000, 0)
 	if granted != 0 || wait <= 0 {
 		t.Fatalf("granted=%d wait=%v", granted, wait)
 	}
 	// After the advertised wait the tokens are back (capped at burst).
 	now := sim.Time(wait)
-	granted, _ = m.Admit(now, refs, 40_000)
+	granted, _ = m.AdmitAtLeast(now, refs, 40_000, 0)
 	if granted == 0 {
 		t.Fatalf("no grant after waiting %v", wait)
 	}
@@ -53,11 +53,11 @@ func TestAdmitRefillIsRateBound(t *testing.T) {
 	refs := twoLinkPath(t)
 	m := NewLinkModel(UniformCapacity(1e6))
 	// Drain the burst, then measure sustained admission over one second.
-	m.Admit(0, refs, 1<<30)
+	m.AdmitAtLeast(0, refs, 1<<30, 0)
 	total := int64(0)
 	for step := 1; step <= 100; step++ {
 		now := sim.Time(time.Duration(step) * 10 * time.Millisecond)
-		g, _ := m.Admit(now, refs, 1<<20)
+		g, _ := m.AdmitAtLeast(now, refs, 1<<20, 0)
 		total += g
 	}
 	// 1 second at 1 MB/s: within rounding of 1e6 bytes.
@@ -80,7 +80,7 @@ func TestBottleneckAndUtilizations(t *testing.T) {
 	if got := m.Bottleneck(nil); got != 0 {
 		t.Errorf("empty path bottleneck = %v", got)
 	}
-	g, _ := m.Admit(0, refs, 10_000)
+	g, _ := m.AdmitAtLeast(0, refs, 10_000, 0)
 	if g != 10_000 {
 		t.Fatalf("granted = %d", g)
 	}
@@ -124,7 +124,7 @@ func TestAdmitAtLeastHoldsForFloor(t *testing.T) {
 	refs := twoLinkPath(t)
 	m := NewLinkModel(UniformCapacity(1e6)) // 50k-token burst
 	// Leave 20k tokens, below a 30k floor: nothing trickles out.
-	if g, _ := m.Admit(0, refs, 30_000); g != 30_000 {
+	if g, _ := m.AdmitAtLeast(0, refs, 30_000, 0); g != 30_000 {
 		t.Fatalf("setup grant: %d", g)
 	}
 	granted, wait := m.AdmitAtLeast(0, refs, 64_000, 30_000)
@@ -142,7 +142,7 @@ func TestAdmitAtLeastHoldsForFloor(t *testing.T) {
 		t.Errorf("at floor: granted=%d, want 30000", granted)
 	}
 	// A floor above the burst depth is clamped, not a deadlock.
-	m.Admit(sim.Time(wait), refs, 1<<30) // drain
+	m.AdmitAtLeast(sim.Time(wait), refs, 1<<30, 0) // drain
 	now := sim.Time(200 * time.Millisecond)
 	granted, _ = m.AdmitAtLeast(now, refs, 1<<30, 1<<30)
 	if granted != 50_000 {

@@ -92,18 +92,6 @@ type Flow struct {
 	wakeAt      sim.Time
 }
 
-// ID returns the flow's workload identifier.
-func (f *Flow) ID() int { return f.spec.ID }
-
-// Src returns the source AS.
-func (f *Flow) Src() addr.IA { return f.spec.Src }
-
-// Dst returns the destination AS.
-func (f *Flow) Dst() addr.IA { return f.spec.Dst }
-
-// Size returns the configured transfer size (<= 0 for open-ended).
-func (f *Flow) Size() int64 { return f.spec.Size }
-
 // Sent returns the bytes successfully admitted (losses already rewound).
 func (f *Flow) Sent() int64 { return f.sent }
 
@@ -116,29 +104,12 @@ func (f *Flow) Done() bool { return f.state == flowDone }
 // Failed reports that the flow ran out of paths and gave up.
 func (f *Flow) Failed() bool { return f.state == flowFailed }
 
-// Active reports that the flow started but has not finished.
-func (f *Flow) Active() bool { return f.state == flowActive }
-
 // PathSwitches returns how often consecutive chunks used different paths.
 func (f *Flow) PathSwitches() int { return f.switches }
-
-// Requeries returns how often the flow went back to path lookup after
-// its initial one (forced switches due to revocation or path exhaustion).
-func (f *Flow) Requeries() int { return f.requeries }
-
-// Reprobes returns how often the flow refreshed its path set after
-// revocation knowledge expired (mid-flow readoption of healed paths).
-func (f *Flow) Reprobes() int { return f.reprobes }
-
-// NumPaths returns the current path-set size.
-func (f *Flow) NumPaths() int { return len(f.paths) }
 
 // Outages returns the flow's completed disconnection windows — the time
 // from losing the last usable path to regaining one (time-to-reconnect).
 func (f *Flow) Outages() []time.Duration { return f.outages }
-
-// Disconnected reports whether the flow is currently inside an outage.
-func (f *Flow) Disconnected() bool { return f.inOutage }
 
 // OpenOutage returns how long the flow has been disconnected as of now
 // (zero when connected) — the still-open window Outages does not include.

@@ -84,11 +84,11 @@ func TestRevocationExpiryReadoptsRestoredPath(t *testing.T) {
 	n.Clock().Schedule(60*time.Millisecond, func() { toggleLink(t, n, target, true) })
 	eng.RunUntil(500 * time.Millisecond)
 
-	if f.Reprobes() == 0 {
+	if f.reprobes == 0 {
 		t.Fatalf("no re-probe after revocation expiry (engine reprobes=%d)", eng.Reprobes)
 	}
-	if f.Disconnected() || !f.Active() {
-		t.Fatalf("flow should be running: disconnected=%v active=%v", f.Disconnected(), f.Active())
+	if f.inOutage || f.state != flowActive {
+		t.Fatalf("flow should be running: disconnected=%v active=%v", f.inOutage, f.state == flowActive)
 	}
 	found := false
 	for _, p := range f.paths {
@@ -132,7 +132,7 @@ func TestOutageClosesAfterRestore(t *testing.T) {
 	if len(f.Outages()) == 0 {
 		t.Fatal("isolating the source AS recorded no outage")
 	}
-	if f.Disconnected() {
+	if f.inOutage {
 		t.Fatal("flow still disconnected after links restored and TTL lapsed")
 	}
 	if f.Failed() {

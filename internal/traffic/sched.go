@@ -4,10 +4,10 @@ import "scionmpr/internal/strategy"
 
 // The scheduler layer is now the path-selection policy laboratory in
 // internal/strategy; these aliases keep the traffic engine's historical
-// API (PathInfo/Scheduler/NewScheduler and the four original scheduler
-// types) stable while the implementations live behind the Policy
-// interface. See package strategy for the policy catalog and the text
-// configuration format.
+// API (PathInfo/Scheduler/NewScheduler and the scheduler types the
+// experiment drivers build) stable while the implementations live behind
+// the Policy interface. See package strategy for the policy catalog and
+// the text configuration format.
 
 // PathInfo is the scheduler-visible state of one candidate path of a
 // flow. The engine rebuilds it before every decision.
@@ -19,12 +19,11 @@ type PathInfo = strategy.PathView
 // and must never pick a revoked path.
 type Scheduler = strategy.Policy
 
-// The original four schedulers, now policies in internal/strategy.
+// The schedulers the experiment drivers build directly, now policies in
+// internal/strategy.
 type (
 	SingleBest         = strategy.SingleBest
-	RoundRobin         = strategy.RoundRobin
 	WeightedBottleneck = strategy.WeightedBottleneck
-	LatencyAware       = strategy.LatencyAware
 )
 
 // NewScheduler resolves a strategy spec to a per-flow scheduler factory.

@@ -3,6 +3,8 @@ package traffic
 import (
 	"testing"
 	"time"
+
+	"scionmpr/internal/strategy"
 )
 
 func TestNewSchedulerNames(t *testing.T) {
@@ -47,7 +49,7 @@ func TestSingleBestWaitsForBestPath(t *testing.T) {
 }
 
 func TestRoundRobinRotates(t *testing.T) {
-	s := &RoundRobin{}
+	s := &strategy.RoundRobin{}
 	paths := make([]PathInfo, 3)
 	var got []int
 	for i := 0; i < 6; i++ {
@@ -95,7 +97,7 @@ func TestWeightedBottleneckProportional(t *testing.T) {
 }
 
 func TestLatencyAwareStretchBound(t *testing.T) {
-	s := &LatencyAware{Stretch: 1.5}
+	s := &strategy.LatencyAware{Stretch: 1.5}
 	paths := []PathInfo{
 		{Delay: 10 * time.Millisecond},
 		{Delay: 14 * time.Millisecond},

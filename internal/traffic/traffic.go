@@ -215,12 +215,6 @@ func (e *Engine) trace(kind telemetry.EventKind, f *Flow, aux uint64, reason str
 	})
 }
 
-// Links exposes the capacity model (for utilization reporting).
-func (e *Engine) Links() *LinkModel { return e.cfg.Links }
-
-// Flows returns all flows in Add order.
-func (e *Engine) Flows() []*Flow { return e.flows }
-
 // Add registers a flow and schedules its arrival.
 func (e *Engine) Add(spec FlowSpec) *Flow {
 	f := &Flow{spec: spec, sched: e.cfg.Scheduler(), lastPath: -1}

@@ -167,7 +167,7 @@ func TestFailoverWithinOneRTT(t *testing.T) {
 	var bytesOnFailedAtRev float64
 	onFailed := func() float64 {
 		sum := 0.0
-		for _, u := range eng.Links().Utilizations(time.Second) {
+		for _, u := range eng.cfg.Links.Utilizations(time.Second) {
 			if u.ID == target.ID {
 				sum += u.Bytes
 			}
@@ -260,7 +260,7 @@ func TestAllPathsRevokedTriggersRequery(t *testing.T) {
 	if !f.Done() && !f.Failed() {
 		t.Fatal("flow neither done nor failed")
 	}
-	if f.Done() && f.Requeries() < 1 {
-		t.Errorf("requeries = %d, want >= 1 (failover re-lookup)", f.Requeries())
+	if f.Done() && f.requeries < 1 {
+		t.Errorf("requeries = %d, want >= 1 (failover re-lookup)", f.requeries)
 	}
 }

@@ -40,11 +40,6 @@ type Certificate struct {
 	Signature []byte
 }
 
-// CertificateWireLen is the approximate size of a SCION control-plane AS
-// certificate (subject, issuer, validity, P-384 public key, signature);
-// used when certificates travel in control messages.
-const CertificateWireLen = 8 + 8 + 8 + 97 + SignatureLen
-
 // certBody serializes the signed portion of a certificate.
 func certBody(subject, issuer addr.IA, pub *ecdsa.PublicKey) []byte {
 	buf := make([]byte, 16, 16+97)
@@ -174,12 +169,6 @@ func (inf *Infra) SignerFor(ia addr.IA) Signer { return inf.signers[ia] }
 func (inf *Infra) ForwardingKey(ia addr.IA) []byte {
 	return inf.fwdKeys[ia]
 }
-
-// TRCFor returns the TRC of an ISD, or nil.
-func (inf *Infra) TRCFor(isd addr.ISD) *TRC { return inf.trcs[isd] }
-
-// CertFor returns the AS certificate of a non-core AS, or nil.
-func (inf *Infra) CertFor(ia addr.IA) *Certificate { return inf.certs[ia] }
 
 // Verify implements Verifier against the registry's key material.
 func (inf *Infra) Verify(ia addr.IA, msg, sig []byte) error {

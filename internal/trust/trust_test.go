@@ -111,7 +111,7 @@ func TestECDSASignVerify(t *testing.T) {
 		t.Error("wrong key must fail")
 	}
 	// Certificate chain for the non-core AS verifies.
-	cert := inf.CertFor(b)
+	cert := inf.certs[b]
 	if cert == nil {
 		t.Fatal("no certificate for leaf AS")
 	}
@@ -123,7 +123,7 @@ func TestECDSASignVerify(t *testing.T) {
 func TestTRCStructure(t *testing.T) {
 	inf, g := demoInfra(t, Sized)
 	for isd := addr.ISD(1); isd <= 3; isd++ {
-		trc := inf.TRCFor(isd)
+		trc := inf.trcs[isd]
 		if trc == nil {
 			t.Fatalf("no TRC for ISD %d", isd)
 		}
@@ -139,7 +139,7 @@ func TestTRCStructure(t *testing.T) {
 			}
 		}
 	}
-	if inf.TRCFor(99) != nil {
+	if inf.trcs[99] != nil {
 		t.Error("unknown ISD must have nil TRC")
 	}
 }
@@ -147,7 +147,7 @@ func TestTRCStructure(t *testing.T) {
 func TestCertificateIssuance(t *testing.T) {
 	inf, g := demoInfra(t, Sized)
 	for _, ia := range g.IAs() {
-		cert := inf.CertFor(ia)
+		cert := inf.certs[ia]
 		if g.AS(ia).Core {
 			if cert != nil {
 				t.Errorf("core AS %s must not have a leaf certificate", ia)
@@ -175,12 +175,12 @@ func TestVerifyChainRejects(t *testing.T) {
 			break
 		}
 	}
-	cert := *inf.CertFor(leaf)
+	cert := *inf.certs[leaf]
 	cert.Issuer = leaf // non-core issuer
 	if err := inf.VerifyChain(&cert); err == nil {
 		t.Error("non-core issuer must fail")
 	}
-	cert2 := *inf.CertFor(leaf)
+	cert2 := *inf.certs[leaf]
 	cert2.Signature = append([]byte(nil), cert2.Signature...)
 	cert2.Signature[3] ^= 0xff
 	if err := inf.VerifyChain(&cert2); err == nil {
@@ -189,7 +189,7 @@ func TestVerifyChainRejects(t *testing.T) {
 	if err := inf.VerifyChain(nil); err == nil {
 		t.Error("nil cert must fail")
 	}
-	cert3 := *inf.CertFor(leaf)
+	cert3 := *inf.certs[leaf]
 	cert3.Subject.ISD = 77
 	if err := inf.VerifyChain(&cert3); err == nil {
 		t.Error("unknown ISD must fail")

@@ -39,7 +39,11 @@ type fuzzEnv struct {
 func newFuzzEnv(tb testing.TB) *fuzzEnv {
 	gp := topology.DefaultGenParams()
 	gp.NumASes, gp.Tier1 = 40, 3
-	topo, err := topology.ExtractCore(topology.MustGenerate(gp), 6)
+	full, err := topology.Generate(gp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	topo, err := topology.ExtractCore(full, 6)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -89,9 +89,6 @@ func (h *Host) ActivePathHops() []addr.IA {
 	return out
 }
 
-// Failovers reports how many times the endpoint switched paths.
-func (h *Host) Failovers() uint64 { return h.ep.Failovers }
-
 // Stats returns send/failover counters.
 func (h *Host) Stats() (sent, failovers uint64) { return h.ep.Sent, h.ep.Failovers }
 

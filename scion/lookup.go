@@ -62,9 +62,6 @@ func encodeReplyFrame(idx, total byte, segs []*seg.PCB) []byte {
 	return out
 }
 
-// encodeReply is the single-frame convenience used by tests.
-func encodeReply(segs []*seg.PCB) []byte { return encodeReplyFrame(0, 1, segs) }
-
 // decodeReplyFrame parses one page, returning its segments plus the
 // frame index and total frame count.
 func decodeReplyFrame(b []byte) ([]*seg.PCB, byte, byte, error) {
@@ -81,14 +78,6 @@ func decodeReplyFrame(b []byte) ([]*seg.PCB, byte, byte, error) {
 		return nil, 0, 0, err
 	}
 	return segs, idx, total, nil
-}
-
-func decodeReply(b []byte) ([]*seg.PCB, error) {
-	segs, _, total, err := decodeReplyFrame(b)
-	if err == nil && total != 1 {
-		return nil, fmt.Errorf("scion: multi-frame reply in single-frame decode")
-	}
-	return segs, err
 }
 
 // controlService answers segment requests arriving at an AS's control

@@ -1,9 +1,11 @@
 package scion
 
 import (
+	"fmt"
 	"testing"
 
 	"scionmpr/internal/pathdb"
+	"scionmpr/internal/seg"
 )
 
 func TestRemoteLookupDownSegments(t *testing.T) {
@@ -129,4 +131,16 @@ func TestLookupDecodersAreStrict(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+}
+
+// encodeReply frames segs as a single-frame reply.
+func encodeReply(segs []*seg.PCB) []byte { return encodeReplyFrame(0, 1, segs) }
+
+// decodeReply parses a reply that must fit in one frame.
+func decodeReply(b []byte) ([]*seg.PCB, error) {
+	segs, _, total, err := decodeReplyFrame(b)
+	if err == nil && total != 1 {
+		return nil, fmt.Errorf("scion: multi-frame reply in single-frame decode")
+	}
+	return segs, err
 }

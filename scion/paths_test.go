@@ -111,13 +111,25 @@ func rawSegments(n *Network, src, dst addr.IA) (ups, cores, downs []*seg.PCB) {
 	return ups, cores, downs
 }
 
+// containsLoop reports whether an AS appears twice on the path.
+func containsLoop(p *combinator.Path) bool {
+	seen := map[addr.IA]bool{}
+	for _, h := range p.Hops {
+		if seen[h.IA] {
+			return true
+		}
+		seen[h.IA] = true
+	}
+	return false
+}
+
 // crossProduct is AllPaths as it was before it became a join: every
 // (up, down) pair tries both shortcuts, every core segment and the
 // same-core junction, most attempts failing on the junction.
 func crossProduct(ups, cores, downs []*seg.PCB) []*combinator.Path {
 	var out []*combinator.Path
 	add := func(p *combinator.Path, err error) {
-		if err == nil && !p.ContainsLoop() {
+		if err == nil && !containsLoop(p) {
 			out = append(out, p)
 		}
 	}
@@ -155,7 +167,7 @@ func TestAllPathsMatchesCrossProduct(t *testing.T) {
 func combineAllLoops(n *Network, src, dst addr.IA, ups, cores, downs []*seg.PCB) []*combinator.Path {
 	var cands []*combinator.Path
 	add := func(p *combinator.Path, err error) {
-		if err == nil && !p.ContainsLoop() && p.Src() == src && p.Dst() == dst {
+		if err == nil && !containsLoop(p) && p.Src() == src && p.Dst() == dst {
 			cands = append(cands, p)
 		}
 	}

@@ -1,6 +1,7 @@
 package scion
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,30 @@ var (
 	b2 = addr.MustIA(2, 0xff00_0000_0202)
 	b3 = addr.MustIA(2, 0xff00_0000_0203)
 )
+
+// TestLoadTopology loads a CAIDA serial-2 excerpt through the public
+// API: every AS lands in ISD 1, provider and peer relationships survive,
+// and a repeated pair becomes parallel links.
+func TestLoadTopology(t *testing.T) {
+	const rels = "# serial-2 excerpt\n1|2|-1|bgp\n1|3|-1|bgp\n2|3|0|bgp\n2|3|0|bgp\n"
+	topo, err := LoadTopology(strings.NewReader(rels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if topo.NumASes() != 3 {
+		t.Fatalf("ASes = %d, want 3", topo.NumASes())
+	}
+	as1, as2, as3 := MustIA(1, 1), MustIA(1, 2), MustIA(1, 3)
+	if l := topo.LinksBetween(as1, as2); len(l) != 1 || l[0].Rel != ProviderOf || l[0].A != as1 {
+		t.Errorf("1|2|-1 = %v, want one link with AS 1 as provider", l)
+	}
+	if l := topo.LinksBetween(as2, as3); len(l) != 2 || l[0].Rel != PeerOf || l[1].Rel != PeerOf {
+		t.Errorf("repeated 2|3|0 = %v, want two parallel peer links", l)
+	}
+	if _, err := LoadTopology(strings.NewReader("1|2|7\n")); err == nil {
+		t.Error("unknown relationship code accepted")
+	}
+}
 
 func demoNet(t *testing.T) *Network {
 	t.Helper()
@@ -180,7 +205,7 @@ func TestFailLinkTriggersFailover(t *testing.T) {
 	if delivered != 2 {
 		t.Errorf("delivered = %d, want 2 (one lost, one rerouted)", delivered)
 	}
-	if src.Failovers() == 0 {
+	if _, failovers := src.Stats(); failovers == 0 {
 		t.Error("no failover recorded")
 	}
 	// Fresh path lookups avoid the failed link too (cache flushed and

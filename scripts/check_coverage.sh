@@ -23,7 +23,6 @@ scionmpr/internal/chaos 88
 scionmpr/internal/combinator 96
 scionmpr/internal/core 91
 scionmpr/internal/dataplane 80
-scionmpr/internal/deploy 91
 scionmpr/internal/experiments 88
 scionmpr/internal/graphalg 97
 scionmpr/internal/metrics 95
