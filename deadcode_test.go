@@ -25,11 +25,7 @@ var deadCodeKeep = map[string]string{
 	// The public API: downstream users build topologies and address hosts
 	// through these without importing internal packages.
 	"scionmpr/scion.Link":                 "public API: topology link type",
-	"scionmpr/scion.Core":                 "public API: relationship constant for building topologies",
-	"scionmpr/scion.ProviderOf":           "public API: relationship constant for building topologies",
 	"scionmpr/scion.PeerOf":               "public API: relationship constant for building topologies",
-	"scionmpr/scion.NewTopology":          "public API: empty topology to build on",
-	"scionmpr/scion.HostIP4":              "public API: IPv4 host address constructor",
 	"scionmpr/scion.LoadTopology":         "public API: the way to load real CAIDA AS-relationship data (DESIGN's substitution table)",
 	"scionmpr/scion.Network.RestoreLink":  "public API: heals a link FailLink failed, the end-to-end reinstatement sequence",
 	"scionmpr/scion.Network.RemoteLookup": "DESIGN extension: measures Table 1's wire cost of a remote segment lookup",

@@ -10,113 +10,87 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"scionmpr/internal/addr"
-	"scionmpr/internal/beacon"
-	"scionmpr/internal/combinator"
-	"scionmpr/internal/core"
 	"scionmpr/internal/dataplane"
-	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
-	"scionmpr/internal/topology"
-	"scionmpr/internal/trust"
+	"scionmpr/scion"
 )
 
 var (
-	a2 = addr.MustIA(1, 0xff00_0000_0102)
-	a4 = addr.MustIA(1, 0xff00_0000_0104)
-	a6 = addr.MustIA(1, 0xff00_0000_0106)
+	a4 = scion.MustIA(1, 0xff00_0000_0104)
+	a6 = scion.MustIA(1, 0xff00_0000_0106)
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "failover:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	topo := topology.Demo()
-	infra, err := trust.NewInfra(topo, trust.Sized)
+func run(w io.Writer) error {
+	// Control plane: beaconing on the Figure 1 network, segments
+	// registered at the path servers.
+	opts := scion.DefaultOptions()
+	opts.StoreLimit = 20
+	n, err := scion.NewNetwork(scion.DemoTopology(), opts)
 	if err != nil {
 		return err
 	}
-
-	// Control plane: intra-ISD beaconing gives A-6 its up-segments and
-	// A-4 its down-segments.
-	cfg := beacon.DefaultRunConfig(topo, beacon.IntraMode, core.NewDiversity(core.DefaultParams(5)), 20)
-	cfg.Duration = 2 * time.Hour
-	cfg.Infra = infra
-	run, err := beacon.Run(cfg)
+	paths, err := n.Paths(a6, a4)
 	if err != nil {
 		return err
 	}
-	terminate := func(origin, at addr.IA) []*seg.PCB {
-		var out []*seg.PCB
-		for _, e := range run.Servers[at].Store().Entries(run.End, origin) {
-			t, err := e.PCB.Extend(infra.SignerFor(at), addr.IA{}, e.Ingress, 0, nil, 1472)
-			if err == nil {
-				out = append(out, t)
-			}
+	if len(paths) < 2 {
+		return fmt.Errorf("need at least 2 candidate paths, got %d", len(paths))
+	}
+	fmt.Fprintf(w, "candidate paths %s -> %s: %d\n", a6, a4, len(paths))
+	for _, p := range paths {
+		fmt.Fprint(w, "  ")
+		for _, h := range p.Hops {
+			fmt.Fprint(w, " ", h.Hop)
 		}
-		return out
-	}
-	cands := combinator.AllPaths(terminate(a2, a6), nil, terminate(a2, a4))
-	if len(cands) < 2 {
-		return fmt.Errorf("need at least 2 candidate paths, got %d", len(cands))
-	}
-	fmt.Printf("candidate paths %s -> %s: %d\n", a6, a4, len(cands))
-	for _, p := range cands {
-		fmt.Println("  ", p)
+		fmt.Fprintln(w)
 	}
 
-	// Data plane.
-	var s sim.Simulator
-	net := sim.NewNetwork(&s, topo, 5*time.Millisecond)
-	fabric := dataplane.NewFabric(net, infra.ForwardingKey)
-
-	branch := dataplane.NewEndpoint(fabric, addr.HostIP4(a6, 10, 6, 0, 1))
-	var fps []*dataplane.FwdPath
-	for _, c := range cands {
-		fp, err := dataplane.Authorize(c, infra.ForwardingKey)
-		if err != nil {
-			return err
-		}
-		fps = append(fps, fp)
+	// Data plane: the branch streams to the data center.
+	branch, err := n.Host(a6, 10, 6, 0, 1)
+	if err != nil {
+		return err
 	}
-	branch.SetPaths(fps)
-	dc := addr.HostIP4(a4, 10, 4, 0, 1)
-
-	delivered, lost := 0, 0
-	fabric.OnDeliver(a4, func(*dataplane.Packet) { delivered++ })
+	dc, err := n.Host(a4, 10, 4, 0, 1)
+	if err != nil {
+		return err
+	}
+	delivered := 0
+	dc.OnReceive(func(scion.HostAddr, []byte) { delivered++ })
+	s := n.Clock()
 	var revokedAt, recoveredAt sim.Time
-	branch.OnRevocation = func(link seg.LinkKey) {
+	n.Fabric().AddSCMP(a6, func(m *dataplane.SCMP) {
 		revokedAt = s.Now()
-		fmt.Printf("t=%v  SCMP revocation received for link %s; switching path\n", s.Now(), link)
-	}
+		fmt.Fprintf(w, "t=%v  SCMP revocation received for link %s; switching path\n", s.Now(), m.Link)
+	})
 
 	// Stream one packet every 10 ms; at t=95 ms the first link of the
-	// active path fails.
-	activeFirst := branch.ActivePath().Hops[0]
-	failLink := topo.LinkByIf(activeFirst.Hop.IA, activeFirst.Hop.Out)
-	fmt.Printf("active path: %d hops; will fail link %s at t=95ms\n", len(branch.ActivePath().Hops), failLink)
+	// active path (the shortest, paths[0]) fails.
+	refs, err := paths[0].LinkRefs(n.Topo)
+	if err != nil {
+		return err
+	}
+	failLink := refs[0].Link
+	fmt.Fprintf(w, "active path: %d hops; will fail link %s at t=95ms\n", len(paths[0].Hops), failLink)
 
 	for i := 0; i < 40; i++ {
-		i := i
 		s.Schedule(time.Duration(i)*10*time.Millisecond, func() {
-			before := delivered
-			if err := branch.Send(dc, []byte{byte(i)}); err != nil {
-				lost++
-				return
-			}
-			_ = before
+			_ = branch.Send(dc.Addr, []byte{byte(i)})
 		})
 	}
 	s.Schedule(95*time.Millisecond, func() {
-		fmt.Printf("t=%v  link %s FAILED\n", s.Now(), failLink)
-		fabric.FailLink(failLink.ID)
+		fmt.Fprintf(w, "t=%v  link %s FAILED\n", s.Now(), failLink)
+		n.Fabric().FailLink(failLink.ID)
 	})
 	// Observe recovery: first delivery after the revocation.
 	prevDelivered := 0
@@ -126,15 +100,16 @@ func run() error {
 		}
 		prevDelivered = delivered
 	})
-	s.Run()
+	n.Run()
 
-	fmt.Printf("\nresults: sent=%d delivered=%d dropped-at-failed-link=%d failovers=%d\n",
-		branch.Sent, delivered, int(fabric.Revocations), branch.Failovers)
-	if branch.Failovers == 0 {
+	sent, failovers := branch.Stats()
+	fmt.Fprintf(w, "\nresults: sent=%d delivered=%d dropped-at-failed-link=%d failovers=%d\n",
+		sent, delivered, n.Fabric().Revocations, failovers)
+	if failovers == 0 {
 		return fmt.Errorf("no failover happened")
 	}
-	fmt.Printf("revocation received at t=%v; traffic restored at t=%v (delta %v)\n",
+	fmt.Fprintf(w, "revocation received at t=%v; traffic restored at t=%v (delta %v)\n",
 		revokedAt, recoveredAt, time.Duration(recoveredAt-revokedAt))
-	fmt.Println("the new path avoids the failed link; no BGP-style re-convergence was needed")
+	fmt.Fprintln(w, "the new path avoids the failed link; no BGP-style re-convergence was needed")
 	return nil
 }

@@ -18,164 +18,127 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"scionmpr/internal/addr"
-	"scionmpr/internal/beacon"
-	"scionmpr/internal/combinator"
-	"scionmpr/internal/core"
-	"scionmpr/internal/dataplane"
 	"scionmpr/internal/graphalg"
-	"scionmpr/internal/seg"
-	"scionmpr/internal/sim"
-	"scionmpr/internal/topology"
-	"scionmpr/internal/trust"
+	"scionmpr/scion"
 )
 
-func ia(as uint64) addr.IA { return addr.MustIA(1, addr.AS(as)) }
+func ia(as uint64) scion.IA { return scion.MustIA(1, scion.AS(as)) }
 
 // buildIXP constructs the Figure 4 network: 4 IXP site ASes (core,
 // fully exposed fabric with parallel inter-site links) and 4 customer
 // ASes, one per site.
-func buildIXP() *topology.Graph {
-	g := topology.New()
-	sites := make([]addr.IA, 4)
+func buildIXP() *scion.Topology {
+	g := scion.NewTopology()
+	sites := make([]scion.IA, 4)
 	for i := range sites {
 		sites[i] = ia(uint64(0x100 + i + 1))
 		g.AddAS(sites[i], true)
 	}
-	customers := make([]addr.IA, 4)
+	customers := make([]scion.IA, 4)
 	for i := range customers {
 		customers[i] = ia(uint64(0x200 + i + 1))
 		g.AddAS(customers[i], false)
 	}
 	// Redundant site mesh: ring plus both diagonals, one edge doubled.
-	g.MustConnect(sites[0], sites[1], topology.Core)
-	g.MustConnect(sites[0], sites[1], topology.Core) // parallel link
-	g.MustConnect(sites[1], sites[3], topology.Core)
-	g.MustConnect(sites[3], sites[2], topology.Core)
-	g.MustConnect(sites[2], sites[0], topology.Core)
-	g.MustConnect(sites[0], sites[3], topology.Core)
-	g.MustConnect(sites[1], sites[2], topology.Core)
+	g.MustConnect(sites[0], sites[1], scion.Core)
+	g.MustConnect(sites[0], sites[1], scion.Core) // parallel link
+	g.MustConnect(sites[1], sites[3], scion.Core)
+	g.MustConnect(sites[3], sites[2], scion.Core)
+	g.MustConnect(sites[2], sites[0], scion.Core)
+	g.MustConnect(sites[0], sites[3], scion.Core)
+	g.MustConnect(sites[1], sites[2], scion.Core)
 	// Customers attach to their site redundantly (Figure 4 shows two
 	// attachment circuits per customer).
 	for i := range customers {
-		g.MustConnect(sites[i], customers[i], topology.ProviderOf)
-		g.MustConnect(sites[i], customers[i], topology.ProviderOf)
+		g.MustConnect(sites[i], customers[i], scion.ProviderOf)
+		g.MustConnect(sites[i], customers[i], scion.ProviderOf)
 	}
 	return g
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ixpmultipath:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	topo := buildIXP()
-	fmt.Println("IXP topology:", topo.ComputeStats())
-	infra, err := trust.NewInfra(topo, trust.Sized)
-	if err != nil {
-		return err
-	}
+	fmt.Fprintln(w, "IXP topology:", topo.ComputeStats())
 
 	// Control plane: core beaconing across the exposed IXP fabric plus
-	// intra-ISD beaconing to the customers.
-	runMode := func(mode beacon.Mode) (*beacon.RunResult, error) {
-		cfg := beacon.DefaultRunConfig(topo, mode, core.NewDiversity(core.DefaultParams(5)), 30)
-		cfg.Duration = 2 * time.Hour
-		cfg.Infra = infra
-		return beacon.Run(cfg)
-	}
-	coreRun, err := runMode(beacon.CoreMode)
-	if err != nil {
-		return err
-	}
-	intraRun, err := runMode(beacon.IntraMode)
+	// intra-ISD beaconing to the customers; data-plane links of 1 ms.
+	opts := scion.DefaultOptions()
+	opts.StoreLimit = 30
+	opts.LinkDelay = time.Millisecond
+	n, err := scion.NewNetwork(topo, opts)
 	if err != nil {
 		return err
 	}
 
 	src, dst := ia(0x201), ia(0x204) // customer at Site1 -> customer at Site4
 	site1, site4 := ia(0x101), ia(0x104)
-
-	terminate := func(run *beacon.RunResult, origin, at addr.IA) []*seg.PCB {
-		var out []*seg.PCB
-		for _, e := range run.Servers[at].Store().Entries(run.End, origin) {
-			t, err := e.PCB.Extend(infra.SignerFor(at), addr.IA{}, e.Ingress, 0, nil, 1472)
-			if err == nil {
-				out = append(out, t)
-			}
-		}
-		return out
+	paths, err := n.Paths(src, dst)
+	if err != nil {
+		return fmt.Errorf("no paths through the IXP fabric: %w", err)
 	}
-	ups := terminate(intraRun, site1, src)
-	cores := terminate(coreRun, site4, site1)
-	downs := terminate(intraRun, site4, dst)
-	paths := combinator.AllPaths(ups, cores, downs)
-	if len(paths) == 0 {
-		return fmt.Errorf("no paths through the IXP fabric")
-	}
-	fmt.Printf("paths %s -> %s through the exposed IXP fabric: %d\n", src, dst, len(paths))
-	for _, p := range paths {
-		if err := p.Check(topo); err != nil {
-			return err
-		}
-	}
+	fmt.Fprintf(w, "paths %s -> %s through the exposed IXP fabric: %d\n", src, dst, len(paths))
 
 	// Multipath capacity through the fabric (Figure 6b metric, applied
 	// to the IXP): how many site-to-site links can carry traffic in
 	// parallel, versus a "big switch" single path.
 	var pls [][]graphalg.PathLink
 	for _, p := range paths {
+		refs, err := p.LinkRefs(topo)
+		if err != nil {
+			return err
+		}
 		var pl []graphalg.PathLink
-		for _, lk := range p.Links() {
-			if l := topo.LinkByIf(lk.IA, lk.If); l != nil {
-				pl = append(pl, graphalg.PathLink{A: l.A, B: l.B, ID: l.ID})
-			}
+		for _, r := range refs {
+			pl = append(pl, graphalg.PathLink{A: r.Link.A, B: r.Link.B, ID: r.Link.ID})
 		}
 		pls = append(pls, pl)
 	}
 	capacity := graphalg.UnionFlow(pls, src, dst)
 	optimum := graphalg.OptimalFlow(topo, src, dst)
-	fmt.Printf("multipath capacity via exposed fabric: %d link-multiples (optimum %d, big-switch 1)\n",
+	fmt.Fprintf(w, "multipath capacity via exposed fabric: %d link-multiples (optimum %d, big-switch 1)\n",
 		capacity, optimum)
 
 	// Fast failover between IXP sites: stream packets, kill the direct
 	// Site1-Site4 inter-site link mid-stream.
-	var s sim.Simulator
-	net := sim.NewNetwork(&s, topo, time.Millisecond)
-	fabric := dataplane.NewFabric(net, infra.ForwardingKey)
-	ep := dataplane.NewEndpoint(fabric, addr.HostIP4(src, 10, 1, 0, 1))
-	var fps []*dataplane.FwdPath
-	for _, p := range paths {
-		if fp, err := dataplane.Authorize(p, infra.ForwardingKey); err == nil {
-			fps = append(fps, fp)
-		}
+	sender, err := n.Host(src, 10, 1, 0, 1)
+	if err != nil {
+		return err
 	}
-	ep.SetPaths(fps)
+	receiver, err := n.Host(dst, 10, 4, 0, 1)
+	if err != nil {
+		return err
+	}
 	delivered := 0
-	fabric.OnDeliver(dst, func(*dataplane.Packet) { delivered++ })
-
+	receiver.OnReceive(func(scion.HostAddr, []byte) { delivered++ })
+	s := n.Clock()
 	direct := topo.LinksBetween(site1, site4)[0]
 	for i := 0; i < 20; i++ {
 		s.Schedule(time.Duration(i)*5*time.Millisecond, func() {
-			_ = ep.Send(addr.HostIP4(dst, 10, 4, 0, 1), []byte("via-ixp"))
+			_ = sender.Send(receiver.Addr, []byte("via-ixp"))
 		})
 	}
 	s.Schedule(42*time.Millisecond, func() {
-		fmt.Printf("t=%v  inter-site link %s FAILED\n", s.Now(), direct)
-		fabric.FailLink(direct.ID)
+		fmt.Fprintf(w, "t=%v  inter-site link %s FAILED\n", s.Now(), direct)
+		n.Fabric().FailLink(direct.ID)
 	})
-	s.Run()
-	fmt.Printf("streamed 20 packets: delivered=%d failovers=%d\n", delivered, ep.Failovers)
-	if ep.Failovers > 0 {
-		fmt.Println("traffic re-routed over another IXP site without any help from the IXP fabric")
+	n.Run()
+	_, failovers := sender.Stats()
+	fmt.Fprintf(w, "streamed 20 packets: delivered=%d failovers=%d\n", delivered, failovers)
+	if failovers > 0 {
+		fmt.Fprintln(w, "traffic re-routed over another IXP site without any help from the IXP fabric")
 	} else {
-		fmt.Println("active path did not traverse the failed link; redundancy held")
+		fmt.Fprintln(w, "active path did not traverse the failed link; redundancy held")
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -17,19 +18,19 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "leasedline:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// 1. Network bootstrap: the Figure 1 topology, diversity beaconing.
 	net, err := scion.NewNetwork(scion.DemoTopology(), scion.DefaultOptions())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("network bootstrapped: %d ASes, control-plane cost %d bytes\n",
+	fmt.Fprintf(w, "network bootstrapped: %d ASes, control-plane cost %d bytes\n",
 		net.Topo.NumASes(), net.ControlPlaneBytes())
 
 	branchIA := scion.MustIA(1, 0xff00_0000_0106) // A-6
@@ -54,7 +55,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("branch -> data center: %d paths available (multi-path)\n", len(paths))
+	fmt.Fprintf(w, "branch -> data center: %d paths available (multi-path)\n", len(paths))
 
 	// 3. Stream 30 "transactions", one every 10 ms; at t=85ms the primary
 	// link fails.
@@ -73,18 +74,18 @@ func run() error {
 		link, err := net.FailLink(hops[0], hops[1], 0)
 		if err == nil {
 			failedAt = time.Duration(net.Clock().Now())
-			fmt.Printf("t=%v  primary link %s failed\n", failedAt, link)
+			fmt.Fprintf(w, "t=%v  primary link %s failed\n", failedAt, link)
 		}
 	})
 	net.Run()
 
 	sent, failovers := branch.Stats()
-	fmt.Printf("sent=%d received=%d failovers=%d\n", sent, received, failovers)
+	fmt.Fprintf(w, "sent=%d received=%d failovers=%d\n", sent, received, failovers)
 	if failovers == 0 {
 		return fmt.Errorf("expected a failover")
 	}
 	lost := int(sent) - received
-	fmt.Printf("transactions lost during failover: %d (no re-convergence, no operator action)\n", lost)
-	fmt.Println("the SCION connection replaced the leased line and survived the cut")
+	fmt.Fprintf(w, "transactions lost during failover: %d (no re-convergence, no operator action)\n", lost)
+	fmt.Fprintln(w, "the SCION connection replaced the leased line and survived the cut")
 	return nil
 }

@@ -12,6 +12,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -31,13 +32,13 @@ var (
 const transferSize = 256 << 20 // 256 MiB
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "multipathtransfer:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// Full control-plane bootstrap: beaconing, segment registration, path
 	// servers. The endpoint in B-3 then looks up its paths to A-6.
 	n, err := scion.NewNetwork(topology.Demo(), scion.DefaultOptions())
@@ -64,7 +65,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("transfer: %s from %s to %s (%d candidate paths, striping over the best 8)\n",
+	fmt.Fprintf(w, "transfer: %s from %s to %s (%d candidate paths, striping over the best 8)\n",
 		metrics.FmtBytes(transferSize), b3, a6, len(fps))
 	refs, err := fps[0].LinkRefs(n.Topo)
 	if err != nil {
@@ -76,7 +77,7 @@ func run() error {
 	eng.OnRevocation = func(_ *traffic.Flow, link topology.LinkID) {
 		if link == target.ID && revokedAt == 0 {
 			revokedAt = n.Clock().Now()
-			fmt.Printf("t=%-12v SCMP revocation for link %s arrived; path abandoned at %s/%s\n",
+			fmt.Fprintf(w, "t=%-12v SCMP revocation for link %s arrived; path abandoned at %s/%s\n",
 				time.Duration(revokedAt), target, metrics.FmtBytes(float64(f.Sent())),
 				metrics.FmtBytes(transferSize))
 		}
@@ -85,7 +86,7 @@ func run() error {
 	// Fail the link once roughly half the transfer is on the wire.
 	const failAt = 600 * time.Millisecond
 	n.Clock().Schedule(failAt, func() {
-		fmt.Printf("t=%-12v link %s FAILED mid-transfer\n", failAt, target)
+		fmt.Fprintf(w, "t=%-12v link %s FAILED mid-transfer\n", failAt, target)
 		links := n.Topo.LinksBetween(target.A, target.B)
 		for i, l := range links {
 			if l.ID == target.ID {
@@ -105,22 +106,22 @@ func run() error {
 		return fmt.Errorf("the failed link never produced a revocation")
 	}
 
-	fmt.Printf("\nper-path goodput over the whole transfer (fct %v):\n", f.FCT())
+	fmt.Fprintf(w, "\nper-path goodput over the whole transfer (fct %v):\n", f.FCT())
 	for i, st := range f.PathStats() {
 		status := "survived"
 		if st.Revoked {
 			status = "REVOKED "
 		}
-		fmt.Printf("  path %d: %d hops, %v one-way, bottleneck %s  carried %8s (%s)  %s\n",
+		fmt.Fprintf(w, "  path %d: %d hops, %v one-way, bottleneck %s  carried %8s (%s)  %s\n",
 			i, st.Hops, st.Delay, metrics.FmtRate(st.Bottleneck),
 			metrics.FmtBytes(float64(st.Sent)),
 			metrics.FmtRate(float64(st.Sent)/f.FCT().Seconds()), status)
 	}
-	fmt.Printf("\ntransfer complete: %s in %v (%s aggregate; a single 1 Gbps path needs %v)\n",
+	fmt.Fprintf(w, "\ntransfer complete: %s in %v (%s aggregate; a single 1 Gbps path needs %v)\n",
 		metrics.FmtBytes(float64(f.Sent())), f.FCT(),
 		metrics.FmtRate(f.Goodput(sim.Time(f.FCT()))),
 		time.Duration(float64(transferSize)/1.25e8*float64(time.Second)).Round(time.Millisecond))
-	fmt.Printf("failover cost: %s retransmitted, %d path switches, revocation -> abandonment within one RTT\n",
+	fmt.Fprintf(w, "failover cost: %s retransmitted, %d path switches, revocation -> abandonment within one RTT\n",
 		metrics.FmtBytes(float64(f.Lost())), f.PathSwitches())
 	return nil
 }

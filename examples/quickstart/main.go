@@ -1,6 +1,9 @@
 // Quickstart: the full SCION control-and-data-plane round trip on the
 // paper's Figure 1 demo network (3 ISDs, 7 core ASes).
 //
+// It builds every stage by hand on purpose, so each is visible: the
+// other examples get the same world from one scion.NewNetwork call.
+//
 //  1. Run core and intra-ISD beaconing to discover path segments.
 //  2. Register segments at path servers and look them up like an
 //     endpoint would (up-segments locally, core- and down-segments from
@@ -15,6 +18,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -39,15 +43,15 @@ var (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	topo := topology.Demo()
-	fmt.Println("topology:", topo.ComputeStats())
+	fmt.Fprintln(w, "topology:", topo.ComputeStats())
 
 	infra, err := trust.NewInfra(topo, trust.Sized)
 	if err != nil {
@@ -71,48 +75,42 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("beaconing done: core bytes=%d intra bytes=%d\n",
+	fmt.Fprintf(w, "beaconing done: core bytes=%d intra bytes=%d\n",
 		coreRun.TotalOverheadBytes(), intraRun.TotalOverheadBytes())
 
-	// Terminate stored beacons into registrable path segments.
-	terminate := func(run *beacon.RunResult, origin, at addr.IA) []*seg.PCB {
-		var out []*seg.PCB
-		for _, e := range run.Servers[at].Store().Entries(run.End, origin) {
-			t, err := e.PCB.Extend(infra.SignerFor(at), addr.IA{}, e.Ingress, 0, nil, 1472)
-			if err == nil {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
 	now := intraRun.End
 
 	// 2. Path servers: B-3 registers its up-segments locally and its
 	// down-segments at B-2 (its ISD's core); same for A-6 at A-1/A-2.
-	// The source-side path server then performs the three lookups.
+	// Registration terminates the stored beacons into path segments. The
+	// source-side path server then performs the three lookups.
 	localPS := pathdb.NewServer(b3, false, sim.Time(time.Hour))
 	corePSB2 := pathdb.NewServer(b2, true, sim.Time(time.Hour))
 	corePSA2 := pathdb.NewServer(a2, true, sim.Time(time.Hour))
-	for _, s := range terminate(intraRun, b2, b3) {
-		if err := localPS.RegisterUp(now, s); err != nil {
+	for _, r := range []struct {
+		run        *beacon.RunResult
+		origin, at addr.IA
+		register   func(sim.Time, *seg.PCB) error
+	}{
+		{intraRun, b2, b3, localPS.RegisterUp},
+		{intraRun, a2, a6, corePSA2.RegisterDown},
+		{coreRun, a2, b2, corePSB2.RegisterCore},
+	} {
+		segs, err := r.run.Terminate(infra.SignerFor(r.at), r.origin, r.at, nil)
+		if err != nil {
 			return err
 		}
-	}
-	for _, s := range terminate(intraRun, a2, a6) {
-		if err := corePSA2.RegisterDown(now, s); err != nil {
-			return err
-		}
-	}
-	for _, s := range terminate(coreRun, a2, b2) {
-		if err := corePSB2.RegisterCore(now, s); err != nil {
-			return err
+		for _, s := range segs {
+			if err := r.register(now, s); err != nil {
+				return err
+			}
 		}
 	}
 
 	ups := localPS.LookupUp(now)
 	cores := corePSB2.LookupCore(now, a2)
 	downs := corePSA2.LookupDown(now, a6)
-	fmt.Printf("lookups: %d up-segments, %d core-segments, %d down-segments\n",
+	fmt.Fprintf(w, "lookups: %d up-segments, %d core-segments, %d down-segments\n",
 		len(ups), len(cores), len(downs))
 
 	// 3. Combine segments into end-to-end paths.
@@ -120,13 +118,13 @@ func run() error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no end-to-end paths from %s to %s", b3, a6)
 	}
-	fmt.Printf("end-to-end paths %s -> %s: %d\n", b3, a6, len(paths))
+	fmt.Fprintf(w, "end-to-end paths %s -> %s: %d\n", b3, a6, len(paths))
 	for i, p := range paths {
 		if err := p.Check(topo); err != nil {
 			return fmt.Errorf("path %d invalid: %w", i, err)
 		}
 	}
-	fmt.Println("  best:", paths[0])
+	fmt.Fprintln(w, "  best:", paths[0])
 
 	// 4. Data plane: authorize hop fields and send a packet.
 	var s sim.Simulator
@@ -151,10 +149,10 @@ func run() error {
 	if delivered == nil {
 		return fmt.Errorf("packet not delivered")
 	}
-	fmt.Printf("delivered %q from %s to %s over %d hops in %v virtual time\n",
+	fmt.Fprintf(w, "delivered %q from %s to %s over %d hops in %v virtual time\n",
 		delivered.Payload, delivered.Src, delivered.Dst, len(fp.Hops), s.Now())
 	// A-1 stays untouched: the chosen path is policy-compliant and only
 	// crosses the on-path control plane, no global state anywhere.
-	fmt.Println("core AS", a1, "forwarded", fabric.Forwarded, "packets total (stateless PCFS)")
+	fmt.Fprintln(w, "core AS", a1, "forwarded", fabric.Forwarded, "packets total (stateless PCFS)")
 	return nil
 }

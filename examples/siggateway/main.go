@@ -14,111 +14,54 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
-	"time"
+	"sort"
 
-	"scionmpr/internal/addr"
-	"scionmpr/internal/beacon"
-	"scionmpr/internal/combinator"
-	"scionmpr/internal/core"
-	"scionmpr/internal/dataplane"
-	"scionmpr/internal/seg"
 	"scionmpr/internal/sig"
-	"scionmpr/internal/sim"
-	"scionmpr/internal/topology"
-	"scionmpr/internal/trust"
+	"scionmpr/scion"
 )
 
 var (
-	a1 = addr.MustIA(1, 0xff00_0000_0101)
-	a2 = addr.MustIA(1, 0xff00_0000_0102)
 	// Branch ASes (bank offices) and the data-center AS.
-	branchASes = []addr.IA{
-		addr.MustIA(1, 0xff00_0000_0103), // A-3
-		addr.MustIA(1, 0xff00_0000_0106), // A-6
+	branchASes = []scion.IA{
+		scion.MustIA(1, 0xff00_0000_0103), // A-3
+		scion.MustIA(1, 0xff00_0000_0106), // A-6
 	}
-	dcAS = addr.MustIA(1, 0xff00_0000_0104) // A-4
+	dcAS = scion.MustIA(1, 0xff00_0000_0104) // A-4
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "siggateway:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	topo := topology.Demo()
-	infra, err := trust.NewInfra(topo, trust.Sized)
+func run(w io.Writer) error {
+	// Control plane: intra-ISD beaconing for up/down segments, core
+	// beaconing for the A-1 <-> A-2 core segments (a branch homed at A-1
+	// reaching a data center homed at A-2 needs all three).
+	opts := scion.DefaultOptions()
+	opts.StoreLimit = 20
+	n, err := scion.NewNetwork(scion.DemoTopology(), opts)
 	if err != nil {
 		return err
 	}
 
-	// Control plane for ISD 1: intra-ISD beaconing for up/down segments,
-	// core beaconing for the A-1 <-> A-2 core segments (a branch homed at
-	// A-1 reaching a data center homed at A-2 needs all three).
-	runMode := func(mode beacon.Mode) (*beacon.RunResult, error) {
-		cfg := beacon.DefaultRunConfig(topo, mode, core.NewDiversity(core.DefaultParams(5)), 20)
-		cfg.Duration = 2 * time.Hour
-		cfg.Infra = infra
-		return beacon.Run(cfg)
-	}
-	intraRun, err := runMode(beacon.IntraMode)
-	if err != nil {
-		return err
-	}
-	coreRun, err := runMode(beacon.CoreMode)
-	if err != nil {
-		return err
-	}
-	terminate := func(r *beacon.RunResult, origin, at addr.IA) []*seg.PCB {
-		var out []*seg.PCB
-		for _, e := range r.Servers[at].Store().Entries(r.End, origin) {
-			t, err := e.PCB.Extend(infra.SignerFor(at), addr.IA{}, e.Ingress, 0, nil, 1472)
-			if err == nil {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-	isdCores := []addr.IA{a1, a2}
-	// Paths between any two leaf ASes of ISD 1, via any core pair.
-	pathsBetween := func(src, dst addr.IA) []*dataplane.FwdPath {
-		var ups, downs, coreSegs []*seg.PCB
-		for _, c := range isdCores {
-			ups = append(ups, terminate(intraRun, c, src)...)
-			downs = append(downs, terminate(intraRun, c, dst)...)
-		}
-		for _, cu := range isdCores {
-			for _, cd := range isdCores {
-				if cu != cd {
-					coreSegs = append(coreSegs, terminate(coreRun, cd, cu)...)
-				}
-			}
-		}
-		var out []*dataplane.FwdPath
-		for _, c := range combinator.AllPaths(ups, coreSegs, downs) {
-			if fp, err := dataplane.Authorize(c, infra.ForwardingKey); err == nil {
-				out = append(out, fp)
-			}
-		}
-		return out
-	}
-
-	// Data plane + SIGs. The ASMap assigns one /16 per site.
-	var s sim.Simulator
-	net := sim.NewNetwork(&s, topo, 5*time.Millisecond)
-	fabric := dataplane.NewFabric(net, infra.ForwardingKey)
-
+	// SIGs on the network's fabric. The ASMap assigns one /16 per site.
 	var asmap sig.ASMap
 	asmap.Add(netip.MustParsePrefix("10.3.0.0/16"), branchASes[0])
 	asmap.Add(netip.MustParsePrefix("10.6.0.0/16"), branchASes[1])
 	asmap.Add(netip.MustParsePrefix("10.4.0.0/16"), dcAS)
 
-	newGW := func(ia addr.IA, b byte, mode sig.Mode) *sig.Gateway {
-		return sig.NewGateway(fabric, addr.HostIP4(ia, 10, b, 0, 1), mode, &asmap,
-			func(dst addr.IA) []*dataplane.FwdPath { return pathsBetween(ia, dst) })
+	newGW := func(ia scion.IA, b byte, mode sig.Mode) *sig.Gateway {
+		return sig.NewGateway(n.Fabric(), scion.HostIP4(ia, 10, b, 0, 1), mode, &asmap,
+			func(dst scion.IA) []*scion.FwdPath {
+				paths, _ := n.Paths(ia, dst)
+				return paths
+			})
 	}
 	branchGWs := []*sig.Gateway{newGW(branchASes[0], 3, sig.CPE), newGW(branchASes[1], 6, sig.CPE)}
 	dcGW := newGW(dcAS, 4, sig.CarrierGrade)
@@ -139,28 +82,33 @@ func run() error {
 			}
 		}
 	}
-	s.Run()
+	n.Run()
 
+	var srcs []string
+	for src := range received {
+		srcs = append(srcs, src)
+	}
+	sort.Strings(srcs)
 	total := 0
-	for src, n := range received {
-		fmt.Printf("data center received %d packets from %s\n", n, src)
-		total += n
+	for _, src := range srcs {
+		fmt.Fprintf(w, "data center received %d packets from %s\n", received[src], src)
+		total += received[src]
 	}
 	if total != 6 {
 		return fmt.Errorf("delivered %d of 6 packets", total)
 	}
 	for _, gw := range branchGWs {
-		fmt.Printf("branch SIG %s: encapsulated=%d (per-destination: %v)\n",
+		fmt.Fprintf(w, "branch SIG %s: encapsulated=%d (per-destination: %v)\n",
 			gw.Local, gw.Encapsulated, gw.PerDstAS)
 	}
-	fmt.Printf("DC SIG %s (%s): decapsulated=%d\n", dcGW.Local, dcGW.Mode, dcGW.Decapsulated)
+	fmt.Fprintf(w, "DC SIG %s (%s): decapsulated=%d\n", dcGW.Local, dcGW.Mode, dcGW.Decapsulated)
 
 	// The §3.1 economics.
-	n, k := 20, 3
-	leased, scionConns := sig.ConnectionsSaved(n, k)
-	fmt.Printf("\nleased-line economics (§3.1): %d branches x %d data centers\n", n, k)
-	fmt.Printf("  leased lines needed: %d\n", leased)
-	fmt.Printf("  SCION connections:   %d (%.0f%% fewer; redundancy widens the gap)\n",
+	branches, dcs := 20, 3
+	leased, scionConns := sig.ConnectionsSaved(branches, dcs)
+	fmt.Fprintf(w, "\nleased-line economics (§3.1): %d branches x %d data centers\n", branches, dcs)
+	fmt.Fprintf(w, "  leased lines needed: %d\n", leased)
+	fmt.Fprintf(w, "  SCION connections:   %d (%.0f%% fewer; redundancy widens the gap)\n",
 		scionConns, 100*(1-float64(scionConns)/float64(leased)))
 	return nil
 }

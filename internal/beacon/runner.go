@@ -287,6 +287,27 @@ func (r *RunResult) Quality(src, dst addr.IA) int {
 	return graphalg.UnionFlow(r.PathSet(src, dst), src, dst)
 }
 
+// Terminate converts the beacons from origin stored at `at` into
+// registrable path segments: each gets a terminating AS entry (no egress,
+// 1472-byte MTU) signed by signer and carrying peers, so peering shortcuts
+// work when the entries are given. An AS without a beacon server yields
+// none.
+func (r *RunResult) Terminate(signer trust.Signer, origin, at addr.IA, peers []seg.PeerEntry) ([]*seg.PCB, error) {
+	srv := r.Servers[at]
+	if srv == nil {
+		return nil, nil
+	}
+	var out []*seg.PCB
+	for _, e := range srv.Store().Entries(r.End, origin) {
+		t, err := e.PCB.Extend(signer, addr.IA{}, e.Ingress, 0, peers, 1472)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
+
 // TotalOverheadBytes is the total control-plane bytes transmitted.
 func (r *RunResult) TotalOverheadBytes() uint64 { return r.Net.GrandTotalTx() }
 

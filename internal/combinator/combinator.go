@@ -77,18 +77,6 @@ func (p *Path) String() string {
 	return b.String()
 }
 
-// Links returns the traversed inter-domain links keyed by the upstream
-// side, for failure analysis.
-func (p *Path) Links() []seg.LinkKey {
-	var out []seg.LinkKey
-	for _, h := range p.Hops {
-		if h.Out != 0 {
-			out = append(out, seg.LinkKey{IA: h.IA, If: h.Out})
-		}
-	}
-	return out
-}
-
 // Check validates the path against a topology: every Out interface must
 // attach to a link whose far side is the next hop's AS and In interface.
 func (p *Path) Check(topo *topology.Graph) error {

@@ -33,33 +33,6 @@ type env struct {
 	run    *beacon.RunResult
 }
 
-// pathsBetween derives authorized forwarding paths src -> dst from the
-// beaconing run (up segments of src joined with down segments of dst
-// at the core A-2).
-func (e *env) pathsBetween(t testing.TB, src, dst addr.IA) []*FwdPath {
-	t.Helper()
-	term := func(origin, d addr.IA) []*seg.PCB {
-		var out []*seg.PCB
-		for _, ent := range e.run.Servers[d].Store().Entries(e.run.End, origin) {
-			tp, err := ent.PCB.Extend(e.infra.SignerFor(d), addr.IA{}, ent.Ingress, 0, nil, 1472)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, tp)
-		}
-		return out
-	}
-	var fps []*FwdPath
-	for _, c := range combinator.AllPaths(term(a2, src), nil, term(a2, dst)) {
-		fp, err := Authorize(c, e.infra.ForwardingKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps = append(fps, fp)
-	}
-	return fps
-}
-
 func newEnv(t testing.TB) *env {
 	t.Helper()
 	topo := topology.Demo()
@@ -74,35 +47,38 @@ func newEnv(t testing.TB) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	term := func(origin, dst addr.IA) []*seg.PCB {
-		var out []*seg.PCB
-		for _, e := range run.Servers[dst].Store().Entries(run.End, origin) {
-			tp, err := e.PCB.Extend(infra.SignerFor(dst), addr.IA{}, e.Ingress, 0, nil, 1472)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, tp)
-		}
-		return out
-	}
-	// Paths A-6 -> A-4: up segments to A-2 joined with down segments to
-	// A-4, plus shortcuts.
-	cands := combinator.AllPaths(term(a2, a6), nil, term(a2, a4))
-	if len(cands) == 0 {
-		t.Fatal("no candidate paths")
-	}
 	s := &sim.Simulator{}
 	net := sim.NewNetwork(s, topo, time.Millisecond)
-	fab := NewFabric(net, infra.ForwardingKey)
+	e := &env{topo: topo, infra: infra, sim: s, fabric: NewFabric(net, infra.ForwardingKey), run: run}
+	// Paths A-6 -> A-4: up segments to A-2 joined with down segments to
+	// A-4, plus shortcuts.
+	if e.paths = e.pathsBetween(t, a6, a4); len(e.paths) == 0 {
+		t.Fatal("no candidate paths")
+	}
+	return e
+}
+
+// pathsBetween derives authorized forwarding paths src -> dst from the
+// beaconing run (up segments of src joined with down segments of dst
+// at the core A-2).
+func (e *env) pathsBetween(t testing.TB, src, dst addr.IA) []*FwdPath {
+	t.Helper()
+	term := func(origin, d addr.IA) []*seg.PCB {
+		segs, err := e.run.Terminate(e.infra.SignerFor(d), origin, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
 	var fps []*FwdPath
-	for _, c := range cands {
-		fp, err := Authorize(c, infra.ForwardingKey)
+	for _, c := range combinator.AllPaths(term(a2, src), nil, term(a2, dst)) {
+		fp, err := Authorize(c, e.infra.ForwardingKey)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fps = append(fps, fp)
 	}
-	return &env{topo: topo, infra: infra, sim: s, fabric: fab, paths: fps, run: run}
+	return fps
 }
 
 func TestAuthorizeAndVerify(t *testing.T) {
@@ -175,84 +151,6 @@ func TestForgedPacketDropped(t *testing.T) {
 	}
 	if e.fabric.DroppedBadMAC == 0 {
 		t.Error("forged packet not counted as bad MAC")
-	}
-}
-
-func TestLinkFailureTriggersRevocationAndFailover(t *testing.T) {
-	e := newEnv(t)
-	src := addr.HostIP4(a6, 10, 0, 0, 1)
-	dst := addr.HostIP4(a4, 10, 0, 0, 2)
-
-	ep := NewEndpoint(e.fabric, src)
-	ep.SetPaths(e.paths)
-	delivered := 0
-	e.fabric.OnDeliver(a4, func(p *Packet) { delivered++ })
-	var revokedLink seg.LinkKey
-	ep.OnRevocation = func(l seg.LinkKey) { revokedLink = l }
-
-	// Fail the first link of the active path.
-	first := ep.ActivePath().Hops[0]
-	link := e.topo.LinkByIf(first.Hop.IA, first.Hop.Out)
-	if link == nil {
-		t.Fatal("no first link")
-	}
-	e.fabric.FailLink(link.ID)
-
-	if err := ep.Send(dst, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	e.sim.Run()
-	if delivered != 0 {
-		t.Fatal("packet delivered over failed link")
-	}
-	if revokedLink == (seg.LinkKey{}) {
-		t.Fatal("no revocation received")
-	}
-	if ep.ActivePath() == nil {
-		t.Fatal("no failover path")
-	}
-	// The new active path avoids the failed link.
-	for _, h := range ep.ActivePath().Hops {
-		l := e.topo.LinkByIf(h.Hop.IA, h.Hop.Out)
-		if l != nil && l.ID == link.ID {
-			t.Error("failover path still uses failed link")
-		}
-	}
-	// Retransmit: must arrive now.
-	if err := ep.Send(dst, []byte("retry")); err != nil {
-		t.Fatal(err)
-	}
-	e.sim.Run()
-	if delivered != 1 {
-		t.Errorf("delivered = %d after failover", delivered)
-	}
-	if ep.Failovers == 0 {
-		t.Error("failover not counted")
-	}
-}
-
-func TestEndpointExhaustion(t *testing.T) {
-	e := newEnv(t)
-	src := addr.HostIP4(a6, 10, 0, 0, 1)
-	dst := addr.HostIP4(a4, 10, 0, 0, 2)
-	ep := NewEndpoint(e.fabric, src)
-	ep.SetPaths(e.paths[:1])
-
-	first := ep.ActivePath().Hops[0]
-	link := e.topo.LinkByIf(first.Hop.IA, first.Hop.Out)
-	e.fabric.FailLink(link.ID)
-	if err := ep.Send(dst, nil); err != nil {
-		t.Fatal(err)
-	}
-	e.sim.Run()
-	if ep.ActivePath() != nil {
-		t.Error("exhausted endpoint still has active path")
-	}
-	if err := ep.Send(dst, nil); err == nil {
-		t.Error("send without usable path must fail")
-	}
-	if ep.Exhausted == 0 {
-		t.Error("exhaustion not counted")
 	}
 }
 

@@ -233,7 +233,7 @@ func runFabricTrace(t *testing.T, e *env, tr *diffTrace) string {
 		fab.OnDeliver(ia, func(p *Packet) {
 			outcomes[p.FlowID] = diffOutcome{delivered: true, scmp: -1}
 		})
-		fab.OnSCMP(ia, func(m *SCMP) {
+		fab.AddSCMP(ia, func(m *SCMP) {
 			outcomes[m.Orig.FlowID] = diffOutcome{scmp: int8(m.Type), link: m.Link}
 		})
 	}

@@ -137,12 +137,9 @@ func NewFabric(net *sim.Network, keys KeyFunc) *Fabric {
 // OnDeliver installs the destination handler of an AS (its local stack).
 func (f *Fabric) OnDeliver(ia addr.IA, fn DeliverFunc) { f.deliver[ia] = fn }
 
-// OnSCMP installs the SCMP handler of an AS.
-func (f *Fabric) OnSCMP(ia addr.IA, fn SCMPFunc) { f.scmp[ia] = fn }
-
-// AddSCMP registers an additional SCMP listener for ia, chained after any
-// handler already installed — several consumers (endpoints, traffic
-// engines) can observe revocations arriving at the same AS.
+// AddSCMP registers an SCMP listener for ia, chained after any listener
+// already registered — several consumers (hosts, traffic engines) can
+// observe revocations arriving at the same AS.
 func (f *Fabric) AddSCMP(ia addr.IA, fn SCMPFunc) {
 	prev := f.scmp[ia]
 	if prev == nil {

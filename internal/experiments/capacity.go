@@ -99,15 +99,15 @@ func RunCapacity(s Scale) (*CapacityResult, error) {
 // their own token buckets so each measures its path set's capacity, not
 // cross-pair contention — runs the shared clock for the window, and
 // returns per-pair goodput in link multiples.
-func pairEngines(clock *sim.Simulator, net *sim.Network, fabric *dataplane.Fabric,
-	provider traffic.PathProvider, sched func() traffic.Scheduler,
-	pairs [][2]addr.IA) ([]float64, error) {
+func pairEngines(fabric *dataplane.Fabric, provider traffic.PathProvider,
+	sched func() traffic.Scheduler, pairs [][2]addr.IA) ([]float64, error) {
 
+	clock := fabric.Net.Sim
 	flows := make([]*traffic.Flow, len(pairs))
 	for i, pr := range pairs {
 		eng, err := traffic.NewEngine(traffic.Config{
 			Clock:     clock,
-			Net:       net,
+			Net:       fabric.Net,
 			Fabric:    fabric,
 			Provider:  provider,
 			Links:     traffic.NewLinkModel(traffic.UniformCapacity(capacityLinkRate)),
@@ -150,7 +150,7 @@ func scionCapacityWith(topo *topology.Graph, alg scion.Algorithm,
 	if err != nil {
 		return nil, err
 	}
-	return pairEngines(n.Clock(), n.Fabric().Net, n.Fabric(), n.Paths, sched, pairs)
+	return pairEngines(n.Fabric(), n.Paths, sched, pairs)
 }
 
 // bgpCapacity converges BGP on the same topology and measures every pair
@@ -160,25 +160,33 @@ func bgpCapacity(topo *topology.Graph, pairs [][2]addr.IA) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	// BGP forwarding has no hop-field MACs; a synthetic per-AS key ring
-	// satisfies the shared fabric without a SCION trust hierarchy.
+	fabric, paths := bgpFloor(res, topo, pairs)
+	return pairEngines(fabric, paths, func() traffic.Scheduler { return &traffic.SingleBest{} }, pairs)
+}
+
+// bgpFloor builds the comparison floor's data plane, a fabric on a clock
+// of its own, and its path provider: each pair forwards on its converged
+// BGP best path. BGP forwarding has no hop-field MACs; a synthetic per-AS
+// key ring satisfies the shared fabric without a SCION trust hierarchy.
+func bgpFloor(res *bgp.Result, topo *topology.Graph, pairs [][2]addr.IA) (*dataplane.Fabric, traffic.PathProvider) {
 	keys := func(ia addr.IA) []byte {
 		var b [8]byte
 		binary.BigEndian.PutUint64(b[:], ia.Uint64()^0x5ca1ab1ecafe)
 		return b[:]
 	}
-	clock := &sim.Simulator{}
-	net := sim.NewNetwork(clock, topo, 5*time.Millisecond)
-	fabric := dataplane.NewFabric(net, keys)
-	provider := func(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
-		fp, err := bgpBestPath(res, topo, keys, src, dst)
-		if err != nil {
-			return nil, err
+	fabric := dataplane.NewFabric(sim.NewNetwork(&sim.Simulator{}, topo, 5*time.Millisecond), keys)
+	best := map[[2]addr.IA]*dataplane.FwdPath{}
+	for _, pr := range pairs {
+		if fp, err := bgpBestPath(res, topo, keys, pr[0], pr[1]); err == nil {
+			best[pr] = fp
 		}
-		return []*dataplane.FwdPath{fp}, nil
 	}
-	return pairEngines(clock, net, fabric, provider,
-		func() traffic.Scheduler { return &traffic.SingleBest{} }, pairs)
+	return fabric, func(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
+		if fp := best[[2]addr.IA{src, dst}]; fp != nil {
+			return []*dataplane.FwdPath{fp}, nil
+		}
+		return nil, fmt.Errorf("experiments: no BGP route %s -> %s", src, dst)
+	}
 }
 
 // bgpBestPath authorizes src's converged best route toward dst as a

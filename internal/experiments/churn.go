@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strings"
@@ -10,6 +9,7 @@ import (
 	"scionmpr/internal/addr"
 	"scionmpr/internal/bgp"
 	"scionmpr/internal/chaos"
+	"scionmpr/internal/combinator"
 	"scionmpr/internal/core"
 	"scionmpr/internal/dataplane"
 	"scionmpr/internal/metrics"
@@ -17,7 +17,6 @@ import (
 	"scionmpr/internal/sim"
 	"scionmpr/internal/topology"
 	"scionmpr/internal/traffic"
-	"scionmpr/internal/trust"
 )
 
 // Churn timeline (compressed virtual time: beaconing every second instead
@@ -155,18 +154,13 @@ func RunChurn(s Scale) (*ChurnResult, error) {
 		CandidateLinks: len(cands),
 		Pairs:          pairs,
 	}
-	// Both SCION variants sign and authorise with the same keys.
-	infra, err := trust.NewInfra(e.core, trust.Sized)
-	if err != nil {
-		return nil, err
-	}
-	div, err := scionChurn(e, infra, "SCION Diversity",
+	div, err := scionChurn(e, "SCION Diversity",
 		core.NewDiversity(core.DefaultParams(s.DissemLimit)), pairs, sched)
 	if err != nil {
 		return nil, err
 	}
 	res.Series = append(res.Series, div)
-	base, err := scionChurn(e, infra, "SCION Baseline", core.NewBaseline(s.DissemLimit), pairs, sched)
+	base, err := scionChurn(e, "SCION Baseline", core.NewBaseline(s.DissemLimit), pairs, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -218,16 +212,14 @@ func churnEnd() sim.Time {
 // fabric, and the chaos engine flaps links on both. Path lookups read the
 // beacon stores at lookup time, so dissemination lag and re-propagation
 // over healed links are part of what is measured.
-func scionChurn(e *env, infra *trust.Infra, name string, factory core.Factory, pairs [][2]addr.IA,
+func scionChurn(e *env, name string, factory core.Factory, pairs [][2]addr.IA,
 	sched *chaos.Schedule) (ChurnSeries, error) {
 
-	plane, err := e.livePlane(factory, infra, churnBeaconInterval, churnEnd(), nil, nil)
+	plane, err := e.livePlane(factory, churnBeaconInterval, churnEnd(), nil, nil)
 	if err != nil {
 		return ChurnSeries{}, err
 	}
-	clock := plane.Sim
-	data := sim.NewNetwork(clock, e.core, 5*time.Millisecond)
-	fabric := dataplane.NewFabric(data, infra.ForwardingKey)
+	fabric := dataplane.NewFabric(sim.NewNetwork(plane.Sim, e.core, 5*time.Millisecond), plane.Infra.ForwardingKey)
 	// Flaps hit the PCB transport (silent drops) and the fabric (SCMP at
 	// the upstream router); beacon servers revoke affected state the
 	// moment a link goes down and re-learn it from neighbors' next ticks
@@ -243,7 +235,7 @@ func scionChurn(e *env, infra *trust.Infra, name string, factory core.Factory, p
 	authCache := map[string]*dataplane.FwdPath{}
 	provider := func(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
 		var out []*dataplane.FwdPath
-		for _, links := range plane.Servers[dst].Segments(clock.Now(), src) {
+		for _, links := range plane.Servers[dst].Segments(plane.Sim.Now(), src) {
 			key := segCacheKey(links)
 			fp := authCache[key]
 			if fp == nil {
@@ -251,7 +243,7 @@ func scionChurn(e *env, infra *trust.Infra, name string, factory core.Factory, p
 				if !ok {
 					continue
 				}
-				fp, err = dataplane.Authorize(path, infra.ForwardingKey)
+				fp, err = dataplane.Authorize(path, plane.Infra.ForwardingKey)
 				if err != nil {
 					continue
 				}
@@ -264,7 +256,7 @@ func scionChurn(e *env, infra *trust.Infra, name string, factory core.Factory, p
 		}
 		return out, nil
 	}
-	ser, err := churnMeasure(clock, data, plane.Net, fabric, provider,
+	ser, err := churnMeasure(fabric, plane.Net, provider,
 		func() traffic.Scheduler { return &traffic.WeightedBottleneck{} }, pairs, eng, e.scale.Seed)
 	ser.Name = name
 	return ser, err
@@ -275,33 +267,12 @@ func scionChurn(e *env, infra *trust.Infra, name string, factory core.Factory, p
 // within a flap period (MRAI alone is longer), so a downed best path
 // means disconnection until the link heals and revocation state lapses.
 func bgpChurn(e *env, res *bgp.Result, pairs [][2]addr.IA, coreSched *chaos.Schedule) (ChurnSeries, error) {
-	keys := func(ia addr.IA) []byte {
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], ia.Uint64()^0x5ca1ab1ecafe)
-		return b[:]
-	}
-	clock := &sim.Simulator{}
-	net := sim.NewNetwork(clock, e.coreSub, 5*time.Millisecond)
-	fabric := dataplane.NewFabric(net, keys)
-	best := map[[2]addr.IA]*dataplane.FwdPath{}
-	for _, pr := range pairs {
-		fp, err := bgpBestPath(res, e.coreSub, keys, pr[0], pr[1])
-		if err != nil {
-			continue
-		}
-		best[pr] = fp
-	}
-	provider := func(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
-		if fp := best[[2]addr.IA{src, dst}]; fp != nil {
-			return []*dataplane.FwdPath{fp}, nil
-		}
-		return nil, fmt.Errorf("churn: no BGP route %s -> %s", src, dst)
-	}
-	eng := chaos.NewEngine(clock, fabric)
+	fabric, paths := bgpFloor(res, e.coreSub, pairs)
+	eng := chaos.NewEngine(fabric.Net.Sim, fabric)
 	if err := eng.Apply(translateSchedule(coreSched, e.core, e.coreSub)); err != nil {
 		return ChurnSeries{}, err
 	}
-	ser, err := churnMeasure(clock, net, nil, fabric, provider,
+	ser, err := churnMeasure(fabric, nil, paths,
 		func() traffic.Scheduler { return &traffic.SingleBest{} }, pairs, eng, e.scale.Seed)
 	ser.Name = "BGP best-path"
 	return ser, err
@@ -335,21 +306,51 @@ func segCacheKey(links []seg.LinkKey) string {
 	return b.String()
 }
 
+// hopsFromLinks turns an ordered link-key list (origin side first, as
+// stored by beaconing) into a combinator path src -> dst.
+func hopsFromLinks(topo *topology.Graph, links []seg.LinkKey, src, dst addr.IA) (*combinator.Path, bool) {
+	if len(links) == 0 || links[0].IA != src {
+		return nil, false
+	}
+	var hops []combinator.Hop
+	cur := combinator.Hop{IA: src, In: 0, Out: links[0].If}
+	for _, lk := range links {
+		l := topo.LinkByIf(lk.IA, lk.If)
+		if l == nil || lk.IA != cur.IA {
+			return nil, false
+		}
+		cur.Out = lk.If
+		hops = append(hops, cur)
+		next := l.Other(lk.IA)
+		cur = combinator.Hop{IA: next, In: l.RemoteIf(lk.IA)}
+	}
+	cur.Out = 0
+	hops = append(hops, cur)
+	if hops[len(hops)-1].IA != dst {
+		return nil, false
+	}
+	p := &combinator.Path{Hops: hops}
+	if err := p.Check(topo); err != nil {
+		return nil, false
+	}
+	return p, true
+}
+
 // churnMeasure drives one variant's flows through the churn timeline and
 // collects the series. Pairs get isolated token buckets (as in the
 // capacity experiment) so each measures its own path set, not cross-pair
 // contention. ctrl may be nil (BGP has no live control plane).
-func churnMeasure(clock *sim.Simulator, data *sim.Network, ctrl *sim.Network,
-	fabric *dataplane.Fabric, provider traffic.PathProvider,
+func churnMeasure(fabric *dataplane.Fabric, ctrl *sim.Network, provider traffic.PathProvider,
 	sched func() traffic.Scheduler, pairs [][2]addr.IA,
 	eng *chaos.Engine, seed int64) (ChurnSeries, error) {
 
+	clock := fabric.Net.Sim
 	engines := make([]*traffic.Engine, len(pairs))
 	flows := make([]*traffic.Flow, len(pairs))
 	for i, pr := range pairs {
 		te, err := traffic.NewEngine(traffic.Config{
 			Clock:         clock,
-			Net:           data,
+			Net:           fabric.Net,
 			Fabric:        fabric,
 			Provider:      provider,
 			Links:         traffic.NewLinkModel(traffic.UniformCapacity(churnLinkRate)),

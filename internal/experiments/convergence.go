@@ -6,16 +6,11 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/beacon"
 	"scionmpr/internal/bgp"
-	"scionmpr/internal/combinator"
-	"scionmpr/internal/core"
 	"scionmpr/internal/dataplane"
 	"scionmpr/internal/graphalg"
-	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
-	"scionmpr/internal/topology"
-	"scionmpr/internal/trust"
+	"scionmpr/scion"
 )
 
 // ConvergenceResult quantifies the paper's §5 remark that SCION has no
@@ -31,10 +26,12 @@ type ConvergenceResult struct {
 	// after a prefix withdrawal.
 	BGPAfterWithdraw time.Duration
 	// SCIONFailover is the virtual time between a link failure hitting
-	// an active path and the sender resuming on an alternative path.
+	// an active path and the first delivery of a packet sent after it,
+	// on an alternative path.
 	SCIONFailover time.Duration
-	// SCIONPathsReady reports that disseminated SCION paths were usable
-	// without any waiting (stable on dissemination).
+	// SCIONPathsReady reports that the packet sent at time zero, on the
+	// path set looked up at time zero, was delivered: disseminated paths
+	// are usable without any waiting (stable on dissemination).
 	SCIONPathsReady bool
 }
 
@@ -58,51 +55,66 @@ func RunConvergence(s Scale) (*ConvergenceResult, error) {
 	bgpRes.WithdrawPrefix(victim)
 	res.BGPAfterWithdraw = time.Duration(bgpRes.End - before)
 
-	// SCION: beacon, pick a pair with >= 2 disjoint paths, fail the
-	// active path's first link mid-stream, and time the failover.
-	run, err := e.runCore(core.NewDiversity(core.DefaultParams(s.DissemLimit)), s.StoreLimit)
+	// SCION: bootstrap, pick a pair whose first lookup returns >= 2
+	// link-disjoint paths, stream packets from a host, fail the active
+	// path's first link mid-stream, and time the failover.
+	n, err := scion.NewNetwork(e.core, scion.Options{
+		DisseminationLimit: s.DissemLimit,
+		StoreLimit:         s.StoreLimit,
+		BeaconingTime:      s.Duration,
+		Interval:           s.Interval,
+		Lifetime:           s.Lifetime,
+		LinkDelay:          10 * time.Millisecond,
+		Workers:            s.Workers,
+		Telemetry:          s.Telemetry,
+		Tracer:             s.Tracer,
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.SCIONPathsReady = true
-
-	infra, err := trust.NewInfra(e.core, trust.Sized)
+	pair, fps, err := pickMultipathPair(n)
 	if err != nil {
 		return nil, err
 	}
-	pair, fps, err := pickMultipathPair(e.core, run, infra)
+	src, err := n.Host(pair[0], 10, 0, 0, 1)
 	if err != nil {
 		return nil, err
 	}
-	clock := &sim.Simulator{}
-	net := sim.NewNetwork(clock, e.core, 10*time.Millisecond)
-	fabric := dataplane.NewFabric(net, infra.ForwardingKey)
-	srcHost := addr.HostIP4(pair[0], 10, 0, 0, 1)
-	ep := dataplane.NewEndpoint(fabric, srcHost)
-	ep.SetPaths(fps)
-
+	dst, err := n.Host(pair[1], 10, 0, 0, 2)
+	if err != nil {
+		return nil, err
+	}
+	// Packet i is sent at i*sendEvery and carries i. Failover ends with
+	// the first delivery of a packet sent after the failure; a packet
+	// already past the failed link does not count.
+	const sendEvery = 5 * time.Millisecond
 	var failedAt, restoredAt sim.Time
 	delivered := 0
-	fabric.OnDeliver(pair[1], func(*dataplane.Packet) {
+	dst.OnReceive(func(_ addr.Host, payload []byte) {
 		delivered++
-		if failedAt > 0 && restoredAt == 0 {
-			restoredAt = clock.Now()
+		if payload[0] == 0 {
+			// Sent at time zero on the freshly looked-up path set.
+			res.SCIONPathsReady = true
+		}
+		if failedAt > 0 && restoredAt == 0 && sim.Time(payload[0])*sim.Time(sendEvery) >= failedAt {
+			restoredAt = n.Clock().Now()
 		}
 	})
-	dstHost := addr.HostIP4(pair[1], 10, 0, 0, 2)
 	for i := 0; i < 60; i++ {
-		clock.Schedule(time.Duration(i)*5*time.Millisecond, func() {
-			_ = ep.Send(dstHost, []byte("x"))
+		n.Clock().Schedule(time.Duration(i)*sendEvery, func() {
+			_ = src.Send(dst.Addr, []byte{byte(i)})
 		})
 	}
-	clock.Schedule(52*time.Millisecond, func() {
-		hf := ep.ActivePath().Hops[0]
-		if l := e.core.LinkByIf(hf.Hop.IA, hf.Hop.Out); l != nil {
-			fabric.FailLink(l.ID)
-			failedAt = clock.Now()
+	n.Clock().Schedule(52*time.Millisecond, func() {
+		// The host has not failed over yet, so its active path is the
+		// first one the lookup returned.
+		refs, err := fps[0].LinkRefs(n.Topo)
+		if err == nil {
+			n.Fabric().FailLink(refs[0].Link.ID)
+			failedAt = n.Clock().Now()
 		}
 	})
-	clock.Run()
+	n.Run()
 	if failedAt == 0 || restoredAt == 0 {
 		return nil, fmt.Errorf("convergence experiment: failover did not complete (delivered %d)", delivered)
 	}
@@ -110,69 +122,31 @@ func RunConvergence(s Scale) (*ConvergenceResult, error) {
 	return res, nil
 }
 
-// pickMultipathPair finds a core pair with at least two link-disjoint
-// disseminated paths and authorizes its forwarding paths.
-func pickMultipathPair(topo *topology.Graph, run *beacon.RunResult, infra *trust.Infra) ([2]addr.IA, []*dataplane.FwdPath, error) {
-	for _, pair := range graphalg.SamplePairs(topo, 50) {
-		if graphalg.UnionFlow(run.PathSet(pair[0], pair[1]), pair[0], pair[1]) < 2 {
-			continue
-		}
-		fps, err := authorizePathSet(topo, run, infra, pair[0], pair[1])
-		if err != nil || len(fps) < 2 {
-			continue
-		}
-		return pair, fps, nil
-	}
-	return [2]addr.IA{}, nil, fmt.Errorf("no multipath pair found")
-}
-
-// authorizePathSet converts the disseminated beacons from src stored at
-// dst into authorized forwarding paths src -> dst.
-func authorizePathSet(topo *topology.Graph, run *beacon.RunResult, infra *trust.Infra, src, dst addr.IA) ([]*dataplane.FwdPath, error) {
-	var out []*dataplane.FwdPath
-	for _, links := range run.Servers[dst].Segments(run.End, src) {
-		path, ok := hopsFromLinks(topo, links, src, dst)
-		if !ok {
-			continue
-		}
-		fp, err := dataplane.Authorize(path, infra.ForwardingKey)
+// pickMultipathPair finds a sampled pair whose looked-up path set holds at
+// least two link-disjoint paths.
+func pickMultipathPair(n *scion.Network) ([2]addr.IA, []*dataplane.FwdPath, error) {
+	for _, pair := range graphalg.SamplePairs(n.Topo, 50) {
+		fps, err := n.Paths(pair[0], pair[1])
 		if err != nil {
 			continue
 		}
-		out = append(out, fp)
-	}
-	return out, nil
-}
-
-// hopsFromLinks turns an ordered link-key list (origin side first, as
-// stored by beaconing) into a combinator path src -> dst.
-func hopsFromLinks(topo *topology.Graph, links []seg.LinkKey, src, dst addr.IA) (*combinator.Path, bool) {
-	if len(links) == 0 || links[0].IA != src {
-		return nil, false
-	}
-	var hops []combinator.Hop
-	cur := combinator.Hop{IA: src, In: 0, Out: links[0].If}
-	for i, lk := range links {
-		l := topo.LinkByIf(lk.IA, lk.If)
-		if l == nil || lk.IA != cur.IA {
-			return nil, false
+		var pls [][]graphalg.PathLink
+		for _, fp := range fps {
+			refs, err := fp.LinkRefs(n.Topo)
+			if err != nil {
+				continue
+			}
+			pl := make([]graphalg.PathLink, len(refs))
+			for i, r := range refs {
+				pl[i] = graphalg.PathLink{A: r.Link.A, B: r.Link.B, ID: r.Link.ID}
+			}
+			pls = append(pls, pl)
 		}
-		cur.Out = lk.If
-		hops = append(hops, cur)
-		next := l.Other(lk.IA)
-		cur = combinator.Hop{IA: next, In: l.RemoteIf(lk.IA)}
-		_ = i
+		if graphalg.UnionFlow(pls, pair[0], pair[1]) >= 2 {
+			return pair, fps, nil
+		}
 	}
-	cur.Out = 0
-	hops = append(hops, cur)
-	if hops[len(hops)-1].IA != dst {
-		return nil, false
-	}
-	p := &combinator.Path{Hops: hops}
-	if err := p.Check(topo); err != nil {
-		return nil, false
-	}
-	return p, true
+	return [2]addr.IA{}, nil, fmt.Errorf("no multipath pair found")
 }
 
 // Print renders the comparison.
@@ -180,6 +154,6 @@ func (r *ConvergenceResult) Print(w io.Writer) {
 	fmt.Fprintln(w, "== Convergence vs failover (paper §5: SCION segments are stable on dissemination) ==")
 	fmt.Fprintf(w, "BGP cold-start convergence:      %v (virtual)\n", r.BGPInitial)
 	fmt.Fprintf(w, "BGP re-convergence (withdrawal): %v (virtual)\n", r.BGPAfterWithdraw)
-	fmt.Fprintf(w, "SCION failover after link loss:  %v (one SCMP round trip; no route recomputation)\n", r.SCIONFailover)
+	fmt.Fprintf(w, "SCION failover after link loss:  %v (SCMP revocation, then the next packet on a known path; no route recomputation)\n", r.SCIONFailover)
 	fmt.Fprintf(w, "SCION paths usable on arrival:   %v\n", r.SCIONPathsReady)
 }

@@ -14,7 +14,6 @@ import (
 	"scionmpr/internal/pathsrv"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
-	"scionmpr/internal/trust"
 )
 
 // Failover timeline: the serve experiment's control-plane cadence
@@ -180,13 +179,8 @@ func RunFailover(s Scale, fc FailoverConfig) (*FailoverResult, error) {
 	if fc.CrashPeriod <= 0 {
 		fc.CrashPeriod = 2700 * time.Millisecond
 	}
-	// The topology and keys are deterministic, so both variants share one
-	// build of each.
+	// The topology is deterministic, so both variants share one build.
 	e, err := newEnv(s)
-	if err != nil {
-		return nil, err
-	}
-	infra, err := trust.NewInfra(e.core, trust.Sized)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +193,7 @@ func RunFailover(s Scale, fc FailoverConfig) (*FailoverResult, error) {
 		{"SCION Baseline", core.NewBaseline(s.DissemLimit)},
 	}
 	for _, v := range variants {
-		run, err := runFailoverVariant(e, infra, fc, v.name, v.factory)
+		run, err := runFailoverVariant(e, fc, v.name, v.factory)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: failover %s: %w", v.name, err)
 		}
@@ -208,11 +202,11 @@ func RunFailover(s Scale, fc FailoverConfig) (*FailoverResult, error) {
 	return res, nil
 }
 
-func runFailoverVariant(e *env, infra *trust.Infra, fc FailoverConfig, name string, factory core.Factory) (*FailoverRun, error) {
+func runFailoverVariant(e *env, fc FailoverConfig, name string, factory core.Factory) (*FailoverRun, error) {
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(1 << 16)
 	end := sim.Time(fc.Duration)
-	plane, err := e.livePlane(factory, infra, serveBeaconInterval, end, reg, tracer)
+	plane, err := e.livePlane(factory, serveBeaconInterval, end, reg, tracer)
 	if err != nil {
 		return nil, err
 	}

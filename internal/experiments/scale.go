@@ -20,7 +20,6 @@ import (
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
-	"scionmpr/internal/trust"
 )
 
 // Scale parameterizes an experiment run.
@@ -199,8 +198,9 @@ func (e *env) runCore(factory core.Factory, storeLimit int) (*beacon.RunResult, 
 // livePlane builds the compressed-time core beaconing plane the live
 // experiments (churn, serve, failover) run on, ticks scheduled: one-hour
 // PCB lifetime, 10 ms control links, a tick every interval until end.
-// A nil infra or observer behaves as in beacon.RunConfig.
-func (e *env) livePlane(factory core.Factory, infra *trust.Infra, interval time.Duration, end sim.Time,
+// The plane builds its own trust infra (keys are a pure function of the
+// AS); a nil observer behaves as in beacon.RunConfig.
+func (e *env) livePlane(factory core.Factory, interval time.Duration, end sim.Time,
 	reg *telemetry.Registry, tracer *telemetry.Tracer) (*beacon.Plane, error) {
 
 	p, err := beacon.NewPlane(beacon.RunConfig{
@@ -212,7 +212,6 @@ func (e *env) livePlane(factory core.Factory, infra *trust.Infra, interval time.
 		Lifetime:   time.Hour,
 		Duration:   time.Duration(end),
 		LinkDelay:  10 * time.Millisecond,
-		Infra:      infra,
 		Workers:    e.scale.Workers,
 		Telemetry:  reg,
 		Tracer:     tracer,

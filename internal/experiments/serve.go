@@ -210,7 +210,7 @@ func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
 		tracer = telemetry.NewTracer(1 << 16)
 	}
 	end := sim.Time(sc.Duration)
-	plane, err := e.livePlane(core.NewDiversity(core.DefaultParams(s.DissemLimit)), nil,
+	plane, err := e.livePlane(core.NewDiversity(core.DefaultParams(s.DissemLimit)),
 		serveBeaconInterval, end, reg, tracer)
 	if err != nil {
 		return nil, err

@@ -61,15 +61,13 @@ func RunTable1() (*Table1Result, error) {
 	a6 := addr.MustIA(1, 0xff00_0000_0106)
 	now := intraRun.End
 
+	var termErr error
 	terminate := func(run *beacon.RunResult, origin, at addr.IA) []*seg.PCB {
-		var out []*seg.PCB
-		for _, e := range run.Servers[at].Store().Entries(run.End, origin) {
-			t, err := e.PCB.Extend(infra.SignerFor(at), addr.IA{}, e.Ingress, 0, nil, 1472)
-			if err == nil {
-				out = append(out, t)
-			}
+		segs, err := run.Terminate(infra.SignerFor(at), origin, at, nil)
+		if termErr == nil {
+			termErr = err
 		}
-		return out
+		return segs
 	}
 
 	// Path servers: core PS at A-1, local PS at A-6.
@@ -113,6 +111,10 @@ func RunTable1() (*Table1Result, error) {
 				regBytes += uint64(s.WireLen() + regHeader)
 			}
 		}
+	}
+
+	if termErr != nil {
+		return nil, termErr
 	}
 
 	// Lookups with a Zipf workload over registered destinations.

@@ -92,16 +92,7 @@ func (n *Network) controlService(ia addr.IA, pkt *dataplane.Packet) {
 	if ps == nil {
 		return
 	}
-	now := n.intraRun.End
-	var segs []*seg.PCB
-	switch req.Type {
-	case pathdb.Down:
-		segs = ps.LookupDown(now, req.Dst)
-	case pathdb.Core:
-		segs = ps.LookupCore(now, req.Dst)
-	case pathdb.Up:
-		segs = ps.LookupUp(now)
-	}
+	segs := n.serve(ps, req)
 	rev, err := pkt.Path.Reverse(n.Infra.ForwardingKey)
 	if err != nil {
 		return
@@ -135,6 +126,22 @@ func (n *Network) controlService(ia addr.IA, pkt *dataplane.Packet) {
 	}
 }
 
+// serve answers a segment request from a path server at the live
+// control-plane time, so revocations lapse for remote lookups as they do
+// for Paths.
+func (n *Network) serve(ps *pathdb.Server, req pathdb.Request) []*seg.PCB {
+	now := n.now()
+	switch req.Type {
+	case pathdb.Up:
+		return ps.LookupUp(now)
+	case pathdb.Down:
+		return ps.LookupDown(now, req.Dst)
+	case pathdb.Core:
+		return ps.LookupCore(now, req.Dst)
+	}
+	return nil
+}
+
 // LookupResult is the outcome of a remote segment lookup.
 type LookupResult struct {
 	Segments []*seg.PCB
@@ -157,17 +164,7 @@ func (n *Network) RemoteLookup(from, server addr.IA, req pathdb.Request) (*Looku
 		if ps == nil {
 			return nil, fmt.Errorf("scion: no path server at %s", server)
 		}
-		now := n.intraRun.End
-		var segs []*seg.PCB
-		switch req.Type {
-		case pathdb.Up:
-			segs = ps.LookupUp(now)
-		case pathdb.Down:
-			segs = ps.LookupDown(now, req.Dst)
-		case pathdb.Core:
-			segs = ps.LookupCore(now, req.Dst)
-		}
-		return &LookupResult{Segments: segs}, nil
+		return &LookupResult{Segments: n.serve(ps, req)}, nil
 	}
 	paths, err := n.Paths(from, server)
 	if err != nil {

@@ -113,7 +113,7 @@ type Network struct {
 	clock  *sim.Simulator
 	netSim *sim.Network
 	fabric *dataplane.Fabric
-	hosts  map[string]*Host
+	hosts  map[addr.IA][]*Host
 	// svcHandlers intercept control-service replies per AS (RemoteLookup).
 	svcHandlers map[addr.IA]func(*dataplane.Packet)
 
@@ -166,7 +166,7 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 		Infra:       infra,
 		Opts:        opts,
 		pathServers: map[addr.IA]*pathdb.Server{},
-		hosts:       map[string]*Host{},
+		hosts:       map[addr.IA][]*Host{},
 		svcHandlers: map[addr.IA]func(*dataplane.Packet){},
 		pathCache:   map[[2]uint64][]*dataplane.FwdPath{},
 	}
@@ -206,12 +206,15 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 	n.netSim.SetTelemetry(opts.Telemetry)
 	n.fabric = dataplane.NewFabric(n.netSim, infra.ForwardingKey)
 	n.fabric.SetTelemetry(opts.Telemetry)
-	// One delivery demux per AS: service-addressed packets go to the
-	// control service (segment requests and replies); everything else
-	// fans out to the AS's hosts.
+	// One delivery demux and one SCMP demux per AS. Service-addressed
+	// packets go to the control service (segment requests and replies),
+	// everything else to the addressed host; an SCMP message goes to the
+	// host that sent the original packet. The SCMP demux is chained, so
+	// traffic engines registered later listen beside it.
 	for _, ia := range topo.IAs() {
 		ia := ia
 		n.fabric.OnDeliver(ia, func(pkt *dataplane.Packet) { n.dispatch(ia, pkt) })
+		n.fabric.AddSCMP(ia, n.dispatchSCMP)
 	}
 	return n, nil
 }
@@ -228,20 +231,23 @@ func (n *Network) dispatch(ia addr.IA, pkt *dataplane.Packet) {
 		n.controlService(ia, pkt)
 		return
 	}
-	for _, hh := range n.hosts {
-		if hh.Addr.IA == ia && hh.Addr.Equal(pkt.Dst) && hh.recv != nil {
-			hh.recv(pkt.Src, pkt.Payload)
-		}
+	if h := n.lookupHost(pkt.Dst); h != nil && h.Addr.IA == ia && h.recv != nil {
+		h.recv(pkt.Src, pkt.Payload)
+	}
+}
+
+// dispatchSCMP hands an SCMP message to the host whose packet triggered
+// it. It counts and traces nothing: the fabric already accounted for the
+// message.
+func (n *Network) dispatchSCMP(msg *dataplane.SCMP) {
+	if h := n.lookupHost(msg.Orig.Src); h != nil {
+		h.handleSCMP(msg)
 	}
 }
 
 // terminate converts the beacons stored at an AS into registrable path
 // segments, attaching the AS's peer entries so peering shortcuts work.
 func (n *Network) terminate(run *beacon.RunResult, origin, at addr.IA) ([]*seg.PCB, error) {
-	srv := run.Servers[at]
-	if srv == nil {
-		return nil, nil
-	}
 	var peers []seg.PeerEntry
 	for _, l := range n.Topo.AS(at).Links {
 		if l.Rel == topology.PeerOf {
@@ -252,15 +258,7 @@ func (n *Network) terminate(run *beacon.RunResult, origin, at addr.IA) ([]*seg.P
 			})
 		}
 	}
-	var out []*seg.PCB
-	for _, e := range srv.Store().Entries(run.End, origin) {
-		t, err := e.PCB.Extend(n.Infra.SignerFor(at), addr.IA{}, e.Ingress, 0, peers, 1472)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return run.Terminate(n.Infra.SignerFor(at), origin, at, peers)
 }
 
 // registerSegments plays the registration phase: every AS terminates its
