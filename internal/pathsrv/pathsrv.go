@@ -7,14 +7,15 @@
 //
 // The service is read-mostly. Destinations are hashed onto a fixed set
 // of shards; each shard's serving state is an immutable snapshot reached
-// through an atomic pointer, so a lookup is two pointer loads and a map
-// probe — no locks, no allocation on the fast path. All writes
-// (segment registrations from beacon servers, link revocations and
-// reinstatements from the chaos/fault plane) mutate a writer-owned
-// master copy and batch into epoch publications that swap the affected
-// shards' snapshot pointers; a link index lets a revocation recompute
-// only the pairs over that link. Lookups observe either the old or the
-// new epoch, never a torn mix.
+// through an atomic pointer, so a lookup is a pointer load, a map probe
+// for the pair's slot and a slice index — no locks, no allocation on the
+// fast path. All writes (segment registrations from beacon servers, link
+// revocations and reinstatements from the chaos/fault plane) mutate a
+// writer-owned master copy and batch into epoch publications that swap
+// the affected shards' snapshot pointers; a link index lets a revocation
+// recompute only the pairs over that link, and a republished shard copies
+// its dense entries slice, not a map. Lookups observe either the old or
+// the new epoch, never a torn mix.
 //
 // Client-side, a Cache (one per client actor or reader goroutine)
 // memoizes (src, dst) replies. Invalidation is precise rather than
@@ -42,7 +43,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -87,21 +87,44 @@ type pairEntry struct {
 // with an atomic pointer swap; lookups never see it change.
 type snapshot struct {
 	epoch uint64
-	pairs map[pairKey]pairEntry
+	// keys are the shard's master pairs in canonical order when it was
+	// last rebuilt whole, and at is their inverse, keyed by packed pair;
+	// both are shared by every snapshot with the same key set.
+	keys []pairKey
+	at   map[packedPair]int32
+	// entries runs parallel to keys; an empty entry is a pair not served.
+	entries []pairEntry
+	live    int // non-empty entries
 	// minExpiry is the earliest segment expiry across all pairs (0 when
 	// empty): past it the snapshot holds dead segments and the next
 	// publication must rebuild the shard even without new registrations.
 	minExpiry sim.Time
 }
 
-var emptySnapshot = &snapshot{pairs: map[pairKey]pairEntry{}}
+var emptySnapshot = &snapshot{}
+
+// packedPair is a pairKey as two words: one hash of 16 bytes instead of
+// one per field of two padded IAs, which was most of a lookup's time.
+type packedPair [2]uint64
+
+func (k pairKey) packed() packedPair { return packedPair{k.src.Uint64(), k.dst.Uint64()} }
+
+// entry returns key's serving state, empty when the pair is not served.
+func (snap *snapshot) entry(key pairKey) pairEntry {
+	if i, ok := snap.at[key.packed()]; ok {
+		return snap.entries[i]
+	}
+	return pairEntry{}
+}
 
 // pairMaster is one pair's writer-side state: its registered segments in
 // reply order and, parallel to them, the segments' ids; stamp is the last
-// touch that listed the pair.
+// touch that listed the pair. slot is the pair's index in its shard's
+// snapshot after a whole rebuild, -1 once pruned from the master copy.
 type pairMaster struct {
 	key   pairKey
 	stamp uint64
+	slot  int32
 	segs  []*seg.PCB
 	ids   []uint32
 }
@@ -140,7 +163,7 @@ type Service struct {
 	dirty      uint64 // bitmask of shards with pending registrations
 	// touched[sh] holds the pairs to recompute at shard sh's next publish;
 	// from masterMin[sh] (earliest master expiry, 0: unknown) on, all are.
-	touched   [][]pairKey
+	touched   [][]*pairMaster
 	masterMin []sim.Time
 	segs      []segState // by segment id, renumbered only by reindex
 	stamp     uint64     // counts touches
@@ -177,7 +200,7 @@ func New(cfg Config) *Service {
 		master:     make([]map[pairKey]*pairMaster, n),
 		linkShards: map[seg.LinkKey]*linkEntry{},
 		revoked:    map[seg.LinkKey]sim.Time{},
-		touched:    make([][]pairKey, n),
+		touched:    make([][]*pairMaster, n),
 		masterMin:  make([]sim.Time, n),
 		clock:      cfg.Clock,
 	}
@@ -206,7 +229,7 @@ func (s *Service) setTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("pathsrv_snapshot_pairs", func() float64 {
 		total := 0
 		for i := range s.snaps {
-			total += len(s.snaps[i].Load().pairs)
+			total += s.snaps[i].Load().live
 		}
 		return float64(total)
 	})
@@ -366,7 +389,7 @@ func (s *Service) touch(link seg.LinkKey, delta int32) uint64 {
 		if pm := st.pair; pm.stamp != s.stamp {
 			pm.stamp = s.stamp
 			sh := s.ShardOf(pm.key.dst)
-			s.touched[sh] = append(s.touched[sh], pm.key)
+			s.touched[sh] = append(s.touched[sh], pm)
 		}
 	}
 	return e.shards
@@ -408,15 +431,12 @@ func segLess(a, b *seg.PCB) bool {
 // expiry among them: before that instant the exact same reply would be
 // served again, which is what caches key their freshness on.
 func (s *Service) Lookup(now sim.Time, src, dst addr.IA) ([]*seg.PCB, sim.Time) {
-	snap := s.snaps[s.ShardOf(dst)].Load()
-	e, ok := snap.pairs[pairKey{src: src, dst: dst}]
-	if !ok {
-		return nil, 0
-	}
+	e := s.snaps[s.ShardOf(dst)].Load().entry(pairKey{src: src, dst: dst})
 	if now < e.minExpiry {
 		return e.segs, e.minExpiry
 	}
-	// Some segment expired since publication: filter a copy.
+	// Some segment expired since publication, or none is served: filter a
+	// copy.
 	var out []*seg.PCB
 	min := sim.Time(0)
 	for _, p := range e.segs {
@@ -525,7 +545,7 @@ func (s *Service) publish(now sim.Time, shards uint64, reason string, invCell *t
 		changed = s.rebuild(sh, now, changed)
 		s.PublishedShards++
 		s.trace(telemetry.SnapshotPublished, uint64(sh), s.epoch,
-			uint64(len(s.snaps[sh].Load().pairs)), reason)
+			uint64(s.snaps[sh].Load().live), reason)
 	}
 	s.dirty = 0
 	if s.dead > len(s.segs)/2 {
@@ -538,36 +558,17 @@ func (s *Service) publish(now sim.Time, shards uint64, reason string, invCell *t
 }
 
 // rebuild constructs shard sh's new snapshot: the touched pairs are
-// recomputed from the master copy, dropping expired segments for good and
-// hiding revoked ones, the others copied from the old snapshot; every
-// pair whose visible path set changed is appended to changed. With
-// registrations pending or a master segment expired, all are touched.
-// Expiries and revocations are read from the segments' states, by id.
+// recomputed from the master copy, hiding revoked segments, and every other
+// entry is copied from the old snapshot by slot; every pair whose visible
+// path set changed is appended to changed. With registrations pending or a
+// master segment expired, all are touched: expired segments are pruned
+// from the master copy for good, and the pairs keep the old index only when
+// the master copy holds exactly its keys. Expiries and revocations are read
+// from the segments' states, by id.
 func (s *Service) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairKey {
 	old, master := s.snaps[sh].Load(), s.master[sh]
-	whole := s.dirty&(1<<sh) != 0 || now >= s.masterMin[sh]
-	var pairs map[pairKey]pairEntry
-	var masterMin sim.Time
-	recompute := func(key pairKey, pm *pairMaster) {
-		// Prune expired segments from the master copy in place; they can
-		// never come back. Before masterMin there are none.
-		if whole {
-			live, ids := pm.segs[:0], pm.ids[:0]
-			for i, id := range pm.ids {
-				if exp := s.segs[id].expiry; now < exp {
-					live, ids = append(live, pm.segs[i]), append(ids, id)
-					if masterMin == 0 || exp < masterMin {
-						masterMin = exp
-					}
-				}
-			}
-			s.dead += len(pm.ids) - len(ids)
-			pm.segs, pm.ids = live, ids
-		}
-		if len(pm.segs) == 0 {
-			delete(master, key)
-		}
-
+	snap := &snapshot{epoch: s.epoch, keys: old.keys, at: old.at}
+	recompute := func(pm *pairMaster, prev pairEntry) {
 		// The snapshot must own its slice: master backing arrays are
 		// mutated in place by later upserts and prunes while old
 		// snapshots may still be read concurrently.
@@ -581,43 +582,74 @@ func (s *Service) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairKey 
 				visible = append(visible, pm.segs[i])
 			}
 		}
-		prev, had := old.pairs[key]
-		if len(visible) == 0 {
-			delete(pairs, key)
-			if had {
-				changed = append(changed, key)
-			}
-			return
-		}
-		pairs[key] = pairEntry{segs: visible, minExpiry: min}
+		snap.entries[pm.slot] = pairEntry{segs: visible, minExpiry: min}
 		if !samePathSet(prev.segs, visible) {
-			changed = append(changed, key)
+			changed = append(changed, pm.key)
 		}
 	}
-	keys := s.touched[sh]
-	if whole {
-		pairs = make(map[pairKey]pairEntry, len(master))
+	touched := s.touched[sh]
+	s.touched[sh] = touched[:0]
+	if s.dirty&(1<<sh) != 0 || now >= s.masterMin[sh] {
+		// Prune expired segments from the master copy in place; they can
+		// never come back. Before masterMin there are none.
+		var masterMin sim.Time
+		held := 0 // master pairs at their slot of the old index
 		for key, pm := range master {
-			recompute(key, pm)
+			live, ids := pm.segs[:0], pm.ids[:0]
+			for i, id := range pm.ids {
+				if exp := s.segs[id].expiry; now < exp {
+					live, ids = append(live, pm.segs[i]), append(ids, id)
+					if masterMin == 0 || exp < masterMin {
+						masterMin = exp
+					}
+				}
+			}
+			s.dead += len(pm.ids) - len(ids)
+			pm.segs, pm.ids = live, ids
+			if len(pm.segs) == 0 {
+				// Dead ids name pm until the next reindex: touch lists it,
+				// rebuild skips it.
+				delete(master, key)
+				pm.slot = -1
+				if len(old.entry(key).segs) > 0 {
+					changed = append(changed, key)
+				}
+			} else if int(pm.slot) < len(old.keys) && old.keys[pm.slot] == key {
+				held++
+			}
 		}
 		s.masterMin[sh] = masterMin
+		if held != len(master) || held != len(old.keys) {
+			snap.keys = sortedPairs(master)
+			snap.at = make(map[packedPair]int32, len(snap.keys))
+			for i, key := range snap.keys {
+				snap.at[key.packed()] = int32(i)
+				master[key].slot = int32(i)
+			}
+		}
+		snap.entries = make([]pairEntry, len(snap.keys))
+		for _, pm := range master {
+			recompute(pm, old.entry(pm.key))
+		}
 	} else {
-		pairs = maps.Clone(old.pairs)
-		slices.SortFunc(keys, comparePairs)
-		for _, key := range slices.Compact(keys) {
-			if pm := master[key]; pm != nil { // else not in old.pairs either
-				recompute(key, pm)
+		// A pair touched twice is compared with its first recomputation,
+		// so it counts as changed once.
+		snap.entries = slices.Clone(old.entries)
+		for _, pm := range touched {
+			if pm.slot >= 0 {
+				recompute(pm, snap.entries[pm.slot])
 			}
 		}
 	}
-	s.touched[sh] = keys[:0]
-	var shardMin sim.Time
-	for _, e := range pairs {
-		if shardMin == 0 || e.minExpiry < shardMin {
-			shardMin = e.minExpiry
+	for _, e := range snap.entries {
+		if len(e.segs) > 0 {
+			snap.live++
+			if snap.minExpiry == 0 || e.minExpiry < snap.minExpiry {
+				snap.minExpiry = e.minExpiry
+			}
 		}
 	}
-	s.snaps[sh].Store(&snapshot{epoch: s.epoch, pairs: pairs, minExpiry: shardMin})
+	s.snaps[sh].Store(snap)
 	return changed
 }
 
@@ -684,7 +716,7 @@ func (s *Service) RevocationDigest() [sha256.Size]byte {
 	return out
 }
 
-// writeShard streams shard sh's snapshot in canonical order into h.
+// writeShard streams shard sh's served pairs in canonical order into h.
 func (s *Service) writeShard(h io.Writer, sh uint32) {
 	var scratch [8]byte
 	w64 := func(v uint64) {
@@ -694,9 +726,11 @@ func (s *Service) writeShard(h io.Writer, sh uint32) {
 	snap := s.snaps[sh].Load()
 	w64(uint64(sh))
 	w64(snap.epoch)
-	keys := sortedPairs(snap.pairs)
-	for _, k := range keys {
-		e := snap.pairs[k]
+	for i, k := range snap.keys {
+		e := snap.entries[i]
+		if len(e.segs) == 0 {
+			continue
+		}
 		w64(k.src.Uint64())
 		w64(k.dst.Uint64())
 		w64(uint64(e.minExpiry))
@@ -724,7 +758,10 @@ func (s *Service) writeRevoked(h io.Writer) {
 
 // comparePairs is the canonical pair order: by dst, then src.
 func comparePairs(a, b pairKey) int {
-	return cmp.Or(cmp.Compare(a.dst.Uint64(), b.dst.Uint64()), cmp.Compare(a.src.Uint64(), b.src.Uint64()))
+	if a.dst != b.dst {
+		return cmp.Compare(a.dst.Uint64(), b.dst.Uint64())
+	}
+	return cmp.Compare(a.src.Uint64(), b.src.Uint64())
 }
 
 // compareLinks is the canonical link order: by IA, then If.
@@ -733,7 +770,7 @@ func compareLinks(a, b seg.LinkKey) int {
 }
 
 // sortedPairs returns m's keys in canonical order.
-func sortedPairs[V any](m map[pairKey]V) []pairKey {
+func sortedPairs(m map[pairKey]*pairMaster) []pairKey {
 	keys := make([]pairKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

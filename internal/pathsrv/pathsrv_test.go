@@ -1,6 +1,7 @@
 package pathsrv
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -188,6 +189,45 @@ func TestRevokeAndReinstate(t *testing.T) {
 	}
 	if v := reg.Counter("pathsrv_revocations_total").Value(); v != 1 {
 		t.Errorf("telemetry revocations = %d", v)
+	}
+}
+
+// TestSnapshotPairsGaugeCountsServedPairs: a pair whose only link is
+// revoked keeps its slot in the shard's index but is no longer served, so
+// the gauge drops by one and comes back on reinstatement.
+func TestSnapshotPairsGaugeCountsServedPairs(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	svc := New(Config{Telemetry: reg})
+	svc.Register(0, mkSeg(t, 0, 10, 20, 30))
+	svc.Register(0, mkSeg(t, 0, 10, 21, 31))
+	svc.Register(0, mkSeg(t, 0, 11, 21, 30))
+	svc.Publish(0)
+	gauge := func() string {
+		var b strings.Builder
+		if err := reg.WriteSnapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "pathsrv_snapshot_pairs "); ok {
+				return v
+			}
+		}
+		t.Fatal("no pathsrv_snapshot_pairs gauge")
+		return ""
+	}
+	if g := gauge(); g != "3" {
+		t.Fatalf("gauge = %s before revocation, want 3", g)
+	}
+	link := seg.LinkKey{IA: addr.MustIA(1, 20), If: 2}
+	if n := svc.RevokeLink(0, link, hour); n != 1 {
+		t.Fatalf("revoke changed %d pairs, want 1", n)
+	}
+	if g := gauge(); g != "2" {
+		t.Errorf("gauge = %s with the pair's only link revoked, want 2", g)
+	}
+	svc.ReinstateLink(0, link)
+	if g := gauge(); g != "3" {
+		t.Errorf("gauge = %s after reinstatement, want 3", g)
 	}
 }
 

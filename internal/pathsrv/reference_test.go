@@ -18,14 +18,24 @@ import (
 
 // The writer side as it was before publication became touched-pair: a
 // per-link shard mask, and every dirty shard rebuilt from its whole
-// master copy. Kept verbatim as the oracle Service is compared against;
-// the only removals are telemetry cells and cache invalidation.
+// master copy into a map. Kept verbatim as the oracle Service is compared
+// against; the only removals are telemetry cells and cache invalidation.
+
+// refSnapshot is the oracle's snapshot, the map form a Service's snapshot
+// flattens to.
+type refSnapshot struct {
+	epoch     uint64
+	pairs     map[pairKey]pairEntry
+	minExpiry sim.Time
+}
+
+var emptyRefSnapshot = &refSnapshot{pairs: map[pairKey]pairEntry{}}
 
 type refService struct {
 	nshards uint32
 	revTTL  sim.Time
 
-	snaps []atomic.Pointer[snapshot]
+	snaps []atomic.Pointer[refSnapshot]
 
 	master     []map[pairKey][]*seg.PCB
 	linkShards map[seg.LinkKey]uint64 // link -> bitmask of shards storing it
@@ -43,14 +53,14 @@ func newRefService(n int, ttl sim.Time, clock *sim.Simulator) *refService {
 	s := &refService{
 		nshards:    uint32(n),
 		revTTL:     ttl,
-		snaps:      make([]atomic.Pointer[snapshot], n),
+		snaps:      make([]atomic.Pointer[refSnapshot], n),
 		master:     make([]map[pairKey][]*seg.PCB, n),
 		linkShards: map[seg.LinkKey]uint64{},
 		revoked:    map[seg.LinkKey]sim.Time{},
 		clock:      clock,
 	}
 	for i := range s.snaps {
-		s.snaps[i].Store(emptySnapshot)
+		s.snaps[i].Store(emptyRefSnapshot)
 		s.master[i] = map[pairKey][]*seg.PCB{}
 	}
 	return s
@@ -233,7 +243,7 @@ func (s *refService) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairK
 			changed = append(changed, key)
 		}
 	}
-	s.snaps[sh].Store(&snapshot{epoch: s.epoch, pairs: pairs, minExpiry: shardMin})
+	s.snaps[sh].Store(&refSnapshot{epoch: s.epoch, pairs: pairs, minExpiry: shardMin})
 	return changed
 }
 
@@ -325,9 +335,42 @@ func (o *opsTwin) apply(op, arg byte) {
 
 // checkIndex asserts the segment index's invariants for every master
 // segment: an id of its own pair, its expiry, the number of its links in
-// the revocation set, and its id listed on each of its links.
+// the revocation set, and its id listed on each of its links; and the pair
+// index's for every shard: strictly canonical keys, their inverse, one
+// entry per key, the live count, and, once the shard has been rebuilt
+// whole since its master copy last gained pairs, a slot naming its key for
+// every master pair.
 func checkIndex(s *Service) error {
 	for sh, master := range s.master {
+		snap := s.snaps[sh].Load()
+		if len(snap.at) != len(snap.keys) || len(snap.entries) != len(snap.keys) {
+			return fmt.Errorf("shard %d: %d keys, %d inverse, %d entries", sh, len(snap.keys), len(snap.at), len(snap.entries))
+		}
+		live := 0
+		for i, key := range snap.keys {
+			if i > 0 && comparePairs(snap.keys[i-1], key) >= 0 {
+				return fmt.Errorf("shard %d: pair %v after %v", sh, key, snap.keys[i-1])
+			}
+			if j, ok := snap.at[key.packed()]; !ok || int(j) != i {
+				return fmt.Errorf("shard %d: pair %v at slot %d, inverse %d", sh, key, i, j)
+			}
+			if len(snap.entries[i].segs) > 0 {
+				live++
+			}
+		}
+		if live != snap.live {
+			return fmt.Errorf("shard %d: %d pairs served, live %d", sh, live, snap.live)
+		}
+		if s.dirty&(1<<sh) == 0 && s.masterMin[sh] != 0 {
+			if len(master) != len(snap.keys) {
+				return fmt.Errorf("shard %d: %d master pairs, %d keys", sh, len(master), len(snap.keys))
+			}
+			for key, pm := range master {
+				if int(pm.slot) >= len(snap.keys) || pm.slot < 0 || snap.keys[pm.slot] != key {
+					return fmt.Errorf("shard %d: pair %v at slot %d", sh, key, pm.slot)
+				}
+			}
+		}
 		for key, pm := range master {
 			if len(pm.ids) != len(pm.segs) {
 				return fmt.Errorf("shard %d pair %v: %d ids for %d segments", sh, key, len(pm.ids), len(pm.segs))
@@ -371,9 +414,15 @@ func (o *opsTwin) compare(what string) {
 	}
 	for sh := uint32(0); sh < s.nshards; sh++ {
 		a, b := s.snaps[sh].Load(), r.snaps[sh].Load()
-		if a.epoch != b.epoch || a.minExpiry != b.minExpiry || !reflect.DeepEqual(a.pairs, b.pairs) {
-			fail("shard %d snapshot differs: epoch %d/%d minExpiry %v/%v pairs %d/%d",
-				sh, a.epoch, b.epoch, a.minExpiry, b.minExpiry, len(a.pairs), len(b.pairs))
+		pairs := map[pairKey]pairEntry{}
+		for _, key := range a.keys {
+			if e := a.entry(key); len(e.segs) > 0 {
+				pairs[key] = e
+			}
+		}
+		if a.epoch != b.epoch || a.minExpiry != b.minExpiry || a.live != len(b.pairs) || !reflect.DeepEqual(pairs, b.pairs) {
+			fail("shard %d snapshot differs: epoch %d/%d minExpiry %v/%v pairs %d (live %d)/%d",
+				sh, a.epoch, b.epoch, a.minExpiry, b.minExpiry, len(pairs), a.live, len(b.pairs))
 		}
 		master := map[pairKey][]*seg.PCB{}
 		for key, pm := range s.master[sh] {

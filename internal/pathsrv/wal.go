@@ -161,16 +161,12 @@ func appendCheckpoint(dst []byte, svc *Service) []byte {
 			list := master[key].segs
 			dst = binary.BigEndian.AppendUint64(dst, key.src.Uint64())
 			dst = binary.BigEndian.AppendUint64(dst, key.dst.Uint64())
-			entry, inSnap := snap.pairs[key]
+			entry := snap.entry(key)
 			dst = binary.BigEndian.AppendUint64(dst, uint64(entry.minExpiry))
 			dst = binary.BigEndian.AppendUint16(dst, uint16(len(list)))
 			for _, p := range list {
 				dst = binary.BigEndian.AppendUint32(dst, uint32(p.WireLen()))
 				dst = p.AppendEncode(dst)
-			}
-			if !inSnap {
-				dst = binary.BigEndian.AppendUint16(dst, 0)
-				continue
 			}
 			dst = binary.BigEndian.AppendUint16(dst, uint16(len(entry.segs)))
 			for _, p := range entry.segs {
@@ -307,8 +303,10 @@ func readLink(r *wire.Reader) seg.LinkKey {
 // loadCheckpoint rebuilds a Service from a checkpoint body. The
 // decoded state is byte-for-byte the journaled one: master lists,
 // per-shard snapshots with their epochs, revocations, link-shard
-// bookkeeping, the dirty mask and the epoch counter. The segment index is
-// derived while decoding; each shard is first rebuilt whole.
+// bookkeeping, the dirty mask and the epoch counter. A shard's pairs must
+// come in strictly canonical order, as appendCheckpoint writes them, and
+// are numbered in it. The segment index is derived while decoding; each
+// shard is first rebuilt whole.
 func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 	r := wire.NewReader("pathsrv: checkpoint", body)
 	epoch := r.U64()
@@ -329,15 +327,21 @@ func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 			svc.dirty |= 1 << sh
 		}
 		npairs := r.Count(r.U32(), 28)
-		pairs := make(map[pairKey]pairEntry, npairs)
+		snap := &snapshot{
+			epoch: snapEpoch, minExpiry: shardMin, keys: make([]pairKey, npairs),
+			at: make(map[packedPair]int32, npairs), entries: make([]pairEntry, npairs),
+		}
 		for i := 0; i < npairs && r.Err() == nil; i++ {
 			key := pairKey{
 				src: addr.IAFromUint64(r.U64()),
 				dst: addr.IAFromUint64(r.U64()),
 			}
+			if i > 0 && comparePairs(snap.keys[i-1], key) >= 0 {
+				r.Failf("pair %v after %v", key, snap.keys[i-1])
+			}
 			pairMin := sim.Time(r.U64())
 			nmaster := r.Count(uint32(r.U16()), 4)
-			pm := &pairMaster{key: key, segs: make([]*seg.PCB, 0, nmaster), ids: make([]uint32, 0, nmaster)}
+			pm := &pairMaster{key: key, slot: int32(i), segs: make([]*seg.PCB, 0, nmaster), ids: make([]uint32, 0, nmaster)}
 			for j := 0; j < nmaster && r.Err() == nil; j++ {
 				if p := seg.Read(&r, int(r.U32())); p != nil {
 					pm.segs = append(pm.segs, p)
@@ -356,11 +360,13 @@ func loadCheckpoint(body []byte, cfg Config) (*Service, error) {
 				}
 			}
 			svc.master[sh][key] = pm
+			snap.keys[i], snap.at[key.packed()] = key, int32(i)
 			if nvis > 0 {
-				pairs[key] = pairEntry{segs: visible, minExpiry: pairMin}
+				snap.entries[i] = pairEntry{segs: visible, minExpiry: pairMin}
+				snap.live++
 			}
 		}
-		svc.snaps[sh].Store(&snapshot{epoch: snapEpoch, pairs: pairs, minExpiry: shardMin})
+		svc.snaps[sh].Store(snap)
 	}
 	for i, n := 0, r.Count(r.U32(), 18); i < n && r.Err() == nil; i++ {
 		lk := readLink(&r)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -262,6 +263,69 @@ func TestWALUnbackedCountAllocatesNothing(t *testing.T) {
 	}
 	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
 		t.Errorf("Recover allocated %d bytes for a 57-byte image", d)
+	}
+}
+
+// firstPairs returns where in a checkpoint record's payload the pairs of
+// its first shard holding at least two begin, and where the last one ends.
+func firstPairs(tb testing.TB, payload []byte) []int {
+	tb.Helper()
+	off := 1 + 8 + 8 // kind, time, epoch
+	u16 := func() int { v := binary.BigEndian.Uint16(payload[off:]); off += 2; return int(v) }
+	u32 := func() int { v := binary.BigEndian.Uint32(payload[off:]); off += 4; return int(v) }
+	for sh, nshards := 0, u32(); sh < nshards; sh++ {
+		off += 3 * 8 // snapshot epoch, minExpiry, dirty bit
+		var at []int
+		for i, npairs := 0, u32(); i < npairs; i++ {
+			at = append(at, off)
+			off += 3 * 8 // src, dst, minExpiry
+			for j, n := 0, u16(); j < n; j++ {
+				size := u32()
+				off += size
+			}
+			for j, n := 0, u16(); j < n; j++ {
+				if u16() == 0xffff {
+					size := u32()
+					off += size
+				}
+			}
+		}
+		if at = append(at, off); len(at) > 2 {
+			return at
+		}
+	}
+	tb.Fatal("no shard holds two pairs")
+	return nil
+}
+
+// TestCheckpointPairOrderIsStrict: a checkpoint lists a shard's pairs in
+// strictly canonical order. Re-framed under a valid CRC, one with two
+// pairs swapped, or with a pair listed twice (which would leave the first
+// one's segment ids naming an orphan), must end the replay before it.
+func TestCheckpointPairOrderIsStrict(t *testing.T) {
+	cfg := Config{Shards: 8, RevocationTTL: hour}
+	sc := checkpointScenario(t)
+	sc.wal.Checkpoint(6*hour+1, sc.svc)
+	payload, _, ok := wire.NextFrame(sc.wal.Bytes())
+	if !ok {
+		t.Fatal("no checkpoint frame")
+	}
+	at := firstPairs(t, payload)
+	a, b := payload[at[0]:at[1]], payload[at[1]:at[2]]
+	for _, tc := range []struct {
+		name  string
+		first []byte
+		then  []byte
+	}{{"canonical", a, b}, {"swapped", b, a}, {"duplicated", a, a}} {
+		image := wire.AppendFrame(nil, slices.Concat(payload[:at[0]], tc.first, tc.then, payload[at[2]:]))
+		_, st := Recover(image, cfg)
+		if tc.name == "canonical" {
+			if st.Checkpoints != 1 || st.Truncated {
+				t.Errorf("canonical: stats = %+v, want the checkpoint loaded", st)
+			}
+		} else if st.Checkpoints != 0 || !st.Truncated {
+			t.Errorf("%s: stats = %+v, want the replay stopped before the checkpoint", tc.name, st)
+		}
 	}
 }
 
