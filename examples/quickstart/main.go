@@ -27,8 +27,7 @@ import (
 	"scionmpr/internal/combinator"
 	"scionmpr/internal/core"
 	"scionmpr/internal/dataplane"
-	"scionmpr/internal/pathdb"
-	"scionmpr/internal/seg"
+	"scionmpr/internal/pathsrv"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/topology"
 	"scionmpr/internal/trust"
@@ -82,34 +81,36 @@ func run(w io.Writer) error {
 
 	// 2. Path servers: B-3 registers its up-segments locally and its
 	// down-segments at B-2 (its ISD's core); same for A-6 at A-1/A-2.
-	// Registration terminates the stored beacons into path segments. The
-	// source-side path server then performs the three lookups.
-	localPS := pathdb.NewServer(b3, false, sim.Time(time.Hour))
-	corePSB2 := pathdb.NewServer(b2, true, sim.Time(time.Hour))
-	corePSA2 := pathdb.NewServer(a2, true, sim.Time(time.Hour))
+	// Registration terminates the stored beacons into path segments, each
+	// stored under its (origin, leaf) pair. The source-side path server
+	// then performs the three lookups.
+	localPS := pathsrv.New(pathsrv.Config{})
+	corePSB2 := pathsrv.New(pathsrv.Config{})
+	corePSA2 := pathsrv.New(pathsrv.Config{})
 	for _, r := range []struct {
 		run        *beacon.RunResult
 		origin, at addr.IA
-		register   func(sim.Time, *seg.PCB) error
+		ps         *pathsrv.Service
 	}{
-		{intraRun, b2, b3, localPS.RegisterUp},
-		{intraRun, a2, a6, corePSA2.RegisterDown},
-		{coreRun, a2, b2, corePSB2.RegisterCore},
+		{intraRun, b2, b3, localPS},
+		{intraRun, a2, a6, corePSA2},
+		{coreRun, a2, b2, corePSB2},
 	} {
 		segs, err := r.run.Terminate(infra.SignerFor(r.at), r.origin, r.at, nil)
 		if err != nil {
 			return err
 		}
 		for _, s := range segs {
-			if err := r.register(now, s); err != nil {
+			if err := r.ps.Register(now, s); err != nil {
 				return err
 			}
 		}
+		r.ps.Publish(now)
 	}
 
-	ups := localPS.LookupUp(now)
-	cores := corePSB2.LookupCore(now, a2)
-	downs := corePSA2.LookupDown(now, a6)
+	ups, _ := localPS.Lookup(now, b2, b3)
+	cores, _ := corePSB2.Lookup(now, a2, b2)
+	downs, _ := corePSA2.Lookup(now, a2, a6)
 	fmt.Fprintf(w, "lookups: %d up-segments, %d core-segments, %d down-segments\n",
 		len(ups), len(cores), len(downs))
 

@@ -374,28 +374,3 @@ func TestStoreRevokeLink(t *testing.T) {
 		t.Error("bogus link dropped beacons")
 	}
 }
-
-func TestRunResultRevokeLink(t *testing.T) {
-	res := runCore(t, core.NewBaseline(5), 20, time.Hour)
-	topo := res.Cfg.Topo
-	link := topo.Links[0]
-	// Some server must hold a beacon over the first core link.
-	if dropped := res.RevokeLink(link); dropped == 0 {
-		t.Error("revocation dropped nothing on a live core link")
-	}
-	// Path sets no longer contain the failed link.
-	for _, src := range topo.CoreIAs() {
-		for _, dst := range topo.CoreIAs() {
-			if src == dst {
-				continue
-			}
-			for _, path := range res.PathSet(src, dst) {
-				for _, pl := range path {
-					if pl.ID == link.ID {
-						t.Fatalf("revoked link still on a path %s->%s", src, dst)
-					}
-				}
-			}
-		}
-	}
-}

@@ -311,26 +311,6 @@ func (r *RunResult) Terminate(signer trust.Signer, origin, at addr.IA, peers []s
 // TotalOverheadBytes is the total control-plane bytes transmitted.
 func (r *RunResult) TotalOverheadBytes() uint64 { return r.Net.GrandTotalTx() }
 
-// RevokeLink removes beacons traversing the failed link from every
-// beacon server's store and returns the total number of beacons dropped.
-// Combined with pathdb revocation and data-plane SCMP, this completes the
-// paper's link-failure reaction (§4.1).
-func (r *RunResult) RevokeLink(link *topology.Link) int {
-	// Beacons key a link by its upstream side, which is either endpoint
-	// depending on the direction the beacon traveled; revoke both.
-	keys := []seg.LinkKey{
-		{IA: link.A, If: link.AIf},
-		{IA: link.B, If: link.BIf},
-	}
-	dropped := 0
-	for _, srv := range r.Servers {
-		for _, key := range keys {
-			dropped += srv.Store().RevokeLink(key)
-		}
-	}
-	return dropped
-}
-
 // PerInterfaceBandwidth returns the average transmitted bytes/second per
 // traffic-bearing interface over the run (Figure 9).
 func (r *RunResult) PerInterfaceBandwidth() []float64 {

@@ -9,11 +9,11 @@ import (
 	"scionmpr/internal/beacon"
 	"scionmpr/internal/core"
 	"scionmpr/internal/metrics"
-	"scionmpr/internal/pathdb"
+	"scionmpr/internal/pathsrv"
 	"scionmpr/internal/seg"
-	"scionmpr/internal/sim"
 	"scionmpr/internal/topology"
 	"scionmpr/internal/trust"
+	"scionmpr/scion"
 )
 
 // Table1Row is one control-plane component with its communication scope,
@@ -70,51 +70,64 @@ func RunTable1() (*Table1Result, error) {
 		return segs
 	}
 
-	// Path servers: core PS at A-1, local PS at A-6.
-	corePS := pathdb.NewServer(a1, true, sim.Time(time.Hour))
-	localPS := pathdb.NewServer(a6, false, sim.Time(time.Hour))
+	// Path servers: core PS at A-1, local PS at A-6, each storing segments
+	// under their (origin, leaf) pairs.
+	corePS := pathsrv.New(pathsrv.Config{})
+	localPS := pathsrv.New(pathsrv.Config{})
+	var isd1Cores []addr.IA
+	for _, cs := range topo.CoreIAs() {
+		if cs.ISD == 1 {
+			isd1Cores = append(isd1Cores, cs)
+		}
+	}
 
 	// Registration: every leaf of ISD 1 registers its segments at the
 	// core path server (intra-ISD scope, every tens of minutes).
 	const regHeader = 16
 	var regMsgs, regBytes uint64
-	for _, ia := range topo.IAs() {
-		if ia.ISD != 1 || topo.AS(ia).Core {
-			continue
-		}
-		for _, cs := range topo.CoreIAs() {
-			if cs.ISD != 1 {
-				continue
+	register := func(ps *pathsrv.Service, segs []*seg.PCB) {
+		for _, s := range segs {
+			if err := ps.Register(now, s); err == nil {
+				regMsgs++
+				regBytes += uint64(s.WireLen() + regHeader)
 			}
-			for _, s := range terminate(intraRun, cs, ia) {
-				if err := corePS.RegisterDown(now, s); err == nil {
-					regMsgs++
-					regBytes += uint64(s.WireLen() + regHeader)
-				}
+		}
+	}
+	isLeaf := func(ia addr.IA) bool { return ia.ISD == 1 && !topo.AS(ia).Core }
+	for _, ia := range topo.IAs() {
+		if isLeaf(ia) {
+			for _, cs := range isd1Cores {
+				register(corePS, terminate(intraRun, cs, ia))
 			}
 		}
 	}
 	// Core segments registered at the core PS (from core beaconing).
 	for _, cs := range topo.CoreIAs() {
-		for _, s := range terminate(coreRun, cs, a1) {
-			if err := corePS.RegisterCore(now, s); err == nil {
-				regMsgs++
-				regBytes += uint64(s.WireLen() + regHeader)
-			}
-		}
+		register(corePS, terminate(coreRun, cs, a1))
 	}
 	// Up segments at the local PS of A-6.
-	for _, cs := range []addr.IA{a1} {
-		for _, s := range terminate(intraRun, cs, a6) {
-			if err := localPS.RegisterUp(now, s); err == nil {
-				regMsgs++
-				regBytes += uint64(s.WireLen() + regHeader)
-			}
-		}
-	}
+	register(localPS, terminate(intraRun, a1, a6))
 
 	if termErr != nil {
 		return nil, termErr
+	}
+	corePS.Publish(now)
+	localPS.Publish(now)
+	// down answers a down-segment lookup: the segments from every core of
+	// ISD 1 to dst.
+	down := func(dst addr.IA) []*seg.PCB {
+		var out []*seg.PCB
+		for _, cs := range isd1Cores {
+			segs, _ := corePS.Lookup(now, cs, dst)
+			out = append(out, segs...)
+		}
+		return out
+	}
+	var downDsts []addr.IA // leaves with registered down-segments
+	for _, ia := range topo.IAs() {
+		if isLeaf(ia) && len(down(ia)) > 0 {
+			downDsts = append(downDsts, ia)
+		}
 	}
 
 	// Lookups with a Zipf workload over registered destinations.
@@ -122,48 +135,63 @@ func RunTable1() (*Table1Result, error) {
 		if len(dsts) == 0 {
 			return 0, 0
 		}
-		w := pathdb.NewZipfWorkload(dsts, 1.2, 7)
+		ranks := metrics.NewZipfRanks(len(dsts), 1.2, 7)
 		var msgs, bytes uint64
 		for i := 0; i < n; i++ {
-			dst := w.Next()
-			segs := do(dst)
-			req := pathdb.Request{Type: pathdb.Down, Dst: dst}
-			rep := pathdb.Reply{Segments: segs}
+			dst := dsts[ranks.Next()]
+			reply := 2 // segment count
+			for _, s := range do(dst) {
+				reply += s.WireLen()
+			}
 			msgs += 2
-			bytes += uint64(req.WireLen() + rep.WireLen())
+			bytes += uint64(scion.Request{Type: scion.DownSeg, Dst: dst}.WireLen() + reply)
 		}
 		return msgs, bytes
 	}
-	downDsts := corePS.DownDestinations()
-	downMsgs, downBytes := lookupTraffic(200, func(dst addr.IA) []*seg.PCB {
-		return corePS.LookupDown(now, dst)
-	}, downDsts)
+	downMsgs, downBytes := lookupTraffic(200, down, downDsts)
 	coreMsgs, coreBytes := lookupTraffic(100, func(dst addr.IA) []*seg.PCB {
-		return corePS.LookupCore(now, dst)
+		segs, _ := corePS.Lookup(now, dst, a1)
+		return segs
 	}, topo.CoreIAs())
 	epMsgs, epBytes := lookupTraffic(100, func(addr.IA) []*seg.PCB {
-		return localPS.LookupUp(now)
+		segs, _ := localPS.Lookup(now, a1, a6)
+		return segs
 	}, []addr.IA{a6})
 
 	// De-registration of one destination's segments.
 	var deregMsgs, deregBytes uint64
 	if len(downDsts) > 0 {
-		for _, s := range corePS.LookupDown(now, downDsts[0]) {
+		for _, s := range down(downDsts[0]) {
 			if corePS.Deregister(s) {
 				deregMsgs++
 				deregBytes += uint64(regHeader + 8)
 			}
 		}
+		corePS.Publish(now)
 	}
 
 	// Revocation: fail the A-1 -> A-3 link; the owning AS revokes at the
-	// core path server (intra-ISD scope, reactive / seconds).
+	// core path server (intra-ISD scope, reactive / seconds). One message
+	// per segment the revocation hides.
+	served := func() (n int) {
+		for _, dst := range downDsts {
+			n += len(down(dst))
+		}
+		for _, cs := range topo.CoreIAs() {
+			segs, _ := corePS.Lookup(now, cs, a1)
+			n += len(segs)
+		}
+		segs, _ := localPS.Lookup(now, a1, a6)
+		return n + len(segs)
+	}
 	a3 := addr.MustIA(1, 0xff00_0000_0103)
 	var revMsgs, revBytes uint64
 	if links := topo.LinksBetween(a1, a3); len(links) > 0 {
 		lk := seg.LinkKey{IA: a1, If: links[0].LocalIf(a1)}
-		dropped := corePS.Revoke(lk) + localPS.Revoke(lk)
-		revMsgs = uint64(dropped)
+		before := served()
+		corePS.RevokeLink(now, lk, 0)
+		localPS.RevokeLink(now, lk, 0)
+		revMsgs = uint64(before - served())
 		revBytes = revMsgs * 24 // revocation message: link key + timestamp + MAC
 	}
 

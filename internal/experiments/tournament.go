@@ -324,10 +324,7 @@ func tournamentRun(e *env, pairs [][2]addr.IA, topoAxis, wl, ch, pol string,
 		run.PathLifetime = time.Duration(flowSeconds / float64(switches+len(flows)) * float64(time.Second))
 	}
 	run.Revocations = te.Revocations
-	run.LookupOps = te.Requeries + te.Reprobes
-	for _, ia := range e.core.IAs() {
-		run.LookupOps += n.PathServer(ia).Lookups
-	}
+	run.LookupOps = n.Lookups + te.Requeries + te.Reprobes
 	if eng != nil {
 		run.Injections = eng.Injections[chaos.Flap] + eng.Injections[chaos.Spike]
 	}

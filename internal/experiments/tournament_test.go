@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"strings"
 	"testing"
 
@@ -22,7 +26,39 @@ func tournamentTestGrid() TournamentConfig {
 // seed 1. It digests every run's metrics, telemetry snapshot and trace:
 // any behavior change in beaconing, path lookup, revocation handling,
 // the chaos engine, the traffic engine or a policy shows up here.
-const tournamentGolden = "2bc0efc7e43d747d00932e964cc9b6a4b58bd03cddcc8c7537119b6948447315"
+const tournamentGolden = "82d97124d3e401a0b110d578c4fa260e5e88c74b503c7ff9414616be30d09d59"
+
+// tournamentMetricsGolden pins the same runs' metrics alone: every
+// field fingerprintRun writes before the telemetry snapshot and trace.
+// A change to how the control plane is instrumented may move
+// tournamentGolden; it must not move this.
+const tournamentMetricsGolden = "13fd76f791260d8384c36e1548e025b88c380f2d038e2bf98c29c41fa5c5a94d"
+
+// tournamentMetricsDigest hashes each run's cell, policy and metrics in
+// fingerprintRun's encoding.
+func tournamentMetricsDigest(runs []TournamentRun) string {
+	h := sha256.New()
+	var b [8]byte
+	w64 := func(v uint64) {
+		binary.BigEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, run := range runs {
+		h.Write([]byte(run.Cell() + "|" + run.Policy + "\n"))
+		w64(math.Float64bits(run.GoodputBps))
+		w64(math.Float64bits(run.SwitchRate))
+		w64(math.Float64bits(run.LossFrac))
+		w64(uint64(run.PathLifetime))
+		w64(run.LookupOps)
+		w64(uint64(run.Flows))
+		w64(uint64(run.Completed))
+		w64(uint64(run.Failed))
+		w64(uint64(run.Outages))
+		w64(run.Revocations)
+		w64(run.Injections)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 func TestTournamentGoldenFingerprint(t *testing.T) {
 	s := SmokeScale()
@@ -30,6 +66,9 @@ func TestTournamentGoldenFingerprint(t *testing.T) {
 	res, err := RunTournament(s, tournamentTestGrid())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := tournamentMetricsDigest(res.Runs); got != tournamentMetricsGolden {
+		t.Errorf("tournament metrics digest = %s, want %s", got, tournamentMetricsGolden)
 	}
 	if got := res.Fingerprint(); got != tournamentGolden {
 		t.Errorf("tournament fingerprint = %s, want %s", got, tournamentGolden)

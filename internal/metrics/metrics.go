@@ -1,6 +1,8 @@
 // Package metrics provides the statistical helpers behind the paper's
 // figures: empirical CDFs, quantiles, and plain-text renderings of CDF
-// curves and tables suitable for terminal output and EXPERIMENTS.md.
+// curves and tables suitable for terminal output and EXPERIMENTS.md; and
+// the deterministic samplers workloads draw from (Zipf popularity ranks,
+// exponential think times).
 package metrics
 
 import (

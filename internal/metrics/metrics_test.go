@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestCDFBasics(t *testing.T) {
@@ -228,5 +229,52 @@ func TestFmtBytes(t *testing.T) {
 	}
 	if got := FmtRate(2048); got != "2.00 KiB/s" {
 		t.Errorf("FmtRate(2048) = %q", got)
+	}
+}
+
+func TestZipfRanks(t *testing.T) {
+	z := NewZipfRanks(100, 1.2, 42)
+	counts := make([]int, 100)
+	for i := 0; i < 5000; i++ {
+		counts[z.Next()]++
+	}
+	// The most popular rank must dominate the tail.
+	if counts[0] < 10*counts[99]+1 {
+		t.Errorf("Zipf skew too weak: head=%d tail=%d", counts[0], counts[99])
+	}
+	// An empty rank set is clamped to one rank.
+	if r := NewZipfRanks(0, 1.2, 1).Next(); r != 0 {
+		t.Errorf("empty rank set drew %d, want 0", r)
+	}
+}
+
+func TestThinkTimes(t *testing.T) {
+	tt := NewThinkTimes(100*time.Millisecond, 10*time.Millisecond, 7)
+	var sum time.Duration
+	const n = 20000
+	for i := 0; i < n; i++ {
+		d := tt.Next()
+		if d < 10*time.Millisecond {
+			t.Fatalf("think time %v below floor", d)
+		}
+		sum += d
+	}
+	mean := sum / n
+	// Exponential with mean 100ms and a 10ms floor: the sample mean must
+	// land near 100ms (the floor adds a few percent).
+	if mean < 90*time.Millisecond || mean > 125*time.Millisecond {
+		t.Errorf("sample mean = %v, want ~100ms", mean)
+	}
+	// Same seed, same stream.
+	a, b := NewThinkTimes(time.Second, 0, 42), NewThinkTimes(time.Second, 0, 42)
+	for i := 0; i < 100; i++ {
+		if a.Next() != b.Next() {
+			t.Fatal("equal seeds must yield identical think-time streams")
+		}
+	}
+	// Defaults: non-positive mean falls back to 1s, min clamped to mean.
+	d := NewThinkTimes(0, 5*time.Second, 1)
+	if d.mean != float64(time.Second) || d.min != d.mean {
+		t.Errorf("defaults: mean=%v min=%v", d.mean, d.min)
 	}
 }

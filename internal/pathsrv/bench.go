@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/pathdb"
+	"scionmpr/internal/metrics"
 	"scionmpr/internal/sim"
 )
 
@@ -154,7 +154,7 @@ func ReadBench(svc *Service, cfg BenchConfig) BenchResult {
 			if cfg.CacheTTL > 0 {
 				cache = NewLocalCache(cfg.CacheTTL, cfg.CacheCap)
 			}
-			ranks := pathdb.NewZipfRanks(len(cfg.Dests), cfg.ZipfS, cfg.Seed+int64(g)*6151)
+			ranks := metrics.NewZipfRanks(len(cfg.Dests), cfg.ZipfS, cfg.Seed+int64(g)*6151)
 			st := &stats[g]
 			st.lat = make([]time.Duration, 0, cfg.Ops)
 			nsrc := len(cfg.Sources)

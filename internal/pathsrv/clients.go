@@ -6,10 +6,9 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/pathdb"
+	"scionmpr/internal/metrics"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
-	"scionmpr/internal/traffic"
 )
 
 // ClientConfig parameterizes the closed-loop client population: a fixed
@@ -31,7 +30,7 @@ type ClientConfig struct {
 	// the sampler).
 	ZipfS float64
 	// MeanThink/MinThink shape the exponential think-time distribution
-	// (traffic.NewThinkTimes defaults apply).
+	// (metrics.NewThinkTimes defaults apply).
 	MeanThink, MinThink time.Duration
 	// Tick is the scheduling quantum: endpoint wakeups are bucketed onto
 	// a per-actor time wheel with this resolution (default 10ms), so the
@@ -68,8 +67,8 @@ type clientActor struct {
 	pool  *Pool
 	shard uint32
 	cache *Cache
-	ranks *pathdb.ZipfRanks
-	think *traffic.ThinkTimes
+	ranks *metrics.ZipfRanks
+	think *metrics.ThinkTimes
 	// buckets is the time wheel: tick ordinal -> endpoints due then.
 	buckets map[int64][]int32
 	// perShard counts lookups by destination service shard, for the
@@ -196,8 +195,8 @@ func newPool(clock *sim.Simulator, svc *Service, fleet *Fleet, reg *telemetry.Re
 		a := &clientActor{
 			pool:     p,
 			shard:    shard,
-			ranks:    pathdb.NewZipfRanks(len(cfg.Dests), cfg.ZipfS, cfg.Seed+int64(i)*7919),
-			think:    traffic.NewThinkTimes(cfg.MeanThink, cfg.MinThink, cfg.Seed+104729+int64(i)),
+			ranks:    metrics.NewZipfRanks(len(cfg.Dests), cfg.ZipfS, cfg.Seed+int64(i)*7919),
+			think:    metrics.NewThinkTimes(cfg.MeanThink, cfg.MinThink, cfg.Seed+104729+int64(i)),
 			buckets:  map[int64][]int32{},
 			perShard: make([]uint64, svc.NumShards()),
 			cLook:    cLook.Cell(shard),

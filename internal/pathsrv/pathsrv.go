@@ -1,6 +1,6 @@
 // Package pathsrv is the path-lookup serving layer: a sharded,
-// concurrent path-query service layered over the pathdb/beaconing
-// control plane, sized for a closed-loop population of millions of
+// concurrent path-query service layered over the beaconing control
+// plane, sized for a closed-loop population of millions of
 // endpoints (paper §3 "Deployment", §4.1 "Endpoint Path Lookup").
 //
 // # Architecture
@@ -26,11 +26,11 @@
 //
 // # Determinism and concurrency contract
 //
-// In simulation the writer side (Register, RevokeLink, ReinstateLink,
-// Publish) runs in serial simulator events, while lookups run on
-// parallel client-actor shards and touch only immutable snapshots plus
-// the actor's own cache and telemetry cells — worker-count-invariant by
-// the same discipline as internal/sim. Outside the simulation the same
+// In simulation the writer side (Register, Deregister, RevokeLink,
+// ReinstateLink, Publish) runs in serial simulator events, while lookups
+// run on parallel client-actor shards and touch only immutable snapshots
+// plus the actor's own cache and telemetry cells — worker-count-invariant
+// by the same discipline as internal/sim. Outside the simulation the same
 // structure holds with goroutines: one writer, any number of readers
 // with local caches (see ReadBench). Registered caches are walked by
 // the writer during publication, so a concurrent reader must use an
@@ -160,7 +160,7 @@ type Service struct {
 	linkShards map[seg.LinkKey]*linkEntry
 	linkMemo   [1024]linkSlot // see link
 	revoked    map[seg.LinkKey]sim.Time
-	dirty      uint64 // bitmask of shards with pending registrations
+	dirty      uint64 // bitmask of shards with pending (de-)registrations
 	// touched[sh] holds the pairs to recompute at shard sh's next publish;
 	// from masterMin[sh] (earliest master expiry, 0: unknown) on, all are.
 	touched   [][]*pairMaster
@@ -309,6 +309,29 @@ func (s *Service) Register(now sim.Time, p *seg.PCB) error {
 	return nil
 }
 
+// Deregister removes the registered path with p's hops key from its
+// (origin, leaf) pair (paper §2.2: path de-registration); lookups stop
+// serving it at the next publication. It reports whether the path was
+// registered. The removed id stays on its links' entries until the next
+// reindex, as a pruned one does. Writer context only.
+func (s *Service) Deregister(p *seg.PCB) bool {
+	key := pairKey{src: p.Origin(), dst: p.Leaf()}
+	sh := s.ShardOf(key.dst)
+	pm := s.master[sh][key]
+	if pm == nil {
+		return false
+	}
+	hk := p.HopsKey()
+	i := slices.IndexFunc(pm.segs, func(q *seg.PCB) bool { return q.HopsKey() == hk })
+	if i < 0 {
+		return false
+	}
+	pm.segs, pm.ids = slices.Delete(pm.segs, i, i+1), slices.Delete(pm.ids, i, i+1)
+	s.dead++
+	s.dirty |= 1 << sh
+	return true
+}
+
 // index numbers a segment of pm and adds shards and its id to the entries
 // of the links it crosses (seg.PCB.Links's, walked without caching them
 // on p): one map operation per link, one more while links are revoked.
@@ -416,8 +439,8 @@ func upsert(list []*seg.PCB, p *seg.PCB) (out []*seg.PCB, mutated, fresh bool) {
 	return list, true, true
 }
 
-// segLess is the canonical reply order (matches pathdb): fewest hops
-// first, then by hops key.
+// segLess is the canonical reply order: fewest hops first, then by hops
+// key.
 func segLess(a, b *seg.PCB) bool {
 	if a.NumHops() != b.NumHops() {
 		return a.NumHops() < b.NumHops()

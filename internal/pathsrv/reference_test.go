@@ -464,6 +464,86 @@ func runOps(t testing.TB, ops []byte) *opsTwin {
 	return o
 }
 
+// Deregister removes p's path from the oracle's master copy, as
+// Service.Deregister does: the oracle's own addition, not part of the
+// verbatim writer side above.
+func (s *refService) Deregister(p *seg.PCB) bool {
+	key := pairKey{src: p.Origin(), dst: p.Leaf()}
+	sh := s.ShardOf(key.dst)
+	list := s.master[sh][key]
+	i := slices.IndexFunc(list, func(q *seg.PCB) bool { return q.HopsKey() == p.HopsKey() })
+	if i < 0 {
+		return false
+	}
+	s.master[sh][key] = slices.Delete(list, i, i+1)
+	s.dirty |= 1 << sh
+	return true
+}
+
+// TestDeregister interleaves de-registrations of registered, already
+// removed and never registered paths with the seeded operation mix, and
+// compares the Service with the oracle after each one: the path leaves
+// the next publication, an emptied pair leaves the index, and revoking
+// or reinstating a link of a removed path does not bring it back. A
+// reply handed out before de-registrations never changes.
+func TestDeregister(t *testing.T) {
+	removed := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		o := newOpsTwin(t)
+		for step := 0; step < 400; step++ {
+			if rng.Intn(3) > 0 {
+				o.apply(byte(rng.Intn(256)), byte(rng.Intn(256)))
+				continue
+			}
+			arg := byte(rng.Intn(256))
+			hops := append([]uint64{10 + uint64(arg%2)}, opMids[int(arg/8)%len(opMids)]...)
+			hops = append(hops, 30+uint64(arg/2%4))
+			p := mkSeg(t, o.now, hops...)
+			a, b := o.svc.Deregister(p), o.ref.Deregister(p)
+			if a != b {
+				t.Fatalf("seed %d step %d: deregister %v = %v, oracle %v", seed, step, hops, a, b)
+			}
+			if a {
+				removed++
+			}
+			o.compare(fmt.Sprintf("deregister %v", hops))
+		}
+	}
+	if removed == 0 {
+		t.Fatal("no de-registration removed a path: the mix exercises nothing")
+	}
+
+	// Deregistering each segment of a reply while ranging over it removes
+	// them all, and the reply, held across later publications, keeps its
+	// contents.
+	s := New(Config{Shards: 1})
+	for _, mid := range []uint64{20, 21, 22} {
+		if err := s.Register(0, mkSeg(t, 0, 10, mid, 30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Publish(0)
+	src, dst := addr.MustIA(1, 10), addr.MustIA(1, 30)
+	held, _ := s.Lookup(0, src, dst)
+	want := slices.Clone(held)
+	for _, p := range held {
+		if !s.Deregister(p) {
+			t.Errorf("deregister %v failed", p)
+		}
+	}
+	if err := s.Register(0, mkSeg(t, 0, 10, 30)); err != nil {
+		t.Fatal(err)
+	}
+	s.Publish(0)
+	if got, _ := s.Lookup(0, src, dst); len(got) != 1 || got[0].NumHops() != 2 {
+		t.Errorf("after deregistering a reply and registering one path: %v", got)
+	}
+	if len(want) != 3 || !slices.Equal(held, want) {
+		t.Errorf("held reply changed: %v, want %v", held, want)
+	}
+}
+
 // TestPublishMatchesWholeShardRebuild drives seeded operation mixes —
 // registrations fresh, refreshed and expired, revocations of known,
 // unknown and already revoked links, reinstatements, publications, and

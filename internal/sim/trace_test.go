@@ -31,7 +31,7 @@ func TestTraceParallelMatchesSequential(t *testing.T) {
 				s.Trace(shard, telemetry.Event{Kind: telemetry.FlowRetry, Actor: id})
 				s.Trace(shard, telemetry.Event{Kind: telemetry.FlowSwitch, Actor: id, Aux: 1})
 				s.AtShard(shard, s.Now()+Time(time.Second), func() {
-					s.Trace(shard, telemetry.Event{Kind: telemetry.PathRegistered, Actor: id})
+					s.Trace(shard, telemetry.Event{Kind: telemetry.PathRevoked, Actor: id})
 				})
 			}
 		}

@@ -15,10 +15,10 @@
 // properties (hops, propagation delay, bottleneck capacity) with live
 // per-path telemetry the traffic engine maintains: observed loss, an RTT
 // estimate, hop disjointness against the flow's active path set, and
-// revocation recency from SCMP history and pathdb lookups. Pick must be
-// deterministic, must never select a revoked path, and must not allocate
-// on the steady-state hot path (policies keep reusable scratch on their
-// receiver; CI gates allocs/op at zero).
+// revocation recency from SCMP history and path-server lookups. Pick
+// must be deterministic, must never select a revoked path, and must not
+// allocate on the steady-state hot path (policies keep reusable scratch
+// on their receiver; CI gates allocs/op at zero).
 package strategy
 
 import "time"
@@ -54,7 +54,7 @@ type PathView struct {
 	// the hop-disjointness signal: Shared 0 means fully disjoint.
 	Shared int
 	// RevokedAge is the time since a revocation was last seen on any of
-	// the path's links (SCMP history merged with pathdb revocation
+	// the path's links (SCMP history merged with path-server revocation
 	// recency); negative means never.
 	RevokedAge time.Duration
 }

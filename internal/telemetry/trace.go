@@ -15,8 +15,7 @@ const (
 	BeaconOriginated EventKind = iota
 	BeaconPropagated
 	BeaconFiltered // Reason: verify | loop | policy | store | down
-	// Path registration lifecycle.
-	PathRegistered
+	// Path revocation lifecycle.
 	PathRevoked
 	PathReinstated
 	// Flow-level traffic.
@@ -50,7 +49,6 @@ var kindNames = [numEventKinds]string{
 	"beacon_originated",
 	"beacon_propagated",
 	"beacon_filtered",
-	"path_registered",
 	"path_revoked",
 	"path_reinstated",
 	"flow_retry",

@@ -29,7 +29,7 @@ import (
 )
 
 // PathProvider returns the authorized forwarding paths from src to dst —
-// typically scion.Host.Paths or a pathdb-backed lookup.
+// typically scion.Host.Paths or scion.Network.Paths.
 type PathProvider func(src, dst addr.IA) ([]*dataplane.FwdPath, error)
 
 // Config wires an Engine to a simulated network.
@@ -80,7 +80,7 @@ type Config struct {
 	RevocationTTL time.Duration
 	// RevocationAge, if set, reports how long ago the control plane last
 	// learned of a revocation on any of the given links (negative =
-	// never) — the pathdb revocation-recency feed (for example
+	// never) — the path servers' revocation-recency feed (for example
 	// scion.Network.PathRevocationAge) behind the PathInfo.RevokedAge
 	// signal. The engine merges it with its own SCMP-learned history and
 	// reports whichever revocation is more recent.

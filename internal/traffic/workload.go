@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/pathdb"
+	"scionmpr/internal/metrics"
 )
 
 // WorkloadParams configures the deterministic workload generator:
@@ -34,43 +34,6 @@ type WorkloadParams struct {
 	Seed int64
 }
 
-// ThinkTimes samples endpoint think times — the closed-loop pause between
-// a client receiving a reply and issuing its next request — as an
-// exponential distribution with the given mean, floored at min so no
-// endpoint busy-loops. The same stylized model as the Poisson flow
-// arrivals above, reused by the pathsrv client population.
-type ThinkTimes struct {
-	rng  *rand.Rand
-	mean float64
-	min  float64
-}
-
-// NewThinkTimes builds a deterministic think-time sampler. A mean <= 0
-// defaults to one second; min is clamped into [0, mean].
-func NewThinkTimes(mean, min time.Duration, seed int64) *ThinkTimes {
-	m := float64(mean)
-	if m <= 0 {
-		m = float64(time.Second)
-	}
-	lo := float64(min)
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > m {
-		lo = m
-	}
-	return &ThinkTimes{rng: rand.New(rand.NewSource(seed)), mean: m, min: lo}
-}
-
-// Next returns the next think time.
-func (t *ThinkTimes) Next() time.Duration {
-	d := t.rng.ExpFloat64() * t.mean
-	if d < t.min {
-		d = t.min
-	}
-	return time.Duration(d)
-}
-
 // Generate produces the flow specs of a workload, sorted by arrival time
 // (IDs are assigned in arrival order starting at 0).
 func Generate(p WorkloadParams) []FlowSpec {
@@ -92,9 +55,9 @@ func Generate(p WorkloadParams) []FlowSpec {
 		maxFactor = 100
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
-	var ranks *pathdb.ZipfRanks
+	var ranks *metrics.ZipfRanks
 	if p.ZipfS > 0 {
-		ranks = pathdb.NewZipfRanks(len(p.Pairs), p.ZipfS, p.Seed+1)
+		ranks = metrics.NewZipfRanks(len(p.Pairs), p.ZipfS, p.Seed+1)
 	}
 	// Bounded Pareto: xm chosen so the unbounded mean matches MeanSize.
 	xm := p.MeanSize * (alpha - 1) / alpha

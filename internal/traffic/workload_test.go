@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"testing"
-	"time"
 
 	"scionmpr/internal/addr"
 )
@@ -113,36 +112,5 @@ func TestGenerateEdgeCases(t *testing.T) {
 		if s.Src != testPairs()[0][0] {
 			t.Error("single pair not used")
 		}
-	}
-}
-
-func TestThinkTimes(t *testing.T) {
-	tt := NewThinkTimes(100*time.Millisecond, 10*time.Millisecond, 7)
-	var sum time.Duration
-	const n = 20000
-	for i := 0; i < n; i++ {
-		d := tt.Next()
-		if d < 10*time.Millisecond {
-			t.Fatalf("think time %v below floor", d)
-		}
-		sum += d
-	}
-	mean := sum / n
-	// Exponential with mean 100ms and a 10ms floor: the sample mean must
-	// land near 100ms (the floor adds a few percent).
-	if mean < 90*time.Millisecond || mean > 125*time.Millisecond {
-		t.Errorf("sample mean = %v, want ~100ms", mean)
-	}
-	// Same seed, same stream.
-	a, b := NewThinkTimes(time.Second, 0, 42), NewThinkTimes(time.Second, 0, 42)
-	for i := 0; i < 100; i++ {
-		if a.Next() != b.Next() {
-			t.Fatal("equal seeds must yield identical think-time streams")
-		}
-	}
-	// Defaults: non-positive mean falls back to 1s, min clamped to mean.
-	d := NewThinkTimes(0, 5*time.Second, 1)
-	if d.mean != float64(time.Second) || d.min != d.mean {
-		t.Errorf("defaults: mean=%v min=%v", d.mean, d.min)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/dataplane"
-	"scionmpr/internal/pathdb"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/topology"
@@ -217,7 +216,7 @@ func TestRemoteLookupSeesRevocationLapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := pathdb.Request{Type: pathdb.Down, Dst: a4}
+	req := Request{Type: DownSeg, Dst: a4}
 	down := func() int {
 		t.Helper()
 		res, err := n.RemoteLookup(a6, a2, req)

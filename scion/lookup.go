@@ -6,7 +6,6 @@ import (
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/dataplane"
-	"scionmpr/internal/pathdb"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/wire"
 )
@@ -18,14 +17,49 @@ import (
 // packets addressed to the control service, and the caller observes the
 // exact byte cost the paper's Table 1 accounts for.
 
+// SegType classifies a segment request.
+type SegType int
+
+const (
+	// UpSeg segments lead from a leaf AS to a core AS of its ISD.
+	UpSeg SegType = iota
+	// DownSeg segments lead from a core AS to a leaf AS (an up-segment
+	// reversed; the wire representation is identical).
+	DownSeg
+	// CoreSeg segments connect two core ASes.
+	CoreSeg
+)
+
+func (t SegType) String() string {
+	switch t {
+	case UpSeg:
+		return "up"
+	case DownSeg:
+		return "down"
+	case CoreSeg:
+		return "core"
+	}
+	return fmt.Sprintf("segtype(%d)", int(t))
+}
+
+// Request is a path segment lookup, sized per the SCION segment request
+// wire format (destination IA plus type and flags).
+type Request struct {
+	Type SegType
+	Dst  addr.IA
+}
+
+// WireLen implements sim.Message.
+func (r Request) WireLen() int { return 1 + 8 + 3 }
+
 // Control-service message kinds (first payload byte).
 const (
 	msgSegRequest = 0x01
 	msgSegReply   = 0x02
 )
 
-// encodeRequest frames a pathdb.Request for the wire.
-func encodeRequest(req pathdb.Request) []byte {
+// encodeRequest frames a Request for the wire.
+func encodeRequest(req Request) []byte {
 	out := make([]byte, 2+8)
 	out[0] = msgSegRequest
 	out[1] = byte(req.Type)
@@ -33,14 +67,14 @@ func encodeRequest(req pathdb.Request) []byte {
 	return out
 }
 
-func decodeRequest(b []byte) (pathdb.Request, error) {
+func decodeRequest(b []byte) (Request, error) {
 	r := wire.NewReader("scion: segment request", b)
 	if tag := r.U8(); tag != msgSegRequest {
 		r.Failf("has tag %#x", tag)
 	}
-	req := pathdb.Request{Type: pathdb.SegType(r.U8()), Dst: addr.IAFromUint64(r.U64())}
+	req := Request{Type: SegType(r.U8()), Dst: addr.IAFromUint64(r.U64())}
 	if err := r.Done(); err != nil {
-		return pathdb.Request{}, err
+		return Request{}, err
 	}
 	return req, nil
 }
@@ -88,11 +122,7 @@ func (n *Network) controlService(ia addr.IA, pkt *dataplane.Packet) {
 	if err != nil {
 		return
 	}
-	ps := n.pathServers[ia]
-	if ps == nil {
-		return
-	}
-	segs := n.serve(ps, req)
+	segs := n.serve(ia, req)
 	rev, err := pkt.Path.Reverse(n.Infra.ForwardingKey)
 	if err != nil {
 		return
@@ -126,17 +156,17 @@ func (n *Network) controlService(ia addr.IA, pkt *dataplane.Packet) {
 	}
 }
 
-// serve answers a segment request from a path server at the live
+// serve answers a segment request from ia's path server at the live
 // control-plane time, so revocations lapse for remote lookups as they do
 // for Paths.
-func (n *Network) serve(ps *pathdb.Server, req pathdb.Request) []*seg.PCB {
-	now := n.now()
+func (n *Network) serve(ia addr.IA, req Request) []*seg.PCB {
+	now, ps := n.now(), n.PathServer(ia)
 	switch req.Type {
-	case pathdb.Up:
+	case UpSeg:
 		return ps.LookupUp(now)
-	case pathdb.Down:
+	case DownSeg:
 		return ps.LookupDown(now, req.Dst)
-	case pathdb.Core:
+	case CoreSeg:
 		return ps.LookupCore(now, req.Dst)
 	}
 	return nil
@@ -157,14 +187,13 @@ type LookupResult struct {
 // reply. It demonstrates and measures the paper's pull-based path-server
 // infrastructure: lookups are unicast, amortized by data traffic, and
 // independent of global broadcast.
-func (n *Network) RemoteLookup(from, server addr.IA, req pathdb.Request) (*LookupResult, error) {
+func (n *Network) RemoteLookup(from, server addr.IA, req Request) (*LookupResult, error) {
 	if from == server {
 		// Local lookup (endpoint path lookup): intra-AS, no SCION hop.
-		ps := n.pathServers[server]
-		if ps == nil {
+		if n.Topo.AS(server) == nil {
 			return nil, fmt.Errorf("scion: no path server at %s", server)
 		}
-		return &LookupResult{Segments: n.serve(ps, req)}, nil
+		return &LookupResult{Segments: n.serve(server, req)}, nil
 	}
 	paths, err := n.Paths(from, server)
 	if err != nil {

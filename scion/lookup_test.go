@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"scionmpr/internal/pathdb"
 	"scionmpr/internal/seg"
 )
 
@@ -12,7 +11,7 @@ func TestRemoteLookupDownSegments(t *testing.T) {
 	n := demoNet(t)
 	// A-6's path server asks ISD-1 core A-2 for down-segments to A-4 —
 	// the core-path-server query of paper §2.2 over a real data path.
-	res, err := n.RemoteLookup(a6, a2, pathdb.Request{Type: pathdb.Down, Dst: a4})
+	res, err := n.RemoteLookup(a6, a2, Request{Type: DownSeg, Dst: a4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func TestRemoteLookupDownSegments(t *testing.T) {
 func TestRemoteLookupCoreSegments(t *testing.T) {
 	n := demoNet(t)
 	// B-3 asks its core B-2 for core-segments to A-2 (intra-ISD scope).
-	res, err := n.RemoteLookup(b3, b2, pathdb.Request{Type: pathdb.Core, Dst: a2})
+	res, err := n.RemoteLookup(b3, b2, Request{Type: CoreSeg, Dst: a2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestRemoteLookupCoreSegments(t *testing.T) {
 
 func TestRemoteLookupLocal(t *testing.T) {
 	n := demoNet(t)
-	res, err := n.RemoteLookup(a6, a6, pathdb.Request{Type: pathdb.Up})
+	res, err := n.RemoteLookup(a6, a6, Request{Type: UpSeg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestRemoteLookupUnknownDestination(t *testing.T) {
 	n := demoNet(t)
 	// Asking the right server for a destination with no registrations
 	// yields an empty (but successful) reply.
-	res, err := n.RemoteLookup(a6, a2, pathdb.Request{Type: pathdb.Down, Dst: b3})
+	res, err := n.RemoteLookup(a6, a2, Request{Type: DownSeg, Dst: b3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestRemoteLookupUnknownDestination(t *testing.T) {
 }
 
 func TestLookupWireCodecs(t *testing.T) {
-	req := pathdb.Request{Type: pathdb.Core, Dst: a4}
+	req := Request{Type: CoreSeg, Dst: a4}
 	back, err := decodeRequest(encodeRequest(req))
 	if err != nil || back != req {
 		t.Fatalf("request round trip: %+v %v", back, err)
@@ -105,11 +104,11 @@ func TestLookupWireCodecs(t *testing.T) {
 // The lookup decoders accept exactly what the encoders write.
 func TestLookupDecodersAreStrict(t *testing.T) {
 	n := demoNet(t)
-	res, err := n.RemoteLookup(a6, a6, pathdb.Request{Type: pathdb.Up})
+	res, err := n.RemoteLookup(a6, a6, Request{Type: UpSeg})
 	if err != nil || len(res.Segments) == 0 {
 		t.Fatalf("no segments to encode: %v", err)
 	}
-	request := encodeRequest(pathdb.Request{Type: pathdb.Down, Dst: a4})
+	request := encodeRequest(Request{Type: DownSeg, Dst: a4})
 	reply := encodeReply(res.Segments[:1])
 	if segs, err := decodeReply(reply); err != nil || len(segs) != 1 || segs[0].HopsKey() != res.Segments[0].HopsKey() {
 		t.Fatalf("reply round trip: %v %v", segs, err)

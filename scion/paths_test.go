@@ -25,18 +25,30 @@ var isd364 struct {
 
 func isdNet(t testing.TB) *Network {
 	t.Helper()
-	isd364.once.Do(func() {
-		topo, err := GenerateISDTopology(400, 10, 5, 1)
-		if err != nil {
-			isd364.err = err
-			return
-		}
-		isd364.net, isd364.err = NewNetwork(topo, DefaultOptions())
-	})
+	isd364.once.Do(func() { isd364.net, isd364.err = buildISDNet() })
 	if isd364.err != nil {
 		t.Fatal(isd364.err)
 	}
 	return isd364.net
+}
+
+// newISDNet builds a private copy of the isd364 network, for a test that
+// changes it.
+func newISDNet(t *testing.T) *Network {
+	t.Helper()
+	n, err := buildISDNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func buildISDNet() (*Network, error) {
+	topo, err := GenerateISDTopology(400, 10, 5, 1)
+	if err != nil {
+		return nil, err
+	}
+	return NewNetwork(topo, DefaultOptions())
 }
 
 // leafPairs draws k distinct leaf-to-leaf pairs, deterministically.

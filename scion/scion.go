@@ -19,9 +19,12 @@
 package scion
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"scionmpr/internal/addr"
@@ -29,7 +32,7 @@ import (
 	"scionmpr/internal/combinator"
 	"scionmpr/internal/core"
 	"scionmpr/internal/dataplane"
-	"scionmpr/internal/pathdb"
+	"scionmpr/internal/pathsrv"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
@@ -69,8 +72,7 @@ type Options struct {
 	// §4.1): when the TTL lapses, previously revoked paths are
 	// reinstated in lookups — if the link is still down, the next use
 	// triggers a fresh SCMP revocation. Zero selects the default (10s
-	// of data-plane time); negative makes revocations permanent (the
-	// pre-chaos behavior).
+	// of data-plane time); NewNetwork rejects a negative TTL.
 	RevocationTTL time.Duration
 	// Workers parallelizes the bootstrap beaconing runs (0 = serial).
 	// Results are byte-identical for any worker count.
@@ -102,13 +104,21 @@ type Network struct {
 	Topo  *topology.Graph
 	Infra *trust.Infra
 	Opts  Options
+	// Lookups counts the segment lookups path servers answered (see
+	// PathServer), for Paths and remote lookups included.
+	Lookups uint64
 
 	coreRun  *beacon.RunResult
 	intraRun *beacon.RunResult
 
-	// pathServers: every AS has one; core ASes also hold registered
-	// down- and core-segments of their ISD.
-	pathServers map[addr.IA]*pathdb.Server
+	// paths holds every registered segment once, under its (origin,
+	// leaf) pair; each AS's path server is a role view of it. cores lists
+	// each ISD's core ASes in topology order.
+	paths *pathsrv.Service
+	cores map[addr.ISD][]addr.IA
+	// lastRevoked records when each link key was last revoked: the
+	// revocation-recency feed, which never lapses.
+	lastRevoked map[seg.LinkKey]sim.Time
 
 	clock  *sim.Simulator
 	netSim *sim.Network
@@ -117,11 +127,18 @@ type Network struct {
 	// svcHandlers intercept control-service replies per AS (RemoteLookup).
 	svcHandlers map[addr.IA]func(*dataplane.Packet)
 
-	pathCache map[[2]uint64][]*dataplane.FwdPath
+	pathCache map[[2]uint64]cachedPaths
 	// revExpiries holds pending revocation-expiry times (ascending); the
 	// path cache is flushed lazily when the clock passes one, so
 	// reinstated segments become visible to cached lookups.
 	revExpiries []sim.Time
+}
+
+// cachedPaths is one endpoint path-cache entry, served until the
+// earliest expiry among the segments it was combined from.
+type cachedPaths struct {
+	paths   []*dataplane.FwdPath
+	expires sim.Time
 }
 
 // NewNetwork bootstraps the control plane on topo and prepares the data
@@ -153,6 +170,9 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 	if opts.LinkDelay <= 0 {
 		opts.LinkDelay = 5 * time.Millisecond
 	}
+	if opts.RevocationTTL < 0 {
+		return nil, fmt.Errorf("scion: negative RevocationTTL %v", opts.RevocationTTL)
+	}
 	if opts.RevocationTTL == 0 {
 		opts.RevocationTTL = 10 * time.Second
 	}
@@ -165,10 +185,14 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 		Topo:        topo,
 		Infra:       infra,
 		Opts:        opts,
-		pathServers: map[addr.IA]*pathdb.Server{},
+		cores:       map[addr.ISD][]addr.IA{},
+		lastRevoked: map[seg.LinkKey]sim.Time{},
 		hosts:       map[addr.IA][]*Host{},
 		svcHandlers: map[addr.IA]func(*dataplane.Packet){},
-		pathCache:   map[[2]uint64][]*dataplane.FwdPath{},
+		pathCache:   map[[2]uint64]cachedPaths{},
+	}
+	for _, c := range topo.CoreIAs() {
+		n.cores[c.ISD] = append(n.cores[c.ISD], c)
 	}
 
 	factory := func() core.Factory {
@@ -198,6 +222,7 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 	n.clock = &sim.Simulator{}
 	n.clock.SetTracer(opts.Tracer)
 	n.clock.SetTelemetry(opts.Telemetry)
+	n.paths = pathsrv.New(pathsrv.Config{Clock: n.clock, Telemetry: opts.Telemetry})
 	if err := n.registerSegments(); err != nil {
 		return nil, err
 	}
@@ -262,69 +287,133 @@ func (n *Network) terminate(run *beacon.RunResult, origin, at addr.IA) ([]*seg.P
 }
 
 // registerSegments plays the registration phase: every AS terminates its
-// stored beacons; leaf ASes register up-segments locally and down-
-// segments at their ISD's core path servers; core ASes register
-// core-segments.
+// stored beacons and registers each segment once, under (origin, leaf):
+// a leaf AS the segments from its ISD's cores (its up-segments, which
+// its ISD's cores serve as down-segments), a core AS the core-segments
+// from every other core.
 func (n *Network) registerSegments() error {
 	now := n.intraRun.End
-	coresByISD := map[addr.ISD][]addr.IA{}
-	for _, c := range n.Topo.CoreIAs() {
-		coresByISD[c.ISD] = append(coresByISD[c.ISD], c)
-	}
 	for _, ia := range n.Topo.IAs() {
-		ps := pathdb.NewServer(ia, n.Topo.AS(ia).Core, sim.Time(time.Hour))
-		ps.SetTelemetry(n.Opts.Telemetry, n.clock)
-		n.pathServers[ia] = ps
-	}
-	for _, ia := range n.Topo.IAs() {
+		run, origins := n.intraRun, n.cores[ia.ISD]
 		if n.Topo.AS(ia).Core {
-			// Core segments arrive via core beaconing; register them at
-			// the local (core) path server.
-			for _, origin := range n.Topo.CoreIAs() {
-				if origin == ia {
-					continue
-				}
-				segs, err := n.terminate(n.coreRun, origin, ia)
-				if err != nil {
-					return err
-				}
-				for _, s := range segs {
-					if err := n.pathServers[ia].RegisterCore(now, s); err != nil {
-						return err
-					}
-				}
-			}
-			continue
+			run, origins = n.coreRun, n.Topo.CoreIAs()
 		}
-		// Leaf AS: up-segments locally, down-segments at the ISD cores.
-		for _, origin := range coresByISD[ia.ISD] {
-			segs, err := n.terminate(n.intraRun, origin, ia)
+		for _, origin := range origins {
+			if origin == ia {
+				continue
+			}
+			segs, err := n.terminate(run, origin, ia)
 			if err != nil {
 				return err
 			}
 			for _, s := range segs {
-				if err := n.pathServers[ia].RegisterUp(now, s); err != nil {
+				if err := n.paths.Register(now, s); err != nil {
 					return err
-				}
-				for _, c := range coresByISD[ia.ISD] {
-					if err := n.pathServers[c].RegisterDown(now, s); err != nil {
-						return err
-					}
 				}
 			}
 		}
 	}
+	n.paths.Publish(now)
 	return nil
 }
 
-// PathServer exposes an AS's path server (nil for unknown ASes).
-func (n *Network) PathServer(ia addr.IA) *pathdb.Server { return n.pathServers[ia] }
+// pathServer is one AS's path server, a role view of the network's path
+// service (paper §2.2): a leaf AS serves its own up-segments; a core AS
+// serves the down-segments of its ISD's leaves and the core-segments
+// that end at it. Every lookup lapses the revocations due by now first.
+// A reply is read-only; a role the AS lacks, or an unknown AS, answers
+// nil.
+type pathServer struct {
+	n  *Network
+	ia addr.IA
+}
+
+// PathServer returns ia's path server.
+func (n *Network) PathServer(ia addr.IA) pathServer { return pathServer{n, ia} }
+
+// LookupUp answers an endpoint's up-segment query (an intra-AS
+// operation, paper §4.1 "Endpoint Path Lookup").
+func (ps pathServer) LookupUp(now sim.Time) []*seg.PCB {
+	n := ps.n
+	n.Lookups++
+	if as := n.Topo.AS(ps.ia); as == nil || as.Core {
+		return nil
+	}
+	return n.leafSegments(now, ps.ia)
+}
+
+// LookupDown answers a down-segment query for a leaf AS of the server's
+// ISD.
+func (ps pathServer) LookupDown(now sim.Time, dst addr.IA) []*seg.PCB {
+	n := ps.n
+	n.Lookups++
+	as, leaf := n.Topo.AS(ps.ia), n.Topo.AS(dst)
+	if as == nil || !as.Core || leaf == nil || leaf.Core || dst.ISD != ps.ia.ISD {
+		return nil
+	}
+	return n.leafSegments(now, dst)
+}
+
+// LookupCore answers a core-segment query for a core AS: the segments
+// originated there and terminated at the server.
+func (ps pathServer) LookupCore(now sim.Time, dst addr.IA) []*seg.PCB {
+	n := ps.n
+	n.Lookups++
+	if as := n.Topo.AS(ps.ia); as == nil || !as.Core {
+		return nil
+	}
+	n.paths.Publish(now)
+	segs, _ := n.paths.Lookup(now, dst, ps.ia)
+	return segs
+}
+
+// leafSegments merges the segments from every core of leaf's ISD to
+// leaf in reply order: fewest hops first, then by hops key.
+func (n *Network) leafSegments(now sim.Time, leaf addr.IA) []*seg.PCB {
+	n.paths.Publish(now)
+	var buf [8][]*seg.PCB
+	parts, total := buf[:0], 0
+	for _, c := range n.cores[leaf.ISD] {
+		if segs, _ := n.paths.Lookup(now, c, leaf); len(segs) > 0 {
+			parts, total = append(parts, segs), total+len(segs)
+		}
+	}
+	switch len(parts) {
+	case 0:
+		return nil
+	case 1:
+		return parts[0]
+	}
+	out := make([]*seg.PCB, 0, total)
+	for _, segs := range parts {
+		out = append(out, segs...)
+	}
+	slices.SortFunc(out, func(a, b *seg.PCB) int {
+		return cmp.Or(cmp.Compare(a.NumHops(), b.NumHops()), strings.Compare(a.HopsKey(), b.HopsKey()))
+	})
+	return out
+}
+
+// earliestExpiry is the earliest expiry among the segments of sets (0
+// for none).
+func earliestExpiry(sets ...[]*seg.PCB) sim.Time {
+	var min sim.Time
+	for _, set := range sets {
+		for _, s := range set {
+			if min == 0 || s.Info.Expiry < min {
+				min = s.Info.Expiry
+			}
+		}
+	}
+	return min
+}
 
 // Paths returns authorized forwarding paths from src to dst, performing
 // the endpoint's lookups: up-segments from the local path server, core-
 // and down-segments from the involved core path servers, combination
 // (including shortcuts and peering shortcuts), and hop-field
-// authorization. Results are cached per (src, dst).
+// authorization. Results are cached per (src, dst) until a revocation
+// or its earliest segment expiry.
 func (n *Network) Paths(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
 	if n.Topo.AS(src) == nil || n.Topo.AS(dst) == nil {
 		return nil, fmt.Errorf("scion: unknown AS in %s -> %s", src, dst)
@@ -333,11 +422,11 @@ func (n *Network) Paths(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
 		return nil, fmt.Errorf("scion: intra-AS communication needs no SCION path")
 	}
 	n.expirePathCache()
-	key := [2]uint64{src.Uint64(), dst.Uint64()}
-	if cached, ok := n.pathCache[key]; ok {
-		return cached, nil
-	}
 	now := n.now()
+	key := [2]uint64{src.Uint64(), dst.Uint64()}
+	if cached, ok := n.pathCache[key]; ok && now < cached.expires {
+		return cached.paths, nil
+	}
 
 	ups, cores, downs := n.lookupSegments(now, src, dst)
 	cands := n.combineAll(src, dst, ups, cores, downs)
@@ -369,14 +458,13 @@ func (n *Network) Paths(src, dst addr.IA) ([]*dataplane.FwdPath, error) {
 	if len(out) == 0 {
 		return nil, fmt.Errorf("scion: no path from %s to %s", src, dst)
 	}
-	n.pathCache[key] = out
+	n.pathCache[key] = cachedPaths{out, earliestExpiry(ups, cores, downs)}
 	return out, nil
 }
 
 // now is the control-plane timestamp for path lookups: the bootstrap
 // beaconing horizon plus the elapsed data-plane time, so timed
-// revocation state ages with the live clock while segment lifetimes
-// (hours) remain comfortably valid.
+// revocation state and segment lifetimes age with the live clock.
 func (n *Network) now() sim.Time { return n.intraRun.End + n.clock.Now() }
 
 // expirePathCache flushes the (src,dst) path cache once any pending
@@ -389,7 +477,7 @@ func (n *Network) expirePathCache() {
 	}
 	if i > 0 {
 		n.revExpiries = append([]sim.Time(nil), n.revExpiries[i:]...)
-		n.pathCache = map[[2]uint64][]*dataplane.FwdPath{}
+		n.pathCache = map[[2]uint64]cachedPaths{}
 	}
 }
 
@@ -400,17 +488,16 @@ func (n *Network) lookupSegments(now sim.Time, src, dst addr.IA) (ups, cores, do
 	dstCore := n.Topo.AS(dst).Core
 
 	if !srcCore {
-		ups = n.pathServers[src].LookupUp(now)
+		ups = n.PathServer(src).LookupUp(now)
 	}
 	if !dstCore {
-		// Every core of the ISD holds the same registrations and answers
-		// with the same segments. A repeat can only rebuild paths its
-		// first occurrence already gave, which Paths would drop as
-		// duplicates, so it is dropped here before it multiplies the
-		// combinations.
+		// Every core of the ISD answers with the same down-segments. A
+		// repeat can only rebuild paths its first occurrence already gave,
+		// which Paths would drop as duplicates, so it is dropped here
+		// before it multiplies the combinations.
 		seen := map[*seg.PCB]bool{}
-		for _, c := range n.coresOf(dst.ISD) {
-			for _, d := range n.pathServers[c].LookupDown(now, dst) {
+		for _, c := range n.cores[dst.ISD] {
+			for _, d := range n.PathServer(c).LookupDown(now, dst) {
 				if !seen[d] {
 					seen[d] = true
 					downs = append(downs, d)
@@ -421,16 +508,16 @@ func (n *Network) lookupSegments(now sim.Time, src, dst addr.IA) (ups, cores, do
 	// Core segments between every (src-side core, dst-side core) pair,
 	// looked up at the src-side core path servers. A core endpoint is its
 	// own side.
-	fromCores := n.coresOf(src.ISD)
+	fromCores := n.cores[src.ISD]
 	if srcCore {
 		fromCores = []addr.IA{src}
 	}
-	toCores := n.coresOf(dst.ISD)
+	toCores := n.cores[dst.ISD]
 	if dstCore {
 		toCores = []addr.IA{dst}
 	}
 	for _, fc := range fromCores {
-		ps := n.pathServers[fc]
+		ps := n.PathServer(fc)
 		for _, tc := range toCores {
 			if fc == tc {
 				continue
@@ -450,16 +537,6 @@ func (n *Network) combineAll(src, dst addr.IA, ups, cores, downs []*seg.PCB) []*
 		return combinator.CorePaths(src, dst, ups, cores, downs)
 	}
 	return combinator.AllPaths(ups, cores, downs)
-}
-
-func (n *Network) coresOf(isd addr.ISD) []addr.IA {
-	var out []addr.IA
-	for _, c := range n.Topo.CoreIAs() {
-		if c.ISD == isd {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Run drives the virtual clock until all in-flight data-plane events are
@@ -489,41 +566,28 @@ func (n *Network) FailLink(a, b addr.IA, i int) (*topology.Link, error) {
 
 // NoteLinkDown propagates a data-plane link failure through the control
 // plane without touching the fabric: both directions of the link are
-// revoked at every path server (timed when RevocationTTL > 0, permanent
-// otherwise) and the endpoint path cache is flushed. FailLink uses it
+// revoked at the path servers for RevocationTTL and the endpoint path
+// cache is flushed. FailLink uses it
 // after failing the fabric link; chaos hooks use it directly when the
 // fault injector already owns the fabric side.
 func (n *Network) NoteLinkDown(l *topology.Link) {
 	now := n.now()
 	ttl := sim.Time(n.Opts.RevocationTTL)
-	// Topology order, not map order: revocations emit trace events, and
-	// the event stream must be deterministic.
 	for _, key := range []seg.LinkKey{{IA: l.A, If: l.AIf}, {IA: l.B, If: l.BIf}} {
-		for _, ia := range n.Topo.IAs() {
-			// RevokeFor records the revocation instant (the policies'
-			// recency feed) and falls back to a permanent Revoke when the
-			// TTL is non-positive.
-			n.pathServers[ia].RevokeFor(now, key, ttl)
-		}
+		n.lastRevoked[key] = now
+		n.paths.RevokeLink(now, key, ttl)
 	}
-	if ttl > 0 {
-		n.noteRevocationExpiry(now + ttl)
-	} else {
-		// Permanent revocations also empty the beacon stores, the
-		// pre-reinstatement behavior.
-		n.coreRun.RevokeLink(l)
-		n.intraRun.RevokeLink(l)
-	}
-	n.pathCache = map[[2]uint64][]*dataplane.FwdPath{}
+	n.noteRevocationExpiry(now + ttl)
+	n.pathCache = map[[2]uint64]cachedPaths{}
 }
 
 // PathRevocationAge reports how long ago the control plane last recorded
 // a revocation on any of the given links, as seen from ia's path server
-// (negative = never) — the pathdb-backed revocation-recency feed for the
-// traffic engine's path-selection policies (traffic.Config.RevocationAge).
+// (negative = never, or an unknown AS) — the revocation-recency feed for
+// the traffic engine's path-selection policies
+// (traffic.Config.RevocationAge).
 func (n *Network) PathRevocationAge(ia addr.IA, links []dataplane.LinkRef) time.Duration {
-	ps := n.pathServers[ia]
-	if ps == nil {
+	if n.Topo.AS(ia) == nil {
 		return -1
 	}
 	now := n.now()
@@ -531,7 +595,7 @@ func (n *Network) PathRevocationAge(ia addr.IA, links []dataplane.LinkRef) time.
 	for _, ref := range links {
 		l := ref.Link
 		for _, key := range []seg.LinkKey{{IA: l.A, If: l.AIf}, {IA: l.B, If: l.BIf}} {
-			if t, ok := ps.LastRevocation(key); ok {
+			if t, ok := n.lastRevoked[key]; ok {
 				if a := time.Duration(now - t); age < 0 || a < age {
 					age = a
 				}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
+	"scionmpr/internal/sim"
 	"scionmpr/internal/topology"
 )
 
@@ -57,6 +58,11 @@ func TestNewNetworkValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(topology.New(), DefaultOptions()); err == nil {
 		t.Error("empty topology accepted")
+	}
+	neg := DefaultOptions()
+	neg.RevocationTTL = -1
+	if _, err := NewNetwork(topology.Demo(), neg); err == nil {
+		t.Error("negative RevocationTTL accepted")
 	}
 	// Zero options get defaulted.
 	n, err := NewNetwork(topology.Demo(), Options{})
@@ -241,7 +247,8 @@ func TestBaselineAlgorithmOption(t *testing.T) {
 	if n.ControlPlaneBytes() == 0 {
 		t.Error("no control plane bytes recorded")
 	}
-	if n.PathServer(a1) == nil || n.PathServer(addr.MustIA(9, 9)) != nil {
+	now := n.now()
+	if n.PathServer(a6).LookupUp(now) == nil || n.PathServer(addr.MustIA(9, 9)).LookupUp(now) != nil {
 		t.Error("path server accessors broken")
 	}
 }
@@ -306,7 +313,7 @@ func TestExportedHelpers(t *testing.T) {
 	}
 }
 
-// TestPathRevocationAge pins the pathdb-backed revocation-recency feed
+// TestPathRevocationAge pins the path servers' revocation-recency feed
 // consumed by the traffic engine's path-selection policies.
 func TestPathRevocationAge(t *testing.T) {
 	n := demoNet(t)
@@ -340,40 +347,25 @@ func TestPathRevocationAge(t *testing.T) {
 	}
 }
 
-// TestNoteLinkDownPermanent covers the RevocationTTL < 0 branch:
-// revocations are permanent and empty the beacon stores.
-func TestNoteLinkDownPermanent(t *testing.T) {
-	opts := DefaultOptions()
-	opts.RevocationTTL = -1
-	n, err := NewNetwork(topology.Demo(), opts)
-	if err != nil {
-		t.Fatal(err)
+// TestPathsDropExpiredSegments requires the endpoint path cache to age
+// with the segments it was combined from: once every 6h segment of the
+// bootstrap has expired, a warm network answers as a fresh one does.
+func TestPathsDropExpiredSegments(t *testing.T) {
+	const past = 4*time.Hour + time.Minute
+	fresh := demoNet(t)
+	fresh.Clock().RunUntil(fresh.Clock().Now() + sim.Time(past))
+	_, want := fresh.Paths(b3, a6)
+	if want == nil {
+		t.Fatal("fresh network still finds paths after every segment expired")
 	}
+	n := demoNet(t)
+	if paths, err := n.Paths(b3, a6); err != nil || len(paths) == 0 {
+		t.Fatalf("paths before expiry: %v (%d)", err, len(paths))
+	}
+	n.Clock().RunUntil(n.Clock().Now() + sim.Time(past))
 	paths, err := n.Paths(b3, a6)
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("paths: %v (%d)", err, len(paths))
-	}
-	refs, err := paths[0].LinkRefs(n.Topo)
-	if err != nil || len(refs) == 0 {
-		t.Fatalf("link refs: %v (%d)", err, len(refs))
-	}
-	n.NoteLinkDown(refs[0].Link)
-	after, err := n.Paths(b3, a6)
-	if err == nil {
-		for _, p := range after {
-			rs, err := p.LinkRefs(n.Topo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range rs {
-				if r.Link == refs[0].Link {
-					t.Fatal("permanently revoked link still served")
-				}
-			}
-		}
-	}
-	if age := n.PathRevocationAge(b3, refs[:1]); age != 0 {
-		t.Errorf("age after permanent revocation = %v, want 0", age)
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("warm network after expiry: %d paths, err %v; want %v", len(paths), err, want)
 	}
 }
 

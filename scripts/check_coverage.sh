@@ -26,7 +26,6 @@ scionmpr/internal/dataplane 80
 scionmpr/internal/experiments 88
 scionmpr/internal/graphalg 97
 scionmpr/internal/metrics 95
-scionmpr/internal/pathdb 83
 scionmpr/internal/pathsrv 94
 scionmpr/internal/seg 94
 scionmpr/internal/sig 93
