@@ -21,6 +21,7 @@ import (
 	"scionmpr/internal/graphalg"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/strategy"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
 	"scionmpr/internal/traffic"
@@ -472,9 +473,9 @@ func BenchmarkPathLookup(b *testing.B) {
 // per implementation over an 8-path set — the hot call of the traffic
 // engine (one per admitted chunk).
 func BenchmarkSchedulerDecision(b *testing.B) {
-	infos := make([]traffic.PathInfo, 8)
+	infos := make([]strategy.PathView, 8)
 	for i := range infos {
-		infos[i] = traffic.PathInfo{
+		infos[i] = strategy.PathView{
 			Hops:       3 + i%3,
 			Delay:      time.Duration(10+i) * time.Millisecond,
 			Bottleneck: 1.25e8 * float64(1+i%4),
@@ -483,7 +484,7 @@ func BenchmarkSchedulerDecision(b *testing.B) {
 	}
 	for _, name := range []string{"single-best", "round-robin", "weighted", "latency"} {
 		b.Run(name, func(b *testing.B) {
-			factory, err := traffic.NewScheduler(name)
+			factory, err := strategy.New(name)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -538,8 +539,6 @@ func BenchmarkFlowArrivalChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng, err := traffic.NewEngine(traffic.Config{
-			Clock:    n.Clock(),
-			Net:      n.Fabric().Net,
 			Fabric:   n.Fabric(),
 			Provider: n.Paths,
 			Links:    traffic.NewLinkModel(traffic.DefaultCapacity()),

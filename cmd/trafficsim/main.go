@@ -23,6 +23,7 @@ import (
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/graphalg"
+	"scionmpr/internal/strategy"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/traffic"
 	"scionmpr/scion"
@@ -107,17 +108,15 @@ func run(w io.Writer, cfg config) error {
 	if err != nil {
 		return err
 	}
-	factory, err := traffic.NewScheduler(cfg.sched)
+	factory, err := strategy.New(cfg.sched)
 	if err != nil {
 		return err
 	}
 	eng, err := traffic.NewEngine(traffic.Config{
-		Clock:     net.Clock(),
-		Net:       net.Fabric().Net,
 		Fabric:    net.Fabric(),
 		Provider:  net.Paths,
 		Links:     traffic.NewLinkModel(traffic.DefaultCapacity()),
-		Scheduler: func() traffic.Scheduler { return factory() },
+		Scheduler: factory,
 		ChunkSize: cfg.chunk,
 		Telemetry: reg,
 	})

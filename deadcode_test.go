@@ -49,8 +49,7 @@ var deadCodeKeep = map[string]string{
 	"scionmpr/internal/core.Diversity.SentCount":      "test hook into the Sent PCBs list",
 	"scionmpr/internal/core.Diversity.HistoryCounter": "test hook into the Link History Table",
 
-	"scionmpr/internal/dataplane.Engine.Inject": "struct-packet entry of the wire engine, mirroring Fabric.Inject; the fabric-vs-engine differential golden drives both through it",
-	"scionmpr/internal/sim.Simulator.Stop":      "run control of the event core; its sequential and parallel stop semantics are pinned by tests",
+	"scionmpr/internal/sim.Simulator.Stop": "run control of the event core; its sequential and parallel stop semantics are pinned by tests",
 
 	"scionmpr/benchmark.smokeScale": "benchmark module: its smoke tests run every workload at this scale",
 }

@@ -104,7 +104,7 @@ func run(w io.Writer) error {
 
 	sent, failovers := branch.Stats()
 	fmt.Fprintf(w, "\nresults: sent=%d delivered=%d dropped-at-failed-link=%d failovers=%d\n",
-		sent, delivered, n.Fabric().Revocations, failovers)
+		sent, delivered, n.Fabric().Stats().Revocations, failovers)
 	if failovers == 0 {
 		return fmt.Errorf("no failover happened")
 	}

@@ -46,8 +46,6 @@ func run(w io.Writer) error {
 		return err
 	}
 	eng, err := traffic.NewEngine(traffic.Config{
-		Clock:    n.Clock(),
-		Net:      n.Fabric().Net,
 		Fabric:   n.Fabric(),
 		Provider: n.Paths,
 		// 1 Gbps on every link direction.

@@ -154,6 +154,6 @@ func run(w io.Writer) error {
 		delivered.Payload, delivered.Src, delivered.Dst, len(fp.Hops), s.Now())
 	// A-1 stays untouched: the chosen path is policy-compliant and only
 	// crosses the on-path control plane, no global state anywhere.
-	fmt.Fprintln(w, "core AS", a1, "forwarded", fabric.Forwarded, "packets total (stateless PCFS)")
+	fmt.Fprintln(w, "core AS", a1, "forwarded", fabric.Stats().Forwarded, "packets total (stateless PCFS)")
 	return nil
 }

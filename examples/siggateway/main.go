@@ -50,14 +50,14 @@ func run(w io.Writer) error {
 		return err
 	}
 
-	// SIGs on the network's fabric. The ASMap assigns one /16 per site.
+	// SIGs on the network. The ASMap assigns one /16 per site.
 	var asmap sig.ASMap
 	asmap.Add(netip.MustParsePrefix("10.3.0.0/16"), branchASes[0])
 	asmap.Add(netip.MustParsePrefix("10.6.0.0/16"), branchASes[1])
 	asmap.Add(netip.MustParsePrefix("10.4.0.0/16"), dcAS)
 
 	newGW := func(ia scion.IA, b byte, mode sig.Mode) *sig.Gateway {
-		return sig.NewGateway(n.Fabric(), scion.HostIP4(ia, 10, b, 0, 1), mode, &asmap,
+		return sig.NewGateway(n, scion.HostIP4(ia, 10, b, 0, 1), mode, &asmap,
 			func(dst scion.IA) []*scion.FwdPath {
 				paths, _ := n.Paths(ia, dst)
 				return paths

@@ -275,8 +275,9 @@ func (e *Engine) applySpike(id topology.LinkID) {
 		}
 	}
 	// Every target gets the override. Two targets over one network set
-	// it twice, which is idempotent; dataplane.Engine stores it but has
-	// no delay model to act on it yet.
+	// it twice, which is idempotent. A dataplane.Fabric passes it to its
+	// network, which delays the frames it carries; a ring-driven
+	// dataplane.Engine stores it but has no delay model to act on it.
 	for _, t := range e.targets {
 		t.SetLinkDelay(id, max)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -20,14 +21,16 @@ import (
 )
 
 // The differential harness replays one seeded traffic trace through
-// the in-memory Fabric and through the wire-format Engine and demands
-// byte-identical run fingerprints: per-packet outcomes (delivered /
-// silently dropped / which SCMP came back) plus the full counter set.
-// Both planes decide gray loss with the pure per-packet sim.LossCoin, and
-// faults fire only at quiescent group boundaries, so the fingerprint
-// is independent of packet interleaving — which is exactly what lets
-// the concurrent engine (workers 1 and 4) be compared bit-for-bit
-// against the serial fabric.
+// the reference struct-packet router (reference_test.go), through the
+// Fabric, and through the wire-format Engine, and demands byte-identical
+// run fingerprints: per-packet outcomes (delivered / silently dropped /
+// which SCMP came back) plus the full counter set. All planes decide
+// gray loss with the pure per-packet sim.LossCoin, and faults fire only
+// at quiescent group boundaries, so the fingerprint is independent of
+// packet interleaving — which is exactly what lets the concurrent engine
+// (workers 1 and 4) be compared bit-for-bit against the serial planes.
+// The two virtual-time planes are further held to the same timing and
+// link accounting (TestDifferentialTiming).
 
 // diffOutcome is the observable fate of one injected packet.
 type diffOutcome struct {
@@ -221,40 +224,133 @@ func diffPacketFor(p diffPacket) *Packet {
 	}
 }
 
-// runFabricTrace replays the trace through a fresh in-memory fabric.
-func runFabricTrace(t *testing.T, e *env, tr *diffTrace) string {
+// diffRun is what one replay of a trace through a virtual-time plane
+// observed: each packet's outcome and the virtual time it was known
+// (delivery or SCMP arrival at the sender), the plane's counters, every
+// per-interface counter of the simulated network, and the number of
+// simulator events executed.
+type diffRun struct {
+	outcomes map[uint32]diffOutcome
+	sent, at map[uint32]sim.Time
+	counters diffCounters
+	ifaces   map[sim.IfKey]sim.Counter
+	executed uint64
+}
+
+func (r *diffRun) fingerprint() string { return fingerprint(r.outcomes, r.counters) }
+
+// virtualPlane is a plane under test on a simulated network: its fault
+// target, its inject function and its counters.
+type virtualPlane struct {
+	faults   chaos.FaultTarget
+	inject   func(*Packet) error
+	counters func() diffCounters
+}
+
+// referencePlane builds the reference router on net; record receives
+// each packet's outcome.
+func referencePlane(e *env, net *sim.Network, record func(uint32, diffOutcome)) virtualPlane {
+	fab := newRefFabric(net, e.infra.ForwardingKey)
+	for _, ia := range e.topo.IAs() {
+		fab.deliver[ia] = func(p *refPacket) {
+			record(p.FlowID, diffOutcome{delivered: true, scmp: -1})
+		}
+		fab.scmp[ia] = func(m *refSCMP) {
+			record(m.Orig.FlowID, diffOutcome{scmp: int8(m.Type), link: m.Link})
+		}
+	}
+	return virtualPlane{
+		faults: fab,
+		inject: func(p *Packet) error { return fab.Inject(&refPacket{Packet: p}) },
+		counters: func() diffCounters {
+			return diffCounters{
+				Forwarded: fab.Forwarded, Delivered: fab.Delivered,
+				DroppedBadMAC: fab.DroppedBadMAC, DroppedNoRoute: fab.DroppedNoRoute,
+				DroppedTooBig: fab.DroppedTooBig, Revocations: fab.Revocations,
+				DroppedGray: fab.DroppedGray,
+			}
+		},
+	}
+}
+
+// fabricPlane builds a Fabric on net. Its handlers key outcomes on the
+// injected packet they are handed back, so a handler that got another
+// pointer (or none) shows as a mismatch.
+func fabricPlane(t *testing.T, e *env, net *sim.Network, record func(uint32, diffOutcome)) virtualPlane {
+	fab := NewFabric(net, e.infra.ForwardingKey)
+	for _, ia := range e.topo.IAs() {
+		fab.OnDeliver(ia, func(p *Packet) {
+			record(p.FlowID, diffOutcome{delivered: true, scmp: -1})
+		})
+		fab.AddSCMP(ia, func(m *SCMP) {
+			record(m.Orig.FlowID, diffOutcome{scmp: int8(m.Type), link: m.Link})
+		})
+	}
+	return virtualPlane{
+		faults: fab,
+		inject: fab.Inject,
+		counters: func() diffCounters {
+			st := fab.Stats()
+			if st.DroppedMalformed != 0 {
+				t.Fatalf("fabric rejected %d self-generated frames as malformed", st.DroppedMalformed)
+			}
+			return statsCounters(st)
+		},
+	}
+}
+
+func statsCounters(st EngineStats) diffCounters {
+	return diffCounters{
+		Forwarded: st.Forwarded, Delivered: st.Delivered,
+		DroppedBadMAC: st.DroppedBadMAC, DroppedNoRoute: st.DroppedNoRoute,
+		DroppedTooBig: st.DroppedTooBig, Revocations: st.Revocations,
+		DroppedGray: st.DroppedGray,
+	}
+}
+
+// runVirtual replays the trace through a plane built on a fresh
+// simulated network, quiescing the clock at every group boundary.
+func runVirtual(t *testing.T, e *env, tr *diffTrace,
+	build func(net *sim.Network, record func(uint32, diffOutcome)) virtualPlane) *diffRun {
 	t.Helper()
 	s := &sim.Simulator{}
 	net := sim.NewNetwork(s, e.topo, time.Millisecond)
-	fab := NewFabric(net, e.infra.ForwardingKey)
-
-	outcomes := map[uint32]diffOutcome{}
-	for _, ia := range e.topo.IAs() {
-		fab.OnDeliver(ia, func(p *Packet) {
-			outcomes[p.FlowID] = diffOutcome{delivered: true, scmp: -1}
-		})
-		fab.AddSCMP(ia, func(m *SCMP) {
-			outcomes[m.Orig.FlowID] = diffOutcome{scmp: int8(m.Type), link: m.Link}
-		})
-	}
+	run := &diffRun{outcomes: map[uint32]diffOutcome{}, sent: map[uint32]sim.Time{}, at: map[uint32]sim.Time{}}
+	plane := build(net, func(flow uint32, o diffOutcome) {
+		run.outcomes[flow] = o
+		run.at[flow] = s.Now()
+	})
 	for g := 0; g < diffGroups; g++ {
 		for _, fn := range tr.actions[g] {
-			fn(fab)
+			fn(plane.faults)
 		}
 		for _, p := range tr.groups[g] {
-			pkt := diffPacketFor(p)
-			outcomes[p.flow] = diffOutcome{scmp: -1}
-			if err := fab.Inject(pkt); err != nil {
-				t.Fatalf("fabric inject flow %d: %v", p.flow, err)
+			run.outcomes[p.flow] = diffOutcome{scmp: -1}
+			run.sent[p.flow] = s.Now()
+			if err := plane.inject(diffPacketFor(p)); err != nil {
+				t.Fatalf("inject flow %d: %v", p.flow, err)
 			}
 		}
 		s.Run() // quiesce before the next fault edge
 	}
-	return fingerprint(outcomes, diffCounters{
-		Forwarded: fab.Forwarded, Delivered: fab.Delivered,
-		DroppedBadMAC: fab.DroppedBadMAC, DroppedNoRoute: fab.DroppedNoRoute,
-		DroppedTooBig: fab.DroppedTooBig, Revocations: fab.Revocations,
-		DroppedGray: fab.DroppedGray,
+	run.counters = plane.counters()
+	run.executed = s.Executed
+	run.ifaces = map[sim.IfKey]sim.Counter{}
+	for _, k := range net.Interfaces() {
+		run.ifaces[k] = net.InterfaceCounter(k.IA, k.If)
+	}
+	return run
+}
+
+func runReference(t *testing.T, e *env, tr *diffTrace) *diffRun {
+	return runVirtual(t, e, tr, func(net *sim.Network, rec func(uint32, diffOutcome)) virtualPlane {
+		return referencePlane(e, net, rec)
+	})
+}
+
+func runFabric(t *testing.T, e *env, tr *diffTrace) *diffRun {
+	return runVirtual(t, e, tr, func(net *sim.Network, rec func(uint32, diffOutcome)) virtualPlane {
+		return fabricPlane(t, e, net, rec)
 	})
 }
 
@@ -272,7 +368,7 @@ func runEngineTrace(t *testing.T, e *env, tr *diffTrace, workers int) string {
 			outcomes[s.FlowID] = diffOutcome{delivered: true, scmp: -1}
 			mu.Unlock()
 		})
-		eng.OnSCMP(ia, func(m *WireSCMPMsg) {
+		eng.OnSCMP(ia, func(m *SCMP) {
 			mu.Lock()
 			outcomes[m.FlowID] = diffOutcome{scmp: int8(m.Type), link: m.Link}
 			mu.Unlock()
@@ -295,18 +391,13 @@ func runEngineTrace(t *testing.T, e *env, tr *diffTrace, workers int) string {
 	if st.DroppedMalformed != 0 {
 		t.Fatalf("engine rejected %d self-generated packets as malformed", st.DroppedMalformed)
 	}
-	return fingerprint(outcomes, diffCounters{
-		Forwarded: st.Forwarded, Delivered: st.Delivered,
-		DroppedBadMAC: st.DroppedBadMAC, DroppedNoRoute: st.DroppedNoRoute,
-		DroppedTooBig: st.DroppedTooBig, Revocations: st.Revocations,
-		DroppedGray: st.DroppedGray,
-	})
+	return fingerprint(outcomes, statsCounters(st))
 }
 
 // TestDifferentialGolden is the harness CI runs under -race: for each
-// seed, the fabric fingerprint and the engine fingerprints at 1 and 4
-// workers must be identical, and fingerprints must differ across seeds
-// (the trace actually depends on the seed).
+// seed, the fingerprints of the reference router, the Fabric, and the
+// engine at 1 and 4 workers must be identical, and fingerprints must
+// differ across seeds (the trace actually depends on the seed).
 func TestDifferentialGolden(t *testing.T) {
 	e := newEnv(t)
 	bydSeed := map[int64]string{}
@@ -314,15 +405,18 @@ func TestDifferentialGolden(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			tr := buildDiffTrace(t, e, seed)
-			fabFP := runFabricTrace(t, e, tr)
+			refFP := runReference(t, e, tr).fingerprint()
+			if fabFP := runFabric(t, e, tr).fingerprint(); fabFP != refFP {
+				t.Errorf("fabric fingerprint %s != reference %s", fabFP, refFP)
+			}
 			for _, workers := range []int{1, 4} {
 				engFP := runEngineTrace(t, e, tr, workers)
-				if engFP != fabFP {
-					t.Errorf("workers=%d: engine fingerprint %s != fabric %s", workers, engFP, fabFP)
+				if engFP != refFP {
+					t.Errorf("workers=%d: engine fingerprint %s != reference %s", workers, engFP, refFP)
 				}
 			}
-			t.Logf("seed %d fingerprint %s", seed, fabFP)
-			bydSeed[seed] = fabFP
+			t.Logf("seed %d fingerprint %s", seed, refFP)
+			bydSeed[seed] = refFP
 		})
 	}
 	if len(bydSeed) == 2 && bydSeed[7] == bydSeed[99] {
@@ -330,56 +424,103 @@ func TestDifferentialGolden(t *testing.T) {
 	}
 }
 
-// TestDifferentialCounters spot-checks that the two planes agree on
-// each counter individually (the fingerprint only proves joint
-// equality), and that faults actually fired during the trace.
+// TestDifferentialTiming holds the Fabric to the reference router in
+// virtual time: on each seeded trace both must give every packet the
+// same outcome at the same virtual instant, leave every per-interface
+// counter of the simulated network equal (so each frame, SCMP
+// walk-backs included, crossed the same links with the same byte
+// count), and execute the same number of simulator events.
+func TestDifferentialTiming(t *testing.T) {
+	e := newEnv(t)
+	for _, seed := range []int64{7, 99} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			tr := buildDiffTrace(t, e, seed)
+			ref, fab := runReference(t, e, tr), runFabric(t, e, tr)
+			for flow, want := range ref.outcomes {
+				if got := fab.outcomes[flow]; got != want {
+					t.Errorf("flow %d: fabric outcome %+v, reference %+v", flow, got, want)
+				}
+			}
+			if len(fab.outcomes) != len(ref.outcomes) {
+				t.Errorf("fabric saw %d packets, reference %d", len(fab.outcomes), len(ref.outcomes))
+			}
+			scmpLate := 0
+			for flow, want := range ref.at {
+				got, ok := fab.at[flow]
+				if !ok || got != want {
+					t.Errorf("flow %d: fabric outcome at %v (known %v), reference at %v", flow, got, ok, want)
+				}
+				if ref.outcomes[flow].scmp >= 0 && want > ref.sent[flow] {
+					scmpLate++ // an SCMP that walked back over at least one link
+				}
+			}
+			if len(fab.at) != len(ref.at) {
+				t.Errorf("fabric timed %d outcomes, reference %d", len(fab.at), len(ref.at))
+			}
+			if !reflect.DeepEqual(fab.ifaces, ref.ifaces) {
+				for k, want := range ref.ifaces {
+					if got := fab.ifaces[k]; got != want {
+						t.Errorf("interface %s#%d: fabric %+v, reference %+v", k.IA, k.If, got, want)
+					}
+				}
+				t.Errorf("interface counters differ (%d vs %d interfaces)", len(fab.ifaces), len(ref.ifaces))
+			}
+			if fab.executed != ref.executed {
+				t.Errorf("fabric executed %d events, reference %d", fab.executed, ref.executed)
+			}
+			if fab.counters != ref.counters {
+				t.Errorf("fabric counters %+v, reference %+v", fab.counters, ref.counters)
+			}
+			if scmpLate == 0 || len(ref.ifaces) == 0 {
+				t.Errorf("trace exercised no SCMP walk-back (%d) or no links (%d)", scmpLate, len(ref.ifaces))
+			}
+		})
+	}
+}
+
+// TestDifferentialCounters spot-checks that the planes agree on each
+// counter individually (the fingerprint only proves joint equality),
+// and that faults actually fired during the trace.
 func TestDifferentialCounters(t *testing.T) {
 	e := newEnv(t)
 	tr := buildDiffTrace(t, e, 7)
+	ref := runReference(t, e, tr).counters
+	fab := runFabric(t, e, tr).counters
 
-	s := &sim.Simulator{}
-	net := sim.NewNetwork(s, e.topo, time.Millisecond)
-	fab := NewFabric(net, e.infra.ForwardingKey)
 	eng := NewEngine(e.topo, e.infra.ForwardingKey)
-
 	for g := 0; g < diffGroups; g++ {
 		for _, fn := range tr.actions[g] {
-			fn(fab)
 			fn(eng)
 		}
 		for _, p := range tr.groups[g] {
-			if err := fab.Inject(diffPacketFor(p)); err != nil {
-				t.Fatal(err)
-			}
 			if err := eng.Inject(diffPacketFor(p)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s.Run()
 		eng.Flush()
 	}
 	st := eng.Stats()
 	pairs := []struct {
-		name     string
-		fab, eng uint64
+		name          string
+		ref, fab, eng uint64
 	}{
-		{"forwarded", fab.Forwarded, st.Forwarded},
-		{"delivered", fab.Delivered, st.Delivered},
-		{"bad_mac", fab.DroppedBadMAC, st.DroppedBadMAC},
-		{"no_route", fab.DroppedNoRoute, st.DroppedNoRoute},
-		{"too_big", fab.DroppedTooBig, st.DroppedTooBig},
-		{"revocations", fab.Revocations, st.Revocations},
-		{"gray", fab.DroppedGray, st.DroppedGray},
+		{"forwarded", ref.Forwarded, fab.Forwarded, st.Forwarded},
+		{"delivered", ref.Delivered, fab.Delivered, st.Delivered},
+		{"bad_mac", ref.DroppedBadMAC, fab.DroppedBadMAC, st.DroppedBadMAC},
+		{"no_route", ref.DroppedNoRoute, fab.DroppedNoRoute, st.DroppedNoRoute},
+		{"too_big", ref.DroppedTooBig, fab.DroppedTooBig, st.DroppedTooBig},
+		{"revocations", ref.Revocations, fab.Revocations, st.Revocations},
+		{"gray", ref.DroppedGray, fab.DroppedGray, st.DroppedGray},
 	}
 	for _, p := range pairs {
-		if p.fab != p.eng {
-			t.Errorf("%s: fabric %d != engine %d", p.name, p.fab, p.eng)
+		if p.fab != p.ref || p.eng != p.ref {
+			t.Errorf("%s: reference %d, fabric %d, engine %d", p.name, p.ref, p.fab, p.eng)
 		}
 	}
-	if fab.Delivered == 0 || fab.DroppedBadMAC == 0 {
+	if ref.Delivered == 0 || ref.DroppedBadMAC == 0 {
 		t.Errorf("trace did not exercise delivery and bad-MAC paths: %+v", pairs)
 	}
-	if fab.Revocations == 0 && fab.DroppedGray == 0 {
+	if ref.Revocations == 0 && ref.DroppedGray == 0 {
 		t.Error("chaos plan injected no faults into the trace")
 	}
 }

@@ -1,11 +1,9 @@
-// The wire-format forwarding engine: the same border-router semantics
-// as the in-memory Fabric, but operating on real packet bytes in the
-// internal/slayers encoding, with pooled buffers, per-AS ingress rings
-// drained in fixed-size batches, batched hop-field MAC verification,
-// and lock-free egress hand-off between router workers. The Fabric
-// stays as the semantic reference; the differential harness in
-// diff_test.go replays identical traffic through both and asserts
-// byte-identical run fingerprints.
+// The wire-format forwarding engine, the one border router: it works
+// on real packet bytes in the internal/slayers encoding, with pooled
+// buffers, batched hop-field MAC verification and, under NewEngine,
+// per-AS ingress rings drained in fixed-size batches with lock-free
+// egress hand-off between router workers. A Fabric drives the same
+// per-AS pipeline in virtual time, one frame at a time (fabric.go).
 package dataplane
 
 import (
@@ -27,21 +25,6 @@ import (
 // when the handler returns: copy anything retained.
 type WireDeliverFunc func(s *slayers.SCION)
 
-// WireSCMPMsg is a decoded SCMP message handed to the original
-// sender's AS.
-type WireSCMPMsg struct {
-	Type     SCMPType
-	Link     seg.LinkKey // revoked link for SCMPRevokedLink
-	Offender addr.IA
-	// FlowID, SrcIA, DstIA identify the offending packet (parsed from
-	// the quoted original header).
-	FlowID       uint32
-	SrcIA, DstIA addr.IA
-}
-
-// WireSCMPFunc receives SCMP messages arriving back at the sender AS.
-type WireSCMPFunc func(m *WireSCMPMsg)
-
 // wireSCMPType maps the dataplane SCMP enum onto the wire code.
 func wireSCMPType(t SCMPType) uint8 { return uint8(t) + 1 }
 
@@ -56,11 +39,11 @@ type ifEntry struct {
 }
 
 // EngineStats is a snapshot of the engine's forwarding counters. The
-// first seven mirror the Fabric's counters one for one (the
-// differential harness compares them); DroppedMalformed counts frames
-// the byte decoder rejected (impossible for self-generated traffic,
-// checked to be zero by the harness); Batches/BatchPackets expose
-// batching efficiency.
+// first seven are the plane's outcome counters (the differential
+// harness compares them with the reference router's); DroppedMalformed
+// counts frames the byte decoder rejected (impossible for
+// self-generated traffic, checked to be zero by the harness);
+// Batches/BatchPackets expose batching efficiency.
 type EngineStats struct {
 	Forwarded, Delivered, DroppedBadMAC, DroppedNoRoute, DroppedTooBig uint64
 	Revocations, DroppedGray                                           uint64
@@ -74,6 +57,7 @@ type EngineStats struct {
 // batches, so a frame's whole lifetime — decode, MAC check, egress
 // lookup, hand-off to the next ring — happens on packet bytes without
 // allocating. Configure the exported fields before the first Inject.
+// A Fabric drives an engine without rings in virtual time.
 type Engine struct {
 	Topo *topology.Graph
 	Keys KeyFunc
@@ -95,8 +79,8 @@ type Engine struct {
 	ifTable [][]ifEntry
 	keys    [][]byte
 	rings   []*ring
-	deliver []WireDeliverFunc
-	scmp    []WireSCMPFunc
+	deliver []func(f *frame, s *slayers.SCION)
+	scmp    []SCMPFunc
 	// verifiers[a] is owned by whichever worker owns AS a for the
 	// duration of a Flush (ownership is a pure function of the AS index
 	// and the worker count, so it never migrates mid-flush).
@@ -104,6 +88,13 @@ type Engine struct {
 	// workers[w] is worker w's scratch, kept across flushes so a warmed
 	// engine allocates nothing per Flush either.
 	workers []*workerCtx
+	// net, when a Fabric drives the engine, carries frames between
+	// routers instead of the rings; steps[d] is the scratch of a step
+	// nested d deep (a handler a step calls may inject, which steps
+	// again).
+	net   *sim.Network
+	steps []*workerCtx
+	depth int
 
 	pool     *framePool
 	inflight atomic.Int64
@@ -122,8 +113,18 @@ const (
 
 // NewEngine builds an engine over the topology. Keys resolves each
 // AS's forwarding key once up front; ASes with no key fail every MAC
-// check (as in the Fabric).
+// check.
 func NewEngine(topo *topology.Graph, keys KeyFunc) *Engine {
+	e := newEngine(topo, keys)
+	e.rings = make([]*ring, len(e.ias))
+	for i := range e.rings {
+		e.rings[i] = newRing(defaultRingCap)
+	}
+	return e
+}
+
+// newEngine builds the per-AS tables without rings or worker scratch.
+func newEngine(topo *topology.Graph, keys KeyFunc) *Engine {
 	ias := topo.IAs()
 	e := &Engine{
 		Topo:       topo,
@@ -133,16 +134,14 @@ func NewEngine(topo *topology.Graph, keys KeyFunc) *Engine {
 		idx:        make(map[addr.IA]int32, len(ias)),
 		ifTable:    make([][]ifEntry, len(ias)),
 		keys:       make([][]byte, len(ias)),
-		rings:      make([]*ring, len(ias)),
-		deliver:    make([]WireDeliverFunc, len(ias)),
-		scmp:       make([]WireSCMPFunc, len(ias)),
+		deliver:    make([]func(*frame, *slayers.SCION), len(ias)),
+		scmp:       make([]SCMPFunc, len(ias)),
 		verifiers:  make([]macVerifier, len(ias)),
 		pool:       newFramePool(),
 	}
 	for i, ia := range ias {
 		e.idx[ia] = int32(i)
 		e.keys[i] = keys(ia)
-		e.rings[i] = newRing(defaultRingCap)
 	}
 	for _, l := range topo.Links {
 		a, b := e.idx[l.A], e.idx[l.B]
@@ -173,12 +172,12 @@ func (e *Engine) lookupIf(a int32, ifID addr.IfID) ifEntry {
 // OnDeliver installs the destination handler of an AS.
 func (e *Engine) OnDeliver(ia addr.IA, fn WireDeliverFunc) {
 	if i, ok := e.idx[ia]; ok {
-		e.deliver[i] = fn
+		e.deliver[i] = func(_ *frame, s *slayers.SCION) { fn(s) }
 	}
 }
 
 // OnSCMP installs the SCMP handler of an AS.
-func (e *Engine) OnSCMP(ia addr.IA, fn WireSCMPFunc) {
+func (e *Engine) OnSCMP(ia addr.IA, fn SCMPFunc) {
 	if i, ok := e.idx[ia]; ok {
 		e.scmp[i] = fn
 	}
@@ -203,30 +202,40 @@ func (e *Engine) Stats() EngineStats {
 
 // SetTelemetry registers the engine's counters as gauge funcs, under
 // engine_-prefixed names so a fabric and an engine can share one
-// registry in differential runs.
-func (e *Engine) SetTelemetry(reg *telemetry.Registry) {
+// registry.
+func (e *Engine) SetTelemetry(reg *telemetry.Registry) { e.register(reg, "engine", true) }
+
+// register exports the outcome counters under prefix, and with wire
+// also the decoder and batching counters (a nil registry exports
+// nothing).
+func (e *Engine) register(reg *telemetry.Registry, prefix string, wire bool) {
 	if reg == nil {
 		return
 	}
 	u := func(c *atomic.Uint64) func() float64 {
 		return func() float64 { return float64(c.Load()) }
 	}
-	reg.GaugeFunc("engine_forwarded_total", u(&e.forwarded))
-	reg.GaugeFunc("engine_delivered_total", u(&e.delivered))
-	reg.GaugeFunc("engine_revocations_total", u(&e.revocations))
-	reg.GaugeFunc(`engine_dropped_total{cause="bad_mac"}`, u(&e.droppedBadMAC))
-	reg.GaugeFunc(`engine_dropped_total{cause="no_route"}`, u(&e.droppedNoRoute))
-	reg.GaugeFunc(`engine_dropped_total{cause="too_big"}`, u(&e.droppedTooBig))
-	reg.GaugeFunc(`engine_dropped_total{cause="gray"}`, u(&e.droppedGray))
-	reg.GaugeFunc(`engine_dropped_total{cause="malformed"}`, u(&e.droppedMalformed))
-	reg.GaugeFunc("engine_batches_total", u(&e.batches))
-	reg.GaugeFunc("engine_batch_packets_total", u(&e.batchPackets))
+	drop := func(cause string, c *atomic.Uint64) {
+		reg.GaugeFunc(prefix+`_dropped_total{cause="`+cause+`"}`, u(c))
+	}
+	reg.GaugeFunc(prefix+"_forwarded_total", u(&e.forwarded))
+	reg.GaugeFunc(prefix+"_delivered_total", u(&e.delivered))
+	reg.GaugeFunc(prefix+"_revocations_total", u(&e.revocations))
+	drop("bad_mac", &e.droppedBadMAC)
+	drop("no_route", &e.droppedNoRoute)
+	drop("too_big", &e.droppedTooBig)
+	drop("gray", &e.droppedGray)
+	if wire {
+		drop("malformed", &e.droppedMalformed)
+		reg.GaugeFunc(prefix+"_batches_total", u(&e.batches))
+		reg.GaugeFunc(prefix+"_batch_packets_total", u(&e.batchPackets))
+	}
 }
 
 // Inject encodes a packet into wire format and enqueues it at its
-// source AS, mirroring Fabric.Inject: the source border router will
-// perform hop-0 verification and the first egress lookup when the
-// frame is drained. The same MTU and source checks apply.
+// source AS, whose border router performs hop-0 verification and the
+// first egress lookup when the frame is drained (at once under a
+// Fabric). Packets over the path MTU are counted and refused.
 func (e *Engine) Inject(pkt *Packet) error {
 	if pkt.Path == nil || len(pkt.Path.Hops) == 0 {
 		return fmt.Errorf("dataplane: packet without path")
@@ -246,11 +255,11 @@ func (e *Engine) Inject(pkt *Packet) error {
 	}
 	f := e.pool.get(n)
 	var s slayers.SCION
-	pkt.HopIdx = 0
 	if _, err := EncodePacket(&s, pkt, f.b); err != nil {
 		e.pool.put(f)
 		return err
 	}
+	f.pkt = pkt
 	e.enqueue(a, f)
 	return nil
 }
@@ -258,7 +267,7 @@ func (e *Engine) Inject(pkt *Packet) error {
 // InjectBytes enqueues one raw wire-format packet at its source AS
 // (parsed from the header). The bytes are copied into a pooled frame;
 // the caller keeps ownership of data. mtu > 0 enforces a path MTU the
-// way Fabric.Inject does.
+// way Inject does.
 func (e *Engine) InjectBytes(data []byte, mtu uint16) error {
 	var s slayers.SCION
 	if err := s.DecodeFromBytes(data); err != nil {
@@ -280,7 +289,34 @@ func (e *Engine) InjectBytes(data []byte, mtu uint16) error {
 
 func (e *Engine) enqueue(a int32, f *frame) {
 	e.inflight.Add(1)
+	if e.net != nil {
+		e.step(a, f)
+		return
+	}
 	e.rings[a].push(f)
+}
+
+// out hands f, leaving AS a over ent, to the neighbor's router: onto its
+// ring, or under a Fabric onto the simulated link.
+func (e *Engine) out(a int32, ent ifEntry, f *frame) {
+	if e.net != nil {
+		e.net.Send(e.ias[a], ent.link, f)
+		return
+	}
+	e.rings[ent.dst].push(f)
+}
+
+// step runs AS a's router on the one frame f, as a Fabric does when f is
+// injected at a or arrives there.
+func (e *Engine) step(a int32, f *frame) {
+	if e.depth == len(e.steps) {
+		e.steps = append(e.steps, newWorkerCtx(1))
+	}
+	ctx := e.steps[e.depth]
+	e.depth++
+	ctx.batch = append(ctx.batch[:0], f)
+	e.processBatch(a, ctx)
+	e.depth--
 }
 
 // Flush drains the network: workers forward until no frame is in
@@ -295,13 +331,7 @@ func (e *Engine) Flush() {
 		w = len(e.ias)
 	}
 	for len(e.workers) < w {
-		e.workers = append(e.workers, &workerCtx{
-			batch: make([]*frame, 0, batchSize),
-			ss:    make([]slayers.SCION, batchSize),
-			jobs:  make([]macJob, 0, batchSize),
-			slots: make([]int, 0, batchSize),
-			ok:    make([]bool, batchSize),
-		})
+		e.workers = append(e.workers, newWorkerCtx(batchSize))
 	}
 	if w == 1 {
 		e.runWorker(0, 1)
@@ -329,6 +359,16 @@ type workerCtx struct {
 	slots []int           // batch slot of each job
 	ok    []bool          // verdict of each job
 	quote slayers.SCION   // SCMP quote decode scratch
+}
+
+func newWorkerCtx(n int) *workerCtx {
+	return &workerCtx{
+		batch: make([]*frame, 0, n),
+		ss:    make([]slayers.SCION, n),
+		jobs:  make([]macJob, 0, n),
+		slots: make([]int, 0, n),
+		ok:    make([]bool, n),
+	}
 }
 
 func (e *Engine) runWorker(w, nw int) {
@@ -420,16 +460,16 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 		if !ok[j] {
 			e.droppedBadMAC.Add(1)
 			if f.arrived {
-				e.emitSCMP(a, s, SCMPBadMAC, seg.LinkKey{})
+				e.emitSCMP(a, f, s, SCMPBadMAC, seg.LinkKey{})
 			}
-			// At the source AS the drop is silent, as in the Fabric.
+			// At the source AS the drop is silent.
 			e.terminal(f)
 			continue
 		}
 		if f.arrived && s.AtDestination() {
 			e.delivered.Add(1)
 			if fn := e.deliver[a]; fn != nil {
-				fn(s)
+				fn(f, s)
 			}
 			e.terminal(f)
 			continue
@@ -446,32 +486,33 @@ func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, out addr.IfID) 
 	switch egress(&e.LinkFaults, ent.link, s.FlowID) {
 	case egressNoRoute:
 		e.droppedNoRoute.Add(1)
-		e.emitSCMP(a, s, SCMPDestUnreachable, seg.LinkKey{})
+		e.emitSCMP(a, f, s, SCMPDestUnreachable, seg.LinkKey{})
 	case egressRevoked:
 		e.revocations.Add(1)
-		e.emitSCMP(a, s, SCMPRevokedLink, seg.LinkKey{IA: e.ias[a], If: out})
+		e.emitSCMP(a, f, s, SCMPRevokedLink, seg.LinkKey{IA: e.ias[a], If: out})
 	case egressGray:
 		e.droppedGray.Add(1)
 	default:
 		e.forwarded.Add(1)
 		f.arrived = true
-		e.rings[ent.dst].push(f)
+		e.out(a, ent, f)
 		return
 	}
 	e.terminal(f)
 }
 
-// emitSCMP generates a control message at AS a about the packet s and
-// starts it on the walk back toward the original sender. A failure at
-// the source AS (CurrHF 0) delivers locally without building a frame,
-// as in Fabric.emitSCMP.
-func (e *Engine) emitSCMP(a int32, orig *slayers.SCION, typ SCMPType, link seg.LinkKey) {
+// emitSCMP generates a control message at AS a about the packet orig,
+// decoded from frame df, and starts it on the walk back toward the
+// original sender. A failure at the source AS (CurrHF 0) delivers
+// locally without building a frame.
+func (e *Engine) emitSCMP(a int32, df *frame, orig *slayers.SCION, typ SCMPType, link seg.LinkKey) {
 	local := e.ias[a]
 	if orig.CurrHF == 0 {
 		if fn := e.scmp[a]; fn != nil {
-			fn(&WireSCMPMsg{
+			fn(&SCMP{
 				Type: typ, Link: link, Offender: local,
 				FlowID: orig.FlowID, SrcIA: orig.SrcIA, DstIA: orig.DstIA,
+				Orig: df.pkt,
 			})
 		}
 		return
@@ -508,8 +549,9 @@ func (e *Engine) emitSCMP(a int32, orig *slayers.SCION, typ SCMPType, link seg.L
 		e.pool.put(f)
 		return
 	}
-	// The walk starts at the offender itself: the first drained step
-	// moves the message over the arrival link.
+	f.pkt = df.pkt
+	// The walk starts at the offender itself: the first step moves the
+	// message over the arrival link.
 	e.enqueue(a, f)
 }
 
@@ -519,7 +561,7 @@ func (e *Engine) emitSCMP(a int32, orig *slayers.SCION, typ SCMPType, link seg.L
 // home and is delivered, otherwise it leaves over the link attached to
 // the quoted hop's ingress interface with WalkIdx decremented in
 // place. SCMP messages are never subject to MAC checks, failures, or
-// loss, matching the Fabric.
+// loss.
 func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayers.SCION) {
 	var m slayers.SCMP
 	if err := m.DecodeFromBytes(s.Payload()); err != nil {
@@ -534,13 +576,14 @@ func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayer
 	}
 	if m.WalkIdx == 0 {
 		if fn := e.scmp[a]; fn != nil {
-			fn(&WireSCMPMsg{
+			fn(&SCMP{
 				Type:     scmpTypeFromWire(m.Type),
 				Link:     seg.LinkKey{IA: m.LinkIA, If: m.LinkIf},
 				Offender: m.Offender,
 				FlowID:   quote.FlowID,
 				SrcIA:    quote.SrcIA,
 				DstIA:    quote.DstIA,
+				Orig:     f.pkt,
 			})
 		}
 		e.terminal(f)
@@ -555,10 +598,10 @@ func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayer
 	ent := e.lookupIf(a, hf.ConsIngress)
 	if ent.link == nil {
 		// No arrival link — the quoted path does not match the
-		// topology. Vanish silently, as in the Fabric.
+		// topology. Vanish silently.
 		e.terminal(f)
 		return
 	}
 	_ = m.SetWalkIdx(m.WalkIdx - 1) // rewrites the frame bytes in place
-	e.rings[ent.dst].push(f)
+	e.out(a, ent, f)
 }

@@ -18,8 +18,8 @@ const (
 
 // egress decides, over a plane's fault table, the fate of a packet of
 // the given flow leaving over link (nil when the hop's egress interface
-// attaches to nothing). Fabric and Engine both decide here, and both key
-// the gray-loss coin on the flow, so they shed the same packets.
+// attaches to nothing). The gray-loss coin is keyed on the flow, so the
+// engine sheds the same packets under rings and under a Fabric.
 func egress(lf *sim.LinkFaults, link *topology.Link, flow uint32) egressVerdict {
 	switch {
 	case link == nil:

@@ -3,7 +3,6 @@ package dataplane
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/slayers"
@@ -30,14 +29,19 @@ func TestMTUEnforcedAtSource(t *testing.T) {
 	if !strings.Contains(err.Error(), "MTU") {
 		t.Errorf("unexpected error: %v", err)
 	}
-	if e.fabric.DroppedTooBig != 1 {
-		t.Errorf("DroppedTooBig = %d", e.fabric.DroppedTooBig)
+	if n := e.fabric.Stats().DroppedTooBig; n != 1 {
+		t.Errorf("DroppedTooBig = %d", n)
 	}
-	// Unknown MTU (0) is not enforced.
+	// Unknown MTU (0) is not enforced; the wire format's 16-bit payload
+	// length still is.
 	open := &FwdPath{Hops: fp.Hops}
-	huge := &Packet{Src: src, Dst: dst, Path: open, Payload: make([]byte, 1<<16)}
+	huge := &Packet{Src: src, Dst: dst, Path: open, Payload: make([]byte, slayers.MaxPayloadLen)}
 	if err := e.fabric.Inject(huge); err != nil {
 		t.Errorf("MTU-less path must not enforce: %v", err)
+	}
+	huge.Payload = make([]byte, slayers.MaxPayloadLen+1)
+	if err := e.fabric.Inject(huge); err == nil || !strings.Contains(err.Error(), "wire limit") {
+		t.Errorf("payload over the wire limit: err = %v", err)
 	}
 }
 
@@ -115,9 +119,9 @@ func TestMTUWireBoundary(t *testing.T) {
 			t.Errorf("engine payload %d = %d, want %d", i, engDelivered[i], want)
 		}
 	}
-	if e.fabric.DroppedTooBig != 1 || eng.Stats().DroppedTooBig != 2 {
+	if e.fabric.Stats().DroppedTooBig != 1 || eng.Stats().DroppedTooBig != 2 {
 		t.Errorf("too-big counters: fabric %d engine %d",
-			e.fabric.DroppedTooBig, eng.Stats().DroppedTooBig)
+			e.fabric.Stats().DroppedTooBig, eng.Stats().DroppedTooBig)
 	}
 }
 
@@ -130,50 +134,5 @@ func TestMTUSurvivesAuthorizeAndReverse(t *testing.T) {
 	}
 	if rev.MTU != fp.MTU {
 		t.Errorf("reverse MTU = %d, want %d", rev.MTU, fp.MTU)
-	}
-}
-
-func TestIntraASDelay(t *testing.T) {
-	e := newEnv(t)
-	src := addr.HostIP4(a6, 10, 0, 0, 1)
-	dst := addr.HostIP4(a4, 10, 0, 0, 2)
-	var pick *FwdPath
-	for _, p := range e.paths {
-		if len(p.Hops) >= 3 {
-			pick = p
-			break
-		}
-	}
-	if pick == nil {
-		t.Skip("no multi-hop path")
-	}
-	// Baseline transit time without internal delay.
-	base := &Packet{Src: src, Dst: dst, Path: pick}
-	if err := e.fabric.Inject(base); err != nil {
-		t.Fatal(err)
-	}
-	e.sim.Run()
-	baseline := e.sim.Now()
-
-	// 7ms per internal BR-to-BR hop at every transit AS.
-	e.fabric.IntraASDelay = func(ia addr.IA, in, out addr.IfID) time.Duration {
-		return 7 * time.Millisecond
-	}
-	again := &Packet{Src: src, Dst: dst, Path: pick}
-	if err := e.fabric.Inject(again); err != nil {
-		t.Fatal(err)
-	}
-	e.sim.Run()
-	transit := len(pick.Hops) - 2 // intermediate ASes
-	wantExtra := time.Duration(transit) * 7 * time.Millisecond
-	gotExtra := time.Duration(e.sim.Now() - baseline)
-	// The second packet started at `baseline`, so its flight time is the
-	// difference; it must exceed the first flight time by wantExtra.
-	firstFlight := time.Duration(baseline)
-	if gotExtra != firstFlight+wantExtra {
-		t.Errorf("delayed flight = %v, want %v + %v", gotExtra, firstFlight, wantExtra)
-	}
-	if e.fabric.Delivered != 2 {
-		t.Errorf("delivered = %d", e.fabric.Delivered)
 	}
 }

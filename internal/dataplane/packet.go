@@ -164,24 +164,6 @@ func Authorize(p *combinator.Path, keys KeyFunc) (*FwdPath, error) {
 	return fp, nil
 }
 
-// Verify checks the hop field at index i with the AS's own key; border
-// routers do this for their own AS only (PCFS requires no global state).
-func (fp *FwdPath) Verify(i int, keys KeyFunc) error {
-	if i < 0 || i >= len(fp.Hops) {
-		return fmt.Errorf("dataplane: hop index %d out of range", i)
-	}
-	h := fp.Hops[i]
-	key := keys(h.Hop.IA)
-	if key == nil {
-		return fmt.Errorf("dataplane: no forwarding key for %s", h.Hop.IA)
-	}
-	want := hopMAC(key, h.Hop)
-	if !hmac.Equal(want[:], h.MAC[:]) {
-		return fmt.Errorf("dataplane: hop field MAC mismatch at %s", h.Hop.IA)
-	}
-	return nil
-}
-
 // Reverse returns the forwarding path in the opposite direction with
 // re-MACed hop fields (valid because each hop's reverse is an authorized
 // interface pair of the same AS).
@@ -239,10 +221,7 @@ func (fp *FwdPath) WireLen() int {
 type Packet struct {
 	Src, Dst addr.Host
 	Path     *FwdPath
-	// HopIdx is the current position in the path (the AS processing the
-	// packet); it advances as the packet is forwarded.
-	HopIdx  int
-	Payload []byte
+	Payload  []byte
 	// FlowID identifies the packet's flow (20 bits on the wire). Gray
 	// loss is decided per (flow, link) on it (see sim.LossCoin).
 	FlowID uint32
@@ -267,17 +246,4 @@ func (p *Packet) WireLen() int {
 		n += p.Path.WireLen()
 	}
 	return n
-}
-
-// CurrentHop returns the hop field under processing.
-func (p *Packet) CurrentHop() (HopField, error) {
-	if p.Path == nil || p.HopIdx < 0 || p.HopIdx >= len(p.Path.Hops) {
-		return HopField{}, fmt.Errorf("dataplane: hop index %d invalid", p.HopIdx)
-	}
-	return p.Path.Hops[p.HopIdx], nil
-}
-
-// AtDestination reports whether the packet reached the last hop.
-func (p *Packet) AtDestination() bool {
-	return p.Path != nil && p.HopIdx == len(p.Path.Hops)-1
 }

@@ -5,15 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// frame is one pooled packet buffer moving through the engine's rings.
-// b holds the full wire bytes of a packet (data or SCMP); arrived
-// distinguishes a frame handed over by a neighbor router (the ingress
-// pipeline advances CurrHF) from a freshly injected one (the source
-// router forwards hop 0 without advancing).
+// frame is one pooled packet buffer moving through the engine's rings
+// or, under a Fabric, over simulated links. b holds the full wire bytes
+// of a packet (data or SCMP); arrived distinguishes a frame handed over
+// by a neighbor router (the ingress pipeline advances CurrHF) from a
+// freshly injected one (the source router forwards hop 0 without
+// advancing). pkt is the *Packet the frame was encoded from, handed back
+// to delivery and SCMP handlers (nil for InjectBytes).
 type frame struct {
 	b       []byte
 	arrived bool
+	pkt     *Packet
 }
+
+// WireLen implements sim.Message: a frame occupies its bytes on a link.
+func (f *frame) WireLen() int { return len(f.b) }
 
 // framePool recycles packet buffers so the steady-state forwarding path
 // allocates nothing. Buffers start at 2 KiB (any full-size MTU packet)
@@ -41,6 +47,7 @@ func (fp *framePool) get(n int) *frame {
 func (fp *framePool) put(f *frame) {
 	f.b = f.b[:0]
 	f.arrived = false
+	f.pkt = nil
 	fp.p.Put(f)
 }
 

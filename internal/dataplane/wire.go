@@ -15,8 +15,8 @@ var WireInfo = slayers.InfoField{ConsDir: true, SegID: 0, Timestamp: 0x5c10_0000
 // paths; the simulated engine does not age hop fields.
 const wireExpTime = 63
 
-// EncodePacket serializes a data-plane packet into the slayers wire
-// format using the caller's scratch header (reused across calls for
+// EncodePacket serializes a data-plane packet, positioned at its first
+// hop, into the slayers wire format using the caller's scratch header (reused across calls for
 // allocation-free encoding) and buffer. It returns the total packet
 // length (header + payload). The buffer must hold Packet.WireLen()
 // bytes — the encoding matches WireLen exactly.
@@ -37,10 +37,7 @@ func EncodePacket(s *slayers.SCION, pkt *Packet, buf []byte) (int, error) {
 	s.PathType = slayers.PathTypeSCION
 	s.DstIA, s.SrcIA = pkt.Dst.IA, pkt.Src.IA
 	s.DstHost, s.SrcHost = pkt.Dst, pkt.Src
-	if pkt.HopIdx < 0 || pkt.HopIdx >= len(pkt.Path.Hops) {
-		return 0, fmt.Errorf("dataplane: hop index %d unencodable", pkt.HopIdx)
-	}
-	s.CurrHF = uint8(pkt.HopIdx)
+	s.CurrHF = 0
 	s.NumHops = uint8(len(pkt.Path.Hops))
 	s.Info = WireInfo
 	s.Hops = s.Hops[:0]

@@ -12,6 +12,7 @@ import (
 	"scionmpr/internal/dataplane"
 	"scionmpr/internal/metrics"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/strategy"
 	"scionmpr/internal/topology"
 	"scionmpr/internal/traffic"
 	"scionmpr/scion"
@@ -100,14 +101,12 @@ func RunCapacity(s Scale) (*CapacityResult, error) {
 // cross-pair contention — runs the shared clock for the window, and
 // returns per-pair goodput in link multiples.
 func pairEngines(fabric *dataplane.Fabric, provider traffic.PathProvider,
-	sched func() traffic.Scheduler, pairs [][2]addr.IA) ([]float64, error) {
+	sched func() strategy.Policy, pairs [][2]addr.IA) ([]float64, error) {
 
 	clock := fabric.Net.Sim
 	flows := make([]*traffic.Flow, len(pairs))
 	for i, pr := range pairs {
 		eng, err := traffic.NewEngine(traffic.Config{
-			Clock:     clock,
-			Net:       fabric.Net,
 			Fabric:    fabric,
 			Provider:  provider,
 			Links:     traffic.NewLinkModel(traffic.UniformCapacity(capacityLinkRate)),
@@ -135,14 +134,14 @@ func pairEngines(fabric *dataplane.Fabric, provider traffic.PathProvider,
 // over the looked-up path set.
 func scionCapacity(topo *topology.Graph, alg scion.Algorithm, pairs [][2]addr.IA) ([]float64, error) {
 	return scionCapacityWith(topo, alg,
-		func() traffic.Scheduler { return &traffic.WeightedBottleneck{} }, pairs)
+		func() strategy.Policy { return &strategy.WeightedBottleneck{} }, pairs)
 }
 
 // scionCapacityWith is scionCapacity with a pluggable scheduler factory —
 // the differential cross-check replays the capacity run through every
 // refactored strategy and pins the result to pre-refactor goldens.
 func scionCapacityWith(topo *topology.Graph, alg scion.Algorithm,
-	sched func() traffic.Scheduler, pairs [][2]addr.IA) ([]float64, error) {
+	sched func() strategy.Policy, pairs [][2]addr.IA) ([]float64, error) {
 
 	opts := scion.DefaultOptions()
 	opts.Algorithm = alg
@@ -161,7 +160,7 @@ func bgpCapacity(topo *topology.Graph, pairs [][2]addr.IA) ([]float64, error) {
 		return nil, err
 	}
 	fabric, paths := bgpFloor(res, topo, pairs)
-	return pairEngines(fabric, paths, func() traffic.Scheduler { return &traffic.SingleBest{} }, pairs)
+	return pairEngines(fabric, paths, func() strategy.Policy { return &strategy.SingleBest{} }, pairs)
 }
 
 // bgpFloor builds the comparison floor's data plane, a fabric on a clock

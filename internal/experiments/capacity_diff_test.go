@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/traffic"
+	"scionmpr/internal/strategy"
 	"scionmpr/scion"
 )
 
@@ -58,9 +58,9 @@ func TestCapacityDifferentialGolden(t *testing.T) {
 		t.Fatal("no pairs sampled")
 	}
 	for _, name := range []string{"single-best", "round-robin", "weighted", "latency"} {
-		factory, err := traffic.NewScheduler(name)
+		factory, err := strategy.New(name)
 		if err != nil {
-			t.Fatalf("NewScheduler(%q): %v", name, err)
+			t.Fatalf("strategy.New(%q): %v", name, err)
 		}
 		mults, err := scionCapacityWith(e.core, scion.Diversity, factory, pairs)
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"scionmpr/internal/metrics"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/strategy"
 	"scionmpr/internal/topology"
 	"scionmpr/internal/traffic"
 )
@@ -257,7 +258,7 @@ func scionChurn(e *env, name string, factory core.Factory, pairs [][2]addr.IA,
 		return out, nil
 	}
 	ser, err := churnMeasure(fabric, plane.Net, provider,
-		func() traffic.Scheduler { return &traffic.WeightedBottleneck{} }, pairs, eng, e.scale.Seed)
+		func() strategy.Policy { return &strategy.WeightedBottleneck{} }, pairs, eng, e.scale.Seed)
 	ser.Name = name
 	return ser, err
 }
@@ -273,7 +274,7 @@ func bgpChurn(e *env, res *bgp.Result, pairs [][2]addr.IA, coreSched *chaos.Sche
 		return ChurnSeries{}, err
 	}
 	ser, err := churnMeasure(fabric, nil, paths,
-		func() traffic.Scheduler { return &traffic.SingleBest{} }, pairs, eng, e.scale.Seed)
+		func() strategy.Policy { return &strategy.SingleBest{} }, pairs, eng, e.scale.Seed)
 	ser.Name = "BGP best-path"
 	return ser, err
 }
@@ -341,7 +342,7 @@ func hopsFromLinks(topo *topology.Graph, links []seg.LinkKey, src, dst addr.IA) 
 // capacity experiment) so each measures its own path set, not cross-pair
 // contention. ctrl may be nil (BGP has no live control plane).
 func churnMeasure(fabric *dataplane.Fabric, ctrl *sim.Network, provider traffic.PathProvider,
-	sched func() traffic.Scheduler, pairs [][2]addr.IA,
+	sched func() strategy.Policy, pairs [][2]addr.IA,
 	eng *chaos.Engine, seed int64) (ChurnSeries, error) {
 
 	clock := fabric.Net.Sim
@@ -349,8 +350,6 @@ func churnMeasure(fabric *dataplane.Fabric, ctrl *sim.Network, provider traffic.
 	flows := make([]*traffic.Flow, len(pairs))
 	for i, pr := range pairs {
 		te, err := traffic.NewEngine(traffic.Config{
-			Clock:         clock,
-			Net:           fabric.Net,
 			Fabric:        fabric,
 			Provider:      provider,
 			Links:         traffic.NewLinkModel(traffic.UniformCapacity(churnLinkRate)),

@@ -14,6 +14,7 @@ import (
 	"scionmpr/internal/chaos"
 	"scionmpr/internal/metrics"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/strategy"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
 	"scionmpr/internal/traffic"
@@ -63,7 +64,7 @@ type TournamentConfig struct {
 	// schedule) and/or "spike" (latency storms; no revocations, so only
 	// telemetry-driven policies can react).
 	Chaos []string
-	// Policies are strategy specs accepted by strategy.Parse.
+	// Policies are strategy specs accepted by strategy.New.
 	Policies []string
 }
 
@@ -73,7 +74,7 @@ func DefaultTournamentConfig() TournamentConfig {
 		Topologies: []string{"diversity", "baseline"},
 		Workloads:  []string{"steady", "bursty"},
 		Chaos:      []string{"calm", "flap", "spike"},
-		Policies:   traffic.SchedulerNames(),
+		Policies:   strategy.Names(),
 	}
 }
 
@@ -183,7 +184,7 @@ func tournEnd() sim.Time {
 func tournamentRun(e *env, pairs [][2]addr.IA, topoAxis, wl, ch, pol string,
 	res *TournamentResult, h io.Writer) (TournamentRun, error) {
 
-	factory, err := traffic.NewScheduler(pol)
+	factory, err := strategy.New(pol)
 	if err != nil {
 		return TournamentRun{}, err
 	}
@@ -262,8 +263,6 @@ func tournamentRun(e *env, pairs [][2]addr.IA, topoAxis, wl, ch, pol string,
 	// One engine with one shared link model: flows contend for the same
 	// token buckets, so spreading over disjoint paths pays off.
 	te, err := traffic.NewEngine(traffic.Config{
-		Clock:         n.Clock(),
-		Net:           n.Fabric().Net,
 		Fabric:        n.Fabric(),
 		Provider:      n.Paths,
 		Links:         traffic.NewLinkModel(traffic.UniformCapacity(tournLinkRate)),

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"scionmpr/internal/traffic"
+	"scionmpr/internal/strategy"
 )
 
 // tournamentTestGrid is the reduced grid the determinism tests run: one
@@ -18,7 +18,7 @@ func tournamentTestGrid() TournamentConfig {
 		Topologies: []string{"diversity"},
 		Workloads:  []string{"steady"},
 		Chaos:      []string{"flap", "spike"},
-		Policies:   traffic.SchedulerNames(),
+		Policies:   strategy.Names(),
 	}
 }
 
@@ -125,7 +125,7 @@ func TestTournamentAxesAndPrint(t *testing.T) {
 	if len(def.Topologies) != 2 || len(def.Workloads) != 2 || len(def.Chaos) != 3 {
 		t.Errorf("default grid = %+v", def)
 	}
-	if len(def.Policies) != len(traffic.SchedulerNames()) {
+	if len(def.Policies) != len(strategy.Names()) {
 		t.Errorf("default policies = %v", def.Policies)
 	}
 	s := SmokeScale()

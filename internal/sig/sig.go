@@ -133,14 +133,23 @@ func (m Mode) String() string {
 	return "carrier-grade"
 }
 
+// Transport is what a gateway needs of the SCION network (a
+// scion.Network provides it): sending a packet over a chosen path, and
+// receiving the packets addressed to the SvcSG service of its AS.
+// OnGateway must leave the AS's other traffic where it was.
+type Transport interface {
+	SendOn(p *dataplane.FwdPath, src, dst addr.Host, payload []byte) error
+	OnGateway(ia addr.IA, fn dataplane.DeliverFunc)
+}
+
 // Gateway is one SIG instance.
 type Gateway struct {
-	Local  addr.IA
-	Host   addr.Host
-	Mode   Mode
-	Map    *ASMap
-	Paths  PathProvider
-	fabric *dataplane.Fabric
+	Local addr.IA
+	Host  addr.Host
+	Mode  Mode
+	Map   *ASMap
+	Paths PathProvider
+	net   Transport
 
 	deliver DeliverIP
 
@@ -153,19 +162,19 @@ type Gateway struct {
 	MalformedDecaps   uint64
 }
 
-// NewGateway installs a SIG at host's AS, registering it as the AS's
-// packet deliverer on the fabric.
-func NewGateway(f *dataplane.Fabric, host addr.Host, mode Mode, asmap *ASMap, paths PathProvider) *Gateway {
+// NewGateway installs a SIG at host's AS: it receives the AS's
+// SvcSG-addressed packets.
+func NewGateway(net Transport, host addr.Host, mode Mode, asmap *ASMap, paths PathProvider) *Gateway {
 	g := &Gateway{
 		Local:    host.IA,
 		Host:     host,
 		Mode:     mode,
 		Map:      asmap,
 		Paths:    paths,
-		fabric:   f,
+		net:      net,
 		PerDstAS: map[addr.IA]uint64{},
 	}
-	f.OnDeliver(host.IA, g.handleSCION)
+	net.OnGateway(host.IA, g.handleSCION)
 	return g
 }
 
@@ -193,13 +202,7 @@ func (g *Gateway) HandleIP(pkt IPPacket) error {
 		g.NoPath++
 		return fmt.Errorf("sig: no path to %s", dstIA)
 	}
-	sp := &dataplane.Packet{
-		Src:     g.Host,
-		Dst:     addr.HostSvc(dstIA, addr.SvcSG),
-		Path:    paths[0],
-		Payload: pkt.encode(),
-	}
-	if err := g.fabric.Inject(sp); err != nil {
+	if err := g.net.SendOn(paths[0], g.Host, addr.HostSvc(dstIA, addr.SvcSG), pkt.encode()); err != nil {
 		return err
 	}
 	g.Encapsulated++

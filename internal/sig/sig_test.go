@@ -81,6 +81,16 @@ func TestIPPacketWireLen(t *testing.T) {
 	}
 }
 
+// fabricTransport carries gateways straight on a fabric, whose per-AS
+// delivery handler then serves the gateway alone.
+type fabricTransport struct{ *dataplane.Fabric }
+
+func (t fabricTransport) SendOn(p *dataplane.FwdPath, src, dst addr.Host, payload []byte) error {
+	return t.Inject(&dataplane.Packet{Src: src, Dst: dst, Path: p, Payload: payload})
+}
+
+func (t fabricTransport) OnGateway(ia addr.IA, fn dataplane.DeliverFunc) { t.OnDeliver(ia, fn) }
+
 // sigEnv wires two SIGs (A-6 and A-4) over real beaconed paths.
 type sigEnv struct {
 	s          *sim.Simulator
@@ -132,10 +142,10 @@ func newSigEnv(t *testing.T) *sigEnv {
 	m.Add(netip.MustParsePrefix("10.6.0.0/16"), a6)
 	m.Add(netip.MustParsePrefix("10.4.0.0/16"), a4)
 
-	gwA6 := NewGateway(fab, addr.HostIP4(a6, 10, 6, 0, 1), CPE, &m, func(dst addr.IA) []*dataplane.FwdPath {
+	gwA6 := NewGateway(fabricTransport{fab}, addr.HostIP4(a6, 10, 6, 0, 1), CPE, &m, func(dst addr.IA) []*dataplane.FwdPath {
 		return paths(a6, dst)
 	})
-	gwA4 := NewGateway(fab, addr.HostIP4(a4, 10, 4, 0, 1), CPE, &m, func(dst addr.IA) []*dataplane.FwdPath {
+	gwA4 := NewGateway(fabricTransport{fab}, addr.HostIP4(a4, 10, 4, 0, 1), CPE, &m, func(dst addr.IA) []*dataplane.FwdPath {
 		return paths(a4, dst)
 	})
 	return &sigEnv{s: s, fabric: fab, gwA6: gwA6, gwA4: gwA4}
@@ -194,7 +204,7 @@ func TestGatewayErrors(t *testing.T) {
 	// No-path destination.
 	var m ASMap
 	m.Add(netip.MustParsePrefix("0.0.0.0/0"), addr.MustIA(3, 0xff00_0000_0305))
-	gw := NewGateway(env.fabric, addr.HostIP4(a6, 1, 1, 1, 1), CPE, &m, func(addr.IA) []*dataplane.FwdPath { return nil })
+	gw := NewGateway(fabricTransport{env.fabric}, addr.HostIP4(a6, 1, 1, 1, 1), CPE, &m, func(addr.IA) []*dataplane.FwdPath { return nil })
 	if err := gw.HandleIP(IPPacket{Src: netip.MustParseAddr("1.1.1.1"), Dst: netip.MustParseAddr("2.2.2.2")}); err == nil || gw.NoPath != 1 {
 		t.Error("pathless destination must fail")
 	}

@@ -11,8 +11,9 @@ import (
 
 // LinkFaults is the per-link fault table of one plane: which links are
 // failed, which shed traffic as gray failures, and which carry a latency
-// override. Network, dataplane.Fabric and dataplane.Engine each embed one,
-// so all three answer chaos.FaultTarget from the same code. The table is
+// override. Network and dataplane.Engine each embed one (a
+// dataplane.Fabric answers through its engine's), so every plane answers
+// chaos.FaultTarget from the same code. The table is
 // dense over the topology's LinkIDs (sequential from 1); IDs outside it
 // are ignored, since a fault schedule may name links a plane does not
 // carry. Entries are atomic because engine workers read them while the
@@ -109,9 +110,9 @@ func (lf *LinkFaults) LinkDelay(id topology.LinkID) time.Duration {
 // link) falls below rate. The decision is a pure function of its
 // arguments, so it needs no state to checkpoint and gives the same answer
 // on any worker. The data plane keys it on the packet's flow ID (the
-// in-memory fabric and the wire engine, which interleave packets
-// differently, shed exactly the same packets, and a loop-free path draws
-// each (flow, link) at most once); Network keys it on its count of drawn
+// virtual-time fabric and the ring-driven engine, which interleave
+// packets differently, shed exactly the same packets, and a loop-free
+// path draws each (flow, link) at most once); Network keys it on its count of drawn
 // decisions. Rotating the key puts a flow ID (below 2^32) in the high
 // word, clear of the link, and keeps a count's high bits in play.
 func LossCoin(key uint64, link topology.LinkID, rate float64) bool {

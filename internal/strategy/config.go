@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Parse resolves a policy spec to a per-flow policy factory. A spec is a
+// New resolves a policy spec to a per-flow policy factory. A spec is a
 // policy name optionally followed by whitespace-separated key=value
 // parameters:
 //
@@ -25,7 +25,7 @@ import (
 // Unknown names, unknown keys, malformed pairs, and out-of-range values
 // are errors. The factory builds an independent policy per flow (policies
 // are stateful).
-func Parse(spec string) (func() Policy, error) {
+func New(spec string) (func() Policy, error) {
 	fields := strings.Fields(spec)
 	if len(fields) == 0 {
 		return nil, fmt.Errorf("strategy: empty policy spec")

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// FuzzPolicyConfig fuzzes the policy-config text format: Parse must never
+// FuzzPolicyConfig fuzzes the policy-config text format: New must never
 // panic, an accepted spec must yield a working factory whose policy has a
 // registered name and honors the Pick contract, and the bare name must
 // re-parse (specs are round-trippable to their defaults).
@@ -45,30 +45,30 @@ func FuzzPolicyConfig(f *testing.F) {
 			RevokedAge: time.Second, Busy: true},
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		factory, err := Parse(spec)
+		factory, err := New(spec)
 		if err != nil {
 			if factory != nil {
-				t.Fatalf("Parse(%q): non-nil factory with error %v", spec, err)
+				t.Fatalf("New(%q): non-nil factory with error %v", spec, err)
 			}
 			return
 		}
 		p := factory()
 		if p == nil {
-			t.Fatalf("Parse(%q): factory built nil policy", spec)
+			t.Fatalf("New(%q): factory built nil policy", spec)
 		}
 		if !known[p.Name()] {
-			t.Fatalf("Parse(%q): unregistered policy name %q", spec, p.Name())
+			t.Fatalf("New(%q): unregistered policy name %q", spec, p.Name())
 		}
-		if _, err := Parse(p.Name()); err != nil {
-			t.Fatalf("Parse(%q): name %q does not re-parse: %v", spec, p.Name(), err)
+		if _, err := New(p.Name()); err != nil {
+			t.Fatalf("New(%q): name %q does not re-parse: %v", spec, p.Name(), err)
 		}
 		for _, paths := range [][]PathView{nil, probe, probe[1:2]} {
 			got := p.Pick(paths)
 			if got < -1 || got >= len(paths) {
-				t.Fatalf("Parse(%q): Pick out of range: %d", spec, got)
+				t.Fatalf("New(%q): Pick out of range: %d", spec, got)
 			}
 			if got >= 0 && (paths[got].Revoked || paths[got].Busy) {
-				t.Fatalf("Parse(%q): picked non-idle path %d", spec, got)
+				t.Fatalf("New(%q): picked non-idle path %d", spec, got)
 			}
 		}
 	})

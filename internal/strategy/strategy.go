@@ -76,7 +76,3 @@ type Policy interface {
 func Names() []string {
 	return []string{"single-best", "round-robin", "weighted", "latency", "disjoint", "hybrid"}
 }
-
-// New resolves a bare policy name to a per-flow policy factory with
-// default parameters. Parameterized specs go through Parse.
-func New(name string) (func() Policy, error) { return Parse(name) }

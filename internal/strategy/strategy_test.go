@@ -45,29 +45,29 @@ func TestParseErrors(t *testing.T) {
 		"hybrid flux=3",
 		"hybrid cap=0 lat=0 loss=0 disj=0 hops=0 rev=0 revwin=1s",
 	} {
-		if _, err := Parse(spec); err == nil {
-			t.Errorf("Parse(%q): expected error", spec)
+		if _, err := New(spec); err == nil {
+			t.Errorf("New(%q): expected error", spec)
 		}
 	}
 }
 
 func TestParseParameters(t *testing.T) {
-	factory, err := Parse("latency stretch=2.5")
+	factory, err := New("latency stretch=2.5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	la, ok := factory().(*LatencyAware)
 	if !ok || la.Stretch != 2.5 {
-		t.Fatalf("Parse(latency stretch=2.5) = %#v", factory())
+		t.Fatalf("New(latency stretch=2.5) = %#v", factory())
 	}
 
-	factory, err = Parse("hybrid cap=2 lat=1 loss=3 disj=0.75 hops=0.5 rev=1.5 revwin=30s")
+	factory, err = New("hybrid cap=2 lat=1 loss=3 disj=0.75 hops=0.5 rev=1.5 revwin=30s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	h, ok := factory().(*Hybrid)
 	if !ok {
-		t.Fatalf("Parse(hybrid ...) = %#v", factory())
+		t.Fatalf("New(hybrid ...) = %#v", factory())
 	}
 	want := HybridWeights{
 		Capacity: 2, Latency: 1, Loss: 3, Disjoint: 0.75, Hops: 0.5,
@@ -78,7 +78,7 @@ func TestParseParameters(t *testing.T) {
 	}
 
 	// Unspecified hybrid keys keep their defaults.
-	factory, err = Parse("hybrid loss=5")
+	factory, err = New("hybrid loss=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestParseParameters(t *testing.T) {
 }
 
 func TestParseErrorMentionsPolicy(t *testing.T) {
-	_, err := Parse("latency stretch=0.5")
+	_, err := New("latency stretch=0.5")
 	if err == nil || !strings.Contains(err.Error(), "latency") {
 		t.Fatalf("error should name the policy: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"scionmpr/internal/addr"
 	"scionmpr/internal/dataplane"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/strategy"
 	"scionmpr/internal/topology"
 )
 
@@ -55,9 +56,9 @@ const (
 // methods are driven by the engine's event loop; Flow itself is passive.
 type Flow struct {
 	spec  FlowSpec
-	sched Scheduler
+	sched strategy.Policy
 	paths []*flowPath
-	infos []PathInfo // scratch for scheduler decisions
+	infos []strategy.PathView // scratch for scheduler decisions
 
 	// shared caches each path's link-overlap count against the flow's
 	// active set (paths currently carrying bytes); sharedDirty marks it

@@ -24,8 +24,6 @@ func demoEngineTTL(t *testing.T, ttl time.Duration) (*scion.Network, *Engine) {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(Config{
-		Clock:         n.Clock(),
-		Net:           n.Fabric().Net,
 		Fabric:        n.Fabric(),
 		Provider:      n.Paths,
 		Links:         NewLinkModel(UniformCapacity(1e8)),
@@ -158,8 +156,6 @@ func TestRetryBackoffSpacing(t *testing.T) {
 		return nil, fmt.Errorf("path service down")
 	}
 	eng, err := NewEngine(Config{
-		Clock:         n.Clock(),
-		Net:           n.Fabric().Net,
 		Fabric:        n.Fabric(),
 		Provider:      provider,
 		RetryDelay:    10 * time.Millisecond,
@@ -211,7 +207,7 @@ func TestRetryJitterDeterministic(t *testing.T) {
 			return nil, fmt.Errorf("down")
 		}
 		eng, err := NewEngine(Config{
-			Clock: n.Clock(), Net: n.Fabric().Net, Fabric: n.Fabric(),
+			Fabric:   n.Fabric(),
 			Provider: provider, MaxRetries: 6, Seed: seed,
 		})
 		if err != nil {

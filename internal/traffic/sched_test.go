@@ -9,7 +9,7 @@ import (
 
 func TestNewSchedulerNames(t *testing.T) {
 	for _, name := range []string{"single-best", "round-robin", "weighted", "latency"} {
-		factory, err := NewScheduler(name)
+		factory, err := strategy.New(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -17,14 +17,14 @@ func TestNewSchedulerNames(t *testing.T) {
 			t.Errorf("factory(%q).Name() = %q", name, s.Name())
 		}
 	}
-	if _, err := NewScheduler("nope"); err == nil {
+	if _, err := strategy.New("nope"); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
 }
 
 func TestSingleBestWaitsForBestPath(t *testing.T) {
-	s := &SingleBest{}
-	paths := []PathInfo{
+	s := &strategy.SingleBest{}
+	paths := []strategy.PathView{
 		{Hops: 5},
 		{Hops: 3},
 		{Hops: 4},
@@ -50,7 +50,7 @@ func TestSingleBestWaitsForBestPath(t *testing.T) {
 
 func TestRoundRobinRotates(t *testing.T) {
 	s := &strategy.RoundRobin{}
-	paths := make([]PathInfo, 3)
+	paths := make([]strategy.PathView, 3)
 	var got []int
 	for i := 0; i < 6; i++ {
 		got = append(got, s.Pick(paths))
@@ -73,8 +73,8 @@ func TestRoundRobinRotates(t *testing.T) {
 }
 
 func TestWeightedBottleneckProportional(t *testing.T) {
-	s := &WeightedBottleneck{}
-	paths := []PathInfo{
+	s := &strategy.WeightedBottleneck{}
+	paths := []strategy.PathView{
 		{Bottleneck: 3e8},
 		{Bottleneck: 1e8},
 	}
@@ -98,7 +98,7 @@ func TestWeightedBottleneckProportional(t *testing.T) {
 
 func TestLatencyAwareStretchBound(t *testing.T) {
 	s := &strategy.LatencyAware{Stretch: 1.5}
-	paths := []PathInfo{
+	paths := []strategy.PathView{
 		{Delay: 10 * time.Millisecond},
 		{Delay: 14 * time.Millisecond},
 		{Delay: 40 * time.Millisecond},

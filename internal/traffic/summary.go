@@ -37,7 +37,7 @@ type Summary struct {
 
 // Summarize captures the engine state at the current virtual time.
 func (e *Engine) Summarize() *Summary {
-	now := e.cfg.Clock.Now()
+	now := e.clock.Now()
 	s := &Summary{
 		Flows:       len(e.flows),
 		Requeries:   e.Requeries,

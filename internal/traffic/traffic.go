@@ -24,6 +24,7 @@ import (
 	"scionmpr/internal/addr"
 	"scionmpr/internal/dataplane"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/strategy"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
 )
@@ -34,18 +35,15 @@ type PathProvider func(src, dst addr.IA) ([]*dataplane.FwdPath, error)
 
 // Config wires an Engine to a simulated network.
 type Config struct {
-	// Clock is the shared event loop.
-	Clock *sim.Simulator
-	// Net is the message transport (used for per-link delays).
-	Net *sim.Network
-	// Fabric forwards head packets and produces SCMP revocations.
+	// Fabric forwards head packets and produces SCMP revocations; its
+	// network is the engine's clock and link-delay source.
 	Fabric *dataplane.Fabric
 	// Provider supplies path sets.
 	Provider PathProvider
 	// Links is the capacity model (NewLinkModel(nil) if unset).
 	Links *LinkModel
 	// Scheduler builds each flow's scheduler (weighted if unset).
-	Scheduler func() Scheduler
+	Scheduler func() strategy.Policy
 	// ChunkSize is the fluid admission quantum (default 64 KiB).
 	ChunkSize int64
 	// MinGrant is the smallest admission the engine accepts from the
@@ -81,7 +79,7 @@ type Config struct {
 	// RevocationAge, if set, reports how long ago the control plane last
 	// learned of a revocation on any of the given links (negative =
 	// never) — the path servers' revocation-recency feed (for example
-	// scion.Network.PathRevocationAge) behind the PathInfo.RevokedAge
+	// scion.Network.PathRevocationAge) behind the strategy.PathView.RevokedAge
 	// signal. The engine merges it with its own SCMP-learned history and
 	// reports whichever revocation is more recent.
 	RevocationAge func(src addr.IA, links []dataplane.LinkRef) time.Duration
@@ -98,6 +96,9 @@ type Config struct {
 // then Run (sized flows) or RunUntil (open-ended workloads).
 type Engine struct {
 	cfg Config
+	// clock and net are the fabric's event loop and transport.
+	clock *sim.Simulator
+	net   *sim.Network
 
 	flows []*Flow
 	byID  map[int]*Flow
@@ -111,7 +112,7 @@ type Engine struct {
 	revoked map[addr.IA]map[topology.LinkID]sim.Time
 	// revHist remembers when each source last saw an SCMP revocation per
 	// link — unlike revoked it never expires, feeding the policies'
-	// revocation-recency signal (PathInfo.RevokedAge).
+	// revocation-recency signal (strategy.PathView.RevokedAge).
 	revHist map[addr.IA]map[topology.LinkID]sim.Time
 	hooked  map[addr.IA]bool
 	// rng drives re-query jitter; the event loop is single-threaded, so
@@ -138,8 +139,8 @@ type Engine struct {
 
 // NewEngine validates the config and applies defaults.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Clock == nil || cfg.Net == nil || cfg.Fabric == nil || cfg.Provider == nil {
-		return nil, fmt.Errorf("traffic: Clock, Net, Fabric and Provider are required")
+	if cfg.Fabric == nil || cfg.Provider == nil {
+		return nil, fmt.Errorf("traffic: Fabric and Provider are required")
 	}
 	if cfg.Links == nil {
 		cfg.Links = NewLinkModel(nil)
@@ -148,7 +149,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// Default confirmed by the strategy tournament (-exp tournament,
 		// EXPERIMENTS.md): weighted wins or ties every grid cell on
 		// goodput.
-		cfg.Scheduler = func() Scheduler { return &WeightedBottleneck{} }
+		cfg.Scheduler = func() strategy.Policy { return &strategy.WeightedBottleneck{} }
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 64 << 10
@@ -181,6 +182,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:     cfg,
+		clock:   cfg.Fabric.Net.Sim,
+		net:     cfg.Fabric.Net,
 		byID:    map[int]*Flow{},
 		bySrc:   map[addr.IA][]*Flow{},
 		revoked: map[addr.IA]map[topology.LinkID]sim.Time{},
@@ -206,7 +209,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 // trace emits a flow lifecycle event via the clock's tracer (serial
 // context; no-op when no tracer is attached).
 func (e *Engine) trace(kind telemetry.EventKind, f *Flow, aux uint64, reason string) {
-	e.cfg.Clock.Trace(sim.SerialShard, telemetry.Event{
+	e.clock.Trace(sim.SerialShard, telemetry.Event{
 		Kind:    kind,
 		Actor:   f.spec.Src.Uint64(),
 		Subject: uint64(uint32(f.spec.ID)),
@@ -226,28 +229,28 @@ func (e *Engine) Add(spec FlowSpec) *Flow {
 		src := spec.Src
 		e.cfg.Fabric.AddSCMP(src, func(msg *dataplane.SCMP) { e.handleSCMP(src, msg) })
 	}
-	e.cfg.Clock.Schedule(spec.Start, func() { e.start(f) })
+	e.clock.Schedule(spec.Start, func() { e.start(f) })
 	return f
 }
 
 // Run drives the event loop until it drains and returns the summary. Use
 // only with sized flows — open-ended flows never drain the loop.
 func (e *Engine) Run() *Summary {
-	e.cfg.Clock.Run()
+	e.clock.Run()
 	return e.Summarize()
 }
 
 // RunUntil drives the event loop up to the deadline and returns the
 // summary at that instant.
 func (e *Engine) RunUntil(d time.Duration) *Summary {
-	e.cfg.Clock.RunUntil(sim.Time(d))
+	e.clock.RunUntil(sim.Time(d))
 	return e.Summarize()
 }
 
 // start performs the flow's initial path lookup.
 func (e *Engine) start(f *Flow) {
 	f.state = flowActive
-	f.started = e.cfg.Clock.Now()
+	f.started = e.clock.Now()
 	e.cStarted.Inc()
 	e.requery(f)
 }
@@ -276,13 +279,13 @@ func (e *Engine) requery(f *Flow) {
 		e.noteConnectivity(f)
 		if f.retries >= e.cfg.MaxRetries {
 			f.state = flowFailed
-			f.finished = e.cfg.Clock.Now()
+			f.finished = e.clock.Now()
 			e.cFailed.Inc()
 			e.trace(telemetry.FlowRetry, f, uint64(f.retries), "exhausted")
 			return
 		}
 		e.trace(telemetry.FlowRetry, f, uint64(f.retries), "empty")
-		e.cfg.Clock.Schedule(e.retryDelay(f.retries), func() { e.requery(f) })
+		e.clock.Schedule(e.retryDelay(f.retries), func() { e.requery(f) })
 		return
 	}
 	f.retries = 0
@@ -297,7 +300,7 @@ func (e *Engine) requery(f *Flow) {
 	f.lastPath = -1
 	f.sharedDirty = true
 	e.noteConnectivity(f)
-	e.wakeAt(f, e.cfg.Clock.Now())
+	e.wakeAt(f, e.clock.Now())
 }
 
 // retryDelay computes the spacing before the attempt-th consecutive
@@ -342,7 +345,7 @@ func (e *Engine) reprobe(f *Flow) {
 	f.lastPath = -1
 	f.sharedDirty = true
 	e.noteConnectivity(f)
-	e.wakeAt(f, e.cfg.Clock.Now())
+	e.wakeAt(f, e.clock.Now())
 }
 
 // noteConnectivity tracks disconnection windows: an outage opens when a
@@ -350,7 +353,7 @@ func (e *Engine) reprobe(f *Flow) {
 // it regains one. Closed windows are the flow's time-to-reconnect
 // samples.
 func (e *Engine) noteConnectivity(f *Flow) {
-	now := e.cfg.Clock.Now()
+	now := e.clock.Now()
 	if f.usablePaths() > 0 {
 		if f.inOutage {
 			f.inOutage = false
@@ -374,7 +377,7 @@ func (e *Engine) buildPaths(src addr.IA, fps []*dataplane.FwdPath) []*flowPath {
 		if len(out) >= e.cfg.MaxPaths {
 			break
 		}
-		links, err := fp.LinkRefs(e.cfg.Net.Topo)
+		links, err := fp.LinkRefs(e.net.Topo)
 		if err != nil || len(links) == 0 {
 			continue
 		}
@@ -385,7 +388,7 @@ func (e *Engine) buildPaths(src addr.IA, fps []*dataplane.FwdPath) []*flowPath {
 				bad = true
 				break
 			}
-			delay += e.cfg.Net.LinkDelay(ref.Link.ID)
+			delay += e.net.LinkDelay(ref.Link.ID)
 		}
 		if bad {
 			continue
@@ -403,7 +406,7 @@ func (e *Engine) buildPaths(src addr.IA, fps []*dataplane.FwdPath) []*flowPath {
 // wakeAt schedules a pump step at t, deduping against an earlier or equal
 // pending wake-up.
 func (e *Engine) wakeAt(f *Flow, t sim.Time) {
-	now := e.cfg.Clock.Now()
+	now := e.clock.Now()
 	if t < now {
 		t = now
 	}
@@ -413,7 +416,7 @@ func (e *Engine) wakeAt(f *Flow, t sim.Time) {
 	f.wakePending = true
 	f.wakeAt = t
 	at := t
-	e.cfg.Clock.At(t, func() {
+	e.clock.At(t, func() {
 		if f.wakePending && f.wakeAt == at {
 			f.wakePending = false
 		}
@@ -427,7 +430,7 @@ func (e *Engine) pump(f *Flow) {
 	if f.state != flowActive {
 		return
 	}
-	now := e.cfg.Clock.Now()
+	now := e.clock.Now()
 	rem := f.remaining(e.cfg.ChunkSize)
 	if rem == 0 {
 		e.maybeFinish(f)
@@ -451,7 +454,7 @@ func (e *Engine) pump(f *Flow) {
 		if i < len(f.shared) {
 			shared = f.shared[i]
 		}
-		f.infos = append(f.infos, PathInfo{
+		f.infos = append(f.infos, strategy.PathView{
 			Hops:       len(p.fp.Hops),
 			Delay:      p.delay,
 			Bottleneck: p.bottleneck,
@@ -554,7 +557,7 @@ func (e *Engine) maybeFinish(f *Flow) {
 	if f.state != flowActive || f.spec.Size <= 0 || f.sent < f.spec.Size {
 		return
 	}
-	now := e.cfg.Clock.Now()
+	now := e.clock.Now()
 	fin := now
 	for _, p := range f.paths {
 		t := p.busyUntil
@@ -566,13 +569,13 @@ func (e *Engine) maybeFinish(f *Flow) {
 			fin = t
 		}
 	}
-	e.cfg.Clock.At(fin, func() {
+	e.clock.At(fin, func() {
 		if f.state != flowActive {
 			return
 		}
 		if f.sent >= f.spec.Size {
 			f.state = flowDone
-			f.finished = e.cfg.Clock.Now()
+			f.finished = e.clock.Now()
 			e.cCompleted.Inc()
 			e.hDuration.Observe(time.Duration(f.finished - f.started).Seconds())
 			return
@@ -641,7 +644,7 @@ func (e *Engine) handleSCMP(src addr.IA, msg *dataplane.SCMP) {
 	}
 	e.Revocations++
 	e.cRevoked.Inc()
-	link := e.cfg.Net.Topo.LinkByIf(msg.Link.IA, msg.Link.If)
+	link := e.net.Topo.LinkByIf(msg.Link.IA, msg.Link.If)
 	if link != nil {
 		known := e.revoked[src]
 		if known == nil {
@@ -651,17 +654,17 @@ func (e *Engine) handleSCMP(src addr.IA, msg *dataplane.SCMP) {
 		// Failure knowledge is soft state: it expires after
 		// RevocationTTL (each fresh SCMP refreshes it), and on expiry
 		// the source re-probes so healed paths come back into use.
-		exp := e.cfg.Clock.Now() + sim.Time(e.cfg.RevocationTTL)
+		exp := e.clock.Now() + sim.Time(e.cfg.RevocationTTL)
 		known[link.ID] = exp
 		id := link.ID
-		e.cfg.Clock.At(exp, func() { e.expireRevocation(src, id, exp) })
+		e.clock.At(exp, func() { e.expireRevocation(src, id, exp) })
 		// Permanent history for the revocation-recency policy signal.
 		hist := e.revHist[src]
 		if hist == nil {
 			hist = map[topology.LinkID]sim.Time{}
 			e.revHist[src] = hist
 		}
-		hist[link.ID] = e.cfg.Clock.Now()
+		hist[link.ID] = e.clock.Now()
 	}
 	// Rewind the lost chunk on the path that carried the head packet.
 	for _, p := range f.paths {
@@ -707,13 +710,13 @@ func (e *Engine) handleSCMP(src addr.IA, msg *dataplane.SCMP) {
 			}
 			if dirty || g == f {
 				e.noteConnectivity(g)
-				e.wakeAt(g, e.cfg.Clock.Now())
+				e.wakeAt(g, e.clock.Now())
 			}
 		}
 		return
 	}
 	e.noteConnectivity(f)
-	e.wakeAt(f, e.cfg.Clock.Now())
+	e.wakeAt(f, e.clock.Now())
 }
 
 // expireRevocation lapses one piece of link-failure knowledge at src,

@@ -7,6 +7,7 @@ import (
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/strategy"
 	"scionmpr/internal/topology"
 	"scionmpr/scion"
 )
@@ -24,17 +25,15 @@ func demoEngine(t *testing.T, sched string) (*scion.Network, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := NewScheduler(sched)
+	factory, err := strategy.New(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(Config{
-		Clock:     n.Clock(),
-		Net:       n.Fabric().Net,
 		Fabric:    n.Fabric(),
 		Provider:  n.Paths,
 		Links:     NewLinkModel(UniformCapacity(1e8)),
-		Scheduler: func() Scheduler { f := factory(); return f },
+		Scheduler: func() strategy.Policy { f := factory(); return f },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +109,6 @@ func TestDeterministicSummaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng, err := NewEngine(Config{
-			Clock:    n.Clock(),
-			Net:      n.Fabric().Net,
 			Fabric:   n.Fabric(),
 			Provider: n.Paths,
 			Links:    NewLinkModel(DefaultCapacity()),

@@ -168,8 +168,6 @@ func TestTwoHostsInOneASBothFailOver(t *testing.T) {
 func TestHostFailsOverBesideTrafficEngine(t *testing.T) {
 	n := demoNet(t)
 	eng, err := traffic.NewEngine(traffic.Config{
-		Clock:    n.Clock(),
-		Net:      n.Fabric().Net,
 		Fabric:   n.Fabric(),
 		Provider: n.Paths,
 		Links:    traffic.NewLinkModel(traffic.UniformCapacity(1.25e8)),

@@ -2,9 +2,12 @@ package scion
 
 import (
 	"fmt"
+	"net/netip"
 	"testing"
 
+	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
+	"scionmpr/internal/sig"
 )
 
 func TestRemoteLookupDownSegments(t *testing.T) {
@@ -142,4 +145,52 @@ func decodeReply(b []byte) ([]*seg.PCB, error) {
 		return nil, fmt.Errorf("scion: multi-frame reply in single-frame decode")
 	}
 	return segs, err
+}
+
+// TestGatewayLeavesASReachable: a SCION-IP gateway takes only the
+// SvcSG-addressed packets of its AS, so the AS's path server still
+// answers remote lookups and its hosts still receive, beside the
+// gateway's own tunnel traffic.
+func TestGatewayLeavesASReachable(t *testing.T) {
+	n := demoNet(t)
+	a3 := addr.MustIA(1, 0xff00_0000_0103)
+	var asmap sig.ASMap
+	asmap.Add(netip.MustParsePrefix("10.3.0.0/16"), a3)
+	asmap.Add(netip.MustParsePrefix("10.4.0.0/16"), a4)
+	paths := func(src addr.IA) sig.PathProvider {
+		return func(dst addr.IA) []*FwdPath {
+			p, _ := n.Paths(src, dst)
+			return p
+		}
+	}
+	gw3 := sig.NewGateway(n, HostIP4(a3, 10, 3, 0, 1), sig.CPE, &asmap, paths(a3))
+	gw4 := sig.NewGateway(n, HostIP4(a4, 10, 4, 0, 1), sig.CPE, &asmap, paths(a4))
+
+	if _, err := n.RemoteLookup(a4, a3, Request{Type: UpSeg}); err != nil {
+		t.Fatalf("lookup at the gateway's AS: %v", err)
+	}
+	dst, _ := n.Host(a3, 10, 3, 0, 7)
+	got := 0
+	dst.OnReceive(func(addr.Host, []byte) { got++ })
+	src, _ := n.Host(a4, 10, 4, 0, 9)
+	if err := src.Send(dst.Addr, []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	var tunneled []byte
+	gw3.OnDeliverIP(func(p sig.IPPacket) { tunneled = p.Payload })
+	err := gw4.HandleIP(sig.IPPacket{
+		Src:     netip.MustParseAddr("10.4.0.5"),
+		Dst:     netip.MustParseAddr("10.3.0.5"),
+		Payload: []byte("tunnel"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	if got != 1 {
+		t.Errorf("host at the gateway's AS received %d packets, want 1", got)
+	}
+	if string(tunneled) != "tunnel" || gw3.Decapsulated != 1 {
+		t.Errorf("gateway decapsulated %q (%d packets)", tunneled, gw3.Decapsulated)
+	}
 }

@@ -126,6 +126,8 @@ type Network struct {
 	hosts  map[addr.IA][]*Host
 	// svcHandlers intercept control-service replies per AS (RemoteLookup).
 	svcHandlers map[addr.IA]func(*dataplane.Packet)
+	// gateways receive the SvcSG-addressed packets per AS (OnGateway).
+	gateways map[addr.IA]dataplane.DeliverFunc
 
 	pathCache map[[2]uint64]cachedPaths
 	// revExpiries holds pending revocation-expiry times (ascending); the
@@ -189,6 +191,7 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 		lastRevoked: map[seg.LinkKey]sim.Time{},
 		hosts:       map[addr.IA][]*Host{},
 		svcHandlers: map[addr.IA]func(*dataplane.Packet){},
+		gateways:    map[addr.IA]dataplane.DeliverFunc{},
 		pathCache:   map[[2]uint64]cachedPaths{},
 	}
 	for _, c := range topo.CoreIAs() {
@@ -232,10 +235,11 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 	n.fabric = dataplane.NewFabric(n.netSim, infra.ForwardingKey)
 	n.fabric.SetTelemetry(opts.Telemetry)
 	// One delivery demux and one SCMP demux per AS. Service-addressed
-	// packets go to the control service (segment requests and replies),
-	// everything else to the addressed host; an SCMP message goes to the
-	// host that sent the original packet. The SCMP demux is chained, so
-	// traffic engines registered later listen beside it.
+	// packets go to the AS's SCION-IP gateway (SvcSG) or its control
+	// service (segment requests and replies), everything else to the
+	// addressed host; an SCMP message goes to the host that sent the
+	// original packet. The SCMP demux is chained, so traffic engines
+	// registered later listen beside it.
 	for _, ia := range topo.IAs() {
 		ia := ia
 		n.fabric.OnDeliver(ia, func(pkt *dataplane.Packet) { n.dispatch(ia, pkt) })
@@ -247,6 +251,12 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 // dispatch routes a delivered packet inside an AS.
 func (n *Network) dispatch(ia addr.IA, pkt *dataplane.Packet) {
 	if pkt.Dst.Type == addr.HostService {
+		if pkt.Dst.Equal(addr.HostSvc(ia, addr.SvcSG)) {
+			if g := n.gateways[ia]; g != nil {
+				g(pkt)
+			}
+			return
+		}
 		if len(pkt.Payload) > 0 && pkt.Payload[0] == msgSegReply {
 			if h := n.svcHandlers[ia]; h != nil {
 				h(pkt)
@@ -260,6 +270,10 @@ func (n *Network) dispatch(ia addr.IA, pkt *dataplane.Packet) {
 		h.recv(pkt.Src, pkt.Payload)
 	}
 }
+
+// OnGateway installs ia's SCION-IP gateway: the network's demux hands it
+// the SvcSG-addressed packets arriving at ia (sig.Transport).
+func (n *Network) OnGateway(ia addr.IA, fn dataplane.DeliverFunc) { n.gateways[ia] = fn }
 
 // dispatchSCMP hands an SCMP message to the host whose packet triggered
 // it. It counts and traces nothing: the fabric already accounted for the
