@@ -8,35 +8,51 @@
 //
 //	pathprobe -topo demo -src 2-ff00:0:203 -dst 1-ff00:0:106
 //	pathprobe -topo scionlab -src 1-ff00:0:1000 -dst 11-ff00:0:1050
-//	pathprobe -topo gen -n 300 -algo baseline
+//	pathprobe -topo gen -n 300 -src 1-11 -dst 1-108 -algo baseline
+//
+// -topo gen carves a single ISD with three core ASes out of an
+// n-AS synthetic Internet; it has no default pair, so -src and -dst are
+// required.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"scionmpr/scion"
 )
 
+// genCores is the ISD core size of -topo gen.
+const genCores = 3
+
 func main() {
 	var (
 		topoKind = flag.String("topo", "demo", "topology: demo | scionlab | gen")
 		n        = flag.Int("n", 300, "ASes for -topo gen")
 		seed     = flag.Int64("seed", 1, "generator seed")
-		srcStr   = flag.String("src", "", "source IA (defaults per topology)")
-		dstStr   = flag.String("dst", "", "destination IA (defaults per topology)")
+		srcStr   = flag.String("src", "", "source IA (defaults per topology; required for -topo gen)")
+		dstStr   = flag.String("dst", "", "destination IA (defaults per topology; required for -topo gen)")
 		algoStr  = flag.String("algo", "diversity", "beaconing algorithm: baseline | diversity")
 	)
 	flag.Parse()
-	if err := run(*topoKind, *n, *seed, *srcStr, *dstStr, *algoStr); err != nil {
+	if err := run(os.Stdout, *topoKind, *n, *seed, *srcStr, *dstStr, *algoStr); err != nil {
 		fmt.Fprintln(os.Stderr, "pathprobe:", err)
 		os.Exit(1)
 	}
 }
 
-func run(topoKind string, n int, seed int64, srcStr, dstStr, algoStr string) error {
+func run(w io.Writer, topoKind string, n int, seed int64, srcStr, dstStr, algoStr string) error {
+	opts := scion.DefaultOptions()
+	switch algoStr {
+	case "diversity":
+	case "baseline":
+		opts.Algorithm = scion.Baseline
+	default:
+		return fmt.Errorf("unknown algorithm %q (want baseline or diversity)", algoStr)
+	}
 	var topo *scion.Topology
 	var src, dst scion.IA
 	switch topoKind {
@@ -50,12 +66,10 @@ func run(topoKind string, n int, seed int64, srcStr, dstStr, algoStr string) err
 		dst = scion.MustIA(11, 0xff00_0000_1050)
 	case "gen":
 		var err error
-		topo, err = scion.GenerateTopology(n, 8, seed)
+		topo, err = scion.GenerateISDTopology(n, 8, genCores, seed)
 		if err != nil {
 			return err
 		}
-		// Generated topologies are flat (single ISD, no cores); probe the
-		// extracted demo-style pair is not applicable — require explicit IAs.
 		if srcStr == "" || dstStr == "" {
 			return fmt.Errorf("-topo gen requires -src and -dst")
 		}
@@ -74,23 +88,19 @@ func run(topoKind string, n int, seed int64, srcStr, dstStr, algoStr string) err
 		}
 	}
 
-	opts := scion.DefaultOptions()
-	if algoStr == "baseline" {
-		opts.Algorithm = scion.Baseline
-	}
 	start := time.Now()
 	net, err := scion.NewNetwork(topo, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("bootstrapped %d ASes in %v (control plane: %d bytes)\n",
+	fmt.Fprintf(w, "bootstrapped %d ASes in %v (control plane: %d bytes)\n",
 		net.Topo.NumASes(), time.Since(start).Round(time.Millisecond), net.ControlPlaneBytes())
 
 	paths, err := net.Paths(src, dst)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d paths %s -> %s:\n", len(paths), src, dst)
+	fmt.Fprintf(w, "%d paths %s -> %s:\n", len(paths), src, dst)
 
 	srcHost, err := net.Host(src, 10, 0, 0, 1)
 	if err != nil {
@@ -118,11 +128,11 @@ func run(topoKind string, n int, seed int64, srcStr, dstStr, algoStr string) err
 		})
 		// Temporarily pin the endpoint to this path by seeding only it.
 		if err := probeOn(net, srcHost, dstHost, p); err != nil {
-			fmt.Printf("  [%d] %v  (probe failed: %v)\n", i, hops, err)
+			fmt.Fprintf(w, "  [%d] %v  (probe failed: %v)\n", i, hops, err)
 			continue
 		}
 		net.Run()
-		fmt.Printf("  [%d] hops=%d rtt=%-8v mtu=%-5d %v\n", i, len(p.Hops), rtt, p.MTU, hops)
+		fmt.Fprintf(w, "  [%d] hops=%d rtt=%-8v mtu=%-5d %v\n", i, len(p.Hops), rtt, p.MTU, hops)
 	}
 	return nil
 }

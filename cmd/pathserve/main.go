@@ -12,7 +12,6 @@
 //	pathserve                                # 1M endpoints, default scale
 //	pathserve -endpoints 200000 -duration 6s
 //	pathserve -scale smoke -workers 4        # CI-sized, parallel
-//	pathserve -bench -benchreaders 8         # plus a wall-clock read bench
 //	pathserve -trace events.jsonl -snapshot metrics.txt
 //
 // With -replicas N (N > 0) the single service becomes a crash-
@@ -20,11 +19,9 @@
 // crash storm plus a full blackout: clients fail over between replicas
 // with backoff and serve stale cache entries when the whole fleet is
 // dark, crashed replicas recover via checkpoint + WAL replay, and an
-// anti-entropy sweep reconverges them (see RESILIENCE.md). -bench then
-// reports wall-clock WAL recovery cost instead of the read benchmark.
+// anti-entropy sweep reconverges them (see RESILIENCE.md).
 //
 //	pathserve -replicas 3 -endpoints 200000 -duration 8s
-//	pathserve -replicas 3 -bench             # plus a recovery bench
 package main
 
 import (
@@ -36,8 +33,6 @@ import (
 	"time"
 
 	"scionmpr/internal/experiments"
-	"scionmpr/internal/pathsrv"
-	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
 )
 
@@ -59,10 +54,6 @@ type config struct {
 	syncEvery   time.Duration
 	crashDown   time.Duration
 	crashPeriod time.Duration
-
-	bench        bool
-	benchReaders int
-	benchOps     int
 
 	telemAddr string
 	traceOut  string
@@ -87,9 +78,6 @@ func main() {
 	flag.DurationVar(&cfg.syncEvery, "syncevery", 500*time.Millisecond, "anti-entropy sweep period (with -replicas)")
 	flag.DurationVar(&cfg.crashDown, "crashdown", time.Second, "per-replica outage length in the crash storm (with -replicas)")
 	flag.DurationVar(&cfg.crashPeriod, "crashperiod", 2700*time.Millisecond, "per-replica crash period in the storm (with -replicas)")
-	flag.BoolVar(&cfg.bench, "bench", false, "after the run, wall-clock benchmark concurrent reads on the populated service (volatile numbers, printed to stderr)")
-	flag.IntVar(&cfg.benchReaders, "benchreaders", 4, "reader goroutines for -bench")
-	flag.IntVar(&cfg.benchOps, "benchops", 200_000, "lookups per reader for -bench")
 	flag.StringVar(&cfg.telemAddr, "telemetry", "", "serve /metrics, /snapshot, /trace and /debug/pprof on this address during the run")
 	flag.StringVar(&cfg.traceOut, "trace", "", "write the structured trace event log (JSONL) to this file")
 	flag.StringVar(&cfg.snapOut, "snapshot", "", "write the deterministic telemetry snapshot to this file")
@@ -163,23 +151,6 @@ func run(w io.Writer, cfg config) error {
 	fmt.Fprintf(w, "\nfingerprint: %s\n", hex.EncodeToString(fp[:]))
 	fmt.Fprintf(os.Stderr, "wall: %v for %d events (%d endpoints, workers=%d)\n",
 		res.Elapsed.Round(time.Millisecond), res.Executed, cfg.endpoints, cfg.workers)
-
-	if cfg.bench {
-		res.Service.DetachClock()
-		bres := pathsrv.ReadBench(res.Service, pathsrv.BenchConfig{
-			Readers:  cfg.benchReaders,
-			Ops:      cfg.benchOps,
-			Sources:  res.IAs,
-			Dests:    res.IAs,
-			ZipfS:    cfg.zipf,
-			Seed:     cfg.seed,
-			CacheTTL: sim.Time(cfg.cacheTTL),
-			CacheCap: 4096,
-			Now:      sim.Time(cfg.duration),
-		})
-		fmt.Fprintf(os.Stderr, "read bench (wall-clock, volatile): ")
-		bres.Print(os.Stderr)
-	}
 	return nil
 }
 
@@ -214,17 +185,6 @@ func runFleet(w io.Writer, cfg config, scale experiments.Scale, sc experiments.S
 	for _, run := range res.Runs {
 		fmt.Fprintf(os.Stderr, "wall: %v for %d events (%s)\n",
 			run.Elapsed.Round(time.Millisecond), run.Executed, run.Name)
-	}
-	if cfg.bench {
-		// Recovery bench: rebuild replica 0 of the diversity run from its
-		// final WAL image (checkpoint + tail replay), wall-clocked.
-		rep := res.Runs[0].Fleet.Replica(0)
-		bres := pathsrv.RecoveryBench(rep.WAL(), pathsrv.Config{
-			Shards:        sc.Shards,
-			RevocationTTL: sim.Time(sc.RevTTL),
-		}, 5)
-		fmt.Fprintf(os.Stderr, "recovery bench (wall-clock, volatile): ")
-		bres.Print(os.Stderr)
 	}
 	return nil
 }

@@ -104,22 +104,8 @@ func TestRunWritesArtifacts(t *testing.T) {
 	}
 }
 
-func TestRunBench(t *testing.T) {
-	cfg := smokeCfg()
-	cfg.duration = 3 * time.Second
-	cfg.endpoints = 500
-	cfg.bench = true
-	cfg.benchReaders = 2
-	cfg.benchOps = 500
-	var buf bytes.Buffer
-	if err := run(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRunFleetMode drives the -replicas path end to end: both selector
-// variants under the crash storm, the convergence check, artifacts and
-// the recovery benchmark.
+// variants under the crash storm, the convergence check and artifacts.
 func TestRunFleetMode(t *testing.T) {
 	dir := t.TempDir()
 	cfg := smokeCfg()
@@ -128,7 +114,6 @@ func TestRunFleetMode(t *testing.T) {
 	cfg.syncEvery = 400 * time.Millisecond
 	cfg.crashDown = 500 * time.Millisecond
 	cfg.crashPeriod = 1300 * time.Millisecond
-	cfg.bench = true
 	cfg.traceOut = filepath.Join(dir, "trace.jsonl")
 	cfg.snapOut = filepath.Join(dir, "snapshot.txt")
 	var buf bytes.Buffer

@@ -8,6 +8,7 @@
 //
 // See README.md for the layout, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for reproduction results.
-// The benchmarks in bench_test.go regenerate each experiment's numbers;
-// the runnable entry points live under cmd/ and examples/.
+// cmd/experiments regenerates each experiment's numbers, benchmark/ holds
+// the performance ledger, and the runnable entry points live under cmd/
+// and examples/.
 package scionmpr

@@ -54,8 +54,12 @@ type Params struct {
 // paths has a geometric mean >= 2, saturating jointness, so its diversity
 // score is exactly 0 and the threshold blocks it. Dissemination toward a
 // neighbor therefore stops once every useful link has been covered, and
-// only near-expiry refreshes (Equation 3) keep flowing — this is where
-// the >2-orders-of-magnitude overhead reduction of §5.2 comes from.
+// only near-expiry refreshes (Equation 3) keep flowing. That gives the
+// >2-orders-of-magnitude overhead reduction of §5.2 in one window only:
+// after convergence and before the first Equation 3 refresh (2-4 h into
+// a run with 6 h lifetimes), where it is 96x, 270x and 666x at 16, 40
+// and 100 cores. Over whole lifetime cycles, refreshes included, it is
+// about 10.5x at each of those sizes (EXPERIMENTS.md "Scale caveat").
 // Alpha = 6 ages unsent PCBs gently enough that diverse paths still
 // propagate across deep (10+ hop) topologies like the SCIONLab ring.
 func DefaultParams(limit int) Params {

@@ -89,10 +89,9 @@ type FailoverRun struct {
 	TraceJSONL string
 	Executed   uint64
 
-	// Elapsed is wall-clock and volatile; Fleet is exposed for post-run
-	// recovery benchmarks. Neither is fingerprinted.
+	// Elapsed is wall-clock and therefore volatile: excluded from the
+	// fingerprint.
 	Elapsed time.Duration
-	Fleet   *pathsrv.Fleet
 }
 
 // FailoverResult compares path-selection variants under the same crash
@@ -284,7 +283,6 @@ func runFailoverVariant(e *env, fc FailoverConfig, name string, factory core.Fac
 		Converged: true,
 		Executed:  clock.Executed,
 		Elapsed:   elapsed,
-		Fleet:     fleet,
 	}
 	for _, r := range fleet.Replicas() {
 		if r.Down() {

@@ -145,12 +145,6 @@ type ServeResult struct {
 	// Elapsed is wall-clock and therefore volatile: excluded from the
 	// fingerprint.
 	Elapsed time.Duration
-
-	// Service is the populated serving layer after the run and IAs the
-	// query population, exposed for post-run wall-clock read benchmarks
-	// (cmd/pathserve -bench). Not part of the fingerprint.
-	Service *pathsrv.Service
-	IAs     []addr.IA
 }
 
 // Fingerprint digests every deterministic observable of the run; equal
@@ -268,8 +262,6 @@ func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
 		Executed:       clock.Executed,
 		Digest:         svc.Digest(),
 		Elapsed:        elapsed,
-		Service:        svc,
-		IAs:            ias,
 	}
 	loadSeconds := (time.Duration(end) - serveClientStart).Seconds()
 	res.VirtualQPS = float64(res.Totals.Lookups) / loadSeconds

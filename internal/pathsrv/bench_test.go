@@ -1,7 +1,8 @@
 package pathsrv
 
 import (
-	"io"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"scionmpr/internal/addr"
@@ -95,67 +96,58 @@ func BenchmarkRevokeReinstate(b *testing.B) {
 	}
 }
 
-// TestReadBenchSmoke exercises the wall-clock read benchmark with a
-// concurrent writer — under -race this is the serving layer's
-// concurrency proof: immutable snapshots + atomic swaps, no locks.
-func TestReadBenchSmoke(t *testing.T) {
+// TestConcurrentReadersBesideWriter drives the goroutine form of the
+// concurrency contract: readers with local caches and readers without
+// one look up pairs while one writer refreshes segments, republishes,
+// revokes and reinstates. Run with -race, it is the proof that readers
+// touch only immutable snapshots and their own cache.
+func TestConcurrentReadersBesideWriter(t *testing.T) {
 	svc, sources, dests := benchService(t, 128, 3)
-	svc.DetachClock()
-	tick := 0
-	res := ReadBench(svc, BenchConfig{
-		Readers:  4,
-		Ops:      2000,
-		Sources:  sources,
-		Dests:    dests,
-		ZipfS:    1.2,
-		Seed:     7,
-		CacheTTL: hour,
-		CacheCap: 256,
-		Now:      0,
-		Mutate: func(i int) {
-			// Refresh one pair and flip one link so readers race real
-			// publications, revocations and reinstatements.
-			tick++
-			now := sim.Time(tick)
-			dst := dests[i%len(dests)]
-			p := mkSeg(t, now, 10, 100, uint64(dst.AS))
-			if err := svc.Register(now, p); err != nil {
-				t.Error(err)
+	refresh := make([]*seg.PCB, len(dests))
+	for i, dst := range dests {
+		refresh[i] = mkSeg(t, sim.Time(i+1), 10, 100, uint64(dst.AS))
+	}
+	const readers, ops = 4, 2000
+	var done atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer done.Add(1)
+			var cache *Cache
+			if g%2 == 0 {
+				cache = NewLocalCache(hour, 256)
 			}
-			svc.Publish(now)
-			link := seg.LinkKey{IA: addr.MustIA(1, 101), If: 2}
-			if i%2 == 0 {
-				svc.RevokeLink(now, link, 1000*hour)
-			} else {
-				svc.ReinstateLink(now, link)
+			for i := 0; i < ops; i++ {
+				src, dst := sources[i&1], dests[(i*7+g)%len(dests)]
+				var segs []*seg.PCB
+				if cache != nil {
+					segs, _ = cache.Lookup(0, svc, src, dst)
+				} else {
+					segs, _ = svc.Lookup(0, src, dst)
+				}
+				if len(segs) == 0 {
+					t.Errorf("reader %d: empty reply for %v -> %v in a full mesh", g, src, dst)
+					return
+				}
 			}
-		},
-	})
-	if res.Ops != 8000 {
-		t.Fatalf("ops = %d", res.Ops)
+		}()
 	}
-	if res.Empties != 0 {
-		t.Errorf("%d empty replies in a full mesh", res.Empties)
+	link := seg.LinkKey{IA: addr.MustIA(1, 101), If: 2}
+	writes := 0
+	for ; done.Load() < readers || writes == 0; writes++ {
+		now := sim.Time(writes + 1)
+		if err := svc.Register(now, refresh[writes%len(refresh)]); err != nil {
+			t.Error(err)
+			break
+		}
+		svc.Publish(now)
+		if writes%2 == 0 {
+			svc.RevokeLink(now, link, 1000*hour)
+		} else {
+			svc.ReinstateLink(now, link)
+		}
 	}
-	if res.QPS <= 0 || res.P50 <= 0 || res.P99 < res.P50 || res.P999 < res.P99 {
-		t.Errorf("implausible latency profile: %+v", res)
-	}
-	if res.Mutations == 0 {
-		t.Error("writer never ran")
-	}
-	res.Print(io.Discard)
-}
-
-func TestReadBenchDefaults(t *testing.T) {
-	svc, sources, dests := benchService(t, 8, 1)
-	res := ReadBench(svc, BenchConfig{
-		Readers: -1,
-		Ops:     100, // small but explicit; defaults only for Readers
-		Sources: sources,
-		Dests:   dests,
-		ZipfS:   1.1,
-	})
-	if res.Readers != 4 || res.Ops != 400 {
-		t.Fatalf("defaults: %+v", res)
-	}
+	wg.Wait()
 }

@@ -32,9 +32,10 @@
 // plus the actor's own cache and telemetry cells — worker-count-invariant
 // by the same discipline as internal/sim. Outside the simulation the same
 // structure holds with goroutines: one writer, any number of readers
-// with local caches (see ReadBench). Registered caches are walked by
-// the writer during publication, so a concurrent reader must use an
-// unregistered local cache (NewLocalCache).
+// with local caches (TestConcurrentReadersBesideWriter runs this under
+// -race, and the benchmark's lookup_churn workload times it).
+// Registered caches are walked by the writer during publication, so a
+// concurrent reader must use an unregistered local cache (NewLocalCache).
 package pathsrv
 
 import (
@@ -264,11 +265,6 @@ func (s *Service) trace(kind telemetry.EventKind, actor, subject, aux uint64, re
 		Kind: kind, Actor: actor, Subject: subject, Aux: aux, Reason: reason,
 	})
 }
-
-// DetachClock disconnects the simulator (and thereby trace emission) —
-// call before driving the writer side from a non-simulator goroutine,
-// e.g. the churn writer of a wall-clock read benchmark.
-func (s *Service) DetachClock() { s.clock = nil }
 
 // Register records a path segment under (origin, leaf): subsequent
 // lookups for that pair will serve it after the next publication.

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"scionmpr/internal/addr"
@@ -371,30 +370,6 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("TruncatedBytes = %d of %d", st.TruncatedBytes, len(mutated))
 		}
 	})
-}
-
-func TestRecoveryBenchSmoke(t *testing.T) {
-	sc := newWALScenario(Config{Shards: 8})
-	for i := uint64(0); i < 8; i++ {
-		sc.register(0, mkSeg(t, 0, 10, 20+i, 30))
-	}
-	sc.publish(0)
-	res := RecoveryBench(sc.wal, Config{Shards: 8}, 0)
-	if res.Iters != 5 {
-		t.Errorf("default iters = %d", res.Iters)
-	}
-	if res.Records != sc.wal.Records || res.WALBytes != sc.wal.Len() {
-		t.Errorf("bench saw records=%d bytes=%d, wal has %d/%d",
-			res.Records, res.WALBytes, sc.wal.Records, sc.wal.Len())
-	}
-	if res.Mean <= 0 || res.Best <= 0 || res.Best > res.Mean || res.MBps <= 0 {
-		t.Errorf("timings: best=%v mean=%v mbps=%v", res.Best, res.Mean, res.MBps)
-	}
-	var b strings.Builder
-	res.Print(&b)
-	if !strings.Contains(b.String(), "replay=") {
-		t.Errorf("print output = %q", b.String())
-	}
 }
 
 func abs(v int) int {

@@ -34,8 +34,7 @@ func benchPaths() []PathView {
 }
 
 // BenchmarkPolicyPick measures the per-decision scoring cost of every
-// policy on the hot path (recorded in BENCH_pr10.json, allocs gated at 0
-// via scripts/bench_compare.sh and TestPolicyPickAllocs).
+// policy on the hot path (allocations gated at 0 by TestPolicyPickAllocs).
 func BenchmarkPolicyPick(b *testing.B) {
 	paths := benchPaths()
 	for _, name := range Names() {
@@ -56,9 +55,7 @@ func BenchmarkPolicyPick(b *testing.B) {
 }
 
 // TestPolicyPickAllocs pins the steady-state Pick hot path of every
-// policy at zero allocations. bench_compare.sh cannot flag a 0 -> N
-// allocation regression (its relative-change math treats a zero baseline
-// as 0%), so the gate lives here as a hard test.
+// policy at zero allocations.
 func TestPolicyPickAllocs(t *testing.T) {
 	paths := benchPaths()
 	for _, name := range Names() {
@@ -74,7 +71,7 @@ func TestPolicyPickAllocs(t *testing.T) {
 	}
 }
 
-// TestBenchPathsStable pins the benchmark input so BENCH_pr10.json
+// TestBenchPathsStable pins the benchmark input so BenchmarkPolicyPick
 // comparisons measure the scorers, not drift in the workload.
 func TestBenchPathsStable(t *testing.T) {
 	got := fmt.Sprintf("%+v", benchPaths())

@@ -1,10 +1,11 @@
-// Package pathdb_test checks the path database of the SCION path-server
-// infrastructure (paper §2.2 registration and de-registration, §4.1
-// lookup, caching and revocation) through the one path server that
-// holds it: pathsrv.Service stores, orders, expires and revokes the
-// segments, and scion.Network's PathServer role views answer each AS's
-// up-, down- and core-segment lookups from it.
-package pathdb_test
+// Path-database tests of the SCION path-server infrastructure (paper
+// §2.2 registration and de-registration, §4.1 lookup, caching and
+// revocation) through the one path server that holds it: pathsrv.Service
+// stores, orders, expires and revokes the segments, and Network's
+// PathServer role views answer each AS's up-, down- and core-segment
+// lookups from it.
+
+package scion_test
 
 import (
 	"testing"

@@ -12,6 +12,7 @@
 floors='
 scionmpr/cmd/beaconsim 22
 scionmpr/cmd/chaossim 56
+scionmpr/cmd/pathprobe 70
 scionmpr/cmd/pathserve 59
 scionmpr/cmd/topogen 25
 scionmpr/cmd/trafficsim 46
