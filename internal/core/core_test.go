@@ -314,3 +314,72 @@ func TestSelectorNames(t *testing.T) {
 		t.Error(b.Name())
 	}
 }
+
+// permutations calls f with every ordering of xs (Heap's algorithm).
+func permutations(xs []int32, f func([]int32)) {
+	var gen func(k int)
+	gen = func(k int) {
+		if k <= 1 {
+			f(xs)
+			return
+		}
+		for i := 0; i < k; i++ {
+			gen(k - 1)
+			if k%2 == 0 {
+				xs[i], xs[k-1] = xs[k-1], xs[i]
+			} else {
+				xs[0], xs[k-1] = xs[k-1], xs[0]
+			}
+		}
+	}
+	gen(len(xs))
+}
+
+// TestDiversitySaturationExact: counters whose smoothed product is
+// exactly MaxGeoMean^n make a fully covered path, whose diversity score
+// is 0 however the log-sum was accumulated — summed fresh in any link
+// order, or built up one counter increment at a time as Select's commits
+// do. One below the product stays positive.
+func TestDiversitySaturationExact(t *testing.T) {
+	d := newDiv(5)
+	for _, counters := range [][]int32{
+		{3, 0, 0, 1, 3}, {1, 1}, {3, 0}, {7, 0, 0}, {3, 1, 0}, {1, 1, 1},
+		{15, 0, 0, 0}, {1, 1, 1, 1, 1, 1}, {3, 3, 1, 1, 0, 0}, {7, 1, 1, 0, 0},
+	} {
+		n := len(counters)
+		permutations(counters, func(order []int32) {
+			fresh := 0.0
+			for _, c := range order {
+				fresh += d.term(c)
+			}
+			if ds := d.dsOf(fresh, n, false); ds != 0 {
+				t.Errorf("%v summed fresh: ds = %g, want 0", order, ds)
+			}
+			// Raise the counters from zero one increment at a time, link
+			// by link in this order, adding the per-increment delta.
+			inc := 0.0
+			for _, c := range order {
+				for k := int32(0); k < c; k++ {
+					inc += d.term(k+1) - d.term(k)
+				}
+			}
+			if ds := d.dsOf(inc, n, false); ds != 0 {
+				t.Errorf("%v accumulated by increments: ds = %g, want 0", order, ds)
+			}
+		})
+		below := append([]int32(nil), counters...)
+		for i, c := range below {
+			if c > 0 { // (c+1) -> c keeps the product an integer below 2^n
+				below[i]--
+				break
+			}
+		}
+		sum := 0.0
+		for _, c := range below {
+			sum += d.term(c)
+		}
+		if ds := d.dsOf(sum, n, false); ds <= 0 {
+			t.Errorf("%v (product below MaxGeoMean^n): ds = %g, want > 0", below, ds)
+		}
+	}
+}

@@ -52,7 +52,10 @@ type Params struct {
 // MaxGeoMean = 2 is the load-bearing choice: with counter+1 smoothing, a
 // path whose links are ALL already covered by previously disseminated
 // paths has a geometric mean >= 2, saturating jointness, so its diversity
-// score is exactly 0 and the threshold blocks it. Dissemination toward a
+// score is exactly 0 and the threshold blocks it. Exactly 0 by
+// construction: dsOf decides saturation on the log scale (counter
+// product >= MaxGeoMean^n, within saturationTol), not by rounding the
+// mean back through exp. Dissemination toward a
 // neighbor therefore stops once every useful link has been covered, and
 // only near-expiry refreshes (Equation 3) keep flowing. That gives the
 // >2-orders-of-magnitude overhead reduction of §5.2 in one window only:
@@ -217,12 +220,22 @@ func (d *Diversity) term(c int32) float64 {
 // jointness and inverted, so disjoint paths (low counters) score high.
 // anyZero marks a raw-mode path containing a never-used link, which is
 // maximally diverse by the paper's literal definition.
+//
+// Saturation is decided on the log scale: a path whose counter product
+// reaches MaxGeoMean^n scores exactly 0. Comparing exp(logSum/n) with
+// MaxGeoMean instead leaves a covered path at 2^-53 or 0 depending on
+// the order in which logSum was accumulated. saturationTol absorbs that
+// rounding and is far below the gap between distinct integer counter
+// products (at least ln(2^n/(2^n-1)) ≈ 2^-n for the default MaxGeoMean 2).
 func (d *Diversity) dsOf(logSum float64, n int, anyZero bool) float64 {
 	if n == 0 {
 		return d.Params.MaxDiversity
 	}
 	if d.Params.RawGeoMean && anyZero {
 		return d.Params.MaxDiversity
+	}
+	if logSum >= float64(n)*math.Log(d.Params.MaxGeoMean)-saturationTol {
+		return 0
 	}
 	gm := math.Exp(logSum / float64(n))
 	jointness := gm / d.Params.MaxGeoMean
@@ -235,6 +248,9 @@ func (d *Diversity) dsOf(logSum float64, n int, anyZero bool) float64 {
 	}
 	return ds
 }
+
+// saturationTol is dsOf's rounding allowance on a path's log-sum.
+const saturationTol = 1e-9
 
 // diversityScore computes the link diversity score of an arbitrary path
 // against a Link History Table (test and commit helper; Select maintains

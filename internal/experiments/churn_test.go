@@ -8,7 +8,7 @@ import (
 )
 
 // churnGoldenSmoke is the SHA-256 of RunChurn(SmokeScale()).Print.
-const churnGoldenSmoke = "89609615f0b141a5e1bd3508e4e5accd68c7348e1c0b5fb8557e7620c168715b"
+const churnGoldenSmoke = "1f305d560c3aa2e8fd90724878b1d5a887ba4b0987597de56d314b23ff8df2a8"
 
 // TestChurnGolden pins the churn experiment's rendered output: the live
 // beaconing plane runs sharded, so its output must not depend on the

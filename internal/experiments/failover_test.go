@@ -34,7 +34,7 @@ func runFailoverAt(t *testing.T, workers int, seed int64) *FailoverResult {
 }
 
 // failoverGoldenSeed1 is the seed-1 smoke fingerprint of both variants.
-const failoverGoldenSeed1 = "48663901c51e6a6ca438cda1fa689ffaa5bd3bb52eb4c9b9b88c84c54f986674"
+const failoverGoldenSeed1 = "03fc94a550208631bb046dce3209a9f0e8486a2e4fa625c7b082bd868867edb2"
 
 // TestFailoverGolden is the crash-recovery determinism gate: the whole
 // resilience stack — crash storm, WAL replay, anti-entropy, client

@@ -36,7 +36,7 @@ func runServeAt(t *testing.T, workers int, seed int64) *ServeResult {
 
 // serveGoldenSeed1 is the seed-1 smoke fingerprint. Anything that moves
 // an event, a byte on the wire or a counter of the serve stack moves it.
-const serveGoldenSeed1 = "285cae48796bc014617f160e73f47d3dfb9b3ad6ecf8bbcd6296756df8927764"
+const serveGoldenSeed1 = "64569d3935c6f522c9600cc9aef95111a31d3b2d09de22753c7b553f85a81ee9"
 
 // TestServeGolden is the serving layer's end-to-end determinism gate:
 // the full stack — parallel client actors, beaconing, the registration
