@@ -43,10 +43,6 @@ var deadCodeKeep = map[string]string{
 	"scionmpr/internal/combinator.Shortcut":        "public one-pair shortcut construction (§2.2) that AllPaths runs in bulk; pinned to the reference in tests",
 	"scionmpr/internal/combinator.PeeringShortcut": "public one-pair peering-shortcut construction (§2.2) that AllPaths runs in bulk; pinned to the reference in tests",
 
-	"scionmpr/internal/core.Diversity.diversityScore": "from-scratch link diversity score that Select maintains incrementally; tests check Algorithm 1 through it",
-	"scionmpr/internal/core.Diversity.score":          "from-scratch Eq. 1-3 score of one candidate; tests check Algorithm 1 through it",
-	"scionmpr/internal/core.Diversity.commit":         "from-scratch history commit mirroring Select's incremental one; tests check Algorithm 1 through it",
-	"scionmpr/internal/core.Diversity.SentCount":      "test hook into the Sent PCBs list",
 	"scionmpr/internal/core.Diversity.HistoryCounter": "test hook into the Link History Table",
 
 	"scionmpr/internal/sim.Simulator.Stop": "run control of the event core; its sequential and parallel stop semantics are pinned by tests",

@@ -25,56 +25,41 @@ type Checkpointer interface {
 // statePrefix starts every error of a selector state decoder.
 const statePrefix = "core: selector state"
 
-// appendSentMap serializes a Sent PCBs List in canonical order: egress
+// appendSentList serializes a Sent PCBs List in canonical order: egress
 // interfaces ascending, then path keys in byte order. Expired records are
 // written verbatim — Revoke walks them for counter rollback, so pruning
-// here would change post-resume behavior.
-func appendSentMap(dst []byte, sent map[addr.IfID]map[string]sentRecord) []byte {
-	egs := make([]addr.IfID, 0, len(sent))
-	total := 0
-	for eg, byKey := range sent {
-		if len(byKey) == 0 {
-			continue
+// here would change post-resume behavior. It sorts recs in place.
+func appendSentList(dst []byte, recs []sentRecord) []byte {
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].egress != recs[j].egress {
+			return recs[i].egress < recs[j].egress
 		}
-		egs = append(egs, eg)
-		total += len(byKey)
-	}
-	sort.Slice(egs, func(i, j int) bool { return egs[i] < egs[j] })
-	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
-	var keys []string
-	for _, eg := range egs {
-		byKey := sent[eg]
-		keys = keys[:0]
-		for k := range byKey {
-			keys = append(keys, k)
+		return recs[i].key < recs[j].key
+	})
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(recs)))
+	for _, rec := range recs {
+		dst = binary.BigEndian.AppendUint16(dst, uint16(rec.egress))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.key)))
+		dst = append(dst, rec.key...)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(rec.diversity))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(rec.timestamp))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(rec.expiry))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.links)))
+		for _, id := range rec.links {
+			dst = binary.BigEndian.AppendUint32(dst, id)
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			rec := byKey[k]
-			dst = binary.BigEndian.AppendUint16(dst, uint16(eg))
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(k)))
-			dst = append(dst, k...)
-			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(rec.diversity))
-			dst = binary.BigEndian.AppendUint64(dst, uint64(rec.timestamp))
-			dst = binary.BigEndian.AppendUint64(dst, uint64(rec.expiry))
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.links)))
-			for _, id := range rec.links {
-				dst = binary.BigEndian.AppendUint32(dst, id)
-			}
-			dst = binary.BigEndian.AppendUint64(dst, rec.origin.Uint64())
-			dst = binary.BigEndian.AppendUint64(dst, rec.neighbor.Uint64())
-		}
+		dst = binary.BigEndian.AppendUint64(dst, rec.origin.Uint64())
+		dst = binary.BigEndian.AppendUint64(dst, rec.neighbor.Uint64())
 	}
 	return dst
 }
 
-func readSentMap(r *wire.Reader) map[addr.IfID]map[string]sentRecord {
-	sent := map[addr.IfID]map[string]sentRecord{}
-	n := r.Count(r.U32(), 50)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		eg := addr.IfID(r.U16())
-		key := r.Str()
-		var rec sentRecord
+func readSentList(r *wire.Reader) []sentRecord {
+	recs := make([]sentRecord, r.Count(r.U32(), 50))
+	for i := 0; i < len(recs) && r.Err() == nil; i++ {
+		rec := &recs[i]
+		rec.egress = addr.IfID(r.U16())
+		rec.key = r.Str()
 		rec.diversity = math.Float64frombits(r.U64())
 		rec.timestamp = sim.Time(r.U64())
 		rec.expiry = sim.Time(r.U64())
@@ -86,21 +71,15 @@ func readSentMap(r *wire.Reader) map[addr.IfID]map[string]sentRecord {
 		}
 		rec.origin = addr.IAFromUint64(r.U64())
 		rec.neighbor = addr.IAFromUint64(r.U64())
-		byKey := sent[eg]
-		if byKey == nil {
-			byKey = map[string]sentRecord{}
-			sent[eg] = byKey
-		}
-		byKey[key] = rec
 	}
-	return sent
+	return recs
 }
 
 // AppendState implements Checkpointer for the diversity algorithm. The
 // serialized state is the interned-id table, the Link History Tables, and
 // the Sent PCBs Lists — everything future Select/Revoke decisions read.
-// The per-PCB id cache and Select scratch are derived state and rebuilt
-// on demand after a restore.
+// The path memo and Select scratch are derived state, rebuilt on demand
+// after a restore.
 func (d *Diversity) AppendState(dst []byte) []byte {
 	// Interned ids are dense 1..n; writing the keys in id order lets
 	// RestoreState reassign identical ids, which the Link History Tables
@@ -151,7 +130,14 @@ func (d *Diversity) AppendState(dst []byte) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(e.count))
 	}
 
-	return appendSentMap(dst, d.sent)
+	recs := make([]sentRecord, 0, len(d.sent)+len(d.spill))
+	for _, rec := range d.sent {
+		recs = append(recs, rec)
+	}
+	for _, rec := range d.spill {
+		recs = append(recs, rec)
+	}
+	return appendSentList(dst, recs)
 }
 
 // RestoreState implements Checkpointer for the diversity algorithm.
@@ -182,33 +168,41 @@ func (d *Diversity) RestoreState(b []byte) error {
 		}
 		t[id] = count
 	}
-	sent := readSentMap(&r)
+	sent := readSentList(&r)
 	if len(ids) != nIDs {
 		r.Failf("repeats a link key") // AppendState indexes by id
 	}
 	if err := r.Done(); err != nil {
 		return err
 	}
-	d.ids = ids
-	d.hist = hist
-	d.sent = sent
-	d.baseIDs = map[*seg.PCB][]uint32{}
+	*d = *NewDiversity(d.Params)(d.local).(*Diversity)
+	d.ids, d.hist = ids, hist
+	for _, rec := range sent {
+		d.sentPut(sentKey(seg.HashHops(rec.key), rec.egress), rec)
+	}
 	return r.Canonical(d.AppendState(nil))
 }
 
 // AppendState implements Checkpointer for the latency-aware selector,
 // whose only mutable state is its Sent PCBs List.
 func (l *LatencyAware) AppendState(dst []byte) []byte {
-	return appendSentMap(dst, l.sent)
+	recs := make([]sentRecord, 0, len(l.sent))
+	for _, rec := range l.sent {
+		recs = append(recs, rec)
+	}
+	return appendSentList(dst, recs)
 }
 
 // RestoreState implements Checkpointer for the latency-aware selector.
 func (l *LatencyAware) RestoreState(b []byte) error {
 	r := wire.NewReader(statePrefix, b)
-	sent := readSentMap(&r)
+	recs := readSentList(&r)
 	if err := r.Done(); err != nil {
 		return err
 	}
-	l.sent = sent
+	l.sent = map[sentName]sentRecord{}
+	for _, rec := range recs {
+		l.sent[sentName{rec.key, rec.egress}] = rec
+	}
 	return r.Canonical(l.AppendState(nil))
 }

@@ -383,3 +383,43 @@ func TestDiversitySaturationExact(t *testing.T) {
 		}
 	}
 }
+
+// diversityScore computes the link diversity score of an arbitrary path
+// against a Link History Table from scratch (Select maintains the
+// log-sums incrementally).
+func (d *Diversity) diversityScore(links []seg.LinkKey, table map[uint32]int32) float64 {
+	logSum := 0.0
+	anyZero := false
+	for _, lk := range links {
+		c := table[d.intern(lk)]
+		if c == 0 {
+			anyZero = true
+		}
+		logSum += d.term(c)
+	}
+	return d.dsOf(logSum, len(links), anyZero)
+}
+
+// score computes Equation 1 for one candidate from scratch.
+func (d *Diversity) score(now sim.Time, p *seg.PCB, egress addr.IfID, ds float64) float64 {
+	c := candState{ds: ds}
+	c.sentDS, c.sentExp = d.sentLookup(now, sentKey(p.HopsHash(), egress), p.HopsKey(), egress)
+	return d.eq1(now, p, &c)
+}
+
+// commit records one disseminated PCB against the given table, scoring
+// the path from scratch: the record and counter increments of a Select
+// pick.
+func (d *Diversity) commit(now sim.Time, origin, neighbor addr.IA, p *seg.PCB, egress addr.IfID, table map[uint32]int32) {
+	ps := &pcbState{pcb: p, key: p.HopsKey(), base: d.linkIDs(p, nil)}
+	fs := &ifState{egress: egress, id: d.intern(seg.LinkKey{IA: d.local, If: egress})}
+	ds := d.diversityScore(p.LinksVia(d.local, egress), table)
+	if d.commitRecord(now, origin, neighbor, ps, fs, ds) {
+		for _, id := range append(ps.base, fs.id) {
+			table[id]++
+		}
+	}
+}
+
+// SentCount reports the number of Sent PCBs List entries.
+func (d *Diversity) SentCount() int { return len(d.sent) + len(d.spill) }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
@@ -91,6 +93,22 @@ type sentRecord struct {
 	// Table counters.
 	links            []uint32
 	origin, neighbor addr.IA
+	// key (the path's HopsKey, or HopsKeyVia for LatencyAware) and egress
+	// identify the record.
+	key    string
+	egress addr.IfID
+}
+
+// sentKey files a Diversity record under its path hash and egress; a
+// record whose sentKey another path's record holds is filed in spill.
+func sentKey(hash uint64, egress addr.IfID) uint64 {
+	return hash ^ uint64(egress)*0x9e3779b97f4a7c15
+}
+
+// sentName is a record's hop key and egress.
+type sentName struct {
+	key    string
+	egress addr.IfID
 }
 
 // Diversity is the Path-Diversity-Based Path Construction Algorithm
@@ -98,27 +116,37 @@ type sentRecord struct {
 // server: Link History Tables per [origin AS, neighbor AS] pair and Sent
 // PCBs Lists per egress interface.
 type Diversity struct {
-	Params Params
-	local  addr.IA
+	Params       Params
+	local        addr.IA
+	lnMaxGeoMean float64
 
 	// hist[origin][neighbor][linkID] counts how many disseminated valid
 	// paths from origin toward neighbor include the link.
 	hist map[addr.IA]map[addr.IA]map[uint32]int32
-	// sent[egress][hopsKey] records disseminated PCBs per interface (the
-	// egress is the outer key, so the path identity alone suffices).
-	sent map[addr.IfID]map[string]sentRecord
+	// sent is the Sent PCBs List, keyed by sentKey.
+	sent  map[uint64]sentRecord
+	spill map[sentName]sentRecord
 	// ids interns Link History Table keys into dense uint32 identifiers:
 	// hashing a word-sized id beats the 16-byte LinkKey struct in the
 	// Select hot loop, and the collapse under ASDisjoint happens once per
 	// link instead of once per scoring round.
 	ids map[seg.LinkKey]uint32
 
-	// baseIDs caches the interned link ids per stored PCB instance. PCB
-	// instances are immutable and long-lived (the simulator hands the same
-	// pointer from sender store to receiver store), so the cache turns the
-	// per-tick re-interning of every candidate into one map hit. Bounded:
-	// cleared wholesale past baseIDsCap and rebuilt on demand.
-	baseIDs map[*seg.PCB][]uint32
+	// The rest is derived state, never serialized and empty after a
+	// restore. paths[pathSlot[HopsHash]] memoises a stored path: keyed by
+	// path identity, as origins re-originate every interval. sweep frees
+	// the slots of paths no longer offered.
+	pathSlot       map[uint64]int32
+	paths          []pathMemo
+	freeSlots      []int32
+	swept, maxLife sim.Time
+	// quiet[nbIdx[neighbor]][slot] is quietUntil over the path's candidates
+	// toward the neighbor (0: score them), cleared when the neighbor's
+	// interfaces (nbIfs) change and, all of it, on Revoke.
+	nbIdx map[addr.IA]int
+	nbIfs [][]addr.IfID
+	quiet [][]sim.Time
+	terms []float64 // term(c) for c < len(terms), filled in order
 
 	// Select scratch, reused across calls. A selector instance belongs to
 	// exactly one AS actor, so Select never runs concurrently with itself;
@@ -135,21 +163,29 @@ type Diversity struct {
 	touchedIf  []bool
 }
 
-// baseIDsCap bounds the per-PCB interned-id cache; at ~5 ids per entry
-// this is a few MiB per AS before a wholesale clear.
-const baseIDsCap = 1 << 15
+// pathMemo is a path's slot: its interned link ids, the longest lifetime
+// of an instance offered (quiet times hold for no longer one) and the
+// last Select that offered it.
+type pathMemo struct {
+	key             string // HopsKey; "" marks a free slot
+	ids             []uint32
+	life, lastOffer sim.Time
+}
 
 // NewDiversity returns a diversity selector factory with the given
 // parameters.
 func NewDiversity(p Params) Factory {
 	return func(local addr.IA) Selector {
 		return &Diversity{
-			Params:  p,
-			local:   local,
-			hist:    map[addr.IA]map[addr.IA]map[uint32]int32{},
-			sent:    map[addr.IfID]map[string]sentRecord{},
-			ids:     map[seg.LinkKey]uint32{},
-			baseIDs: map[*seg.PCB][]uint32{},
+			Params:       p,
+			local:        local,
+			lnMaxGeoMean: math.Log(p.MaxGeoMean),
+			hist:         map[addr.IA]map[addr.IA]map[uint32]int32{},
+			sent:         map[uint64]sentRecord{},
+			spill:        map[sentName]sentRecord{},
+			ids:          map[seg.LinkKey]uint32{},
+			pathSlot:     map[uint64]int32{},
+			nbIdx:        map[addr.IA]int{},
 		}
 	}
 }
@@ -179,6 +215,14 @@ func (d *Diversity) intern(lk seg.LinkKey) uint32 {
 	return id
 }
 
+// linkIDs appends the interned ids of a PCB's links to ids.
+func (d *Diversity) linkIDs(p *seg.PCB, ids []uint32) []uint32 {
+	for _, lk := range p.Links() {
+		ids = append(ids, d.intern(lk))
+	}
+	return ids
+}
+
 func (d *Diversity) table(origin, neighbor addr.IA) map[uint32]int32 {
 	byN := d.hist[origin]
 	if byN == nil {
@@ -206,13 +250,20 @@ func (d *Diversity) table(origin, neighbor addr.IA) map[uint32]int32 {
 // available for the ablation benches via RawGeoMean (zero counters are
 // then handled by the anyZero short circuit in dsOf, not by term).
 func (d *Diversity) term(c int32) float64 {
-	if d.Params.RawGeoMean {
-		if c == 0 {
-			return 0
-		}
-		return math.Log(float64(c))
+	if uint32(c) < uint32(len(d.terms)) {
+		return d.terms[c]
 	}
-	return math.Log(float64(c + 1))
+	t := math.Log(float64(c + 1))
+	if d.Params.RawGeoMean {
+		t = 0
+		if c != 0 {
+			t = math.Log(float64(c))
+		}
+	}
+	if int(c) == len(d.terms) && c < 1<<10 {
+		d.terms = append(d.terms, t)
+	}
+	return t
 }
 
 // dsOf turns a path's accumulated log-sum over n links into the link
@@ -221,12 +272,10 @@ func (d *Diversity) term(c int32) float64 {
 // anyZero marks a raw-mode path containing a never-used link, which is
 // maximally diverse by the paper's literal definition.
 //
-// Saturation is decided on the log scale: a path whose counter product
-// reaches MaxGeoMean^n scores exactly 0. Comparing exp(logSum/n) with
-// MaxGeoMean instead leaves a covered path at 2^-53 or 0 depending on
-// the order in which logSum was accumulated. saturationTol absorbs that
-// rounding and is far below the gap between distinct integer counter
-// products (at least ln(2^n/(2^n-1)) ≈ 2^-n for the default MaxGeoMean 2).
+// Saturation is decided on the log scale: a counter product of at least
+// MaxGeoMean^n scores exactly 0, however logSum was accumulated (through
+// exp it could come out 2^-53). saturationTol absorbs the rounding; it is
+// far below the gap between integer counter products (about 2^-n).
 func (d *Diversity) dsOf(logSum float64, n int, anyZero bool) float64 {
 	if n == 0 {
 		return d.Params.MaxDiversity
@@ -234,7 +283,7 @@ func (d *Diversity) dsOf(logSum float64, n int, anyZero bool) float64 {
 	if d.Params.RawGeoMean && anyZero {
 		return d.Params.MaxDiversity
 	}
-	if logSum >= float64(n)*math.Log(d.Params.MaxGeoMean)-saturationTol {
+	if logSum >= float64(n)*d.lnMaxGeoMean-saturationTol {
 		return 0
 	}
 	gm := math.Exp(logSum / float64(n))
@@ -249,37 +298,15 @@ func (d *Diversity) dsOf(logSum float64, n int, anyZero bool) float64 {
 	return ds
 }
 
-// saturationTol is dsOf's rounding allowance on a path's log-sum.
 const saturationTol = 1e-9
 
-// diversityScore computes the link diversity score of an arbitrary path
-// against a Link History Table (test and commit helper; Select maintains
-// the log-sums incrementally instead).
-func (d *Diversity) diversityScore(links []seg.LinkKey, table map[uint32]int32) float64 {
-	logSum := 0.0
-	anyZero := false
-	for _, lk := range links {
-		c := table[d.intern(lk)]
-		if c == 0 {
-			anyZero = true
-		}
-		logSum += d.term(c)
-	}
-	return d.dsOf(logSum, len(links), anyZero)
-}
-
-// score computes Equation 1 for one candidate: ds^f for not-previously-
-// sent candidates (Equation 2), ds^g for previously-sent, still-valid
-// candidates (Equation 3, reusing the diversity score recorded at send
-// time).
-func (d *Diversity) score(now sim.Time, p *seg.PCB, egress addr.IfID, ds float64) float64 {
-	return d.scoreKeyed(now, p, p.HopsKey(), egress, ds)
-}
-
-// scoreKeyed is score with the candidate's sent-list key precomputed.
-func (d *Diversity) scoreKeyed(now sim.Time, p *seg.PCB, key string, egress addr.IfID, ds float64) float64 {
-	if rec, ok := d.sentLookup(now, key, egress); ok {
-		sentRemaining := float64(rec.expiry - now)
+// eq1 computes Equation 1 for one candidate of p: ds^f for not-
+// previously-sent candidates (Equation 2), ds^g for previously-sent,
+// still-valid candidates (Equation 3, reusing the diversity score
+// recorded at send time).
+func (d *Diversity) eq1(now sim.Time, p *seg.PCB, c *candState) float64 {
+	if c.sentExp != 0 {
+		sentRemaining := float64(c.sentExp - now)
 		if sentRemaining < 0 {
 			sentRemaining = 0
 		}
@@ -288,50 +315,138 @@ func (d *Diversity) scoreKeyed(now sim.Time, p *seg.PCB, key string, egress addr
 			return 0
 		}
 		g := math.Pow(d.Params.Beta*sentRemaining/curRemaining, d.Params.Gamma)
-		return math.Pow(rec.diversity, g)
+		return math.Pow(c.sentDS, g)
 	}
 	lifetime := float64(p.Lifetime())
 	if lifetime <= 0 {
 		return 0
 	}
 	f := d.Params.Alpha * float64(p.Age(now)) / lifetime
-	return math.Pow(ds, f)
+	return math.Pow(c.ds, f)
 }
 
-// sentLookup finds a valid Sent PCBs List record for the same path via
-// the same egress interface; expired records are pruned lazily.
-func (d *Diversity) sentLookup(now sim.Time, key string, egress addr.IfID) (sentRecord, bool) {
-	byKey := d.sent[egress]
-	if byKey == nil {
+// sentGet finds a path's record on an egress interface (k = sentKey).
+func (d *Diversity) sentGet(k uint64, key string, egress addr.IfID) (sentRecord, bool) {
+	if rec, ok := d.sent[k]; ok && rec.key == key {
+		return rec, true
+	}
+	if len(d.spill) == 0 {
 		return sentRecord{}, false
 	}
-	rec, ok := byKey[key]
+	rec, ok := d.spill[sentName{key, egress}]
+	return rec, ok
+}
+
+// sentPut files a record, in spill if another path holds its sentKey.
+func (d *Diversity) sentPut(k uint64, rec sentRecord) {
+	if old, ok := d.sent[k]; ok && old.key != rec.key {
+		d.spill[sentName{rec.key, rec.egress}] = rec
+		return
+	}
+	d.sent[k] = rec
+	delete(d.spill, sentName{rec.key, rec.egress})
+}
+
+// sentLookup returns the diversity score and expiry of a valid Sent PCBs
+// List record for the same path via the same egress interface (expiry 0:
+// none); expired records are pruned lazily.
+func (d *Diversity) sentLookup(now sim.Time, k uint64, key string, egress addr.IfID) (float64, sim.Time) {
+	rec, ok := d.sentGet(k, key, egress)
+	if ok && now >= rec.expiry {
+		if d.sent[k].key == key {
+			delete(d.sent, k)
+		} else {
+			delete(d.spill, sentName{key, egress})
+		}
+		return 0, 0
+	}
+	return rec.diversity, rec.expiry
+}
+
+// pathOf returns p's slot in d.paths. Paths whose hashes collide take the
+// slot in turn, each time refilled and woken, so neither is ever quiet.
+// An instance living longer than any before it wakes the path too.
+func (d *Diversity) pathOf(now sim.Time, p *seg.PCB) int32 {
+	s, ok := d.pathSlot[p.HopsHash()]
 	if !ok {
-		return sentRecord{}, false
+		if n := len(d.freeSlots); n > 0 {
+			s, d.freeSlots = d.freeSlots[n-1], d.freeSlots[:n-1]
+		} else {
+			s = int32(len(d.paths))
+			d.paths = append(d.paths, pathMemo{})
+		}
+		d.pathSlot[p.HopsHash()] = s
 	}
-	if now >= rec.expiry {
-		delete(byKey, key)
-		return sentRecord{}, false
+	pm := &d.paths[s]
+	if pm.key != p.HopsKey() {
+		ids := pm.ids[:0] // a free slot's
+		if pm.key != "" {
+			ids = nil // the other path may be in this very call
+		}
+		*pm = pathMemo{key: p.HopsKey(), ids: d.linkIDs(p, ids)}
 	}
-	return rec, true
+	pm.lastOffer = now
+	if l := p.Lifetime(); l > pm.life {
+		pm.life, d.maxLife = l, max(d.maxLife, l)
+		d.wake(s)
+	}
+	return s
 }
 
-// pcbIDs returns the interned ids of a stored PCB's links, cached per
-// instance (see baseIDs).
-func (d *Diversity) pcbIDs(p *seg.PCB) []uint32 {
-	if ids, ok := d.baseIDs[p]; ok {
-		return ids
+// wake has every neighbor score the path's candidates again.
+func (d *Diversity) wake(s int32) {
+	for _, q := range d.quiet {
+		if int(s) < len(q) {
+			q[s] = 0
+		}
 	}
-	links := p.Links()
-	ids := make([]uint32, len(links))
-	for i, lk := range links {
-		ids[i] = d.intern(lk)
+}
+
+// sweep frees, at most once per lifetime, the slots of paths not offered
+// since the previous sweep: they have left the store.
+func (d *Diversity) sweep(now sim.Time) {
+	if now-d.swept < d.maxLife {
+		return
 	}
-	if len(d.baseIDs) >= baseIDsCap {
-		clear(d.baseIDs)
+	for s := range d.paths {
+		if pm := &d.paths[s]; pm.key != "" && pm.lastOffer < d.swept {
+			delete(d.pathSlot, seg.HashHops(pm.key))
+			pm.key = ""
+			d.freeSlots = append(d.freeSlots, int32(s))
+		}
 	}
-	d.baseIDs[p] = ids
-	return ids
+	d.swept = now
+}
+
+// quietUntil is the instant before which a candidate scored but not
+// taken cannot pass ScoreThreshold (T), given an instance initiated
+// earlier and living at most life; now if it might pass sooner.
+//
+// Unsent with ds = 0, it scores 0^f = 0 whenever f > 0, for good:
+// counters only rise until a Revoke, which clears every quiet time. Sent,
+// it scores ds^g with g = (Beta*s/c)^Gamma (Equation 3), at most T while
+// s >= K*c, K = (ln T/ln ds)^(1/Gamma)/Beta. Since c < life, that holds
+// until expiry - K*life; the 0.1 % margin covers rounding. Taken, its
+// record has just changed.
+func (d *Diversity) quietUntil(now sim.Time, c *candState, life sim.Time) sim.Time {
+	p := d.Params
+	switch {
+	case c.taken || p.ScoreThreshold < 0:
+		return now
+	case c.sentExp == 0:
+		if c.ds == 0 && p.Alpha > 0 {
+			return math.MaxInt64
+		}
+		return now
+	case !(p.Beta > 0 && p.Gamma > 0 && p.ScoreThreshold > 0 && p.ScoreThreshold <= 0.99 && c.sentDS < 1):
+		return now
+	}
+	g := max(math.Log(p.ScoreThreshold)/math.Log(c.sentDS), 1e-300) // sentDS = 0: any g > 0
+	wait := math.Pow(g, 1/p.Gamma)/p.Beta*float64(life)*1.001 + 1
+	if !(wait < float64(c.sentExp-now)) {
+		return now
+	}
+	return c.sentExp - sim.Time(wait)
 }
 
 // addByLink records that selPCBs[pi] contains the link id, growing the
@@ -380,7 +495,8 @@ func (d *Diversity) resetSelect() {
 // touched counters instead of re-walking the link slice.
 type pcbState struct {
 	pcb     *seg.PCB
-	key     string // HopsKey, the sent-list key (cached on the PCB)
+	slot    int32  // in d.paths
+	key     string // HopsKey
 	base    []uint32
 	baseSum float64
 	zeros   int32
@@ -395,11 +511,28 @@ type ifState struct {
 }
 
 // candState is one (stored PCB, egress interface) combination; candidate
-// i*len(ifaces)+j pairs PCB i with interface j.
+// i*len(ifaces)+j pairs PCB i with interface j. sentDS and sentExp copy
+// its live Sent PCBs List record (sentExp 0: none).
 type candState struct {
-	ds    float64
-	score float64
-	taken bool
+	ds, score, sentDS float64
+	sentExp           sim.Time
+	taken             bool
+}
+
+// column returns the neighbor's index in d.quiet, clearing its quiet
+// times if its interface list changed.
+func (d *Diversity) column(neighbor addr.IA, ifaces []addr.IfID) int {
+	nb, ok := d.nbIdx[neighbor]
+	if !ok {
+		nb = len(d.quiet)
+		d.nbIdx[neighbor] = nb
+		d.nbIfs, d.quiet = append(d.nbIfs, nil), append(d.quiet, nil)
+	}
+	if !slices.Equal(d.nbIfs[nb], ifaces) {
+		d.nbIfs[nb] = append(d.nbIfs[nb][:0], ifaces...)
+		clear(d.quiet[nb])
+	}
+	return nb
 }
 
 // Select implements Selector with Algorithm 1: iteratively pick the
@@ -413,11 +546,17 @@ type candState struct {
 // interfaces sharing a link with the committed path (the only candidates
 // whose diversity score can change), then rescores just those. This keeps
 // the loop allocation-light and fast on large stores.
+//
+// A stored PCB whose candidates are all quiet (see quietUntil) is skipped
+// before any link or counter lookup: commits only raise counters and
+// leave other paths' records alone, so none of them can be picked.
 func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr.IfID, stored []*seg.PCB) []Selection {
 	if d.Params.Limit <= 0 || len(ifaces) == 0 {
 		return nil
 	}
 	table := d.table(origin, neighbor)
+	nb := d.column(neighbor, ifaces)
+	d.sweep(now)
 	defer d.resetSelect()
 
 	pcbs := d.selPCBs[:0]
@@ -425,7 +564,11 @@ func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr
 		if p.Expired(now) {
 			continue
 		}
-		base := d.pcbIDs(p)
+		slot := d.pathOf(now, p)
+		if q := d.quiet[nb]; int(slot) < len(q) && q[slot] > now && p.Info.Timestamp < now {
+			continue
+		}
+		base := d.paths[slot].ids
 		var sum float64
 		var zeros int32
 		pi := int32(len(pcbs))
@@ -437,7 +580,7 @@ func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr
 			}
 			d.addByLink(id, pi)
 		}
-		pcbs = append(pcbs, pcbState{pcb: p, key: p.HopsKey(), base: base, baseSum: sum, zeros: zeros})
+		pcbs = append(pcbs, pcbState{pcb: p, slot: slot, key: p.HopsKey(), base: base, baseSum: sum, zeros: zeros})
 	}
 	d.selPCBs = pcbs
 	if len(pcbs) == 0 {
@@ -463,9 +606,9 @@ func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr
 	rescore := func(pi, fi int) {
 		ps, fs := &pcbs[pi], &ifs[fi]
 		c := &cands[pi*nIf+fi]
-		ds := d.dsOf(ps.baseSum+fs.log, len(ps.base)+1, ps.zeros > 0 || fs.zero)
-		c.ds = ds
-		c.score = d.scoreKeyed(now, ps.pcb, ps.key, fs.egress, ds)
+		c.ds = d.dsOf(ps.baseSum+fs.log, len(ps.base)+1, ps.zeros > 0 || fs.zero)
+		c.sentDS, c.sentExp = d.sentLookup(now, sentKey(ps.pcb.HopsHash(), fs.egress), ps.key, fs.egress)
+		c.score = d.eq1(now, ps.pcb, c)
 	}
 	for pi := range pcbs {
 		for fi := range ifs {
@@ -498,6 +641,7 @@ func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr
 		c.taken = true
 		ps, fs := &pcbs[bp], &ifs[bf]
 		out = append(out, Selection{PCB: ps.pcb, Egress: fs.egress})
+		d.wake(ps.slot) // its record changes
 
 		for i := range touchedPCB {
 			touchedPCB[i] = false
@@ -517,7 +661,7 @@ func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr
 				}
 			}
 		}
-		if d.commitRecord(now, origin, neighbor, ps.pcb, fs.egress, ps.key, c.ds, ps.base, fs.id) {
+		if d.commitRecord(now, origin, neighbor, ps, fs, c.ds) {
 			// Newly sent: increment every counter on the committed path
 			// and propagate the per-counter delta to the PCBs and
 			// interfaces whose log-sums include it.
@@ -579,115 +723,85 @@ func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr
 			}
 		}
 	}
+	d.remember(now, nb, pcbs, cands)
 	return out
+}
+
+// remember stores, for every path scored in this call, the earliest
+// quiet time of its candidates toward the neighbor.
+func (d *Diversity) remember(now sim.Time, nb int, pcbs []pcbState, cands []candState) {
+	q := d.quiet[nb]
+	if n := len(d.paths); len(q) < n {
+		q = append(q, make([]sim.Time, n-len(q))...)
+		d.quiet[nb] = q
+	}
+	for _, ps := range pcbs {
+		q[ps.slot] = math.MaxInt64
+	}
+	nIf := len(cands) / len(pcbs)
+	for i := range cands {
+		s := pcbs[i/nIf].slot
+		q[s] = min(q[s], d.quietUntil(now, &cands[i], d.paths[s].life))
+	}
 }
 
 // commitRecord updates the Sent PCBs List for one dissemination and
 // reports whether the path was newly sent — in which case the caller must
-// increment the Link History Table counters of base plus egID. For a
-// re-sent path only the record's timers are updated (paper §4.2: the
-// counters count valid paths, not transmissions, and "if a path is sent
-// again, its corresponding timers in Sent PCBs List get updated"). ds is
-// the path's diversity score at send time, i.e. before this
-// dissemination's own counter increments.
-func (d *Diversity) commitRecord(now sim.Time, origin, neighbor addr.IA, p *seg.PCB, egress addr.IfID, key string, ds float64, base []uint32, egID uint32) bool {
-	byKey := d.sent[egress]
-	if byKey == nil {
-		byKey = map[string]sentRecord{}
-		d.sent[egress] = byKey
-	}
-	if rec, ok := byKey[key]; ok && now < rec.expiry {
+// increment the Link History Table counters of the path's links plus the
+// egress link. For a re-sent path only the record's timers are updated
+// (paper §4.2: the counters count valid paths, not transmissions, and "if
+// a path is sent again, its corresponding timers in Sent PCBs List get
+// updated"). ds is the path's diversity score at send time, i.e. before
+// this dissemination's own counter increments.
+func (d *Diversity) commitRecord(now sim.Time, origin, neighbor addr.IA, ps *pcbState, fs *ifState, ds float64) bool {
+	p := ps.pcb
+	k := sentKey(p.HopsHash(), fs.egress)
+	if rec, ok := d.sentGet(k, ps.key, fs.egress); ok && now < rec.expiry {
 		rec.timestamp = p.Info.Timestamp
 		rec.expiry = p.Info.Expiry
-		byKey[key] = rec
+		d.sentPut(k, rec)
 		return false
 	}
-	links := make([]uint32, len(base)+1)
-	copy(links, base)
-	links[len(base)] = egID
-	byKey[key] = sentRecord{
+	d.sentPut(k, sentRecord{
 		diversity: ds,
 		timestamp: p.Info.Timestamp,
 		expiry:    p.Info.Expiry,
-		links:     links,
+		links:     append(slices.Clip(ps.base), fs.id),
 		origin:    origin,
 		neighbor:  neighbor,
-	}
+		key:       ps.key,
+		egress:    fs.egress,
+	})
 	return true
-}
-
-// commit records one disseminated PCB against the given table, scoring
-// the path from scratch (test helper mirroring the incremental Select
-// path: same record, same counter increments).
-func (d *Diversity) commit(now sim.Time, origin, neighbor addr.IA, p *seg.PCB, egress addr.IfID, table map[uint32]int32) {
-	links := p.Links()
-	base := make([]uint32, len(links))
-	for i, lk := range links {
-		base[i] = d.intern(lk)
-	}
-	egID := d.intern(seg.LinkKey{IA: d.local, If: egress})
-	logSum := 0.0
-	anyZero := false
-	count := func(id uint32) {
-		c := table[id]
-		if c == 0 {
-			anyZero = true
-		}
-		logSum += d.term(c)
-	}
-	for _, id := range base {
-		count(id)
-	}
-	count(egID)
-	ds := d.dsOf(logSum, len(base)+1, anyZero)
-	if d.commitRecord(now, origin, neighbor, p, egress, p.HopsKey(), ds, base, egID) {
-		for _, id := range base {
-			table[id]++
-		}
-		table[egID]++
-	}
 }
 
 // Revoke implements Revoker: drop every Sent-PCB record whose path used
 // the failed link and roll back its Link History Table counters, so the
 // surviving links regain diversity headroom and replacement paths are
 // re-scored and re-sent at the next interval rather than suppressed.
+// Counters fall, so every quiet time is cleared.
 func (d *Diversity) Revoke(link seg.LinkKey) {
 	id, ok := d.ids[d.tableKey(link)]
 	if !ok {
 		return // never disseminated over it
 	}
-	for _, byKey := range d.sent {
-		for k, rec := range byKey {
-			hit := false
-			for _, lid := range rec.links {
-				if lid == id {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			delete(byKey, k)
-			table := d.table(rec.origin, rec.neighbor)
-			for _, lid := range rec.links {
-				if c := table[lid]; c > 0 {
-					table[lid] = c - 1
-				}
+	for _, q := range d.quiet {
+		clear(q)
+	}
+	drop := func(rec sentRecord) bool {
+		if !slices.Contains(rec.links, id) {
+			return false
+		}
+		table := d.table(rec.origin, rec.neighbor)
+		for _, lid := range rec.links {
+			if c := table[lid]; c > 0 {
+				table[lid] = c - 1
 			}
 		}
+		return true
 	}
-}
-
-// SentCount reports the number of live Sent PCBs List entries (test and
-// diagnostics hook).
-func (d *Diversity) SentCount() int {
-	n := 0
-	for _, m := range d.sent {
-		n += len(m)
-	}
-	return n
+	maps.DeleteFunc(d.sent, func(_ uint64, rec sentRecord) bool { return drop(rec) })
+	maps.DeleteFunc(d.spill, func(_ sentName, rec sentRecord) bool { return drop(rec) })
 }
 
 // HistoryCounter exposes a Link History Table counter (test hook).

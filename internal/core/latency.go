@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 	"time"
 
@@ -34,7 +35,7 @@ type LatencyAware struct {
 	RefreshFraction float64
 
 	local addr.IA
-	sent  map[addr.IfID]map[string]sentRecord
+	sent  map[sentName]sentRecord // keyed by HopsKeyVia and egress
 }
 
 // NewLatencyAware builds a latency-optimizing selector factory.
@@ -45,7 +46,7 @@ func NewLatencyAware(limit int, latency LatencyFunc) Factory {
 			Latency:         latency,
 			RefreshFraction: 0.15,
 			local:           local,
-			sent:            map[addr.IfID]map[string]sentRecord{},
+			sent:            map[sentName]sentRecord{},
 		}
 	}
 }
@@ -102,14 +103,11 @@ func (l *LatencyAware) Select(now sim.Time, origin, neighbor addr.IA, ifaces []a
 	out := make([]Selection, 0, len(cands))
 	for _, c := range cands {
 		out = append(out, c.sel)
-		byKey := l.sent[c.sel.Egress]
-		if byKey == nil {
-			byKey = map[string]sentRecord{}
-			l.sent[c.sel.Egress] = byKey
-		}
-		byKey[c.key] = sentRecord{
+		l.sent[sentName{c.key, c.sel.Egress}] = sentRecord{
 			timestamp: c.sel.PCB.Info.Timestamp,
 			expiry:    c.sel.PCB.Info.Expiry,
+			key:       c.key,
+			egress:    c.sel.Egress,
 		}
 	}
 	return out
@@ -119,13 +117,9 @@ func (l *LatencyAware) Select(now sim.Time, origin, neighbor addr.IA, ifaces []a
 // instance expired, or the sent instance is within RefreshFraction of
 // its lifetime end while a fresher instance is available.
 func (l *LatencyAware) due(now sim.Time, egress addr.IfID, key string, p *seg.PCB) bool {
-	byKey := l.sent[egress]
-	if byKey == nil {
-		return true
-	}
-	rec, ok := byKey[key]
+	rec, ok := l.sent[sentName{key, egress}]
 	if !ok || now >= rec.expiry {
-		delete(byKey, key)
+		delete(l.sent, sentName{key, egress})
 		return true
 	}
 	remaining := float64(rec.expiry - now)
@@ -141,7 +135,7 @@ func (l *LatencyAware) due(now sim.Time, egress addr.IfID, key string, p *seg.PC
 // failed link (if any), so replacements flow after a local link failure.
 func (l *LatencyAware) Revoke(link seg.LinkKey) {
 	if link.IA == l.local {
-		delete(l.sent, link.If)
+		maps.DeleteFunc(l.sent, func(k sentName, _ sentRecord) bool { return k.egress == link.If })
 	}
 }
 

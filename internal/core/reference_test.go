@@ -5,8 +5,8 @@ package core
 // with its helper types and checkpoint methods) as the oracle the fast
 // selector is compared with: same selections, same Link History Tables,
 // same Sent PCBs Lists and the same checkpoint bytes. It shares
-// sentRecord, appendSentMap and readSentMap with the product code, whose
-// checkpoint encoding it defines.
+// sentRecord with the product code, and keeps the Sent PCBs List encoder
+// and decoder of that time (refAppendSentMap, refReadSentMap).
 
 import (
 	"encoding/binary"
@@ -687,7 +687,7 @@ func (d *refDiversity) AppendState(dst []byte) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(e.count))
 	}
 
-	return appendSentMap(dst, d.sent)
+	return refAppendSentMap(dst, d.sent)
 }
 
 // RestoreState implements Checkpointer for the diversity algorithm.
@@ -718,7 +718,7 @@ func (d *refDiversity) RestoreState(b []byte) error {
 		}
 		t[id] = count
 	}
-	sent := readSentMap(&r)
+	sent := refReadSentMap(&r)
 	if len(ids) != nIDs {
 		r.Failf("repeats a link key") // AppendState indexes by id
 	}
@@ -730,6 +730,77 @@ func (d *refDiversity) RestoreState(b []byte) error {
 	d.sent = sent
 	d.baseIDs = map[*seg.PCB][]uint32{}
 	return r.Canonical(d.AppendState(nil))
+}
+
+// refAppendSentMap serializes a Sent PCBs List in canonical order: egress
+// interfaces ascending, then path keys in byte order. Expired records are
+// written verbatim — Revoke walks them for counter rollback, so pruning
+// here would change post-resume behavior.
+func refAppendSentMap(dst []byte, sent map[addr.IfID]map[string]sentRecord) []byte {
+	egs := make([]addr.IfID, 0, len(sent))
+	total := 0
+	for eg, byKey := range sent {
+		if len(byKey) == 0 {
+			continue
+		}
+		egs = append(egs, eg)
+		total += len(byKey)
+	}
+	sort.Slice(egs, func(i, j int) bool { return egs[i] < egs[j] })
+	dst = binary.BigEndian.AppendUint32(dst, uint32(total))
+	var keys []string
+	for _, eg := range egs {
+		byKey := sent[eg]
+		keys = keys[:0]
+		for k := range byKey {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			rec := byKey[k]
+			dst = binary.BigEndian.AppendUint16(dst, uint16(eg))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(k)))
+			dst = append(dst, k...)
+			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(rec.diversity))
+			dst = binary.BigEndian.AppendUint64(dst, uint64(rec.timestamp))
+			dst = binary.BigEndian.AppendUint64(dst, uint64(rec.expiry))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.links)))
+			for _, id := range rec.links {
+				dst = binary.BigEndian.AppendUint32(dst, id)
+			}
+			dst = binary.BigEndian.AppendUint64(dst, rec.origin.Uint64())
+			dst = binary.BigEndian.AppendUint64(dst, rec.neighbor.Uint64())
+		}
+	}
+	return dst
+}
+
+func refReadSentMap(r *wire.Reader) map[addr.IfID]map[string]sentRecord {
+	sent := map[addr.IfID]map[string]sentRecord{}
+	n := r.Count(r.U32(), 50)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		eg := addr.IfID(r.U16())
+		key := r.Str()
+		var rec sentRecord
+		rec.diversity = math.Float64frombits(r.U64())
+		rec.timestamp = sim.Time(r.U64())
+		rec.expiry = sim.Time(r.U64())
+		if nl := r.Count(r.U32(), 4); nl > 0 {
+			rec.links = make([]uint32, nl)
+			for j := range rec.links {
+				rec.links[j] = r.U32()
+			}
+		}
+		rec.origin = addr.IAFromUint64(r.U64())
+		rec.neighbor = addr.IAFromUint64(r.U64())
+		byKey := sent[eg]
+		if byKey == nil {
+			byKey = map[string]sentRecord{}
+			sent[eg] = byKey
+		}
+		byKey[key] = rec
+	}
+	return sent
 }
 
 // lineDiversity is Algorithm 1 with Equations 1–3 written a second time

@@ -51,7 +51,8 @@ func internedExtend(it *Interner) func(p *PCB, signer trust.Signer, h hop) (*PCB
 	}
 }
 
-// assertSameBeacon compares wire bytes and both identity caches.
+// assertSameBeacon compares wire bytes and the identity caches, the
+// incrementally extended path hash against one of the whole key.
 func assertSameBeacon(t *testing.T, what string, got, want *PCB) {
 	t.Helper()
 	if !bytes.Equal(got.Encode(), want.Encode()) {
@@ -59,6 +60,9 @@ func assertSameBeacon(t *testing.T, what string, got, want *PCB) {
 	}
 	if got.HopsKey() != want.HopsKey() {
 		t.Errorf("%s: HopsKey %q, Extend gives %q", what, got.HopsKey(), want.HopsKey())
+	}
+	if h := HashHops(got.HopsKey()); got.HopsHash() != h || want.HopsHash() != h {
+		t.Errorf("%s: HopsHash %x, Extend gives %x, the key hashes to %x", what, got.HopsHash(), want.HopsHash(), h)
 	}
 	if !reflect.DeepEqual(got.Links(), want.Links()) {
 		t.Errorf("%s: Links %v, Extend gives %v", what, got.Links(), want.Links())

@@ -89,8 +89,9 @@ type PCB struct {
 	Info      InfoField
 	ASEntries []ASEntry
 
-	hopsKey string
-	links   []LinkKey
+	hopsKey  string
+	hopsHash uint64 // 0 until computed
+	links    []LinkKey
 	// sigBuf is a recycled signature buffer carried by pooled carcasses
 	// between Recycle and the next Extend (see Recycle).
 	sigBuf []byte
@@ -355,10 +356,11 @@ func (p *PCB) extendInto(it *Interner, signer trust.Signer, next addr.IA, ingres
 	// stores key every insertion by HopsKey, and recomputing it from
 	// scratch for each extended copy dominated beaconing profiles.
 	if it != nil {
-		out.hopsKey, out.links = it.extend(p, &e)
+		out.hopsKey, out.hopsHash, out.links = it.extend(p, &e)
 		return out, nil
 	}
 	out.hopsKey = extendHopsKey(p.HopsKey(), &e)
+	out.hopsHash = hashMore(p.HopsHash(), out.hopsKey[len(p.HopsKey()):])
 	out.links = extendLinks(p, &e)
 	return out, nil
 }
@@ -477,23 +479,25 @@ type internKey struct {
 }
 
 type internVal struct {
-	hopsKey string
-	links   []LinkKey
+	hopsKey  string
+	hopsHash uint64
+	links    []LinkKey
 }
 
 // extend returns the interned identity caches for extending p by e,
 // computing and retaining them on first use.
-func (it *Interner) extend(p *PCB, e *ASEntry) (string, []LinkKey) {
+func (it *Interner) extend(p *PCB, e *ASEntry) (string, uint64, []LinkKey) {
 	k := internKey{parent: p.HopsKey(), local: e.Local, ingress: e.Hop.ConsIngress, egress: e.Hop.ConsEgress}
 	if v, ok := it.m[k]; ok {
-		return v.hopsKey, v.links
+		return v.hopsKey, v.hopsHash, v.links
 	}
 	v := internVal{hopsKey: extendHopsKey(k.parent, e), links: extendLinks(p, e)}
+	v.hopsHash = hashMore(p.HopsHash(), v.hopsKey[len(k.parent):])
 	if it.m == nil || len(it.m) >= internerCap {
 		it.m = make(map[internKey]internVal, 256)
 	}
 	it.m[k] = v
-	return v.hopsKey, v.links
+	return v.hopsKey, v.hopsHash, v.links
 }
 
 // extendHopsKey appends one hop to a parent's canonical hop key,
@@ -641,6 +645,26 @@ func (p *PCB) HopsKey() string {
 		p.hopsKey = sb.String()
 	}
 	return p.hopsKey
+}
+
+// HopsHash is HashHops(HopsKey()), extended incrementally as the beacon
+// is. A table keyed by it must confirm a hit against HopsKey.
+func (p *PCB) HopsHash() uint64 {
+	if p.hopsHash == 0 {
+		p.hopsHash = HashHops(p.HopsKey())
+	}
+	return p.hopsHash
+}
+
+// HashHops is the 64-bit FNV-1a hash of a hop key.
+func HashHops(key string) uint64 { return hashMore(14695981039346656037, key) }
+
+func hashMore(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
 }
 
 // HopsKeyVia is HopsKey extended by a prospective egress interface.
