@@ -48,8 +48,8 @@ func appendSentList(dst []byte, recs []sentRecord) []byte {
 		for _, id := range rec.links {
 			dst = binary.BigEndian.AppendUint32(dst, id)
 		}
-		dst = binary.BigEndian.AppendUint64(dst, rec.origin.Uint64())
-		dst = binary.BigEndian.AppendUint64(dst, rec.neighbor.Uint64())
+		dst = binary.BigEndian.AppendUint64(dst, rec.origin)
+		dst = binary.BigEndian.AppendUint64(dst, rec.neighbor)
 	}
 	return dst
 }
@@ -69,8 +69,8 @@ func readSentList(r *wire.Reader) []sentRecord {
 				rec.links[j] = r.U32()
 			}
 		}
-		rec.origin = addr.IAFromUint64(r.U64())
-		rec.neighbor = addr.IAFromUint64(r.U64())
+		rec.origin = r.U64()
+		rec.neighbor = r.U64()
 	}
 	return recs
 }

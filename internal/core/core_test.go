@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -423,3 +424,137 @@ func (d *Diversity) commit(now sim.Time, origin, neighbor addr.IA, p *seg.PCB, e
 
 // SentCount reports the number of Sent PCBs List entries.
 func (d *Diversity) SentCount() int { return len(d.sent) + len(d.spill) }
+
+// TestSentListHashCollision files two paths' records under one sentKey,
+// as a 64-bit hash collision would: each stays found under its own hop
+// key, expires and is revoked on its own, and both survive a checkpoint
+// round trip.
+func TestSentListHashCollision(t *testing.T) {
+	d := newDiv(5)
+	p1 := mkPCB(t, origin, 0, [3]uint64{100, 0, 1}, [3]uint64{2, 1, 2})
+	p2 := mkPCB(t, origin, 0, [3]uint64{100, 0, 3}, [3]uint64{4, 1, 2})
+	k := sentKey(p1.HopsHash(), 9)
+	rec := func(p *seg.PCB, expiry sim.Time, link uint32) sentRecord {
+		return sentRecord{diversity: 0.5, expiry: expiry, links: []uint32{link}, origin: origin.Uint64(), neighbor: neighbor.Uint64(), key: p.HopsKey(), egress: 9}
+	}
+	d.intern(seg.LinkKey{IA: addr.MustIA(1, 2), If: 2}) // id 1
+	d.intern(seg.LinkKey{IA: addr.MustIA(1, 4), If: 2}) // id 2
+	d.sentPut(k, rec(p1, hour, 1))
+	d.sentPut(k, rec(p2, 2*hour, 2))
+	if d.SentCount() != 2 || len(d.spill) != 1 {
+		t.Fatalf("%d records, %d spilled; want 2 and 1", d.SentCount(), len(d.spill))
+	}
+	for _, c := range []struct {
+		p    *seg.PCB
+		want sim.Time
+	}{{p1, hour}, {p2, 2 * hour}} {
+		if _, exp := d.sentLookup(0, k, c.p.HopsKey(), 9); exp != c.want {
+			t.Errorf("%s: expiry %v, want %v", c.p.HopsKey(), exp, c.want)
+		}
+	}
+	blob := d.AppendState(nil)
+	back := newDiv(5)
+	if err := back.RestoreState(blob); err != nil || back.SentCount() != 2 {
+		t.Fatalf("round trip: %v, %d records", err, back.SentCount())
+	}
+	if _, exp := d.sentLookup(90*minute, k, p1.HopsKey(), 9); exp != 0 || d.SentCount() != 1 {
+		t.Errorf("expired record: expiry %v, %d records left", exp, d.SentCount())
+	}
+	if _, exp := d.sentLookup(90*minute, k, p2.HopsKey(), 9); exp != 2*hour {
+		t.Errorf("the other record was lost with the expired one")
+	}
+	back.Revoke(seg.LinkKey{IA: addr.MustIA(1, 4), If: 2})
+	if _, ok := back.sentGet(k, p2.HopsKey(), 9); ok || back.SentCount() != 1 {
+		t.Errorf("revoked spilled record still filed (%d records)", back.SentCount())
+	}
+}
+
+// TestPathSlotCollision maps a second path to the first one's slot, as a
+// hash collision would: the two take the slot in turn and are never
+// skipped, so selections match the verbatim oracle's interval after
+// interval.
+func TestPathSlotCollision(t *testing.T) {
+	d := newDiv(1)
+	ref := newRefDiversity(DefaultParams(1), addr.MustIA(1, 1))
+	p1 := mkPCB(t, origin, 0, [3]uint64{100, 0, 1}, [3]uint64{2, 1, 2})
+	p2 := mkPCB(t, origin, 0, [3]uint64{100, 0, 3}, [3]uint64{4, 1, 2})
+	stored := []*seg.PCB{p1, p2}
+	for i := sim.Time(1); i <= 40; i++ {
+		now := i * 10 * minute
+		if i == 1 {
+			d.pathOf(now, p1)
+			d.pathSlot[p2.HopsHash()] = d.pathSlot[p1.HopsHash()]
+		}
+		if i == 30 { // fresh instances, as re-origination brings
+			stored = []*seg.PCB{mkPCB(t, origin, now, [3]uint64{100, 0, 1}, [3]uint64{2, 1, 2}), mkPCB(t, origin, now, [3]uint64{100, 0, 3}, [3]uint64{4, 1, 2})}
+		}
+		got := d.Select(now, origin, neighbor, []addr.IfID{9}, stored)
+		want := ref.Select(now, origin, neighbor, []addr.IfID{9}, stored)
+		if !slices.Equal(got, want) {
+			t.Fatalf("at %v: Select %v, oracle %v", time.Duration(now), got, want)
+		}
+	}
+	if len(d.paths) != 1 {
+		t.Errorf("%d path slots, want the one shared", len(d.paths))
+	}
+}
+
+// TestQuietMemoEdges drives Select through the cases where a candidate
+// remembered as quiet becomes pickable again, each against the verbatim
+// oracle; the last step of each must select something.
+func TestQuietMemoEdges(t *testing.T) {
+	n2 := addr.MustIA(1, 201)
+	pcb := func(ts sim.Time, hops ...[3]uint64) *seg.PCB { return mkPCB(t, origin, ts, hops...) }
+	x := pcb(0, [3]uint64{100, 0, 1})
+	z := pcb(0, [3]uint64{100, 0, 2})
+	y := pcb(0, [3]uint64{100, 0, 1}, [3]uint64{2, 1, 2})
+	type step struct {
+		now    sim.Time
+		nb     addr.IA
+		ifaces []addr.IfID
+		stored []*seg.PCB
+	}
+	// X and Z are sent on one interface each; then X via 8 and Z via 9 are
+	// fully covered and unsent (ds = 0), so quiet for good.
+	covered := []step{
+		{0, neighbor, []addr.IfID{9}, []*seg.PCB{x}},
+		{0, neighbor, []addr.IfID{8}, []*seg.PCB{z}},
+		{10 * minute, neighbor, []addr.IfID{8, 9}, []*seg.PCB{x, z}},
+	}
+	alpha0 := DefaultParams(1)
+	alpha0.Alpha = 0
+	for _, tc := range []struct {
+		name  string
+		p     Params
+		steps []step
+	}{
+		// A fresh instance of age 0 scores 0^0 = 1 under Equation 2.
+		{"fresh instance of a covered path", DefaultParams(5), append(covered,
+			step{20 * minute, neighbor, []addr.IfID{8, 9}, []*seg.PCB{pcb(20*minute, [3]uint64{100, 0, 1}), z}})},
+		// With Alpha = 0 every unsent candidate scores ds^0 = 1.
+		{"alpha 0", alpha0, append(covered,
+			step{20 * minute, neighbor, []addr.IfID{8, 9}, []*seg.PCB{x, z}})},
+		// n2 remembers X via 9 as covered and unsent; then neighbor sends X
+		// on the same interface, and a fresher instance near the record's
+		// expiry passes Equation 3 toward n2.
+		{"interface shared by two neighbors", DefaultParams(5), []step{
+			{10 * minute, n2, []addr.IfID{9}, []*seg.PCB{y}},
+			{20 * minute, n2, []addr.IfID{9}, []*seg.PCB{x, y}},
+			{30 * minute, neighbor, []addr.IfID{9}, []*seg.PCB{x}},
+			{5 * hour, n2, []addr.IfID{9}, []*seg.PCB{pcb(4*hour, [3]uint64{100, 0, 1}), y}},
+		}},
+	} {
+		d := NewDiversity(tc.p)(addr.MustIA(1, 1)).(*Diversity)
+		ref := newRefDiversity(tc.p, addr.MustIA(1, 1))
+		for i, s := range tc.steps {
+			got := d.Select(s.now, origin, s.nb, s.ifaces, s.stored)
+			want := ref.Select(s.now, origin, s.nb, s.ifaces, s.stored)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, step %d: Select %v, oracle %v", tc.name, i, got, want)
+			}
+			if i == len(tc.steps)-1 && len(got) == 0 {
+				t.Errorf("%s: the last step selected nothing", tc.name)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"time"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
@@ -88,11 +89,11 @@ type sentRecord struct {
 	timestamp sim.Time
 	expiry    sim.Time
 	// links holds the interned table keys of the sent path (including the
-	// egress link) and the pair it was disseminated for, kept so
-	// revocations can clear the record and roll back its Link History
+	// egress link) and the pair it was disseminated for (IA.Uint64), kept
+	// so revocations can clear the record and roll back its Link History
 	// Table counters.
 	links            []uint32
-	origin, neighbor addr.IA
+	origin, neighbor uint64
 	// key (the path's HopsKey, or HopsKeyVia for LatencyAware) and egress
 	// identify the record.
 	key    string
@@ -123,7 +124,8 @@ type Diversity struct {
 	// hist[origin][neighbor][linkID] counts how many disseminated valid
 	// paths from origin toward neighbor include the link.
 	hist map[addr.IA]map[addr.IA]map[uint32]int32
-	// sent is the Sent PCBs List, keyed by sentKey.
+	// sent is the Sent PCBs List, keyed by sentKey; spill is nil until a
+	// collision.
 	sent  map[uint64]sentRecord
 	spill map[sentName]sentRecord
 	// ids interns Link History Table keys into dense uint32 identifiers:
@@ -134,18 +136,18 @@ type Diversity struct {
 
 	// The rest is derived state, never serialized and empty after a
 	// restore. paths[pathSlot[HopsHash]] memoises a stored path: keyed by
-	// path identity, as origins re-originate every interval. sweep frees
-	// the slots of paths no longer offered.
-	pathSlot       map[uint64]int32
-	paths          []pathMemo
-	freeSlots      []int32
-	swept, maxLife sim.Time
+	// path identity, as origins re-originate every interval.
+	pathSlot  map[uint64]int32
+	paths     []pathMemo
+	freeSlots []int32
+	swept     sim.Time
 	// quiet[nbIdx[neighbor]][slot] is quietUntil over the path's candidates
-	// toward the neighbor (0: score them), cleared when the neighbor's
-	// interfaces (nbIfs) change and, all of it, on Revoke.
+	// toward the neighbor in whole seconds, rounded down (0: score them),
+	// cleared when the neighbor's interfaces (nbIfs) change and, all of it,
+	// on Revoke.
 	nbIdx map[addr.IA]int
 	nbIfs [][]addr.IfID
-	quiet [][]sim.Time
+	quiet [][]uint32
 	terms []float64 // term(c) for c < len(terms), filled in order
 
 	// Select scratch, reused across calls. A selector instance belongs to
@@ -182,7 +184,6 @@ func NewDiversity(p Params) Factory {
 			lnMaxGeoMean: math.Log(p.MaxGeoMean),
 			hist:         map[addr.IA]map[addr.IA]map[uint32]int32{},
 			sent:         map[uint64]sentRecord{},
-			spill:        map[sentName]sentRecord{},
 			ids:          map[seg.LinkKey]uint32{},
 			pathSlot:     map[uint64]int32{},
 			nbIdx:        map[addr.IA]int{},
@@ -340,6 +341,9 @@ func (d *Diversity) sentGet(k uint64, key string, egress addr.IfID) (sentRecord,
 // sentPut files a record, in spill if another path holds its sentKey.
 func (d *Diversity) sentPut(k uint64, rec sentRecord) {
 	if old, ok := d.sent[k]; ok && old.key != rec.key {
+		if d.spill == nil {
+			d.spill = map[sentName]sentRecord{}
+		}
 		d.spill[sentName{rec.key, rec.egress}] = rec
 		return
 	}
@@ -387,7 +391,7 @@ func (d *Diversity) pathOf(now sim.Time, p *seg.PCB) int32 {
 	}
 	pm.lastOffer = now
 	if l := p.Lifetime(); l > pm.life {
-		pm.life, d.maxLife = l, max(d.maxLife, l)
+		pm.life = l
 		d.wake(s)
 	}
 	return s
@@ -402,10 +406,10 @@ func (d *Diversity) wake(s int32) {
 	}
 }
 
-// sweep frees, at most once per lifetime, the slots of paths not offered
-// since the previous sweep: they have left the store.
+// sweep frees, at each new instant, the slots of paths not offered since
+// the previous one: they have left the store (or never reach Select).
 func (d *Diversity) sweep(now sim.Time) {
-	if now-d.swept < d.maxLife {
+	if now <= d.swept {
 		return
 	}
 	for s := range d.paths {
@@ -565,7 +569,7 @@ func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr
 			continue
 		}
 		slot := d.pathOf(now, p)
-		if q := d.quiet[nb]; int(slot) < len(q) && q[slot] > now && p.Info.Timestamp < now {
+		if q := d.quiet[nb]; int(slot) < len(q) && sim.Time(q[slot])*quietUnit > now && p.Info.Timestamp < now {
 			continue
 		}
 		base := d.paths[slot].ids
@@ -732,18 +736,20 @@ func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr
 func (d *Diversity) remember(now sim.Time, nb int, pcbs []pcbState, cands []candState) {
 	q := d.quiet[nb]
 	if n := len(d.paths); len(q) < n {
-		q = append(q, make([]sim.Time, n-len(q))...)
+		q = append(q, make([]uint32, n-len(q))...)
 		d.quiet[nb] = q
 	}
 	for _, ps := range pcbs {
-		q[ps.slot] = math.MaxInt64
+		q[ps.slot] = math.MaxUint32
 	}
 	nIf := len(cands) / len(pcbs)
 	for i := range cands {
 		s := pcbs[i/nIf].slot
-		q[s] = min(q[s], d.quietUntil(now, &cands[i], d.paths[s].life))
+		q[s] = uint32(min(sim.Time(q[s]), d.quietUntil(now, &cands[i], d.paths[s].life)/quietUnit))
 	}
 }
+
+const quietUnit = sim.Time(time.Second)
 
 // commitRecord updates the Sent PCBs List for one dissemination and
 // reports whether the path was newly sent — in which case the caller must
@@ -767,8 +773,8 @@ func (d *Diversity) commitRecord(now sim.Time, origin, neighbor addr.IA, ps *pcb
 		timestamp: p.Info.Timestamp,
 		expiry:    p.Info.Expiry,
 		links:     append(slices.Clip(ps.base), fs.id),
-		origin:    origin,
-		neighbor:  neighbor,
+		origin:    origin.Uint64(),
+		neighbor:  neighbor.Uint64(),
 		key:       ps.key,
 		egress:    fs.egress,
 	})
@@ -792,7 +798,7 @@ func (d *Diversity) Revoke(link seg.LinkKey) {
 		if !slices.Contains(rec.links, id) {
 			return false
 		}
-		table := d.table(rec.origin, rec.neighbor)
+		table := d.table(addr.IAFromUint64(rec.origin), addr.IAFromUint64(rec.neighbor))
 		for _, lid := range rec.links {
 			if c := table[lid]; c > 0 {
 				table[lid] = c - 1

@@ -5,7 +5,7 @@ package core
 // with its helper types and checkpoint methods) as the oracle the fast
 // selector is compared with: same selections, same Link History Tables,
 // same Sent PCBs Lists and the same checkpoint bytes. It shares
-// sentRecord with the product code, and keeps the Sent PCBs List encoder
+// refSentRecord with the product code, and keeps the Sent PCBs List encoder
 // and decoder of that time (refAppendSentMap, refReadSentMap).
 
 import (
@@ -24,13 +24,22 @@ import (
 	"scionmpr/internal/wire"
 )
 
+// refSentRecord is the Sent PCBs List record of that time.
+type refSentRecord struct {
+	diversity        float64
+	timestamp        sim.Time
+	expiry           sim.Time
+	links            []uint32
+	origin, neighbor addr.IA
+}
+
 // newRefDiversity builds the verbatim oracle for one AS.
 func newRefDiversity(p Params, local addr.IA) *refDiversity {
 	return &refDiversity{
 		Params:  p,
 		local:   local,
 		hist:    map[addr.IA]map[addr.IA]map[uint32]int32{},
-		sent:    map[addr.IfID]map[string]sentRecord{},
+		sent:    map[addr.IfID]map[string]refSentRecord{},
 		ids:     map[seg.LinkKey]uint32{},
 		baseIDs: map[*seg.PCB][]uint32{},
 	}
@@ -49,7 +58,7 @@ type refDiversity struct {
 	hist map[addr.IA]map[addr.IA]map[uint32]int32
 	// sent[egress][hopsKey] records disseminated PCBs per interface (the
 	// egress is the outer key, so the path identity alone suffices).
-	sent map[addr.IfID]map[string]sentRecord
+	sent map[addr.IfID]map[string]refSentRecord
 	// ids interns Link History Table keys into dense uint32 identifiers:
 	// hashing a word-sized id beats the 16-byte LinkKey struct in the
 	// Select hot loop, and the collapse under ASDisjoint happens once per
@@ -228,18 +237,18 @@ func (d *refDiversity) scoreKeyed(now sim.Time, p *seg.PCB, key string, egress a
 
 // sentLookup finds a valid Sent PCBs List record for the same path via
 // the same egress interface; expired records are pruned lazily.
-func (d *refDiversity) sentLookup(now sim.Time, key string, egress addr.IfID) (sentRecord, bool) {
+func (d *refDiversity) sentLookup(now sim.Time, key string, egress addr.IfID) (refSentRecord, bool) {
 	byKey := d.sent[egress]
 	if byKey == nil {
-		return sentRecord{}, false
+		return refSentRecord{}, false
 	}
 	rec, ok := byKey[key]
 	if !ok {
-		return sentRecord{}, false
+		return refSentRecord{}, false
 	}
 	if now >= rec.expiry {
 		delete(byKey, key)
-		return sentRecord{}, false
+		return refSentRecord{}, false
 	}
 	return rec, true
 }
@@ -521,7 +530,7 @@ func (d *refDiversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []a
 func (d *refDiversity) commitRecord(now sim.Time, origin, neighbor addr.IA, p *seg.PCB, egress addr.IfID, key string, ds float64, base []uint32, egID uint32) bool {
 	byKey := d.sent[egress]
 	if byKey == nil {
-		byKey = map[string]sentRecord{}
+		byKey = map[string]refSentRecord{}
 		d.sent[egress] = byKey
 	}
 	if rec, ok := byKey[key]; ok && now < rec.expiry {
@@ -533,7 +542,7 @@ func (d *refDiversity) commitRecord(now sim.Time, origin, neighbor addr.IA, p *s
 	links := make([]uint32, len(base)+1)
 	copy(links, base)
 	links[len(base)] = egID
-	byKey[key] = sentRecord{
+	byKey[key] = refSentRecord{
 		diversity: ds,
 		timestamp: p.Info.Timestamp,
 		expiry:    p.Info.Expiry,
@@ -736,7 +745,7 @@ func (d *refDiversity) RestoreState(b []byte) error {
 // interfaces ascending, then path keys in byte order. Expired records are
 // written verbatim — Revoke walks them for counter rollback, so pruning
 // here would change post-resume behavior.
-func refAppendSentMap(dst []byte, sent map[addr.IfID]map[string]sentRecord) []byte {
+func refAppendSentMap(dst []byte, sent map[addr.IfID]map[string]refSentRecord) []byte {
 	egs := make([]addr.IfID, 0, len(sent))
 	total := 0
 	for eg, byKey := range sent {
@@ -775,13 +784,13 @@ func refAppendSentMap(dst []byte, sent map[addr.IfID]map[string]sentRecord) []by
 	return dst
 }
 
-func refReadSentMap(r *wire.Reader) map[addr.IfID]map[string]sentRecord {
-	sent := map[addr.IfID]map[string]sentRecord{}
+func refReadSentMap(r *wire.Reader) map[addr.IfID]map[string]refSentRecord {
+	sent := map[addr.IfID]map[string]refSentRecord{}
 	n := r.Count(r.U32(), 50)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		eg := addr.IfID(r.U16())
 		key := r.Str()
-		var rec sentRecord
+		var rec refSentRecord
 		rec.diversity = math.Float64frombits(r.U64())
 		rec.timestamp = sim.Time(r.U64())
 		rec.expiry = sim.Time(r.U64())
@@ -795,7 +804,7 @@ func refReadSentMap(r *wire.Reader) map[addr.IfID]map[string]sentRecord {
 		rec.neighbor = addr.IAFromUint64(r.U64())
 		byKey := sent[eg]
 		if byKey == nil {
-			byKey = map[string]sentRecord{}
+			byKey = map[string]refSentRecord{}
 			sent[eg] = byKey
 		}
 		byKey[key] = rec

@@ -356,12 +356,11 @@ func (p *PCB) extendInto(it *Interner, signer trust.Signer, next addr.IA, ingres
 	// stores key every insertion by HopsKey, and recomputing it from
 	// scratch for each extended copy dominated beaconing profiles.
 	if it != nil {
-		out.hopsKey, out.hopsHash, out.links = it.extend(p, &e)
-		return out, nil
+		out.hopsKey, out.links = it.extend(p, &e)
+	} else {
+		out.hopsKey, out.links = extendHopsKey(p.HopsKey(), &e), extendLinks(p, &e)
 	}
-	out.hopsKey = extendHopsKey(p.HopsKey(), &e)
 	out.hopsHash = hashMore(p.HopsHash(), out.hopsKey[len(p.HopsKey()):])
-	out.links = extendLinks(p, &e)
 	return out, nil
 }
 
@@ -479,25 +478,23 @@ type internKey struct {
 }
 
 type internVal struct {
-	hopsKey  string
-	hopsHash uint64
-	links    []LinkKey
+	hopsKey string
+	links   []LinkKey
 }
 
 // extend returns the interned identity caches for extending p by e,
 // computing and retaining them on first use.
-func (it *Interner) extend(p *PCB, e *ASEntry) (string, uint64, []LinkKey) {
+func (it *Interner) extend(p *PCB, e *ASEntry) (string, []LinkKey) {
 	k := internKey{parent: p.HopsKey(), local: e.Local, ingress: e.Hop.ConsIngress, egress: e.Hop.ConsEgress}
 	if v, ok := it.m[k]; ok {
-		return v.hopsKey, v.hopsHash, v.links
+		return v.hopsKey, v.links
 	}
 	v := internVal{hopsKey: extendHopsKey(k.parent, e), links: extendLinks(p, e)}
-	v.hopsHash = hashMore(p.HopsHash(), v.hopsKey[len(k.parent):])
 	if it.m == nil || len(it.m) >= internerCap {
 		it.m = make(map[internKey]internVal, 256)
 	}
 	it.m[k] = v
-	return v.hopsKey, v.hopsHash, v.links
+	return v.hopsKey, v.links
 }
 
 // extendHopsKey appends one hop to a parent's canonical hop key,
