@@ -135,8 +135,9 @@ type Diversity struct {
 	ids map[seg.LinkKey]uint32
 
 	// The rest is derived state, never serialized and empty after a
-	// restore. paths[pathSlot[HopsHash]] memoises a stored path: keyed by
-	// path identity, as origins re-originate every interval.
+	// restore. paths[pathSlot[HopsHash]] is a stored path's slot, which
+	// indexes its quiet times: keyed by path identity, as origins
+	// re-originate every interval.
 	pathSlot  map[uint64]int32
 	paths     []pathMemo
 	freeSlots []int32
@@ -155,6 +156,7 @@ type Diversity struct {
 	// reusing these keeps the per-(origin, neighbor) hot loop free of map
 	// and slice churn (it used to dominate beaconing profiles via GC).
 	selPCBs    []pcbState
+	selIDs     []uint32 // backs selPCBs' base ids
 	selIfs     []ifState
 	selCands   []candState
 	byLink     [][]int32 // interned id -> indices into selPCBs
@@ -165,12 +167,11 @@ type Diversity struct {
 	touchedIf  []bool
 }
 
-// pathMemo is a path's slot: its interned link ids, the longest lifetime
-// of an instance offered (quiet times hold for no longer one) and the
-// last Select that offered it.
+// pathMemo is a path's slot: the longest lifetime of an instance offered
+// (quiet times hold for no longer one) and the last Select that offered
+// it.
 type pathMemo struct {
 	key             string // HopsKey; "" marks a free slot
-	ids             []uint32
 	life, lastOffer sim.Time
 }
 
@@ -383,11 +384,7 @@ func (d *Diversity) pathOf(now sim.Time, p *seg.PCB) int32 {
 	}
 	pm := &d.paths[s]
 	if pm.key != p.HopsKey() {
-		ids := pm.ids[:0] // a free slot's
-		if pm.key != "" {
-			ids = nil // the other path may be in this very call
-		}
-		*pm = pathMemo{key: p.HopsKey(), ids: d.linkIDs(p, ids)}
+		*pm = pathMemo{key: p.HopsKey()}
 	}
 	pm.lastOffer = now
 	if l := p.Lifetime(); l > pm.life {
@@ -488,7 +485,7 @@ func (d *Diversity) resetSelect() {
 	}
 	d.usedEg = d.usedEg[:0]
 	clear(d.selPCBs)
-	d.selPCBs = d.selPCBs[:0]
+	d.selPCBs, d.selIDs = d.selPCBs[:0], d.selIDs[:0]
 }
 
 // pcbState is the per-stored-PCB scoring state of one Select round: the
@@ -572,7 +569,9 @@ func (d *Diversity) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr
 		if q := d.quiet[nb]; int(slot) < len(q) && sim.Time(q[slot])*quietUnit > now && p.Info.Timestamp < now {
 			continue
 		}
-		base := d.paths[slot].ids
+		n := len(d.selIDs)
+		d.selIDs = d.linkIDs(p, d.selIDs)
+		base := d.selIDs[n:len(d.selIDs):len(d.selIDs)]
 		var sum float64
 		var zeros int32
 		pi := int32(len(pcbs))
