@@ -427,8 +427,8 @@ func (d *Diversity) sweep(now sim.Time) {
 // counters only rise until a Revoke, which clears every quiet time. Sent,
 // it scores ds^g with g = (Beta*s/c)^Gamma (Equation 3), at most T while
 // s >= K*c, K = (ln T/ln ds)^(1/Gamma)/Beta. Since c < life, that holds
-// until expiry - K*life; the 0.1 % margin covers rounding. Taken, its
-// record has just changed.
+// until expiry - K*life; the 0.1 % margin covers rounding while T <= 0.99
+// and ds < 1. Taken, its record has just changed.
 func (d *Diversity) quietUntil(now sim.Time, c *candState, life sim.Time) sim.Time {
 	p := d.Params
 	switch {
