@@ -71,14 +71,22 @@ type SCMPFunc func(msg *SCMP)
 // egress, SCMP emit and walk-back) on that one frame. The router at the
 // injecting or offending AS runs inline, so a packet costs one simulator
 // event per link it crosses. Failures are reported with SCMP messages
-// from the border router observing them (paper §4.1).
+// from the border router observing them (paper §4.1); each AS keeps what
+// they taught it in its SourceMemory.
 type Fabric struct {
 	Net *sim.Network
 	// The engine's link fault table (FailLink, RestoreLink, Failed,
 	// SetLinkLoss, LinkLoss), read by the egress decision.
 	*sim.LinkFaults
+	// RevocationTTL is how long an SCMP revocation stays in a source
+	// memory (default 10s).
+	RevocationTTL time.Duration
 
 	e *Engine
+	// listeners holds each AS's SCMP listeners, dense per AS; sources
+	// holds the source memories created so far.
+	listeners [][]SCMPFunc
+	sources   map[addr.IA]*SourceMemory
 }
 
 // NewFabric registers a border router for every AS of the network's
@@ -86,13 +94,39 @@ type Fabric struct {
 func NewFabric(net *sim.Network, keys KeyFunc) *Fabric {
 	e := newEngine(net.Topo, keys)
 	e.net = net
+	f := &Fabric{Net: net, LinkFaults: &e.LinkFaults, RevocationTTL: 10 * time.Second, e: e,
+		listeners: make([][]SCMPFunc, len(e.ias)), sources: map[addr.IA]*SourceMemory{}}
 	for i, ia := range e.ias {
 		a := int32(i)
 		net.Register(ia, sim.HandlerFunc(func(_ addr.IA, _ *topology.Link, msg sim.Message) {
 			e.step(a, msg.(*frame))
 		}))
+		e.scmp[i] = func(m *SCMP) { f.arrive(a, m) }
 	}
-	return &Fabric{Net: net, LinkFaults: &e.LinkFaults, e: e}
+	return f
+}
+
+// arrive records an SCMP revocation in the memory of AS a, then runs
+// the AS's listeners on the message.
+func (f *Fabric) arrive(a int32, m *SCMP) {
+	if m.Type == SCMPRevokedLink {
+		if l := f.Net.Topo.LinkByIf(m.Link.IA, m.Link.If); l != nil {
+			f.Source(f.e.ias[a]).record(l.ID, f.RevocationTTL)
+		}
+	}
+	for _, fn := range f.listeners[a] {
+		fn(m)
+	}
+}
+
+// Source returns the source memory of ia, creating it on first use.
+func (f *Fabric) Source(ia addr.IA) *SourceMemory {
+	m := f.sources[ia]
+	if m == nil {
+		m = &SourceMemory{clock: f.Net.Sim, links: map[topology.LinkID]revocation{}}
+		f.sources[ia] = m
+	}
+	return m
 }
 
 // SetTelemetry registers the fabric's forwarding counters as gauge
@@ -111,22 +145,13 @@ func (f *Fabric) OnDeliver(ia addr.IA, fn DeliverFunc) {
 	}
 }
 
-// AddSCMP registers an SCMP listener for ia, chained after any listener
+// AddSCMP registers an SCMP listener for ia, run after any listener
 // already registered — several consumers (hosts, traffic engines) can
 // observe revocations arriving at the same AS.
 func (f *Fabric) AddSCMP(ia addr.IA, fn SCMPFunc) {
-	i, ok := f.e.idx[ia]
-	if !ok {
-		return
+	if i, ok := f.e.idx[ia]; ok {
+		f.listeners[i] = append(f.listeners[i], fn)
 	}
-	if prev := f.e.scmp[i]; prev != nil {
-		f.e.scmp[i] = func(m *SCMP) {
-			prev(m)
-			fn(m)
-		}
-		return
-	}
-	f.e.scmp[i] = fn
 }
 
 // SetLinkDelay overrides the one-way latency of a link on the underlying

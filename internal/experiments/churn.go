@@ -346,6 +346,7 @@ func churnMeasure(fabric *dataplane.Fabric, ctrl *sim.Network, provider traffic.
 	eng *chaos.Engine, seed int64) (ChurnSeries, error) {
 
 	clock := fabric.Net.Sim
+	fabric.RevocationTTL = churnRevTTL
 	engines := make([]*traffic.Engine, len(pairs))
 	flows := make([]*traffic.Flow, len(pairs))
 	for i, pr := range pairs {
@@ -358,7 +359,6 @@ func churnMeasure(fabric *dataplane.Fabric, ctrl *sim.Network, provider traffic.
 			MinGrant:      churnChunkSize / 4,
 			MaxPaths:      8,
 			RetryDelayMax: 1 * time.Second,
-			RevocationTTL: churnRevTTL,
 			// Flows ride out any outage; disconnection shows up as
 			// time-to-reconnect, not as flow failure.
 			MaxRetries: 1 << 20,

@@ -271,7 +271,6 @@ func tournamentRun(e *env, pairs [][2]addr.IA, topoAxis, wl, ch, pol string,
 		MinGrant:      tournChunkSize / 4,
 		MaxPaths:      8,
 		RetryDelayMax: 1 * time.Second,
-		RevocationTTL: tournRevTTL,
 		// Flows ride out outages; disconnection shows up in the outage
 		// and goodput columns, not as flow failure.
 		MaxRetries:    1 << 20,

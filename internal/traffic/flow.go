@@ -57,6 +57,8 @@ const (
 type Flow struct {
 	spec  FlowSpec
 	sched strategy.Policy
+	// mem is the source AS's link-failure knowledge.
+	mem   *dataplane.SourceMemory
 	paths []*flowPath
 	infos []strategy.PathView // scratch for scheduler decisions
 
@@ -221,9 +223,5 @@ func (f *Flow) remaining(chunk int64) int64 {
 	if f.spec.Size <= 0 {
 		return chunk
 	}
-	r := f.spec.Size - f.sent
-	if r < 0 {
-		r = 0
-	}
-	return r
+	return max(f.spec.Size-f.sent, 0)
 }

@@ -2,6 +2,8 @@ package traffic
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -13,8 +15,8 @@ import (
 )
 
 // demoEngineTTL is demoEngine with fast revocation expiry on both the
-// path servers and the traffic engine, so reinstatement fits in a
-// millisecond-scale test.
+// path servers and the fabric's source memories, so reinstatement fits
+// in a millisecond-scale test.
 func demoEngineTTL(t *testing.T, ttl time.Duration) (*scion.Network, *Engine) {
 	t.Helper()
 	opts := scion.DefaultOptions()
@@ -24,10 +26,9 @@ func demoEngineTTL(t *testing.T, ttl time.Duration) (*scion.Network, *Engine) {
 		t.Fatal(err)
 	}
 	eng, err := NewEngine(Config{
-		Fabric:        n.Fabric(),
-		Provider:      n.Paths,
-		Links:         NewLinkModel(UniformCapacity(1e8)),
-		RevocationTTL: ttl,
+		Fabric:   n.Fabric(),
+		Provider: n.Paths,
+		Links:    NewLinkModel(UniformCapacity(1e8)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,9 +143,10 @@ func TestOutageClosesAfterRestore(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffSpacing pins the re-query schedule: with jitter
-// disabled, consecutive empty lookups must be spaced by capped
-// exponential backoff, measured off the deterministic simulation clock.
+// TestRetryBackoffSpacing pins the re-query schedule: consecutive empty
+// lookups must be spaced by capped exponential backoff plus the seeded
+// jitter, measured off the deterministic simulation clock. The expected
+// spacings replay the engine's generator draw by draw.
 func TestRetryBackoffSpacing(t *testing.T) {
 	n, err := scion.NewNetwork(topology.Demo(), scion.DefaultOptions())
 	if err != nil {
@@ -155,14 +157,13 @@ func TestRetryBackoffSpacing(t *testing.T) {
 		calls = append(calls, n.Clock().Now())
 		return nil, fmt.Errorf("path service down")
 	}
+	const seed, maxDelay = 3, 400 * time.Millisecond
 	eng, err := NewEngine(Config{
 		Fabric:        n.Fabric(),
 		Provider:      provider,
-		RetryDelay:    10 * time.Millisecond,
-		RetryBackoff:  2,
-		RetryDelayMax: 80 * time.Millisecond,
-		RetryJitter:   -1, // disable jitter: spacing must be exact
+		RetryDelayMax: maxDelay,
 		MaxRetries:    8,
+		Seed:          seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,14 +174,14 @@ func TestRetryBackoffSpacing(t *testing.T) {
 	if !f.Failed() {
 		t.Fatalf("flow should fail after %d empty lookups", 8)
 	}
-	want := []time.Duration{
-		10 * time.Millisecond, // attempt 1: base delay
-		20 * time.Millisecond, // doubled
-		40 * time.Millisecond,
-		80 * time.Millisecond, // cap reached
-		80 * time.Millisecond,
-		80 * time.Millisecond,
-		80 * time.Millisecond,
+	// Base delays 50, 100, 200, 400 ms, then capped at 400 ms; each
+	// plus up to 20 % jitter.
+	rng := rand.New(rand.NewSource(seed))
+	var want []time.Duration
+	for attempt := 1; attempt < 8; attempt++ {
+		d := float64(retryDelay) * math.Pow(retryBackoff, float64(attempt-1))
+		d = math.Min(d, float64(maxDelay))
+		want = append(want, time.Duration(d+d*retryJitter*rng.Float64()))
 	}
 	if len(calls) != len(want)+1 {
 		t.Fatalf("provider called %d times, want %d", len(calls), len(want)+1)

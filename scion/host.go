@@ -5,7 +5,6 @@ import (
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/dataplane"
-	"scionmpr/internal/seg"
 )
 
 // Host is an endpoint attached to the network: it looks up paths on
@@ -19,13 +18,14 @@ type Host struct {
 	recv func(from addr.Host, payload []byte)
 
 	// The path set loaded for dst; active indexes the path in use and
-	// equals len(paths) once every path crosses a revoked link.
+	// equals len(paths) once every path crosses a link the AS's source
+	// memory holds revoked. A fresh set gets a fresh chance: the host
+	// avoids only the links revoked after the first since SCMPs the
+	// memory had recorded when the set was loaded.
 	dst    addr.IA
 	paths  []*FwdPath
 	active int
-	// revoked holds the links learned from SCMP messages since the path
-	// set was loaded.
-	revoked map[seg.LinkKey]bool
+	since  uint64
 
 	sent, failovers uint64
 }
@@ -81,43 +81,30 @@ func (h *Host) ensurePaths(dst addr.IA) error {
 		return err
 	}
 	h.dst, h.paths, h.active = dst, paths, 0
-	h.revoked = map[seg.LinkKey]bool{}
+	h.since = h.net.fabric.Source(h.Addr.IA).Learned()
 	return nil
 }
 
-// usable reports whether a path avoids every revoked link.
-func (h *Host) usable(p *FwdPath) bool {
-	for _, hf := range p.Hops {
-		if hf.Hop.Out != 0 && h.revoked[seg.LinkKey{IA: hf.Hop.IA, If: hf.Hop.Out}] {
-			return false
-		}
-		if hf.Hop.In != 0 && h.revoked[seg.LinkKey{IA: hf.Hop.IA, If: hf.Hop.In}] {
-			return false
-		}
-	}
-	return true
-}
-
-// handleSCMP records a revoked link and switches to the first usable path
-// — no waiting for route re-convergence (paper: "hosts switch to a
-// different path as soon as the SCMP message is received").
+// handleSCMP switches to the first path that avoids every link the AS's
+// source memory has held revoked since the set was loaded — the fabric
+// has just recorded this message's link there — with no waiting for
+// route re-convergence (paper: "hosts switch to a different path as soon
+// as the SCMP message is received").
 func (h *Host) handleSCMP(msg *dataplane.SCMP) {
-	if msg.Type != dataplane.SCMPRevokedLink || h.revoked == nil {
+	if msg.Type != dataplane.SCMPRevokedLink {
 		return
 	}
-	// The revocation names the upstream side; the same physical link seen
-	// from the other side is revoked too.
-	h.revoked[msg.Link] = true
-	if l := h.net.Topo.LinkByIf(msg.Link.IA, msg.Link.If); l != nil {
-		other := l.Other(msg.Link.IA)
-		h.revoked[seg.LinkKey{IA: other, If: l.LocalIf(other)}] = true
+	mem := h.net.fabric.Source(h.Addr.IA)
+	usable := func(p *FwdPath) bool {
+		links, err := p.LinkRefs(h.net.Topo)
+		return err == nil && !mem.Crosses(links, h.since)
 	}
-	if cur := h.activePath(); cur != nil && h.usable(cur) {
+	if cur := h.activePath(); cur != nil && usable(cur) {
 		return
 	}
 	h.active = len(h.paths)
 	for i, p := range h.paths {
-		if h.usable(p) {
+		if usable(p) {
 			h.active = i
 			h.failovers++
 			return

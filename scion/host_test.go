@@ -183,8 +183,11 @@ func TestHostFailsOverBesideTrafficEngine(t *testing.T) {
 	if err := src.Send(dst.Addr, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	// The flow starts at time zero, after the link under the host's
-	// first packet failed, on the same shortest path.
+	// The flow starts at time zero on the same shortest path; the link
+	// under the host's first packet fails a millisecond later, once the
+	// flow has picked its paths (a flow that looks its paths up after the
+	// host learned of the failure never tries the link).
+	n.Clock().RunUntil(n.Clock().Now() + sim.Time(time.Millisecond))
 	n.Fabric().FailLink(activeFirstLink(t, n, src).ID)
 	for range 2 {
 		if err := src.Send(dst.Addr, []byte("x")); err != nil {
@@ -201,6 +204,109 @@ func TestHostFailsOverBesideTrafficEngine(t *testing.T) {
 	}
 	if eng.Revocations == 0 {
 		t.Error("traffic engine heard no revocation")
+	}
+}
+
+// TestHostRevocationSteersLaterFlow: a host in A-6 learns from SCMP that
+// the link under its path failed; a traffic flow from A-6 added
+// afterwards reads the same source memory and never tries that link.
+func TestHostRevocationSteersLaterFlow(t *testing.T) {
+	n := demoNet(t)
+	src, _ := n.Host(a6, 10, 0, 0, 9)
+	dst, _ := n.Host(a4, 10, 0, 0, 2)
+	if err := src.Send(dst.Addr, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	link := activeFirstLink(t, n, src)
+	n.Fabric().FailLink(link.ID)
+	if err := src.Send(dst.Addr, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	if _, failovers := src.Stats(); failovers != 1 {
+		t.Fatalf("host failovers = %d, want 1", failovers)
+	}
+	eng, err := traffic.NewEngine(traffic.Config{
+		Fabric:   n.Fabric(),
+		Provider: n.Paths,
+		Links:    traffic.NewLinkModel(traffic.UniformCapacity(1.25e8)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := eng.Add(traffic.FlowSpec{ID: 1, Src: a6, Dst: a4, Size: 4 << 20})
+	eng.Run()
+	if !f.Done() {
+		t.Fatal("flow did not complete")
+	}
+	if eng.Revocations != 0 || f.Lost() != 0 {
+		t.Errorf("flow sent over the link the host had learned was down: revocations=%d lost=%d",
+			eng.Revocations, f.Lost())
+	}
+}
+
+// TestHostFailoverAvoidsEngineRevocation: a traffic flow from A-6 learns
+// that a link of the host's second path is down; when SCMP then hits the
+// host's active path, the host fails over past that second path.
+func TestHostFailoverAvoidsEngineRevocation(t *testing.T) {
+	n := demoNet(t)
+	src, _ := n.Host(a6, 10, 0, 0, 9)
+	dst, _ := n.Host(a4, 10, 0, 0, 2)
+	delivered := 0
+	dst.OnReceive(func(addr.Host, []byte) { delivered++ })
+	if err := src.Send(dst.Addr, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	// The host's first and second paths; the engine learns of a failure
+	// on the second one that the first does not cross.
+	first := activeFirstLink(t, n, src)
+	second, err := src.paths[1].LinkRefs(n.Topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineOnly := second[len(second)-1].Link
+	if engineOnly.ID == first.ID || usesLink(t, n, src, engineOnly) {
+		t.Fatal("the second path's last link is on the first path")
+	}
+	n.Fabric().FailLink(engineOnly.ID)
+	eng, err := traffic.NewEngine(traffic.Config{
+		Fabric:   n.Fabric(),
+		Provider: n.Paths,
+		Links:    traffic.NewLinkModel(traffic.UniformCapacity(1.25e8)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := eng.Add(traffic.FlowSpec{ID: 1, Src: a6, Dst: a4, Size: 4 << 20})
+	// Well within the revocation TTL.
+	n.Clock().RunUntil(n.Clock().Now() + sim.Time(time.Second))
+	if !f.Done() || eng.Revocations == 0 {
+		t.Fatalf("flow done=%v after %d revocations, want done after some", f.Done(), eng.Revocations)
+	}
+
+	n.Fabric().FailLink(first.ID)
+	for range 2 {
+		if err := src.Send(dst.Addr, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		n.Run()
+	}
+	if _, failovers := src.Stats(); failovers != 1 {
+		t.Errorf("host failovers = %d, want 1", failovers)
+	}
+	if src.activePath() == nil {
+		t.Fatal("no failover path")
+	}
+	if usesLink(t, n, src, first) || usesLink(t, n, src, engineOnly) {
+		t.Error("failover path crosses a link the source AS knows is down")
+	}
+	if src.active <= 1 {
+		t.Errorf("active path index = %d, want past the second path", src.active)
+	}
+	if delivered != 2 {
+		t.Errorf("delivered = %d, want 2", delivered)
 	}
 }
 

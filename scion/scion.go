@@ -233,6 +233,7 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 	n.netSim = sim.NewNetwork(n.clock, topo, opts.LinkDelay)
 	n.netSim.SetTelemetry(opts.Telemetry)
 	n.fabric = dataplane.NewFabric(n.netSim, infra.ForwardingKey)
+	n.fabric.RevocationTTL = opts.RevocationTTL
 	n.fabric.SetTelemetry(opts.Telemetry)
 	// One delivery demux and one SCMP demux per AS. Service-addressed
 	// packets go to the AS's SCION-IP gateway (SvcSG) or its control
