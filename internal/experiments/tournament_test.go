@@ -26,7 +26,7 @@ func tournamentTestGrid() TournamentConfig {
 // seed 1. It digests every run's metrics, telemetry snapshot and trace:
 // any behavior change in beaconing, path lookup, revocation handling,
 // the chaos engine, the traffic engine or a policy shows up here.
-const tournamentGolden = "82d97124d3e401a0b110d578c4fa260e5e88c74b503c7ff9414616be30d09d59"
+const tournamentGolden = "5eac02cc043ea41aba3cde9e6ddec78310705420605de1c7016c50f596ea8662"
 
 // tournamentMetricsGolden pins the same runs' metrics alone: every
 // field fingerprintRun writes before the telemetry snapshot and trace.

@@ -10,6 +10,7 @@ import (
 	"scionmpr/internal/addr"
 	"scionmpr/internal/dataplane"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
 	"scionmpr/scion"
 )
@@ -67,6 +68,8 @@ func toggleLink(t *testing.T, n *scion.Network, target *topology.Link, up bool) 
 func TestRevocationExpiryReadoptsRestoredPath(t *testing.T) {
 	const ttl = 120 * time.Millisecond
 	n, eng := demoEngineTTL(t, ttl)
+	tracer := telemetry.NewTracer(1 << 12)
+	n.Clock().SetTracer(tracer)
 	f := eng.Add(FlowSpec{ID: 1, Src: b3, Dst: a6, Start: 0, Size: 0})
 
 	fps, err := n.Paths(b3, a6)
@@ -102,6 +105,15 @@ func TestRevocationExpiryReadoptsRestoredPath(t *testing.T) {
 	}
 	if len(f.Outages()) != 0 {
 		t.Errorf("multipath flow should never have disconnected, outages=%v", f.Outages())
+	}
+	traced := 0
+	for _, ev := range tracer.Events() {
+		if ev.Kind == telemetry.FlowSwitch && ev.Reason == "reprobe" && ev.Actor == b3.Uint64() && ev.Subject == 1 {
+			traced++
+		}
+	}
+	if traced != f.reprobes {
+		t.Errorf("%d reprobe switches traced, want one per re-probe (%d)", traced, f.reprobes)
 	}
 }
 

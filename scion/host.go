@@ -1,10 +1,13 @@
 package scion
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/dataplane"
+	"scionmpr/internal/sim"
+	"scionmpr/internal/telemetry"
 )
 
 // Host is an endpoint attached to the network: it looks up paths on
@@ -107,6 +110,13 @@ func (h *Host) handleSCMP(msg *dataplane.SCMP) {
 		if usable(p) {
 			h.active = i
 			h.failovers++
+			h.net.clock.Trace(sim.SerialShard, telemetry.Event{
+				Kind:    telemetry.FlowSwitch,
+				Actor:   h.Addr.IA.Uint64(),
+				Subject: uint64(binary.BigEndian.Uint32(h.Addr.Local)),
+				Aux:     uint64(i),
+				Reason:  "scmp",
+			})
 			return
 		}
 	}

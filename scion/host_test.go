@@ -8,6 +8,7 @@ import (
 	"scionmpr/internal/dataplane"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
+	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
 	"scionmpr/internal/traffic"
 )
@@ -85,6 +86,39 @@ func TestLinkFailureTriggersRevocationAndFailover(t *testing.T) {
 	}
 	if _, failovers := src.Stats(); failovers != 1 {
 		t.Errorf("failovers = %d, want 1", failovers)
+	}
+}
+
+// TestHostFailoverTraced: a host's failover on SCMP is a flow_switch
+// trace event naming the source AS, the host's IPv4 address and the
+// path index switched to.
+func TestHostFailoverTraced(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Tracer = telemetry.NewTracer(1 << 10)
+	n, err := NewNetwork(topology.Demo(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := n.Host(a6, 10, 0, 0, 1)
+	dst, _ := n.Host(a4, 10, 0, 0, 2)
+	if err := src.Send(dst.Addr, nil); err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	n.Fabric().FailLink(activeFirstLink(t, n, src).ID)
+	if err := src.Send(dst.Addr, nil); err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	var got []telemetry.Event
+	for _, ev := range opts.Tracer.Events() {
+		if ev.Kind == telemetry.FlowSwitch {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 1 || got[0].Reason != "scmp" || got[0].Actor != a6.Uint64() ||
+		got[0].Subject != 0x0a000001 || got[0].Aux != uint64(src.active) {
+		t.Errorf("flow_switch events = %+v, want one scmp switch of 10.0.0.1 in A-6 to path %d", got, src.active)
 	}
 }
 
