@@ -7,20 +7,16 @@ import (
 	"scionmpr/internal/topology"
 )
 
-// SourceMemory is one AS's knowledge of failed links, learned from the
-// SCMP revocations that arrive at it — the end-host daemon's view, which
-// every sender in the AS reads (scion.Host, traffic.Engine). The fabric
-// records each SCMPRevokedLink before the AS's SCMP listeners run; get
-// the memory with Fabric.Source.
+// SourceMemory is what one AS knows of failed links from the SCMP
+// revocations that arrived at it — the end-host daemon's view, read by
+// every sender in the AS (scion.Host, traffic.Engine). The fabric records
+// each SCMPRevokedLink before the AS's SCMP listeners run (Fabric.Source).
 //
-// Links are keyed by topology.LinkID, so a revocation covers both
-// directions of a link. A revocation lapses one TTL after its latest
-// SCMP (paper §4.1: failure state is soft); the link's last-seen time
-// never lapses. Lapse is checked when the memory is read. A lapse event,
-// which runs the OnLapse listeners, is scheduled per recorded SCMP only
-// while the AS has a listener; until it runs the revocation still holds,
-// so readers at the lapse instant see the same state whichever event
-// runs first.
+// Keys are link ids, so a revocation covers both directions. It lapses
+// one TTL after the link's latest SCMP (paper §4.1: soft state), checked
+// when read; the last-seen time never lapses. Only while the AS has an
+// OnLapse listener is a lapse event scheduled per SCMP, and until it
+// runs the revocation holds, whatever else runs at that instant.
 type SourceMemory struct {
 	clock *sim.Simulator
 	links map[topology.LinkID]revocation
@@ -29,9 +25,8 @@ type SourceMemory struct {
 	onLapse []func(topology.LinkID)
 }
 
-// revocation is what one link's latest SCMP taught: when it arrived
-// (seen) and which it was (seq), when it lapses, and whether the lapse
-// event is still pending.
+// revocation is one link's latest SCMP: when it arrived, its number,
+// when it lapses and whether its lapse event is pending.
 type revocation struct {
 	seen, until sim.Time
 	seq         uint64
@@ -88,9 +83,6 @@ func (m *SourceMemory) Crosses(links []LinkRef, since uint64) bool {
 // LastSeen returns the latest SCMP revocation time over links, lapsed
 // ones included; ok is false when none of them was ever revoked.
 func (m *SourceMemory) LastSeen(links []LinkRef) (t sim.Time, ok bool) {
-	if len(m.links) == 0 {
-		return 0, false
-	}
 	for _, ref := range links {
 		if r, hit := m.links[ref.Link.ID]; hit && (!ok || r.seen > t) {
 			t, ok = r.seen, true

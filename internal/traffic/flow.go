@@ -223,5 +223,9 @@ func (f *Flow) remaining(chunk int64) int64 {
 	if f.spec.Size <= 0 {
 		return chunk
 	}
-	return max(f.spec.Size-f.sent, 0)
+	r := f.spec.Size - f.sent
+	if r < 0 {
+		r = 0
+	}
+	return r
 }

@@ -22,9 +22,8 @@ type Host struct {
 
 	// The path set loaded for dst; active indexes the path in use and
 	// equals len(paths) once every path crosses a link the AS's source
-	// memory holds revoked. A fresh set gets a fresh chance: the host
-	// avoids only the links revoked after the first since SCMPs the
-	// memory had recorded when the set was loaded.
+	// memory holds revoked. since is the memory's Learned count at load:
+	// a fresh set gets a fresh chance against older revocations.
 	dst    addr.IA
 	paths  []*FwdPath
 	active int
@@ -110,13 +109,8 @@ func (h *Host) handleSCMP(msg *dataplane.SCMP) {
 		if usable(p) {
 			h.active = i
 			h.failovers++
-			h.net.clock.Trace(sim.SerialShard, telemetry.Event{
-				Kind:    telemetry.FlowSwitch,
-				Actor:   h.Addr.IA.Uint64(),
-				Subject: uint64(binary.BigEndian.Uint32(h.Addr.Local)),
-				Aux:     uint64(i),
-				Reason:  "scmp",
-			})
+			h.net.clock.Trace(sim.SerialShard, telemetry.Event{Kind: telemetry.FlowSwitch, Actor: h.Addr.IA.Uint64(),
+				Subject: uint64(binary.BigEndian.Uint32(h.Addr.Local)), Aux: uint64(i), Reason: "scmp"})
 			return
 		}
 	}

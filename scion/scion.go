@@ -68,11 +68,12 @@ type Options struct {
 	// Verify enables cryptographic verification of received PCBs.
 	Verify bool
 	// RevocationTTL bounds how long a link revocation hides path
-	// segments at the path servers. Revocations are soft state (paper
-	// §4.1): when the TTL lapses, previously revoked paths are
-	// reinstated in lookups — if the link is still down, the next use
-	// triggers a fresh SCMP revocation. Zero selects the default (10s
-	// of data-plane time); NewNetwork rejects a negative TTL.
+	// segments at the path servers, and how long an SCMP revocation
+	// stays in the fabric's source memory of an AS. Revocations are soft
+	// state (paper §4.1): when the TTL lapses, previously revoked paths
+	// are reinstated in lookups — if the link is still down, the next
+	// use triggers a fresh SCMP revocation. Zero selects the default
+	// (10s of data-plane time); NewNetwork rejects a negative TTL.
 	RevocationTTL time.Duration
 	// Workers parallelizes the bootstrap beaconing runs (0 = serial).
 	// Results are byte-identical for any worker count.
