@@ -2,7 +2,8 @@ package main
 
 import "testing"
 
-func TestBuildTopoVariants(t *testing.T) {
+func TestBeaconsimTopoVariants(t *testing.T) {
+	base := func(kind string) graph { return graph{kind: kind, n: 100, tier1: 5, seed: 1} }
 	cases := []struct {
 		kind, mode string
 		wantASes   int
@@ -13,7 +14,7 @@ func TestBuildTopoVariants(t *testing.T) {
 		{"scionlab", "intra", 63}, // full SCIONLab
 	}
 	for _, c := range cases {
-		topo, err := buildTopo(c.kind, c.mode, 100, 5, 1, 20, 3)
+		topo, err := beaconsimTopo(base(c.kind), c.mode, 20, 3)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", c.kind, c.mode, err)
 		}
@@ -22,21 +23,21 @@ func TestBuildTopoVariants(t *testing.T) {
 		}
 	}
 	// Generated topologies honor the core/ISD parameters.
-	coreTopo, err := buildTopo("gen", "core", 100, 5, 1, 20, 3)
+	coreTopo, err := beaconsimTopo(base("gen"), "core", 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if coreTopo.NumASes() != 20 {
 		t.Errorf("gen core ASes = %d, want 20", coreTopo.NumASes())
 	}
-	isdTopo, err := buildTopo("gen", "intra", 100, 5, 1, 20, 3)
+	isdTopo, err := beaconsimTopo(base("gen"), "intra", 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(isdTopo.CoreIAs()) != 3 {
 		t.Errorf("gen ISD cores = %d, want 3", len(isdTopo.CoreIAs()))
 	}
-	if _, err := buildTopo("bogus", "core", 1, 1, 1, 1, 1); err == nil {
+	if _, err := beaconsimTopo(base("bogus"), "core", 1, 1); err == nil {
 		t.Error("unknown kind accepted")
 	}
 }

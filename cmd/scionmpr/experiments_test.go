@@ -1,8 +1,11 @@
 package main
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-func TestKnownExperiment(t *testing.T) {
+func TestExperimentsKnownNames(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		want bool
@@ -20,8 +23,8 @@ func TestKnownExperiment(t *testing.T) {
 		{"Fig5", false},
 		{"fig5 ", false},
 	} {
-		if got := knownExperiment(tc.name); got != tc.want {
-			t.Errorf("knownExperiment(%q) = %v, want %v", tc.name, got, tc.want)
+		if got := slices.Contains(experimentNames(), tc.name); got != tc.want {
+			t.Errorf("experiment %q known = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"regexp"
 	"strings"
 	"testing"
@@ -12,13 +11,13 @@ var probeLine = regexp.MustCompile(`^  \[(\d+)\] hops=\d+ rtt=(\S+)`)
 
 // probes runs pathprobe and returns the header lines and the RTT of
 // every probed path.
-func probes(t *testing.T, topo string, n int, src, dst, algo string) (header []string, rtts []string) {
+func probes(t *testing.T, args ...string) (header []string, rtts []string) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := run(&buf, topo, n, 1, src, dst, algo); err != nil {
+	out, err := runCmd(append([]string{"pathprobe"}, args...)...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if m := probeLine.FindStringSubmatch(line); m != nil {
 			rtts = append(rtts, m[2])
 		} else {
@@ -28,8 +27,8 @@ func probes(t *testing.T, topo string, n int, src, dst, algo string) (header []s
 	return header, rtts
 }
 
-func TestRunDemoDefault(t *testing.T) {
-	header, rtts := probes(t, "demo", 0, "", "", "diversity")
+func TestPathprobeDemoDefault(t *testing.T) {
+	header, rtts := probes(t)
 	if len(header) != 2 || !strings.HasPrefix(header[1], "24 paths 2-ff00:0:203 -> 1-ff00:0:106") {
 		t.Fatalf("header = %q", header)
 	}
@@ -43,8 +42,8 @@ func TestRunDemoDefault(t *testing.T) {
 	}
 }
 
-func TestRunGenWithExplicitIAs(t *testing.T) {
-	header, rtts := probes(t, "gen", 300, "1-11", "1-108", "baseline")
+func TestPathprobeGenWithExplicitIAs(t *testing.T) {
+	header, rtts := probes(t, "-topo", "gen", "-n", "300", "-src", "1-11", "-dst", "1-108", "-algo", "baseline")
 	if len(header) != 2 || !strings.HasPrefix(header[0], "bootstrapped 255 ASes") ||
 		!strings.Contains(header[1], " paths 1-11 -> 1-108") {
 		t.Fatalf("header = %q", header)
@@ -59,15 +58,15 @@ func TestRunGenWithExplicitIAs(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadAlgo(t *testing.T) {
-	err := run(&bytes.Buffer{}, "demo", 0, 1, "", "", "bogus")
+func TestPathprobeRejectsBadAlgo(t *testing.T) {
+	_, err := runCmd("pathprobe", "-algo", "bogus")
 	if err == nil || !strings.Contains(err.Error(), `unknown algorithm "bogus"`) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-func TestRunRejectsBadTopo(t *testing.T) {
-	err := run(&bytes.Buffer{}, "nope", 0, 1, "", "", "diversity")
+func TestPathprobeRejectsBadTopo(t *testing.T) {
+	_, err := runCmd("pathprobe", "-topo", "nope")
 	if err == nil || !strings.Contains(err.Error(), `unknown topology "nope"`) {
 		t.Fatalf("err = %v", err)
 	}

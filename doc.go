@@ -8,7 +8,8 @@
 //
 // See README.md for the layout, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for reproduction results.
-// cmd/experiments regenerates each experiment's numbers, benchmark/ holds
-// the performance ledger, and the runnable entry points live under cmd/
-// and examples/.
+// `go run ./cmd/scionmpr experiments` regenerates each experiment's
+// numbers, benchmark/ holds the performance ledger, and the runnable entry
+// points are the subcommands of cmd/scionmpr and the programs under
+// examples/.
 package scionmpr

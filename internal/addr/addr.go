@@ -208,6 +208,19 @@ func HostIP4(ia IA, a, b, c, d byte) Host {
 	return Host{IA: ia, Type: HostIPv4, Local: []byte{a, b, c, d}}
 }
 
+// FlowHost is the address of traffic flow id's endpoint in ia. Flow
+// addresses come from the shared address space 100.64.0.0/10, which holds
+// every 20-bit wire FlowID and which no attached host may take, so a
+// flow's packets and SCMP never reach a host.
+func FlowHost(ia IA, id int) Host {
+	return HostIP4(ia, 100, 64|byte(id>>16)&0x3f, byte(id>>8), byte(id))
+}
+
+// IsFlowHost reports whether h lies in the flow address block.
+func (h Host) IsFlowHost() bool {
+	return h.Type == HostIPv4 && len(h.Local) == 4 && h.Local[0] == 100 && h.Local[1]&0xc0 == 64
+}
+
 // HostSvc builds a service (anycast) address, used to reach control
 // services such as the beacon or path server of an AS.
 func HostSvc(ia IA, svc uint16) Host {

@@ -144,3 +144,28 @@ func TestHostAddrTypeLen(t *testing.T) {
 		t.Error("unknown type length must be 0")
 	}
 }
+
+// TestFlowHostBlock: every 20-bit wire FlowID gets its own address inside
+// 100.64.0.0/10, and addresses outside the block are not flow addresses.
+func TestFlowHostBlock(t *testing.T) {
+	ia := MustIA(1, 5)
+	seen := map[string]bool{}
+	for _, id := range []int{0, 1, 2, 255, 256, 1 << 16, 1<<20 - 1} {
+		h := FlowHost(ia, id)
+		if !h.IsFlowHost() || h.Local[0] != 100 || h.Local[1] < 64 || h.Local[1] > 127 {
+			t.Errorf("flow %d: %s outside 100.64.0.0/10", id, h)
+		}
+		if seen[h.String()] {
+			t.Errorf("flow %d: address %s reused", id, h)
+		}
+		seen[h.String()] = true
+	}
+	for _, h := range []Host{
+		HostIP4(ia, 10, 0, 0, 2), HostIP4(ia, 100, 63, 255, 255), HostIP4(ia, 100, 128, 0, 0),
+		HostSvc(ia, SvcCS),
+	} {
+		if h.IsFlowHost() {
+			t.Errorf("%s taken for a flow address", h)
+		}
+	}
+}

@@ -64,7 +64,7 @@ type Scale struct {
 }
 
 // PaperScale is the full experiment setup of §5.1. Running it takes
-// hours; use it through cmd/experiments with an explicit flag.
+// hours; use it through `go run ./cmd/scionmpr experiments -scale paper`.
 func PaperScale() Scale {
 	return Scale{
 		NumASes:              12000,

@@ -62,8 +62,8 @@ type ServeConfig struct {
 }
 
 // DefaultServeConfig is the CI-friendly setup: a hundred thousand
-// endpoints for ten virtual seconds. cmd/pathserve raises Endpoints to
-// the paper-motivated million.
+// endpoints for ten virtual seconds. `go run ./cmd/scionmpr pathserve`
+// raises Endpoints to the paper-motivated million.
 func DefaultServeConfig() ServeConfig {
 	return ServeConfig{
 		Endpoints: 100_000,

@@ -202,7 +202,7 @@ func (t *Table) Fprint(w io.Writer) {
 
 // FprintHistogram renders an ASCII bar histogram of the samples with the
 // given number of equal-width buckets — the terminal rendering used by
-// cmd/beaconsim for bandwidth distributions.
+// `go run ./cmd/scionmpr beaconsim` for bandwidth distributions.
 func FprintHistogram(w io.Writer, title string, samples []float64, buckets int) {
 	fmt.Fprintf(w, "== %s ==\n", title)
 	if len(samples) == 0 || buckets < 1 {

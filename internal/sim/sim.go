@@ -509,40 +509,28 @@ func (s *Simulator) EveryShard(shard uint32, start, interval time.Duration, end 
 
 // Run executes events until the queue drains or Stop is called. It
 // returns the final virtual time.
-func (s *Simulator) Run() Time {
+func (s *Simulator) Run() Time { return s.run(math.MaxInt64) }
+
+// RunUntil executes events with timestamps <= deadline and then advances
+// the clock to the deadline. Remaining events stay queued.
+func (s *Simulator) RunUntil(deadline Time) Time {
+	s.now = max(s.run(deadline), deadline)
+	return s.now
+}
+
+// run executes events with timestamps <= deadline, in batches with more
+// than one worker and one by one otherwise, and returns the virtual time.
+func (s *Simulator) run(deadline Time) Time {
 	if s.WorkerCount() > 1 {
-		s.runBatches(Time(math.MaxInt64))
+		s.runBatches(deadline)
 		return s.now
 	}
-	for len(s.events) > 0 && !s.stopped.Load() {
+	for len(s.events) > 0 && !s.stopped.Load() && s.events[0].at <= deadline {
 		s.step(s.events[0].at)
 		e := s.events.pop()
 		s.now = e.at
 		s.Executed++
 		e.run()
-	}
-	return s.now
-}
-
-// RunUntil executes events with timestamps <= deadline and then advances
-// the clock to the deadline. Remaining events stay queued.
-func (s *Simulator) RunUntil(deadline Time) Time {
-	if s.WorkerCount() > 1 {
-		s.runBatches(deadline)
-	} else {
-		for len(s.events) > 0 && !s.stopped.Load() {
-			if s.events[0].at > deadline {
-				break
-			}
-			s.step(s.events[0].at)
-			e := s.events.pop()
-			s.now = e.at
-			s.Executed++
-			e.run()
-		}
-	}
-	if s.now < deadline {
-		s.now = deadline
 	}
 	return s.now
 }

@@ -564,8 +564,8 @@ func (e *refEngine) maybeFinish(f *Flow) {
 // injectHead sends the chunk's head packet through the fabric.
 func (e *refEngine) injectHead(f *Flow, p *flowPath, granted int64) {
 	pkt := &dataplane.Packet{
-		Src:     hostFor(f.spec.Src, f.spec.ID),
-		Dst:     hostFor(f.spec.Dst, f.spec.ID),
+		Src:     addr.FlowHost(f.spec.Src, f.spec.ID),
+		Dst:     addr.FlowHost(f.spec.Dst, f.spec.ID),
 		Path:    p.fp,
 		Payload: encodeHead(f.spec.ID, granted),
 		// Flow identity on the wire (20-bit field), so traffic traces

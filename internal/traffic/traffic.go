@@ -555,16 +555,11 @@ func decodeHead(payload []byte) (id int, granted int64, ok bool) {
 		int64(binary.BigEndian.Uint32(payload[5:9])), true
 }
 
-// hostFor derives a stable per-flow host address inside ia.
-func hostFor(ia addr.IA, id int) addr.Host {
-	return addr.HostIP4(ia, 10, byte(id>>16), byte(id>>8), byte(id))
-}
-
 // injectHead sends the chunk's head packet through the fabric.
 func (e *Engine) injectHead(f *Flow, p *flowPath, granted int64) {
 	pkt := &dataplane.Packet{
-		Src:     hostFor(f.spec.Src, f.spec.ID),
-		Dst:     hostFor(f.spec.Dst, f.spec.ID),
+		Src:     addr.FlowHost(f.spec.Src, f.spec.ID),
+		Dst:     addr.FlowHost(f.spec.Dst, f.spec.ID),
 		Path:    p.fp,
 		Payload: encodeHead(f.spec.ID, granted),
 		// Flow identity on the wire (20-bit field), so traffic traces

@@ -53,9 +53,6 @@ func NewTopology() *Topology { return topology.New() }
 // DemoTopology returns the paper's Figure 1 network (3 ISDs, 7 cores).
 func DemoTopology() *Topology { return topology.Demo() }
 
-// SCIONLabTopology returns the Appendix B testbed model.
-func SCIONLabTopology() *Topology { return topology.SCIONLab() }
-
 // GenerateTopology synthesizes an Internet-like topology with n ASes and
 // the given tier-1 clique size, deterministically from seed.
 func GenerateTopology(n, tier1 int, seed int64) (*Topology, error) {

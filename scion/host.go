@@ -33,12 +33,15 @@ type Host struct {
 }
 
 // Host attaches (or returns the existing) endpoint with the given IPv4
-// local address in ia.
+// local address in ia. Traffic flows own 100.64.0.0/10 (addr.FlowHost).
 func (n *Network) Host(ia addr.IA, a, b, c, d byte) (*Host, error) {
 	if n.Topo.AS(ia) == nil {
 		return nil, fmt.Errorf("scion: unknown AS %s", ia)
 	}
 	hostAddr := addr.HostIP4(ia, a, b, c, d)
+	if hostAddr.IsFlowHost() {
+		return nil, fmt.Errorf("scion: host %s is in the traffic flow block 100.64.0.0/10", hostAddr)
+	}
 	if h := n.lookupHost(hostAddr); h != nil {
 		return h, nil
 	}

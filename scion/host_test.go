@@ -393,3 +393,36 @@ func TestRemoteLookupSeesRevocationLapse(t *testing.T) {
 		t.Errorf("local lookup after the revocation lapsed = %d segments, want %d", got, beforeLocal)
 	}
 }
+
+// TestHostReceivesNoFlowPackets: traffic flows take their addresses from
+// 100.64.0.0/10, which hosts may not, so a host never receives a flow's
+// head packets — here flow 2's, whose endpoint numbering once matched the
+// host's 10.0.0.2 — and the flow still completes.
+func TestHostReceivesNoFlowPackets(t *testing.T) {
+	n := demoNet(t)
+	host, err := n.Host(a4, 10, 0, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := 0
+	host.OnReceive(func(addr.Host, []byte) { received++ })
+	eng, err := traffic.NewEngine(traffic.Config{
+		Fabric:   n.Fabric(),
+		Provider: n.Paths,
+		Links:    traffic.NewLinkModel(traffic.UniformCapacity(1.25e8)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := eng.Add(traffic.FlowSpec{ID: 2, Src: a6, Dst: a4, Size: 1 << 20})
+	eng.Run()
+	if !f.Done() {
+		t.Fatal("flow did not complete")
+	}
+	if received != 0 {
+		t.Errorf("host received %d of the flow's packets, want 0", received)
+	}
+	if _, err := n.Host(a4, 100, 64, 0, 2); err == nil {
+		t.Error("host attached inside the flow block 100.64.0.0/10")
+	}
+}

@@ -256,7 +256,7 @@ func TestBaselineAlgorithmOption(t *testing.T) {
 func TestNetworkOnSCIONLab(t *testing.T) {
 	opts := DefaultOptions()
 	opts.BeaconingTime = 2 * time.Hour
-	n, err := NewNetwork(SCIONLabTopology(), opts)
+	n, err := NewNetwork(topology.SCIONLab(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +304,8 @@ func TestExportedHelpers(t *testing.T) {
 	if NewTopology().NumASes() != 0 {
 		t.Error("NewTopology not empty")
 	}
-	if DemoTopology().NumASes() != 16 || SCIONLabTopology().NumASes() != 63 {
-		t.Error("builtin topologies wrong size")
+	if DemoTopology().NumASes() != 16 {
+		t.Error("demo topology wrong size")
 	}
 	h := HostIP4(MustIA(1, 5), 1, 2, 3, 4)
 	if h.IA != MustIA(1, 5) {

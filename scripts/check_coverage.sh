@@ -10,12 +10,7 @@
 # Usage: go test -cover ./... | scripts/check_coverage.sh
 
 floors='
-scionmpr/cmd/beaconsim 22
-scionmpr/cmd/chaossim 56
-scionmpr/cmd/pathprobe 70
-scionmpr/cmd/pathserve 59
-scionmpr/cmd/topogen 25
-scionmpr/cmd/trafficsim 46
+scionmpr/cmd/scionmpr 80
 scionmpr/internal/addr 92
 scionmpr/internal/beacon 90
 scionmpr/internal/bgp 87
