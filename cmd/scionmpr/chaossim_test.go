@@ -34,18 +34,7 @@ func TestChaossimDeterministic(t *testing.T) {
 // TestChaossimScheduleFile replays a schedule file with every fault kind,
 // including endpoint-pair link syntax and a jittered periodic flap.
 func TestChaossimScheduleFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "faults.txt")
-	sched := `# demo topology faults
-seed 7
-end 20s
-flap 1-ff00:0:101>1-ff00:0:102 at 4s down 1s period 5s jitter 200ms
-gray 2 at 6s down 3s rate 0.5
-spike 3 at 8s down 2s delay 150ms
-crash 1-ff00:0:101 at 10s down 2s
-`
-	if err := os.WriteFile(path, []byte(sched), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join("testdata", "faults.txt")
 	out, err := runCmd("chaossim", "-schedule", path)
 	if err != nil {
 		t.Fatal(err)

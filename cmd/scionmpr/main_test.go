@@ -12,8 +12,7 @@ import (
 
 // execute runs one subcommand the way the binary does and returns its
 // stdout and exit status.
-func execute(t *testing.T, args ...string) (string, int) {
-	t.Helper()
+func execute(args ...string) (string, int) {
 	var stdout bytes.Buffer
 	code := dispatch(&stdout, &bytes.Buffer{}, args)
 	return stdout.String(), code
@@ -98,7 +97,7 @@ func TestCLIMatchesRecordedOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, code := execute(t, strings.Fields(tc.args)...)
+		out, code := execute(strings.Fields(tc.args)...)
 		if code != tc.code {
 			t.Errorf("%s: exit %d, want %d", tc.args, code, tc.code)
 		}
@@ -182,7 +181,7 @@ func TestDispatchListsSubcommands(t *testing.T) {
 			}
 		}
 	}
-	if out, code := execute(t, "topogen", "-h"); code != 0 || out != "" {
+	if out, code := execute("topogen", "-h"); code != 0 || out != "" {
 		t.Errorf("topogen -h: exit %d, stdout %q", code, out)
 	}
 }
