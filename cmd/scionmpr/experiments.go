@@ -41,8 +41,6 @@ type experiment struct {
 //	            recovery of diversity vs baseline vs BGP
 //	serve       path-lookup serving layer under closed-loop load; see
 //	            also `scionmpr pathserve` for the million-endpoint run
-//	failover    crash-recoverable replicated path-server fleet under a
-//	            rolling crash storm plus a full blackout
 //	tournament  every path-selection policy scored on identical
 //	            topology x workload x chaos grid cells
 //	scionlab    Figures 7/8/9 SCIONLab path quality & bandwidth
@@ -57,9 +55,6 @@ var experimentTable = []experiment{
 	{[]string{"churn"}, func(s experiments.Scale) (printer, error) { return experiments.RunChurn(s) }},
 	{[]string{"serve"}, func(s experiments.Scale) (printer, error) {
 		return experiments.RunServe(s, experiments.DefaultServeConfig())
-	}},
-	{[]string{"failover"}, func(s experiments.Scale) (printer, error) {
-		return experiments.RunFailover(s, experiments.DefaultFailoverConfig())
 	}},
 	{[]string{"tournament"}, func(s experiments.Scale) (printer, error) {
 		return experiments.RunTournament(s, experiments.DefaultTournamentConfig())
@@ -101,7 +96,7 @@ func experimentNames() []string {
 //	scionmpr experiments -exp fig6 -scale smoke
 func experimentsCmd(fs *flag.FlagSet) func(io.Writer) error {
 	var (
-		exp       = fs.String("exp", "all", "experiment: table1 | fig5 (alias: overhead) | fig6 | capacity | churn | serve | failover | tournament | scionlab | convergence | ablation | gridsearch | all")
+		exp       = fs.String("exp", "all", "experiment: table1 | fig5 (alias: overhead) | fig6 | capacity | churn | serve | tournament | scionlab | convergence | ablation | gridsearch | all")
 		scaleName = fs.String("scale", "default", "scale preset: smoke | default | paper")
 		duration  = fs.Duration("duration", 0, "override beaconing duration")
 		pairs     = fs.Int("pairs", 0, "override sampled AS pairs")

@@ -17,7 +17,8 @@ func TestExperimentsKnownNames(t *testing.T) {
 		{"fig6b", true},
 		{"fig9", true}, // alias of scionlab
 		{"gridsearch", true},
-		{"forward", false}, // removed: must not silently succeed
+		{"forward", false},  // removed: must not silently succeed
+		{"failover", false}, // removed with the replicated path-server fleet
 		{"bogus", false},
 		{"", false},
 		{"Fig5", false},

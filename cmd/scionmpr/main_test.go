@@ -57,9 +57,9 @@ var wallClock = regexp.MustCompile(`(?m)^(.* wall time|bootstrapped .* in .*|\[.
 
 // TestCLIMatchesRecordedOutput replays invocations whose stdout and exit
 // status were recorded from the seven standalone commands this binary
-// replaced (testdata/cli/<name>.golden, wall-clock lines stripped). The
-// cases run in order in one directory: the resume reads the snapshot the
-// checkpoint wrote.
+// replaced (testdata/cli/<name>.golden, wall-clock lines stripped), plus
+// the rejections of removed surfaces. The cases run in order in one
+// directory: the resume reads the snapshot the checkpoint wrote.
 func TestCLIMatchesRecordedOutput(t *testing.T) {
 	golden, err := filepath.Abs(filepath.Join("testdata", "cli"))
 	if err != nil {
@@ -88,10 +88,13 @@ func TestCLIMatchesRecordedOutput(t *testing.T) {
 		// The standalone trafficsim printed the trace error and exited 0.
 		{"trafficsim_trace_missing_dir", "trafficsim -flows 200 -trace missing/trace.jsonl", 1},
 		{"pathserve", "pathserve -scale smoke -endpoints 2000 -actors 8 -duration 4s", 0},
-		{"pathserve_replicas", "pathserve -scale smoke -endpoints 2000 -actors 8 -duration 4s -replicas 3", 0},
 		{"pathserve_bad_scale", "pathserve -scale galactic", 1},
+		// The replicated path-server fleet is gone: its flag and its
+		// experiment are rejected like any unknown one.
+		{"pathserve_replicas_removed", "pathserve -replicas 3", 2},
 		{"experiments_table1", "experiments -exp table1", 0},
 		{"experiments_unknown", "experiments -exp bogus", 2},
+		{"experiments_failover_removed", "experiments -exp failover", 2},
 	} {
 		want, err := os.ReadFile(filepath.Join(golden, tc.name+".golden"))
 		if err != nil {
@@ -131,11 +134,9 @@ func TestFlagsMatchRecordedTable(t *testing.T) {
 			{"algo", "diversity"}, {"dst", ""}, {"n", "300"}, {"seed", "1"}, {"src", ""}, {"topo", "demo"},
 		},
 		"pathserve": {
-			{"actors", "64"}, {"cachettl", "2s"}, {"ckptevery", "192"}, {"crashdown", "1s"},
-			{"crashperiod", "2.7s"}, {"duration", "10s"}, {"endpoints", "1000000"}, {"replicas", "0"},
-			{"scale", "default"}, {"seed", "1"}, {"shards", "16"}, {"snapshot", ""}, {"syncevery", "500ms"},
-			{"telemetry", ""}, {"think", "250ms"}, {"tick", "10ms"}, {"trace", ""}, {"workers", "0"},
-			{"zipf", "1.2"},
+			{"actors", "64"}, {"cachettl", "2s"}, {"duration", "10s"}, {"endpoints", "1000000"},
+			{"scale", "default"}, {"seed", "1"}, {"shards", "16"}, {"snapshot", ""}, {"telemetry", ""},
+			{"think", "250ms"}, {"tick", "10ms"}, {"trace", ""}, {"workers", "0"}, {"zipf", "1.2"},
 		},
 		"topogen": {
 			{"core", "0"}, {"isd", "0"}, {"isds", "0"}, {"kind", "gen"}, {"n", "12000"}, {"o", ""},

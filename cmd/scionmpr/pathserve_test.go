@@ -85,44 +85,6 @@ func TestPathserveWritesArtifacts(t *testing.T) {
 	}
 }
 
-// TestPathserveFleetMode drives the -replicas path end to end: both
-// selector variants under the crash storm, the convergence check and
-// artifacts.
-func TestPathserveFleetMode(t *testing.T) {
-	dir := t.TempDir()
-	trace, snapshot := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "snapshot.txt")
-	out, err := runCmd(smokeArgs("-replicas", "3", "-ckptevery", "96", "-syncevery", "400ms",
-		"-crashdown", "500ms", "-crashperiod", "1300ms", "-trace", trace, "-snapshot", snapshot)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"fingerprint: ", "crashes / recoveries", "replicas converged", "true",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fleet output missing %q", want)
-		}
-	}
-	tr, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"replica_crashed", "replica_recovered", "antientropy_pull"} {
-		if !bytes.Contains(tr, []byte(want)) {
-			t.Errorf("trace file has no %s events", want)
-		}
-	}
-	snap, err := os.ReadFile(snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"pathsrv_replica_crashes_total", "pathsrv_client_stale_serves_total"} {
-		if !bytes.Contains(snap, []byte(want)) {
-			t.Errorf("snapshot file missing %s", want)
-		}
-	}
-}
-
 func TestPathserveRejectsBadScale(t *testing.T) {
 	if _, err := runCmd(smokeArgs("-scale", "galactic")...); err == nil {
 		t.Error("unknown scale accepted")

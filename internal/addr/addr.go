@@ -99,9 +99,6 @@ func MustIA(isd ISD, as AS) IA {
 	return IA{ISD: isd, AS: as}
 }
 
-// IsZero reports whether ia is the zero (unspecified) IA.
-func (ia IA) IsZero() bool { return ia.ISD == 0 && ia.AS == 0 }
-
 // String renders the canonical "isd-as" notation. Hand-rolled rather
 // than fmt-based: IA.String sits under beaconing's hop-key construction,
 // where fmt's boxing tripled the allocation count.

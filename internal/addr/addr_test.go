@@ -92,12 +92,6 @@ func TestIALess(t *testing.T) {
 	if !a.Less(b) || !b.Less(c) || c.Less(a) {
 		t.Error("IA ordering broken")
 	}
-	if a.IsZero() {
-		t.Error("non-zero IA reported zero")
-	}
-	if !(IA{}).IsZero() {
-		t.Error("zero IA not reported zero")
-	}
 }
 
 func TestMustIAPanics(t *testing.T) {

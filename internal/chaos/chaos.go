@@ -60,9 +60,6 @@ type Engine struct {
 	// beacon-server revocation and to timestamp outages.
 	OnFail    func(id topology.LinkID)
 	OnRestore func(id topology.LinkID)
-	// OnCrash / OnRestart mirror the link hooks for process faults.
-	OnCrash   func(ia addr.IA)
-	OnRestart func(ia addr.IA)
 
 	// Injections counts fault-plan actions executed so far, by kind.
 	Injections map[Kind]uint64
@@ -292,9 +289,6 @@ func (e *Engine) crashAS(ia addr.IA) {
 	for _, t := range e.crash {
 		t.Crash(ia)
 	}
-	if e.OnCrash != nil {
-		e.OnCrash(ia)
-	}
 }
 
 func (e *Engine) restartAS(ia addr.IA) {
@@ -306,9 +300,6 @@ func (e *Engine) restartAS(ia addr.IA) {
 	e.trace(telemetry.FaultHealed, ia.Uint64(), 0, "crash")
 	for _, t := range e.crash {
 		t.Restart(ia)
-	}
-	if e.OnRestart != nil {
-		e.OnRestart(ia)
 	}
 }
 

@@ -163,37 +163,6 @@ func TestOverlappingCrashesHealExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestCrashStormStaggeredAndBounded(t *testing.T) {
-	ias := []addr.IA{
-		addr.MustIA(60000, 1), addr.MustIA(60000, 2), addr.MustIA(60000, 3),
-	}
-	start, end := sim.Time(2*time.Second), sim.Time(10*time.Second)
-	a := CrashStorm(5, ias, start, end, time.Second, 3*time.Second)
-	b := CrashStorm(5, ias, start, end, time.Second, 3*time.Second)
-	if a.String() != b.String() {
-		t.Fatal("CrashStorm not deterministic for same inputs")
-	}
-	if len(a.Events) != 3 {
-		t.Fatalf("events = %d, want 3", len(a.Events))
-	}
-	seen := map[sim.Time]bool{}
-	for _, ev := range a.Events {
-		if ev.Kind != CrashAS {
-			t.Fatalf("event kind = %v", ev.Kind)
-		}
-		if seen[ev.At] {
-			t.Errorf("two crashes start at %v; phases must be staggered", ev.At)
-		}
-		seen[ev.At] = true
-		if ev.At < start {
-			t.Errorf("crash at %v before storm start", ev.At)
-		}
-		if ev.Until != end-sim.Time(time.Second) {
-			t.Errorf("Until = %v, want %v", ev.Until, end-sim.Time(time.Second))
-		}
-	}
-}
-
 func TestGrayAndSpikeStacking(t *testing.T) {
 	s := &sim.Simulator{}
 	rec := newRecorder(s)

@@ -95,7 +95,6 @@ func TestEngineStateReinstalls(t *testing.T) {
 	e.AddCrashTarget(rec)
 	hooks := 0
 	e.OnFail = func(topology.LinkID) { hooks++ }
-	e.OnCrash = func(addr.IA) { hooks++ }
 	if err := e.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}

@@ -142,27 +142,6 @@ func (ev Event) String() string {
 	}
 }
 
-// CrashStorm builds the standard replica crash-storm schedule: every
-// target process crashes for down every period, phases staggered across
-// the period so outages roll through the targets continuously instead
-// of hitting them in lockstep. Events run from start to end.
-func CrashStorm(seed int64, targets []addr.IA, start, end sim.Time, down, period time.Duration) *Schedule {
-	sched := &Schedule{Seed: seed, End: end}
-	n := len(targets)
-	for i, ia := range targets {
-		phase := time.Duration(i) * period / time.Duration(n)
-		sched.Events = append(sched.Events, Event{
-			Kind:   CrashAS,
-			IA:     ia,
-			At:     start + sim.Time(phase),
-			Down:   down,
-			Period: period,
-			Until:  end - sim.Time(down),
-		})
-	}
-	return sched
-}
-
 // FlapChurn builds the standard continuous-churn schedule: n links
 // drawn without replacement from links (seeded), each flapping with
 // the given down time every period, phases staggered across the period

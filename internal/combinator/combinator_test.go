@@ -325,7 +325,7 @@ func TestPathLinksAndString(t *testing.T) {
 		t.Error("empty stringers")
 	}
 	var empty Path
-	if !empty.Src().IsZero() || !empty.Dst().IsZero() {
+	if empty.Src() != (addr.IA{}) || empty.Dst() != (addr.IA{}) {
 		t.Error("empty path endpoints must be zero")
 	}
 }

@@ -196,7 +196,7 @@ func (e *env) runCore(factory core.Factory, storeLimit int) (*beacon.RunResult, 
 }
 
 // livePlane builds the compressed-time core beaconing plane the live
-// experiments (churn, serve, failover) run on, ticks scheduled: one-hour
+// experiments (churn, serve) run on, ticks scheduled: one-hour
 // PCB lifetime, 10 ms control links, a tick every interval until end.
 // The plane builds its own trust infra (keys are a pure function of the
 // AS); a nil observer behaves as in beacon.RunConfig.

@@ -8,13 +8,11 @@ import (
 	"strings"
 	"time"
 
-	"scionmpr/internal/addr"
 	"scionmpr/internal/beacon"
 	"scionmpr/internal/chaos"
 	"scionmpr/internal/core"
 	"scionmpr/internal/metrics"
 	"scionmpr/internal/pathsrv"
-	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
@@ -77,39 +75,6 @@ func DefaultServeConfig() ServeConfig {
 		CacheTTL:  2 * time.Second,
 		CacheCap:  4096,
 		RevTTL:    1500 * time.Millisecond,
-	}
-}
-
-// check rejects a config with no clients or no client window; name
-// prefixes the error.
-func (sc ServeConfig) check(name string) error {
-	if sc.Endpoints <= 0 || sc.Duration <= 0 {
-		return fmt.Errorf("experiments: %s needs endpoints and a duration", name)
-	}
-	if sim.Time(sc.Duration) <= sim.Time(serveClientStart) {
-		return fmt.Errorf("experiments: %s duration %v must exceed the client start %v",
-			name, sc.Duration, serveClientStart)
-	}
-	return nil
-}
-
-// clients is the closed-loop client population of the serve and failover
-// experiments: ias query each other from serveClientStart to Duration.
-func (sc ServeConfig) clients(ias []addr.IA, seed int64) pathsrv.ClientConfig {
-	return pathsrv.ClientConfig{
-		Endpoints: sc.Endpoints,
-		Actors:    sc.Actors,
-		Sources:   ias,
-		Dests:     ias,
-		ZipfS:     sc.ZipfS,
-		MeanThink: sc.MeanThink,
-		MinThink:  sc.MinThink,
-		Tick:      sc.Tick,
-		Start:     sim.Time(serveClientStart),
-		End:       sim.Time(sc.Duration),
-		Seed:      seed,
-		CacheTTL:  sim.Time(sc.CacheTTL),
-		CacheCap:  sc.CacheCap,
 	}
 }
 
@@ -187,8 +152,12 @@ func (r *ServeResult) Fingerprint() [sha256.Size]byte {
 // mid-run (revoking and reinstating served paths), and the closed-loop
 // client population drives lookups throughout.
 func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
-	if err := sc.check("serve"); err != nil {
-		return nil, err
+	if sc.Endpoints <= 0 || sc.Duration <= 0 {
+		return nil, fmt.Errorf("experiments: serve needs endpoints and a duration")
+	}
+	if sim.Time(sc.Duration) <= sim.Time(serveClientStart) {
+		return nil, fmt.Errorf("experiments: serve duration %v must exceed the client start %v",
+			sc.Duration, serveClientStart)
 	}
 	e, err := newEnv(s)
 	if err != nil {
@@ -217,11 +186,7 @@ func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
 		Clock:         clock,
 		Telemetry:     reg,
 	})
-	registerFeed(plane, func(now sim.Time, p *seg.PCB) {
-		// Errors mean expired-in-flight segments; they are counted by the
-		// service and safe to skip.
-		_ = svc.Register(now, p)
-	})
+	registerFeed(plane, svc)
 	// Publisher: batch registrations into epoch snapshot swaps.
 	clock.Every(servePublishStart, servePublishInterval, end, func(now sim.Time) {
 		svc.Publish(now)
@@ -230,14 +195,30 @@ func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
 	// Chaos storm across the middle of the client window. Beacon servers
 	// learn of failures instantly (as in the churn experiment); the
 	// serving layer revokes and reinstates through WireChaos.
-	flaps, _, _ := serveStorm(e, end)
+	flaps := serveStorm(e, end)
 	eng := plane.NewChaos()
 	pathsrv.WireChaos(clock, eng, e.core, svc, sim.Time(sc.RevTTL))
 	if err := eng.Apply(flaps); err != nil {
 		return nil, err
 	}
 
-	pool, err := pathsrv.NewPool(clock, svc, reg, sc.clients(ias, s.Seed))
+	// The closed-loop clients: the core ASes query each other from
+	// serveClientStart to the end of the run.
+	pool, err := pathsrv.NewPool(clock, svc, reg, pathsrv.ClientConfig{
+		Endpoints: sc.Endpoints,
+		Actors:    sc.Actors,
+		Sources:   ias,
+		Dests:     ias,
+		ZipfS:     sc.ZipfS,
+		MeanThink: sc.MeanThink,
+		MinThink:  sc.MinThink,
+		Tick:      sc.Tick,
+		Start:     sim.Time(serveClientStart),
+		End:       end,
+		Seed:      s.Seed,
+		CacheTTL:  sim.Time(sc.CacheTTL),
+		CacheCap:  sc.CacheCap,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -267,18 +248,25 @@ func RunServe(s Scale, sc ServeConfig) (*ServeResult, error) {
 	res.VirtualQPS = float64(res.Totals.Lookups) / loadSeconds
 	res.HitRate = res.Totals.HitRate()
 	res.Imbalance = res.Totals.Imbalance()
-	res.P50, res.P99, res.P999 = lookupCost(reg)
-	if res.Snapshot, res.TraceJSONL, err = observe(reg, tracer); err != nil {
+	// The modeled lookup-cost quantiles, in nanoseconds.
+	h := reg.Histogram("pathsrv_lookup_cost_ns", nil)
+	res.P50, res.P99, res.P999 = h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
+	var snap, tr strings.Builder
+	if err := reg.WriteSnapshot(&snap); err != nil {
 		return nil, err
 	}
+	if err := tracer.WriteJSONL(&tr); err != nil {
+		return nil, err
+	}
+	res.Snapshot, res.TraceJSONL = snap.String(), tr.String()
 	return res, nil
 }
 
-// registerFeed schedules the registration feed of the serve and failover
-// experiments: every interval, sweep the beacon stores and register every
-// live PCB under its (origin, leaf) pair. Re-seen paths are cheap
-// refreshes; genuinely new ones dirty their shard.
-func registerFeed(plane *beacon.Plane, register func(sim.Time, *seg.PCB)) {
+// registerFeed schedules the serve experiment's registration feed: every
+// interval, sweep the beacon stores and register every live PCB under its
+// (origin, leaf) pair. Re-seen paths are cheap refreshes; genuinely new
+// ones dirty their shard.
+func registerFeed(plane *beacon.Plane, svc *pathsrv.Service) {
 	ias := plane.Cfg.Topo.IAs()
 	end := sim.Time(plane.Cfg.Duration)
 	plane.Sim.Every(serveRegisterStart, serveRegisterInterval, end, func(now sim.Time) {
@@ -287,7 +275,9 @@ func registerFeed(plane *beacon.Plane, register func(sim.Time, *seg.PCB)) {
 			for _, origin := range st.Origins() {
 				for _, p := range st.PCBs(now, origin) {
 					if p.Leaf() != origin {
-						register(now, p)
+						// Errors mean expired-in-flight segments; the
+						// service counts them and they are safe to skip.
+						_ = svc.Register(now, p)
 					}
 				}
 			}
@@ -295,40 +285,19 @@ func registerFeed(plane *beacon.Plane, register func(sim.Time, *seg.PCB)) {
 	})
 }
 
-// serveStorm is the flap storm of the serve and failover experiments: a
-// quarter of the core links (at least two) flap across the middle fifth
-// of the client window, [2/5, 4/5). It returns the schedule and its window.
-func serveStorm(e *env, end sim.Time) (flaps *chaos.Schedule, start, stop sim.Time) {
+// serveStorm is the serve experiment's flap storm: a quarter of the core
+// links (at least two) flap across the middle fifth of the client window,
+// [2/5, 4/5).
+func serveStorm(e *env, end sim.Time) *chaos.Schedule {
 	clients := sim.Time(serveClientStart)
-	start = clients + (end-clients)*2/5
-	stop = clients + (end-clients)*4/5
+	start := clients + (end-clients)*2/5
+	stop := clients + (end-clients)*4/5
 	var cands []topology.LinkID
 	for _, l := range e.core.Links {
 		cands = append(cands, l.ID)
 	}
-	flaps = chaos.FlapChurn(e.scale.Seed, cands, stormSize(len(cands), 4, 2), start, stop,
+	return chaos.FlapChurn(e.scale.Seed, cands, stormSize(len(cands), 4, 2), start, stop,
 		serveFlapDown, serveFlapPeriod)
-	return flaps, start, stop
-}
-
-// lookupCost reads the modeled lookup-cost quantiles (p50, p99, p999, in
-// nanoseconds) off the deterministic cost histogram.
-func lookupCost(reg *telemetry.Registry) (p50, p99, p999 float64) {
-	h := reg.Histogram("pathsrv_lookup_cost_ns", nil)
-	return h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999)
-}
-
-// observe renders the two text observables a serving run's fingerprint
-// folds in: the registry's deterministic snapshot and the trace JSONL.
-func observe(reg *telemetry.Registry, tracer *telemetry.Tracer) (snapshot, trace string, err error) {
-	var snap, tr strings.Builder
-	if err := reg.WriteSnapshot(&snap); err != nil {
-		return "", "", err
-	}
-	if err := tracer.WriteJSONL(&tr); err != nil {
-		return "", "", err
-	}
-	return snap.String(), tr.String(), nil
 }
 
 // Print renders the run deterministically (wall-clock values are marked

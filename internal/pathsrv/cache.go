@@ -13,7 +13,7 @@ type centry struct {
 	// contain dead paths regardless of the cache TTL.
 	minExpiry sim.Time
 	// maxExpiry is the latest segment expiry: past it every cached path
-	// is dead and the entry is useless even as a stale answer.
+	// is dead and a sweep may reclaim the entry.
 	maxExpiry sim.Time
 	// expires is the TTL deadline of the cache entry itself.
 	expires sim.Time
@@ -37,9 +37,8 @@ type Cache struct {
 	nextDead sim.Time
 
 	Hits, Misses, Evictions, Invalidations uint64
-	// Sweeps counts dead-entry sweep passes; StaleHits counts replies
-	// served past their TTL by LookupStale.
-	Sweeps, StaleHits uint64
+	// Sweeps counts dead-entry sweep passes.
+	Sweeps uint64
 }
 
 // NewCache creates a cache registered with the service for precise
@@ -84,19 +83,6 @@ func (c *Cache) Lookup(now sim.Time, svc *Service, src, dst addr.IA) ([]*seg.PCB
 	return segs, false
 }
 
-// probe answers from the cache when fresh without evicting on a stale
-// entry — fleet clients keep stale entries around as the serve-stale
-// reserve for total outages. Counts a hit or a miss either way.
-func (c *Cache) probe(now sim.Time, key pairKey) ([]*seg.PCB, bool) {
-	if e, ok := c.entries[key]; ok && now < e.expires && now < e.minExpiry {
-		c.Hits++
-		return e.segs, true
-	}
-	c.Misses++
-	c.maybeSweep(now)
-	return nil, false
-}
-
 // store caches a non-empty reply under the freshness deadline
 // min(now+ttl, minExpiry).
 func (c *Cache) store(now sim.Time, key pairKey, segs []*seg.PCB, minExpiry sim.Time) {
@@ -126,33 +112,6 @@ func (c *Cache) store(now sim.Time, key pairKey, segs []*seg.PCB, minExpiry sim.
 	if c.nextDead == 0 || maxExpiry < c.nextDead {
 		c.nextDead = maxExpiry
 	}
-}
-
-// LookupStale serves whatever unexpired segments a cached entry still
-// holds, TTL notwithstanding — the graceful-degradation path when every
-// replica is unreachable. The entry is kept (it may be served again
-// until its last segment dies or a real reply replaces it). Returns nil
-// when nothing servable is cached.
-func (c *Cache) LookupStale(now sim.Time, src, dst addr.IA) []*seg.PCB {
-	e, ok := c.entries[pairKey{src: src, dst: dst}]
-	if !ok {
-		return nil
-	}
-	if now < e.minExpiry {
-		c.StaleHits++
-		return e.segs
-	}
-	var out []*seg.PCB
-	for _, p := range e.segs {
-		if !p.Expired(now) {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	c.StaleHits++
-	return out
 }
 
 // maybeSweep drops every entry whose last segment has expired, once the

@@ -15,21 +15,6 @@ import (
 // chained, not replaced. ttl <= 0 uses the service's default revocation
 // TTL — the backstop in case the restore event is lost.
 func WireChaos(clock *sim.Simulator, eng *chaos.Engine, topo *topology.Graph, svc *Service, ttl sim.Time) {
-	wireChaos(clock, eng, topo,
-		func(now sim.Time, lk seg.LinkKey) { svc.RevokeLink(now, lk, ttl) },
-		func(now sim.Time, lk seg.LinkKey) { svc.ReinstateLink(now, lk) })
-}
-
-// WireChaosFleet is WireChaos for a replica fleet: link failures revoke
-// (and healings reinstate) both directed interfaces on every up replica.
-// Crashed replicas miss the events — the journal gap anti-entropy heals.
-func WireChaosFleet(clock *sim.Simulator, eng *chaos.Engine, topo *topology.Graph, fleet *Fleet, ttl sim.Time) {
-	wireChaos(clock, eng, topo,
-		func(now sim.Time, lk seg.LinkKey) { fleet.RevokeLink(now, lk, ttl) },
-		fleet.ReinstateLink)
-}
-
-func wireChaos(clock *sim.Simulator, eng *chaos.Engine, topo *topology.Graph, revoke, reinstate func(sim.Time, seg.LinkKey)) {
 	hook := func(prev func(topology.LinkID), apply func(sim.Time, seg.LinkKey)) func(topology.LinkID) {
 		return func(id topology.LinkID) {
 			if prev != nil {
@@ -42,6 +27,6 @@ func wireChaos(clock *sim.Simulator, eng *chaos.Engine, topo *topology.Graph, re
 			}
 		}
 	}
-	eng.OnFail = hook(eng.OnFail, revoke)
-	eng.OnRestore = hook(eng.OnRestore, reinstate)
+	eng.OnFail = hook(eng.OnFail, func(now sim.Time, lk seg.LinkKey) { svc.RevokeLink(now, lk, ttl) })
+	eng.OnRestore = hook(eng.OnRestore, func(now sim.Time, lk seg.LinkKey) { svc.ReinstateLink(now, lk) })
 }

@@ -2,7 +2,6 @@ package pathsrv
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"scionmpr/internal/addr"
@@ -46,18 +45,6 @@ type ClientConfig struct {
 	CacheTTL sim.Time
 	// CacheCap bounds each actor's cache (<= 0 = unbounded).
 	CacheCap int
-
-	// Fleet-pool failover policy (ignored by single-service pools).
-
-	// RetryBudget caps failover attempts per actor per tick: once spent,
-	// further lookups in the quantum go straight to serve-stale instead
-	// of hammering more replicas (default 4; negative = no retries).
-	RetryBudget int
-	// BackoffBase/BackoffMax shape the per-replica client-side circuit
-	// breaker: after k consecutive timeouts a replica is skipped for
-	// min(BackoffBase<<(k-1), BackoffMax), jittered to [d/2, d) with the
-	// actor's seeded RNG (defaults 50ms / 800ms).
-	BackoffBase, BackoffMax time.Duration
 }
 
 // clientActor drives one shard's slice of the endpoint population. All
@@ -75,36 +62,17 @@ type clientActor struct {
 	// imbalance gauges.
 	perShard []uint64
 
-	// Fleet-mode failover state, all owned by this actor's shard:
-	// jitter RNG, per-replica consecutive-timeout streaks and circuit
-	// deadlines, and the per-tick retry token bucket.
-	rng          *rand.Rand
-	failStreak   []int
-	blockedUntil []sim.Time
-	retryTokens  int
-
 	Lookups, Hits, Empties uint64
-	// Fleet-mode outcome counters: Timeouts are attempts on a dead
-	// replica, Retries failover attempts paid from the budget,
-	// RetriesDenied attempts skipped for lack of budget, StaleServes
-	// lookups degraded to a stale cached reply, Failures lookups with no
-	// answer at all.
-	Timeouts, Retries, RetriesDenied uint64
-	StaleServes, Failures            uint64
 
-	cLook, cHit, cEmpty            *telemetry.Cell
-	cTimeout, cRetry, cRetryDenied *telemetry.Cell
-	cStale, cFail                  *telemetry.Cell
-	hCost, hSegs                   *telemetry.HistCell
+	cLook, cHit, cEmpty *telemetry.Cell
+	hCost, hSegs        *telemetry.HistCell
 }
 
-// Pool is the client population. Create with NewPool (one service) or
-// NewFleetPool (replicated fleet with failover) before the simulation
-// runs; it registers its own recurring events.
+// Pool is the client population. Create with NewPool before the
+// simulation runs; it registers its own recurring events.
 type Pool struct {
 	cfg    ClientConfig
 	svc    *Service
-	fleet  *Fleet
 	actors []*clientActor
 }
 
@@ -112,38 +80,17 @@ type Pool struct {
 // execute a real RPC stack, so tail latency comes from a cost model:
 // cache hits are cheap, misses pay the snapshot probe plus per-segment
 // reply marshalling, empty replies pay the probe without the reply.
-// Fleet clients additionally pay a timeout per attempt on a crashed
-// replica, a local-cache cost for a stale serve, and a full timeout
-// chain for a total failure.
 const (
 	costHitNS      = 800
 	costEmptyNS    = 2000
 	costMissBaseNS = 2500
 	costMissPerSeg = 150
-	costTimeoutNS  = 20000
-	costStaleNS    = 1000
-	costFailNS     = 30000
 )
 
 // NewPool builds the endpoint population against a single path server
 // and schedules its load between cfg.Start and cfg.End. Call from
 // serial context before clock.Run.
 func NewPool(clock *sim.Simulator, svc *Service, reg *telemetry.Registry, cfg ClientConfig) (*Pool, error) {
-	return newPool(clock, svc, nil, reg, cfg)
-}
-
-// NewFleetPool builds the endpoint population against a replica fleet:
-// endpoint e prefers replica e mod fleet.Size() and fails over through
-// the others under the ClientConfig backoff/retry policy, degrading to
-// stale cached replies when every replica is unreachable.
-func NewFleetPool(clock *sim.Simulator, fleet *Fleet, reg *telemetry.Registry, cfg ClientConfig) (*Pool, error) {
-	if fleet == nil || fleet.Size() == 0 {
-		return nil, fmt.Errorf("pathsrv: fleet pool needs a fleet")
-	}
-	return newPool(clock, fleet.proto, fleet, reg, cfg)
-}
-
-func newPool(clock *sim.Simulator, svc *Service, fleet *Fleet, reg *telemetry.Registry, cfg ClientConfig) (*Pool, error) {
 	if cfg.Endpoints <= 0 {
 		return nil, fmt.Errorf("pathsrv: pool needs endpoints, got %d", cfg.Endpoints)
 	}
@@ -162,34 +109,14 @@ func newPool(clock *sim.Simulator, svc *Service, fleet *Fleet, reg *telemetry.Re
 	if cfg.End <= cfg.Start {
 		return nil, fmt.Errorf("pathsrv: pool needs Start < End")
 	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 4
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax < cfg.BackoffBase {
-		cfg.BackoffMax = 800 * time.Millisecond
-		if cfg.BackoffMax < cfg.BackoffBase {
-			cfg.BackoffMax = cfg.BackoffBase
-		}
-	}
 
 	cLook := reg.Counter("pathsrv_lookups_total")
 	cHit := reg.Counter("pathsrv_cache_hits_total")
 	cEmpty := reg.Counter("pathsrv_empty_replies_total")
 	hCost := reg.Histogram("pathsrv_lookup_cost_ns", telemetry.ExpBuckets(250, 2, 16))
 	hSegs := reg.Histogram("pathsrv_reply_segments", telemetry.ExpBuckets(1, 2, 8))
-	var cTimeout, cRetry, cRetryDenied, cStale, cFail *telemetry.Counter
-	if fleet != nil {
-		cTimeout = reg.Counter("pathsrv_client_timeouts_total")
-		cRetry = reg.Counter("pathsrv_client_retries_total")
-		cRetryDenied = reg.Counter("pathsrv_client_retries_denied_total")
-		cStale = reg.Counter("pathsrv_client_stale_serves_total")
-		cFail = reg.Counter("pathsrv_client_failures_total")
-	}
 
-	p := &Pool{cfg: cfg, svc: svc, fleet: fleet, actors: make([]*clientActor, cfg.Actors)}
+	p := &Pool{cfg: cfg, svc: svc, actors: make([]*clientActor, cfg.Actors)}
 	for i := range p.actors {
 		shard := clock.NewShard()
 		a := &clientActor{
@@ -206,26 +133,7 @@ func newPool(clock *sim.Simulator, svc *Service, fleet *Fleet, reg *telemetry.Re
 			hSegs:    hSegs.Cell(shard),
 		}
 		if cfg.CacheTTL > 0 {
-			if fleet != nil {
-				// Fleet caches are adopted by every replica so each
-				// incarnation of each service invalidates them precisely.
-				a.cache = NewLocalCache(cfg.CacheTTL, cfg.CacheCap)
-				for _, r := range fleet.Replicas() {
-					r.adoptCache(a.cache)
-				}
-			} else {
-				a.cache = svc.NewCache(cfg.CacheTTL, cfg.CacheCap)
-			}
-		}
-		if fleet != nil {
-			a.rng = rand.New(rand.NewSource(cfg.Seed + 15485863*int64(i) + 31))
-			a.failStreak = make([]int, fleet.Size())
-			a.blockedUntil = make([]sim.Time, fleet.Size())
-			a.cTimeout = cTimeout.Cell(shard)
-			a.cRetry = cRetry.Cell(shard)
-			a.cRetryDenied = cRetryDenied.Cell(shard)
-			a.cStale = cStale.Cell(shard)
-			a.cFail = cFail.Cell(shard)
+			a.cache = svc.NewCache(cfg.CacheTTL, cfg.CacheCap)
 		}
 		p.actors[i] = a
 	}
@@ -264,7 +172,6 @@ func newPool(clock *sim.Simulator, svc *Service, fleet *Fleet, reg *telemetry.Re
 // after its think time.
 func (a *clientActor) tick(now sim.Time) {
 	cfg := &a.pool.cfg
-	a.retryTokens = cfg.RetryBudget
 	k := int64((now - cfg.Start) / sim.Time(cfg.Tick))
 	due := a.buckets[k]
 	if len(due) == 0 {
@@ -287,16 +194,9 @@ func (a *clientActor) tick(now sim.Time) {
 
 		var n, cost int
 		var hit bool
-		switch {
-		case dst == src:
-			// Degenerate workload (single destination colocated with the
-			// endpoint): counts as an empty reply.
-			a.Empties++
-			a.cEmpty.Inc()
-			cost = costEmptyNS
-		case a.pool.fleet != nil:
-			n, hit, cost = a.fleetLookup(now, e, src, dst)
-		default:
+		// A degenerate workload (single destination colocated with the
+		// endpoint) looks nothing up: it counts as an empty reply.
+		if dst != src {
 			if a.cache != nil {
 				r, h := a.cache.Lookup(now, svc, src, dst)
 				n, hit = len(r), h
@@ -304,18 +204,18 @@ func (a *clientActor) tick(now sim.Time) {
 				r, _ := svc.Lookup(now, src, dst)
 				n = len(r)
 			}
-			switch {
-			case hit:
-				a.Hits++
-				a.cHit.Inc()
-				cost = costHitNS
-			case n == 0:
-				a.Empties++
-				a.cEmpty.Inc()
-				cost = costEmptyNS
-			default:
-				cost = costMissBaseNS + costMissPerSeg*n
-			}
+		}
+		switch {
+		case hit:
+			a.Hits++
+			a.cHit.Inc()
+			cost = costHitNS
+		case n == 0:
+			a.Empties++
+			a.cEmpty.Inc()
+			cost = costEmptyNS
+		default:
+			cost = costMissBaseNS + costMissPerSeg*n
 		}
 		a.hCost.Observe(float64(cost))
 		if n > 0 {
@@ -331,104 +231,9 @@ func (a *clientActor) tick(now sim.Time) {
 	}
 }
 
-// fleetLookup answers one endpoint lookup against the replica fleet:
-// fresh cache hit, else the preferred replica (endpoint mod fleet
-// size), failing over through the remaining replicas under the retry
-// budget and per-replica backoff, and finally degrading to a stale
-// cached reply. Every timeout on a crashed replica adds to the modeled
-// cost, so crash storms surface in the latency histogram's tail.
-func (a *clientActor) fleetLookup(now sim.Time, e int32, src, dst addr.IA) (n int, hit bool, cost int) {
-	key := pairKey{src: src, dst: dst}
-	if a.cache != nil {
-		if segs, ok := a.cache.probe(now, key); ok {
-			a.Hits++
-			a.cHit.Inc()
-			return len(segs), true, costHitNS
-		}
-	}
-	fl := a.pool.fleet
-	nreps := fl.Size()
-	pref := int(e) % nreps
-	attempted := 0
-	for i := 0; i < nreps; i++ {
-		ri := (pref + i) % nreps
-		if now < a.blockedUntil[ri] {
-			continue // circuit open: recent timeouts, skip without cost
-		}
-		if attempted > 0 {
-			if a.retryTokens <= 0 {
-				a.RetriesDenied++
-				a.cRetryDenied.Inc()
-				break
-			}
-			a.retryTokens--
-			a.Retries++
-			a.cRetry.Inc()
-		}
-		attempted++
-		segs, minExpiry, ok := fl.Replica(ri).Lookup(now, src, dst)
-		if !ok {
-			a.Timeouts++
-			a.cTimeout.Inc()
-			cost += costTimeoutNS
-			a.failStreak[ri]++
-			a.blockedUntil[ri] = now + a.backoff(ri)
-			continue
-		}
-		if a.failStreak[ri] != 0 {
-			a.failStreak[ri] = 0
-			a.blockedUntil[ri] = 0
-		}
-		if len(segs) == 0 {
-			a.Empties++
-			a.cEmpty.Inc()
-			return 0, false, cost + costEmptyNS
-		}
-		if a.cache != nil {
-			a.cache.store(now, key, segs, minExpiry)
-		}
-		return len(segs), false, cost + costMissBaseNS + costMissPerSeg*len(segs)
-	}
-	if a.cache != nil {
-		if segs := a.cache.LookupStale(now, src, dst); len(segs) > 0 {
-			a.StaleServes++
-			a.cStale.Inc()
-			return len(segs), false, cost + costStaleNS
-		}
-	}
-	a.Failures++
-	a.cFail.Inc()
-	return 0, false, cost + costFailNS
-}
-
-// backoff returns the jittered circuit-open duration for replica ri
-// after its current timeout streak: min(base<<(streak-1), max), drawn
-// down to [d/2, d) with the actor's seeded RNG so retry storms
-// desynchronize deterministically.
-func (a *clientActor) backoff(ri int) sim.Time {
-	cfg := &a.pool.cfg
-	shift := a.failStreak[ri] - 1
-	if shift > 16 {
-		shift = 16
-	}
-	d := sim.Time(cfg.BackoffBase) << uint(shift)
-	if m := sim.Time(cfg.BackoffMax); d > m || d <= 0 {
-		d = m
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + sim.Time(a.rng.Int63n(int64(half)+1))
-}
-
 // PoolTotals aggregates the population's results. Serial context only.
 type PoolTotals struct {
 	Lookups, Hits, Empties, CacheEvictions, CacheInvalidations uint64
-	// Fleet-mode outcomes (zero for single-service pools).
-	Timeouts, Retries, RetriesDenied uint64
-	StaleServes, Failures            uint64
-	CacheSweeps, StaleCacheHits      uint64
 	// PerShard counts lookups by destination service shard.
 	PerShard []uint64
 }
@@ -439,24 +244,6 @@ func (t PoolTotals) HitRate() float64 {
 		return 0
 	}
 	return float64(t.Hits) / float64(t.Lookups)
-}
-
-// SuccessRate returns the fraction of lookups that produced any answer
-// at all — fresh, empty-but-authoritative, or stale (everything except
-// Failures).
-func (t PoolTotals) SuccessRate() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return float64(t.Lookups-t.Failures) / float64(t.Lookups)
-}
-
-// StaleRate returns the fraction of lookups degraded to stale replies.
-func (t PoolTotals) StaleRate() float64 {
-	if t.Lookups == 0 {
-		return 0
-	}
-	return float64(t.StaleServes) / float64(t.Lookups)
 }
 
 // Imbalance returns max-over-mean of the per-shard lookup counts (1.0 =
@@ -483,16 +270,9 @@ func (p *Pool) Totals() PoolTotals {
 		t.Lookups += a.Lookups
 		t.Hits += a.Hits
 		t.Empties += a.Empties
-		t.Timeouts += a.Timeouts
-		t.Retries += a.Retries
-		t.RetriesDenied += a.RetriesDenied
-		t.StaleServes += a.StaleServes
-		t.Failures += a.Failures
 		if a.cache != nil {
 			t.CacheEvictions += a.cache.Evictions
 			t.CacheInvalidations += a.cache.Invalidations
-			t.CacheSweeps += a.cache.Sweeps
-			t.StaleCacheHits += a.cache.StaleHits
 		}
 		for i, v := range a.perShard {
 			t.PerShard[i] += v

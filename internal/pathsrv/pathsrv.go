@@ -209,31 +209,26 @@ func New(cfg Config) *Service {
 		s.snaps[i].Store(emptySnapshot)
 		s.master[i] = map[pairKey]*pairMaster{}
 	}
-	s.setTelemetry(cfg.Telemetry)
-	return s
-}
-
-func (s *Service) setTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
+	if reg := cfg.Telemetry; reg != nil {
+		s.cReg = reg.Counter("pathsrv_registrations_total").Cell(0)
+		s.cRefresh = reg.Counter("pathsrv_registration_refreshes_total").Cell(0)
+		s.cPub = reg.Counter("pathsrv_publishes_total").Cell(0)
+		s.cRev = reg.Counter("pathsrv_revocations_total").Cell(0)
+		s.cRein = reg.Counter("pathsrv_reinstatements_total").Cell(0)
+		s.cInvPublish = reg.Counter(`pathsrv_cache_invalidations_total{reason="publish"}`).Cell(0)
+		s.cInvRevoke = reg.Counter(`pathsrv_cache_invalidations_total{reason="revoke"}`).Cell(0)
+		s.cInvRetire = reg.Counter(`pathsrv_cache_invalidations_total{reason="reinstate"}`).Cell(0)
+		reg.GaugeFunc("pathsrv_epoch", func() float64 { return float64(s.epoch) })
+		reg.GaugeFunc("pathsrv_revoked_links", func() float64 { return float64(len(s.revoked)) })
+		reg.GaugeFunc("pathsrv_snapshot_pairs", func() float64 {
+			total := 0
+			for i := range s.snaps {
+				total += s.snaps[i].Load().live
+			}
+			return float64(total)
+		})
 	}
-	s.cReg = reg.Counter("pathsrv_registrations_total").Cell(0)
-	s.cRefresh = reg.Counter("pathsrv_registration_refreshes_total").Cell(0)
-	s.cPub = reg.Counter("pathsrv_publishes_total").Cell(0)
-	s.cRev = reg.Counter("pathsrv_revocations_total").Cell(0)
-	s.cRein = reg.Counter("pathsrv_reinstatements_total").Cell(0)
-	s.cInvPublish = reg.Counter(`pathsrv_cache_invalidations_total{reason="publish"}`).Cell(0)
-	s.cInvRevoke = reg.Counter(`pathsrv_cache_invalidations_total{reason="revoke"}`).Cell(0)
-	s.cInvRetire = reg.Counter(`pathsrv_cache_invalidations_total{reason="reinstate"}`).Cell(0)
-	reg.GaugeFunc("pathsrv_epoch", func() float64 { return float64(s.epoch) })
-	reg.GaugeFunc("pathsrv_revoked_links", func() float64 { return float64(len(s.revoked)) })
-	reg.GaugeFunc("pathsrv_snapshot_pairs", func() float64 {
-		total := 0
-		for i := range s.snaps {
-			total += s.snaps[i].Load().live
-		}
-		return float64(total)
-	})
+	return s
 }
 
 // NumShards returns the destination shard count.
@@ -716,25 +711,6 @@ func (s *Service) Digest() [sha256.Size]byte {
 	return out
 }
 
-// ShardDigest hashes one shard's published snapshot (epoch included) —
-// the unit of comparison in anti-entropy rounds. Writer context only.
-func (s *Service) ShardDigest(sh uint32) [sha256.Size]byte {
-	h := sha256.New()
-	s.writeShard(h, sh)
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// RevocationDigest hashes the active revocation set. Writer context only.
-func (s *Service) RevocationDigest() [sha256.Size]byte {
-	h := sha256.New()
-	s.writeRevoked(h)
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
-
 // writeShard streams shard sh's served pairs in canonical order into h.
 func (s *Service) writeShard(h io.Writer, sh uint32) {
 	var scratch [8]byte
@@ -806,11 +782,4 @@ func sortedLinks[V any](m map[seg.LinkKey]V) []seg.LinkKey {
 	}
 	slices.SortFunc(keys, compareLinks)
 	return keys
-}
-
-// adoptCaches re-registers client caches on a recovered service: the
-// caches survive the crash (they live with the clients), the service
-// they were registered with did not.
-func (s *Service) adoptCaches(cs []*Cache) {
-	s.caches = append(s.caches[:0], cs...)
 }

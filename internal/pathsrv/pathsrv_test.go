@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
+	"scionmpr/internal/chaos"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
+	"scionmpr/internal/topology"
 	"scionmpr/internal/trust"
 )
 
@@ -460,5 +462,112 @@ func TestLookupNoAllocsSteadyState(t *testing.T) {
 		cache.Lookup(0, svc, core1, leafA)
 	}); n != 0 {
 		t.Errorf("cached Lookup allocates %v per call", n)
+	}
+}
+
+// TestWireChaosRevokesBothDirections covers the chaos-to-service glue:
+// a failed link revokes both directed interfaces, a heal reinstates
+// them, prior hooks are chained, and unknown links are ignored.
+func TestWireChaosRevokesBothDirections(t *testing.T) {
+	g := topology.Demo()
+	l := g.Links[0]
+	clock := &sim.Simulator{}
+	svc := New(Config{})
+	eng := chaos.NewEngine(clock)
+	var chainedFail, chainedRestore int
+	eng.OnFail = func(topology.LinkID) { chainedFail++ }
+	eng.OnRestore = func(topology.LinkID) { chainedRestore++ }
+	WireChaos(clock, eng, g, svc, hour)
+
+	eng.OnFail(l.ID)
+	if chainedFail != 1 {
+		t.Error("prior OnFail hook not chained")
+	}
+	if svc.Revocations != 2 {
+		t.Fatalf("revocations = %d, want both directed interfaces", svc.Revocations)
+	}
+	eng.OnRestore(l.ID)
+	if chainedRestore != 1 {
+		t.Error("prior OnRestore hook not chained")
+	}
+	if svc.Reinstatements != 2 {
+		t.Fatalf("reinstatements = %d", svc.Reinstatements)
+	}
+	// A link the topology does not know is a no-op.
+	eng.OnFail(topology.LinkID(1 << 30))
+	if svc.Revocations != 2 {
+		t.Error("unknown link revoked something")
+	}
+}
+
+func TestCacheSweepsDeadEntriesOnMiss(t *testing.T) {
+	svc := New(Config{})
+	cache := svc.NewCache(0, 0)                        // no TTL: death comes from segment expiry
+	svc.Register(0, mkSeg(t, 0, 10, 20, 30))           // expires 6h
+	svc.Register(2*hour, mkSeg(t, 2*hour, 10, 21, 31)) // expires 8h
+	svc.Publish(2 * hour)
+	cache.Lookup(2*hour, svc, core1, leafA)
+	cache.Lookup(2*hour, svc, core1, leafB)
+	if len(cache.entries) != 2 {
+		t.Fatalf("len = %d", len(cache.entries))
+	}
+	// A miss on an unrelated pair past the first entry's last-segment
+	// death sweeps that entry — and only it.
+	cache.Lookup(7*hour, svc, core2, leafA)
+	if cache.Sweeps != 1 {
+		t.Fatalf("sweeps = %d", cache.Sweeps)
+	}
+	if len(cache.entries) != 1 {
+		t.Fatalf("len after sweep = %d, want 1", len(cache.entries))
+	}
+	if cache.Evictions != 1 {
+		t.Errorf("evictions = %d", cache.Evictions)
+	}
+	// Before any deadline, misses must not trigger sweep passes.
+	cache.Lookup(3*hour, svc, core2, leafB)
+	if cache.Sweeps != 1 {
+		t.Errorf("early miss swept: %d passes", cache.Sweeps)
+	}
+}
+
+// TestCacheTTLLapseCapacityInteraction pins the eviction interplay: a
+// TTL-lapsed entry is replaced in place (no capacity shed), while a new
+// pair at capacity sheds everything.
+func TestCacheTTLLapseCapacityInteraction(t *testing.T) {
+	svc := New(Config{})
+	cache := svc.NewCache(hour, 2)
+	for i, dst := range []uint64{30, 31, 32} {
+		svc.Register(0, mkSeg(t, 0, 10, 20+uint64(i), dst))
+	}
+	svc.Publish(0)
+	dstA, dstB, dstC := addr.MustIA(1, 30), addr.MustIA(1, 31), addr.MustIA(1, 32)
+	cache.Lookup(0, svc, core1, dstA)
+	cache.Lookup(0, svc, core1, dstB)
+	if len(cache.entries) != 2 {
+		t.Fatalf("len = %d", len(cache.entries))
+	}
+	// TTL lapsed at 2h (segments alive until 6h): the re-lookup evicts
+	// the lapsed entry and re-stores the same key — capacity must not
+	// shed the other entry.
+	if _, hit := cache.Lookup(2*hour, svc, core1, dstA); hit {
+		t.Fatal("lapsed entry served as fresh")
+	}
+	if len(cache.entries) != 2 {
+		t.Fatalf("len after in-place refresh = %d, want 2", len(cache.entries))
+	}
+	if cache.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1 (the lapsed entry only)", cache.Evictions)
+	}
+	// A third pair exceeds the cap: deterministic shed-all, then insert.
+	cache.Lookup(2*hour, svc, core1, dstC)
+	if len(cache.entries) != 1 {
+		t.Fatalf("len after cap shed = %d, want 1", len(cache.entries))
+	}
+	if cache.Evictions != 3 {
+		t.Errorf("evictions = %d, want 1 + cap(2)", cache.Evictions)
+	}
+	// The survivor is the new entry.
+	if _, hit := cache.Lookup(2*hour, svc, core1, dstC); !hit {
+		t.Error("freshly inserted entry missed")
 	}
 }

@@ -130,8 +130,8 @@ func assertSameUnderChurn(t *testing.T, live, got *Service, now sim.Time) {
 }
 
 // TestDerivedStateAfterRestart: what a service derives rather than
-// journals must come back from the journal, from a checkpoint and from
-// an anti-entropy pull as the live service holds it.
+// journals must come back from the journal and from a checkpoint as the
+// live service holds it.
 func TestDerivedStateAfterRestart(t *testing.T) {
 	cfg := Config{Shards: 8, RevocationTTL: hour}
 	now := 6*hour + 1
@@ -151,24 +151,6 @@ func TestDerivedStateAfterRestart(t *testing.T) {
 			t.Fatalf("stats = %+v", st)
 		}
 		assertSameUnderChurn(t, sc.svc, got, now)
-	})
-	t.Run("sync", func(t *testing.T) {
-		f := NewFleet(FleetConfig{Replicas: 2, Service: cfg})
-		for _, hops := range [][]uint64{{10, 20, 30}, {10, 21, 31}, {11, 22, 32}, {11, 23, 33}} {
-			f.Register(0, mkSeg(t, 0, hops...))
-		}
-		f.Publish(0)
-		f.Crash(f.Replica(1).IA)
-		for _, hops := range [][]uint64{{10, 22, 30}, {11, 20, 21, 34}, {10, 23, 35}} {
-			f.Register(hour, mkSeg(t, hour, hops...))
-		}
-		f.RevokeLink(hour, linkOf(21), 3*hour)
-		f.Publish(hour)
-		f.Restart(f.Replica(1).IA)
-		if st := f.Sync(hour); st.Pulls != 1 || st.PulledRevocations != 1 {
-			t.Fatalf("sync = %+v, want one pull with revocations", st)
-		}
-		assertSameUnderChurn(t, f.Replica(0).Service(), f.Replica(1).Service(), hour)
 	})
 	// A revocation counted before the checkpoint must be lifted by a
 	// reinstatement after it.
@@ -202,46 +184,15 @@ func TestDerivedStateAfterRestart(t *testing.T) {
 		}
 		assertSameUnderChurn(t, sc.svc, got, now)
 	})
-	// The two halves of a pull apart: the revocation set alone, then
-	// shards over a link revoked on both sides.
-	t.Run("sync revocations only", func(t *testing.T) {
-		f := NewFleet(FleetConfig{Replicas: 2, Service: cfg})
-		f.Register(0, mkSeg(t, 0, 10, 20, 30))
-		f.Publish(0)
-		f.Crash(f.Replica(1).IA)
-		f.RevokeLink(hour, linkOf(99), 3*hour) // no segment crosses it yet
-		f.Restart(f.Replica(1).IA)
-		if st := f.Sync(hour); st.Pulls != 1 || st.PulledShards != 0 || st.PulledRevocations != 1 {
-			t.Fatalf("sync = %+v, want the revocation set alone", st)
-		}
-		f.Register(hour, mkSeg(t, hour, 99, 23, 31))
-		f.Publish(hour)
-		assertSameUnderChurn(t, f.Replica(0).Service(), f.Replica(1).Service(), hour)
-	})
-	t.Run("sync shards only", func(t *testing.T) {
-		f := NewFleet(FleetConfig{Replicas: 2, Service: cfg})
-		f.Register(0, mkSeg(t, 0, 10, 20, 30))
-		f.Publish(0)
-		f.RevokeLink(0, linkOf(21), 4*hour)
-		f.Crash(f.Replica(1).IA)
-		for _, hops := range [][]uint64{{10, 21, 31}, {11, 21, 23, 32}, {11, 22, 33}} {
-			f.Register(hour, mkSeg(t, hour, hops...))
-		}
-		f.Publish(hour)
-		f.Restart(f.Replica(1).IA)
-		if st := f.Sync(hour); st.Pulls != 1 || st.PulledShards == 0 || st.PulledRevocations != 0 {
-			t.Fatalf("sync = %+v, want shards alone", st)
-		}
-		assertSameUnderChurn(t, f.Replica(0).Service(), f.Replica(1).Service(), hour)
-	})
 }
 
-// TestSyncKeepsIndexBounded: ids left dead by expiry and by pulls are
-// dropped, so a hundred crash/sync rounds leave the follower no more ids
-// than its master segments plus one round's registrations, and the
-// leader, which only prunes, no more than twice its master segments.
+// TestSyncKeepsIndexBounded: ids left dead by expiry are dropped, so a
+// hundred rounds of register/revoke/publish, in which every segment
+// expires, leave a service no more ids than twice its master segments,
+// and so does every recovery of its journal, checkpointed or not.
 func TestSyncKeepsIndexBounded(t *testing.T) {
-	f := NewFleet(FleetConfig{Replicas: 2, Service: Config{Shards: 4, RevocationTTL: hour}, CheckpointEvery: 64})
+	cfg := Config{Shards: 4, RevocationTTL: hour}
+	sc := newWALScenario(cfg)
 	const perRound = 6
 	held := func(s *Service) (n int) {
 		for _, master := range s.master {
@@ -251,32 +202,34 @@ func TestSyncKeepsIndexBounded(t *testing.T) {
 		}
 		return n
 	}
-	pulls := 0
 	for round := 0; round < 100; round++ {
 		now := sim.Time(round) * hour / 4 // segments live 6 h: 24 rounds
-		f.Crash(f.Replica(1).IA)
 		for i := 0; i < perRound; i++ {
-			f.Register(now, mkSeg(t, now, 10+uint64(i%2), 20+uint64(round%9), uint64(100+round), uint64(30+i)))
+			sc.register(now, mkSeg(t, now, 10+uint64(i%2), 20+uint64(round%9), uint64(100+round), uint64(30+i)))
 		}
-		f.RevokeLink(now, linkOf(20+uint64(round%9)), hour)
-		f.Publish(now)
-		f.Restart(f.Replica(1).IA)
-		pulls += f.Sync(now).Pulls
-		leader, follower := f.Replica(0).Service(), f.Replica(1).Service()
-		for _, s := range []*Service{leader, follower} {
+		sc.revoke(now, linkOf(20+uint64(round%9)), hour)
+		sc.publish(now)
+		if round%10 == 9 {
+			sc.wal.Checkpoint(now, sc.svc)
+		}
+		got, st := Recover(sc.wal.Bytes(), cfg)
+		if st.Truncated {
+			t.Fatalf("round %d: recovery truncated", round)
+		}
+		if got.Digest() != sc.svc.Digest() {
+			t.Fatalf("round %d: recovered digest differs", round)
+		}
+		for _, s := range []*Service{sc.svc, got} {
 			if err := checkIndex(s); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
-		}
-		if n, live := len(follower.segs), held(follower); n > live+perRound {
-			t.Fatalf("round %d: follower holds %d ids for %d segments", round, n, live)
-		}
-		if n, live := len(leader.segs), held(leader); n > 2*live {
-			t.Fatalf("round %d: leader holds %d ids for %d segments", round, n, live)
+			if n, live := len(s.segs), held(s); n > 2*live {
+				t.Fatalf("round %d: %d ids for %d segments", round, n, live)
+			}
 		}
 	}
-	if pulls != 100 {
-		t.Fatalf("%d of 100 rounds pulled", pulls)
+	if sc.wal.Checkpoints != 10 {
+		t.Fatalf("%d checkpoints, want 10", sc.wal.Checkpoints)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"scionmpr/internal/wire"
 )
 
-// WAL is a path-server replica's snapshot write-ahead log: every writer
+// WAL is a path server's snapshot write-ahead log: every writer
 // mutation (Register, RevokeLink, ReinstateLink, Publish) is journaled
 // as one CRC-framed record before it is applied, and periodic checkpoint
 // records capture the full serving state so recovery is checkpoint-load
@@ -38,9 +38,8 @@ import (
 // after it is reported as truncated, and replay never panics on
 // arbitrary input (see FuzzWALReplay).
 //
-// The WAL models the replica's durable disk: in simulation it is an
-// in-memory byte buffer that survives the crash of the Service built
-// over it.
+// The WAL models the path server's durable disk: in simulation it is an
+// in-memory byte buffer that outlives the Service built over it.
 type WAL struct {
 	buf []byte
 	// Records counts frames appended since creation or the last
@@ -222,8 +221,7 @@ type RecoverStats struct {
 // times. It follows stop-at-first-bad-frame semantics: a torn or
 // corrupt frame ends the replay with everything before it applied (the
 // durable prefix), never an error or a panic. The returned service has
-// no clock, telemetry, or registered caches — the caller re-attaches
-// them (see Replica.Restart).
+// no clock, telemetry, or registered caches.
 //
 // cfg must carry the same Shards and RevocationTTL the journaling
 // service ran with; Clock and Telemetry are ignored during replay.

@@ -14,8 +14,7 @@ import (
 )
 
 // walScenario journals a mutation sequence into both a live service and
-// a WAL, exactly as a Replica would: every mutation is appended before
-// it is applied.
+// a WAL: every mutation is appended before it is applied.
 type walScenario struct {
 	svc *Service
 	wal *WAL
@@ -76,7 +75,7 @@ func TestWALReplayReproducesDigest(t *testing.T) {
 	if got.Digest() != sc.svc.Digest() {
 		t.Fatal("replayed digest differs from the live service")
 	}
-	// The replica answers queries identically, not just digest-identically.
+	// The recovered service answers queries identically, not just by digest.
 	a, _ := sc.svc.Lookup(2*hour, core1, leafA)
 	b, _ := got.Lookup(2*hour, core1, leafA)
 	ka, kb := keysOf(a), keysOf(b)
@@ -426,31 +425,6 @@ func BenchmarkWALRecoverCheckpointed(b *testing.B) {
 		_, st := Recover(data, Config{Shards: 16})
 		if st.Checkpoints != 1 {
 			b.Fatal("checkpoint not replayed")
-		}
-	}
-}
-
-// BenchmarkFleetSync measures one anti-entropy round healing a fully
-// diverged follower (every shard pulled).
-func BenchmarkFleetSync(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		f := NewFleet(FleetConfig{Replicas: 2, Service: Config{Shards: 16}})
-		for d := 0; d < 256; d++ {
-			f.Register(0, mkSeg(b, 0, 10, 100, uint64(1000+d)))
-		}
-		f.Publish(0)
-		ia := f.Replica(1).IA
-		f.Crash(ia)
-		for d := 0; d < 64; d++ {
-			f.Register(hour, mkSeg(b, hour, 11, 101, uint64(1000+d)))
-		}
-		f.Publish(hour)
-		f.Restart(ia)
-		b.StartTimer()
-		if st := f.Sync(2 * hour); st.Pulls != 1 {
-			b.Fatalf("pulls = %d", st.Pulls)
 		}
 	}
 }

@@ -28,19 +28,6 @@ const (
 	// shard, Subject: epoch, Aux: pair count; Reason: publish | revoke |
 	// reinstate).
 	SnapshotPublished
-	// Replicated path-server fleet. ReplicaCrashed marks a replica
-	// process death (Actor: replica id); ReplicaRecovered marks a
-	// WAL-driven restart (Actor: replica id, Subject: replayed records,
-	// Aux: recovery lag in virtual ns). WALCheckpoint marks a snapshot
-	// checkpoint compaction (Actor: replica id, Subject: WAL bytes after
-	// compaction, Aux: records journaled since the last checkpoint).
-	// AntiEntropyPull marks one replica pulling divergent shards from
-	// the sweep leader (Actor: puller id, Subject: leader id, Aux:
-	// shards pulled).
-	ReplicaCrashed
-	ReplicaRecovered
-	WALCheckpoint
-	AntiEntropyPull
 
 	numEventKinds
 )
@@ -56,10 +43,6 @@ var kindNames = [numEventKinds]string{
 	"fault_applied",
 	"fault_healed",
 	"snapshot_published",
-	"replica_crashed",
-	"replica_recovered",
-	"wal_checkpoint",
-	"antientropy_pull",
 }
 
 func (k EventKind) String() string {
