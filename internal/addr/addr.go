@@ -48,11 +48,22 @@ func (a AS) appendFormat(b []byte) []byte {
 	if a.Inherited() {
 		return strconv.AppendUint(b, uint64(a), 10)
 	}
-	b = strconv.AppendUint(b, uint64(uint16(a>>32)), 16)
-	b = append(b, ':')
-	b = strconv.AppendUint(b, uint64(uint16(a>>16)), 16)
-	b = append(b, ':')
-	return strconv.AppendUint(b, uint64(uint16(a)), 16)
+	b = appendHex16(b, uint16(a>>32))
+	b = appendHex16(append(b, ':'), uint16(a>>16))
+	return appendHex16(append(b, ':'), uint16(a))
+}
+
+// appendHex16 is strconv.AppendUint(b, v, 16) without the general
+// conversion loop: hop keys format three groups per AS entry.
+func appendHex16(b []byte, v uint16) []byte {
+	shift := 12
+	for shift > 0 && v>>shift == 0 {
+		shift -= 4
+	}
+	for ; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[v>>shift&0xf])
+	}
+	return b
 }
 
 // ParseAS parses either a decimal BGP AS number or the colon-separated

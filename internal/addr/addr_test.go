@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +161,14 @@ func TestFlowHostBlock(t *testing.T) {
 	} {
 		if h.IsFlowHost() {
 			t.Errorf("%s taken for a flow address", h)
+		}
+	}
+}
+
+func TestAppendHex16MatchesStrconv(t *testing.T) {
+	for v := 0; v <= 0xffff; v++ {
+		if got, want := string(appendHex16(nil, uint16(v))), strconv.FormatUint(uint64(v), 16); got != want {
+			t.Fatalf("appendHex16(%#x) = %q, want %q", v, got, want)
 		}
 	}
 }

@@ -96,7 +96,7 @@ func TestStoreLimitEviction(t *testing.T) {
 		t.Fatalf("len = %d", s.Len())
 	}
 	for _, p := range s.PCBs(0, org) {
-		if p.NumHops() == 3 {
+		if p.Len() == 3 {
 			t.Error("longest beacon not evicted")
 		}
 	}
@@ -278,7 +278,7 @@ func TestIntraISDBeaconing(t *testing.T) {
 	a5 := addr.MustIA(1, 0xff00_0000_0105)
 	found := false
 	for _, e := range res.Servers[a6].Store().Entries(res.End, a1) {
-		for _, entry := range e.PCB.ASEntries {
+		for _, entry := range e.PCB.AppendEntries(nil) {
 			if entry.Local == a5 && len(entry.Peers) > 0 {
 				found = true
 			}

@@ -31,7 +31,7 @@ func (p *Policy) AcceptsReceive(pcb *seg.PCB) bool {
 	if p == nil {
 		return true
 	}
-	if p.MaxHops > 0 && pcb.NumHops() > p.MaxHops {
+	if p.MaxHops > 0 && pcb.Len() > p.MaxHops {
 		return false
 	}
 	origin := pcb.Origin()

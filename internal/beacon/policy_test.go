@@ -35,7 +35,7 @@ func TestPolicyAcceptsReceive(t *testing.T) {
 	if asDeny.AcceptsReceive(short) {
 		t.Error("denied origin AS accepted")
 	}
-	custom := &Policy{AcceptFilter: func(pcb *seg.PCB) bool { return pcb.NumHops() > 5 }}
+	custom := &Policy{AcceptFilter: func(pcb *seg.PCB) bool { return pcb.Len() > 5 }}
 	if custom.AcceptsReceive(short) {
 		t.Error("custom filter ignored")
 	}

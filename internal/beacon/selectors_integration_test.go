@@ -116,11 +116,10 @@ func TestPathSetSkipsUnresolvable(t *testing.T) {
 	}
 	// Inject a bogus beacon with a non-existent interface.
 	store := res.Servers[dst].Store()
-	bogus := seg.NewPCB(src, 999, 0, 2*sim.Time(res.Cfg.Lifetime))
-	bogus.ASEntries = append(bogus.ASEntries, seg.ASEntry{
-		Local: src,
-		Hop:   seg.HopField{ConsEgress: 999},
-	})
+	bogus, err := seg.NewPCB(src, 999, 0, 2*sim.Time(res.Cfg.Lifetime)).Extend(fakeSigner{src}, dst, 0, 999, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	store.InsertPCB(0, bogus, 77)
 	after := res.PathSet(src, dst)
 	if len(after) != before {

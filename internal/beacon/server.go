@@ -88,8 +88,8 @@ type Server struct {
 	// stored paths every interval. Per-server, so parallel shards never
 	// share it.
 	interner seg.Interner
-	// base is the reusable zero-entry origination beacon (extensions copy
-	// its Info by value, so re-initializing it in place is safe).
+	// base is the reusable zero-entry origination beacon (no extension
+	// points at it or shares its Info, so re-initializing it is safe).
 	base *seg.PCB
 
 	// shard is the AS's simulator shard, cached for telemetry cells and
@@ -218,7 +218,7 @@ func (s *Server) filtered(from addr.IA, p *seg.PCB, reason string) {
 		Kind:    telemetry.BeaconFiltered,
 		Actor:   s.cfg.Local.Uint64(),
 		Subject: from.Uint64(),
-		Aux:     uint64(p.NumHops()),
+		Aux:     uint64(p.Len()),
 		Reason:  reason,
 	})
 }
@@ -379,7 +379,7 @@ func (s *Server) propagate(now sim.Time) {
 					Kind:    telemetry.BeaconPropagated,
 					Actor:   local.Uint64(),
 					Subject: uint64(sel.Egress),
-					Aux:     uint64(ext.NumHops()),
+					Aux:     uint64(ext.Len()),
 				})
 			}
 		}

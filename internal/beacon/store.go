@@ -195,8 +195,8 @@ func (s *Store) release(e *Entry) {
 // then hop key, then ingress — a strict total order over stored entries
 // (hops+ingress is the map key).
 func entryLess(a, b *Entry) bool {
-	if a.PCB.NumHops() != b.PCB.NumHops() {
-		return a.PCB.NumHops() < b.PCB.NumHops()
+	if a.PCB.Len() != b.PCB.Len() {
+		return a.PCB.Len() < b.PCB.Len()
 	}
 	ka, kb := a.PCB.HopsKey(), b.PCB.HopsKey()
 	if ka != kb {
@@ -290,8 +290,8 @@ func (os *originSet) findWorst() {
 // stored entries (hops+ingress is the map key), so the eviction choice
 // never depends on map iteration order.
 func worse(a, b *Entry) bool {
-	if a.PCB.NumHops() != b.PCB.NumHops() {
-		return a.PCB.NumHops() > b.PCB.NumHops()
+	if a.PCB.Len() != b.PCB.Len() {
+		return a.PCB.Len() > b.PCB.Len()
 	}
 	if a.PCB.Info.Expiry != b.PCB.Info.Expiry {
 		return a.PCB.Info.Expiry < b.PCB.Info.Expiry
@@ -303,8 +303,8 @@ func worse(a, b *Entry) bool {
 }
 
 func betterPCB(p *seg.PCB, worst *seg.PCB) bool {
-	if p.NumHops() != worst.NumHops() {
-		return p.NumHops() < worst.NumHops()
+	if p.Len() != worst.Len() {
+		return p.Len() < worst.Len()
 	}
 	return p.Info.Expiry > worst.Info.Expiry
 }

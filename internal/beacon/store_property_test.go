@@ -28,8 +28,8 @@ func newStoreModel(limit int) *storeModel {
 // modelWorse reimplements the eviction order independently of worse():
 // longer paths first, then earlier expiry, then hop key, then ingress.
 func modelWorse(a, b *Entry) bool {
-	if a.PCB.NumHops() != b.PCB.NumHops() {
-		return a.PCB.NumHops() > b.PCB.NumHops()
+	if a.PCB.Len() != b.PCB.Len() {
+		return a.PCB.Len() > b.PCB.Len()
 	}
 	if a.PCB.Info.Expiry != b.PCB.Info.Expiry {
 		return a.PCB.Info.Expiry < b.PCB.Info.Expiry
@@ -43,8 +43,8 @@ func modelWorse(a, b *Entry) bool {
 // modelLess reimplements the presentation order independently of
 // entryLess(): shortest first, then hop key, then ingress.
 func modelLess(a, b *Entry) bool {
-	if a.PCB.NumHops() != b.PCB.NumHops() {
-		return a.PCB.NumHops() < b.PCB.NumHops()
+	if a.PCB.Len() != b.PCB.Len() {
+		return a.PCB.Len() < b.PCB.Len()
 	}
 	if a.PCB.HopsKey() != b.PCB.HopsKey() {
 		return a.PCB.HopsKey() < b.PCB.HopsKey()
@@ -92,8 +92,8 @@ func (m *storeModel) insert(now sim.Time, p *seg.PCB, ingress addr.IfID) bool {
 				worst, worstKey = e, k
 			}
 		}
-		better := p.NumHops() < worst.PCB.NumHops() ||
-			(p.NumHops() == worst.PCB.NumHops() && p.Info.Expiry > worst.PCB.Info.Expiry)
+		better := p.Len() < worst.PCB.Len() ||
+			(p.Len() == worst.PCB.Len() && p.Info.Expiry > worst.PCB.Info.Expiry)
 		if !better {
 			return false
 		}

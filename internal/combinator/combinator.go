@@ -132,17 +132,19 @@ type view struct {
 }
 
 func newView(s *seg.PCB) view {
-	if s == nil || s.NumHops() == 0 {
+	if s == nil || s.Len() == 0 {
 		return view{err: ErrEmptySegment}
 	}
-	n := len(s.ASEntries)
-	if s.ASEntries[n-1].Hop.ConsEgress != 0 {
+	var scratch [8]seg.ASEntry
+	es := s.AppendEntries(scratch[:0])
+	n := len(es)
+	if es[n-1].Hop.ConsEgress != 0 {
 		return view{err: ErrNotTerminated}
 	}
 	hops := make([]Hop, 2*n)
 	v := view{s: s, fwd: hops[:n:n], bwd: hops[n:]}
-	for i := range s.ASEntries {
-		e := &s.ASEntries[i]
+	for i := range es {
+		e := &es[i]
 		v.fwd[i] = Hop{IA: e.Local, In: e.Hop.ConsIngress, Out: e.Hop.ConsEgress}
 		v.bwd[n-1-i] = Hop{IA: e.Local, In: e.Hop.ConsEgress, Out: e.Hop.ConsIngress}
 		v.mtu = minMTU(v.mtu, e.MTU)
@@ -242,10 +244,10 @@ func peering(buf []Hop, up, down *view) ([]Hop, uint16, error) {
 	}
 	for i, h := range up.bwd {
 		ue := 0
-		for up.s.ASEntries[ue].Local != h.IA {
+		for up.fwd[ue].IA != h.IA {
 			ue++
 		}
-		for _, pe := range up.s.ASEntries[ue].Peers {
+		for _, pe := range up.s.Entry(ue).Peers {
 			j := len(down.fwd) - 1
 			for j >= 0 && down.fwd[j].IA != pe.Peer {
 				j--
@@ -255,7 +257,7 @@ func peering(buf []Hop, up, down *view) ([]Hop, uint16, error) {
 			}
 			// The same physical link: U's local interface must be the
 			// far side of D's entry and vice versa.
-			dp := down.s.ASEntries[j].Peers
+			dp := down.s.Entry(j).Peers
 			k := len(dp) - 1
 			for k >= 0 && dp[k].Peer != h.IA {
 				k--

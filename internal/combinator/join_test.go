@@ -9,6 +9,7 @@ import (
 	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/topology"
+	"scionmpr/internal/trust"
 )
 
 // The differential tests draw segments over the demo topology's ASes so
@@ -31,10 +32,10 @@ func randomSegment(r *rand.Rand, leaves []addr.IA) *seg.PCB {
 	if kind == 0 {
 		return nil
 	}
-	s := &seg.PCB{}
 	if kind == 1 {
-		return s
+		return &seg.PCB{}
 	}
+	var entries []seg.ASEntry
 	n := 1 + r.Intn(6)
 	for i := 0; i < n; i++ {
 		e := seg.ASEntry{Local: pool[r.Intn(8)], MTU: mtus[r.Intn(len(mtus))]}
@@ -59,10 +60,32 @@ func randomSegment(r *rand.Rand, leaves []addr.IA) *seg.PCB {
 			}
 			e.Peers = append(e.Peers, pe)
 		}
-		s.ASEntries = append(s.ASEntries, e)
+		entries = append(entries, e)
+	}
+	return segmentOf(entries)
+}
+
+// segmentOf is the test constructor of the differential tests: a beacon
+// extended through entries, each signed by a signer for its AS (the
+// combinator checks no signature, hop MAC or expiry).
+func segmentOf(entries []seg.ASEntry) *seg.PCB {
+	if len(entries) == 0 {
+		return &seg.PCB{}
+	}
+	s := seg.NewPCB(entries[0].Local, 0, 0, 0)
+	for _, e := range entries {
+		var err error
+		if s, err = s.Extend(entrySigner{e.Local}, e.Next, e.Hop.ConsIngress, e.Hop.ConsEgress, e.Peers, e.MTU); err != nil {
+			panic(err)
+		}
 	}
 	return s
 }
+
+type entrySigner struct{ ia addr.IA }
+
+func (f entrySigner) IA() addr.IA                 { return f.ia }
+func (f entrySigner) Sign([]byte) ([]byte, error) { return make([]byte, trust.SignatureLen), nil }
 
 // randomSet draws up to max segments; some entries repeat an earlier
 // pointer, as a lookup that asks several servers returns them.
@@ -248,7 +271,7 @@ func decodeSets(data []byte) (sets [3][]*seg.PCB) {
 					s = sets[si][k%len(sets[si])]
 				}
 			default:
-				s = &seg.PCB{}
+				var entries []seg.ASEntry
 				n := int(f.next() % 7)
 				for j := 0; j < n; j++ {
 					e := seg.ASEntry{Local: pool[int(f.next())%len(pool)]}
@@ -261,8 +284,9 @@ func decodeSets(data []byte) (sets [3][]*seg.PCB) {
 					for k := f.next() % 3; k > 0; k-- {
 						e.Peers = append(e.Peers, seg.PeerEntry{Peer: pool[int(f.next())%len(pool)], PeerIf: addr.IfID(f.next()), LocalIf: addr.IfID(f.next())})
 					}
-					s.ASEntries = append(s.ASEntries, e)
+					entries = append(entries, e)
 				}
+				s = segmentOf(entries)
 			}
 			sets[si] = append(sets[si], s)
 		}
@@ -297,10 +321,11 @@ func encodeSets(sets [3][]*seg.PCB) []byte {
 					continue next
 				}
 			}
-			b = append(b, 2, byte(len(s.ASEntries)))
-			for j, e := range s.ASEntries {
+			es := s.AppendEntries(nil)
+			b = append(b, 2, byte(len(es)))
+			for j, e := range es {
 				eg := byte(e.Hop.ConsEgress)
-				if j == len(s.ASEntries)-1 && eg != 0 {
+				if j == len(es)-1 && eg != 0 {
 					eg = 7
 				}
 				mtu := 0
@@ -350,7 +375,7 @@ func FuzzAllPaths(f *testing.F) {
 			m := map[addr.IA]bool{}
 			for _, p := range set {
 				if refTerminated(p) == nil {
-					m[p.ASEntries[len(p.ASEntries)-1].Local] = true
+					m[p.Leaf()] = true
 				}
 			}
 			return m

@@ -14,10 +14,10 @@ import (
 
 // terminated checks the segment ends with a leaf entry (egress 0).
 func refTerminated(s *seg.PCB) error {
-	if s == nil || s.NumHops() == 0 {
+	if s == nil || s.Len() == 0 {
 		return ErrEmptySegment
 	}
-	if s.ASEntries[s.NumHops()-1].Hop.ConsEgress != 0 {
+	if s.Entry(s.Len()-1).Hop.ConsEgress != 0 {
 		return ErrNotTerminated
 	}
 	return nil
@@ -26,8 +26,9 @@ func refTerminated(s *seg.PCB) error {
 // segMTU returns the smallest AS-entry MTU of the segment (0 if none set).
 func refSegMTU(s *seg.PCB) uint16 {
 	var m uint16
-	for i := range s.ASEntries {
-		v := s.ASEntries[i].MTU
+	es := s.AppendEntries(nil)
+	for i := range es {
+		v := es[i].MTU
 		if v == 0 {
 			continue
 		}
@@ -56,9 +57,10 @@ func refMinMTU(vals ...uint16) uint16 {
 // (origin first): the beacon entered each AS via ConsIngress and left via
 // ConsEgress, which is exactly the data-plane direction core -> leaf.
 func refForward(s *seg.PCB) []Hop {
-	hops := make([]Hop, s.NumHops())
-	for i := range s.ASEntries {
-		e := &s.ASEntries[i]
+	hops := make([]Hop, s.Len())
+	es := s.AppendEntries(nil)
+	for i := range es {
+		e := &es[i]
 		hops[i] = Hop{IA: e.Local, In: e.Hop.ConsIngress, Out: e.Hop.ConsEgress}
 	}
 	return hops
@@ -194,8 +196,9 @@ func refPeeringShortcut(up, down *seg.PCB) (*Path, error) {
 	for i, h := range downHops {
 		downPos[h.IA] = i
 	}
-	for i := range down.ASEntries {
-		e := &down.ASEntries[i]
+	downEntries := down.AppendEntries(nil)
+	for i := range downEntries {
+		e := &downEntries[i]
 		m := map[addr.IA]peerIf{}
 		for _, pe := range e.Peers {
 			m[pe.Peer] = peerIf{local: pe.LocalIf, remote: pe.PeerIf}
@@ -208,9 +211,10 @@ func refPeeringShortcut(up, down *seg.PCB) (*Path, error) {
 	for i := range upHops {
 		u := upHops[i].IA
 		var uEntry *seg.ASEntry
-		for j := range up.ASEntries {
-			if up.ASEntries[j].Local == u {
-				uEntry = &up.ASEntries[j]
+		upEntries := up.AppendEntries(nil)
+		for j := range upEntries {
+			if upEntries[j].Local == u {
+				uEntry = &upEntries[j]
 				break
 			}
 		}

@@ -45,8 +45,8 @@ func (b *Baseline) Select(now sim.Time, origin, neighbor addr.IA, ifaces []addr.
 		}
 	}
 	sort.Slice(valid, func(i, j int) bool {
-		if valid[i].NumHops() != valid[j].NumHops() {
-			return valid[i].NumHops() < valid[j].NumHops()
+		if valid[i].Len() != valid[j].Len() {
+			return valid[i].Len() < valid[j].Len()
 		}
 		return valid[i].HopsKey() < valid[j].HopsKey()
 	})

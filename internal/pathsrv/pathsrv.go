@@ -324,17 +324,12 @@ func (s *Service) Deregister(p *seg.PCB) bool {
 }
 
 // index numbers a segment of pm and adds shards and its id to the entries
-// of the links it crosses (seg.PCB.Links's, walked without caching them
-// on p): one map operation per link, one more while links are revoked.
+// of the links it crosses (seg.PCB.Links): one map operation per link,
+// one more while links are revoked.
 func (s *Service) index(pm *pairMaster, p *seg.PCB, shards uint64) uint32 {
 	id := uint32(len(s.segs))
 	st := segState{expiry: p.Info.Expiry, pair: pm}
-	for i := range p.ASEntries {
-		a := &p.ASEntries[i]
-		if a.Hop.ConsEgress == 0 {
-			continue
-		}
-		lk := seg.LinkKey{IA: a.Local, If: a.Hop.ConsEgress}
+	for _, lk := range p.Links() {
 		e := s.link(lk)
 		e.shards |= shards
 		e.segs = append(e.segs, id)
@@ -409,7 +404,7 @@ func (s *Service) touch(link seg.LinkKey, delta int32) uint64 {
 	return e.shards
 }
 
-// upsert inserts p into a (NumHops, HopsKey)-ordered list or refreshes
+// upsert inserts p into a (Len, HopsKey)-ordered list or refreshes
 // the matching path's expiry in place. It reports whether the list
 // changed at all and whether p was a previously unknown path.
 func upsert(list []*seg.PCB, p *seg.PCB) (out []*seg.PCB, mutated, fresh bool) {
@@ -433,8 +428,8 @@ func upsert(list []*seg.PCB, p *seg.PCB) (out []*seg.PCB, mutated, fresh bool) {
 // segLess is the canonical reply order: fewest hops first, then by hops
 // key.
 func segLess(a, b *seg.PCB) bool {
-	if a.NumHops() != b.NumHops() {
-		return a.NumHops() < b.NumHops()
+	if a.Len() != b.Len() {
+		return a.Len() < b.Len()
 	}
 	return a.HopsKey() < b.HopsKey()
 }

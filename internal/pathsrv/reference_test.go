@@ -536,7 +536,7 @@ func TestDeregister(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Publish(0)
-	if got, _ := s.Lookup(0, src, dst); len(got) != 1 || got[0].NumHops() != 2 {
+	if got, _ := s.Lookup(0, src, dst); len(got) != 1 || got[0].Len() != 2 {
 		t.Errorf("after deregistering a reply and registering one path: %v", got)
 	}
 	if len(want) != 3 || !slices.Equal(held, want) {

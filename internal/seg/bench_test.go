@@ -79,3 +79,32 @@ func TestEncodeAllocs(t *testing.T) {
 		t.Errorf("AppendEncode into sized buffer allocates %.1f times per call, want 0", n)
 	}
 }
+
+// BenchmarkDecode measures Decode of a 3-hop beacon, caches included.
+func BenchmarkDecode(b *testing.B) {
+	enc := benchPCB(b).Encode()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExtend measures one signed extension of a 3-hop beacon.
+func BenchmarkExtend(b *testing.B) {
+	p := benchPCB(b)
+	inf, err := trust.NewInfra(topology.Demo(), trust.Sized)
+	if err != nil {
+		b.Fatal(err)
+	}
+	signer := inf.SignerFor(addr.MustIA(1, 0xff00_0000_0105))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Extend(signer, addr.IA{}, 1, 2, nil, 1472); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

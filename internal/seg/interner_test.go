@@ -93,9 +93,8 @@ func TestExtendInternedMatchesExtend(t *testing.T) {
 	}
 }
 
-// TestRecycledCarcassReextends: a recycled beacon's struct, entry array
-// and signature buffer, drawn again by the next extension, must yield the
-// bytes a fresh extension yields.
+// TestRecycledCarcassReextends: a recycled beacon's node, drawn again by
+// the next extension, must yield the bytes a fresh extension yields.
 func TestRecycledCarcassReextends(t *testing.T) {
 	inf := infra(t)
 	it := &Interner{}
@@ -114,14 +113,8 @@ func TestRecycledCarcassReextends(t *testing.T) {
 		}
 		assertSameBeacon(t, "extension", p, want)
 		Recycle(p)
-		if len(p.ASEntries) != 0 || cap(p.ASEntries) == 0 || cap(p.sigBuf) < trust.SignatureLen {
-			t.Fatalf("recycled carcass keeps %d entries (cap %d), signature buffer cap %d",
-				len(p.ASEntries), cap(p.ASEntries), cap(p.sigBuf))
-		}
-		for _, e := range p.ASEntries[:cap(p.ASEntries)] {
-			if e.Peers != nil || e.Signature != nil {
-				t.Fatal("recycled carcass still references its ancestors' peers or signatures")
-			}
+		if p.parent != nil || p.peers != nil || p.links != nil || p.hopsKey != "" || p.n != 0 {
+			t.Fatal("recycled node still references its parent, peers or caches")
 		}
 		q, err := base.ExtendInterned(it, signer, h.next, h.ingress, h.egress, h.peers, 1472)
 		if err != nil {
@@ -133,55 +126,17 @@ func TestRecycledCarcassReextends(t *testing.T) {
 	if !reused {
 		t.Fatal("the extension pool never handed a recycled carcass back")
 	}
+	if err := base.Verify(inf); err != nil {
+		t.Errorf("recycling its children broke the parent: %v", err)
+	}
 	Recycle(nil) // a no-op
 }
 
-// TestArenaSlotsAreCapped: the arenas carve neighbouring beacons' entry
-// arrays and signatures from one chunk, so each slot is capped at its own
-// length and an append reallocates instead of writing into the next slot.
-func TestArenaSlotsAreCapped(t *testing.T) {
+// TestSiblingSlicesAreCapped: the slices a beacon hands out (entries,
+// signatures, the interned link list siblings share) are capped at their
+// length, so an append reallocates instead of writing into a sibling's.
+func TestSiblingSlicesAreCapped(t *testing.T) {
 	it := &Interner{}
-	a, b := it.entrySpace(2), it.entrySpace(3)
-	if cap(a) != 2 {
-		t.Fatalf("entry slot cap = %d, want 2", cap(a))
-	}
-	b[0].MTU = 1
-	a = append(a, ASEntry{MTU: 99})
-	if b[0].MTU != 1 || a[2].MTU != 99 {
-		t.Errorf("append to one entry slot wrote into its neighbour: %d", b[0].MTU)
-	}
-	big := it.entrySpace(300) // larger than a chunk: a chunk of its own
-	if len(big) != 300 || cap(big) != 300 {
-		t.Errorf("oversized entry slot len %d cap %d", len(big), cap(big))
-	}
-
-	s1, s2 := it.sigSpace(), it.sigSpace()
-	if len(s1) != 0 || cap(s1) != trust.SignatureLen {
-		t.Fatalf("signature slot len %d cap %d", len(s1), cap(s1))
-	}
-	sig := bytes.Repeat([]byte{7}, trust.SignatureLen)
-	s2 = append(s2, sig...)
-	s1 = append(s1, make([]byte, trust.SignatureLen)...) // fills its own slot
-	if past := append(s1, 0xff); &past[0] == &s1[0] || !bytes.Equal(s2, sig) {
-		t.Error("append past one signature slot wrote into its neighbour")
-	}
-	for i := 0; i < 64; i++ { // spill into a second chunk
-		if s := it.sigSpace(); cap(s) != trust.SignatureLen {
-			t.Fatalf("signature slot %d cap %d", i, cap(s))
-		}
-	}
-
-	seen := map[*PCB]bool{}
-	for i := 0; i < 130; i++ { // three struct chunks
-		p := it.newPCB()
-		if seen[p] {
-			t.Fatalf("PCB slot %d handed out twice", i)
-		}
-		seen[p] = true
-	}
-
-	// The same holds for beacons built on the arenas: growing one child's
-	// entries leaves its sibling's bytes alone.
 	inf := infra(t)
 	parent := extendChain(t, inf, internedExtend(it))[1]
 	h := internHops[2]
@@ -194,10 +149,12 @@ func TestArenaSlotsAreCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := c2.Encode()
-	entries := append(c1.ASEntries, ASEntry{MTU: 1})
-	signature := append(c1.ASEntries[len(c1.ASEntries)-1].Signature, 0xff)
-	if !bytes.Equal(c2.Encode(), before) || len(entries) != 4 || len(signature) != trust.SignatureLen+1 {
+	before, links := c2.Encode(), append([]LinkKey(nil), c2.Links()...)
+	entries := append(c1.AppendEntries(nil), ASEntry{MTU: 1})
+	signature := append(c1.Entry(c1.Len()-1).Signature, 0xff)
+	grown := append(c1.Links(), LinkKey{If: 99})
+	if !bytes.Equal(c2.Encode(), before) || !reflect.DeepEqual(c2.Links(), links) ||
+		len(entries) != 4 || len(signature) != trust.SignatureLen+1 || len(grown) != len(links)+1 {
 		t.Error("appending to one arena-built beacon changed its sibling")
 	}
 }

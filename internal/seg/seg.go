@@ -13,6 +13,7 @@ package seg
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,7 +50,7 @@ type PeerEntry struct {
 
 const peerEntryLen = 8 + 2 + 2 + MACLen
 
-// ASEntry is one hop of a PCB.
+// ASEntry is one hop of a PCB, as Entry and AppendEntries return it.
 type ASEntry struct {
 	Local addr.IA
 	// Next is the AS this entry's egress interface leads to; zero in a
@@ -59,10 +60,6 @@ type ASEntry struct {
 	Peers     []PeerEntry
 	MTU       uint16
 	Signature []byte
-}
-
-func (e *ASEntry) wireLen() int {
-	return entryFixedLen + len(e.Peers)*peerEntryLen + len(e.Signature)
 }
 
 // entryFixedLen is an AS entry without its peer entries and signature.
@@ -82,39 +79,50 @@ const infoFieldLen = 2 + 8 + 8 + 8
 // segment — up- and down-segments are the same object read in opposite
 // directions, paper §2.2).
 //
-// A PCB is immutable once built: Extend returns a new beacon. The cached
-// hop key and link list exploit that; code that mutates ASEntries in
-// place (tests only) must not rely on them afterwards.
+// A PCB is one immutable node: its own info field, its own (last) AS
+// entry with the signature inline, and the beacon it extends, which
+// holds the earlier entries. Extend copies no ancestor, so a tree of
+// extensions shares its prefixes. Every cache is filled when the node is
+// built and never written afterwards, so any shard may read a beacon
+// another shard built. See DESIGN.md "PCB representation".
 type PCB struct {
-	Info      InfoField
-	ASEntries []ASEntry
+	Info InfoField
 
+	// parent holds entries 0..n-2: nil at the first entry, and never a
+	// zero-entry beacon (whose Info Reinit rewrites in place).
+	parent *PCB
+	local  addr.IA
+	next   addr.IA
+	hop    HopField
+	mtu    uint16
+	n      uint16 // AS entries, this node's included; 0 for a fresh beacon
+	// wireLen is the whole beacon's encoded size.
+	wireLen int32
+	peers   []PeerEntry
+	sig     [trust.SignatureLen]byte
+	// asMask has asBit set for the origin and every entry's AS.
+	asMask   uint64
 	hopsKey  string
-	hopsHash uint64 // 0 until computed
+	hopsHash uint64
 	links    []LinkKey
-	// sigBuf is a recycled signature buffer carried by pooled carcasses
-	// between Recycle and the next Extend (see Recycle).
-	sigBuf []byte
 }
 
 // NewPCB initiates a beacon at a core AS with the given validity window.
 func NewPCB(origin addr.IA, segID uint16, now sim.Time, lifetime sim.Time) *PCB {
-	return &PCB{Info: InfoField{
-		SegID:     segID,
-		Origin:    origin,
-		Timestamp: now,
-		Expiry:    now + lifetime,
-	}}
+	key := origin.String()
+	return &PCB{
+		Info:    InfoField{SegID: segID, Origin: origin, Timestamp: now, Expiry: now + lifetime},
+		wireLen: infoFieldLen + 1, asMask: asBit(origin), hopsKey: key, hopsHash: HashHops(key), links: []LinkKey{},
+	}
 }
 
 // Reinit re-initializes a zero-entry beacon in place for its next
-// origination, preserving the origin and the cached origin hop key.
-// Extensions copy the Info field by value, so re-initializing the base
-// after extending it never perturbs the children. Origination servers
-// reuse one base this way instead of allocating a fresh PCB per interval
-// per link.
+// origination, preserving the origin and the caches derived from it.
+// No extension points at a zero-entry beacon, so this never perturbs the
+// children. Origination servers reuse one base this way instead of
+// allocating a fresh PCB per interval per link.
 func (p *PCB) Reinit(segID uint16, now sim.Time, lifetime sim.Time) {
-	if len(p.ASEntries) != 0 {
+	if p.n != 0 {
 		panic("seg: Reinit of an extended PCB")
 	}
 	p.Info.SegID = segID
@@ -122,69 +130,99 @@ func (p *PCB) Reinit(segID uint16, now sim.Time, lifetime sim.Time) {
 	p.Info.Expiry = now + lifetime
 }
 
-// WireLen is the exact encoded size in bytes.
-func (p *PCB) WireLen() int {
-	n := infoFieldLen + 1
-	for i := range p.ASEntries {
-		n += p.ASEntries[i].wireLen()
+// Len returns the number of AS entries.
+func (p *PCB) Len() int { return int(p.n) }
+
+// entry is the node's own AS entry. Peers and Signature alias the node's.
+func (p *PCB) entry() ASEntry {
+	return ASEntry{Local: p.local, Next: p.next, Hop: p.hop, Peers: p.peers, MTU: p.mtu, Signature: p.sig[:]}
+}
+
+// Entry returns a copy of AS entry i (0 <= i < Len), origin side first.
+// Its Peers and Signature slices alias the beacon's: read them only.
+func (p *PCB) Entry(i int) ASEntry {
+	if i < 0 || i >= int(p.n) {
+		panic(fmt.Sprintf("seg: entry %d of a %d-entry PCB", i, p.n))
 	}
-	return n
+	q := p
+	for k := int(p.n) - 1; k > i; k-- {
+		q = q.parent
+	}
+	return q.entry()
+}
+
+// AppendEntries appends copies of all AS entries, origin side first, to
+// dst and returns the extended slice (aliasing as Entry does).
+func (p *PCB) AppendEntries(dst []ASEntry) []ASEntry {
+	n := int(p.n)
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	tail := dst[len(dst)-n:]
+	for q, i := p, n-1; i >= 0; q, i = q.parent, i-1 {
+		tail[i] = q.entry()
+	}
+	return dst
+}
+
+// WireLen is the exact encoded size in bytes.
+func (p *PCB) WireLen() int { return int(p.wireLen) }
+
+// ownLen is the encoded size of the node's own AS entry, signature
+// included.
+func (p *PCB) ownLen() int32 {
+	return int32(entryFixedLen + len(p.peers)*peerEntryLen + trust.SignatureLen)
 }
 
 // Encode serializes the PCB into an exactly WireLen-sized buffer. The
 // layout is fixed-width fields in big-endian order; Decode inverts it.
 func (p *PCB) Encode() []byte {
-	return p.appendBody(make([]byte, 0, p.WireLen()), len(p.ASEntries), nil)
+	return p.AppendEncode(make([]byte, 0, p.WireLen()))
 }
 
 // AppendEncode appends the PCB's wire encoding to buf and returns the
 // extended buffer, letting callers amortize encode allocations across
 // many beacons (grow buf by WireLen up front).
 func (p *PCB) AppendEncode(buf []byte) []byte {
-	return p.appendBody(buf, len(p.ASEntries), nil)
+	return p.appendSigned(appendInfo(buf, &p.Info, p.n))
 }
 
-// appendBody is the single encoder behind Encode, signature bodies, and
-// Verify: it appends the info field, the first n AS entries with their
-// signatures, and optionally one extra unsigned entry — which is exactly
-// the byte string entry n's signature covers.
-func (p *PCB) appendBody(buf []byte, n int, extra *ASEntry) []byte {
-	buf = appendU16(buf, p.Info.SegID)
-	buf = appendU64(buf, p.Info.Origin.Uint64())
-	buf = appendU64(buf, uint64(p.Info.Timestamp))
-	buf = appendU64(buf, uint64(p.Info.Expiry))
-	count := n
-	if extra != nil {
-		count++
-	}
-	buf = append(buf, byte(count))
-	for i := 0; i < n; i++ {
-		buf = appendEntry(buf, &p.ASEntries[i], true)
-	}
-	if extra != nil {
-		buf = appendEntry(buf, extra, false)
-	}
-	return buf
+// appendInfo appends the info field and an AS-entry count.
+func appendInfo(buf []byte, info *InfoField, count uint16) []byte {
+	buf = appendU16(buf, info.SegID)
+	buf = appendU64(buf, info.Origin.Uint64())
+	buf = appendU64(buf, uint64(info.Timestamp))
+	buf = appendU64(buf, uint64(info.Expiry))
+	return append(buf, byte(count))
 }
 
-func appendEntry(buf []byte, e *ASEntry, withSig bool) []byte {
-	buf = appendU64(buf, e.Local.Uint64())
-	buf = appendU64(buf, e.Next.Uint64())
-	buf = appendU16(buf, uint16(e.Hop.ConsIngress))
-	buf = appendU16(buf, uint16(e.Hop.ConsEgress))
-	buf = append(buf, e.Hop.ExpTime)
-	buf = append(buf, e.Hop.MAC[:]...)
-	buf = appendU16(buf, e.MTU)
-	buf = append(buf, byte(len(e.Peers)))
-	for i := range e.Peers {
-		pe := &e.Peers[i]
+// appendSigned appends every AS entry, origin side first, each followed
+// by its signature.
+func (p *PCB) appendSigned(buf []byte) []byte {
+	if p.n == 0 {
+		return buf
+	}
+	if p.parent != nil {
+		buf = p.parent.appendSigned(buf)
+	}
+	return append(p.appendEntry(buf), p.sig[:]...)
+}
+
+// appendEntry appends the node's own AS entry without its signature —
+// the last part of the byte string that signature covers.
+func (p *PCB) appendEntry(buf []byte) []byte {
+	buf = appendU64(buf, p.local.Uint64())
+	buf = appendU64(buf, p.next.Uint64())
+	buf = appendU16(buf, uint16(p.hop.ConsIngress))
+	buf = appendU16(buf, uint16(p.hop.ConsEgress))
+	buf = append(buf, p.hop.ExpTime)
+	buf = append(buf, p.hop.MAC[:]...)
+	buf = appendU16(buf, p.mtu)
+	buf = append(buf, byte(len(p.peers)))
+	for i := range p.peers {
+		pe := &p.peers[i]
 		buf = appendU64(buf, pe.Peer.Uint64())
 		buf = appendU16(buf, uint16(pe.PeerIf))
 		buf = appendU16(buf, uint16(pe.LocalIf))
 		buf = append(buf, pe.HopMAC[:]...)
-	}
-	if withSig {
-		buf = append(buf, e.Signature...)
 	}
 	return buf
 }
@@ -200,45 +238,90 @@ func appendU64(buf []byte, v uint64) []byte {
 }
 
 // Decode parses a PCB encoded by Encode. Signatures are assumed to be
-// trust.SignatureLen bytes when present; entries written without a
-// signature cannot be distinguished on the wire, so Decode requires every
-// entry to be signed (which beaconing guarantees).
+// trust.SignatureLen bytes, which every signer produces; Decode requires
+// every entry to be signed (which beaconing guarantees). The entries'
+// nodes share one allocation.
 func Decode(b []byte) (*PCB, error) {
 	r := wire.NewReader("seg: PCB", b)
-	p := &PCB{}
-	p.Info.SegID = r.U16()
-	p.Info.Origin = addr.IAFromUint64(r.U64())
-	p.Info.Timestamp = sim.Time(r.U64())
-	p.Info.Expiry = sim.Time(r.U64())
+	var info InfoField
+	info.SegID = r.U16()
+	info.Origin = addr.IAFromUint64(r.U64())
+	info.Timestamp = sim.Time(r.U64())
+	info.Expiry = sim.Time(r.U64())
+	var nodes []PCB
 	if n := r.Count(uint32(r.U8()), entryFixedLen+trust.SignatureLen); n > 0 {
-		p.ASEntries = make([]ASEntry, n)
+		nodes = make([]PCB, n)
 	}
-	for i := 0; i < len(p.ASEntries) && r.Err() == nil; i++ {
-		e := &p.ASEntries[i]
-		e.Local = addr.IAFromUint64(r.U64())
-		e.Next = addr.IAFromUint64(r.U64())
-		e.Hop.ConsIngress = addr.IfID(r.U16())
-		e.Hop.ConsEgress = addr.IfID(r.U16())
-		e.Hop.ExpTime = r.U8()
-		r.Copy(e.Hop.MAC[:])
-		e.MTU = r.U16()
+	for i := 0; i < len(nodes) && r.Err() == nil; i++ {
+		q := &nodes[i]
+		q.local = addr.IAFromUint64(r.U64())
+		q.next = addr.IAFromUint64(r.U64())
+		q.hop.ConsIngress = addr.IfID(r.U16())
+		q.hop.ConsEgress = addr.IfID(r.U16())
+		q.hop.ExpTime = r.U8()
+		r.Copy(q.hop.MAC[:])
+		q.mtu = r.U16()
 		if np := r.Count(uint32(r.U8()), peerEntryLen); np > 0 {
-			e.Peers = make([]PeerEntry, np)
+			q.peers = make([]PeerEntry, np)
 		}
-		for j := range e.Peers {
-			pe := &e.Peers[j]
+		for j := range q.peers {
+			pe := &q.peers[j]
 			pe.Peer = addr.IAFromUint64(r.U64())
 			pe.PeerIf = addr.IfID(r.U16())
 			pe.LocalIf = addr.IfID(r.U16())
 			r.Copy(pe.HopMAC[:])
 		}
-		e.Signature = make([]byte, trust.SignatureLen)
-		r.Copy(e.Signature)
+		r.Copy(q.sig[:])
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return p, nil
+	if len(nodes) == 0 {
+		return NewPCB(info.Origin, info.SegID, info.Timestamp, info.Expiry-info.Timestamp), nil
+	}
+	return chain(info, nodes), nil
+}
+
+// chain links nodes (entries filled in, origin side first) into one
+// beacon and fills every node's caches, as Extend would have one node at
+// a time; it returns the last node. One hop-key string and one link
+// slice serve the whole chain: an ancestor's are prefixes of them.
+func chain(info InfoField, nodes []PCB) *PCB {
+	var buf [256]byte
+	b := info.Origin.AppendFormat(buf[:0])
+	originLen := len(b)
+	links := make([]LinkKey, 0, len(nodes))
+	// ends[i] is node i's hop-key length and link count.
+	type end struct{ key, links int }
+	var small [16]end
+	ends := small[:0]
+	for i := range nodes {
+		q := &nodes[i]
+		b = appendHop(b, q.local, q.hop.ConsIngress, q.hop.ConsEgress)
+		if q.hop.ConsEgress != 0 {
+			links = append(links, LinkKey{IA: q.local, If: q.hop.ConsEgress})
+		}
+		ends = append(ends, end{len(b), len(links)})
+	}
+	key := string(b)
+	// The caches of the zero-entry beacon the chain starts from.
+	wireLen, mask, hash, keyLen := int32(infoFieldLen+1), asBit(info.Origin), HashHops(key[:originLen]), originLen
+	for i := range nodes {
+		q, e := &nodes[i], ends[i]
+		q.Info = info
+		if i > 0 {
+			q.parent = &nodes[i-1]
+		}
+		q.n = uint16(i + 1)
+		wireLen += q.ownLen()
+		mask |= asBit(q.local)
+		hash = hashMore(hash, key[keyLen:e.key])
+		keyLen = e.key
+		q.wireLen, q.asMask, q.hopsHash = wireLen, mask, hash
+		q.hopsKey = key[:e.key]
+		q.links = links[:e.links:e.links]
+	}
+	return &nodes[len(nodes)-1]
 }
 
 // Read decodes the PCB held in the next n bytes of r, for records that
@@ -262,152 +345,111 @@ var encBuf = sync.Pool{New: func() interface{} { return new([]byte) }}
 // Extend appends a signed AS entry and returns the extended beacon (the
 // receiver is not modified). ingress is 0 when local is the origin.
 //
-// The returned beacon shares the receiver's per-entry Peers and
-// Signature slices — safe because a built PCB is immutable (see the type
-// comment).
+// The returned beacon is one new node that points at the receiver (when
+// the receiver has entries) and holds peers as given: neither may be
+// modified afterwards (see the type comment).
 func (p *PCB) Extend(signer trust.Signer, next addr.IA, ingress, egress addr.IfID, peers []PeerEntry, mtu uint16) (*PCB, error) {
 	return p.extendInto(nil, signer, next, ingress, egress, peers, mtu)
 }
 
 // ExtendInterned is Extend with identity caches (hop key, link list)
-// interned in it, and the result drawn from the extension pool. Steady-
-// state beaconing re-extends the same stored paths every interval, so
-// repeat extensions reuse one shared hop-key string and link slice
-// instead of rebuilding them. Pair with Recycle for beacons that end up
-// rejected. it may be nil (plain pooled extension).
+// interned in it. Steady-state beaconing re-extends the same stored
+// paths every interval, so repeat extensions reuse one shared hop-key
+// string and link slice instead of rebuilding them. Pair with Recycle
+// for beacons that end up rejected. it may be nil (plain pooled
+// extension).
 func (p *PCB) ExtendInterned(it *Interner, signer trust.Signer, next addr.IA, ingress, egress addr.IfID, peers []PeerEntry, mtu uint16) (*PCB, error) {
 	return p.extendInto(it, signer, next, ingress, egress, peers, mtu)
 }
 
 func (p *PCB) extendInto(it *Interner, signer trust.Signer, next addr.IA, ingress, egress addr.IfID, peers []PeerEntry, mtu uint16) (*PCB, error) {
-	e := ASEntry{
-		Local: signer.IA(),
-		Next:  next,
-		Hop:   HopField{ConsIngress: ingress, ConsEgress: egress, ExpTime: 63},
-		Peers: peers,
-		MTU:   mtu,
-	}
-	// The hop MAC chains over the previous hop's MAC and the interfaces.
-	var prev [MACLen]byte
-	if n := len(p.ASEntries); n > 0 {
-		prev = p.ASEntries[n-1].Hop.MAC
-	}
-	e.Hop.MAC = chainMAC(prev, e.Local, ingress, egress)
-
 	out, _ := pcbPool.Get().(*PCB)
 	if out == nil {
-		// Pool miss: stored beacons keep their carcasses, so misses are
-		// the norm in steady state. Carve the struct from the server's
-		// arena instead of allocating individually.
-		if it != nil {
-			out = it.newPCB()
-		} else {
-			out = new(PCB)
-		}
+		// A node of its own: nodes carved from a shared chunk would pin
+		// the chunk for as long as any beacon extended from one lives.
+		out = new(PCB)
 	}
-	sigSpace := out.sigBuf
+	local := signer.IA()
+	*out = PCB{
+		Info:  p.Info,
+		local: local,
+		next:  next,
+		// The hop MAC chains over the previous hop's MAC (zero in a
+		// zero-entry beacon) and the interfaces.
+		hop:   HopField{ConsIngress: ingress, ConsEgress: egress, ExpTime: 63, MAC: chainMAC(p.hop.MAC, local, ingress, egress)},
+		peers: peers,
+		mtu:   mtu,
+		n:     p.n + 1,
+	}
+	if p.n > 0 {
+		out.parent = p
+	}
 
 	// The signature covers the info field, all previous signed entries,
 	// and the new entry without its signature — so every hop
 	// authenticates the full upstream beacon.
 	bp := encBuf.Get().(*[]byte)
-	body := p.appendBody((*bp)[:0], len(p.ASEntries), &e)
-	var (
-		sig []byte
-		err error
-	)
+	body := out.appendEntry(p.appendSigned(appendInfo((*bp)[:0], &p.Info, out.n)))
+	var sig []byte
+	var err error
 	if as, ok := signer.(trust.AppendSigner); ok {
-		space := sigSpace
-		if it != nil && cap(space) < trust.SignatureLen {
-			// Stored beacons keep their carcasses, so recycled signature
-			// buffers are scarce in steady state; carve fresh ones from
-			// the server's slab instead of allocating individually.
-			space = it.sigSpace()
-		}
-		sig, err = as.AppendSign(space[:0], body)
+		sig, err = as.AppendSign(out.sig[:0], body)
 	} else {
 		sig, err = signer.Sign(body)
 	}
 	*bp = body[:0]
 	encBuf.Put(bp)
+	if err == nil && len(sig) != trust.SignatureLen {
+		err = trust.ErrBadLength
+	}
 	if err != nil {
-		out.sigBuf = sigSpace
-		pcbPool.Put(out)
-		return nil, fmt.Errorf("seg: extending PCB at %s: %w", signer.IA(), err)
+		Recycle(out)
+		return nil, fmt.Errorf("seg: extending PCB at %s: %w", local, err)
 	}
-	e.Signature = sig
+	copy(out.sig[:], sig)
 
-	n := len(p.ASEntries)
-	es := out.ASEntries
-	if cap(es) < n+1 {
-		if it != nil {
-			es = it.entrySpace(n + 1)
-		} else {
-			es = make([]ASEntry, n+1)
-		}
-	} else {
-		es = es[:n+1]
-	}
-	copy(es, p.ASEntries)
-	es[n] = e
-	*out = PCB{Info: p.Info, ASEntries: es}
-
-	// Fill the identity caches incrementally from the parent's: beacon
-	// stores key every insertion by HopsKey, and recomputing it from
-	// scratch for each extended copy dominated beaconing profiles.
+	// Fill the caches from the parent's: beacon stores key every
+	// insertion by HopsKey, and recomputing it from scratch for each
+	// extension dominated beaconing profiles.
 	if it != nil {
-		out.hopsKey, out.links = it.extend(p, &e)
+		out.hopsKey, out.links = it.extend(p, out)
 	} else {
-		out.hopsKey, out.links = extendHopsKey(p.HopsKey(), &e), extendLinks(p, &e)
+		out.hopsKey, out.links = extendHopsKey(p.hopsKey, out), extendLinks(p.links, out)
 	}
-	out.hopsHash = hashMore(p.HopsHash(), out.hopsKey[len(p.HopsKey()):])
+	out.hopsHash = hashMore(p.hopsHash, out.hopsKey[len(p.hopsKey):])
+	out.asMask = p.asMask | asBit(local)
+	out.wireLen = p.wireLen + out.ownLen()
 	return out, nil
 }
 
-// extendLinks derives the child's traversed-link list from the parent's
-// cached one plus the new entry's egress.
-func extendLinks(p *PCB, e *ASEntry) []LinkKey {
-	base := p.Links()
-	if e.Hop.ConsEgress != 0 {
+// extendLinks derives a node's traversed-link list from its parent's
+// (base) plus its own egress.
+func extendLinks(base []LinkKey, q *PCB) []LinkKey {
+	if q.hop.ConsEgress != 0 {
 		links := make([]LinkKey, len(base)+1)
 		copy(links, base)
-		links[len(base)] = LinkKey{IA: e.Local, If: e.Hop.ConsEgress}
+		links[len(base)] = LinkKey{IA: q.local, If: q.hop.ConsEgress}
 		return links
 	}
-	if base != nil {
-		return base // immutable once cached; safe to share
-	}
-	return []LinkKey{} // non-nil: mark the empty list as computed
+	return base // immutable; safe to share
 }
 
-// pcbPool recycles PCB carcasses (struct, AS-entry backing array,
-// signature buffer) through originate → extend → propagate. Only beacons
-// that provably left no references behind are returned to it (see
-// Recycle); everything drawn from it is fully overwritten by extendInto.
-// No New func: extendInto handles misses itself (arena when interning).
+// pcbPool recycles nodes through originate → extend → propagate. Only
+// beacons that provably left no references behind are returned to it
+// (see Recycle); everything drawn from it is fully overwritten by
+// extendInto.
 var pcbPool sync.Pool
 
-// Recycle returns a beacon to the extension pool. The caller must own
-// the only reference: the beacon was extended locally (or received) and
-// then dropped without ever being stored, cloned, or shared. Stored
-// beacons must never be recycled — children created by Extend share
-// their Peers and Signature slices, and selector caches key on the PCB
-// pointer.
+// Recycle returns a beacon's node to the extension pool. The caller must
+// own the only reference: the beacon was extended locally (or received)
+// and then dropped without ever being stored, extended, or shared. A
+// stored beacon must never be recycled: the beacons extended from it
+// point at its node, and selector caches key on the PCB pointer.
 func Recycle(p *PCB) {
 	if p == nil {
 		return
 	}
-	var sig []byte
-	if n := len(p.ASEntries); n > 0 {
-		// The final entry's signature was allocated by this beacon's own
-		// extension and dies with it; keep the buffer for the next one.
-		sig = p.ASEntries[n-1].Signature[:0]
-	}
-	es := p.ASEntries[:cap(p.ASEntries)]
-	for i := range es {
-		es[i] = ASEntry{} // drop Peers/Signature references shared with ancestors
-	}
-	*p = PCB{ASEntries: es[:0], sigBuf: sig}
+	*p = PCB{}
 	pcbPool.Put(p)
 }
 
@@ -416,55 +458,7 @@ func Recycle(p *PCB) {
 // of the same (parent path, hop) combination. One interner belongs to
 // one beacon server (one simulator actor); it must not be shared across
 // parallel shards.
-type Interner struct {
-	m map[internKey]internVal
-	// sigSlab is the signature arena: stored beacons hold their signature
-	// buffers for as long as they live, so extensions carve 96-byte slots
-	// out of chunked slabs (one allocation per 64 signatures) rather than
-	// allocating each individually. pcbSlab and entrySlab arena the PCB
-	// structs and AS-entry arrays the same way.
-	sigSlab   []byte
-	pcbSlab   []PCB
-	entrySlab []ASEntry
-}
-
-// newPCB carves one PCB struct from the arena.
-func (it *Interner) newPCB() *PCB {
-	if len(it.pcbSlab) == 0 {
-		it.pcbSlab = make([]PCB, 64)
-	}
-	p := &it.pcbSlab[0]
-	it.pcbSlab = it.pcbSlab[1:]
-	return p
-}
-
-// entrySpace carves an n-entry AS-entry array from the arena. The
-// three-index slice caps it so later appends can never spill into a
-// neighboring beacon's entries.
-func (it *Interner) entrySpace(n int) []ASEntry {
-	if cap(it.entrySlab)-len(it.entrySlab) < n {
-		c := 256
-		if n > c {
-			c = n
-		}
-		it.entrySlab = make([]ASEntry, 0, c)
-	}
-	off := len(it.entrySlab)
-	it.entrySlab = it.entrySlab[:off+n]
-	return it.entrySlab[off : off+n : off+n]
-}
-
-// sigSpace carves one signature-sized slot from the slab. The three-index
-// slice caps the slot so appends can never spill into a neighbor.
-func (it *Interner) sigSpace() []byte {
-	const chunk = 64 * trust.SignatureLen
-	if cap(it.sigSlab)-len(it.sigSlab) < trust.SignatureLen {
-		it.sigSlab = make([]byte, 0, chunk)
-	}
-	off := len(it.sigSlab)
-	it.sigSlab = it.sigSlab[:off+trust.SignatureLen]
-	return it.sigSlab[off : off : off+trust.SignatureLen]
-}
+type Interner struct{ m map[internKey]internVal }
 
 // internerCap bounds retained entries; topologies with heavy path churn
 // reset the table wholesale instead of growing without bound.
@@ -482,14 +476,14 @@ type internVal struct {
 	links   []LinkKey
 }
 
-// extend returns the interned identity caches for extending p by e,
+// extend returns the interned identity caches for extending p by node q,
 // computing and retaining them on first use.
-func (it *Interner) extend(p *PCB, e *ASEntry) (string, []LinkKey) {
-	k := internKey{parent: p.HopsKey(), local: e.Local, ingress: e.Hop.ConsIngress, egress: e.Hop.ConsEgress}
+func (it *Interner) extend(p, q *PCB) (string, []LinkKey) {
+	k := internKey{parent: p.hopsKey, local: q.local, ingress: q.hop.ConsIngress, egress: q.hop.ConsEgress}
 	if v, ok := it.m[k]; ok {
 		return v.hopsKey, v.links
 	}
-	v := internVal{hopsKey: extendHopsKey(k.parent, e), links: extendLinks(p, e)}
+	v := internVal{hopsKey: extendHopsKey(k.parent, q), links: extendLinks(p.links, q)}
 	if it.m == nil || len(it.m) >= internerCap {
 		it.m = make(map[internKey]internVal, 256)
 	}
@@ -497,19 +491,23 @@ func (it *Interner) extend(p *PCB, e *ASEntry) (string, []LinkKey) {
 	return v.hopsKey, v.links
 }
 
-// extendHopsKey appends one hop to a parent's canonical hop key,
-// producing exactly what HopsKey would compute from scratch.
-func extendHopsKey(parent string, e *ASEntry) string {
+// extendHopsKey appends node q's hop to its parent's canonical hop key,
+// producing exactly what a key built from scratch holds.
+func extendHopsKey(parent string, q *PCB) string {
+	var hop [48]byte
+	h := appendHop(hop[:0], q.local, q.hop.ConsIngress, q.hop.ConsEgress)
 	var sb strings.Builder
-	sb.Grow(len(parent) + 24)
+	sb.Grow(len(parent) + len(h))
 	sb.WriteString(parent)
-	sb.WriteByte('|')
-	sb.WriteString(e.Local.String())
-	sb.WriteByte(':')
-	sb.WriteString(strconv.FormatUint(uint64(e.Hop.ConsIngress), 10))
-	sb.WriteByte(':')
-	sb.WriteString(strconv.FormatUint(uint64(e.Hop.ConsEgress), 10))
+	sb.Write(h)
 	return sb.String()
+}
+
+// appendHop appends one hop of a hop key: "|<ia>:<ingress>:<egress>".
+func appendHop(b []byte, ia addr.IA, in, eg addr.IfID) []byte {
+	b = ia.AppendFormat(append(b, '|'))
+	b = strconv.AppendUint(append(b, ':'), uint64(in), 10)
+	return strconv.AppendUint(append(b, ':'), uint64(eg), 10)
 }
 
 // chainMAC derives a hop MAC deterministically; the dataplane package
@@ -534,22 +532,35 @@ func chainMAC(prev [MACLen]byte, ia addr.IA, in, out addr.IfID) [MACLen]byte {
 	return mac
 }
 
-// Verify checks all AS entry signatures against v.
+// Verify checks all AS entry signatures against v. Entry i's signed body
+// is entry i-1's plus that entry's signature and entry i, so one buffer
+// grows along the chain.
 func (p *PCB) Verify(v trust.Verifier) error {
 	bp := encBuf.Get().(*[]byte)
-	buf := *bp
-	defer func() {
-		*bp = buf[:0]
-		encBuf.Put(bp)
-	}()
-	for i := range p.ASEntries {
-		e := &p.ASEntries[i]
-		buf = p.appendBody(buf[:0], i, e)
-		if err := v.Verify(e.Local, buf, e.Signature); err != nil {
-			return fmt.Errorf("seg: entry %d (%s): %w", i, e.Local, err)
+	buf, err := p.verify(v, appendInfo((*bp)[:0], &p.Info, 0))
+	*bp = buf[:0]
+	encBuf.Put(bp)
+	return err
+}
+
+// verify checks entries 0..n-1 on top of buf, which holds the info field
+// and the signed entries before them, and returns buf with them appended.
+func (p *PCB) verify(v trust.Verifier, buf []byte) ([]byte, error) {
+	if p.n == 0 {
+		return buf, nil
+	}
+	if p.parent != nil {
+		var err error
+		if buf, err = p.parent.verify(v, buf); err != nil {
+			return buf, err
 		}
 	}
-	return nil
+	buf = p.appendEntry(buf)
+	buf[infoFieldLen] = byte(p.n)
+	if err := v.Verify(p.local, buf, p.sig[:]); err != nil {
+		return buf, fmt.Errorf("seg: entry %d (%s): %w", p.n-1, p.local, err)
+	}
+	return append(buf, p.sig[:]...), nil
 }
 
 // Origin returns the initiating core AS.
@@ -557,10 +568,10 @@ func (p *PCB) Origin() addr.IA { return p.Info.Origin }
 
 // Leaf returns the last AS on the beacon, or the origin for a fresh PCB.
 func (p *PCB) Leaf() addr.IA {
-	if len(p.ASEntries) == 0 {
+	if p.n == 0 {
 		return p.Info.Origin
 	}
-	return p.ASEntries[len(p.ASEntries)-1].Local
+	return p.local
 }
 
 // Expired reports whether the beacon is past its expiration at time now.
@@ -596,19 +607,8 @@ func (k LinkKey) String() string { return fmt.Sprintf("%s#%s", k.IA, k.If) }
 // with a non-zero egress contributes one link: in a beacon in flight the
 // last entry's egress is the link the beacon was sent on (its far end is
 // the receiving AS), while a terminated segment's last entry has egress 0
-// and contributes none.
-func (p *PCB) Links() []LinkKey {
-	if p.links == nil {
-		out := make([]LinkKey, 0, len(p.ASEntries))
-		for i := range p.ASEntries {
-			if eg := p.ASEntries[i].Hop.ConsEgress; eg != 0 {
-				out = append(out, LinkKey{IA: p.ASEntries[i].Local, If: eg})
-			}
-		}
-		p.links = out
-	}
-	return p.links
-}
+// and contributes none. The slice is shared: read it only.
+func (p *PCB) Links() []LinkKey { return p.links }
 
 // LinksVia returns Links plus the prospective egress link if the beacon
 // were propagated by AS local out of its interface egress — the path the
@@ -625,33 +625,11 @@ func (p *PCB) LinksVia(local addr.IA, egress addr.IfID) []LinkKey {
 // HopsKey is a canonical identity of the traversed path (origin plus the
 // interface-level hop sequence), used to detect "the same path" across
 // PCB re-initiations with newer timestamps.
-func (p *PCB) HopsKey() string {
-	if p.hopsKey == "" {
-		var sb strings.Builder
-		sb.Grow(16 + len(p.ASEntries)*24)
-		sb.WriteString(p.Info.Origin.String())
-		for i := range p.ASEntries {
-			e := &p.ASEntries[i]
-			sb.WriteByte('|')
-			sb.WriteString(e.Local.String())
-			sb.WriteByte(':')
-			sb.WriteString(strconv.FormatUint(uint64(e.Hop.ConsIngress), 10))
-			sb.WriteByte(':')
-			sb.WriteString(strconv.FormatUint(uint64(e.Hop.ConsEgress), 10))
-		}
-		p.hopsKey = sb.String()
-	}
-	return p.hopsKey
-}
+func (p *PCB) HopsKey() string { return p.hopsKey }
 
 // HopsHash is HashHops(HopsKey()), extended incrementally as the beacon
 // is. A table keyed by it must confirm a hit against HopsKey.
-func (p *PCB) HopsHash() uint64 {
-	if p.hopsHash == 0 {
-		p.hopsHash = HashHops(p.HopsKey())
-	}
-	return p.hopsHash
-}
+func (p *PCB) HopsHash() uint64 { return p.hopsHash }
 
 // HashHops is the 64-bit FNV-1a hash of a hop key.
 func HashHops(key string) uint64 { return hashMore(14695981039346656037, key) }
@@ -669,14 +647,22 @@ func (p *PCB) HopsKeyVia(egress addr.IfID) string {
 	return p.HopsKey() + "|via:" + strconv.FormatUint(uint64(egress), 10)
 }
 
+// asBit is ia's bit in a beacon's AS mask: a Fibonacci hash of the IA
+// folded to 6 bits.
+func asBit(ia addr.IA) uint64 { return 1 << (ia.Uint64() * 0x9e3779b97f4a7c15 >> 58) }
+
 // ContainsAS reports whether ia already appears on the beacon (loop
-// prevention during propagation).
+// prevention during propagation). The AS mask answers most "no"s without
+// walking the chain.
 func (p *PCB) ContainsAS(ia addr.IA) bool {
+	if p.asMask&asBit(ia) == 0 {
+		return false
+	}
 	if p.Info.Origin == ia {
 		return true
 	}
-	for i := range p.ASEntries {
-		if p.ASEntries[i].Local == ia {
+	for q := p; q != nil && q.n > 0; q = q.parent {
+		if q.local == ia {
 			return true
 		}
 	}
@@ -685,15 +671,12 @@ func (p *PCB) ContainsAS(ia addr.IA) bool {
 
 // IAs lists the ASes on the segment in beaconing order (origin first).
 func (p *PCB) IAs() []addr.IA {
-	out := make([]addr.IA, 0, len(p.ASEntries))
-	for i := range p.ASEntries {
-		out = append(out, p.ASEntries[i].Local)
+	out := make([]addr.IA, p.n)
+	for q, i := p, len(out)-1; i >= 0; q, i = q.parent, i-1 {
+		out[i] = q.local
 	}
 	return out
 }
-
-// NumHops returns the number of AS entries.
-func (p *PCB) NumHops() int { return len(p.ASEntries) }
 
 func (p *PCB) String() string {
 	return fmt.Sprintf("PCB{%s seg=%d hops=%v}", p.Info.Origin, p.Info.SegID, p.IAs())

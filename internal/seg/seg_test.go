@@ -1,6 +1,7 @@
 package seg
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ import (
 
 const hour = sim.Time(time.Hour)
 
-func infra(t *testing.T) *trust.Infra {
+func infra(t testing.TB) *trust.Infra {
 	t.Helper()
 	inf, err := trust.NewInfra(topology.Demo(), trust.Sized)
 	if err != nil {
@@ -52,8 +53,8 @@ func buildPCB(t *testing.T, inf *trust.Infra) *PCB {
 func TestExtendAndVerify(t *testing.T) {
 	inf := infra(t)
 	p := buildPCB(t, inf)
-	if p.NumHops() != 3 {
-		t.Fatalf("hops = %d", p.NumHops())
+	if p.Len() != 3 {
+		t.Fatalf("hops = %d", p.Len())
 	}
 	if err := p.Verify(inf); err != nil {
 		t.Fatalf("verify: %v", err)
@@ -64,28 +65,36 @@ func TestVerifyDetectsTampering(t *testing.T) {
 	inf := infra(t)
 	p := buildPCB(t, inf)
 
-	mut := p.Clone()
-	mut.ASEntries[1].Hop.ConsEgress = 99
-	if err := mut.Verify(inf); err == nil {
+	es := p.AppendEntries(nil)
+	es[1].Hop.ConsEgress = 99
+	if err := fromEntries(p.Info, es).Verify(inf); err == nil {
 		t.Error("interface tampering must fail verification")
 	}
 
-	mut2 := p.Clone()
-	mut2.ASEntries = mut2.ASEntries[:2] // truncation: last remaining entry still valid prefix
-	if err := mut2.Verify(inf); err != nil {
+	es = p.AppendEntries(nil)
+	// truncation: last remaining entry still valid prefix
+	if err := fromEntries(p.Info, es[:2]).Verify(inf); err != nil {
 		t.Errorf("prefix must remain valid (beacons are extended, not sealed): %v", err)
 	}
 
-	mut3 := p.Clone()
-	mut3.Info.Expiry += hour // origin-field tampering breaks every signature
-	if err := mut3.Verify(inf); err == nil {
+	info := p.Info
+	info.Expiry += hour // origin-field tampering breaks every signature
+	if err := fromEntries(info, es).Verify(inf); err == nil {
 		t.Error("expiry tampering must fail verification")
 	}
 
-	mut4 := p.Clone()
-	mut4.ASEntries[0].Peers = append(mut4.ASEntries[0].Peers, PeerEntry{Peer: addr.MustIA(3, 1)})
-	if err := mut4.Verify(inf); err == nil {
+	es[0].Peers = append(es[0].Peers, PeerEntry{Peer: addr.MustIA(3, 1)})
+	if err := fromEntries(p.Info, es).Verify(inf); err == nil {
 		t.Error("peer-entry injection must fail verification")
+	}
+
+	// A node tampered with in place fails too, wherever in the chain.
+	for i := 0; i < p.Len(); i++ {
+		mut := p.Clone()
+		mut.node(i).sig[0] ^= 0xff
+		if err := mut.Verify(inf); err == nil {
+			t.Errorf("signature %d tampering must fail verification", i)
+		}
 	}
 }
 
@@ -97,7 +106,7 @@ func TestExtendDoesNotMutateReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumHops() != 0 || p1.NumHops() != 1 {
+	if p.Len() != 0 || p1.Len() != 1 {
 		t.Error("Extend must be copy-on-write")
 	}
 }
@@ -119,7 +128,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := back.Verify(inf); err != nil {
 		t.Errorf("decoded beacon failed verification: %v", err)
 	}
-	if back.ASEntries[2].Peers[0].Peer != p.ASEntries[2].Peers[0].Peer {
+	if back.Entry(2).Peers[0].Peer != p.Entry(2).Peers[0].Peer {
 		t.Error("peer entries lost")
 	}
 }
@@ -275,32 +284,49 @@ func TestContainsASAndLeaf(t *testing.T) {
 	}
 }
 
-// Clone deep-copies the PCB so a test can tamper with its own copy.
-func (p *PCB) Clone() *PCB {
-	c := &PCB{Info: p.Info, ASEntries: make([]ASEntry, len(p.ASEntries)),
-		hopsKey: p.hopsKey, links: p.links}
-	copy(c.ASEntries, p.ASEntries)
-	for i := range c.ASEntries {
-		if p.ASEntries[i].Peers != nil {
-			c.ASEntries[i].Peers = append([]PeerEntry(nil), p.ASEntries[i].Peers...)
-		}
-		if p.ASEntries[i].Signature != nil {
-			c.ASEntries[i].Signature = append([]byte(nil), p.ASEntries[i].Signature...)
-		}
+// fromEntries is the test constructor: it builds a beacon from info and
+// entries as given, whatever their signatures say, so a test can build
+// tampered or synthetic beacons. Each entry's peers are copied and its
+// signature (SignatureLen bytes at most) is stored inline.
+func fromEntries(info InfoField, entries []ASEntry) *PCB {
+	if len(entries) == 0 {
+		return NewPCB(info.Origin, info.SegID, info.Timestamp, info.Expiry-info.Timestamp)
 	}
-	return c
+	nodes := make([]PCB, len(entries))
+	for i, e := range entries {
+		q := &nodes[i]
+		q.local, q.next, q.hop, q.mtu = e.Local, e.Next, e.Hop, e.MTU
+		q.peers = append([]PeerEntry(nil), e.Peers...)
+		copy(q.sig[:], e.Signature)
+	}
+	return chain(info, nodes)
 }
+
+// node returns the node holding entry i.
+func (p *PCB) node(i int) *PCB {
+	q := p
+	for k := p.Len() - 1; k > i; k-- {
+		q = q.parent
+	}
+	return q
+}
+
+// Clone deep-copies the PCB so a test can tamper with its own copy.
+func (p *PCB) Clone() *PCB { return fromEntries(p.Info, p.AppendEntries(nil)) }
 
 func TestCloneIsDeep(t *testing.T) {
 	inf := infra(t)
 	p := buildPCB(t, inf)
 	c := p.Clone()
-	c.ASEntries[0].Signature[0] ^= 0xff
-	c.ASEntries[2].Peers[0].PeerIf = 42
-	if p.ASEntries[0].Signature[0] == c.ASEntries[0].Signature[0] {
+	if !bytes.Equal(c.Encode(), p.Encode()) || c.HopsKey() != p.HopsKey() || c.HopsHash() != p.HopsHash() {
+		t.Fatal("clone differs from its original")
+	}
+	c.node(0).sig[0] ^= 0xff
+	c.peers[0].PeerIf = 42
+	if p.Entry(0).Signature[0] == c.Entry(0).Signature[0] {
 		t.Error("signature aliased")
 	}
-	if p.ASEntries[2].Peers[0].PeerIf == 42 {
+	if p.Entry(2).Peers[0].PeerIf == 42 {
 		t.Error("peers aliased")
 	}
 }
@@ -309,7 +335,7 @@ func TestChainMACPropagation(t *testing.T) {
 	inf := infra(t)
 	p := buildPCB(t, inf)
 	// MACs must all differ (chained over distinct state).
-	m0, m1, m2 := p.ASEntries[0].Hop.MAC, p.ASEntries[1].Hop.MAC, p.ASEntries[2].Hop.MAC
+	m0, m1, m2 := p.Entry(0).Hop.MAC, p.Entry(1).Hop.MAC, p.Entry(2).Hop.MAC
 	if m0 == m1 || m1 == m2 || m0 == m2 {
 		t.Error("hop MACs must be distinct along the chain")
 	}

@@ -170,7 +170,7 @@ func (n *Network) Send(from addr.IA, link *topology.Link, msg Message) {
 		panic(fmt.Sprintf("sim: %s sending on foreign link %s", from, link))
 	}
 	if n.sharded && n.Sim.inPar {
-		n.Sim.deferOp(n.shards[from], op{kind: opSend, net: n, from: from, link: link, msg: msg})
+		n.Sim.deferOp(n.shards[from], op{kind: opSend, net: n, link: link, bSide: from != link.A, msg: msg})
 		return
 	}
 	n.send(from, link, msg)
@@ -228,11 +228,10 @@ func (n *Network) runDelivery(d *delivery) {
 // deferred to the commit phase.
 func (n *Network) deliver(from, to addr.IA, remoteIf addr.IfID, link *topology.Link, msg Message, size int) {
 	inPar := n.Sim.inPar
-	key := IfKey{IA: to, If: remoteIf}
 	if inPar {
-		n.Sim.deferOp(n.shards[to], op{kind: opRx, net: n, key: key, size: int32(size)})
+		n.Sim.deferOp(n.shards[to], op{kind: opRx, net: n, link: link, bSide: from == link.A, size: int32(size)})
 	} else {
-		c := n.counter(key)
+		c := n.counter(IfKey{IA: to, If: remoteIf})
 		c.RxBytes += uint64(size)
 		c.RxMsgs++
 	}

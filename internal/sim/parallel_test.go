@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/topology"
@@ -199,5 +200,14 @@ func TestDefaultWorkersEnv(t *testing.T) {
 	s.SetWorkers(0)
 	if s.WorkerCount() < 1 {
 		t.Error("SetWorkers(0) must resolve to >= 1")
+	}
+}
+
+// TestOpFitsOneCacheLine pins the commit record's size: Simulator.ops
+// keeps every event's list at its largest capacity, so each byte of an
+// op is held once per deferred effect of the busiest segment.
+func TestOpFitsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(op{}); n > 64 {
+		t.Errorf("op is %d bytes, want <= 64", n)
 	}
 }

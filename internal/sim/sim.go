@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scionmpr/internal/addr"
 	"scionmpr/internal/telemetry"
 	"scionmpr/internal/topology"
 )
@@ -151,17 +150,19 @@ type shardGroup struct {
 // The hot effects — network sends, RX accounting, drop counts — are
 // typed so deferring them appends to a reused slice instead of
 // allocating a closure per message; everything else goes through fn.
+// An op fits in 64 bytes (Simulator.ops keeps every event's list at its
+// largest capacity): a send and a receive name their AS by link side.
 type op struct {
-	kind  uint8
-	shard uint32         // opPush: target shard
-	at    Time           // opPush: absolute time
+	msg   Message        // opSend
+	link  *topology.Link // opSend, opRx
 	fn    func()         // opPush, opFunc: payload
 	net   *Network       // opSend, opRx, opDrop
-	from  addr.IA        // opSend
-	link  *topology.Link // opSend
-	msg   Message        // opSend
-	key   IfKey          // opRx
+	at    Time           // opPush: absolute time
+	shard uint32         // opPush: target shard
 	size  int32          // opRx
+	kind  uint8
+	// bSide says the sender (opSend) or receiver (opRx) is link.B.
+	bSide bool
 }
 
 const (
@@ -180,14 +181,22 @@ func (o *op) apply(s *Simulator) {
 	case opPush:
 		s.push(o.shard, o.at, o.fn)
 	case opSend:
-		o.net.send(o.from, o.link, o.msg)
+		o.net.send(o.end().IA, o.link, o.msg)
 	case opRx:
-		c := o.net.counter(o.key)
+		c := o.net.counter(o.end())
 		c.RxBytes += uint64(o.size)
 		c.RxMsgs++
 	case opDrop:
 		o.net.Dropped++
 	}
+}
+
+// end is the interface of link at the side bSide names.
+func (o *op) end() IfKey {
+	if o.bSide {
+		return IfKey{IA: o.link.B, If: o.link.BIf}
+	}
+	return IfKey{IA: o.link.A, If: o.link.AIf}
 }
 
 // Simulator owns the virtual clock and the pending event set. The zero

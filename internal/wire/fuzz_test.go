@@ -101,7 +101,8 @@ func newFuzzEnv(tb testing.TB) *fuzzEnv {
 	// A WAL with a checkpoint in the middle: registrations, a revocation,
 	// the checkpoint, then a tail.
 	svc, wal := pathsrv.New(pathsrv.Config{Shards: 4}), pathsrv.NewWAL()
-	link := seg.LinkKey{IA: stored[0].ASEntries[0].Local, If: stored[0].ASEntries[0].Hop.ConsEgress}
+	first := stored[0].Entry(0)
+	link := seg.LinkKey{IA: first.Local, If: first.Hop.ConsEgress}
 	for _, p := range stored {
 		wal.AppendRegister(0, p)
 		_ = svc.Register(0, p) // mirrors Recover, which ignores the same error

@@ -358,8 +358,8 @@ func TestLookupOrderingStable(t *testing.T) {
 	}
 	for i := 1; i < len(got); i++ {
 		a, b := got[i-1], got[i]
-		if a.NumHops() > b.NumHops() ||
-			(a.NumHops() == b.NumHops() && a.HopsKey() >= b.HopsKey()) {
+		if a.Len() > b.Len() ||
+			(a.Len() == b.Len() && a.HopsKey() >= b.HopsKey()) {
 			t.Fatalf("reply out of order at %d: %v", i, keysOf(got))
 		}
 	}

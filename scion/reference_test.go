@@ -139,8 +139,8 @@ func (s *refServer) RegisterUp(now sim.Time, segment *seg.PCB) error {
 // by hops key. Stored lists are kept in this order by refUpsert so lookups
 // can serve them without sorting.
 func refSegLess(a, b *seg.PCB) bool {
-	if a.NumHops() != b.NumHops() {
-		return a.NumHops() < b.NumHops()
+	if a.Len() != b.Len() {
+		return a.Len() < b.Len()
 	}
 	return a.HopsKey() < b.HopsKey()
 }

@@ -405,7 +405,7 @@ func (n *Network) leafSegments(now sim.Time, leaf addr.IA) []*seg.PCB {
 		out = append(out, segs...)
 	}
 	slices.SortFunc(out, func(a, b *seg.PCB) int {
-		return cmp.Or(cmp.Compare(a.NumHops(), b.NumHops()), strings.Compare(a.HopsKey(), b.HopsKey()))
+		return cmp.Or(cmp.Compare(a.Len(), b.Len()), strings.Compare(a.HopsKey(), b.HopsKey()))
 	})
 	return out
 }
