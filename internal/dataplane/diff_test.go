@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,8 +26,9 @@ import (
 // which SCMP came back) plus the full counter set. All planes decide
 // gray loss with the pure per-packet sim.LossCoin, and faults fire only
 // at quiescent group boundaries, so the fingerprint is independent of
-// packet interleaving — which is exactly what lets the concurrent engine
-// (workers 1 and 4) be compared bit-for-bit against the serial planes.
+// packet interleaving — which is what lets the engine, draining its
+// queues in its own order, be compared bit-for-bit against the
+// virtual-time planes.
 // The two virtual-time planes are further held to the same timing and
 // link accounting (TestDifferentialTiming).
 
@@ -355,23 +355,17 @@ func runFabric(t *testing.T, e *env, tr *diffTrace) *diffRun {
 }
 
 // runEngineTrace replays the trace through a fresh wire engine.
-func runEngineTrace(t *testing.T, e *env, tr *diffTrace, workers int) string {
+func runEngineTrace(t *testing.T, e *env, tr *diffTrace) string {
 	t.Helper()
 	eng := NewEngine(e.topo, e.infra.ForwardingKey)
-	eng.Workers = workers
 
-	var mu sync.Mutex
 	outcomes := map[uint32]diffOutcome{}
 	for _, ia := range e.topo.IAs() {
 		eng.OnDeliver(ia, func(s *slayers.SCION) {
-			mu.Lock()
 			outcomes[s.FlowID] = diffOutcome{delivered: true, scmp: -1}
-			mu.Unlock()
 		})
 		eng.OnSCMP(ia, func(m *SCMP) {
-			mu.Lock()
 			outcomes[m.FlowID] = diffOutcome{scmp: int8(m.Type), link: m.Link}
-			mu.Unlock()
 		})
 	}
 	for g := 0; g < diffGroups; g++ {
@@ -396,8 +390,8 @@ func runEngineTrace(t *testing.T, e *env, tr *diffTrace, workers int) string {
 
 // TestDifferentialGolden is the harness CI runs under -race: for each
 // seed, the fingerprints of the reference router, the Fabric, and the
-// engine at 1 and 4 workers must be identical, and fingerprints must
-// differ across seeds (the trace actually depends on the seed).
+// engine must be identical, and fingerprints must differ across seeds
+// (the trace actually depends on the seed).
 func TestDifferentialGolden(t *testing.T) {
 	e := newEnv(t)
 	bydSeed := map[int64]string{}
@@ -409,11 +403,8 @@ func TestDifferentialGolden(t *testing.T) {
 			if fabFP := runFabric(t, e, tr).fingerprint(); fabFP != refFP {
 				t.Errorf("fabric fingerprint %s != reference %s", fabFP, refFP)
 			}
-			for _, workers := range []int{1, 4} {
-				engFP := runEngineTrace(t, e, tr, workers)
-				if engFP != refFP {
-					t.Errorf("workers=%d: engine fingerprint %s != reference %s", workers, engFP, refFP)
-				}
+			if engFP := runEngineTrace(t, e, tr); engFP != refFP {
+				t.Errorf("engine fingerprint %s != reference %s", engFP, refFP)
 			}
 			t.Logf("seed %d fingerprint %s", seed, refFP)
 			bydSeed[seed] = refFP

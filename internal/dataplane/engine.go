@@ -1,15 +1,13 @@
 // The wire-format forwarding engine, the one border router: it works
 // on real packet bytes in the internal/slayers encoding, with pooled
 // buffers, batched hop-field MAC verification and, under NewEngine,
-// per-AS ingress rings drained in fixed-size batches with lock-free
-// egress hand-off between router workers. A Fabric drives the same
-// per-AS pipeline in virtual time, one frame at a time (fabric.go).
+// per-AS ingress queues that Flush drains in fixed-size batches on the
+// caller's goroutine. A Fabric drives the same per-AS pipeline in
+// virtual time, one frame at a time (fabric.go).
 package dataplane
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"scionmpr/internal/addr"
@@ -52,19 +50,19 @@ type EngineStats struct {
 }
 
 // Engine is the batched wire-format forwarding plane. One logical
-// border router per AS, each with a lock-free multi-producer ingress
-// ring; workers own disjoint AS subsets and drain their rings in
-// batches, so a frame's whole lifetime — decode, MAC check, egress
-// lookup, hand-off to the next ring — happens on packet bytes without
-// allocating. Configure the exported fields before the first Inject.
-// A Fabric drives an engine without rings in virtual time.
+// border router per AS, each with a FIFO ingress queue; Flush drains
+// the queues in batches on the caller's goroutine, so a frame's whole
+// lifetime — decode, MAC check, egress lookup, hand-off to the next
+// queue — happens on packet bytes without allocating. Configure the
+// exported fields before the first Inject. A Fabric drives an engine
+// without queues in virtual time.
 type Engine struct {
 	Topo *topology.Graph
 	Keys KeyFunc
 
-	// Workers is the number of router goroutines a Flush runs (default
-	// 1; single-worker flushes run inline on the caller's goroutine so
-	// benchmarks measure per-core throughput cleanly).
+	// Workers is read by nothing: Flush forwards on the caller's
+	// goroutine whatever its value. It stays because the benchmark
+	// program still sets it.
 	Workers int
 
 	// Link fault state (chaos.FaultTarget), read by the egress decision;
@@ -78,52 +76,46 @@ type Engine struct {
 	// SCMP walk-back), dense per AS.
 	ifTable [][]ifEntry
 	keys    [][]byte
-	rings   []*ring
 	deliver []func(f *frame, s *slayers.SCION)
 	scmp    []SCMPFunc
-	// verifiers[a] is owned by whichever worker owns AS a for the
-	// duration of a Flush (ownership is a pure function of the AS index
-	// and the worker count, so it never migrates mid-flush).
+	// verifiers[a] is AS a's MAC verifier and verdict cache.
 	verifiers []macVerifier
-	// workers[w] is worker w's scratch, kept across flushes so a warmed
-	// engine allocates nothing per Flush either.
-	workers []*workerCtx
+	// queues[a] is AS a's ingress FIFO under NewEngine and queued the
+	// number of frames waiting in all of them; flush is Flush's
+	// scratch, kept so a warmed engine allocates nothing per Flush.
+	queues [][]*frame
+	queued int
+	flush  *workerCtx
 	// net, when a Fabric drives the engine, carries frames between
-	// routers instead of the rings; steps[d] is the scratch of a step
+	// routers instead of the queues; steps[d] is the scratch of a step
 	// nested d deep (a handler a step calls may inject, which steps
 	// again).
 	net   *sim.Network
 	steps []*workerCtx
 	depth int
 
-	pool     *framePool
-	inflight atomic.Int64
+	pool *framePool
 
 	forwarded, delivered, droppedBadMAC, droppedNoRoute, droppedTooBig atomic.Uint64
 	revocations, droppedGray, droppedMalformed                         atomic.Uint64
 	batches, batchPackets                                              atomic.Uint64
 }
 
-const (
-	// batchSize is how many frames a worker drains from one ring per
-	// batch, i.e. per MAC-verifier lock acquisition.
-	batchSize      = 32
-	defaultRingCap = 1024
-)
+// batchSize is how many frames Flush drains from one queue per batch,
+// i.e. per MAC-verifier lock acquisition.
+const batchSize = 32
 
 // NewEngine builds an engine over the topology. Keys resolves each
 // AS's forwarding key once up front; ASes with no key fail every MAC
 // check.
 func NewEngine(topo *topology.Graph, keys KeyFunc) *Engine {
 	e := newEngine(topo, keys)
-	e.rings = make([]*ring, len(e.ias))
-	for i := range e.rings {
-		e.rings[i] = newRing(defaultRingCap)
-	}
+	e.queues = make([][]*frame, len(e.ias))
+	e.flush = newWorkerCtx(batchSize)
 	return e
 }
 
-// newEngine builds the per-AS tables without rings or worker scratch.
+// newEngine builds the per-AS tables without queues or Flush scratch.
 func newEngine(topo *topology.Graph, keys KeyFunc) *Engine {
 	ias := topo.IAs()
 	e := &Engine{
@@ -184,7 +176,8 @@ func (e *Engine) OnSCMP(ia addr.IA, fn SCMPFunc) {
 }
 
 // Stats snapshots the forwarding counters. Call between flushes for
-// exact values (workers update them with atomics during a Flush).
+// exact values: the counters are atomic so that a telemetry scrape on
+// another goroutine may read them while a Flush runs.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		Forwarded:        e.forwarded.Load(),
@@ -288,22 +281,27 @@ func (e *Engine) InjectBytes(data []byte, mtu uint16) error {
 }
 
 func (e *Engine) enqueue(a int32, f *frame) {
-	e.inflight.Add(1)
 	if e.net != nil {
 		e.step(a, f)
 		return
 	}
-	e.rings[a].push(f)
+	e.push(a, f)
 }
 
 // out hands f, leaving AS a over ent, to the neighbor's router: onto its
-// ring, or under a Fabric onto the simulated link.
+// queue, or under a Fabric onto the simulated link.
 func (e *Engine) out(a int32, ent ifEntry, f *frame) {
 	if e.net != nil {
 		e.net.Send(e.ias[a], ent.link, f)
 		return
 	}
-	e.rings[ent.dst].push(f)
+	e.push(ent.dst, f)
+}
+
+// push appends f to AS a's queue.
+func (e *Engine) push(a int32, f *frame) {
+	e.queues[a] = append(e.queues[a], f)
+	e.queued++
 }
 
 // step runs AS a's router on the one frame f, as a Fabric does when f is
@@ -319,38 +317,31 @@ func (e *Engine) step(a int32, f *frame) {
 	e.depth--
 }
 
-// Flush drains the network: workers forward until no frame is in
-// flight, then return. Deliver/SCMP handlers run on worker goroutines
-// and may Inject follow-up packets (they extend the same flush).
+// Flush drains the network on the caller's goroutine: it sweeps the
+// ASes in index order, runs each queue to empty in batches in arrival
+// order, and returns once no frame is queued. Deliver/SCMP handlers may
+// Inject follow-up packets; they extend the same flush. A queue's slice
+// is reused once drained, so a warmed engine allocates nothing here.
 func (e *Engine) Flush() {
-	w := e.Workers
-	if w < 1 {
-		w = 1
+	ctx := e.flush
+	for e.queued > 0 {
+		for a := range e.queues {
+			// SCMPs raised at a, and packets a's handlers inject, join
+			// its queue while it drains.
+			for head := 0; head < len(e.queues[a]); {
+				n := min(batchSize, len(e.queues[a])-head)
+				ctx.batch = append(ctx.batch[:0], e.queues[a][head:head+n]...)
+				head += n
+				e.queued -= n
+				e.processBatch(int32(a), ctx)
+			}
+			clear(e.queues[a]) // drop the pointers to frames the pool owns again
+			e.queues[a] = e.queues[a][:0]
+		}
 	}
-	if w > len(e.ias) {
-		w = len(e.ias)
-	}
-	for len(e.workers) < w {
-		e.workers = append(e.workers, newWorkerCtx(batchSize))
-	}
-	if w == 1 {
-		e.runWorker(0, 1)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		// w is passed, not captured: a captured w would be heap-allocated
-		// on every Flush, the inline single-worker ones included.
-		go func(i, w int) {
-			defer wg.Done()
-			e.runWorker(i, w)
-		}(i, w)
-	}
-	wg.Wait()
 }
 
-// workerCtx holds one worker's scratch so the steady state allocates
+// workerCtx holds one batch's scratch so the steady state allocates
 // nothing per packet.
 type workerCtx struct {
 	batch []*frame
@@ -371,43 +362,9 @@ func newWorkerCtx(n int) *workerCtx {
 	}
 }
 
-func (e *Engine) runWorker(w, nw int) {
-	ctx := e.workers[w]
-	for {
-		progress := false
-		for a := w; a < len(e.rings); a += nw {
-			r := e.rings[a]
-			for {
-				ctx.batch = ctx.batch[:0]
-				for len(ctx.batch) < batchSize {
-					f := r.pop()
-					if f == nil {
-						break
-					}
-					ctx.batch = append(ctx.batch, f)
-				}
-				if len(ctx.batch) == 0 {
-					break
-				}
-				progress = true
-				e.processBatch(int32(a), ctx)
-			}
-		}
-		if e.inflight.Load() == 0 {
-			return
-		}
-		if !progress {
-			runtime.Gosched()
-		}
-	}
-}
-
 // terminal retires a frame: its journey ended (delivered, dropped, or
 // handed to a local handler).
-func (e *Engine) terminal(f *frame) {
-	e.pool.put(f)
-	e.inflight.Add(-1)
-}
+func (e *Engine) terminal(f *frame) { e.pool.put(f) }
 
 // processBatch runs the border-router pipeline of AS a over one batch:
 // decode all frames, collect their hop-field MAC checks, verify them
@@ -480,7 +437,7 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 
 // egressStep forwards a verified frame out of AS a's interface out: the
 // shared egress decision drops it (with the matching SCMP, or silently
-// for gray loss) or the frame moves to the neighbor's ingress ring.
+// for gray loss) or the frame moves to the neighbor's router.
 func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, out addr.IfID) {
 	ent := e.lookupIf(a, out)
 	switch egress(&e.LinkFaults, ent.link, s.FlowID) {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,24 +274,26 @@ func TestEngineMTU(t *testing.T) {
 	}
 }
 
-// TestEngineWorkersAndModes: the engine has one forwarding mode, so the
-// table varies the worker count only.
+// TestEngineWorkersAndModes: the engine has one forwarding mode and
+// one loop on the caller's goroutine. Workers is still settable but
+// read by nothing, so every value gives the same run, whose batches
+// account for every hop.
 func TestEngineWorkersAndModes(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("w%d-batch", workers), func(t *testing.T) {
 			e, eng := newWireEnv(t)
 			eng.Workers = workers
 			total := 200
-			var delivered atomic.Int64
-			eng.OnDeliver(a4, func(s *slayers.SCION) { delivered.Add(1) })
+			delivered := 0
+			eng.OnDeliver(a4, func(s *slayers.SCION) { delivered++ })
 			for i := 0; i < total; i++ {
 				if err := eng.Inject(testPacket(e, 0, []byte("n"), uint32(i))); err != nil {
 					t.Fatal(err)
 				}
 			}
 			eng.Flush()
-			if delivered.Load() != int64(total) {
-				t.Fatalf("delivered %d of %d", delivered.Load(), total)
+			if delivered != total {
+				t.Fatalf("delivered %d of %d", delivered, total)
 			}
 			st := eng.Stats()
 			if st.Delivered != uint64(total) {
@@ -302,6 +303,33 @@ func TestEngineWorkersAndModes(t *testing.T) {
 				t.Errorf("batch accounting: %+v", st)
 			}
 		})
+	}
+}
+
+// TestEngineQueueOrder: a queue holds any number of frames, and one
+// Flush delivers a burst of many batches in injection order along
+// every path, so each hop's queue holds thousands of frames at once.
+func TestEngineQueueOrder(t *testing.T) {
+	e, eng := newWireEnv(t)
+	const total = 3000
+	var got []uint32
+	eng.OnDeliver(a4, func(s *slayers.SCION) { got = append(got, s.FlowID) })
+	for p := range e.paths {
+		got = got[:0]
+		for i := 0; i < total; i++ {
+			if err := eng.Inject(testPacket(e, p, nil, uint32(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Flush()
+		if len(got) != total {
+			t.Fatalf("path %d: delivered %d of %d", p, len(got), total)
+		}
+		for i, flow := range got {
+			if flow != uint32(i) {
+				t.Fatalf("path %d (%d hops): delivery %d carries flow %d", p, len(e.paths[p].Hops), i, flow)
+			}
+		}
 	}
 }
 
@@ -402,33 +430,6 @@ func TestEngineTelemetry(t *testing.T) {
 	}
 }
 
-func TestRingOverflow(t *testing.T) {
-	r := newRing(4)
-	pool := newFramePool()
-	var frames []*frame
-	for i := 0; i < 10; i++ {
-		f := pool.get(1)
-		f.b[0] = byte(i)
-		frames = append(frames, f)
-		r.push(f)
-	}
-	got := map[byte]bool{}
-	for i := 0; i < 10; i++ {
-		f := r.pop()
-		if f == nil {
-			t.Fatalf("pop %d returned nil", i)
-		}
-		got[f.b[0]] = true
-	}
-	if len(got) != 10 {
-		t.Fatalf("recovered %d distinct frames", len(got))
-	}
-	if r.pop() != nil {
-		t.Error("empty ring popped a frame")
-	}
-	_ = frames
-}
-
 // TestLinkDelayBounds: every fault target keeps its faults in a
 // sim.LinkFaults table, and a fault schedule may name links a plane does
 // not carry — out-of-range link IDs must be ignored, not panic.
@@ -448,6 +449,21 @@ func TestLinkDelayBounds(t *testing.T) {
 		if ft.Failed(bad) || ft.LinkLoss(bad) != 0 || ft.LinkDelay(bad) == time.Second {
 			t.Errorf("%s: out-of-range link state recorded", name)
 		}
+	}
+}
+
+// TestFabricLinkDelay: a fabric answers LinkDelay from the network that
+// carries its frames, the table its SetLinkDelay writes.
+func TestFabricLinkDelay(t *testing.T) {
+	e := newEnv(t)
+	f, id := e.fabric, e.topo.Links[0].ID
+	f.SetLinkDelay(id, 3*time.Millisecond)
+	if got := f.LinkDelay(id); got != 3*time.Millisecond || got != f.Net.LinkDelay(id) {
+		t.Errorf("LinkDelay = %v after SetLinkDelay(3ms), network says %v", got, f.Net.LinkDelay(id))
+	}
+	f.SetLinkDelay(id, 0)
+	if got := f.LinkDelay(id); got != f.Net.Delay {
+		t.Errorf("LinkDelay = %v after the override cleared, want the default %v", got, f.Net.Delay)
 	}
 }
 

@@ -76,7 +76,8 @@ type SCMPFunc func(msg *SCMP)
 type Fabric struct {
 	Net *sim.Network
 	// The engine's link fault table (FailLink, RestoreLink, Failed,
-	// SetLinkLoss, LinkLoss), read by the egress decision.
+	// SetLinkLoss, LinkLoss), read by the egress decision. Delay lives
+	// on Net, which carries the frames (SetLinkDelay, LinkDelay).
 	*sim.LinkFaults
 	// RevocationTTL is how long an SCMP revocation stays in a source
 	// memory (default 10s).
@@ -158,6 +159,12 @@ func (f *Fabric) AddSCMP(ia addr.IA, fn SCMPFunc) {
 // transport, modelling a latency spike; d <= 0 restores the default.
 func (f *Fabric) SetLinkDelay(id topology.LinkID, d time.Duration) {
 	f.Net.SetLinkDelay(id, d)
+}
+
+// LinkDelay returns the one-way latency frames take over a link: the
+// transport network's override if one is set, else its default.
+func (f *Fabric) LinkDelay(id topology.LinkID) time.Duration {
+	return f.Net.LinkDelay(id)
 }
 
 // Inject encodes a packet and runs its source AS's border router on it

@@ -19,7 +19,7 @@ const (
 // egress decides, over a plane's fault table, the fate of a packet of
 // the given flow leaving over link (nil when the hop's egress interface
 // attaches to nothing). The gray-loss coin is keyed on the flow, so the
-// engine sheds the same packets under rings and under a Fabric.
+// engine sheds the same packets under Flush and under a Fabric.
 func egress(lf *sim.LinkFaults, link *topology.Link, flow uint32) egressVerdict {
 	switch {
 	case link == nil:

@@ -92,8 +92,9 @@ func hopMAC(key []byte, h combinator.Hop) [MACLen]byte {
 // (locked once per batch, not once per packet), and identical hop
 // fields across packets of the batch — the common case when many flows
 // share a path — collapse into a small router-owned verdict cache.
-// The verifier is owned by a single worker; only the macStates access
-// inside verifyBatch touches shared state.
+// The verifier belongs to its AS's router, which runs on one goroutine
+// at a time; only the macStates access inside verifyBatch touches
+// shared state.
 type macVerifier struct {
 	// verdicts caches (ingress, egress, mac) -> valid for this AS key.
 	// Entries are pure functions of the key, so the cache never needs
