@@ -21,6 +21,7 @@ import (
 //	scionmpr beaconsim -topo scionlab -algo baseline -store 5 -duration 6h
 //	scionmpr beaconsim -topo gen -n 600 -core 100 -algo diversity -store 60
 //	scionmpr beaconsim -topo gen -n 600 -isdcores 5 -mode intra -algo baseline
+//	scionmpr beaconsim -topo gen -n 300 -core 40 -duration 2h -workers 1
 //
 // Long runs can be checkpointed and resumed; the resumed run finishes with
 // byte-identical results (DESIGN.md "Checkpoint/restore"). Every other
@@ -47,6 +48,7 @@ func beaconsim(fs *flag.FlagSet) func(io.Writer) error {
 		ckptAt   = fs.Duration("checkpoint", 0, "write a resumable snapshot at this simulated time (rounded up to an interval boundary)")
 		snapFile = fs.String("snapshot", "beaconsim.ckpt", "snapshot file written by -checkpoint")
 		resume   = fs.String("resume", "", "resume from a snapshot file instead of starting fresh (all other flags must match the checkpointing run)")
+		workers  = fs.Int("workers", 0, "simulator workers: 1 sequential, 0 default (SCIONMPR_WORKERS or GOMAXPROCS); output is identical for every setting")
 	)
 	return func(w io.Writer) error {
 		topo, err := beaconsimTopo(g, *mode, *coreN, *isdCores)
@@ -67,6 +69,7 @@ func beaconsim(fs *flag.FlagSet) func(io.Writer) error {
 		cfg.Interval = *interval
 		cfg.Lifetime = *lifetime
 		cfg.Verify = *verify
+		cfg.Workers = *workers
 
 		start := time.Now()
 		var res *beacon.RunResult

@@ -76,6 +76,9 @@ func TestCLIMatchesRecordedOutput(t *testing.T) {
 		{"topogen_bad_kind", "topogen -kind bogus", 1},
 		{"topogen_bad_flag", "topogen -bogus", 2},
 		{"beaconsim_demo", "beaconsim -topo demo", 0},
+		// Stdout does not depend on the worker count.
+		{"beaconsim_demo", "beaconsim -topo demo -workers 1", 0},
+		{"beaconsim_demo", "beaconsim -topo demo -workers 2", 0},
 		{"beaconsim_scionlab_intra", "beaconsim -topo scionlab -mode intra -duration 1h", 0},
 		{"beaconsim_checkpoint", "beaconsim -topo demo -duration 2h -checkpoint 1h -snapshot demo.ckpt", 0},
 		{"beaconsim_resume", "beaconsim -topo demo -duration 2h -resume demo.ckpt", 0},
@@ -119,7 +122,7 @@ func TestFlagsMatchRecordedTable(t *testing.T) {
 			{"duration", "6h0m0s"}, {"interval", "10m0s"}, {"isdcores", "5"}, {"lifetime", "6h0m0s"},
 			{"mode", "core"}, {"n", "600"}, {"pairs", "40"}, {"resume", ""}, {"seed", "1"},
 			{"snapshot", "beaconsim.ckpt"}, {"store", "60"}, {"tier1", "10"}, {"topo", "demo"},
-			{"verify", "false"},
+			{"verify", "false"}, {"workers", "0"},
 		},
 		"chaossim": {
 			{"algo", "diversity"}, {"core", "24"}, {"duration", "30s"}, {"interval", "1s"},

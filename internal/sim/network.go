@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"scionmpr/internal/addr"
@@ -33,7 +32,7 @@ func (f HandlerFunc) HandleMessage(from addr.IA, link *topology.Link, msg Messag
 	f(from, link, msg)
 }
 
-// IfKey identifies one interface of one AS for counter lookup.
+// IfKey identifies one interface of one AS.
 type IfKey struct {
 	IA addr.IA
 	If addr.IfID
@@ -58,23 +57,20 @@ type Network struct {
 	// the network-wide Delay.
 	LinkFaults
 
-	handlers map[addr.IA]Handler
-	counters map[IfKey]*Counter
+	// ifs holds one entry per link side, side A at 2*LinkID and B after
+	// it. TX is counted in serial context; RX on the receiving AS's shard.
+	ifs []ifSide
 	// lossSeq counts gray-failure decisions drawn so far and keys the next
 	// one's LossCoin. Drops are decided only from serial context (inline
-	// sends and the parallel commit phase run in sequence order), so the
+	// sends and the parallel commit phase run in queue order), so the
 	// count, and with it every decision, is the same for any worker count.
 	lossSeq uint64
-	// counterArena chunk-allocates Counter values so a 12k-AS run's
-	// hundreds of thousands of interface counters cost one allocation per
-	// chunk instead of one each.
-	counterArena []Counter
-	// delPool recycles delivery events; sync.Pool because deliveries
-	// complete on parallel workers.
-	delPool sync.Pool
+	// free recycles deliveries. It is touched only in serial context: a
+	// delivery run on a parallel worker is released at commit.
+	free []*delivery
 	// sharded enables per-AS actor partitioning: each registered AS gets
 	// a simulator shard, deliveries are sharded by destination, and all
-	// shared-state mutations (counters, loss decisions, scheduling) are
+	// shared-state mutations (TX counters, loss decisions, scheduling) are
 	// deferred to the deterministic commit phase when executing in
 	// parallel.
 	sharded bool
@@ -87,16 +83,43 @@ type Network struct {
 	DroppedByLoss uint64
 }
 
-// NewNetwork creates a network over topo with the given one-way link latency.
+// ifSide is one interface: a link side's traffic, and the shard and
+// handler of the AS that owns it.
+type ifSide struct {
+	Counter
+	shard uint32
+	h     Handler
+}
+
+// NewNetwork creates a network over topo with the given one-way link
+// latency. Its traffic counters cover topo's links as they are now.
 func NewNetwork(s *Simulator, topo *topology.Graph, delay time.Duration) *Network {
+	lf := NewLinkFaults(topo)
 	return &Network{
 		Sim:        s,
 		Topo:       topo,
 		Delay:      delay,
-		LinkFaults: NewLinkFaults(topo),
-		handlers:   map[addr.IA]Handler{},
-		counters:   map[IfKey]*Counter{},
+		LinkFaults: lf,
+		ifs:        make([]ifSide, 2*len(lf.links)),
 	}
+}
+
+// side returns the table entry of ia's end of link.
+func (n *Network) side(link *topology.Link, ia addr.IA) *ifSide {
+	i := 2 * int(link.ID)
+	if ia != link.A {
+		i++
+	}
+	return &n.ifs[i]
+}
+
+// ifKey names table entry i.
+func (n *Network) ifKey(i int) IfKey {
+	l := n.Topo.LinkByID(topology.LinkID(i / 2))
+	if i%2 == 0 {
+		return IfKey{IA: l.A, If: l.AIf}
+	}
+	return IfKey{IA: l.B, If: l.BIf}
 }
 
 // LinkDelay returns the one-way latency of a link: its override if one is
@@ -126,34 +149,23 @@ func (n *Network) EnableSharding() {
 // an AS's periodic work on its own actor.
 func (n *Network) Shard(ia addr.IA) uint32 { return n.shards[ia] }
 
-// Register installs the message handler for ia, replacing any previous
-// one. Under sharding the AS's link degree becomes its shard weight, so
-// parallel segments schedule high-degree (expensive) actors first.
+// Register installs the message handler for ia, an AS of the topology,
+// replacing any previous one. Under sharding the AS's link degree becomes
+// its shard weight, so parallel segments schedule high-degree
+// (expensive) actors first.
 func (n *Network) Register(ia addr.IA, h Handler) {
-	n.handlers[ia] = h
-	if n.sharded {
-		if _, ok := n.shards[ia]; !ok {
-			sh := n.Sim.NewShard()
-			n.shards[ia] = sh
-			if as := n.Topo.AS(ia); as != nil {
-				n.Sim.SetShardWeight(sh, uint32(as.Degree()))
-			}
-		}
+	as := n.Topo.AS(ia)
+	if as == nil {
+		return
 	}
-}
-
-// counter returns (allocating) the counter for a given interface.
-func (n *Network) counter(k IfKey) *Counter {
-	c := n.counters[k]
-	if c == nil {
-		if len(n.counterArena) == 0 {
-			n.counterArena = make([]Counter, 256)
-		}
-		c = &n.counterArena[0]
-		n.counterArena = n.counterArena[1:]
-		n.counters[k] = c
+	if _, ok := n.shards[ia]; n.sharded && !ok {
+		n.shards[ia] = n.Sim.NewShard()
+		n.Sim.SetShardWeight(n.shards[ia], uint32(as.Degree()))
 	}
-	return c
+	for _, l := range as.Links {
+		side := n.side(l, ia)
+		side.shard, side.h = n.shards[ia], h
+	}
 }
 
 // Send transmits msg from the local side of link (owned by from) to the
@@ -164,31 +176,32 @@ func (n *Network) counter(k IfKey) *Counter {
 // When called from a handler executing on a parallel worker, the
 // transmission (failure/loss checks, loss-decision count, counters, delivery
 // scheduling) is deferred as an effect of the sending actor and replayed
-// at commit in sequence order, so all observables match a sequential run.
+// at commit in queue order, so all observables match a sequential run.
 func (n *Network) Send(from addr.IA, link *topology.Link, msg Message) {
 	if link.A != from && link.B != from {
 		panic(fmt.Sprintf("sim: %s sending on foreign link %s", from, link))
 	}
+	size := int32(msg.WireLen())
 	if n.sharded && n.Sim.inPar {
-		n.Sim.deferOp(n.shards[from], op{kind: opSend, net: n, link: link, bSide: from != link.A, msg: msg})
+		n.Sim.deferOp(n.side(link, from).shard, op{kind: opSend, net: n, link: link, bSide: from != link.A, msg: msg, size: size})
 		return
 	}
-	n.send(from, link, msg)
+	n.send(from, link, msg, size)
 }
 
-// delivery is one in-flight message, pooled so large runs schedule
+// delivery is one in-flight message, recycled so large runs schedule
 // millions of deliveries without per-message closure allocations.
 type delivery struct {
-	net      *Network
-	from, to addr.IA
-	remoteIf addr.IfID
-	link     *topology.Link
-	msg      Message
-	size     int32
+	net  *Network
+	from addr.IA
+	link *topology.Link
+	msg  Message
+	size int32
 }
 
-// send performs the transmission; it must run in serial context.
-func (n *Network) send(from addr.IA, link *topology.Link, msg Message) {
+// send performs the transmission of msg, size bytes on the wire; it must
+// run in serial context.
+func (n *Network) send(from addr.IA, link *topology.Link, msg Message, size int32) {
 	if n.Failed(link.ID) {
 		n.DroppedOnFailedLinks++
 		return
@@ -200,79 +213,78 @@ func (n *Network) send(from addr.IA, link *topology.Link, msg Message) {
 			return
 		}
 	}
-	size := msg.WireLen()
-	tx := n.counter(IfKey{IA: from, If: link.LocalIf(from)})
+	tx := n.side(link, from)
 	tx.TxBytes += uint64(size)
 	tx.TxMsgs++
-	to := link.Other(from)
-	d, _ := n.delPool.Get().(*delivery)
-	if d == nil {
-		d = &delivery{}
-	}
-	*d = delivery{net: n, from: from, to: to, remoteIf: link.RemoteIf(from), link: link, msg: msg, size: int32(size)}
-	n.Sim.pushDelivery(n.shards[to], n.Sim.Now()+Time(n.LinkDelay(link.ID)), d)
-}
-
-// runDelivery delivers d and returns it to the pool. The struct is done
-// the moment deliver returns: handlers retain the message contents at
-// most, never the delivery itself.
-func (n *Network) runDelivery(d *delivery) {
-	n.deliver(d.from, d.to, d.remoteIf, d.link, d.msg, int(d.size))
-	*d = delivery{}
-	n.delPool.Put(d)
-}
-
-// deliver runs at the destination — on a parallel worker when the
-// network is sharded. The handler dispatch itself is the parallel work;
-// mutations of network-shared state (RX counters, drop counts) are
-// deferred to the commit phase.
-func (n *Network) deliver(from, to addr.IA, remoteIf addr.IfID, link *topology.Link, msg Message, size int) {
-	inPar := n.Sim.inPar
-	if inPar {
-		n.Sim.deferOp(n.shards[to], op{kind: opRx, net: n, link: link, bSide: from == link.A, size: int32(size)})
+	var d *delivery
+	if k := len(n.free); k > 0 {
+		d, n.free = n.free[k-1], n.free[:k-1]
 	} else {
-		c := n.counter(IfKey{IA: to, If: remoteIf})
-		c.RxBytes += uint64(size)
-		c.RxMsgs++
+		d = new(delivery)
 	}
-	h := n.handlers[to]
-	if h == nil {
-		if inPar {
-			n.Sim.deferOp(n.shards[to], op{kind: opDrop, net: n})
-		} else {
-			n.Dropped++
-		}
-		return
+	*d = delivery{net: n, from: from, link: link, msg: msg, size: size}
+	n.Sim.push(event{at: n.Sim.Now() + Time(n.LinkDelay(link.ID)), shard: n.side(link, link.Other(from)).shard, del: d})
+}
+
+// deliver runs d at the destination — on a parallel worker when the
+// network is sharded. The handler dispatch is the parallel work. RX is
+// counted here, on the receiving AS's shard; a drop for want of a
+// handler is network-wide state and deferred to the commit phase, which
+// also releases the delivery (handlers retain the message at most).
+func (n *Network) deliver(d *delivery) {
+	rx := n.side(d.link, d.link.Other(d.from))
+	rx.RxBytes += uint64(d.size)
+	rx.RxMsgs++
+	switch {
+	case rx.h != nil:
+		rx.h.HandleMessage(d.from, d.link, d.msg)
+	case n.Sim.inPar:
+		n.Sim.deferOp(rx.shard, op{kind: opDrop, net: n})
+	default:
+		n.Dropped++
 	}
-	h.HandleMessage(from, link, msg)
+	if !n.Sim.inPar {
+		n.release(d)
+	}
+}
+
+// release returns a delivery that has run to the free list.
+func (n *Network) release(d *delivery) {
+	*d = delivery{}
+	n.free = append(n.free, d)
 }
 
 // InterfaceCounter returns a copy of the counter for one interface
 // (zero-valued if the interface never saw traffic).
 func (n *Network) InterfaceCounter(ia addr.IA, ifID addr.IfID) Counter {
-	if c := n.counters[IfKey{IA: ia, If: ifID}]; c != nil {
-		return *c
+	if c := n.sideOf(IfKey{IA: ia, If: ifID}); c != nil {
+		return c.Counter
 	}
 	return Counter{}
 }
 
-// TotalTx sums transmitted bytes over all interfaces of ia.
-func (n *Network) TotalTx(ia addr.IA) uint64 {
-	var sum uint64
-	for k, c := range n.counters {
-		if k.IA == ia {
-			sum += c.TxBytes
-		}
+// sideOf returns the table entry of an interface, nil for one the
+// topology does not have.
+func (n *Network) sideOf(k IfKey) *ifSide {
+	if l := n.Topo.LinkByIf(k.IA, k.If); l != nil && 2*int(l.ID) < len(n.ifs) {
+		return n.side(l, k.IA)
 	}
-	return sum
+	return nil
 }
 
+// TotalTx sums transmitted bytes over all interfaces of ia.
+func (n *Network) TotalTx(ia addr.IA) uint64 { return n.total(ia).TxBytes }
+
 // TotalRx sums received bytes over all interfaces of ia.
-func (n *Network) TotalRx(ia addr.IA) uint64 {
-	var sum uint64
-	for k, c := range n.counters {
-		if k.IA == ia {
-			sum += c.RxBytes
+func (n *Network) TotalRx(ia addr.IA) uint64 { return n.total(ia).RxBytes }
+
+// total sums the byte counts of ia's interfaces.
+func (n *Network) total(ia addr.IA) (sum Counter) {
+	if as := n.Topo.AS(ia); as != nil {
+		for _, l := range as.Links {
+			c := n.side(l, ia)
+			sum.TxBytes += c.TxBytes
+			sum.RxBytes += c.RxBytes
 		}
 	}
 	return sum
@@ -281,17 +293,19 @@ func (n *Network) TotalRx(ia addr.IA) uint64 {
 // GrandTotalTx sums transmitted bytes over the whole network.
 func (n *Network) GrandTotalTx() uint64 {
 	var sum uint64
-	for _, c := range n.counters {
-		sum += c.TxBytes
+	for i := range n.ifs {
+		sum += n.ifs[i].TxBytes
 	}
 	return sum
 }
 
 // Interfaces returns all interface keys that saw traffic, sorted.
 func (n *Network) Interfaces() []IfKey {
-	out := make([]IfKey, 0, len(n.counters))
-	for k := range n.counters {
-		out = append(out, k)
+	var out []IfKey
+	for i := range n.ifs {
+		if n.ifs[i].TxMsgs|n.ifs[i].RxMsgs != 0 {
+			out = append(out, n.ifKey(i))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].IA != out[j].IA {
@@ -308,21 +322,21 @@ func (n *Network) PerInterfaceTxBytes() []uint64 {
 	keys := n.Interfaces()
 	out := make([]uint64, len(keys))
 	for i, k := range keys {
-		out[i] = n.counters[k].TxBytes
+		out[i] = n.sideOf(k).TxBytes
 	}
 	return out
 }
 
 // SetTelemetry registers the network's aggregate traffic observables.
-// All are deterministic: counters and drop counts mutate only in serial
-// or commit-ordered context, and gauge funcs are evaluated at export
-// time from serial context.
+// All are deterministic: counters and drop counts are final at the end
+// of every segment, and gauge funcs are evaluated at export time from
+// serial context.
 func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	reg.GaugeFunc("net_tx_bytes_total", func() float64 { return float64(n.GrandTotalTx()) })
-	reg.GaugeFunc("net_interfaces_active", func() float64 { return float64(len(n.counters)) })
+	reg.GaugeFunc("net_interfaces_active", func() float64 { return float64(len(n.Interfaces())) })
 	reg.GaugeFunc(`net_dropped_total{cause="no_handler"}`, func() float64 { return float64(n.Dropped) })
 	reg.GaugeFunc(`net_dropped_total{cause="failed_link"}`, func() float64 { return float64(n.DroppedOnFailedLinks) })
 	reg.GaugeFunc(`net_dropped_total{cause="loss"}`, func() float64 { return float64(n.DroppedByLoss) })
@@ -331,7 +345,9 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 // ResetCounters clears all traffic counters (e.g. after a warm-up phase),
 // including every drop counter, so measurement windows start from zero.
 func (n *Network) ResetCounters() {
-	n.counters = map[IfKey]*Counter{}
+	for i := range n.ifs {
+		n.ifs[i].Counter = Counter{}
+	}
 	n.Dropped = 0
 	n.DroppedOnFailedLinks = 0
 	n.DroppedByLoss = 0
@@ -354,23 +370,28 @@ type NetworkState struct {
 // context (e.g. a BeforeStep hook).
 func (n *Network) CheckpointState() NetworkState {
 	st := NetworkState{
-		Counters:             make(map[IfKey]Counter, len(n.counters)),
+		Counters:             map[IfKey]Counter{},
 		LossSeq:              n.lossSeq,
 		Dropped:              n.Dropped,
 		DroppedOnFailedLinks: n.DroppedOnFailedLinks,
 		DroppedByLoss:        n.DroppedByLoss,
 	}
-	for k, c := range n.counters {
-		st.Counters[k] = *c
+	for i := range n.ifs {
+		if n.ifs[i].TxMsgs|n.ifs[i].RxMsgs != 0 {
+			st.Counters[n.ifKey(i)] = n.ifs[i].Counter
+		}
 	}
 	return st
 }
 
 // RestoreState applies a checkpointed NetworkState to a freshly built
 // Network over the same topology. Call before the resumed run starts.
+// Counters of interfaces the topology does not have are ignored.
 func (n *Network) RestoreState(st NetworkState) {
 	for k, c := range st.Counters {
-		*n.counter(k) = c
+		if side := n.sideOf(k); side != nil {
+			side.Counter = c
+		}
 	}
 	n.lossSeq = st.LossSeq
 	n.Dropped = st.Dropped

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -32,42 +34,34 @@ func TestEveryStopMidTick(t *testing.T) {
 
 // TestShardFIFOAndSerialBarrier: events of one shard keep FIFO order
 // among themselves, and a serial event between sharded ones acts as a
-// barrier — everything before it (in seq order) commits first.
+// barrier — everything queued before it commits first. Each event
+// schedules a follow-up one second later; the follow-ups run
+// sequentially in the order those pushes were committed.
 func TestShardFIFOAndSerialBarrier(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var s Simulator
 		s.SetWorkers(workers)
 		sh1, sh2 := s.NewShard(), s.NewShard()
 		var order []int
-		// Interleave two shards plus a serial barrier, all at t=1s.
-		at := Time(time.Second)
-		s.AtShard(sh1, at, func() { s.appendOrdered(&order, 1, sh1) })
-		s.AtShard(sh2, at, func() { s.appendOrdered(&order, 2, sh2) })
-		s.AtShard(sh1, at, func() { s.appendOrdered(&order, 3, sh1) })
-		s.At(at, func() { order = append(order, 4) }) // serial barrier
-		s.AtShard(sh2, at, func() { s.appendOrdered(&order, 5, sh2) })
-		s.Run()
-		want := []int{1, 2, 3, 4, 5}
-		if len(order) != len(want) {
-			t.Fatalf("workers=%d: order = %v, want %v", workers, order, want)
-		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("workers=%d: order = %v, want %v", workers, order, want)
+		push := func(id int, shard uint32) func() {
+			return func() {
+				s.AtShard(shard, s.Now()+Time(time.Second), func() { order = append(order, id) })
 			}
 		}
+		// Interleave two shards plus a serial barrier, all at t=1s.
+		at := Time(time.Second)
+		s.AtShard(sh1, at, push(1, sh1))
+		s.AtShard(sh2, at, push(2, sh2))
+		s.AtShard(sh1, at, push(3, sh1))
+		s.At(at, push(4, SerialShard)) // serial barrier
+		s.AtShard(sh2, at, push(5, sh2))
+		s.RunUntil(at)
+		s.SetWorkers(1)
+		s.Run()
+		if want := []int{1, 2, 3, 4, 5}; !slices.Equal(order, want) {
+			t.Fatalf("workers=%d: order = %v, want %v", workers, order, want)
+		}
 	}
-}
-
-// appendOrdered records id into order at commit time, from a sharded
-// event: directly when running inline, deferred when in a parallel
-// segment.
-func (s *Simulator) appendOrdered(order *[]int, id int, shard uint32) {
-	if s.inPar {
-		s.deferOp(shard, op{kind: opFunc, fn: func() { *order = append(*order, id) }})
-		return
-	}
-	*order = append(*order, id)
 }
 
 // TestParallelZeroDelayReschedule: a sharded event rescheduling itself
@@ -209,5 +203,81 @@ func TestDefaultWorkersEnv(t *testing.T) {
 func TestOpFitsOneCacheLine(t *testing.T) {
 	if n := unsafe.Sizeof(op{}); n > 64 {
 		t.Errorf("op is %d bytes, want <= 64", n)
+	}
+}
+
+// TestCountersSameAtEveryWorkerCount: on a sharded network with a
+// gray-lossy link, a failed link, an AS without a handler and a counter
+// reset partway through, the per-interface counters (RX counted on the
+// receiving shard's worker, TX at commit) and every drop count come out
+// the same at any worker count.
+func TestCountersSameAtEveryWorkerCount(t *testing.T) {
+	g := topology.New()
+	var ias []addr.IA
+	for i := 1; i <= 7; i++ {
+		ias = append(ias, addr.MustIA(1, addr.AS(i)))
+		g.AddAS(ias[i-1], true)
+	}
+	for i := range ias {
+		g.MustConnect(ias[i], ias[(i+1)%len(ias)], topology.Core)
+		g.MustConnect(ias[i], ias[(i+3)%len(ias)], topology.Core)
+	}
+	g.MustConnect(ias[0], ias[1], topology.Core) // parallel link
+	lossy, failed := g.Links[2].ID, g.Links[5].ID
+	mute := ias[6] // registers no handler: its deliveries are dropped
+
+	type result struct {
+		state  NetworkState
+		ifs    []IfKey
+		tx     []uint64
+		drops  [3]uint64
+		events uint64
+	}
+	run := func(workers int) result {
+		var s Simulator
+		s.SetWorkers(workers)
+		n := NewNetwork(&s, g, 10*time.Millisecond)
+		n.EnableSharding()
+		n.SetLinkLoss(lossy, 0.3)
+		n.FailLink(failed)
+		for _, ia := range ias[:6] {
+			as := g.AS(ia)
+			n.Register(ia, HandlerFunc(func(_ addr.IA, l *topology.Link, msg Message) {
+				if sz := msg.WireLen(); sz > 1 {
+					n.Send(as.IA, as.Links[sz%len(as.Links)], testMsg(sz-1))
+				}
+			}))
+			s.EveryShard(n.Shard(ia), 0, time.Second, Time(10*time.Second), func(Time) {
+				for _, l := range as.Links {
+					n.Send(as.IA, l, testMsg(8))
+				}
+			})
+		}
+		s.At(Time(5500*time.Millisecond), n.ResetCounters)
+		s.Run()
+		return result{
+			state:  n.CheckpointState(),
+			ifs:    n.Interfaces(),
+			tx:     n.PerInterfaceTxBytes(),
+			drops:  [3]uint64{n.Dropped, n.DroppedOnFailedLinks, n.DroppedByLoss},
+			events: s.Executed,
+		}
+	}
+	want := run(1)
+	for i, d := range want.drops {
+		if d == 0 {
+			t.Fatalf("drop count %d is 0 in the sequential run; the test needs every kind", i)
+		}
+	}
+	if len(want.ifs) == 0 || len(want.state.Counters) != len(want.ifs) {
+		t.Fatalf("sequential run: %d interfaces, %d checkpointed counters", len(want.ifs), len(want.state.Counters))
+	}
+	if c := want.state.Counters[IfKey{IA: mute, If: 1}]; c.RxMsgs == 0 || c.TxMsgs != 0 {
+		t.Fatalf("mute AS interface counter = %+v, want RX only", c)
+	}
+	for _, w := range []int{2, 4, 8} {
+		if got := run(w); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, want)
+		}
 	}
 }

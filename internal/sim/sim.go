@@ -1,10 +1,10 @@
 // Package sim is a deterministic discrete-event simulator, the stand-in
 // for the paper's ns-3-based beaconing simulator. It provides a virtual
-// clock with an event heap, message delivery across topology links with
-// configurable latency, and per-interface byte and message counters — the
-// exact observables the paper's overhead evaluation needs (§5.1, §5.2:
-// "we observe the amount of PCB traffic sent on each inter-domain
-// interface").
+// clock with a bucketed event queue, message delivery across topology
+// links with configurable latency, and per-interface byte and message
+// counters — the exact observables the paper's overhead evaluation
+// needs (§5.1, §5.2: "we observe the amount of PCB traffic sent on each
+// inter-domain interface").
 //
 // # Parallel deterministic execution
 //
@@ -21,15 +21,15 @@
 //  1. A sharded event may mutate only its own shard's state directly.
 //     Cross-shard side effects — scheduling new events, transmitting
 //     messages — are deferred into a per-event effect list and replayed
-//     after the segment in (time, seq) order, exactly the order a
-//     sequential run would have produced them in. Sequence numbers,
-//     traffic counters, and the gray-loss decision count (which keys
+//     after the segment in queue order, exactly the order a sequential
+//     run would have produced them in. Queue order (FIFO per timestamp),
+//     transmit counters, and the gray-loss decision count (which keys
 //     each decision's coin) therefore come out identical for any worker
-//     count.
+//     count. Receive counters are the one exception: each belongs to the
+//     receiving AS's shard, which counts them on its own worker.
 //  2. Serial (shard 0) events act as barriers: all effects of earlier
 //     sharded events are committed before a serial event runs, and no
-//     sharded event of the same timestamp with a later sequence number
-//     has started.
+//     sharded event queued behind it at the same timestamp has started.
 //
 // Calling Schedule/At without a shard from inside parallel execution is
 // a contract violation and panics; use the *Shard variants (or
@@ -64,10 +64,9 @@ const SerialShard uint32 = 0
 
 type event struct {
 	at    Time
-	seq   uint64 // tie-breaker: FIFO among same-time events
 	shard uint32 // SerialShard, or an actor shard from NewShard
 	fn    func()
-	// del, when non-nil, is a pooled network delivery executed instead of
+	// del, when non-nil, is a recycled network delivery executed instead of
 	// fn — the bulk of large-run events, kept off the allocator entirely.
 	del *delivery
 }
@@ -75,144 +74,189 @@ type event struct {
 // run executes the event's payload.
 func (e *event) run() {
 	if e.del != nil {
-		d := e.del
-		e.del = nil
-		d.net.runDelivery(d)
+		e.del.net.deliver(e.del)
 		return
 	}
 	e.fn()
 }
 
-// eventHeap is a hand-rolled binary min-heap over (at, seq). The
-// container/heap interface boxes every pushed event into an interface
-// value — one heap allocation per scheduled event, the second-largest
-// allocator in beaconing profiles — so the sift loops live here instead.
-type eventHeap []event
+// maxSpareBuckets bounds the emptied buckets eventQueue keeps for reuse:
+// each holds on to the capacity of the largest batch it carried.
+const maxSpareBuckets = 4
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// bucket is the FIFO of events at one time.
+type bucket struct {
+	at  Time
+	evs []event
 }
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
-	// Sift up.
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
+// eventQueue is a two-level calendar queue: one FIFO bucket per distinct
+// time and a binary min-heap over those times. Push order within a
+// bucket is the order a single event heap needed sequence numbers for.
+// A beaconing run schedules millions of events on a few dozen times.
+type eventQueue struct {
+	times   []Time // min-heap of the times that have a bucket
+	buckets map[Time]*bucket
+	spare   []*bucket
+	n       int // queued events
+}
+
+func (q *eventQueue) push(e event) {
+	b := q.buckets[e.at]
+	if b == nil {
+		if q.buckets == nil {
+			q.buckets = map[Time]*bucket{}
 		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
+		if k := len(q.spare); k > 0 {
+			b, q.spare = q.spare[k-1], q.spare[:k-1]
+		} else {
+			b = &bucket{}
+		}
+		b.at = e.at
+		q.buckets[e.at] = b
+		q.pushTime(e.at)
+	}
+	b.evs = append(b.evs, e)
+	q.n++
+}
+
+// take detaches the earliest bucket as the next batch. Events pushed at
+// its time meanwhile open a new bucket behind it. Hand it back with
+// putBack.
+func (q *eventQueue) take() *bucket {
+	b := q.buckets[q.times[0]]
+	delete(q.buckets, b.at)
+	q.popTime()
+	q.n -= len(b.evs)
+	return b
+}
+
+// putBack returns a taken bucket whose first ran events have run. The
+// rest go back in front of any events pushed at their time since the
+// take.
+func (q *eventQueue) putBack(b *bucket, ran int) {
+	rest := copy(b.evs, b.evs[ran:])
+	if rest == 0 {
+		q.recycle(b)
+		return
+	}
+	clear(b.evs[rest:])
+	b.evs = b.evs[:rest]
+	q.n += rest
+	if later := q.buckets[b.at]; later != nil {
+		b.evs = append(b.evs, later.evs...)
+		q.recycle(later)
+	} else {
+		q.pushTime(b.at)
+	}
+	q.buckets[b.at] = b
+}
+
+// recycle keeps an emptied bucket for reuse, up to maxSpareBuckets.
+func (q *eventQueue) recycle(b *bucket) {
+	if len(q.spare) < maxSpareBuckets {
+		clear(b.evs)
+		b.evs = b.evs[:0]
+		q.spare = append(q.spare, b)
 	}
 }
 
-func (h *eventHeap) pop() event {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q[n] = event{} // release fn/del references
-	q = q[:n]
-	*h = q
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
+// pushTime and popTime sift the heap of distinct times.
+func (q *eventQueue) pushTime(t Time) {
+	h := append(q.times, t)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
 			break
 		}
-		child := l
-		if r < n && q.less(r, l) {
-			child = r
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q[i], q[child] = q[child], q[i]
-		i = child
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	return top
+	q.times = h
+}
+
+func (q *eventQueue) popTime() {
+	n := len(q.times) - 1
+	h := q.times[:n]
+	if n > 0 {
+		h[0] = q.times[n]
+	}
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	q.times = h
 }
 
 // shardGroup is the per-shard slice of a parallel segment: indices into
-// the segment's event slice, in sequence order.
+// the segment's event slice, in queue order.
 type shardGroup struct {
 	shard uint32
 	evs   []int32
 }
 
 // op is one deferred cross-shard effect, recorded while a sharded event
-// runs on a parallel worker and replayed at commit in sequence order.
-// The hot effects — network sends, RX accounting, drop counts — are
-// typed so deferring them appends to a reused slice instead of
-// allocating a closure per message; everything else goes through fn.
-// An op fits in 64 bytes (Simulator.ops keeps every event's list at its
-// largest capacity): a send and a receive name their AS by link side.
+// runs on a parallel worker and replayed at commit in queue order.
+// The effects are typed so deferring one appends to a reused slice
+// instead of allocating a closure per message. An op fits in 64 bytes
+// (Simulator.ops keeps every event's list at its largest capacity): a
+// send names its sender by link side.
 type op struct {
 	msg   Message        // opSend
-	link  *topology.Link // opSend, opRx
-	fn    func()         // opPush, opFunc: payload
-	net   *Network       // opSend, opRx, opDrop
+	link  *topology.Link // opSend
+	fn    func()         // opPush: payload
+	net   *Network       // opSend, opDrop
 	at    Time           // opPush: absolute time
 	shard uint32         // opPush: target shard
-	size  int32          // opRx
+	size  int32          // opSend: msg.WireLen()
 	kind  uint8
-	// bSide says the sender (opSend) or receiver (opRx) is link.B.
-	bSide bool
+	bSide bool // opSend: the sender is link.B
 }
 
 const (
-	opFunc uint8 = iota // run fn
-	opPush              // schedule fn at (shard, at)
-	opSend              // transmit msg from from over link
-	opRx                // count size received bytes on key
+	opPush uint8 = iota // schedule fn at (shard, at)
+	opSend              // transmit msg over link
 	opDrop              // count one no-handler drop
 )
 
 // apply replays the effect in serial context.
 func (o *op) apply(s *Simulator) {
 	switch o.kind {
-	case opFunc:
-		o.fn()
 	case opPush:
-		s.push(o.shard, o.at, o.fn)
+		s.push(event{at: o.at, shard: o.shard, fn: o.fn})
 	case opSend:
-		o.net.send(o.end().IA, o.link, o.msg)
-	case opRx:
-		c := o.net.counter(o.end())
-		c.RxBytes += uint64(o.size)
-		c.RxMsgs++
+		from := o.link.A
+		if o.bSide {
+			from = o.link.B
+		}
+		o.net.send(from, o.link, o.msg, o.size)
 	case opDrop:
 		o.net.Dropped++
 	}
-}
-
-// end is the interface of link at the side bSide names.
-func (o *op) end() IfKey {
-	if o.bSide {
-		return IfKey{IA: o.link.B, If: o.link.BIf}
-	}
-	return IfKey{IA: o.link.A, If: o.link.AIf}
 }
 
 // Simulator owns the virtual clock and the pending event set. The zero
 // value is ready to use (sequentially; see SetWorkers).
 type Simulator struct {
 	now     Time
-	seq     uint64
-	events  eventHeap
+	events  eventQueue
 	stopped atomic.Bool
 	// Executed counts processed events, useful for run-away detection in
 	// tests and experiment logs.
 	Executed uint64
 
 	// workers is the parallel worker count; <= 1 executes sequentially.
-	workers   int
-	nextShard uint32
+	workers int
 
 	// inPar is true while a parallel segment's workers are running. It is
 	// written only with no workers alive (happens-before via goroutine
@@ -223,7 +267,8 @@ type Simulator struct {
 	ops [][]op
 	// frames maps shard -> index of that shard's currently executing
 	// event in the segment (-1 outside segments). Each entry is written
-	// only by the worker owning the shard.
+	// only by the worker owning the shard. NewShard appends to it and to
+	// weights, so len(frames)-1 is the last shard handed out.
 	frames []int32
 	// weights holds optional static per-shard costs (e.g. AS degree), set
 	// via SetShardWeight. Parallel segments hand groups to workers in
@@ -234,7 +279,7 @@ type Simulator struct {
 
 	// tracer, when set, receives structured telemetry events via Trace.
 	// traces stages parallel-phase emissions per event (indexed like the
-	// segment slice) for flushing in sequence-ordered commit.
+	// segment slice) for flushing in queue-ordered commit.
 	tracer *telemetry.Tracer
 	traces [][]telemetry.Event
 
@@ -250,34 +295,27 @@ type Simulator struct {
 	// parallel segment (volatile).
 	maxGroupEvents uint64
 
-	// beforeStep, when set, runs in serial context every time the clock
-	// is about to advance to a new timestamp, before any event at that
-	// timestamp executes. It consumes no sequence numbers and is not
-	// counted in Executed, so hooking a run (e.g. to checkpoint it) does
-	// not perturb its observables.
+	// beforeStep is the BeforeStep hook.
 	beforeStep func(t Time)
 	steppedAt  Time
 	stepped    bool
 
-	// Scratch buffers reused across batches to keep the hot loop
-	// allocation-free.
-	batch   []event
-	groups  []shardGroup
-	groupOf map[uint32]int32
+	// groups is scratch reused across segments.
+	groups []shardGroup
 }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
 // SetTracer attaches a trace-event ring. Call before Run. Events
-// emitted through Trace land in the ring in deterministic (time, seq)
-// order regardless of worker count.
+// emitted through Trace land in the ring in deterministic queue order
+// regardless of worker count.
 func (s *Simulator) SetTracer(t *telemetry.Tracer) { s.tracer = t }
 
 // Trace records a telemetry trace event, stamping ev.Time from the
 // virtual clock. From serial context the event goes straight to the
 // ring; from parallel execution it is staged on the calling actor's
-// event frame and flushed during the sequence-ordered commit, so ring
+// event frame and flushed during the queue-ordered commit, so ring
 // contents are byte-identical for any worker count.
 //
 // Determinism rule: call Trace only while the actor's event function is
@@ -312,7 +350,7 @@ func (s *Simulator) SetTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	reg.GaugeFunc("sim_events_executed", func() float64 { return float64(s.Executed) })
-	reg.GaugeFunc("sim_events_pending", func() float64 { return float64(len(s.events)) })
+	reg.GaugeFunc("sim_events_pending", func() float64 { return float64(s.events.n) })
 	reg.VolatileGaugeFunc("sim_parallel_segments", func() float64 { return float64(s.parSegments) })
 	reg.VolatileGaugeFunc("sim_parallel_events", func() float64 { return float64(s.parEvents) })
 	// Per-shard occupancy of parallel segments: how many events one shard
@@ -326,27 +364,12 @@ func (s *Simulator) SetTelemetry(reg *telemetry.Registry) {
 // AS's link degree). Weights only order group pickup inside parallel
 // segments (heaviest first); they never affect observables. Call during
 // setup, after NewShard.
-func (s *Simulator) SetShardWeight(shard uint32, w uint32) {
-	if int(shard) >= len(s.weights) {
-		grown := make([]uint32, shard+1)
-		copy(grown, s.weights)
-		s.weights = grown
-	}
-	s.weights[shard] = w
-}
-
-// shardWeight returns the static weight of a shard (0 when unset).
-func (s *Simulator) shardWeight(shard uint32) uint32 {
-	if int(shard) < len(s.weights) {
-		return s.weights[shard]
-	}
-	return 0
-}
+func (s *Simulator) SetShardWeight(shard uint32, w uint32) { s.weights[shard] = w }
 
 // BeforeStep registers fn to run, in serial context, whenever the clock
 // is about to advance to a new timestamp — before any event at that
-// timestamp executes. The hook consumes no sequence numbers and does not
-// count toward Executed, so it can observe (e.g. checkpoint) a run
+// timestamp executes. The hook is not an event and does not count
+// toward Executed, so it can observe (e.g. checkpoint) a run
 // without changing any of its deterministic observables. One hook may be
 // registered; nil clears it.
 func (s *Simulator) BeforeStep(fn func(t Time)) {
@@ -368,7 +391,7 @@ func (s *Simulator) step(t Time) {
 // finishes with the same Executed count as an uninterrupted one. Call
 // before scheduling any events.
 func (s *Simulator) Restore(now Time, executed uint64) {
-	if len(s.events) > 0 {
+	if s.events.n > 0 {
 		panic("sim: Restore with events already scheduled")
 	}
 	s.now = now
@@ -411,8 +434,12 @@ func DefaultWorkers() int {
 // integers; allocate one per independent actor (per AS) during setup,
 // before the simulation runs. Not safe for concurrent use.
 func (s *Simulator) NewShard() uint32 {
-	s.nextShard++
-	return s.nextShard
+	if s.frames == nil {
+		s.frames, s.weights = []int32{-1}, []uint32{0} // SerialShard
+	}
+	s.frames = append(s.frames, -1)
+	s.weights = append(s.weights, 0)
+	return uint32(len(s.frames) - 1)
 }
 
 // Schedule queues fn to run after delay d. Negative delays run "now"
@@ -439,28 +466,19 @@ func (s *Simulator) At(t Time, fn func()) { s.AtShard(SerialShard, t, fn) }
 func (s *Simulator) AtShard(shard uint32, t Time, fn func()) {
 	if s.inPar {
 		// Called from inside a parallel segment: defer the push so the
-		// sequence number is assigned in deterministic commit order.
+		// event joins its bucket in deterministic commit order.
 		s.deferOp(shard, op{kind: opPush, shard: shard, at: t, fn: fn})
 		return
 	}
-	s.push(shard, t, fn)
+	s.push(event{at: t, shard: shard, fn: fn})
 }
 
-func (s *Simulator) push(shard uint32, t Time, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
+// push queues e; it must run in serial context.
+func (s *Simulator) push(e event) {
+	if e.at < s.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", e.at, s.now))
 	}
-	s.seq++
-	s.events.push(event{at: t, seq: s.seq, shard: shard, fn: fn})
-}
-
-// pushDelivery schedules a pooled network delivery (see Network.send).
-func (s *Simulator) pushDelivery(shard uint32, t Time, d *delivery) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
-	}
-	s.seq++
-	s.events.push(event{at: t, seq: s.seq, shard: shard, del: d})
+	s.events.push(e)
 }
 
 // deferOp appends o to the effect list of the event currently executing
@@ -527,62 +545,31 @@ func (s *Simulator) RunUntil(deadline Time) Time {
 	return s.now
 }
 
-// run executes events with timestamps <= deadline, in batches with more
-// than one worker and one by one otherwise, and returns the virtual time.
+// run executes events with timestamps <= deadline, one bucket per batch,
+// and returns the virtual time. Events a batch schedules at its own time
+// (e.g. over zero-latency links) open a bucket that runs as the next one.
 func (s *Simulator) run(deadline Time) Time {
-	if s.WorkerCount() > 1 {
-		s.runBatches(deadline)
-		return s.now
-	}
-	for len(s.events) > 0 && !s.stopped.Load() && s.events[0].at <= deadline {
-		s.step(s.events[0].at)
-		e := s.events.pop()
-		s.now = e.at
-		s.Executed++
-		e.run()
+	q := &s.events
+	for q.n > 0 && !s.stopped.Load() && q.times[0] <= deadline {
+		s.step(q.times[0])
+		s.now = q.times[0]
+		b := q.take()
+		q.putBack(b, s.runSegments(b.evs))
 	}
 	return s.now
 }
 
-// runBatches drives the parallel execution loop: repeatedly extract all
-// events sharing the earliest timestamp (<= deadline) and run them as a
-// batch. Commits may schedule new events at the same timestamp (e.g.
-// zero-latency links); the outer loop picks them up as a fresh batch,
-// preserving global (time, seq) order because sequence numbers only grow.
-func (s *Simulator) runBatches(deadline Time) {
-	for len(s.events) > 0 && !s.stopped.Load() {
-		t := s.events[0].at
-		if t > deadline {
-			return
-		}
-		s.step(t)
-		s.now = t
-		batch := s.batch[:0]
-		for len(s.events) > 0 && s.events[0].at == t {
-			batch = append(batch, s.events.pop())
-		}
-		s.runSegments(batch)
-		clear(batch) // release fn references
-		s.batch = batch[:0]
-	}
-}
-
 // runSegments executes one same-timestamp batch: maximal runs of sharded
-// events execute in parallel, serial events barrier between them. If the
+// events execute in parallel, serial events barrier between them; with
+// one worker every event runs alone, in queue order. If the
 // simulator is stopped partway (only a serial event or a committed
-// effect can observe this deterministically), unexecuted events return
-// to the heap, matching sequential Stop semantics at segment
-// granularity.
-func (s *Simulator) runSegments(batch []event) {
+// effect can observe this deterministically), it returns early, matching
+// sequential Stop semantics at segment granularity. It returns how many
+// of the batch's events ran.
+func (s *Simulator) runSegments(batch []event) int {
 	i := 0
-	for i < len(batch) {
-		if s.stopped.Load() {
-			for _, e := range batch[i:] {
-				s.events.push(e)
-			}
-			return
-		}
-		if batch[i].shard == SerialShard {
+	for i < len(batch) && !s.stopped.Load() {
+		if batch[i].shard == SerialShard || s.WorkerCount() == 1 {
 			s.Executed++
 			batch[i].run()
 			i++
@@ -595,44 +582,39 @@ func (s *Simulator) runSegments(batch []event) {
 		s.runParallel(batch[i:j])
 		i = j
 	}
+	return i
 }
 
 // runParallel executes one segment of sharded events and commits their
-// deferred effects in sequence order.
+// deferred effects in queue order.
 func (s *Simulator) runParallel(evs []event) {
-	// Group events by shard, preserving sequence order within each group.
-	if s.groupOf == nil {
-		s.groupOf = map[uint32]int32{}
-	}
+	// Group events by shard, preserving queue order within each group.
+	// Until the workers start, frames holds each shard's group index.
 	groups := s.groups[:0]
 	for idx := range evs {
 		sh := evs[idx].shard
-		gi, ok := s.groupOf[sh]
-		if !ok {
+		gi := s.frames[sh]
+		if gi < 0 {
 			gi = int32(len(groups))
+			s.frames[sh] = gi
 			if cap(groups) > len(groups) {
-				groups = groups[:len(groups)+1]
-				groups[gi].shard = sh
-				groups[gi].evs = groups[gi].evs[:0]
+				groups = groups[:gi+1]
+				groups[gi].shard, groups[gi].evs = sh, groups[gi].evs[:0]
 			} else {
 				groups = append(groups, shardGroup{shard: sh})
 			}
-			s.groupOf[sh] = gi
 		}
 		groups[gi].evs = append(groups[gi].evs, int32(idx))
 	}
+	for gi := range groups {
+		s.frames[groups[gi].shard] = -1
+	}
 	s.groups = groups
 
-	workers := s.WorkerCount()
-	if workers > len(groups) {
-		workers = len(groups)
-	}
+	workers := min(s.WorkerCount(), len(groups))
 	if workers <= 1 {
-		// One partition (or sequential): direct execution in seq order is
-		// equivalent — effects apply inline in exactly the same order.
-		for gi := range groups {
-			delete(s.groupOf, groups[gi].shard)
-		}
+		// One partition: direct execution in queue order is equivalent —
+		// effects apply inline in exactly the same order.
 		for k := range evs {
 			s.Executed++
 			evs[k].run()
@@ -656,10 +638,10 @@ func (s *Simulator) runParallel(evs []event) {
 	// first): primary key is the group's event count, tie-broken by the
 	// shard's static weight (AS degree — a one-event tick of a hub AS
 	// costs more than a stub's). Group order never affects observables;
-	// commits below replay effects in sequence order regardless.
-	OrderGroups(groups, s.shardWeight)
+	// commits below replay effects in queue order regardless.
+	OrderGroups(groups, func(sh uint32) uint32 { return s.weights[sh] })
 
-	// Per-event effect and staged-trace lists, and shard execution frames.
+	// Per-event effect and staged-trace lists.
 	if cap(s.ops) < len(evs) {
 		s.ops = make([][]op, len(evs))
 	}
@@ -670,14 +652,6 @@ func (s *Simulator) runParallel(evs []event) {
 	s.traces = s.traces[:len(evs)]
 	s.parSegments++
 	s.parEvents += uint64(len(evs))
-	if len(s.frames) < int(s.nextShard)+1 {
-		old := s.frames
-		s.frames = make([]int32, s.nextShard+1)
-		for k := range s.frames {
-			s.frames[k] = -1
-		}
-		copy(s.frames, old)
-	}
 
 	s.inPar = true
 	var (
@@ -719,13 +693,16 @@ func (s *Simulator) runParallel(evs []event) {
 		panic(panicVal)
 	}
 
-	// Commit deferred effects in sequence order: this replays schedules
-	// (assigning sequence numbers), traffic accounting, and loss decisions in
+	// Commit deferred effects in queue order: this replays schedules
+	// (appending to their buckets), transmissions, and loss decisions in
 	// exactly the order a sequential run would have produced. Staged
 	// traces flush first — sequentially they were emitted while the event
 	// function ran, i.e. before any of its deferred effects applied.
 	for idx := range evs {
 		s.Executed++
+		if d := evs[idx].del; d != nil {
+			d.net.release(d)
+		}
 		for _, ev := range s.traces[idx] {
 			s.tracer.Emit(ev)
 		}
@@ -739,10 +716,9 @@ func (s *Simulator) runParallel(evs []event) {
 		s.ops[idx] = l[:0]
 	}
 
-	// Reset shard frames and group scratch for the next segment.
+	// Reset shard frames for the next segment.
 	for gi := range groups {
 		s.frames[groups[gi].shard] = -1
-		delete(s.groupOf, groups[gi].shard)
 	}
 }
 
@@ -782,9 +758,11 @@ func OrderGroups(groups []shardGroup, weight func(uint32) uint32) {
 // the previous interval has long landed.
 func (s *Simulator) PendingDeliveries() int {
 	n := 0
-	for i := range s.events {
-		if s.events[i].del != nil {
-			n++
+	for _, b := range s.events.buckets {
+		for i := range b.evs {
+			if b.evs[i].del != nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -795,4 +773,4 @@ func (s *Simulator) PendingDeliveries() int {
 func (s *Simulator) Stop() { s.stopped.Store(true) }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return s.events.n }

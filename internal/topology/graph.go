@@ -289,6 +289,10 @@ func (g *Graph) LinkByIf(ia addr.IA, ifID addr.IfID) *Link {
 	if as == nil {
 		return nil
 	}
+	// Connect numbers an AS's interfaces 1, 2, ... in Links order.
+	if i := int(ifID) - 1; i >= 0 && i < len(as.Links) && as.Links[i].LocalIf(ia) == ifID {
+		return as.Links[i]
+	}
 	for _, l := range as.Links {
 		if l.LocalIf(ia) == ifID {
 			return l

@@ -7,8 +7,11 @@
 // paper assumes for both SCION and BGPsec overhead, §5.2) is used for
 // correctness tests and small scenarios. For Internet-scale simulations,
 // SizedSigner produces deterministic signatures with the identical wire
-// size (96-byte fixed-width r||s) at negligible CPU cost, so overhead
-// measurements are unaffected.
+// size (96-byte fixed-width r||s), so overhead measurements are
+// unaffected. It is much cheaper than ECDSA but not free: it hashes every
+// signed PCB with HMAC-SHA256, which takes a fifth to a quarter of the
+// CPU of baseline core beaconing (22–28 % in profiles of one-worker, 2 h,
+// 300-AS/40-core runs) and 17 % of the Figure 5 experiment.
 package trust
 
 import (
