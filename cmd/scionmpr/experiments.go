@@ -41,8 +41,6 @@ type experiment struct {
 //	            recovery of diversity vs baseline vs BGP
 //	serve       path-lookup serving layer under closed-loop load; see
 //	            also `scionmpr pathserve` for the million-endpoint run
-//	tournament  every path-selection policy scored on identical
-//	            topology x workload x chaos grid cells
 //	scionlab    Figures 7/8/9 SCIONLab path quality & bandwidth
 //	convergence BGP (re-)convergence vs SCION SCMP failover (§5)
 //	ablation    selector variants (raw geomean, AS-disjoint, latency)
@@ -55,9 +53,6 @@ var experimentTable = []experiment{
 	{[]string{"churn"}, func(s experiments.Scale) (printer, error) { return experiments.RunChurn(s) }},
 	{[]string{"serve"}, func(s experiments.Scale) (printer, error) {
 		return experiments.RunServe(s, experiments.DefaultServeConfig())
-	}},
-	{[]string{"tournament"}, func(s experiments.Scale) (printer, error) {
-		return experiments.RunTournament(s, experiments.DefaultTournamentConfig())
 	}},
 	{[]string{"scionlab", "fig7", "fig8", "fig9"}, func(experiments.Scale) (printer, error) { return experiments.RunSCIONLab() }},
 	{[]string{"convergence"}, func(s experiments.Scale) (printer, error) { return experiments.RunConvergence(s) }},
@@ -96,7 +91,7 @@ func experimentNames() []string {
 //	scionmpr experiments -exp fig6 -scale smoke
 func experimentsCmd(fs *flag.FlagSet) func(io.Writer) error {
 	var (
-		exp       = fs.String("exp", "all", "experiment: table1 | fig5 (alias: overhead) | fig6 | capacity | churn | serve | tournament | scionlab | convergence | ablation | gridsearch | all")
+		exp       = fs.String("exp", "all", "experiment: table1 | fig5 (alias: overhead) | fig6 | capacity | churn | serve | scionlab | convergence | ablation | gridsearch | all")
 		scaleName = fs.String("scale", "default", "scale preset: smoke | default | paper")
 		duration  = fs.Duration("duration", 0, "override beaconing duration")
 		pairs     = fs.Int("pairs", 0, "override sampled AS pairs")

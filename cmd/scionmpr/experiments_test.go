@@ -17,8 +17,9 @@ func TestExperimentsKnownNames(t *testing.T) {
 		{"fig6b", true},
 		{"fig9", true}, // alias of scionlab
 		{"gridsearch", true},
-		{"forward", false},  // removed: must not silently succeed
-		{"failover", false}, // removed with the replicated path-server fleet
+		{"forward", false},    // removed: must not silently succeed
+		{"failover", false},   // removed with the replicated path-server fleet
+		{"tournament", false}, // removed with the strategy tournament
 		{"bogus", false},
 		{"", false},
 		{"Fig5", false},

@@ -90,6 +90,9 @@ func TestCLIMatchesRecordedOutput(t *testing.T) {
 		{"trafficsim", "trafficsim -flows 200", 0},
 		// The standalone trafficsim printed the trace error and exited 0.
 		{"trafficsim_trace_missing_dir", "trafficsim -flows 200 -trace missing/trace.jsonl", 1},
+		// The strategy tournament's policies are gone: -sched names one of
+		// the two kept ones, and anything else fails as an unknown spec did.
+		{"trafficsim_round_robin_removed", "trafficsim -sched round-robin", 1},
 		{"pathserve", "pathserve -scale smoke -endpoints 2000 -actors 8 -duration 4s", 0},
 		{"pathserve_bad_scale", "pathserve -scale galactic", 1},
 		// The replicated path-server fleet is gone: its flag and its
@@ -98,6 +101,7 @@ func TestCLIMatchesRecordedOutput(t *testing.T) {
 		{"experiments_table1", "experiments -exp table1", 0},
 		{"experiments_unknown", "experiments -exp bogus", 2},
 		{"experiments_failover_removed", "experiments -exp failover", 2},
+		{"experiments_tournament_removed", "experiments -exp tournament", 2},
 	} {
 		want, err := os.ReadFile(filepath.Join(golden, tc.name+".golden"))
 		if err != nil {

@@ -22,7 +22,7 @@ import (
 // byte-identical summaries.
 //
 //	scionmpr trafficsim                       # 10k flows, weighted striping
-//	scionmpr trafficsim -flows 20000 -sched round-robin
+//	scionmpr trafficsim -flows 20000 -sched single-best
 //	scionmpr trafficsim -n 80 -cores 6 -seed 7 -zipf 1.3
 //	scionmpr trafficsim -duration 5s          # cut the run at 5s virtual time
 func trafficsim(fs *flag.FlagSet) func(io.Writer) error {
@@ -35,13 +35,16 @@ func trafficsim(fs *flag.FlagSet) func(io.Writer) error {
 		rate     = fs.Float64("rate", 5000, "Poisson arrival rate (flows/s)")
 		meanSize = fs.Float64("mean", 128<<10, "mean flow size (bytes, bounded Pareto)")
 		zipf     = fs.Float64("zipf", 1.2, "Zipf exponent for pair popularity (<=0: uniform)")
-		sched    = fs.String("sched", "weighted",
-			"path-selection policy spec: single-best | round-robin | weighted | latency [stretch=<f>] | disjoint | hybrid [cap=<w> lat=<w> loss=<w> disj=<w> hops=<w> rev=<w> revwin=<d>]")
+		sched    = fs.String("sched", "weighted", "path-selection policy: weighted | single-best")
 		chunk    = fs.Int64("chunk", 64<<10, "admission chunk size (bytes)")
 		duration = fs.Duration("duration", 0, "virtual-time cutoff (0: run all flows to completion)")
 		obs      = observerFlags(fs)
 	)
 	return func(w io.Writer) (err error) {
+		factory, err := strategy.New(*sched)
+		if err != nil {
+			return err
+		}
 		topo, err := g.build()
 		if err != nil {
 			return err
@@ -57,10 +60,6 @@ func trafficsim(fs *flag.FlagSet) func(io.Writer) error {
 		opts.Telemetry = obs.reg
 		opts.Tracer = obs.tracer
 		net, err := scion.NewNetwork(topo, opts)
-		if err != nil {
-			return err
-		}
-		factory, err := strategy.New(*sched)
 		if err != nil {
 			return err
 		}

@@ -35,22 +35,24 @@ func TestTrafficsimDeterministic(t *testing.T) {
 }
 
 // TestTrafficsimSmall exercises the deadline cutoff and the alternate
-// schedulers on a workload sized for the test cache.
+// scheduler on a workload sized for the test cache.
 func TestTrafficsimSmall(t *testing.T) {
-	for _, sched := range []string{"single-best", "round-robin", "latency"} {
-		out, err := runCmd("trafficsim", "-n", "20", "-tier1", "3", "-cores", "3",
-			"-flows", "200", "-pairs", "10", "-sched", sched, "-duration", "500ms")
-		if err != nil {
-			t.Fatalf("%s: %v", sched, err)
-		}
-		if !strings.Contains(out, "flows: 200 total") {
-			t.Errorf("%s: unexpected output:\n%s", sched, out)
-		}
+	out, err := runCmd("trafficsim", "-n", "20", "-tier1", "3", "-cores", "3",
+		"-flows", "200", "-pairs", "10", "-sched", "single-best", "-duration", "500ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "flows: 200 total") {
+		t.Errorf("unexpected output:\n%s", out)
 	}
 }
 
+// TestTrafficsimRejectsBadScheduler: -sched takes a policy name, not a
+// spec, and the removed policies exit 1 like any unknown name.
 func TestTrafficsimRejectsBadScheduler(t *testing.T) {
-	if _, err := runCmd("trafficsim", "-sched", "no-such-scheduler"); err == nil {
-		t.Fatal("unknown scheduler accepted")
+	for _, sched := range []string{"no-such-scheduler", "round-robin", "hybrid cap=1", "weighted x=1", ""} {
+		if out, code := execute("trafficsim", "-sched", sched); code != 1 || out != "" {
+			t.Errorf("-sched %q: exit %d, stdout %q; want exit 1 and no output", sched, code, out)
+		}
 	}
 }

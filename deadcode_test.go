@@ -45,8 +45,6 @@ var deadCodeKeep = map[string]string{
 
 	"scionmpr/internal/core.Diversity.HistoryCounter": "test hook into the Link History Table",
 
-	"scionmpr/internal/sim.Simulator.Stop": "run control of the event core; its sequential and parallel stop semantics are pinned by tests",
-
 	"scionmpr/internal/dataplane.Fabric.LinkDelay": "shadows the engine table's promoted LinkDelay (always 0 on a fabric) with the delay its frames take; pinned by TestFabricLinkDelay",
 
 	"scionmpr/benchmark.smokeScale": "benchmark module: its smoke tests run every workload at this scale",

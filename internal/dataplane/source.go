@@ -14,9 +14,9 @@ import (
 //
 // Keys are link ids, so a revocation covers both directions. It lapses
 // one TTL after the link's latest SCMP (paper §4.1: soft state), checked
-// when read; the last-seen time never lapses. Only while the AS has an
-// OnLapse listener is a lapse event scheduled per SCMP, and until it
-// runs the revocation holds, whatever else runs at that instant.
+// when read. Only while the AS has an OnLapse listener is a lapse event
+// scheduled per SCMP, and until it runs the revocation holds, whatever
+// else runs at that instant.
 type SourceMemory struct {
 	clock *sim.Simulator
 	links map[topology.LinkID]revocation
@@ -25,20 +25,19 @@ type SourceMemory struct {
 	onLapse []func(topology.LinkID)
 }
 
-// revocation is one link's latest SCMP: when it arrived, its number,
-// when it lapses and whether its lapse event is pending.
+// revocation is one link's latest SCMP: its number, when it lapses and
+// whether its lapse event is pending.
 type revocation struct {
-	seen, until sim.Time
-	seq         uint64
-	pending     bool
+	until   sim.Time
+	seq     uint64
+	pending bool
 }
 
 // record learns one SCMP revocation of link id, refreshing an earlier
 // one: it lapses ttl from now.
 func (m *SourceMemory) record(id topology.LinkID, ttl time.Duration) {
-	now := m.clock.Now()
 	m.learned++
-	r := revocation{seen: now, until: now + sim.Time(ttl), seq: m.learned, pending: len(m.onLapse) > 0}
+	r := revocation{until: m.clock.Now() + sim.Time(ttl), seq: m.learned, pending: len(m.onLapse) > 0}
 	m.links[id] = r
 	if r.pending {
 		m.clock.At(r.until, func() { m.lapse(id, r.until) })
@@ -78,15 +77,4 @@ func (m *SourceMemory) Crosses(links []LinkRef, since uint64) bool {
 		}
 	}
 	return false
-}
-
-// LastSeen returns the latest SCMP revocation time over links, lapsed
-// ones included; ok is false when none of them was ever revoked.
-func (m *SourceMemory) LastSeen(links []LinkRef) (t sim.Time, ok bool) {
-	for _, ref := range links {
-		if r, hit := m.links[ref.Link.ID]; hit && (!ok || r.seen > t) {
-			t, ok = r.seen, true
-		}
-	}
-	return t, ok
 }

@@ -140,28 +140,6 @@ func TestSourceMemoryNoListenerNoEvent(t *testing.T) {
 	}
 }
 
-// TestSourceMemoryLastSeenNeverLapses: the last-seen time outlives the
-// revocation and follows the latest SCMP over the given links.
-func TestSourceMemoryLastSeenNeverLapses(t *testing.T) {
-	e, _, l1, l2 := memEnv(t)
-	m := e.fabric.Source(a6)
-	if _, ok := m.LastSeen([]LinkRef{{Link: l1}}); ok {
-		t.Error("last-seen time before any SCMP")
-	}
-	revokeAt(e, 10*time.Millisecond, l1)
-	revokeAt(e, 30*time.Millisecond, l2)
-	e.sim.RunUntil(sim.Time(time.Hour))
-	if revoked(m, l1) || revoked(m, l2) {
-		t.Fatal("revocations did not lapse")
-	}
-	if at, ok := m.LastSeen([]LinkRef{{Link: l1}}); !ok || at != sim.Time(10*time.Millisecond) {
-		t.Errorf("l1 last seen = %v, %v; want 10ms", at, ok)
-	}
-	if at, ok := m.LastSeen([]LinkRef{{Link: l1}, {Link: l2}}); !ok || at != sim.Time(30*time.Millisecond) {
-		t.Errorf("path last seen = %v, %v; want 30ms", at, ok)
-	}
-}
-
 // TestSourceMemoryLearnedSince: Crosses with a Learned watermark ignores
 // revocations recorded before it until a fresh SCMP renews them.
 func TestSourceMemoryLearnedSince(t *testing.T) {

@@ -11,27 +11,6 @@ import (
 	"scionmpr/internal/topology"
 )
 
-// TestEveryStopMidTick: when the tick callback itself stops the
-// simulator, Every must not self-reschedule — a stopped run previously
-// left one extra pending event behind.
-func TestEveryStopMidTick(t *testing.T) {
-	var s Simulator
-	n := 0
-	s.Every(0, time.Second, 0, func(Time) {
-		n++
-		if n == 3 {
-			s.Stop()
-		}
-	})
-	s.Run()
-	if n != 3 {
-		t.Fatalf("fired %d times, want 3", n)
-	}
-	if p := s.Pending(); p != 0 {
-		t.Errorf("stopped run left %d pending events, want 0", p)
-	}
-}
-
 // TestShardFIFOAndSerialBarrier: events of one shard keep FIFO order
 // among themselves, and a serial event between sharded ones acts as a
 // barrier — everything queued before it commits first. Each event
@@ -156,27 +135,6 @@ func TestParallelNetworkMatchesSequential(t *testing.T) {
 		if tx, rx := run(w); tx != seqTx || rx != seqRx {
 			t.Errorf("workers=%d: counters tx=%d rx=%d, want tx=%d rx=%d", w, tx, rx, seqTx, seqRx)
 		}
-	}
-}
-
-// TestParallelStopRequeuesRemainder: a serial event stopping the
-// simulator mid-batch leaves the not-yet-executed events queued, like a
-// sequential Stop.
-func TestParallelStopRequeuesRemainder(t *testing.T) {
-	var s Simulator
-	s.SetWorkers(4)
-	sh := s.NewShard()
-	at := Time(time.Second)
-	ran := 0
-	s.At(at, func() { s.Stop() })
-	s.AtShard(sh, at, func() { ran++ })
-	s.AtShard(sh, at, func() { ran++ })
-	s.Run()
-	if ran != 0 {
-		t.Errorf("events after Stop executed: %d", ran)
-	}
-	if p := s.Pending(); p != 2 {
-		t.Errorf("pending = %d, want 2 requeued events", p)
 	}
 }
 

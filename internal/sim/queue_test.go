@@ -77,7 +77,6 @@ type refSim struct {
 	now      Time
 	seq      uint64
 	events   eventHeap
-	stopped  bool
 	executed uint64
 }
 
@@ -90,7 +89,7 @@ func (r *refSim) at(t Time, fn func()) {
 }
 
 func (r *refSim) runUntil(deadline Time) {
-	for len(r.events) > 0 && !r.stopped && r.events[0].at <= deadline {
+	for len(r.events) > 0 && r.events[0].at <= deadline {
 		e := r.events.pop()
 		r.now = e.at
 		r.executed++
@@ -99,12 +98,10 @@ func (r *refSim) runUntil(deadline Time) {
 }
 
 // scriptNode is one event of a random schedule: when it runs it schedules
-// its children (each at its delay after the node's own time), and a
-// serial node may stop the simulator.
+// its children, each at its delay after the node's own time.
 type scriptNode struct {
 	delay    Time // roots: absolute time
 	shard    uint32
-	stop     bool
 	children []int
 }
 
@@ -130,7 +127,6 @@ func randomScript(seed uint64, shards uint32) script {
 		} else if rng.IntN(2) == 1 {
 			sc.nodes[id].delay = Time(1+rng.IntN(3)) * Time(time.Second)
 		}
-		sc.nodes[id].stop = shard == SerialShard && rng.IntN(8) == 0
 		if depth < 4 {
 			for k := rng.IntN(4 - depth); k > 0; k-- {
 				child := shard
@@ -164,7 +160,7 @@ type queueRun struct {
 	marks []string
 }
 
-// runRef drives the oracle: every call that ends stopped is resumed.
+// runRef drives the oracle.
 func runRef(sc script) queueRun {
 	var r refSim
 	var out queueRun
@@ -175,34 +171,25 @@ func runRef(sc script) queueRun {
 			for _, c := range sc.nodes[id].children {
 				r.at(r.now+sc.nodes[c].delay, fn(c))
 			}
-			if sc.nodes[id].stop {
-				r.stopped = true
-			}
 		}
 	}
 	for _, id := range sc.roots {
 		r.at(sc.nodes[id].delay, fn(id))
 	}
 	for _, d := range append(sc.deadlines, math.MaxInt64) {
-		for {
-			r.runUntil(d)
-			if d != math.MaxInt64 {
-				r.now = max(r.now, d)
-			}
-			out.marks = append(out.marks, fmt.Sprint(r.now, len(r.events), r.executed))
-			if !r.stopped {
-				break
-			}
-			r.stopped = false
+		r.runUntil(d)
+		if d != math.MaxInt64 {
+			r.now = max(r.now, d)
 		}
+		out.marks = append(out.marks, fmt.Sprint(r.now, len(r.events), r.executed))
 	}
 	return out
 }
 
-// runQueue drives the Simulator through the same calls, resuming each
-// stop with the next worker count of the cycle: 1 takes the sequential
-// pop path, more run whole buckets as batches. The order comes from the
-// trace ring, which parallel segments fill in commit order.
+// runQueue drives the Simulator through the same calls, each with the
+// next worker count of the cycle: 1 takes the sequential pop path, more
+// run whole buckets as batches. The order comes from the trace ring,
+// which parallel segments fill in commit order.
 func runQueue(sc script, shards uint32, workers []int) queueRun {
 	var s Simulator
 	tr := telemetry.NewTracer(1 << 16)
@@ -218,31 +205,20 @@ func runQueue(sc script, shards uint32, workers []int) queueRun {
 			for _, c := range n.children {
 				s.AtShard(sc.nodes[c].shard, s.Now()+sc.nodes[c].delay, fn(c))
 			}
-			if n.stop {
-				s.Stop()
-			}
 		}
 	}
 	for _, id := range sc.roots {
 		s.AtShard(sc.nodes[id].shard, sc.nodes[id].delay, fn(id))
 	}
 	var out queueRun
-	call := 0
-	for _, d := range append(sc.deadlines, math.MaxInt64) {
-		for {
-			s.SetWorkers(workers[call%len(workers)])
-			call++
-			if d == math.MaxInt64 {
-				s.Run()
-			} else {
-				s.RunUntil(d)
-			}
-			out.marks = append(out.marks, fmt.Sprint(s.Now(), s.Pending(), s.Executed))
-			if !s.stopped.Load() {
-				break
-			}
-			s.stopped.Store(false)
+	for call, d := range append(sc.deadlines, math.MaxInt64) {
+		s.SetWorkers(workers[call%len(workers)])
+		if d == math.MaxInt64 {
+			s.Run()
+		} else {
+			s.RunUntil(d)
 		}
+		out.marks = append(out.marks, fmt.Sprint(s.Now(), s.Pending(), s.Executed))
 	}
 	for _, ev := range tr.Events() {
 		out.order = append(out.order, ev.Actor)
@@ -251,18 +227,15 @@ func runQueue(sc script, shards uint32, workers []int) queueRun {
 }
 
 // TestQueueMatchesHeap runs seeded random schedules — same-time pushes,
-// pushes committed from parallel segments at the current time, serial
-// events that stop the run partway through a batch and RunUntil deadlines,
-// each stop resumed — on the bucketed queue and on the verbatim heap, and
+// pushes committed from parallel segments at the current time and
+// RunUntil deadlines — on the bucketed queue and on the verbatim heap, and
 // requires the same event order, clock, pending count and Executed after
 // every call, sequentially, in batches, and switching between the two.
 func TestQueueMatchesHeap(t *testing.T) {
 	const shards = 4
-	stops := 0
 	for seed := uint64(1); seed <= 100; seed++ {
 		sc := randomScript(seed, shards)
 		want := runRef(sc)
-		stops += len(want.marks) - len(sc.deadlines) - 1
 		for _, workers := range [][]int{{1}, {2}, {4}, {1, 2}, {2, 1, 4}} {
 			got := runQueue(sc, shards, workers)
 			if !slices.Equal(got.order, want.order) {
@@ -272,8 +245,5 @@ func TestQueueMatchesHeap(t *testing.T) {
 				t.Fatalf("seed %d workers %v: (now pending executed) per call %v, want %v", seed, workers, got.marks, want.marks)
 			}
 		}
-	}
-	if stops < 50 {
-		t.Fatalf("only %d stops over all schedules; the property needs them", stops)
 	}
 }

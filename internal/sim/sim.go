@@ -122,7 +122,7 @@ func (q *eventQueue) push(e event) {
 
 // take detaches the earliest bucket as the next batch. Events pushed at
 // its time meanwhile open a new bucket behind it. Hand it back with
-// putBack.
+// recycle once it has run.
 func (q *eventQueue) take() *bucket {
 	b := q.buckets[q.times[0]]
 	delete(q.buckets, b.at)
@@ -131,28 +131,7 @@ func (q *eventQueue) take() *bucket {
 	return b
 }
 
-// putBack returns a taken bucket whose first ran events have run. The
-// rest go back in front of any events pushed at their time since the
-// take.
-func (q *eventQueue) putBack(b *bucket, ran int) {
-	rest := copy(b.evs, b.evs[ran:])
-	if rest == 0 {
-		q.recycle(b)
-		return
-	}
-	clear(b.evs[rest:])
-	b.evs = b.evs[:rest]
-	q.n += rest
-	if later := q.buckets[b.at]; later != nil {
-		b.evs = append(b.evs, later.evs...)
-		q.recycle(later)
-	} else {
-		q.pushTime(b.at)
-	}
-	q.buckets[b.at] = b
-}
-
-// recycle keeps an emptied bucket for reuse, up to maxSpareBuckets.
+// recycle keeps a bucket that has run for reuse, up to maxSpareBuckets.
 func (q *eventQueue) recycle(b *bucket) {
 	if len(q.spare) < maxSpareBuckets {
 		clear(b.evs)
@@ -248,9 +227,8 @@ func (o *op) apply(s *Simulator) {
 // Simulator owns the virtual clock and the pending event set. The zero
 // value is ready to use (sequentially; see SetWorkers).
 type Simulator struct {
-	now     Time
-	events  eventQueue
-	stopped atomic.Bool
+	now    Time
+	events eventQueue
 	// Executed counts processed events, useful for run-away detection in
 	// tests and experiment logs.
 	Executed uint64
@@ -498,9 +476,8 @@ func (s *Simulator) deferOp(shard uint32, o op) {
 	s.ops[idx] = append(s.ops[idx], o)
 }
 
-// Every schedules fn at start and then every interval until the simulator
-// stops or the end time passes (end <= 0 means no end). fn also receives
-// the firing time.
+// Every schedules fn at start and then every interval until the end time
+// passes (end <= 0 means no end). fn also receives the firing time.
 func (s *Simulator) Every(start, interval time.Duration, end Time, fn func(Time)) {
 	s.EveryShard(SerialShard, start, interval, end, fn)
 }
@@ -511,16 +488,10 @@ func (s *Simulator) Every(start, interval time.Duration, end Time, fn func(Time)
 func (s *Simulator) EveryShard(shard uint32, start, interval time.Duration, end Time, fn func(Time)) {
 	var tick func()
 	tick = func() {
-		if s.stopped.Load() || (end > 0 && s.now > end) {
+		if end > 0 && s.now > end {
 			return
 		}
 		fn(s.now)
-		// fn may have stopped the run mid-tick; without this re-check a
-		// stopped simulator is left with one extra self-rescheduled
-		// event pending.
-		if s.stopped.Load() {
-			return
-		}
 		next := s.now + Time(interval)
 		if end > 0 && next > end {
 			return
@@ -534,8 +505,8 @@ func (s *Simulator) EveryShard(shard uint32, start, interval time.Duration, end 
 	s.AtShard(shard, next, tick)
 }
 
-// Run executes events until the queue drains or Stop is called. It
-// returns the final virtual time.
+// Run executes events until the queue drains. It returns the final
+// virtual time.
 func (s *Simulator) Run() Time { return s.run(math.MaxInt64) }
 
 // RunUntil executes events with timestamps <= deadline and then advances
@@ -550,25 +521,22 @@ func (s *Simulator) RunUntil(deadline Time) Time {
 // (e.g. over zero-latency links) open a bucket that runs as the next one.
 func (s *Simulator) run(deadline Time) Time {
 	q := &s.events
-	for q.n > 0 && !s.stopped.Load() && q.times[0] <= deadline {
+	for q.n > 0 && q.times[0] <= deadline {
 		s.step(q.times[0])
 		s.now = q.times[0]
 		b := q.take()
-		q.putBack(b, s.runSegments(b.evs))
+		s.runSegments(b.evs)
+		q.recycle(b)
 	}
 	return s.now
 }
 
 // runSegments executes one same-timestamp batch: maximal runs of sharded
 // events execute in parallel, serial events barrier between them; with
-// one worker every event runs alone, in queue order. If the
-// simulator is stopped partway (only a serial event or a committed
-// effect can observe this deterministically), it returns early, matching
-// sequential Stop semantics at segment granularity. It returns how many
-// of the batch's events ran.
-func (s *Simulator) runSegments(batch []event) int {
+// one worker every event runs alone, in queue order.
+func (s *Simulator) runSegments(batch []event) {
 	i := 0
-	for i < len(batch) && !s.stopped.Load() {
+	for i < len(batch) {
 		if batch[i].shard == SerialShard || s.WorkerCount() == 1 {
 			s.Executed++
 			batch[i].run()
@@ -582,7 +550,6 @@ func (s *Simulator) runSegments(batch []event) int {
 		s.runParallel(batch[i:j])
 		i = j
 	}
-	return i
 }
 
 // runParallel executes one segment of sharded events and commits their
@@ -767,10 +734,6 @@ func (s *Simulator) PendingDeliveries() int {
 	}
 	return n
 }
-
-// Stop halts Run/RunUntil after the current event (sequential mode) or
-// the current segment (parallel mode). Safe to call from sharded events.
-func (s *Simulator) Stop() { s.stopped.Store(true) }
 
 // Pending returns the number of queued events.
 func (s *Simulator) Pending() int { return s.events.n }

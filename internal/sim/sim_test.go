@@ -102,17 +102,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	var s Simulator
-	fired := 0
-	s.Schedule(time.Second, func() { fired++; s.Stop() })
-	s.Schedule(2*time.Second, func() { fired++ })
-	s.Run()
-	if fired != 1 {
-		t.Errorf("fired = %d after Stop, want 1", fired)
-	}
-}
-
 func TestEvery(t *testing.T) {
 	var s Simulator
 	var at []Time
@@ -134,15 +123,10 @@ func TestEvery(t *testing.T) {
 func TestEveryNoEnd(t *testing.T) {
 	var s Simulator
 	n := 0
-	s.Every(0, time.Second, 0, func(Time) {
-		n++
-		if n == 4 {
-			s.Stop()
-		}
-	})
-	s.Run()
-	if n != 4 {
-		t.Errorf("unbounded Every fired %d times before Stop", n)
+	s.Every(0, time.Second, 0, func(Time) { n++ })
+	s.RunUntil(Time(3 * time.Second))
+	if n != 4 || s.Pending() != 1 {
+		t.Errorf("unbounded Every fired %d times by 3s with %d pending, want 4 and 1", n, s.Pending())
 	}
 }
 

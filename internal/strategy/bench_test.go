@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// benchPaths builds a representative 8-path candidate set with mixed
-// telemetry, matching the traffic engine's default MaxPaths.
+// benchPaths builds a representative 8-path candidate set, matching the
+// traffic engine's default MaxPaths.
 func benchPaths() []PathView {
 	rng := rand.New(rand.NewSource(3))
 	paths := make([]PathView, 8)
@@ -18,16 +18,7 @@ func benchPaths() []PathView {
 			Hops:       hops,
 			Delay:      time.Duration(5+rng.Intn(30)) * time.Millisecond,
 			Bottleneck: 1e7 + rng.Float64()*1e8,
-			Sent:       int64(rng.Intn(1 << 24)),
 			Busy:       i%3 == 0,
-			Loss:       rng.Float64() * 0.1,
-			Links:      hops,
-			Shared:     rng.Intn(hops),
-			RevokedAge: -1,
-		}
-		paths[i].RTT = 2 * paths[i].Delay
-		if i%4 == 1 {
-			paths[i].RevokedAge = time.Duration(rng.Int63n(int64(15 * time.Second)))
 		}
 	}
 	return paths
@@ -37,7 +28,7 @@ func benchPaths() []PathView {
 // policy on the hot path (allocations gated at 0 by TestPolicyPickAllocs).
 func BenchmarkPolicyPick(b *testing.B) {
 	paths := benchPaths()
-	for _, name := range Names() {
+	for _, name := range policyNames {
 		factory, err := New(name)
 		if err != nil {
 			b.Fatal(err)
@@ -58,7 +49,7 @@ func BenchmarkPolicyPick(b *testing.B) {
 // policy at zero allocations.
 func TestPolicyPickAllocs(t *testing.T) {
 	paths := benchPaths()
-	for _, name := range Names() {
+	for _, name := range policyNames {
 		factory, err := New(name)
 		if err != nil {
 			t.Fatal(err)

@@ -36,10 +36,7 @@ type flowPath struct {
 	// busyUntil is when the path finishes serializing its current chunk.
 	busyUntil sim.Time
 	// sent is how many bytes this path has carried (net of rewinds).
-	sent int64
-	// lost is how many bytes SCMP revocations rewound off this path; with
-	// sent it yields the path's observed loss fraction.
-	lost    int64
+	sent    int64
 	revoked bool
 }
 
@@ -61,13 +58,6 @@ type Flow struct {
 	mem   *dataplane.SourceMemory
 	paths []*flowPath
 	infos []strategy.PathView // scratch for scheduler decisions
-
-	// shared caches each path's link-overlap count against the flow's
-	// active set (paths currently carrying bytes); sharedDirty marks it
-	// for recomputation when the path set or the active set changes, so
-	// the O(paths²·links) scan runs per change, not per chunk.
-	shared      []int
-	sharedDirty bool
 
 	state    flowState
 	started  sim.Time
@@ -167,33 +157,6 @@ func (f *Flow) PathStats() []PathStat {
 		}
 	}
 	return out
-}
-
-// recomputeShared rebuilds the cached per-path disjointness signal:
-// shared[i] counts path i's links that some other active path (sent > 0,
-// not revoked) also traverses. Shared 0 means fully disjoint from the
-// active set.
-func (f *Flow) recomputeShared() {
-	f.sharedDirty = false
-	for len(f.shared) < len(f.paths) {
-		f.shared = append(f.shared, 0)
-	}
-	f.shared = f.shared[:len(f.paths)]
-	for i, p := range f.paths {
-		n := 0
-		for _, ref := range p.links {
-			for j, q := range f.paths {
-				if j == i || q.revoked || q.sent == 0 {
-					continue
-				}
-				if pathHasLink(q, ref.Link.ID) {
-					n++
-					break
-				}
-			}
-		}
-		f.shared[i] = n
-	}
 }
 
 // pathHasLink reports whether p traverses the link.

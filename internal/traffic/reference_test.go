@@ -3,8 +3,10 @@ package traffic
 // The traffic engine as it was before the fabric kept one revocation
 // memory per source AS, verbatim but for its type names, the shared
 // head-packet helpers and the Run/RunUntil drivers (the test drives the
-// clock): each engine kept its own SCMP-learned revocations, with their
-// TTL and expiry events, and revocation history per source, and the
+// clock), and for the path signals no kept policy reads (loss, RTT,
+// shared links and revocation recency, with the revocation history that
+// fed it), removed from both engines: each engine kept its own
+// SCMP-learned revocations, with their TTL and expiry events, and the
 // retry knobs were Config fields. TestEngineMatchesReference runs it
 // beside Engine on the same flap schedule.
 
@@ -67,13 +69,6 @@ type refConfig struct {
 	// mid-flow; if the link is still down the next head packet re-learns
 	// the failure within one RTT.
 	RevocationTTL time.Duration
-	// RevocationAge, if set, reports how long ago the control plane last
-	// learned of a revocation on any of the given links (negative =
-	// never) — the path servers' revocation-recency feed (for example
-	// scion.Network.PathRevocationAge) behind the strategy.PathView.RevokedAge
-	// signal. The engine merges it with its own SCMP-learned history and
-	// reports whichever revocation is more recent.
-	RevocationAge func(src addr.IA, links []dataplane.LinkRef) time.Duration
 	// Seed drives the re-query jitter (default 1).
 	Seed int64
 	// Telemetry, if set, receives the engine's counters and the
@@ -101,10 +96,6 @@ type refEngine struct {
 	// RevocationTTL, at which point affected flows re-probe and readopt
 	// restored paths.
 	revoked map[addr.IA]map[topology.LinkID]sim.Time
-	// revHist remembers when each source last saw an SCMP revocation per
-	// link — unlike revoked it never expires, feeding the policies'
-	// revocation-recency signal (strategy.PathView.RevokedAge).
-	revHist map[addr.IA]map[topology.LinkID]sim.Time
 	hooked  map[addr.IA]bool
 	// rng drives re-query jitter; the event loop is single-threaded, so
 	// a seeded source keeps runs reproducible.
@@ -178,7 +169,6 @@ func newRefEngine(cfg refConfig) (*refEngine, error) {
 		byID:    map[int]*Flow{},
 		bySrc:   map[addr.IA][]*Flow{},
 		revoked: map[addr.IA]map[topology.LinkID]sim.Time{},
-		revHist: map[addr.IA]map[topology.LinkID]sim.Time{},
 		hooked:  map[addr.IA]bool{},
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -275,7 +265,6 @@ func (e *refEngine) requery(f *Flow) {
 	f.paths = paths
 	f.infos = f.infos[:0]
 	f.lastPath = -1
-	f.sharedDirty = true
 	e.noteConnectivity(f)
 	e.wakeAt(f, e.clock.Now())
 }
@@ -320,7 +309,6 @@ func (e *refEngine) reprobe(f *Flow) {
 	f.paths = paths
 	f.infos = f.infos[:0]
 	f.lastPath = -1
-	f.sharedDirty = true
 	e.noteConnectivity(f)
 	e.wakeAt(f, e.clock.Now())
 }
@@ -417,32 +405,14 @@ func (e *refEngine) pump(f *Flow) {
 		e.requery(f)
 		return
 	}
-	if f.sharedDirty {
-		f.recomputeShared()
-	}
-	hist := e.revHist[f.spec.Src]
 	f.infos = f.infos[:0]
-	for i, p := range f.paths {
-		var loss float64
-		if gross := p.sent + p.lost; gross > 0 {
-			loss = float64(p.lost) / float64(gross)
-		}
-		shared := 0
-		if i < len(f.shared) {
-			shared = f.shared[i]
-		}
+	for _, p := range f.paths {
 		f.infos = append(f.infos, strategy.PathView{
 			Hops:       len(p.fp.Hops),
 			Delay:      p.delay,
 			Bottleneck: p.bottleneck,
-			Sent:       p.sent,
 			Busy:       p.busyUntil > now,
 			Revoked:    p.revoked,
-			Loss:       loss,
-			RTT:        2 * p.delay,
-			Links:      len(p.links),
-			Shared:     shared,
-			RevokedAge: e.revokedAge(hist, f.spec.Src, p, now),
 		})
 	}
 	idx := f.sched.Pick(f.infos)
@@ -473,10 +443,6 @@ func (e *refEngine) pump(f *Flow) {
 		e.wakeAt(f, now+sim.Time(wait))
 		return
 	}
-	if p.sent == 0 {
-		// First bytes on this path change the flow's active set.
-		f.sharedDirty = true
-	}
 	p.sent += granted
 	f.sent += granted
 	tx := time.Duration(float64(granted) / p.bottleneck * float64(time.Second))
@@ -502,29 +468,6 @@ func (e *refEngine) pump(f *Flow) {
 		return
 	}
 	e.wakeAt(f, now)
-}
-
-// revokedAge computes a path's revocation-recency signal: the time since
-// the most recent revocation seen on any of its links, merging the
-// source's own SCMP history with the optional control-plane feed
-// (refConfig.RevocationAge). Negative means never.
-func (e *refEngine) revokedAge(hist map[topology.LinkID]sim.Time, src addr.IA, p *flowPath, now sim.Time) time.Duration {
-	age := time.Duration(-1)
-	if len(hist) > 0 {
-		for _, ref := range p.links {
-			if t, ok := hist[ref.Link.ID]; ok {
-				if a := time.Duration(now - t); age < 0 || a < age {
-					age = a
-				}
-			}
-		}
-	}
-	if e.cfg.RevocationAge != nil {
-		if a := e.cfg.RevocationAge(src, p.links); a >= 0 && (age < 0 || a < age) {
-			age = a
-		}
-	}
-	return age
 }
 
 // maybeFinish schedules the completion check for when all in-flight data
@@ -609,24 +552,15 @@ func (e *refEngine) handleSCMP(src addr.IA, msg *dataplane.SCMP) {
 		known[link.ID] = exp
 		id := link.ID
 		e.clock.At(exp, func() { e.expireRevocation(src, id, exp) })
-		// Permanent history for the revocation-recency policy signal.
-		hist := e.revHist[src]
-		if hist == nil {
-			hist = map[topology.LinkID]sim.Time{}
-			e.revHist[src] = hist
-		}
-		hist[link.ID] = e.clock.Now()
 	}
 	// Rewind the lost chunk on the path that carried the head packet.
 	for _, p := range f.paths {
 		if p.fp == msg.Orig.Path {
 			p.revoked = true
-			f.sharedDirty = true
 			p.sent -= bytes
 			if p.sent < 0 {
 				p.sent = 0
 			}
-			p.lost += bytes
 			f.sent -= bytes
 			if f.sent < 0 {
 				f.sent = 0
@@ -653,7 +587,6 @@ func (e *refEngine) handleSCMP(src addr.IA, msg *dataplane.SCMP) {
 				for _, ref := range p.links {
 					if ref.Link.ID == link.ID {
 						p.revoked = true
-						g.sharedDirty = true
 						dirty = true
 						break
 					}

@@ -2,13 +2,12 @@ package traffic
 
 import (
 	"testing"
-	"time"
 
 	"scionmpr/internal/strategy"
 )
 
 func TestNewSchedulerNames(t *testing.T) {
-	for _, name := range []string{"single-best", "round-robin", "weighted", "latency"} {
+	for _, name := range []string{"single-best", "weighted"} {
 		factory, err := strategy.New(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -48,30 +47,6 @@ func TestSingleBestWaitsForBestPath(t *testing.T) {
 	}
 }
 
-func TestRoundRobinRotates(t *testing.T) {
-	s := &strategy.RoundRobin{}
-	paths := make([]strategy.PathView, 3)
-	var got []int
-	for i := 0; i < 6; i++ {
-		got = append(got, s.Pick(paths))
-	}
-	want := []int{1, 2, 0, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sequence = %v, want %v", got, want)
-		}
-	}
-	paths[1].Revoked = true
-	paths[2].Busy = true
-	if idx := s.Pick(paths); idx != 0 {
-		t.Errorf("only idle usable is 0, got %d", idx)
-	}
-	paths[0].Busy = true
-	if idx := s.Pick(paths); idx != -1 {
-		t.Errorf("no idle usable, got %d", idx)
-	}
-}
-
 func TestWeightedBottleneckProportional(t *testing.T) {
 	s := &strategy.WeightedBottleneck{}
 	paths := []strategy.PathView{
@@ -93,33 +68,5 @@ func TestWeightedBottleneckProportional(t *testing.T) {
 	paths[0].Revoked = true
 	if idx := s.Pick(paths); idx != 1 {
 		t.Errorf("revoked path picked: %d", idx)
-	}
-}
-
-func TestLatencyAwareStretchBound(t *testing.T) {
-	s := &strategy.LatencyAware{Stretch: 1.5}
-	paths := []strategy.PathView{
-		{Delay: 10 * time.Millisecond},
-		{Delay: 14 * time.Millisecond},
-		{Delay: 40 * time.Millisecond},
-	}
-	if idx := s.Pick(paths); idx != 0 {
-		t.Errorf("pick = %d, want lowest latency 0", idx)
-	}
-	paths[0].Busy = true
-	if idx := s.Pick(paths); idx != 1 {
-		t.Errorf("pick = %d, want 1 (within stretch)", idx)
-	}
-	paths[1].Busy = true
-	// Path 2 is beyond 1.5x the best delay: wait instead.
-	if idx := s.Pick(paths); idx != -1 {
-		t.Errorf("pick = %d, want -1 (outside stretch bound)", idx)
-	}
-	paths[0].Revoked = true
-	paths[1].Revoked = true
-	// Best usable delay is now 40ms, so path 2 qualifies.
-	paths[1].Busy = false
-	if idx := s.Pick(paths); idx != 2 {
-		t.Errorf("pick = %d, want 2", idx)
 	}
 }

@@ -58,13 +58,6 @@ type Config struct {
 	// MaxRetries bounds consecutive empty re-queries before a flow fails
 	// (default 5).
 	MaxRetries int
-	// RevocationAge, if set, reports how long ago the control plane last
-	// learned of a revocation on any of the given links (negative =
-	// never) — the path servers' revocation-recency feed (for example
-	// scion.Network.PathRevocationAge) behind the strategy.PathView.RevokedAge
-	// signal. The engine merges it with the source memory's SCMP history
-	// and reports whichever revocation is more recent.
-	RevocationAge func(src addr.IA, links []dataplane.LinkRef) time.Duration
 	// Seed drives the re-query jitter (default 1).
 	Seed int64
 	// Telemetry, if set, receives the engine's counters and the
@@ -129,9 +122,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg.Links = NewLinkModel(nil)
 	}
 	if cfg.Scheduler == nil {
-		// Default confirmed by the strategy tournament (-exp tournament,
-		// EXPERIMENTS.md): weighted wins or ties every grid cell on
-		// goodput.
+		// Striping by bottleneck is the multipath endpoint -exp capacity
+		// measures against single-best (EXPERIMENTS.md, Figure 6b under
+		// load).
 		cfg.Scheduler = func() strategy.Policy { return &strategy.WeightedBottleneck{} }
 	}
 	if cfg.ChunkSize <= 0 {
@@ -274,7 +267,6 @@ func (e *Engine) adopt(f *Flow, paths []*flowPath) {
 	f.paths = paths
 	f.infos = f.infos[:0]
 	f.lastPath = -1
-	f.sharedDirty = true
 	e.noteConnectivity(f)
 	e.wakeAt(f, e.clock.Now())
 }
@@ -397,31 +389,14 @@ func (e *Engine) pump(f *Flow) {
 		e.requery(f)
 		return
 	}
-	if f.sharedDirty {
-		f.recomputeShared()
-	}
 	f.infos = f.infos[:0]
-	for i, p := range f.paths {
-		var loss float64
-		if gross := p.sent + p.lost; gross > 0 {
-			loss = float64(p.lost) / float64(gross)
-		}
-		shared := 0
-		if i < len(f.shared) {
-			shared = f.shared[i]
-		}
+	for _, p := range f.paths {
 		f.infos = append(f.infos, strategy.PathView{
 			Hops:       len(p.fp.Hops),
 			Delay:      p.delay,
 			Bottleneck: p.bottleneck,
-			Sent:       p.sent,
 			Busy:       p.busyUntil > now,
 			Revoked:    p.revoked,
-			Loss:       loss,
-			RTT:        2 * p.delay,
-			Links:      len(p.links),
-			Shared:     shared,
-			RevokedAge: e.revokedAge(f, p, now),
 		})
 	}
 	idx := f.sched.Pick(f.infos)
@@ -452,10 +427,6 @@ func (e *Engine) pump(f *Flow) {
 		e.wakeAt(f, now+sim.Time(wait))
 		return
 	}
-	if p.sent == 0 {
-		// First bytes on this path change the flow's active set.
-		f.sharedDirty = true
-	}
 	p.sent += granted
 	f.sent += granted
 	tx := time.Duration(float64(granted) / p.bottleneck * float64(time.Second))
@@ -481,23 +452,6 @@ func (e *Engine) pump(f *Flow) {
 		return
 	}
 	e.wakeAt(f, now)
-}
-
-// revokedAge computes a path's revocation-recency signal: the time since
-// the most recent revocation seen on any of its links, merging the
-// source memory's SCMP history with the optional control-plane feed
-// (Config.RevocationAge). Negative means never.
-func (e *Engine) revokedAge(f *Flow, p *flowPath, now sim.Time) time.Duration {
-	age := time.Duration(-1)
-	if t, ok := f.mem.LastSeen(p.links); ok {
-		age = time.Duration(now - t)
-	}
-	if e.cfg.RevocationAge != nil {
-		if a := e.cfg.RevocationAge(f.spec.Src, p.links); a >= 0 && (age < 0 || a < age) {
-			age = a
-		}
-	}
-	return age
 }
 
 // maybeFinish schedules the completion check for when all in-flight data
@@ -595,9 +549,7 @@ func (e *Engine) handleSCMP(src addr.IA, msg *dataplane.SCMP) {
 	for _, p := range f.paths {
 		if p.fp == msg.Orig.Path {
 			p.revoked = true
-			f.sharedDirty = true
 			p.sent = max(p.sent-bytes, 0)
-			p.lost += bytes
 			f.sent = max(f.sent-bytes, 0)
 			f.lost += bytes
 			break
@@ -616,7 +568,7 @@ func (e *Engine) handleSCMP(src addr.IA, msg *dataplane.SCMP) {
 			dirty := false
 			for _, p := range g.paths {
 				if !p.revoked && pathHasLink(p, link.ID) {
-					p.revoked, g.sharedDirty, dirty = true, true, true
+					p.revoked, dirty = true, true
 				}
 			}
 			if dirty || g == f {

@@ -91,7 +91,7 @@ func TestMultipathBeatsSinglePath(t *testing.T) {
 }
 
 func TestOpenEndedFlowRunsUntilDeadline(t *testing.T) {
-	_, eng := demoEngine(t, "round-robin")
+	_, eng := demoEngine(t, "weighted")
 	f := eng.Add(FlowSpec{ID: 7, Src: a6, Dst: a4, Start: 0, Size: 0})
 	s := eng.RunUntil(200 * time.Millisecond)
 	if f.Done() || f.Failed() {

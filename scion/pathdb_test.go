@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/dataplane"
 	"scionmpr/internal/pathsrv"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
@@ -443,45 +442,6 @@ func TestReregistrationKeepsOrder(t *testing.T) {
 	after := keysOf(lookupDown(s, 2*hour))
 	if !sameKeys(before, after) {
 		t.Errorf("re-registration reordered the reply: %v -> %v", before, after)
-	}
-}
-
-// TestRevocationRecency pins the path-selection recency signal: the
-// record is permanent history, independent of whether the revocation is
-// still active, and a later revocation of the same link replaces it.
-func TestRevocationRecency(t *testing.T) {
-	n, _ := demoNet(t)
-	la, lb := n.Topo.Links[0], n.Topo.Links[1]
-	refA := []dataplane.LinkRef{{Link: la, From: la.A}}
-	refB := []dataplane.LinkRef{{Link: lb, From: lb.A}}
-	both := append(append([]dataplane.LinkRef{}, refA...), refB...)
-	ia := la.A
-	clock := n.Clock()
-	advance := func(d time.Duration) { clock.RunUntil(clock.Now() + sim.Time(d)) }
-
-	if age := n.PathRevocationAge(ia, both); age >= 0 {
-		t.Errorf("revocation age before any revocation = %v", age)
-	}
-	n.NoteLinkDown(la)
-	advance(3 * time.Second)
-	n.NoteLinkDown(lb)
-	if age := n.PathRevocationAge(ia, refA); age != 3*time.Second {
-		t.Errorf("age(linkA) = %v, want 3s", age)
-	}
-	// History outlives the revocation TTL.
-	advance(time.Minute)
-	if age := n.PathRevocationAge(ia, refB); age != time.Minute {
-		t.Errorf("age(linkB) after the lapse = %v, want 1m", age)
-	}
-	n.NoteLinkDown(lb)
-	if age := n.PathRevocationAge(ia, refB); age != 0 {
-		t.Errorf("age(linkB) after a new revocation = %v, want 0", age)
-	}
-	if age := n.PathRevocationAge(ia, both); age != 0 {
-		t.Errorf("age over both links = %v, want the most recent, 0", age)
-	}
-	if age := n.PathRevocationAge(addr.MustIA(9, 9), both); age >= 0 {
-		t.Errorf("unknown AS reported a revocation age %v", age)
 	}
 }
 

@@ -117,9 +117,6 @@ type Network struct {
 	// each ISD's core ASes in topology order.
 	paths *pathsrv.Service
 	cores map[addr.ISD][]addr.IA
-	// lastRevoked records when each link key was last revoked: the
-	// revocation-recency feed, which never lapses.
-	lastRevoked map[seg.LinkKey]sim.Time
 
 	clock  *sim.Simulator
 	netSim *sim.Network
@@ -189,7 +186,6 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 		Infra:       infra,
 		Opts:        opts,
 		cores:       map[addr.ISD][]addr.IA{},
-		lastRevoked: map[seg.LinkKey]sim.Time{},
 		hosts:       map[addr.IA][]*Host{},
 		svcHandlers: map[addr.IA]func(*dataplane.Packet){},
 		gateways:    map[addr.IA]dataplane.DeliverFunc{},
@@ -590,35 +586,10 @@ func (n *Network) NoteLinkDown(l *topology.Link) {
 	now := n.now()
 	ttl := sim.Time(n.Opts.RevocationTTL)
 	for _, key := range []seg.LinkKey{{IA: l.A, If: l.AIf}, {IA: l.B, If: l.BIf}} {
-		n.lastRevoked[key] = now
 		n.paths.RevokeLink(now, key, ttl)
 	}
 	n.noteRevocationExpiry(now + ttl)
 	n.pathCache = map[[2]uint64]cachedPaths{}
-}
-
-// PathRevocationAge reports how long ago the control plane last recorded
-// a revocation on any of the given links, as seen from ia's path server
-// (negative = never, or an unknown AS) — the revocation-recency feed for
-// the traffic engine's path-selection policies
-// (traffic.Config.RevocationAge).
-func (n *Network) PathRevocationAge(ia addr.IA, links []dataplane.LinkRef) time.Duration {
-	if n.Topo.AS(ia) == nil {
-		return -1
-	}
-	now := n.now()
-	age := time.Duration(-1)
-	for _, ref := range links {
-		l := ref.Link
-		for _, key := range []seg.LinkKey{{IA: l.A, If: l.AIf}, {IA: l.B, If: l.BIf}} {
-			if t, ok := n.lastRevoked[key]; ok {
-				if a := time.Duration(now - t); age < 0 || a < age {
-					age = a
-				}
-			}
-		}
-	}
-	return age
 }
 
 // RestoreLink repairs the i-th link between a and b on the data plane.

@@ -313,40 +313,6 @@ func TestExportedHelpers(t *testing.T) {
 	}
 }
 
-// TestPathRevocationAge pins the path servers' revocation-recency feed
-// consumed by the traffic engine's path-selection policies.
-func TestPathRevocationAge(t *testing.T) {
-	n := demoNet(t)
-	paths, err := n.Paths(b3, a6)
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("paths: %v (%d)", err, len(paths))
-	}
-	refs, err := paths[0].LinkRefs(n.Topo)
-	if err != nil || len(refs) == 0 {
-		t.Fatalf("link refs: %v (%d)", err, len(refs))
-	}
-	// No revocation has ever been recorded.
-	if age := n.PathRevocationAge(b3, refs); age >= 0 {
-		t.Errorf("age before any failure = %v, want negative", age)
-	}
-	// Fail the path's first link: both the local and every remote path
-	// server record the revocation instant.
-	l := refs[0].Link
-	if _, err := n.FailLink(l.A, l.B, 0); err != nil {
-		t.Fatal(err)
-	}
-	if age := n.PathRevocationAge(b3, refs); age != 0 {
-		t.Errorf("age right after failure = %v, want 0", age)
-	}
-	// Unknown IA and empty link set are both "never".
-	if age := n.PathRevocationAge(addr.MustIA(9, 9), refs); age >= 0 {
-		t.Errorf("age for unknown IA = %v, want negative", age)
-	}
-	if age := n.PathRevocationAge(b3, nil); age >= 0 {
-		t.Errorf("age for no links = %v, want negative", age)
-	}
-}
-
 // TestPathsDropExpiredSegments requires the endpoint path cache to age
 // with the segments it was combined from: once every 6h segment of the
 // bootstrap has expired, a warm network answers as a fresh one does.
