@@ -36,6 +36,8 @@ var deadCodeKeep = map[string]string{
 	"scionmpr/internal/slayers.SCMPTypeRevokedLink":     "wire-spec SCMP type code",
 	"scionmpr/internal/slayers.SCMPTypeBadMAC":          "wire-spec SCMP type code",
 	"scionmpr/internal/slayers.SCMPTypeDestUnreachable": "wire-spec SCMP type code",
+	"scionmpr/internal/slayers.SCION.IncPath":           "struct-header ingress step of the router oracle (internal/dataplane/router_reference_test.go), kept verbatim; the engine advances CurrHF through RawPath",
+	"scionmpr/internal/slayers.SCION.AtDestination":     "struct-header destination test of the same router oracle; the engine asks RawPath",
 
 	"scionmpr/internal/experiments.ChurnResult.CheckOrdering": "the paper-shape check on churn results: diversity no worse than baseline, both better than BGP",
 

@@ -1,6 +1,7 @@
 // The wire-format forwarding engine, the one border router: it works
 // on real packet bytes in the internal/slayers encoding, with pooled
-// buffers, batched hop-field MAC verification and, under NewEngine,
+// buffers, a strict decode at a frame's first router and raw path bytes
+// after it, one expected MAC per interface pair and, under NewEngine,
 // per-AS ingress queues that Flush drains in fixed-size batches on the
 // caller's goroutine. A Fabric drives the same per-AS pipeline in
 // virtual time, one frame at a time (fabric.go).
@@ -52,8 +53,8 @@ type EngineStats struct {
 // Engine is the batched wire-format forwarding plane. One logical
 // border router per AS, each with a FIFO ingress queue; Flush drains
 // the queues in batches on the caller's goroutine, so a frame's whole
-// lifetime — decode, MAC check, egress lookup, hand-off to the next
-// queue — happens on packet bytes without allocating. Configure the
+// lifetime — hop-field read, MAC check, egress lookup, hand-off to the
+// next queue — happens on packet bytes without allocating. Configure the
 // exported fields before the first Inject. A Fabric drives an engine
 // without queues in virtual time.
 type Engine struct {
@@ -75,11 +76,12 @@ type Engine struct {
 	// ifTable[a][ifID] is AS a's interface table (egress lookup and
 	// SCMP walk-back), dense per AS.
 	ifTable [][]ifEntry
-	keys    [][]byte
+	// macs[a] is AS a's table of expected hop-field MACs.
+	macs []macTable
+	// deliver[a] receives frames delivered at AS a with a decode
+	// scratch; a handler that needs the header decodes into it.
 	deliver []func(f *frame, s *slayers.SCION)
 	scmp    []SCMPFunc
-	// verifiers[a] is AS a's MAC verifier and verdict cache.
-	verifiers []macVerifier
 	// queues[a] is AS a's ingress FIFO under NewEngine and queued the
 	// number of frames waiting in all of them; flush is Flush's
 	// scratch, kept so a warmed engine allocates nothing per Flush.
@@ -101,8 +103,7 @@ type Engine struct {
 	batches, batchPackets                                              atomic.Uint64
 }
 
-// batchSize is how many frames Flush drains from one queue per batch,
-// i.e. per MAC-verifier lock acquisition.
+// batchSize is how many frames Flush drains from one queue per batch.
 const batchSize = 32
 
 // NewEngine builds an engine over the topology. Keys resolves each
@@ -125,15 +126,14 @@ func newEngine(topo *topology.Graph, keys KeyFunc) *Engine {
 		ias:        ias,
 		idx:        make(map[addr.IA]int32, len(ias)),
 		ifTable:    make([][]ifEntry, len(ias)),
-		keys:       make([][]byte, len(ias)),
+		macs:       make([]macTable, len(ias)),
 		deliver:    make([]func(*frame, *slayers.SCION), len(ias)),
 		scmp:       make([]SCMPFunc, len(ias)),
-		verifiers:  make([]macVerifier, len(ias)),
 		pool:       newFramePool(),
 	}
 	for i, ia := range ias {
 		e.idx[ia] = int32(i)
-		e.keys[i] = keys(ia)
+		e.macs[i] = macTable{key: keys(ia), ia: ia}
 	}
 	for _, l := range topo.Links {
 		a, b := e.idx[l.A], e.idx[l.B]
@@ -150,6 +150,7 @@ func (e *Engine) setIf(a int32, ifID addr.IfID, ent ifEntry) {
 	}
 	t[ifID] = ent
 	e.ifTable[a] = t
+	e.macs[a].ifs = len(t)
 }
 
 // lookupIf returns AS a's interface entry for ifID (zero entry if the
@@ -164,7 +165,7 @@ func (e *Engine) lookupIf(a int32, ifID addr.IfID) ifEntry {
 // OnDeliver installs the destination handler of an AS.
 func (e *Engine) OnDeliver(ia addr.IA, fn WireDeliverFunc) {
 	if i, ok := e.idx[ia]; ok {
-		e.deliver[i] = func(_ *frame, s *slayers.SCION) { fn(s) }
+		e.deliver[i] = func(f *frame, s *slayers.SCION) { fn(decoded(f, s)) }
 	}
 }
 
@@ -276,6 +277,9 @@ func (e *Engine) InjectBytes(data []byte, mtu uint16) error {
 	}
 	f := e.pool.get(len(data))
 	copy(f.b, data)
+	if s.NextHdr != slayers.NextHdrSCMP {
+		f.path = s.RawPath() // this was the source router's strict decode
+	}
 	e.enqueue(a, f)
 	return nil
 }
@@ -345,85 +349,77 @@ func (e *Engine) Flush() {
 // nothing per packet.
 type workerCtx struct {
 	batch []*frame
-	ss    []slayers.SCION // decode scratch, one per batch slot
-	jobs  []macJob        // hop fields of the batch's data frames
-	slots []int           // batch slot of each job
-	ok    []bool          // verdict of each job
-	quote slayers.SCION   // SCMP quote decode scratch
+	s     slayers.SCION // full-decode scratch
+	quote slayers.SCION // SCMP quote decode scratch
 }
 
-func newWorkerCtx(n int) *workerCtx {
-	return &workerCtx{
-		batch: make([]*frame, 0, n),
-		ss:    make([]slayers.SCION, n),
-		jobs:  make([]macJob, 0, n),
-		slots: make([]int, 0, n),
-		ok:    make([]bool, n),
-	}
-}
+func newWorkerCtx(n int) *workerCtx { return &workerCtx{batch: make([]*frame, 0, n)} }
 
 // terminal retires a frame: its journey ended (delivered, dropped, or
 // handed to a local handler).
 func (e *Engine) terminal(f *frame) { e.pool.put(f) }
 
-// processBatch runs the border-router pipeline of AS a over one batch:
-// decode all frames, collect their hop-field MAC checks, verify them
-// in one pass against the router's key, then act on each verdict.
+// malformed drops a frame whose bytes the router cannot forward.
+func (e *Engine) malformed(f *frame) {
+	e.droppedMalformed.Add(1)
+	e.terminal(f)
+}
+
+// decoded decodes f in full into s for a step that needs the whole
+// header (delivery, SCMP emission). f's bytes passed the strict decode
+// at its first router and only CurrHF moved since, so it cannot fail.
+func decoded(f *frame, s *slayers.SCION) *slayers.SCION {
+	_ = s.DecodeFromBytes(f.b)
+	return s
+}
+
+// processBatch runs the border-router pipeline of AS a over one batch.
+// A frame's first router decodes it strictly and keeps its path
+// geometry; SCMP frames, decoded in full at every router they walk,
+// move on in that first pass. Every data frame's router then reads the
+// current hop field from the raw bytes, checks its MAC against the
+// AS's expected MAC for that interface pair, and decodes in full only
+// to deliver or to raise an SCMP.
 func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 	e.batches.Add(1)
 	e.batchPackets.Add(uint64(len(ctx.batch)))
-	ctx.jobs = ctx.jobs[:0]
-	ctx.slots = ctx.slots[:0]
-
+	s := &ctx.s
 	for i, f := range ctx.batch {
-		s := &ctx.ss[i]
+		if f.path != (slayers.RawPath{}) {
+			continue
+		}
 		if err := s.DecodeFromBytes(f.b); err != nil {
-			e.droppedMalformed.Add(1)
-			e.terminal(f)
-			continue
-		}
-		if s.NextHdr == slayers.NextHdrSCMP {
+			e.malformed(f)
+		} else if s.NextHdr == slayers.NextHdrSCMP {
 			e.scmpWalkStep(a, f, s, &ctx.quote)
+		} else if f.path = s.RawPath(); f.path != (slayers.RawPath{}) {
 			continue
+		} else {
+			e.malformed(f) // not a SCION path
 		}
-		if s.PathType != slayers.PathTypeSCION {
-			e.droppedMalformed.Add(1)
-			e.terminal(f)
-			continue
-		}
-		if f.arrived {
-			// Ingress border router: advance to the local hop field.
-			if err := s.IncPath(); err != nil {
-				e.droppedMalformed.Add(1)
-				e.terminal(f)
-				continue
-			}
-		}
-		hf, err := s.HopField(int(s.CurrHF))
-		if err != nil {
-			e.droppedMalformed.Add(1)
-			e.terminal(f)
-			continue
-		}
-		ctx.jobs = append(ctx.jobs, macJob{in: hf.ConsIngress, out: hf.ConsEgress, mac: hf.MAC})
-		ctx.slots = append(ctx.slots, i)
+		ctx.batch[i] = nil // the frame left this router
 	}
-
-	ok := ctx.ok[:len(ctx.jobs)]
-	e.verifiers[a].verifyBatch(e.keys[a], e.ias[a], ctx.jobs, ok)
-
-	for j, i := range ctx.slots {
-		f, s := ctx.batch[i], &ctx.ss[i]
-		if !ok[j] {
+	for _, f := range ctx.batch {
+		if f == nil {
+			continue
+		}
+		p, b := f.path, f.b
+		// Ingress border router: advance to the local hop field.
+		if f.arrived && !p.IncPath(b) {
+			e.malformed(f)
+			continue
+		}
+		in, out, mac := p.Hop(b)
+		if !e.macs[a].check(in, out, mac) {
 			e.droppedBadMAC.Add(1)
 			if f.arrived {
-				e.emitSCMP(a, f, s, SCMPBadMAC, seg.LinkKey{})
+				e.emitSCMP(a, f, decoded(f, s), SCMPBadMAC, seg.LinkKey{})
 			}
 			// At the source AS the drop is silent.
 			e.terminal(f)
 			continue
 		}
-		if f.arrived && s.AtDestination() {
+		if f.arrived && p.AtDestination(b) {
 			e.delivered.Add(1)
 			if fn := e.deliver[a]; fn != nil {
 				fn(f, s)
@@ -431,22 +427,23 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 			e.terminal(f)
 			continue
 		}
-		e.egressStep(a, f, s, ctx.jobs[j].out)
+		e.egressStep(a, f, s, out)
 	}
 }
 
 // egressStep forwards a verified frame out of AS a's interface out: the
-// shared egress decision drops it (with the matching SCMP, or silently
-// for gray loss) or the frame moves to the neighbor's router.
+// shared egress decision, made once, drops it (with the matching SCMP,
+// raised from s, or silently for gray loss) or the frame moves to the
+// neighbor's router.
 func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, out addr.IfID) {
 	ent := e.lookupIf(a, out)
-	switch egress(&e.LinkFaults, ent.link, s.FlowID) {
+	switch egress(&e.LinkFaults, ent.link, f.path.FlowID(f.b)) {
 	case egressNoRoute:
 		e.droppedNoRoute.Add(1)
-		e.emitSCMP(a, f, s, SCMPDestUnreachable, seg.LinkKey{})
+		e.emitSCMP(a, f, decoded(f, s), SCMPDestUnreachable, seg.LinkKey{})
 	case egressRevoked:
 		e.revocations.Add(1)
-		e.emitSCMP(a, f, s, SCMPRevokedLink, seg.LinkKey{IA: e.ias[a], If: out})
+		e.emitSCMP(a, f, decoded(f, s), SCMPRevokedLink, seg.LinkKey{IA: e.ias[a], If: out})
 	case egressGray:
 		e.droppedGray.Add(1)
 	default:
@@ -522,13 +519,11 @@ func (e *Engine) emitSCMP(a int32, df *frame, orig *slayers.SCION, typ SCMPType,
 func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayers.SCION) {
 	var m slayers.SCMP
 	if err := m.DecodeFromBytes(s.Payload()); err != nil {
-		e.droppedMalformed.Add(1)
-		e.terminal(f)
+		e.malformed(f)
 		return
 	}
 	if err := quote.DecodeHeader(m.Quote); err != nil {
-		e.droppedMalformed.Add(1)
-		e.terminal(f)
+		e.malformed(f)
 		return
 	}
 	if m.WalkIdx == 0 {
@@ -548,8 +543,7 @@ func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayer
 	}
 	hf, err := quote.HopField(int(m.WalkIdx))
 	if err != nil {
-		e.droppedMalformed.Add(1)
-		e.terminal(f)
+		e.malformed(f)
 		return
 	}
 	ent := e.lookupIf(a, hf.ConsIngress)

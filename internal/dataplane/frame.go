@@ -1,6 +1,10 @@
 package dataplane
 
-import "sync"
+import (
+	"sync"
+
+	"scionmpr/internal/slayers"
+)
 
 // frame is one pooled packet buffer moving through the engine's per-AS
 // queues or, under a Fabric, over simulated links. b holds the full wire
@@ -8,11 +12,14 @@ import "sync"
 // over by a neighbor router (the ingress pipeline advances CurrHF) from a
 // freshly injected one (the source router forwards hop 0 without
 // advancing). pkt is the *Packet the frame was encoded from, handed back
-// to delivery and SCMP handlers (nil for InjectBytes).
+// to delivery and SCMP handlers (nil for InjectBytes). path is the
+// geometry the frame's strict decode at its first router found (zero
+// before it, and for SCMP frames, which every router decodes in full).
 type frame struct {
 	b       []byte
 	arrived bool
 	pkt     *Packet
+	path    slayers.RawPath
 }
 
 // WireLen implements sim.Message: a frame occupies its bytes on a link.
@@ -45,5 +52,6 @@ func (fp *framePool) put(f *frame) {
 	f.b = f.b[:0]
 	f.arrived = false
 	f.pkt = nil
+	f.path = slayers.RawPath{}
 	fp.p.Put(f)
 }

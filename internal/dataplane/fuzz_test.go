@@ -14,9 +14,10 @@ import (
 // FuzzHopFieldMAC fuzzes the hop-field MAC with arbitrary keys and hop
 // coordinates against an independent reference (a fresh HMAC-SHA256
 // over the 12 covered bytes, truncated): the MAC must be a pure
-// function of (key, IA, in, out), and the batch verifier must accept
-// the genuine MAC, reject any single-bit tamper of it, and answer the
-// same from its warmed verdict cache.
+// function of (key, IA, in, out), and a router's expected-MAC table
+// must accept the genuine MAC, reject any single-bit tamper of it, and
+// answer the same once the pair's entry is filled, whether or not the
+// pair is one the table keeps.
 func FuzzHopFieldMAC(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), uint64(0x0001_ff00_0000_0106), uint16(1), uint16(3), uint8(0))
 	f.Add([]byte{}, uint64(0), uint16(0), uint16(0), uint8(47))
@@ -41,31 +42,22 @@ func FuzzHopFieldMAC(f *testing.F) {
 			t.Fatalf("hopMAC %x, %x; reference %x", m1, m2, want)
 		}
 
-		// Batch verifier must accept the genuine MAC and reject a
-		// tampered one, in the same batch (exercising the verdict cache
-		// with both outcomes for near-identical jobs).
-		bad := m1
+		bad := want
 		bad[int(flip)%MACLen] ^= 1 << (flip % 8)
-		jobs := []macJob{
-			{in: hop.In, out: hop.Out, mac: m1},
-			{in: hop.In, out: hop.Out, mac: bad},
-			{in: hop.In, out: hop.Out, mac: m1},
-		}
-		ok := make([]bool, len(jobs))
-		var v macVerifier
-		v.verifyBatch(key, ia, jobs, ok)
-		if !ok[0] || !ok[2] {
-			t.Fatalf("batch verifier rejected genuine MAC (ok=%v)", ok)
-		}
-		if ok[1] {
-			t.Fatalf("batch verifier accepted tampered MAC %x (genuine %x)", bad, m1)
-		}
-		// Re-verify through the warmed verdict cache: same answers.
-		ok2 := make([]bool, len(jobs))
-		v.verifyBatch(key, ia, jobs, ok2)
-		for i := range ok {
-			if ok[i] != ok2[i] {
-				t.Fatalf("verdict cache changed answer %d: %v -> %v", i, ok[i], ok2[i])
+		// One table keeps every pair, one keeps none (a pair of
+		// interfaces the AS lacks).
+		for _, ifs := range []int{1 << 16, 0} {
+			tab := macTable{key: key, ia: ia, ifs: ifs}
+			for round := 0; round < 2; round++ {
+				if !tab.check(hop.In, hop.Out, want) {
+					t.Fatalf("ifs %d round %d: table rejected genuine MAC %x", ifs, round, want)
+				}
+				if tab.check(hop.In, hop.Out, bad) {
+					t.Fatalf("ifs %d round %d: table accepted tampered MAC %x (genuine %x)", ifs, round, bad, want)
+				}
+			}
+			if kept := len(tab.want) == 1; kept != (ifs > 0) {
+				t.Fatalf("ifs %d: table holds %d entries", ifs, len(tab.want))
 			}
 		}
 	})

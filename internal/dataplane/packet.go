@@ -86,68 +86,34 @@ func hopMAC(key []byte, h combinator.Hop) [MACLen]byte {
 	return macOver(keyedMAC(key), h.IA, h.In, h.Out)
 }
 
-// macVerifier verifies hop field MACs for one border router draining
-// batches. All hops a router verifies use its own AS key, so a batch
-// needs exactly one keyed-state acquisition from the shared cache
-// (locked once per batch, not once per packet), and identical hop
-// fields across packets of the batch — the common case when many flows
-// share a path — collapse into a small router-owned verdict cache.
-// The verifier belongs to its AS's router, which runs on one goroutine
-// at a time; only the macStates access inside verifyBatch touches
-// shared state.
-type macVerifier struct {
-	// verdicts caches (ingress, egress, mac) -> valid for this AS key.
-	// Entries are pure functions of the key, so the cache never needs
-	// invalidation, only bounding.
-	verdicts map[[10]byte]bool
+// macTable is one AS's expected hop-field MACs, keyed by interface
+// pair (ingress<<16 | egress). A MAC is a pure function of (key, IA,
+// in, out), so an entry never goes stale; only pairs of interfaces
+// below ifs (the AS's own, 0 included) are kept, which bounds the table
+// by the AS's interface pairs. The table belongs to its AS's router,
+// which runs on one goroutine at a time, and is filled on a miss under
+// macStates.
+type macTable struct {
+	key  []byte
+	ia   addr.IA
+	ifs  int
+	want map[uint32][MACLen]byte
 }
 
-const macCacheLimit = 4096
-
-// verdictKey packs a hop field's MAC-covered bytes plus the MAC.
-func verdictKey(in, out addr.IfID, mac [MACLen]byte) [10]byte {
-	var k [10]byte
-	binary.BigEndian.PutUint16(k[0:2], uint16(in))
-	binary.BigEndian.PutUint16(k[2:4], uint16(out))
-	copy(k[4:], mac[:])
-	return k
-}
-
-// macJob is one hop field to verify against the router's key.
-type macJob struct {
-	in, out addr.IfID
-	mac     [MACLen]byte
-}
-
-// verifyBatch verifies jobs for the AS ia under key, writing verdicts
-// into ok (len(ok) == len(jobs)). One lock acquisition per call.
-func (v *macVerifier) verifyBatch(key []byte, ia addr.IA, jobs []macJob, ok []bool) {
-	if v.verdicts == nil {
-		v.verdicts = make(map[[10]byte]bool, 64)
-	}
-	var misses []int
-	for i, j := range jobs {
-		if verdict, hit := v.verdicts[verdictKey(j.in, j.out, j.mac)]; hit {
-			ok[i] = verdict
-		} else {
-			misses = append(misses, i)
+// check reports whether mac is the genuine MAC of hop field (in, out).
+func (t *macTable) check(in, out addr.IfID, mac [MACLen]byte) bool {
+	k := uint32(in)<<16 | uint32(out)
+	want, ok := t.want[k]
+	if !ok {
+		want = hopMAC(t.key, combinator.Hop{IA: t.ia, In: in, Out: out})
+		if int(in) < t.ifs && int(out) < t.ifs {
+			if t.want == nil {
+				t.want = map[uint32][MACLen]byte{}
+			}
+			t.want[k] = want
 		}
 	}
-	if len(misses) == 0 {
-		return
-	}
-	if len(v.verdicts) > macCacheLimit {
-		v.verdicts = make(map[[10]byte]bool, 64)
-	}
-	macStates.Lock()
-	m := keyedMAC(key)
-	for _, i := range misses {
-		j := jobs[i]
-		want := macOver(m, ia, j.in, j.out)
-		ok[i] = hmac.Equal(want[:], j.mac[:])
-		v.verdicts[verdictKey(j.in, j.out, j.mac)] = ok[i]
-	}
-	macStates.Unlock()
+	return hmac.Equal(want[:], mac[:])
 }
 
 // Authorize stamps a combinator path into a forwarding path: each AS's

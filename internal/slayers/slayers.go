@@ -13,6 +13,11 @@
 // panics and never reads past len(data) (FuzzPacketDecode enforces
 // this).
 //
+// A border router decodes strictly once: the first router to see a
+// packet runs DecodeFromBytes, and every later one reads the path
+// through RawPath straight from the raw path bytes, decoding in full
+// again only where it needs the whole header (delivery, SCMP).
+//
 // Layout (all fields big-endian):
 //
 //	common header (12 bytes)
@@ -39,8 +44,9 @@
 // ConsEgress): the AS identity enters through the forwarding key the
 // verifying border router uses, the interface pair through the MAC
 // input, so a hop field moved to another AS or rewritten to different
-// interfaces fails verification (internal/dataplane computes and
-// checks the MACs; this package only carries the bytes).
+// interfaces fails verification (internal/dataplane computes the MACs
+// and checks each hop against one expected MAC per interface pair of
+// its AS; this package only carries the bytes).
 package slayers
 
 import (
@@ -490,4 +496,50 @@ func (s *SCION) IncPath() error {
 // AtDestination reports whether the current hop is the last one.
 func (s *SCION) AtDestination() bool {
 	return s.PathType == PathTypeSCION && s.CurrHF == s.NumHops-1
+}
+
+// RawPath is the geometry of a SCION path that DecodeFromBytes
+// accepted: the offset of its meta word and its hop count. Kept beside
+// the packet bytes it reads a transit router's fields — FlowID, CurrHF,
+// the current hop field — straight from them and advances CurrHF in
+// place. That increment is the only write, so what the strict decode
+// checked stays true. The zero RawPath belongs to no decoded path.
+type RawPath struct {
+	off  uint16
+	hops uint8
+}
+
+// RawPath returns the geometry of the decoded SCION path (zero for
+// any other path type).
+func (s *SCION) RawPath() RawPath {
+	if s.raw == nil || s.PathType != PathTypeSCION {
+		return RawPath{}
+	}
+	return RawPath{off: uint16(s.pathOff), hops: s.NumHops}
+}
+
+// FlowID reads the flow id of packet b.
+func (RawPath) FlowID(b []byte) uint32 { return binary.BigEndian.Uint32(b) & 0xfffff }
+
+func (p RawPath) currHF(b []byte) uint8 { return b[p.off] & 0x3f }
+
+// AtDestination reports whether b's current hop is the last one.
+func (p RawPath) AtDestination(b []byte) bool { return p.currHF(b) == p.hops-1 }
+
+// IncPath advances b's CurrHF in place; at the last hop it reports
+// false and leaves b unchanged.
+func (p RawPath) IncPath(b []byte) bool {
+	c := p.currHF(b) + 1
+	if c >= p.hops {
+		return false
+	}
+	b[p.off] = b[p.off]&0xc0 | c
+	return true
+}
+
+// Hop reads the interfaces and MAC of b's current hop field.
+func (p RawPath) Hop(b []byte) (in, out addr.IfID, mac [MACLen]byte) {
+	o := int(p.off) + MetaLen + InfoLen + HopLen*int(p.currHF(b))
+	copy(mac[:], b[o+6:o+12])
+	return addr.IfID(binary.BigEndian.Uint16(b[o+2:])), addr.IfID(binary.BigEndian.Uint16(b[o+4:])), mac
 }

@@ -21,7 +21,9 @@ import (
 type PathView struct {
 	// Hops is the AS-level path length.
 	Hops int
-	// Delay is the one-way propagation delay.
+	// Delay is the one-way propagation delay. No policy reads it and
+	// the traffic engine leaves it zero; the endpoint_cold benchmark
+	// still sets it.
 	Delay time.Duration
 	// Bottleneck is the smallest link capacity along the path (bytes/s).
 	Bottleneck float64

@@ -393,7 +393,6 @@ func (e *Engine) pump(f *Flow) {
 	for _, p := range f.paths {
 		f.infos = append(f.infos, strategy.PathView{
 			Hops:       len(p.fp.Hops),
-			Delay:      p.delay,
 			Bottleneck: p.bottleneck,
 			Busy:       p.busyUntil > now,
 			Revoked:    p.revoked,
