@@ -38,6 +38,7 @@ var deadCodeKeep = map[string]string{
 	"scionmpr/internal/slayers.SCMPTypeDestUnreachable": "wire-spec SCMP type code",
 	"scionmpr/internal/slayers.SCION.IncPath":           "struct-header ingress step of the router oracle (internal/dataplane/router_reference_test.go), kept verbatim; the engine advances CurrHF through RawPath",
 	"scionmpr/internal/slayers.SCION.AtDestination":     "struct-header destination test of the same router oracle; the engine asks RawPath",
+	"scionmpr/internal/slayers.SCMP.SetWalkIdx":         "SCMP walk step of the same router oracle, which decodes at every router; the engine steps back through RawWalk",
 
 	"scionmpr/internal/experiments.ChurnResult.CheckOrdering": "the paper-shape check on churn results: diversity no worse than baseline, both better than BGP",
 
@@ -46,8 +47,6 @@ var deadCodeKeep = map[string]string{
 	"scionmpr/internal/combinator.PeeringShortcut": "public one-pair peering-shortcut construction (§2.2) that AllPaths runs in bulk; pinned to the reference in tests",
 
 	"scionmpr/internal/core.Diversity.HistoryCounter": "test hook into the Link History Table",
-
-	"scionmpr/internal/dataplane.Fabric.LinkDelay": "shadows the engine table's promoted LinkDelay (always 0 on a fabric) with the delay its frames take; pinned by TestFabricLinkDelay",
 
 	"scionmpr/benchmark.smokeScale": "benchmark module: its smoke tests run every workload at this scale",
 }

@@ -129,8 +129,7 @@ func run(w io.Writer) error {
 
 	// 4. Data plane: authorize hop fields and send a packet.
 	var s sim.Simulator
-	net := sim.NewNetwork(&s, topo, 5*time.Millisecond)
-	fabric := dataplane.NewFabric(net, infra.ForwardingKey)
+	fabric := dataplane.NewFabric(&s, topo, 5*time.Millisecond, sim.NewLinkFaults(topo), infra.ForwardingKey)
 	fp, err := dataplane.Authorize(paths[0], infra.ForwardingKey)
 	if err != nil {
 		return err

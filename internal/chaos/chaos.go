@@ -102,9 +102,6 @@ func (e *Engine) trace(kind telemetry.EventKind, actor, subject uint64, reason s
 	})
 }
 
-// AddTarget registers an additional fault target.
-func (e *Engine) AddTarget(t FaultTarget) { e.targets = append(e.targets, t) }
-
 // AddCrashTarget registers a process-fault target.
 func (e *Engine) AddCrashTarget(t CrashTarget) { e.crash = append(e.crash, t) }
 
@@ -271,10 +268,10 @@ func (e *Engine) applySpike(id topology.LinkID) {
 			max = d
 		}
 	}
-	// Every target gets the override. Two targets over one network set
-	// it twice, which is idempotent. A dataplane.Fabric passes it to its
-	// network, which delays the frames it carries; a queue-draining
-	// dataplane.Engine stores it but has no delay model to act on it.
+	// Every target gets the override (two over one table set it twice,
+	// which is idempotent). A sim.Network and a dataplane.Fabric delay
+	// what they carry by it; a queue-draining dataplane.Engine has no
+	// clock and only stores it.
 	for _, t := range e.targets {
 		t.SetLinkDelay(id, max)
 	}

@@ -48,8 +48,8 @@ func newEnv(t testing.TB) *env {
 		t.Fatal(err)
 	}
 	s := &sim.Simulator{}
-	net := sim.NewNetwork(s, topo, time.Millisecond)
-	e := &env{topo: topo, infra: infra, sim: s, fabric: NewFabric(net, infra.ForwardingKey), run: run}
+	e := &env{topo: topo, infra: infra, sim: s, run: run,
+		fabric: NewFabric(s, topo, time.Millisecond, sim.NewLinkFaults(topo), infra.ForwardingKey)}
 	// Paths A-6 -> A-4: up segments to A-2 joined with down segments to
 	// A-4, plus shortcuts.
 	if e.paths = e.pathsBetween(t, a6, a4); len(e.paths) == 0 {

@@ -55,7 +55,8 @@ type diffPacket struct {
 
 // diffTrace is a deterministic function of the seed: groups of packets
 // spread over all pair paths, a few with tampered hop-field MACs, and
-// per-group fault actions quantized from a chaos schedule.
+// per-group fault actions (flaps, gray loss, latency spikes) quantized
+// from a chaos schedule.
 type diffTrace struct {
 	groups  [][]diffPacket
 	actions [][]func(chaos.FaultTarget)
@@ -64,11 +65,17 @@ type diffTrace struct {
 const (
 	diffGroups        = 12
 	diffFlowsPerGroup = 24
+	// spikeFraction is the part of every spike delay below a
+	// millisecond; the default link delay has none.
+	spikeFraction = 500 * time.Microsecond
 )
 
 // buildDiffTrace assembles the trace over every beaconing-derived path
-// between the leaf ASes, with a chaos schedule (flap + gray windows on
-// path links) quantized to group boundaries.
+// between the leaf ASes, with a chaos schedule (flap, gray and spike
+// windows on path links) quantized to group boundaries. Spikes are drawn
+// last, so the flaps and gray windows are those of the trace before
+// spikes joined it; each spike's delay has a half-millisecond part, so
+// an outcome that crossed a spiked link shows in its latency.
 func buildDiffTrace(t testing.TB, e *env, seed int64) *diffTrace {
 	t.Helper()
 	var paths []*FwdPath
@@ -157,6 +164,15 @@ func buildDiffTrace(t testing.TB, e *env, seed int64) *diffTrace {
 			Rate: 0.2 + 0.6*rng.Float64(),
 		})
 	}
+	for i := 0; i < 3 && i < len(links); i++ {
+		at := time.Duration(rng.Intn(diffGroups-3)+1) * groupDur
+		down := time.Duration(rng.Intn(3)+1) * groupDur
+		sched.Events = append(sched.Events, chaos.Event{
+			Kind: chaos.Spike, Link: links[rng.Intn(len(links))],
+			At: sim.Time(at), Down: down,
+			Delay: time.Duration(2+rng.Intn(8))*time.Millisecond + spikeFraction,
+		})
+	}
 	for _, ev := range sched.Events {
 		id := ev.Link
 		gOn := int(time.Duration(ev.At) / groupDur)
@@ -172,6 +188,10 @@ func buildDiffTrace(t testing.TB, e *env, seed int64) *diffTrace {
 			rate := ev.Rate
 			tr.actions[gOn] = append(tr.actions[gOn], func(ft chaos.FaultTarget) { ft.SetLinkLoss(id, rate) })
 			tr.actions[gOff] = append(tr.actions[gOff], func(ft chaos.FaultTarget) { ft.SetLinkLoss(id, 0) })
+		case chaos.Spike:
+			d := ev.Delay
+			tr.actions[gOn] = append(tr.actions[gOn], func(ft chaos.FaultTarget) { ft.SetLinkDelay(id, d) })
+			tr.actions[gOff] = append(tr.actions[gOff], func(ft chaos.FaultTarget) { ft.SetLinkDelay(id, 0) })
 		}
 	}
 	return tr
@@ -227,7 +247,7 @@ func diffPacketFor(p diffPacket) *Packet {
 // diffRun is what one replay of a trace through a virtual-time plane
 // observed: each packet's outcome and the virtual time it was known
 // (delivery or SCMP arrival at the sender), the plane's counters, every
-// per-interface counter of the simulated network, and the number of
+// per-interface link counter that saw traffic, and the number of
 // simulator events executed.
 type diffRun struct {
 	outcomes map[uint32]diffOutcome
@@ -239,17 +259,28 @@ type diffRun struct {
 
 func (r *diffRun) fingerprint() string { return fingerprint(r.outcomes, r.counters) }
 
-// virtualPlane is a plane under test on a simulated network: its fault
-// target, its inject function and its counters.
+// virtualPlane is a plane under test on a simulator clock: its fault
+// target, its inject function, its counters and its link counters.
 type virtualPlane struct {
 	faults   chaos.FaultTarget
 	inject   func(*Packet) error
 	counters func() diffCounters
+	ifaces   func() map[sim.IfKey]sim.Counter
 }
 
-// referencePlane builds the reference router on net; record receives
-// each packet's outcome.
-func referencePlane(e *env, net *sim.Network, record func(uint32, diffOutcome)) virtualPlane {
+// refFaults is the reference router's fault target: failures and loss
+// go to its own table, delay overrides to the network carrying its
+// frames.
+type refFaults struct {
+	*refFabric
+}
+
+func (r refFaults) SetLinkDelay(id topology.LinkID, d time.Duration) { r.Net.SetLinkDelay(id, d) }
+
+// referencePlane builds the reference router on a sim.Network over s;
+// record receives each packet's outcome.
+func referencePlane(e *env, s *sim.Simulator, record func(uint32, diffOutcome)) virtualPlane {
+	net := sim.NewNetwork(s, e.topo, time.Millisecond)
 	fab := newRefFabric(net, e.infra.ForwardingKey)
 	for _, ia := range e.topo.IAs() {
 		fab.deliver[ia] = func(p *refPacket) {
@@ -260,7 +291,7 @@ func referencePlane(e *env, net *sim.Network, record func(uint32, diffOutcome)) 
 		}
 	}
 	return virtualPlane{
-		faults: fab,
+		faults: refFaults{fab},
 		inject: func(p *Packet) error { return fab.Inject(&refPacket{Packet: p}) },
 		counters: func() diffCounters {
 			return diffCounters{
@@ -270,14 +301,22 @@ func referencePlane(e *env, net *sim.Network, record func(uint32, diffOutcome)) 
 				DroppedGray: fab.DroppedGray,
 			}
 		},
+		ifaces: func() map[sim.IfKey]sim.Counter {
+			out := map[sim.IfKey]sim.Counter{}
+			for _, k := range net.Interfaces() {
+				out[k] = net.InterfaceCounter(k.IA, k.If)
+			}
+			return out
+		},
 	}
 }
 
-// fabricPlane builds a Fabric on net. Its handlers key outcomes on the
-// injected packet they are handed back, so a handler that got another
-// pointer (or none) shows as a mismatch.
-func fabricPlane(t *testing.T, e *env, net *sim.Network, record func(uint32, diffOutcome)) virtualPlane {
-	fab := NewFabric(net, e.infra.ForwardingKey)
+// fabricPlane builds a Fabric on s with the reference's default delay.
+// Its handlers key outcomes on the injected packet they are handed
+// back, so a handler that got another pointer (or none) shows as a
+// mismatch.
+func fabricPlane(t *testing.T, e *env, s *sim.Simulator, record func(uint32, diffOutcome)) virtualPlane {
+	fab := NewFabric(s, e.topo, time.Millisecond, sim.NewLinkFaults(e.topo), e.infra.ForwardingKey)
 	for _, ia := range e.topo.IAs() {
 		fab.OnDeliver(ia, func(p *Packet) {
 			record(p.FlowID, diffOutcome{delivered: true, scmp: -1})
@@ -296,7 +335,26 @@ func fabricPlane(t *testing.T, e *env, net *sim.Network, record func(uint32, dif
 			}
 			return statsCounters(st)
 		},
+		ifaces: func() map[sim.IfKey]sim.Counter { return fabricIfaces(fab) },
 	}
+}
+
+// fabricIfaces keys the fabric's link counters that saw traffic by
+// interface, as the reference's sim.Network reports them.
+func fabricIfaces(fab *Fabric) map[sim.IfKey]sim.Counter {
+	out := map[sim.IfKey]sim.Counter{}
+	for i, c := range fab.e.ifc {
+		if c.TxMsgs|c.RxMsgs == 0 {
+			continue
+		}
+		l := fab.Topo().Links[i/2]
+		k := sim.IfKey{IA: l.A, If: l.AIf}
+		if i%2 == 1 {
+			k = sim.IfKey{IA: l.B, If: l.BIf}
+		}
+		out[k] = c
+	}
+	return out
 }
 
 func statsCounters(st EngineStats) diffCounters {
@@ -309,14 +367,13 @@ func statsCounters(st EngineStats) diffCounters {
 }
 
 // runVirtual replays the trace through a plane built on a fresh
-// simulated network, quiescing the clock at every group boundary.
+// simulator, quiescing the clock at every group boundary.
 func runVirtual(t *testing.T, e *env, tr *diffTrace,
-	build func(net *sim.Network, record func(uint32, diffOutcome)) virtualPlane) *diffRun {
+	build func(s *sim.Simulator, record func(uint32, diffOutcome)) virtualPlane) *diffRun {
 	t.Helper()
 	s := &sim.Simulator{}
-	net := sim.NewNetwork(s, e.topo, time.Millisecond)
 	run := &diffRun{outcomes: map[uint32]diffOutcome{}, sent: map[uint32]sim.Time{}, at: map[uint32]sim.Time{}}
-	plane := build(net, func(flow uint32, o diffOutcome) {
+	plane := build(s, func(flow uint32, o diffOutcome) {
 		run.outcomes[flow] = o
 		run.at[flow] = s.Now()
 	})
@@ -335,22 +392,19 @@ func runVirtual(t *testing.T, e *env, tr *diffTrace,
 	}
 	run.counters = plane.counters()
 	run.executed = s.Executed
-	run.ifaces = map[sim.IfKey]sim.Counter{}
-	for _, k := range net.Interfaces() {
-		run.ifaces[k] = net.InterfaceCounter(k.IA, k.If)
-	}
+	run.ifaces = plane.ifaces()
 	return run
 }
 
 func runReference(t *testing.T, e *env, tr *diffTrace) *diffRun {
-	return runVirtual(t, e, tr, func(net *sim.Network, rec func(uint32, diffOutcome)) virtualPlane {
-		return referencePlane(e, net, rec)
+	return runVirtual(t, e, tr, func(s *sim.Simulator, rec func(uint32, diffOutcome)) virtualPlane {
+		return referencePlane(e, s, rec)
 	})
 }
 
 func runFabric(t *testing.T, e *env, tr *diffTrace) *diffRun {
-	return runVirtual(t, e, tr, func(net *sim.Network, rec func(uint32, diffOutcome)) virtualPlane {
-		return fabricPlane(t, e, net, rec)
+	return runVirtual(t, e, tr, func(s *sim.Simulator, rec func(uint32, diffOutcome)) virtualPlane {
+		return fabricPlane(t, e, s, rec)
 	})
 }
 
@@ -417,10 +471,11 @@ func TestDifferentialGolden(t *testing.T) {
 
 // TestDifferentialTiming holds the Fabric to the reference router in
 // virtual time: on each seeded trace both must give every packet the
-// same outcome at the same virtual instant, leave every per-interface
-// counter of the simulated network equal (so each frame, SCMP
-// walk-backs included, crossed the same links with the same byte
-// count), and execute the same number of simulator events.
+// same outcome at the same virtual instant — latency spikes included,
+// which the reference's sim.Network applies and the fabric reads from
+// its fault table — leave every per-interface link counter equal (so
+// each frame, SCMP walk-backs included, crossed the same links with the
+// same byte count), and execute the same number of simulator events.
 func TestDifferentialTiming(t *testing.T) {
 	e := newEnv(t)
 	for _, seed := range []int64{7, 99} {
@@ -435,7 +490,7 @@ func TestDifferentialTiming(t *testing.T) {
 			if len(fab.outcomes) != len(ref.outcomes) {
 				t.Errorf("fabric saw %d packets, reference %d", len(fab.outcomes), len(ref.outcomes))
 			}
-			scmpLate := 0
+			scmpLate, spiked := 0, 0
 			for flow, want := range ref.at {
 				got, ok := fab.at[flow]
 				if !ok || got != want {
@@ -443,6 +498,9 @@ func TestDifferentialTiming(t *testing.T) {
 				}
 				if ref.outcomes[flow].scmp >= 0 && want > ref.sent[flow] {
 					scmpLate++ // an SCMP that walked back over at least one link
+				}
+				if (want-ref.sent[flow])%sim.Time(time.Millisecond) != 0 {
+					spiked++ // crossed a link under a latency spike
 				}
 			}
 			if len(fab.at) != len(ref.at) {
@@ -462,8 +520,9 @@ func TestDifferentialTiming(t *testing.T) {
 			if fab.counters != ref.counters {
 				t.Errorf("fabric counters %+v, reference %+v", fab.counters, ref.counters)
 			}
-			if scmpLate == 0 || len(ref.ifaces) == 0 {
-				t.Errorf("trace exercised no SCMP walk-back (%d) or no links (%d)", scmpLate, len(ref.ifaces))
+			if scmpLate == 0 || spiked == 0 || len(ref.ifaces) == 0 {
+				t.Errorf("trace exercised no SCMP walk-back (%d), no latency spike (%d) or no links (%d)",
+					scmpLate, spiked, len(ref.ifaces))
 			}
 		})
 	}

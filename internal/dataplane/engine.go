@@ -3,13 +3,14 @@
 // buffers, a strict decode at a frame's first router and raw path bytes
 // after it, one expected MAC per interface pair and, under NewEngine,
 // per-AS ingress queues that Flush drains in fixed-size batches on the
-// caller's goroutine. A Fabric drives the same per-AS pipeline in
-// virtual time, one frame at a time (fabric.go).
+// caller's goroutine. A Fabric drives the same pipeline in virtual
+// time, each link crossing a clock event (fabric.go).
 package dataplane
 
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"scionmpr/internal/addr"
 	"scionmpr/internal/seg"
@@ -30,11 +31,12 @@ func wireSCMPType(t SCMPType) uint8 { return uint8(t) + 1 }
 // scmpTypeFromWire is the inverse of wireSCMPType.
 func scmpTypeFromWire(b uint8) SCMPType { return SCMPType(int(b) - 1) }
 
-// ifEntry is one egress-table slot: the attached link and the dense
-// index of the AS on the other side.
+// ifEntry is one egress-table slot: the attached link, the dense index
+// of the AS on the other side and the interface's ifc slot.
 type ifEntry struct {
 	link *topology.Link
 	dst  int32
+	ifc  int32
 }
 
 // EngineStats is a snapshot of the engine's forwarding counters. The
@@ -56,7 +58,7 @@ type EngineStats struct {
 // lifetime — hop-field read, MAC check, egress lookup, hand-off to the
 // next queue — happens on packet bytes without allocating. Configure the
 // exported fields before the first Inject. A Fabric drives an engine
-// without queues in virtual time.
+// without queues on its world's clock.
 type Engine struct {
 	Topo *topology.Graph
 	Keys KeyFunc
@@ -67,9 +69,8 @@ type Engine struct {
 	Workers int
 
 	// Link fault state (chaos.FaultTarget), read by the egress decision;
-	// gray loss is decided per (flow, link). The engine has no latency
-	// model yet: it stores delay overrides but does not act on them.
-	sim.LinkFaults
+	// gray loss is per (flow, link); delays act only under a Fabric.
+	*sim.LinkFaults
 
 	ias []addr.IA
 	idx map[addr.IA]int32
@@ -88,15 +89,18 @@ type Engine struct {
 	queues [][]*frame
 	queued int
 	flush  *workerCtx
-	// net, when a Fabric drives the engine, carries frames between
-	// routers instead of the queues; steps[d] is the scratch of a step
-	// nested d deep (a handler a step calls may inject, which steps
-	// again).
-	net   *sim.Network
+	// clock, when a Fabric drives the engine, carries frames between
+	// routers instead of the queues, and ifc counts them per interface
+	// (topology link i's A side at 2i, B side at 2i+1); steps[d] is the
+	// scratch of a step nested d deep (a handler may inject, stepping).
+	clock *sim.Simulator
+	delay time.Duration
+	ifc   []sim.Counter
 	steps []*workerCtx
 	depth int
 
 	pool *framePool
+	enc  slayers.SCION // Inject's encode scratch
 
 	forwarded, delivered, droppedBadMAC, droppedNoRoute, droppedTooBig atomic.Uint64
 	revocations, droppedGray, droppedMalformed                         atomic.Uint64
@@ -110,19 +114,19 @@ const batchSize = 32
 // AS's forwarding key once up front; ASes with no key fail every MAC
 // check.
 func NewEngine(topo *topology.Graph, keys KeyFunc) *Engine {
-	e := newEngine(topo, keys)
+	e := newEngine(topo, keys, sim.NewLinkFaults(topo))
 	e.queues = make([][]*frame, len(e.ias))
 	e.flush = newWorkerCtx(batchSize)
 	return e
 }
 
-// newEngine builds the per-AS tables without queues or Flush scratch.
-func newEngine(topo *topology.Graph, keys KeyFunc) *Engine {
+// newEngine builds the per-AS tables on faults, without queues or Flush.
+func newEngine(topo *topology.Graph, keys KeyFunc, faults *sim.LinkFaults) *Engine {
 	ias := topo.IAs()
 	e := &Engine{
 		Topo:       topo,
 		Keys:       keys,
-		LinkFaults: sim.NewLinkFaults(topo),
+		LinkFaults: faults,
 		ias:        ias,
 		idx:        make(map[addr.IA]int32, len(ias)),
 		ifTable:    make([][]ifEntry, len(ias)),
@@ -135,10 +139,10 @@ func newEngine(topo *topology.Graph, keys KeyFunc) *Engine {
 		e.idx[ia] = int32(i)
 		e.macs[i] = macTable{key: keys(ia), ia: ia}
 	}
-	for _, l := range topo.Links {
+	for i, l := range topo.Links {
 		a, b := e.idx[l.A], e.idx[l.B]
-		e.setIf(a, l.AIf, ifEntry{link: l, dst: b})
-		e.setIf(b, l.BIf, ifEntry{link: l, dst: a})
+		e.setIf(a, l.AIf, ifEntry{link: l, dst: b, ifc: 2 * int32(i)})
+		e.setIf(b, l.BIf, ifEntry{link: l, dst: a, ifc: 2*int32(i) + 1})
 	}
 	return e
 }
@@ -248,12 +252,12 @@ func (e *Engine) Inject(pkt *Packet) error {
 		return fmt.Errorf("dataplane: packet of %d bytes exceeds path MTU %d", n, pkt.Path.MTU)
 	}
 	f := e.pool.get(n)
-	var s slayers.SCION
-	if _, err := EncodePacket(&s, pkt, f.b); err != nil {
+	if _, err := EncodePacket(&e.enc, pkt, f.b); err != nil {
 		e.pool.put(f)
 		return err
 	}
 	f.pkt = pkt
+	f.path = e.enc.RawPath() // so no router decodes it
 	e.enqueue(a, f)
 	return nil
 }
@@ -285,21 +289,31 @@ func (e *Engine) InjectBytes(data []byte, mtu uint16) error {
 }
 
 func (e *Engine) enqueue(a int32, f *frame) {
-	if e.net != nil {
+	if e.clock != nil {
 		e.step(a, f)
 		return
 	}
 	e.push(a, f)
 }
 
-// out hands f, leaving AS a over ent, to the neighbor's router: onto its
-// queue, or under a Fabric onto the simulated link.
-func (e *Engine) out(a int32, ent ifEntry, f *frame) {
-	if e.net != nil {
-		e.net.Send(e.ias[a], ent.link, f)
+// out hands f, leaving over ent, to the neighbor's router: onto its
+// queue, or under a Fabric onto the clock, landing one link delay later.
+func (e *Engine) out(ent ifEntry, f *frame) {
+	if e.clock == nil {
+		e.push(ent.dst, f)
 		return
 	}
-	e.push(ent.dst, f)
+	e.ifc[ent.ifc].TxBytes += uint64(len(f.b))
+	e.ifc[ent.ifc].TxMsgs++
+	f.to, f.rx = ent.dst, ent.ifc^1
+	if f.land == nil {
+		f.land = func() {
+			e.ifc[f.rx].RxBytes += uint64(len(f.b))
+			e.ifc[f.rx].RxMsgs++
+			e.step(f.to, f)
+		}
+	}
+	e.clock.At(e.clock.Now()+sim.Time(e.DelayOr(ent.link.ID, e.delay)), f.land)
 }
 
 // push appends f to AS a's queue.
@@ -367,19 +381,18 @@ func (e *Engine) malformed(f *frame) {
 
 // decoded decodes f in full into s for a step that needs the whole
 // header (delivery, SCMP emission). f's bytes passed the strict decode
-// at its first router and only CurrHF moved since, so it cannot fail.
+// or came from the encoder, and only CurrHF moved since: it cannot fail.
 func decoded(f *frame, s *slayers.SCION) *slayers.SCION {
 	_ = s.DecodeFromBytes(f.b)
 	return s
 }
 
 // processBatch runs the border-router pipeline of AS a over one batch.
-// A frame's first router decodes it strictly and keeps its path
-// geometry; SCMP frames, decoded in full at every router they walk,
-// move on in that first pass. Every data frame's router then reads the
-// current hop field from the raw bytes, checks its MAC against the
-// AS's expected MAC for that interface pair, and decodes in full only
-// to deliver or to raise an SCMP.
+// A frame without geometry is decoded strictly and keeps what the
+// decode found; SCMP frames move on in that first pass. Every data
+// frame's router then reads the current hop field from the raw bytes,
+// checks its MAC against the AS's expected MAC for that interface pair,
+// and decodes in full only to deliver or to raise an SCMP.
 func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 	e.batches.Add(1)
 	e.batchPackets.Add(uint64(len(ctx.batch)))
@@ -388,9 +401,10 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 		if f.path != (slayers.RawPath{}) {
 			continue
 		}
-		if err := s.DecodeFromBytes(f.b); err != nil {
+		walking := f.walk != (slayers.RawWalk{}) // an SCMP frame past its first router
+		if !walking && s.DecodeFromBytes(f.b) != nil {
 			e.malformed(f)
-		} else if s.NextHdr == slayers.NextHdrSCMP {
+		} else if walking || s.NextHdr == slayers.NextHdrSCMP {
 			e.scmpWalkStep(a, f, s, &ctx.quote)
 		} else if f.path = s.RawPath(); f.path != (slayers.RawPath{}) {
 			continue
@@ -431,25 +445,25 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 	}
 }
 
-// egressStep forwards a verified frame out of AS a's interface out: the
-// shared egress decision, made once, drops it (with the matching SCMP,
-// raised from s, or silently for gray loss) or the frame moves to the
-// neighbor's router.
+// egressStep forwards a verified frame out of AS a's interface out, or
+// drops it: no link or a failed link raises the matching SCMP from s, a
+// gray link sheds it silently on its flow's loss coin (the same packets
+// under Flush and a Fabric).
 func (e *Engine) egressStep(a int32, f *frame, s *slayers.SCION, out addr.IfID) {
 	ent := e.lookupIf(a, out)
-	switch egress(&e.LinkFaults, ent.link, f.path.FlowID(f.b)) {
-	case egressNoRoute:
+	switch l := ent.link; {
+	case l == nil:
 		e.droppedNoRoute.Add(1)
 		e.emitSCMP(a, f, decoded(f, s), SCMPDestUnreachable, seg.LinkKey{})
-	case egressRevoked:
+	case e.Failed(l.ID):
 		e.revocations.Add(1)
 		e.emitSCMP(a, f, decoded(f, s), SCMPRevokedLink, seg.LinkKey{IA: e.ias[a], If: out})
-	case egressGray:
+	case e.LinkLoss(l.ID) > 0 && sim.LossCoin(uint64(f.path.FlowID(f.b)), l.ID, e.LinkLoss(l.ID)):
 		e.droppedGray.Add(1)
 	default:
 		e.forwarded.Add(1)
 		f.arrived = true
-		e.out(a, ent, f)
+		e.out(ent, f)
 		return
 	}
 	e.terminal(f)
@@ -514,20 +528,22 @@ func (e *Engine) emitSCMP(a int32, df *frame, orig *slayers.SCION, typ SCMPType,
 // current AS's index on the quoted path; at zero the message arrived
 // home and is delivered, otherwise it leaves over the link attached to
 // the quoted hop's ingress interface with WalkIdx decremented in
-// place. SCMP messages are never subject to MAC checks, failures, or
-// loss.
+// place, through the walk geometry its first router (s holds that
+// router's strict decode) keeps; only home decodes it again, to deliver.
+// SCMP messages are never subject to MAC checks, failures, or loss.
 func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayers.SCION) {
 	var m slayers.SCMP
-	if err := m.DecodeFromBytes(s.Payload()); err != nil {
-		e.malformed(f)
-		return
+	if f.walk == (slayers.RawWalk{}) {
+		if f.walk = s.DecodeWalk(&m, quote); f.walk == (slayers.RawWalk{}) {
+			e.malformed(f)
+			return
+		}
 	}
-	if err := quote.DecodeHeader(m.Quote); err != nil {
-		e.malformed(f)
-		return
-	}
-	if m.WalkIdx == 0 {
+	in, home := f.walk.Step(f.b)
+	if home {
 		if fn := e.scmp[a]; fn != nil {
+			_ = s.DecodeFromBytes(f.b) // passed the strict decode: cannot fail
+			s.DecodeWalk(&m, quote)
 			fn(&SCMP{
 				Type:     scmpTypeFromWire(m.Type),
 				Link:     seg.LinkKey{IA: m.LinkIA, If: m.LinkIf},
@@ -541,18 +557,12 @@ func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayer
 		e.terminal(f)
 		return
 	}
-	hf, err := quote.HopField(int(m.WalkIdx))
-	if err != nil {
-		e.malformed(f)
-		return
-	}
-	ent := e.lookupIf(a, hf.ConsIngress)
+	ent := e.lookupIf(a, in)
 	if ent.link == nil {
 		// No arrival link — the quoted path does not match the
 		// topology. Vanish silently.
 		e.terminal(f)
 		return
 	}
-	_ = m.SetWalkIdx(m.WalkIdx - 1) // rewrites the frame bytes in place
-	e.out(a, ent, f)
+	e.out(ent, f)
 }

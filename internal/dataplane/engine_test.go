@@ -441,7 +441,7 @@ func TestLinkDelayBounds(t *testing.T) {
 		Failed(topology.LinkID) bool
 		LinkLoss(topology.LinkID) float64
 		LinkDelay(topology.LinkID) time.Duration
-	}{"engine": eng, "fabric": e.fabric, "network": e.fabric.Net} {
+	}{"engine": eng, "fabric": e.fabric, "network": sim.NewNetwork(e.sim, e.topo, time.Millisecond)} {
 		ft.FailLink(bad)
 		ft.RestoreLink(bad)
 		ft.SetLinkLoss(bad, 0.5)
@@ -452,18 +452,41 @@ func TestLinkDelayBounds(t *testing.T) {
 	}
 }
 
-// TestFabricLinkDelay: a fabric answers LinkDelay from the network that
-// carries its frames, the table its SetLinkDelay writes.
+// TestFabricLinkDelay: a delay override in the fabric's fault table
+// delays the frames crossing that link by exactly the override, in place
+// of the default, and clearing it restores the default.
 func TestFabricLinkDelay(t *testing.T) {
 	e := newEnv(t)
-	f, id := e.fabric, e.topo.Links[0].ID
-	f.SetLinkDelay(id, 3*time.Millisecond)
-	if got := f.LinkDelay(id); got != 3*time.Millisecond || got != f.Net.LinkDelay(id) {
-		t.Errorf("LinkDelay = %v after SetLinkDelay(3ms), network says %v", got, f.Net.LinkDelay(id))
+	f, p := e.fabric, e.paths[0]
+	const def = time.Millisecond // newEnv's default link delay
+	first := e.topo.LinkByIf(p.Hops[0].Hop.IA, p.Hops[0].Hop.Out)
+	var at sim.Time
+	f.OnDeliver(a4, func(*Packet) { at = e.sim.Now() })
+	latency := func() time.Duration {
+		t.Helper()
+		start := e.sim.Now()
+		at = -1
+		if err := f.Inject(testPacket(e, 0, []byte("d"), 1)); err != nil {
+			t.Fatal(err)
+		}
+		e.sim.Run()
+		if at < 0 {
+			t.Fatal("packet not delivered")
+		}
+		return time.Duration(at - start)
 	}
-	f.SetLinkDelay(id, 0)
-	if got := f.LinkDelay(id); got != f.Net.Delay {
-		t.Errorf("LinkDelay = %v after the override cleared, want the default %v", got, f.Net.Delay)
+	links := time.Duration(len(p.Hops) - 1)
+	if got := latency(); got != links*def {
+		t.Fatalf("latency %v over %d links, want %v", got, links, links*def)
+	}
+	const spike = 7*time.Millisecond + 300*time.Microsecond
+	f.SetLinkDelay(first.ID, spike)
+	if got, want := latency(), (links-1)*def+spike; got != want || f.Latency(first.ID) != spike {
+		t.Errorf("latency %v under a %v spike on the first link, want %v (Latency says %v)", got, spike, want, f.Latency(first.ID))
+	}
+	f.SetLinkDelay(first.ID, 0)
+	if got := latency(); got != links*def || f.Latency(first.ID) != def {
+		t.Errorf("latency %v after the spike cleared, want %v (Latency says %v)", got, links*def, f.Latency(first.ID))
 	}
 }
 
@@ -499,6 +522,41 @@ func TestEngineForwardAllocs(t *testing.T) {
 	forward() // warm the frame pool, worker scratch and verdict caches
 	if n := testing.AllocsPerRun(100, forward); n != 0 {
 		t.Errorf("%v allocs per inject+flush, want 0", n)
+	}
+	if delivered != 102 { // warm-up, AllocsPerRun's own warm-up, 100 runs
+		t.Errorf("delivered %d packets", delivered)
+	}
+}
+
+// TestFabricForwardAllocs holds one packet injected into a fabric and
+// forwarded over a multi-hop path to its delivery, the clock run
+// included, to zero allocations: frames ride the clock on their own
+// pooled arrival events, so crossing a link allocates nothing, and
+// Inject encodes into a scratch header it keeps.
+func TestFabricForwardAllocs(t *testing.T) {
+	e := newEnv(t)
+	pkt := testPacket(e, 0, make([]byte, 128), 1)
+	for _, p := range e.paths {
+		if len(p.Hops) > len(pkt.Path.Hops) {
+			pkt.Path = p
+		}
+	}
+	if len(pkt.Path.Hops) < 3 {
+		t.Fatalf("path of %d hops crosses fewer than two links", len(pkt.Path.Hops))
+	}
+	delivered := 0
+	e.fabric.OnDeliver(a4, func(*Packet) { delivered++ })
+	forward := func() {
+		if err := e.fabric.Inject(pkt); err != nil {
+			t.Fatal(err)
+		}
+		e.sim.Run()
+	}
+	forward() // warm the frame pool, step scratch and clock buckets
+	n := testing.AllocsPerRun(100, forward)
+	t.Logf("%v allocs per packet over %d links", n, len(pkt.Path.Hops)-1)
+	if n != 0 {
+		t.Errorf("%v allocs per packet, want 0", n)
 	}
 	if delivered != 102 { // warm-up, AllocsPerRun's own warm-up, 100 runs
 		t.Errorf("delivered %d packets", delivered)

@@ -66,18 +66,16 @@ type DeliverFunc func(pkt *Packet)
 type SCMPFunc func(msg *SCMP)
 
 // Fabric drives the engine's border routers in virtual time: a frame
-// leaving an AS travels as a message on a sim.Network link, and its
-// arrival runs the receiving AS's router (decode, hop-field MAC verdict,
-// egress, SCMP emit and walk-back) on that one frame. The router at the
-// injecting or offending AS runs inline, so a packet costs one simulator
-// event per link it crosses. Failures are reported with SCMP messages
-// from the border router observing them (paper §4.1); each AS keeps what
-// they taught it in its SourceMemory.
+// leaving an AS is an event on the world's simulator clock that, one
+// link delay later, runs the receiving AS's router (hop-field MAC
+// verdict, egress, SCMP emit and walk-back) on that one frame. The
+// router at the injecting or offending AS runs inline, so a packet costs
+// one simulator event per link it crosses. Failures are reported with
+// SCMP messages from the border router observing them (paper §4.1);
+// each AS keeps what they taught it in its SourceMemory.
 type Fabric struct {
-	Net *sim.Network
-	// The engine's link fault table (FailLink, RestoreLink, Failed,
-	// SetLinkLoss, LinkLoss), read by the egress decision. Delay lives
-	// on Net, which carries the frames (SetLinkDelay, LinkDelay).
+	// The world's link fault table (chaos.FaultTarget), which times the
+	// frames as well: a link's delay override, else the default delay.
 	*sim.LinkFaults
 	// RevocationTTL is how long an SCMP revocation stays in a source
 	// memory (default 10s).
@@ -90,28 +88,35 @@ type Fabric struct {
 	sources   map[addr.IA]*SourceMemory
 }
 
-// NewFabric registers a border router for every AS of the network's
-// topology.
-func NewFabric(net *sim.Network, keys KeyFunc) *Fabric {
-	e := newEngine(net.Topo, keys)
-	e.net = net
-	f := &Fabric{Net: net, LinkFaults: &e.LinkFaults, RevocationTTL: 10 * time.Second, e: e,
+// NewFabric builds a border router for every AS of topo on the clock and
+// fault table of the world it joins (its control plane's, for one write
+// to reach both planes); a frame crosses a link in delay, or its override.
+func NewFabric(clock *sim.Simulator, topo *topology.Graph, delay time.Duration, faults *sim.LinkFaults, keys KeyFunc) *Fabric {
+	e := newEngine(topo, keys, faults)
+	e.clock, e.delay, e.ifc = clock, delay, make([]sim.Counter, 2*len(topo.Links))
+	f := &Fabric{LinkFaults: faults, RevocationTTL: 10 * time.Second, e: e,
 		listeners: make([][]SCMPFunc, len(e.ias)), sources: map[addr.IA]*SourceMemory{}}
-	for i, ia := range e.ias {
+	for i := range e.ias {
 		a := int32(i)
-		net.Register(ia, sim.HandlerFunc(func(_ addr.IA, _ *topology.Link, msg sim.Message) {
-			e.step(a, msg.(*frame))
-		}))
 		e.scmp[i] = func(m *SCMP) { f.arrive(a, m) }
 	}
 	return f
 }
 
+// Clock returns the simulator whose events carry the fabric's frames.
+func (f *Fabric) Clock() *sim.Simulator { return f.e.clock }
+
+// Topo returns the topology the fabric forwards over.
+func (f *Fabric) Topo() *topology.Graph { return f.e.Topo }
+
+// Latency returns a link's one-way delay: its override, else the default.
+func (f *Fabric) Latency(id topology.LinkID) time.Duration { return f.DelayOr(id, f.e.delay) }
+
 // arrive records an SCMP revocation in the memory of AS a, then runs
 // the AS's listeners on the message.
 func (f *Fabric) arrive(a int32, m *SCMP) {
 	if m.Type == SCMPRevokedLink {
-		if l := f.Net.Topo.LinkByIf(m.Link.IA, m.Link.If); l != nil {
+		if l := f.e.Topo.LinkByIf(m.Link.IA, m.Link.If); l != nil {
 			f.Source(f.e.ias[a]).record(l.ID, f.RevocationTTL)
 		}
 	}
@@ -124,16 +129,19 @@ func (f *Fabric) arrive(a int32, m *SCMP) {
 func (f *Fabric) Source(ia addr.IA) *SourceMemory {
 	m := f.sources[ia]
 	if m == nil {
-		m = &SourceMemory{clock: f.Net.Sim, links: map[topology.LinkID]revocation{}}
+		m = &SourceMemory{clock: f.e.clock, links: map[topology.LinkID]revocation{}}
 		f.sources[ia] = m
 	}
 	return m
 }
 
-// SetTelemetry registers the fabric's forwarding counters as gauge
-// funcs. Fabric networks run serially, so export-time reads are
-// deterministic.
-func (f *Fabric) SetTelemetry(reg *telemetry.Registry) { f.e.register(reg, "dataplane", false) }
+// SetTelemetry registers the fabric's forwarding and link counters as
+// gauge funcs (the latter as the data plane's net_* share). A fabric
+// runs serially, so export-time reads are deterministic.
+func (f *Fabric) SetTelemetry(reg *telemetry.Registry) {
+	f.e.register(reg, "dataplane", false)
+	sim.RegisterCounters(reg, f.e.ifc)
+}
 
 // Stats snapshots the forwarding counters.
 func (f *Fabric) Stats() EngineStats { return f.e.Stats() }
@@ -153,18 +161,6 @@ func (f *Fabric) AddSCMP(ia addr.IA, fn SCMPFunc) {
 	if i, ok := f.e.idx[ia]; ok {
 		f.listeners[i] = append(f.listeners[i], fn)
 	}
-}
-
-// SetLinkDelay overrides the one-way latency of a link on the underlying
-// transport, modelling a latency spike; d <= 0 restores the default.
-func (f *Fabric) SetLinkDelay(id topology.LinkID, d time.Duration) {
-	f.Net.SetLinkDelay(id, d)
-}
-
-// LinkDelay returns the one-way latency frames take over a link: the
-// transport network's override if one is set, else its default.
-func (f *Fabric) LinkDelay(id topology.LinkID) time.Duration {
-	return f.Net.LinkDelay(id)
 }
 
 // Inject encodes a packet and runs its source AS's border router on it

@@ -7,23 +7,24 @@ import (
 )
 
 // frame is one pooled packet buffer moving through the engine's per-AS
-// queues or, under a Fabric, over simulated links. b holds the full wire
-// bytes of a packet (data or SCMP); arrived distinguishes a frame handed
-// over by a neighbor router (the ingress pipeline advances CurrHF) from a
-// freshly injected one (the source router forwards hop 0 without
-// advancing). pkt is the *Packet the frame was encoded from, handed back
-// to delivery and SCMP handlers (nil for InjectBytes). path is the
-// geometry the frame's strict decode at its first router found (zero
-// before it, and for SCMP frames, which every router decodes in full).
+// queues or, under a Fabric, between routers as clock events. b holds
+// the full wire bytes of a packet (data or SCMP); arrived distinguishes
+// a frame handed over by a neighbor router (the ingress pipeline
+// advances CurrHF) from a freshly injected one (the source router
+// forwards hop 0 without advancing). pkt is the *Packet the frame was
+// encoded from, handed back to delivery and SCMP handlers (nil for
+// InjectBytes). path (data) and walk (SCMP) are the frame's geometry,
+// zero until the encoder or a strict decode fills them. Under a Fabric,
+// land is the pooled frame's own arrival event: at AS to, ifc slot rx.
 type frame struct {
 	b       []byte
 	arrived bool
 	pkt     *Packet
 	path    slayers.RawPath
+	walk    slayers.RawWalk
+	land    func()
+	to, rx  int32
 }
-
-// WireLen implements sim.Message: a frame occupies its bytes on a link.
-func (f *frame) WireLen() int { return len(f.b) }
 
 // framePool recycles packet buffers so the steady-state forwarding path
 // allocates nothing. Buffers start at 2 KiB (any full-size MTU packet)
@@ -49,9 +50,6 @@ func (fp *framePool) get(n int) *frame {
 }
 
 func (fp *framePool) put(f *frame) {
-	f.b = f.b[:0]
-	f.arrived = false
-	f.pkt = nil
-	f.path = slayers.RawPath{}
+	*f = frame{b: f.b[:0], land: f.land}
 	fp.p.Put(f)
 }

@@ -195,13 +195,7 @@ type Packet struct {
 }
 
 // hostWireLen is the zero-padded on-wire size of one host address.
-func hostWireLen(t addr.HostAddrType) int {
-	n := t.Len()
-	if r := n % 4; r != 0 {
-		n += 4 - r
-	}
-	return n
-}
+func hostWireLen(t addr.HostAddrType) int { return (t.Len() + 3) &^ 3 }
 
 // WireLen implements sim.Message. It matches the encoded slayers size
 // exactly: common header, address header (hosts zero-padded to 4-byte

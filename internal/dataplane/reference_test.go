@@ -95,7 +95,7 @@ func newRefFabric(net *sim.Network, keys KeyFunc) *refFabric {
 		Net:        net,
 		Topo:       net.Topo,
 		Keys:       keys,
-		LinkFaults: sim.NewLinkFaults(net.Topo),
+		LinkFaults: *sim.NewLinkFaults(net.Topo),
 		deliver:    map[addr.IA]func(*refPacket){},
 		scmp:       map[addr.IA]func(*refSCMP){},
 	}
@@ -236,4 +236,36 @@ func (f *refFabric) scmpStep(local addr.IA, msg *refSCMP) {
 		return
 	}
 	f.Net.Send(local, link, msg)
+}
+
+// egress is the egress decision the engine and the reference router
+// shared while a verdict type carried it between them, verbatim; both
+// oracles (this router and refEngine) still call it, and the engine now
+// decides inline in its egressStep.
+// egressVerdict is what a border router does with a verified packet at
+// its egress interface.
+type egressVerdict uint8
+
+const (
+	egressForward egressVerdict = iota
+	egressNoRoute               // interface attaches to no link: dest-unreachable SCMP
+	egressRevoked               // link failed: revocation SCMP
+	egressGray                  // gray failure: silent drop
+)
+
+// egress decides, over a plane's fault table, the fate of a packet of
+// the given flow leaving over link (nil when the hop's egress interface
+// attaches to nothing). The gray-loss coin is keyed on the flow, so the
+// engine sheds the same packets under Flush and under a Fabric.
+func egress(lf *sim.LinkFaults, link *topology.Link, flow uint32) egressVerdict {
+	switch {
+	case link == nil:
+		return egressNoRoute
+	case lf.Failed(link.ID):
+		return egressRevoked
+	}
+	if rate := lf.LinkLoss(link.ID); rate > 0 && sim.LossCoin(uint64(flow), link.ID, rate) {
+		return egressGray
+	}
+	return egressForward
 }

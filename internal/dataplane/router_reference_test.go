@@ -14,13 +14,16 @@ import (
 // raw path bytes, kept as the oracle of TestRouterMatchesReference:
 // every router strictly decodes every frame and re-parses its hop
 // field, and MACs are checked a batch at a time against a bounded
-// per-AS verdict cache. Its processBatch and egressStep, the batch
-// scratch, and macVerifier with verifyBatch, verdictKey, macCacheLimit
-// and macJob are the old ones line for line (the scratch type renamed).
-// It runs on a real Engine's queues, pool, counters and handlers, and
-// calls the Engine's emitSCMP and scmpWalkStep, which did not change;
-// the test's drain loop stands in for Flush, which did not change
-// either.
+// per-AS verdict cache, and every router an SCMP frame walks decodes
+// it, its SCMP header and its quote in full. Its processBatch,
+// egressStep and scmpWalkStep, the batch scratch, and macVerifier with
+// verifyBatch, verdictKey, macCacheLimit and macJob are the old ones
+// line for line (the scratch type renamed; the fault table is now a
+// pointer and the hand-off to the next router no longer names the AS
+// it leaves, which changed two call sites). It runs on a real Engine's
+// queues, pool, counters and handlers, and calls the Engine's emitSCMP,
+// which did not change; the test's drain loop stands in for Flush,
+// which did not change either.
 type refEngine struct {
 	*Engine
 	keys      [][]byte
@@ -132,7 +135,7 @@ func (e *refEngine) processBatch(a int32, ctx *refWorkerCtx) {
 // for gray loss) or the frame moves to the neighbor's router.
 func (e *refEngine) egressStep(a int32, f *frame, s *slayers.SCION, out addr.IfID) {
 	ent := e.lookupIf(a, out)
-	switch egress(&e.LinkFaults, ent.link, s.FlowID) {
+	switch egress(e.LinkFaults, ent.link, s.FlowID) {
 	case egressNoRoute:
 		e.droppedNoRoute.Add(1)
 		e.emitSCMP(a, f, s, SCMPDestUnreachable, seg.LinkKey{})
@@ -144,7 +147,7 @@ func (e *refEngine) egressStep(a int32, f *frame, s *slayers.SCION, out addr.IfI
 	default:
 		e.forwarded.Add(1)
 		f.arrived = true
-		e.out(a, ent, f)
+		e.out(ent, f)
 		return
 	}
 	e.terminal(f)
@@ -212,4 +215,52 @@ func (v *macVerifier) verifyBatch(key []byte, ia addr.IA, jobs []macJob, ok []bo
 		v.verdicts[verdictKey(j.in, j.out, j.mac)] = ok[i]
 	}
 	macStates.Unlock()
+}
+
+// scmpWalkStep relays an SCMP frame one hop closer to the original
+// sender (the mirror image of data-plane forwarding): WalkIdx is the
+// current AS's index on the quoted path; at zero the message arrived
+// home and is delivered, otherwise it leaves over the link attached to
+// the quoted hop's ingress interface with WalkIdx decremented in
+// place. SCMP messages are never subject to MAC checks, failures, or
+// loss.
+func (e *refEngine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayers.SCION) {
+	var m slayers.SCMP
+	if err := m.DecodeFromBytes(s.Payload()); err != nil {
+		e.malformed(f)
+		return
+	}
+	if err := quote.DecodeHeader(m.Quote); err != nil {
+		e.malformed(f)
+		return
+	}
+	if m.WalkIdx == 0 {
+		if fn := e.scmp[a]; fn != nil {
+			fn(&SCMP{
+				Type:     scmpTypeFromWire(m.Type),
+				Link:     seg.LinkKey{IA: m.LinkIA, If: m.LinkIf},
+				Offender: m.Offender,
+				FlowID:   quote.FlowID,
+				SrcIA:    quote.SrcIA,
+				DstIA:    quote.DstIA,
+				Orig:     f.pkt,
+			})
+		}
+		e.terminal(f)
+		return
+	}
+	hf, err := quote.HopField(int(m.WalkIdx))
+	if err != nil {
+		e.malformed(f)
+		return
+	}
+	ent := e.lookupIf(a, hf.ConsIngress)
+	if ent.link == nil {
+		// No arrival link — the quoted path does not match the
+		// topology. Vanish silently.
+		e.terminal(f)
+		return
+	}
+	_ = m.SetWalkIdx(m.WalkIdx - 1) // rewrites the frame bytes in place
+	e.out(ent, f)
 }

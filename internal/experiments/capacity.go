@@ -103,7 +103,7 @@ func RunCapacity(s Scale) (*CapacityResult, error) {
 func pairEngines(fabric *dataplane.Fabric, provider traffic.PathProvider,
 	sched func() strategy.Policy, pairs [][2]addr.IA) ([]float64, error) {
 
-	clock := fabric.Net.Sim
+	clock := fabric.Clock()
 	flows := make([]*traffic.Flow, len(pairs))
 	for i, pr := range pairs {
 		eng, err := traffic.NewEngine(traffic.Config{
@@ -138,8 +138,8 @@ func scionCapacity(topo *topology.Graph, alg scion.Algorithm, pairs [][2]addr.IA
 }
 
 // scionCapacityWith is scionCapacity with a pluggable scheduler factory —
-// the differential cross-check replays the capacity run through every
-// refactored strategy and pins the result to pre-refactor goldens.
+// the differential cross-check replays the capacity run through both
+// strategies and pins the result to pre-refactor goldens.
 func scionCapacityWith(topo *topology.Graph, alg scion.Algorithm,
 	sched func() strategy.Policy, pairs [][2]addr.IA) ([]float64, error) {
 
@@ -173,7 +173,7 @@ func bgpFloor(res *bgp.Result, topo *topology.Graph, pairs [][2]addr.IA) (*datap
 		binary.BigEndian.PutUint64(b[:], ia.Uint64()^0x5ca1ab1ecafe)
 		return b[:]
 	}
-	fabric := dataplane.NewFabric(sim.NewNetwork(&sim.Simulator{}, topo, 5*time.Millisecond), keys)
+	fabric := dataplane.NewFabric(&sim.Simulator{}, topo, 5*time.Millisecond, sim.NewLinkFaults(topo), keys)
 	best := map[[2]addr.IA]*dataplane.FwdPath{}
 	for _, pr := range pairs {
 		if fp, err := bgpBestPath(res, topo, keys, pr[0], pr[1]); err == nil {

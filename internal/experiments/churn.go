@@ -209,10 +209,10 @@ func churnEnd() sim.Time {
 }
 
 // scionChurn runs one SCION variant live: beacon servers tick on a
-// control-plane network while flows forward on a separate data-plane
-// fabric, and the chaos engine flaps links on both. Path lookups read the
-// beacon stores at lookup time, so dissemination lag and re-propagation
-// over healed links are part of what is measured.
+// control-plane network while flows forward on a fabric sharing its
+// clock and fault table, so each chaos flap hits both. Path lookups read
+// the beacon stores at lookup time, so dissemination lag and
+// re-propagation over healed links are part of what is measured.
 func scionChurn(e *env, name string, factory core.Factory, pairs [][2]addr.IA,
 	sched *chaos.Schedule) (ChurnSeries, error) {
 
@@ -220,13 +220,12 @@ func scionChurn(e *env, name string, factory core.Factory, pairs [][2]addr.IA,
 	if err != nil {
 		return ChurnSeries{}, err
 	}
-	fabric := dataplane.NewFabric(sim.NewNetwork(plane.Sim, e.core, 5*time.Millisecond), plane.Infra.ForwardingKey)
+	fabric := dataplane.NewFabric(plane.Sim, e.core, 5*time.Millisecond, &plane.Net.LinkFaults, plane.Infra.ForwardingKey)
 	// Flaps hit the PCB transport (silent drops) and the fabric (SCMP at
-	// the upstream router); beacon servers revoke affected state the
-	// moment a link goes down and re-learn it from neighbors' next ticks
-	// after it heals.
+	// the upstream router) through the one table; beacon servers revoke
+	// affected state the moment a link goes down and re-learn it from
+	// neighbors' next ticks after it heals.
 	eng := plane.NewChaos()
-	eng.AddTarget(fabric)
 	if err := eng.Apply(sched); err != nil {
 		return ChurnSeries{}, err
 	}
@@ -269,7 +268,7 @@ func scionChurn(e *env, name string, factory core.Factory, pairs [][2]addr.IA,
 // means disconnection until the link heals and revocation state lapses.
 func bgpChurn(e *env, res *bgp.Result, pairs [][2]addr.IA, coreSched *chaos.Schedule) (ChurnSeries, error) {
 	fabric, paths := bgpFloor(res, e.coreSub, pairs)
-	eng := chaos.NewEngine(fabric.Net.Sim, fabric)
+	eng := chaos.NewEngine(fabric.Clock(), fabric)
 	if err := eng.Apply(translateSchedule(coreSched, e.core, e.coreSub)); err != nil {
 		return ChurnSeries{}, err
 	}
@@ -345,7 +344,7 @@ func churnMeasure(fabric *dataplane.Fabric, ctrl *sim.Network, provider traffic.
 	sched func() strategy.Policy, pairs [][2]addr.IA,
 	eng *chaos.Engine, seed int64) (ChurnSeries, error) {
 
-	clock := fabric.Net.Sim
+	clock := fabric.Clock()
 	fabric.RevocationTTL = churnRevTTL
 	engines := make([]*traffic.Engine, len(pairs))
 	flows := make([]*traffic.Flow, len(pairs))

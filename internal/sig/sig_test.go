@@ -135,8 +135,7 @@ func newSigEnv(t *testing.T) *sigEnv {
 		return out
 	}
 	s := &sim.Simulator{}
-	net := sim.NewNetwork(s, topo, time.Millisecond)
-	fab := dataplane.NewFabric(net, infra.ForwardingKey)
+	fab := dataplane.NewFabric(s, topo, time.Millisecond, sim.NewLinkFaults(topo), infra.ForwardingKey)
 
 	var m ASMap
 	m.Add(netip.MustParsePrefix("10.6.0.0/16"), a6)

@@ -9,16 +9,15 @@ import (
 	"scionmpr/internal/topology"
 )
 
-// LinkFaults is the per-link fault table of one plane: which links are
+// LinkFaults is the per-link fault table of one world: which links are
 // failed, which shed traffic as gray failures, and which carry a latency
-// override. Network and dataplane.Engine each embed one (a
-// dataplane.Fabric answers failures and loss through its engine's and
-// delay through its network's), so every plane answers
-// chaos.FaultTarget from the same code. The table is dense over the
-// topology's LinkIDs (sequential from 1); IDs outside it are ignored,
-// since a fault schedule may name links a plane does not carry. Entries
-// are atomic because a sharded Network runs deliveries on parallel
-// workers, whose handlers may read the table.
+// override. A Network embeds one, and a dataplane.Fabric shares its
+// world's (a control plane's Network's, or a fresh one), so one write
+// reaches every plane of the world through the same chaos.FaultTarget
+// code. The table is dense over the topology's LinkIDs (sequential from
+// 1); IDs outside it are ignored, since a fault schedule may name links
+// a plane does not carry. Entries are atomic because a sharded Network
+// runs deliveries on parallel workers, whose handlers may read it.
 type LinkFaults struct {
 	links []linkFault
 }
@@ -30,12 +29,12 @@ type linkFault struct {
 }
 
 // NewLinkFaults builds a healthy table over topo's links.
-func NewLinkFaults(topo *topology.Graph) LinkFaults {
+func NewLinkFaults(topo *topology.Graph) *LinkFaults {
 	maxID := topology.LinkID(0)
 	for _, l := range topo.Links {
 		maxID = max(maxID, l.ID)
 	}
-	return LinkFaults{links: make([]linkFault, int(maxID)+1)}
+	return &LinkFaults{links: make([]linkFault, int(maxID)+1)}
 }
 
 // at returns the entry of a link, or nil for IDs outside the table.
@@ -105,6 +104,14 @@ func (lf *LinkFaults) LinkDelay(id topology.LinkID) time.Duration {
 		return time.Duration(f.delay.Load())
 	}
 	return 0
+}
+
+// DelayOr returns a link's latency override, or def when none is set.
+func (lf *LinkFaults) DelayOr(id topology.LinkID, def time.Duration) time.Duration {
+	if d := lf.LinkDelay(id); d > 0 {
+		return d
+	}
+	return def
 }
 
 // LossCoin is the one gray-failure coin: drop iff splitmix64 of (key,

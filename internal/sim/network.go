@@ -57,9 +57,11 @@ type Network struct {
 	// the network-wide Delay.
 	LinkFaults
 
-	// ifs holds one entry per link side, side A at 2*LinkID and B after
-	// it. TX is counted in serial context; RX on the receiving AS's shard.
+	// ifs and ctr hold each link side's owner and traffic, side A at
+	// 2*LinkID and B after it. TX is counted in serial context; RX on
+	// the receiving AS's shard.
 	ifs []ifSide
+	ctr []Counter
 	// lossSeq counts gray-failure decisions drawn so far and keys the next
 	// one's LossCoin. Drops are decided only from serial context (inline
 	// sends and the parallel commit phase run in queue order), so the
@@ -83,10 +85,8 @@ type Network struct {
 	DroppedByLoss uint64
 }
 
-// ifSide is one interface: a link side's traffic, and the shard and
-// handler of the AS that owns it.
+// ifSide is one interface's owner: the AS's shard and handler.
 type ifSide struct {
-	Counter
 	shard uint32
 	h     Handler
 }
@@ -99,18 +99,19 @@ func NewNetwork(s *Simulator, topo *topology.Graph, delay time.Duration) *Networ
 		Sim:        s,
 		Topo:       topo,
 		Delay:      delay,
-		LinkFaults: lf,
+		LinkFaults: *lf,
 		ifs:        make([]ifSide, 2*len(lf.links)),
+		ctr:        make([]Counter, 2*len(lf.links)),
 	}
 }
 
-// side returns the table entry of ia's end of link.
-func (n *Network) side(link *topology.Link, ia addr.IA) *ifSide {
+// side returns the table index of ia's end of link.
+func side(link *topology.Link, ia addr.IA) int {
 	i := 2 * int(link.ID)
 	if ia != link.A {
 		i++
 	}
-	return &n.ifs[i]
+	return i
 }
 
 // ifKey names table entry i.
@@ -120,15 +121,6 @@ func (n *Network) ifKey(i int) IfKey {
 		return IfKey{IA: l.A, If: l.AIf}
 	}
 	return IfKey{IA: l.B, If: l.BIf}
-}
-
-// LinkDelay returns the one-way latency of a link: its override if one is
-// set, else the network-wide Delay.
-func (n *Network) LinkDelay(id topology.LinkID) time.Duration {
-	if d := n.LinkFaults.LinkDelay(id); d > 0 {
-		return d
-	}
-	return n.Delay
 }
 
 // EnableSharding turns on per-AS actor partitioning for this network:
@@ -163,8 +155,7 @@ func (n *Network) Register(ia addr.IA, h Handler) {
 		n.Sim.SetShardWeight(n.shards[ia], uint32(as.Degree()))
 	}
 	for _, l := range as.Links {
-		side := n.side(l, ia)
-		side.shard, side.h = n.shards[ia], h
+		n.ifs[side(l, ia)] = ifSide{shard: n.shards[ia], h: h}
 	}
 }
 
@@ -183,7 +174,7 @@ func (n *Network) Send(from addr.IA, link *topology.Link, msg Message) {
 	}
 	size := int32(msg.WireLen())
 	if n.sharded && n.Sim.inPar {
-		n.Sim.deferOp(n.side(link, from).shard, op{kind: opSend, net: n, link: link, bSide: from != link.A, msg: msg, size: size})
+		n.Sim.deferOp(n.ifs[side(link, from)].shard, op{kind: opSend, net: n, link: link, bSide: from != link.A, msg: msg, size: size})
 		return
 	}
 	n.send(from, link, msg, size)
@@ -213,7 +204,7 @@ func (n *Network) send(from addr.IA, link *topology.Link, msg Message, size int3
 			return
 		}
 	}
-	tx := n.side(link, from)
+	tx := &n.ctr[side(link, from)]
 	tx.TxBytes += uint64(size)
 	tx.TxMsgs++
 	var d *delivery
@@ -223,7 +214,7 @@ func (n *Network) send(from addr.IA, link *topology.Link, msg Message, size int3
 		d = new(delivery)
 	}
 	*d = delivery{net: n, from: from, link: link, msg: msg, size: size}
-	n.Sim.push(event{at: n.Sim.Now() + Time(n.LinkDelay(link.ID)), shard: n.side(link, link.Other(from)).shard, del: d})
+	n.Sim.push(event{at: n.Sim.Now() + Time(n.DelayOr(link.ID, n.Delay)), shard: n.ifs[side(link, link.Other(from))].shard, del: d})
 }
 
 // deliver runs d at the destination — on a parallel worker when the
@@ -232,14 +223,14 @@ func (n *Network) send(from addr.IA, link *topology.Link, msg Message, size int3
 // handler is network-wide state and deferred to the commit phase, which
 // also releases the delivery (handlers retain the message at most).
 func (n *Network) deliver(d *delivery) {
-	rx := n.side(d.link, d.link.Other(d.from))
-	rx.RxBytes += uint64(d.size)
-	rx.RxMsgs++
-	switch {
-	case rx.h != nil:
-		rx.h.HandleMessage(d.from, d.link, d.msg)
+	i := side(d.link, d.link.Other(d.from))
+	n.ctr[i].RxBytes += uint64(d.size)
+	n.ctr[i].RxMsgs++
+	switch in := n.ifs[i]; {
+	case in.h != nil:
+		in.h.HandleMessage(d.from, d.link, d.msg)
 	case n.Sim.inPar:
-		n.Sim.deferOp(rx.shard, op{kind: opDrop, net: n})
+		n.Sim.deferOp(in.shard, op{kind: opDrop, net: n})
 	default:
 		n.Dropped++
 	}
@@ -257,19 +248,19 @@ func (n *Network) release(d *delivery) {
 // InterfaceCounter returns a copy of the counter for one interface
 // (zero-valued if the interface never saw traffic).
 func (n *Network) InterfaceCounter(ia addr.IA, ifID addr.IfID) Counter {
-	if c := n.sideOf(IfKey{IA: ia, If: ifID}); c != nil {
-		return c.Counter
+	if i := n.sideOf(IfKey{IA: ia, If: ifID}); i >= 0 {
+		return n.ctr[i]
 	}
 	return Counter{}
 }
 
-// sideOf returns the table entry of an interface, nil for one the
+// sideOf returns the table index of an interface, -1 for one the
 // topology does not have.
-func (n *Network) sideOf(k IfKey) *ifSide {
+func (n *Network) sideOf(k IfKey) int {
 	if l := n.Topo.LinkByIf(k.IA, k.If); l != nil && 2*int(l.ID) < len(n.ifs) {
-		return n.side(l, k.IA)
+		return side(l, k.IA)
 	}
-	return nil
+	return -1
 }
 
 // TotalTx sums transmitted bytes over all interfaces of ia.
@@ -282,7 +273,7 @@ func (n *Network) TotalRx(ia addr.IA) uint64 { return n.total(ia).RxBytes }
 func (n *Network) total(ia addr.IA) (sum Counter) {
 	if as := n.Topo.AS(ia); as != nil {
 		for _, l := range as.Links {
-			c := n.side(l, ia)
+			c := n.ctr[side(l, ia)]
 			sum.TxBytes += c.TxBytes
 			sum.RxBytes += c.RxBytes
 		}
@@ -291,10 +282,12 @@ func (n *Network) total(ia addr.IA) (sum Counter) {
 }
 
 // GrandTotalTx sums transmitted bytes over the whole network.
-func (n *Network) GrandTotalTx() uint64 {
-	var sum uint64
-	for i := range n.ifs {
-		sum += n.ifs[i].TxBytes
+func (n *Network) GrandTotalTx() uint64 { return sumTx(n.ctr) }
+
+// sumTx sums the transmitted bytes of per-interface counters.
+func sumTx(cs []Counter) (sum uint64) {
+	for i := range cs {
+		sum += cs[i].TxBytes
 	}
 	return sum
 }
@@ -302,8 +295,8 @@ func (n *Network) GrandTotalTx() uint64 {
 // Interfaces returns all interface keys that saw traffic, sorted.
 func (n *Network) Interfaces() []IfKey {
 	var out []IfKey
-	for i := range n.ifs {
-		if n.ifs[i].TxMsgs|n.ifs[i].RxMsgs != 0 {
+	for i := range n.ctr {
+		if n.ctr[i].TxMsgs|n.ctr[i].RxMsgs != 0 {
 			out = append(out, n.ifKey(i))
 		}
 	}
@@ -322,7 +315,7 @@ func (n *Network) PerInterfaceTxBytes() []uint64 {
 	keys := n.Interfaces()
 	out := make([]uint64, len(keys))
 	for i, k := range keys {
-		out[i] = n.sideOf(k).TxBytes
+		out[i] = n.ctr[n.sideOf(k)].TxBytes
 	}
 	return out
 }
@@ -335,19 +328,31 @@ func (n *Network) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("net_tx_bytes_total", func() float64 { return float64(n.GrandTotalTx()) })
-	reg.GaugeFunc("net_interfaces_active", func() float64 { return float64(len(n.Interfaces())) })
+	RegisterCounters(reg, n.ctr)
 	reg.GaugeFunc(`net_dropped_total{cause="no_handler"}`, func() float64 { return float64(n.Dropped) })
 	reg.GaugeFunc(`net_dropped_total{cause="failed_link"}`, func() float64 { return float64(n.DroppedOnFailedLinks) })
 	reg.GaugeFunc(`net_dropped_total{cause="loss"}`, func() float64 { return float64(n.DroppedByLoss) })
 }
 
+// RegisterCounters registers per-interface counters cs as one plane's
+// share of net_tx_bytes_total and net_interfaces_active (they add up).
+func RegisterCounters(reg *telemetry.Registry, cs []Counter) {
+	reg.GaugeFunc("net_tx_bytes_total", func() float64 { return float64(sumTx(cs)) })
+	reg.GaugeFunc("net_interfaces_active", func() float64 {
+		n := 0
+		for _, c := range cs {
+			if c.TxMsgs|c.RxMsgs != 0 {
+				n++
+			}
+		}
+		return float64(n)
+	})
+}
+
 // ResetCounters clears all traffic counters (e.g. after a warm-up phase),
 // including every drop counter, so measurement windows start from zero.
 func (n *Network) ResetCounters() {
-	for i := range n.ifs {
-		n.ifs[i].Counter = Counter{}
-	}
+	clear(n.ctr)
 	n.Dropped = 0
 	n.DroppedOnFailedLinks = 0
 	n.DroppedByLoss = 0
@@ -376,9 +381,9 @@ func (n *Network) CheckpointState() NetworkState {
 		DroppedOnFailedLinks: n.DroppedOnFailedLinks,
 		DroppedByLoss:        n.DroppedByLoss,
 	}
-	for i := range n.ifs {
-		if n.ifs[i].TxMsgs|n.ifs[i].RxMsgs != 0 {
-			st.Counters[n.ifKey(i)] = n.ifs[i].Counter
+	for i, c := range n.ctr {
+		if c.TxMsgs|c.RxMsgs != 0 {
+			st.Counters[n.ifKey(i)] = c
 		}
 	}
 	return st
@@ -389,8 +394,8 @@ func (n *Network) CheckpointState() NetworkState {
 // Counters of interfaces the topology does not have are ignored.
 func (n *Network) RestoreState(st NetworkState) {
 	for k, c := range st.Counters {
-		if side := n.sideOf(k); side != nil {
-			side.Counter = c
+		if i := n.sideOf(k); i >= 0 {
+			n.ctr[i] = c
 		}
 	}
 	n.lossSeq = st.LossSeq

@@ -717,12 +717,13 @@ func OrderGroups(groups []shardGroup, weight func(uint32) uint32) {
 	})
 }
 
-// PendingDeliveries counts queued events that are in-flight network
-// deliveries. Deliveries are the one event class a checkpoint cannot
-// reconstruct from configuration (their payloads are live messages), so
-// checkpointing layers assert this is zero at their capture points —
-// which it is at beaconing-interval boundaries, where every delivery of
-// the previous interval has long landed.
+// PendingDeliveries counts queued events that are in-flight Network
+// deliveries (a dataplane.Fabric's frames are plain events; no
+// checkpointing run carries a fabric). Deliveries are the one event class
+// a checkpoint cannot reconstruct from configuration (their payloads are
+// live messages), so checkpointing layers assert this is zero at their
+// capture points — which it is at beaconing-interval boundaries, where
+// every delivery of the previous interval has long landed.
 func (s *Simulator) PendingDeliveries() int {
 	n := 0
 	for _, b := range s.events.buckets {

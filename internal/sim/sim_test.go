@@ -244,11 +244,11 @@ func TestSetLinkDelay(t *testing.T) {
 	n := NewNetwork(&s, g, 10*time.Millisecond)
 	link := g.LinksBetween(a, b)[0]
 
-	if d := n.LinkDelay(link.ID); d != 10*time.Millisecond {
+	if d := n.DelayOr(link.ID, n.Delay); d != 10*time.Millisecond {
 		t.Fatalf("default delay = %v", d)
 	}
 	n.SetLinkDelay(link.ID, 3*time.Millisecond)
-	if d := n.LinkDelay(link.ID); d != 3*time.Millisecond {
+	if d := n.DelayOr(link.ID, n.Delay); d != 3*time.Millisecond {
 		t.Fatalf("override delay = %v", d)
 	}
 
@@ -264,7 +264,7 @@ func TestSetLinkDelay(t *testing.T) {
 	for _, reset := range []time.Duration{0, 3 * time.Millisecond, -time.Second} {
 		n.SetLinkDelay(link.ID, reset)
 	}
-	if d := n.LinkDelay(link.ID); d != 10*time.Millisecond {
+	if d := n.DelayOr(link.ID, n.Delay); d != 10*time.Millisecond {
 		t.Errorf("delay after reset = %v, want default", d)
 	}
 }

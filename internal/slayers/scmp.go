@@ -96,3 +96,31 @@ func (m *SCMP) SetWalkIdx(i uint8) error {
 	m.raw[22] = i
 	return nil
 }
+
+// RawWalk locates the WalkIdx and quoted hop fields of an SCMP frame
+// whose strict decode passed, so relaying routers step the walk in the
+// frame bytes. The zero RawWalk belongs to no decoded frame.
+type RawWalk struct{ idx, hops uint16 }
+
+// DecodeWalk strictly decodes the payload of s, a decoded SCMP frame, into
+// m and its quote into quote, and returns the walk geometry: zero if a
+// decode fails or WalkIdx names no quoted hop field (0 needs none).
+func (s *SCION) DecodeWalk(m *SCMP, quote *SCION) RawWalk {
+	if m.DecodeFromBytes(s.Payload()) != nil || quote.DecodeHeader(m.Quote) != nil ||
+		m.WalkIdx > 0 && (quote.PathType != PathTypeSCION || m.WalkIdx >= quote.NumHops) {
+		return RawWalk{}
+	}
+	return RawWalk{idx: uint16(s.hdrLen + 22), hops: uint16(s.hdrLen + SCMPHdrLen + quote.pathOff + MetaLen + InfoLen)}
+}
+
+// Step reads b's WalkIdx: at 0 the message is home; otherwise Step
+// decrements it in place and returns the ingress interface of the
+// quoted hop field it named, the one the message leaves by.
+func (w RawWalk) Step(b []byte) (in addr.IfID, home bool) {
+	i := b[w.idx]
+	if i == 0 {
+		return 0, true
+	}
+	b[w.idx] = i - 1
+	return addr.IfID(binary.BigEndian.Uint16(b[int(w.hops)+HopLen*int(i)+2:])), false
+}

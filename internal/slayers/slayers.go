@@ -14,9 +14,10 @@
 // this).
 //
 // A border router decodes strictly once: the first router to see a
-// packet runs DecodeFromBytes, and every later one reads the path
-// through RawPath straight from the raw path bytes, decoding in full
-// again only where it needs the whole header (delivery, SCMP).
+// packet runs DecodeFromBytes (or takes what SerializeTo wrote), and
+// every later one reads the path through RawPath, or an SCMP's walk
+// through RawWalk, straight from the raw bytes, decoding in full again
+// only where it needs the whole header (delivery, SCMP).
 //
 // Layout (all fields big-endian):
 //
@@ -250,6 +251,7 @@ func (s *SCION) SerializeTo(buf []byte) (int, error) {
 	}
 
 	// Path header.
+	s.pathOff = off
 	if s.PathType == PathTypeSCION {
 		meta := uint32(s.CurrHF&0x3f)<<24 | uint32(s.NumHops&0x3f)<<12
 		binary.BigEndian.PutUint32(buf[off:off+4], meta)
@@ -499,20 +501,20 @@ func (s *SCION) AtDestination() bool {
 }
 
 // RawPath is the geometry of a SCION path that DecodeFromBytes
-// accepted: the offset of its meta word and its hop count. Kept beside
-// the packet bytes it reads a transit router's fields — FlowID, CurrHF,
-// the current hop field — straight from them and advances CurrHF in
-// place. That increment is the only write, so what the strict decode
-// checked stays true. The zero RawPath belongs to no decoded path.
+// accepted or SerializeTo wrote: the offset of its meta word and its hop
+// count. Kept beside the packet bytes it reads a transit router's fields
+// — FlowID, CurrHF, the current hop field — straight from them and
+// advances CurrHF in place. That increment is the only write, so what
+// the decode checked stays true. The zero RawPath belongs to no path.
 type RawPath struct {
 	off  uint16
 	hops uint8
 }
 
-// RawPath returns the geometry of the decoded SCION path (zero for
-// any other path type).
+// RawPath returns the geometry of the SCION path last decoded or
+// serialized (zero for any other path type).
 func (s *SCION) RawPath() RawPath {
-	if s.raw == nil || s.PathType != PathTypeSCION {
+	if s.pathOff == 0 || s.PathType != PathTypeSCION {
 		return RawPath{}
 	}
 	return RawPath{off: uint16(s.pathOff), hops: s.NumHops}

@@ -473,3 +473,51 @@ func TestHdrLenEncoding(t *testing.T) {
 		}
 	}
 }
+
+// TestSerializeRawPath: the geometry SerializeTo records is the one a
+// decode of the bytes finds, so an encoded packet needs no decode.
+func TestSerializeRawPath(t *testing.T) {
+	vecs := goldenVectors(t)
+	for _, name := range []string{"ipv4_3hop.bin", "svc_minimal.bin", "ipv6_mac_hosts.bin"} {
+		var d, e SCION
+		if err := d.DecodeFromBytes(vecs[name]); err != nil {
+			t.Fatal(err)
+		}
+		hops, _ := d.DecodeHops(nil)
+		e = d
+		e.Hops, e.raw, e.pathOff = hops, nil, 0 // only SerializeTo may set it
+		serializeVector(t, &e, d.Payload())
+		if e.RawPath() != d.RawPath() || e.RawPath() == (RawPath{}) {
+			t.Errorf("%s: serialized geometry %+v, decoded %+v", name, e.RawPath(), d.RawPath())
+		}
+	}
+}
+
+// TestRawWalk steps the golden SCMP frame home through its walk
+// geometry: hop 1's ingress interface, then home, WalkIdx rewritten in
+// place; a WalkIdx past the quoted path yields no geometry.
+func TestRawWalk(t *testing.T) {
+	frame := append([]byte(nil), goldenVectors(t)["scmp_revocation.bin"]...)
+	var s, quote SCION
+	var m SCMP
+	if err := s.DecodeFromBytes(frame); err != nil {
+		t.Fatal(err)
+	}
+	w := s.DecodeWalk(&m, &quote)
+	if w == (RawWalk{}) || m.WalkIdx != 1 {
+		t.Fatalf("no walk geometry (WalkIdx %d)", m.WalkIdx)
+	}
+	if in, home := w.Step(frame); in != 5 || home {
+		t.Errorf("first step: ingress %d, home %v; want 5, false", in, home)
+	}
+	if s.DecodeWalk(&m, &quote) == (RawWalk{}) || m.WalkIdx != 0 {
+		t.Errorf("WalkIdx %d after one step, want 0 in the bytes", m.WalkIdx)
+	}
+	if _, home := w.Step(frame); !home {
+		t.Error("second step not home")
+	}
+	frame[len(frame)-len(m.Quote)-2] = 3 // WalkIdx = NumHops
+	if w := s.DecodeWalk(&m, &quote); w != (RawWalk{}) {
+		t.Errorf("WalkIdx %d past a 3-hop quote gave geometry %+v", m.WalkIdx, w)
+	}
+}

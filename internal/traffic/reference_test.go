@@ -3,7 +3,8 @@ package traffic
 // The traffic engine as it was before the fabric kept one revocation
 // memory per source AS, verbatim but for its type names, the shared
 // head-packet helpers and the Run/RunUntil drivers (the test drives the
-// clock), and for the path signals no kept policy reads (loss, RTT,
+// clock), its reads of topology and link delay (they go through the
+// fabric, which no longer has a sim.Network), and for the path signals no kept policy reads (loss, RTT,
 // shared links and revocation recency, with the revocation history that
 // fed it), removed from both engines: each engine kept its own
 // SCMP-learned revocations, with their TTL and expiry events, and the
@@ -82,9 +83,9 @@ type refConfig struct {
 // then Run (sized flows) or RunUntil (open-ended workloads).
 type refEngine struct {
 	cfg refConfig
-	// clock and net are the fabric's event loop and transport.
+	// clock is the fabric's event loop, fab the fabric.
 	clock *sim.Simulator
-	net   *sim.Network
+	fab   *dataplane.Fabric
 
 	flows []*Flow
 	byID  map[int]*Flow
@@ -164,8 +165,8 @@ func newRefEngine(cfg refConfig) (*refEngine, error) {
 	}
 	e := &refEngine{
 		cfg:     cfg,
-		clock:   cfg.Fabric.Net.Sim,
-		net:     cfg.Fabric.Net,
+		clock:   cfg.Fabric.Clock(),
+		fab:     cfg.Fabric,
 		byID:    map[int]*Flow{},
 		bySrc:   map[addr.IA][]*Flow{},
 		revoked: map[addr.IA]map[topology.LinkID]sim.Time{},
@@ -342,7 +343,7 @@ func (e *refEngine) buildPaths(src addr.IA, fps []*dataplane.FwdPath) []*flowPat
 		if len(out) >= e.cfg.MaxPaths {
 			break
 		}
-		links, err := fp.LinkRefs(e.net.Topo)
+		links, err := fp.LinkRefs(e.fab.Topo())
 		if err != nil || len(links) == 0 {
 			continue
 		}
@@ -353,7 +354,7 @@ func (e *refEngine) buildPaths(src addr.IA, fps []*dataplane.FwdPath) []*flowPat
 				bad = true
 				break
 			}
-			delay += e.net.LinkDelay(ref.Link.ID)
+			delay += e.fab.Latency(ref.Link.ID)
 		}
 		if bad {
 			continue
@@ -538,7 +539,7 @@ func (e *refEngine) handleSCMP(src addr.IA, msg *dataplane.SCMP) {
 	}
 	e.Revocations++
 	e.cRevoked.Inc()
-	link := e.net.Topo.LinkByIf(msg.Link.IA, msg.Link.If)
+	link := e.fab.Topo().LinkByIf(msg.Link.IA, msg.Link.If)
 	if link != nil {
 		known := e.revoked[src]
 		if known == nil {

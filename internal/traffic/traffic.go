@@ -81,9 +81,8 @@ const (
 // then Run (sized flows) or RunUntil (open-ended workloads).
 type Engine struct {
 	cfg Config
-	// clock and net are the fabric's event loop and transport.
+	// clock is the fabric's event loop.
 	clock *sim.Simulator
-	net   *sim.Network
 
 	flows []*Flow
 	byID  map[int]*Flow
@@ -144,8 +143,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:   cfg,
-		clock: cfg.Fabric.Net.Sim,
-		net:   cfg.Fabric.Net,
+		clock: cfg.Fabric.Clock(),
 		byID:  map[int]*Flow{},
 		bySrc: map[addr.IA][]*Flow{},
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
@@ -334,13 +332,13 @@ func (e *Engine) buildPaths(mem *dataplane.SourceMemory, fps []*dataplane.FwdPat
 		if len(out) >= e.cfg.MaxPaths {
 			break
 		}
-		links, err := fp.LinkRefs(e.net.Topo)
+		links, err := fp.LinkRefs(e.cfg.Fabric.Topo())
 		if err != nil || len(links) == 0 || mem.Crosses(links, 0) {
 			continue
 		}
 		var delay time.Duration
 		for _, ref := range links {
-			delay += e.net.LinkDelay(ref.Link.ID)
+			delay += e.cfg.Fabric.Latency(ref.Link.ID)
 		}
 		out = append(out, &flowPath{
 			fp:         fp,
@@ -543,7 +541,7 @@ func (e *Engine) handleSCMP(src addr.IA, msg *dataplane.SCMP) {
 	}
 	e.Revocations++
 	e.cRevoked.Inc()
-	link := e.net.Topo.LinkByIf(msg.Link.IA, msg.Link.If)
+	link := e.cfg.Fabric.Topo().LinkByIf(msg.Link.IA, msg.Link.If)
 	// Rewind the lost chunk on the path that carried the head packet.
 	for _, p := range f.paths {
 		if p.fp == msg.Orig.Path {

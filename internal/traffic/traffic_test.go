@@ -205,7 +205,7 @@ func TestFailoverWithinOneRTT(t *testing.T) {
 	}
 	// One link RTT: head packet reaches the failure point one hop after
 	// a6 (5ms) and the SCMP returns over the same hop (5ms).
-	rtt := 2 * n.Fabric().Net.LinkDelay(target.ID)
+	rtt := 2 * n.Fabric().Latency(target.ID)
 	if got := time.Duration(revokedAt) - failAt; got > rtt+time.Millisecond {
 		t.Errorf("revocation arrived %v after failure, want <= one RTT (%v)", got, rtt)
 	}

@@ -119,7 +119,6 @@ type Network struct {
 	cores map[addr.ISD][]addr.IA
 
 	clock  *sim.Simulator
-	netSim *sim.Network
 	fabric *dataplane.Fabric
 	hosts  map[addr.IA][]*Host
 	// svcHandlers intercept control-service replies per AS (RemoteLookup).
@@ -227,9 +226,7 @@ func NewNetwork(topo *topology.Graph, opts Options) (*Network, error) {
 		return nil, err
 	}
 
-	n.netSim = sim.NewNetwork(n.clock, topo, opts.LinkDelay)
-	n.netSim.SetTelemetry(opts.Telemetry)
-	n.fabric = dataplane.NewFabric(n.netSim, infra.ForwardingKey)
+	n.fabric = dataplane.NewFabric(n.clock, topo, opts.LinkDelay, sim.NewLinkFaults(topo), infra.ForwardingKey)
 	n.fabric.RevocationTTL = opts.RevocationTTL
 	n.fabric.SetTelemetry(opts.Telemetry)
 	// One delivery demux and one SCMP demux per AS. Service-addressed
@@ -562,8 +559,8 @@ func (n *Network) Clock() *sim.Simulator { return n.clock }
 func (n *Network) Fabric() *dataplane.Fabric { return n.fabric }
 
 // FailLink fails the i-th link between a and b (0 = first), returning
-// the failed link or an error if none exists. Beacon stores and path
-// servers are revoked so fresh lookups avoid the link; endpoints with
+// the failed link or an error if none exists. Path servers (not beacon
+// stores) are revoked so fresh lookups avoid the link; endpoints with
 // in-flight traffic fail over on SCMP.
 func (n *Network) FailLink(a, b addr.IA, i int) (*topology.Link, error) {
 	links := n.Topo.LinksBetween(a, b)
