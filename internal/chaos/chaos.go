@@ -3,7 +3,8 @@
 // failures, latency spikes, and per-AS process crashes — to a running
 // simulation through a small FaultTarget interface that sim.Network
 // (control plane), dataplane.Fabric and dataplane.Engine (data plane)
-// satisfy, so a single schedule degrades every plane consistently.
+// satisfy; the planes of one world share its fault table, so a single
+// schedule degrades every plane consistently.
 //
 // Determinism: every injection time (including jitter) is drawn from
 // the schedule's seeded RNG when Apply is called, in a fixed order,
@@ -40,11 +41,11 @@ type CrashTarget interface {
 	Restart(ia addr.IA)
 }
 
-// Engine applies schedules to a set of targets on one simulator.
+// Engine applies schedules to one fault target on one simulator.
 type Engine struct {
-	Sim     *sim.Simulator
-	targets []FaultTarget
-	crash   []CrashTarget
+	Sim    *sim.Simulator
+	target FaultTarget
+	crash  []CrashTarget
 
 	// Overlap bookkeeping. Concurrent events on the same link (two
 	// overlapping flaps, a flap during a gray window) must not restore
@@ -65,11 +66,15 @@ type Engine struct {
 	Injections map[Kind]uint64
 }
 
-// NewEngine builds an engine driving the given fault targets.
-func NewEngine(s *sim.Simulator, targets ...FaultTarget) *Engine {
+// NewEngine builds an engine driving target. A nil target stands for a
+// table of no links: the faults then reach only the hooks and counters.
+func NewEngine(s *sim.Simulator, target FaultTarget) *Engine {
+	if target == nil {
+		target = &sim.LinkFaults{}
+	}
 	return &Engine{
 		Sim:        s,
-		targets:    targets,
+		target:     target,
 		failDepth:  map[topology.LinkID]int{},
 		grayRates:  map[topology.LinkID][]float64{},
 		spikes:     map[topology.LinkID][]time.Duration{},
@@ -177,9 +182,7 @@ func (e *Engine) failLink(id topology.LinkID) {
 		return
 	}
 	e.trace(telemetry.FaultApplied, 0, uint64(id), "flap")
-	for _, t := range e.targets {
-		t.FailLink(id)
-	}
+	e.target.FailLink(id)
 	if e.OnFail != nil {
 		e.OnFail(id)
 	}
@@ -192,9 +195,7 @@ func (e *Engine) restoreLink(id topology.LinkID) {
 	}
 	delete(e.failDepth, id)
 	e.trace(telemetry.FaultHealed, 0, uint64(id), "flap")
-	for _, t := range e.targets {
-		t.RestoreLink(id)
-	}
+	e.target.RestoreLink(id)
 	if e.OnRestore != nil {
 		e.OnRestore(id)
 	}
@@ -231,9 +232,7 @@ func (e *Engine) applyGray(id topology.LinkID) {
 			max = r
 		}
 	}
-	for _, t := range e.targets {
-		t.SetLinkLoss(id, max)
-	}
+	e.target.SetLinkLoss(id, max)
 }
 
 func (e *Engine) pushSpike(id topology.LinkID, d time.Duration) {
@@ -268,13 +267,9 @@ func (e *Engine) applySpike(id topology.LinkID) {
 			max = d
 		}
 	}
-	// Every target gets the override (two over one table set it twice,
-	// which is idempotent). A sim.Network and a dataplane.Fabric delay
-	// what they carry by it; a queue-draining dataplane.Engine has no
-	// clock and only stores it.
-	for _, t := range e.targets {
-		t.SetLinkDelay(id, max)
-	}
+	// A sim.Network and a dataplane.Fabric delay what they carry by it;
+	// a queue-draining dataplane.Engine has no clock and only stores it.
+	e.target.SetLinkDelay(id, max)
 }
 
 func (e *Engine) crashAS(ia addr.IA) {

@@ -131,7 +131,7 @@ func TestOverlappingFlapsDepthCounted(t *testing.T) {
 func TestOverlappingCrashesHealExactlyOnce(t *testing.T) {
 	s := &sim.Simulator{}
 	rec := newRecorder(s)
-	e := NewEngine(s)
+	e := NewEngine(s, nil)
 	e.AddCrashTarget(rec)
 	ia := addr.MustIA(1, 0xff00_0000_0110)
 	// Two overlapping outages on the same AS: [1s,5s) and [2s,3s) —
@@ -200,7 +200,7 @@ func TestGrayAndSpikeStacking(t *testing.T) {
 func TestCrashRestart(t *testing.T) {
 	s := &sim.Simulator{}
 	rec := newRecorder(s)
-	e := NewEngine(s)
+	e := NewEngine(s, nil)
 	e.AddCrashTarget(rec)
 	ia := addr.MustIA(1, 0xff00_0000_0110)
 	sched := &Schedule{End: sim.Time(10 * time.Second), Events: []Event{

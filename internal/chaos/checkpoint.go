@@ -90,13 +90,13 @@ func (e *Engine) AppendState(dst []byte) []byte {
 }
 
 // RestoreState rebuilds the bookkeeping serialized by AppendState on a
-// freshly constructed engine whose targets are already registered, and
-// re-installs the faults it holds on them: every held-down link fails,
-// every gray or spiked link gets its strongest active degradation, and
-// every crashed AS crashes again. The re-install fires no hook, emits no
-// trace and counts no injection — it restores a state, it does not
-// inject. Call it before Apply, which registers the surviving fault-plan
-// actions.
+// freshly constructed engine whose crash targets are already registered,
+// and re-installs the faults it holds on its targets: every held-down
+// link fails, every gray or spiked link gets its strongest active
+// degradation, and every crashed AS crashes again. The re-install fires
+// no hook, emits no trace and counts no injection — it restores a state,
+// it does not inject. Call it before Apply, which registers the
+// surviving fault-plan actions.
 func (e *Engine) RestoreState(b []byte) error {
 	r := wire.NewReader("chaos: engine state", b)
 	depth := func(what string) int {
@@ -148,9 +148,7 @@ func (e *Engine) RestoreState(b []byte) error {
 	// Faults on different links and ASes are independent, so the order
 	// they are re-installed in does not matter.
 	for id := range e.failDepth {
-		for _, t := range e.targets {
-			t.FailLink(id)
-		}
+		e.target.FailLink(id)
 	}
 	for id := range e.grayRates {
 		e.applyGray(id)

@@ -37,7 +37,7 @@ func midStormState(t *testing.T) []byte {
 }
 
 func restore(b []byte) (*Engine, error) {
-	e := NewEngine(&sim.Simulator{})
+	e := NewEngine(&sim.Simulator{}, nil)
 	return e, e.RestoreState(b)
 }
 

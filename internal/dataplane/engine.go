@@ -1,5 +1,5 @@
 // The wire-format forwarding engine, the one border router: it works
-// on real packet bytes in the internal/slayers encoding, with pooled
+// on real packet bytes in the internal/slayers encoding, with recycled
 // buffers, a strict decode at a frame's first router and raw path bytes
 // after it, one expected MAC per interface pair and, under NewEngine,
 // per-AS ingress queues that Flush drains in fixed-size batches on the
@@ -59,6 +59,11 @@ type EngineStats struct {
 // next queue — happens on packet bytes without allocating. Configure the
 // exported fields before the first Inject. A Fabric drives an engine
 // without queues on its world's clock.
+//
+// Inject, InjectBytes, Flush and every Fabric step run one at a time, on
+// the caller's goroutine or the clock's serial shard: the MAC tables, the
+// frame free list and the scratch take no lock. Only the Stats counters
+// are atomic, for scrapes from other goroutines.
 type Engine struct {
 	Topo *topology.Graph
 	Keys KeyFunc
@@ -99,7 +104,7 @@ type Engine struct {
 	steps []*workerCtx
 	depth int
 
-	pool *framePool
+	pool framePool
 	enc  slayers.SCION // Inject's encode scratch
 
 	forwarded, delivered, droppedBadMAC, droppedNoRoute, droppedTooBig atomic.Uint64
@@ -133,16 +138,17 @@ func newEngine(topo *topology.Graph, keys KeyFunc, faults *sim.LinkFaults) *Engi
 		macs:       make([]macTable, len(ias)),
 		deliver:    make([]func(*frame, *slayers.SCION), len(ias)),
 		scmp:       make([]SCMPFunc, len(ias)),
-		pool:       newFramePool(),
 	}
 	for i, ia := range ias {
 		e.idx[ia] = int32(i)
-		e.macs[i] = macTable{key: keys(ia), ia: ia}
 	}
 	for i, l := range topo.Links {
 		a, b := e.idx[l.A], e.idx[l.B]
 		e.setIf(a, l.AIf, ifEntry{link: l, dst: b, ifc: 2 * int32(i)})
 		e.setIf(b, l.BIf, ifEntry{link: l, dst: a, ifc: 2*int32(i) + 1})
+	}
+	for i, t := range e.ifTable {
+		e.macs[i] = macTable{key: keys(ias[i]), ia: ias[i], want: make([][]expectedMAC, len(t))}
 	}
 	return e
 }
@@ -154,11 +160,9 @@ func (e *Engine) setIf(a int32, ifID addr.IfID, ent ifEntry) {
 	}
 	t[ifID] = ent
 	e.ifTable[a] = t
-	e.macs[a].ifs = len(t)
 }
 
-// lookupIf returns AS a's interface entry for ifID (zero entry if the
-// interface does not exist).
+// lookupIf returns AS a's interface entry for ifID, zero if it has none.
 func (e *Engine) lookupIf(a int32, ifID addr.IfID) ifEntry {
 	if t := e.ifTable[a]; int(ifID) < len(t) {
 		return t[ifID]
@@ -263,7 +267,7 @@ func (e *Engine) Inject(pkt *Packet) error {
 }
 
 // InjectBytes enqueues one raw wire-format packet at its source AS
-// (parsed from the header). The bytes are copied into a pooled frame;
+// (parsed from the header). The bytes are copied into a recycled frame;
 // the caller keeps ownership of data. mtu > 0 enforces a path MTU the
 // way Inject does.
 func (e *Engine) InjectBytes(data []byte, mtu uint16) error {
@@ -353,7 +357,6 @@ func (e *Engine) Flush() {
 				e.queued -= n
 				e.processBatch(int32(a), ctx)
 			}
-			clear(e.queues[a]) // drop the pointers to frames the pool owns again
 			e.queues[a] = e.queues[a][:0]
 		}
 	}
@@ -401,7 +404,7 @@ func (e *Engine) processBatch(a int32, ctx *workerCtx) {
 		if f.path != (slayers.RawPath{}) {
 			continue
 		}
-		walking := f.walk != (slayers.RawWalk{}) // an SCMP frame past its first router
+		walking := f.walk != (slayers.RawWalk{}) // an SCMP frame with geometry
 		if !walking && s.DecodeFromBytes(f.b) != nil {
 			e.malformed(f)
 		} else if walking || s.NextHdr == slayers.NextHdrSCMP {
@@ -513,11 +516,9 @@ func (e *Engine) emitSCMP(a int32, df *frame, orig *slayers.SCION, typ SCMPType,
 		WalkIdx:  orig.CurrHF,
 		Quote:    quote,
 	}
-	if _, err := msg.SerializeTo(f.b[hdrLen:]); err != nil {
-		e.pool.put(f)
-		return
-	}
+	_, _ = msg.SerializeTo(f.b[hdrLen:]) // f.b is sized for it: cannot fail
 	f.pkt = df.pkt
+	f.walk = orig.QuoteWalk(hdrLen) // so no router decodes it
 	// The walk starts at the offender itself: the first step moves the
 	// message over the arrival link.
 	e.enqueue(a, f)
@@ -528,8 +529,8 @@ func (e *Engine) emitSCMP(a int32, df *frame, orig *slayers.SCION, typ SCMPType,
 // current AS's index on the quoted path; at zero the message arrived
 // home and is delivered, otherwise it leaves over the link attached to
 // the quoted hop's ingress interface with WalkIdx decremented in
-// place, through the walk geometry its first router (s holds that
-// router's strict decode) keeps; only home decodes it again, to deliver.
+// place, through the walk geometry its encoder handed over, or else the
+// strict decode in s found; only home decodes it again, to deliver.
 // SCMP messages are never subject to MAC checks, failures, or loss.
 func (e *Engine) scmpWalkStep(a int32, f *frame, s *slayers.SCION, quote *slayers.SCION) {
 	var m slayers.SCMP

@@ -519,7 +519,7 @@ func TestEngineForwardAllocs(t *testing.T) {
 		}
 		eng.Flush()
 	}
-	forward() // warm the frame pool, worker scratch and verdict caches
+	forward() // warm the free list, worker scratch and MAC table
 	if n := testing.AllocsPerRun(100, forward); n != 0 {
 		t.Errorf("%v allocs per inject+flush, want 0", n)
 	}
@@ -531,7 +531,7 @@ func TestEngineForwardAllocs(t *testing.T) {
 // TestFabricForwardAllocs holds one packet injected into a fabric and
 // forwarded over a multi-hop path to its delivery, the clock run
 // included, to zero allocations: frames ride the clock on their own
-// pooled arrival events, so crossing a link allocates nothing, and
+// recycled arrival events, so crossing a link allocates nothing, and
 // Inject encodes into a scratch header it keeps.
 func TestFabricForwardAllocs(t *testing.T) {
 	e := newEnv(t)
@@ -552,7 +552,7 @@ func TestFabricForwardAllocs(t *testing.T) {
 		}
 		e.sim.Run()
 	}
-	forward() // warm the frame pool, step scratch and clock buckets
+	forward() // warm the free list, step scratch and clock buckets
 	n := testing.AllocsPerRun(100, forward)
 	t.Logf("%v allocs per packet over %d links", n, len(pkt.Path.Hops)-1)
 	if n != 0 {

@@ -16,8 +16,9 @@ import (
 // over the 12 covered bytes, truncated): the MAC must be a pure
 // function of (key, IA, in, out), and a router's expected-MAC table
 // must accept the genuine MAC, reject any single-bit tamper of it, and
-// answer the same once the pair's entry is filled, whether or not the
-// pair is one the table keeps.
+// answer the same once the pair's entry is filled. A table keeps the
+// pair when the AS has both interfaces and keeps nothing when it lacks
+// one.
 func FuzzHopFieldMAC(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), uint64(0x0001_ff00_0000_0106), uint16(1), uint16(3), uint8(0))
 	f.Add([]byte{}, uint64(0), uint16(0), uint16(0), uint8(47))
@@ -44,20 +45,22 @@ func FuzzHopFieldMAC(f *testing.F) {
 
 		bad := want
 		bad[int(flip)%MACLen] ^= 1 << (flip % 8)
-		// One table keeps every pair, one keeps none (a pair of
-		// interfaces the AS lacks).
-		for _, ifs := range []int{1 << 16, 0} {
-			tab := macTable{key: key, ia: ia, ifs: ifs}
+		// One table has every interface the hop names and keeps the
+		// pair, one lacks the higher of them and keeps nothing.
+		ifs := int(max(in, out)) + 1
+		for _, n := range []int{ifs, ifs - 1} {
+			tab := macTable{key: key, ia: ia, want: make([][]expectedMAC, n)}
 			for round := 0; round < 2; round++ {
 				if !tab.check(hop.In, hop.Out, want) {
-					t.Fatalf("ifs %d round %d: table rejected genuine MAC %x", ifs, round, want)
+					t.Fatalf("%d interfaces, round %d: table rejected genuine MAC %x", n, round, want)
 				}
 				if tab.check(hop.In, hop.Out, bad) {
-					t.Fatalf("ifs %d round %d: table accepted tampered MAC %x (genuine %x)", ifs, round, bad, want)
+					t.Fatalf("%d interfaces, round %d: table accepted tampered MAC %x (genuine %x)", n, round, bad, want)
 				}
 			}
-			if kept := len(tab.want) == 1; kept != (ifs > 0) {
-				t.Fatalf("ifs %d: table holds %d entries", ifs, len(tab.want))
+			got, keeps := filled(&tab), n == ifs
+			if keeps && (len(got) != 1 || got[0] != [2]addr.IfID{hop.In, hop.Out}) || !keeps && len(got) != 0 {
+				t.Fatalf("%d interfaces: table keeps %v", n, got)
 			}
 		}
 	})

@@ -86,34 +86,43 @@ func hopMAC(key []byte, h combinator.Hop) [MACLen]byte {
 	return macOver(keyedMAC(key), h.IA, h.In, h.Out)
 }
 
-// macTable is one AS's expected hop-field MACs, keyed by interface
-// pair (ingress<<16 | egress). A MAC is a pure function of (key, IA,
-// in, out), so an entry never goes stale; only pairs of interfaces
-// below ifs (the AS's own, 0 included) are kept, which bounds the table
-// by the AS's interface pairs. The table belongs to its AS's router,
-// which runs on one goroutine at a time, and is filled on a miss under
-// macStates.
+// macTable is one AS's expected hop-field MACs in dense rows,
+// want[in][out], one per interface of the AS's interface table (0
+// included): a row is allocated when its ingress interface is first seen.
+// A MAC is a pure function of (key, IA, in, out), so an entry never goes
+// stale; a hop naming an interface past the table is checked uncached.
+// Only the AS's router uses the table, filling it under macStates.
 type macTable struct {
 	key  []byte
 	ia   addr.IA
-	ifs  int
-	want map[uint32][MACLen]byte
+	want [][]expectedMAC
+}
+
+// expectedMAC is one macTable entry, filled once ok.
+type expectedMAC struct {
+	mac [MACLen]byte
+	ok  bool
 }
 
 // check reports whether mac is the genuine MAC of hop field (in, out).
+// The comparison takes the same time wherever the MACs differ.
 func (t *macTable) check(in, out addr.IfID, mac [MACLen]byte) bool {
-	k := uint32(in)<<16 | uint32(out)
-	want, ok := t.want[k]
-	if !ok {
-		want = hopMAC(t.key, combinator.Hop{IA: t.ia, In: in, Out: out})
-		if int(in) < t.ifs && int(out) < t.ifs {
-			if t.want == nil {
-				t.want = map[uint32][MACLen]byte{}
-			}
-			t.want[k] = want
+	var uncached expectedMAC
+	w := &uncached
+	if int(in) < len(t.want) && int(out) < len(t.want) {
+		if t.want[in] == nil {
+			t.want[in] = make([]expectedMAC, len(t.want))
 		}
+		w = &t.want[in][out]
 	}
-	return hmac.Equal(want[:], mac[:])
+	if !w.ok {
+		w.mac, w.ok = hopMAC(t.key, combinator.Hop{IA: t.ia, In: in, Out: out}), true
+	}
+	var d byte
+	for i := range mac {
+		d |= w.mac[i] ^ mac[i]
+	}
+	return d == 0
 }
 
 // Authorize stamps a combinator path into a forwarding path: each AS's

@@ -473,7 +473,7 @@ func TestWireChaosRevokesBothDirections(t *testing.T) {
 	l := g.Links[0]
 	clock := &sim.Simulator{}
 	svc := New(Config{})
-	eng := chaos.NewEngine(clock)
+	eng := chaos.NewEngine(clock, nil)
 	var chainedFail, chainedRestore int
 	eng.OnFail = func(topology.LinkID) { chainedFail++ }
 	eng.OnRestore = func(topology.LinkID) { chainedRestore++ }

@@ -110,7 +110,15 @@ func (s *SCION) DecodeWalk(m *SCMP, quote *SCION) RawWalk {
 		m.WalkIdx > 0 && (quote.PathType != PathTypeSCION || m.WalkIdx >= quote.NumHops) {
 		return RawWalk{}
 	}
-	return RawWalk{idx: uint16(s.hdrLen + 22), hops: uint16(s.hdrLen + SCMPHdrLen + quote.pathOff + MetaLen + InfoLen)}
+	return quote.QuoteWalk(s.hdrLen)
+}
+
+// QuoteWalk returns the walk geometry of an SCMP frame whose SCION header
+// is hdrLen bytes long and whose quote is the header s last decoded or
+// serialized: what DecodeWalk finds in it, so the frame's encoder hands
+// it over without a decode. Its WalkIdx must name a quoted hop field.
+func (s *SCION) QuoteWalk(hdrLen int) RawWalk {
+	return RawWalk{idx: uint16(hdrLen + 22), hops: uint16(hdrLen + SCMPHdrLen + s.pathOff + MetaLen + InfoLen)}
 }
 
 // Step reads b's WalkIdx: at 0 the message is home; otherwise Step

@@ -493,6 +493,43 @@ func TestSerializeRawPath(t *testing.T) {
 	}
 }
 
+// TestQuoteWalk builds an SCMP frame quoting each golden data packet, as
+// a border router raises one, and holds the walk geometry its encoder
+// hands over (QuoteWalk on the decoded original) to what a strict decode
+// of the frame finds.
+func TestQuoteWalk(t *testing.T) {
+	vecs := goldenVectors(t)
+	for _, name := range []string{"ipv4_3hop.bin", "svc_minimal.bin", "ipv6_mac_hosts.bin"} {
+		var orig SCION
+		if err := orig.DecodeFromBytes(vecs[name]); err != nil {
+			t.Fatal(err)
+		}
+		quote := orig.HeaderBytes()
+		hdr := SCION{NextHdr: NextHdrSCMP, PayloadLen: uint16(SCMPHdrLen + len(quote)), PathType: PathTypeEmpty,
+			DstIA: orig.SrcIA, SrcIA: orig.DstIA, DstHost: orig.SrcHost, SrcHost: addr.HostSvc(orig.DstIA, addr.SvcBR)}
+		hdrLen, err := hdr.HdrLen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := make([]byte, hdrLen+SCMPHdrLen+len(quote))
+		if _, err := hdr.SerializeTo(frame); err != nil {
+			t.Fatal(err)
+		}
+		msg := SCMP{Type: SCMPTypeRevokedLink, WalkIdx: orig.NumHops - 1, Quote: quote}
+		if _, err := msg.SerializeTo(frame[hdrLen:]); err != nil {
+			t.Fatal(err)
+		}
+		var s, q SCION
+		var m SCMP
+		if err := s.DecodeFromBytes(frame); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := orig.QuoteWalk(hdrLen), s.DecodeWalk(&m, &q); got != want || want == (RawWalk{}) {
+			t.Errorf("%s: encoder's walk %+v, decoded %+v", name, got, want)
+		}
+	}
+}
+
 // TestRawWalk steps the golden SCMP frame home through its walk
 // geometry: hop 1's ingress interface, then home, WalkIdx rewritten in
 // place; a WalkIdx past the quoted path yields no geometry.

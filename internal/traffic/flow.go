@@ -29,8 +29,6 @@ type FlowSpec struct {
 type flowPath struct {
 	fp    *dataplane.FwdPath
 	links []dataplane.LinkRef
-	// delay is the one-way propagation delay along the path.
-	delay time.Duration
 	// bottleneck is the smallest link rate on the path (bytes/s).
 	bottleneck float64
 	// busyUntil is when the path finishes serializing its current chunk.
@@ -58,6 +56,8 @@ type Flow struct {
 	mem   *dataplane.SourceMemory
 	paths []*flowPath
 	infos []strategy.PathView // scratch for scheduler decisions
+	// fabric carries the flow's head packets and times its paths.
+	fabric *dataplane.Fabric
 
 	state    flowState
 	started  sim.Time
@@ -150,13 +150,23 @@ func (f *Flow) PathStats() []PathStat {
 	for i, p := range f.paths {
 		out[i] = PathStat{
 			Hops:       len(p.fp.Hops),
-			Delay:      p.delay,
+			Delay:      p.latency(f.fabric),
 			Bottleneck: p.bottleneck,
 			Sent:       p.sent,
 			Revoked:    p.revoked,
 		}
 	}
 	return out
+}
+
+// latency is p's one-way propagation delay now: the sum of its links'
+// delays on fab, spikes included.
+func (p *flowPath) latency(fab *dataplane.Fabric) time.Duration {
+	var d time.Duration
+	for _, ref := range p.links {
+		d += fab.Latency(ref.Link.ID)
+	}
+	return d
 }
 
 // pathHasLink reports whether p traverses the link.

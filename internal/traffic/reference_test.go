@@ -4,7 +4,8 @@ package traffic
 // memory per source AS, verbatim but for its type names, the shared
 // head-packet helpers and the Run/RunUntil drivers (the test drives the
 // clock), its reads of topology and link delay (they go through the
-// fabric, which no longer has a sim.Network), and for the path signals no kept policy reads (loss, RTT,
+// fabric, which no longer has a sim.Network), its paths' build-time
+// delays (kept in delay, since flowPath no longer has the field), and for the path signals no kept policy reads (loss, RTT,
 // shared links and revocation recency, with the revocation history that
 // fed it), removed from both engines: each engine kept its own
 // SCMP-learned revocations, with their TTL and expiry events, and the
@@ -98,6 +99,7 @@ type refEngine struct {
 	// restored paths.
 	revoked map[addr.IA]map[topology.LinkID]sim.Time
 	hooked  map[addr.IA]bool
+	delay   map[*flowPath]time.Duration
 	// rng drives re-query jitter; the event loop is single-threaded, so
 	// a seeded source keeps runs reproducible.
 	rng *rand.Rand
@@ -171,6 +173,7 @@ func newRefEngine(cfg refConfig) (*refEngine, error) {
 		bySrc:   map[addr.IA][]*Flow{},
 		revoked: map[addr.IA]map[topology.LinkID]sim.Time{},
 		hooked:  map[addr.IA]bool{},
+		delay:   map[*flowPath]time.Duration{},
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if reg := cfg.Telemetry; reg != nil {
@@ -362,9 +365,9 @@ func (e *refEngine) buildPaths(src addr.IA, fps []*dataplane.FwdPath) []*flowPat
 		out = append(out, &flowPath{
 			fp:         fp,
 			links:      links,
-			delay:      delay,
 			bottleneck: e.cfg.Links.Bottleneck(links),
 		})
+		e.delay[out[len(out)-1]] = delay
 	}
 	return out
 }
@@ -410,7 +413,7 @@ func (e *refEngine) pump(f *Flow) {
 	for _, p := range f.paths {
 		f.infos = append(f.infos, strategy.PathView{
 			Hops:       len(p.fp.Hops),
-			Delay:      p.delay,
+			Delay:      e.delay[p],
 			Bottleneck: p.bottleneck,
 			Busy:       p.busyUntil > now,
 			Revoked:    p.revoked,
@@ -485,7 +488,7 @@ func (e *refEngine) maybeFinish(f *Flow) {
 		if t < now {
 			t = now
 		}
-		t += sim.Time(p.delay)
+		t += sim.Time(e.delay[p])
 		if p.sent > 0 && t > fin {
 			fin = t
 		}

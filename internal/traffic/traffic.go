@@ -179,7 +179,7 @@ func (e *Engine) trace(kind telemetry.EventKind, f *Flow, aux uint64, reason str
 func (e *Engine) Add(spec FlowSpec) *Flow {
 	src := spec.Src
 	mem := e.cfg.Fabric.Source(src)
-	f := &Flow{spec: spec, sched: e.cfg.Scheduler(), mem: mem, lastPath: -1}
+	f := &Flow{spec: spec, sched: e.cfg.Scheduler(), mem: mem, fabric: e.cfg.Fabric, lastPath: -1}
 	e.flows = append(e.flows, f)
 	e.byID[spec.ID] = f
 	if len(e.bySrc[src]) == 0 {
@@ -336,14 +336,9 @@ func (e *Engine) buildPaths(mem *dataplane.SourceMemory, fps []*dataplane.FwdPat
 		if err != nil || len(links) == 0 || mem.Crosses(links, 0) {
 			continue
 		}
-		var delay time.Duration
-		for _, ref := range links {
-			delay += e.cfg.Fabric.Latency(ref.Link.ID)
-		}
 		out = append(out, &flowPath{
 			fp:         fp,
 			links:      links,
-			delay:      delay,
 			bottleneck: e.cfg.Links.Bottleneck(links),
 		})
 	}
@@ -465,7 +460,7 @@ func (e *Engine) maybeFinish(f *Flow) {
 		if t < now {
 			t = now
 		}
-		t += sim.Time(p.delay)
+		t += sim.Time(p.latency(e.cfg.Fabric))
 		if p.sent > 0 && t > fin {
 			fin = t
 		}

@@ -261,3 +261,50 @@ func TestAllPathsRevokedTriggersRequery(t *testing.T) {
 		t.Errorf("requeries = %d, want >= 1 (failover re-lookup)", f.requeries)
 	}
 }
+
+// TestFinishFollowsLinkDelaySpike starts a latency spike on every link
+// while a sized flow runs on one path: its completion must wait out the
+// spiked propagation delay, the links' delay when the last chunk is
+// sent, not the one when the path set was built, and PathStats must
+// report the spiked delay.
+func TestFinishFollowsLinkDelaySpike(t *testing.T) {
+	const spike = 20 * time.Millisecond
+	run := func(spiked bool) *Flow {
+		n, eng := demoEngine(t, "single-best")
+		fab := n.Fabric()
+		if spiked {
+			n.Clock().Schedule(10*time.Millisecond, func() {
+				for _, l := range n.Topo.Links {
+					fab.SetLinkDelay(l.ID, spike)
+				}
+			})
+		}
+		f := eng.Add(FlowSpec{ID: 1, Src: a6, Dst: a4, Start: time.Millisecond, Size: 4 << 20})
+		eng.Run()
+		if !f.Done() {
+			t.Fatalf("spiked %v: flow not done: sent=%d failed=%v", spiked, f.Sent(), f.Failed())
+		}
+		if f.FCT() < 20*time.Millisecond {
+			t.Fatalf("spiked %v: flow done in %v, before the spike could matter", spiked, f.FCT())
+		}
+		return f
+	}
+	base, f, delay := run(false), run(true), scion.DefaultOptions().LinkDelay
+	links := -1
+	for i, st := range f.PathStats() {
+		if st.Sent == 0 {
+			continue
+		}
+		if links >= 0 {
+			t.Fatalf("path %d carries data too; the test wants one path", i)
+		}
+		links = st.Hops - 1
+		if want := time.Duration(links) * spike; st.Delay != want {
+			t.Errorf("path %d reports delay %v, want %v over %d spiked links", i, st.Delay, want, links)
+		}
+	}
+	if want := base.FCT() + time.Duration(links)*(spike-delay); f.FCT() != want {
+		t.Errorf("spiked flow finished in %v, want %v (%v unspiked, %d links %v slower each)",
+			f.FCT(), want, base.FCT(), links, spike-delay)
+	}
+}

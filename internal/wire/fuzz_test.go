@@ -228,7 +228,7 @@ func FuzzDecoders(f *testing.F) {
 			})
 		case kindChaos:
 			got = allocated(func() {
-				eng := chaos.NewEngine(&sim.Simulator{})
+				eng := chaos.NewEngine(&sim.Simulator{}, nil)
 				if err := eng.RestoreState(data); err == nil && !bytes.Equal(eng.AppendState(nil), data) {
 					t.Errorf("accepted chaos engine state re-appends differently")
 				}
