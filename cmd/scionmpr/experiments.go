@@ -39,8 +39,6 @@ type experiment struct {
 //	            baseline vs BGP best-path with real traffic
 //	churn       continuous flap churn: time-to-reconnect and goodput
 //	            recovery of diversity vs baseline vs BGP
-//	serve       path-lookup serving layer under closed-loop load; see
-//	            also `scionmpr pathserve` for the million-endpoint run
 //	scionlab    Figures 7/8/9 SCIONLab path quality & bandwidth
 //	convergence BGP (re-)convergence vs SCION SCMP failover (§5)
 //	ablation    selector variants (raw geomean, AS-disjoint, latency)
@@ -51,9 +49,6 @@ var experimentTable = []experiment{
 	{[]string{"fig6", "fig6a", "fig6b"}, func(s experiments.Scale) (printer, error) { return experiments.RunFig6(s) }},
 	{[]string{"capacity"}, func(s experiments.Scale) (printer, error) { return experiments.RunCapacity(s) }},
 	{[]string{"churn"}, func(s experiments.Scale) (printer, error) { return experiments.RunChurn(s) }},
-	{[]string{"serve"}, func(s experiments.Scale) (printer, error) {
-		return experiments.RunServe(s, experiments.DefaultServeConfig())
-	}},
 	{[]string{"scionlab", "fig7", "fig8", "fig9"}, func(experiments.Scale) (printer, error) { return experiments.RunSCIONLab() }},
 	{[]string{"convergence"}, func(s experiments.Scale) (printer, error) { return experiments.RunConvergence(s) }},
 	{[]string{"ablation"}, func(s experiments.Scale) (printer, error) { return experiments.RunAblation(s) }},
@@ -91,7 +86,7 @@ func experimentNames() []string {
 //	scionmpr experiments -exp fig6 -scale smoke
 func experimentsCmd(fs *flag.FlagSet) func(io.Writer) error {
 	var (
-		exp       = fs.String("exp", "all", "experiment: table1 | fig5 (alias: overhead) | fig6 | capacity | churn | serve | scionlab | convergence | ablation | gridsearch | all")
+		exp       = fs.String("exp", "all", "experiment: "+strings.Join(experimentNames(), " | "))
 		scaleName = fs.String("scale", "default", "scale preset: smoke | default | paper")
 		duration  = fs.Duration("duration", 0, "override beaconing duration")
 		pairs     = fs.Int("pairs", 0, "override sampled AS pairs")

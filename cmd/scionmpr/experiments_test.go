@@ -20,6 +20,7 @@ func TestExperimentsKnownNames(t *testing.T) {
 		{"forward", false},    // removed: must not silently succeed
 		{"failover", false},   // removed with the replicated path-server fleet
 		{"tournament", false}, // removed with the strategy tournament
+		{"serve", false},      // removed with the path-lookup serving layer
 		{"bogus", false},
 		{"", false},
 		{"Fig5", false},

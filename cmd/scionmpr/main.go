@@ -7,7 +7,6 @@
 //	scionmpr chaossim    core beaconing under a fault-injection schedule
 //	scionmpr pathprobe   look up and probe the paths between two ASes
 //	scionmpr trafficsim  multipath flows over a bootstrapped network
-//	scionmpr pathserve   the path-lookup serving layer under load
 //	scionmpr experiments the paper's tables and figures
 //
 // `scionmpr <subcommand> -h` lists a subcommand's flags. A subcommand
@@ -36,7 +35,6 @@ var commands = []command{
 	{"chaossim", "core beaconing under a fault-injection schedule", chaossim},
 	{"pathprobe", "look up and probe the paths between two ASes", pathprobe},
 	{"trafficsim", "multipath flows over a bootstrapped network", trafficsim},
-	{"pathserve", "the path-lookup serving layer under load", pathserve},
 	{"experiments", "the paper's tables and figures", experimentsCmd},
 }
 

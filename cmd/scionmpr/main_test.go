@@ -93,15 +93,16 @@ func TestCLIMatchesRecordedOutput(t *testing.T) {
 		// The strategy tournament's policies are gone: -sched names one of
 		// the two kept ones, and anything else fails as an unknown spec did.
 		{"trafficsim_round_robin_removed", "trafficsim -sched round-robin", 1},
-		{"pathserve", "pathserve -scale smoke -endpoints 2000 -actors 8 -duration 4s", 0},
-		{"pathserve_bad_scale", "pathserve -scale galactic", 1},
-		// The replicated path-server fleet is gone: its flag and its
-		// experiment are rejected like any unknown one.
-		{"pathserve_replicas_removed", "pathserve -replicas 3", 2},
+		// The path-lookup serving layer is gone: its subcommand is
+		// rejected like any unknown one.
+		{"pathserve_removed", "pathserve", 2},
 		{"experiments_table1", "experiments -exp table1", 0},
 		{"experiments_unknown", "experiments -exp bogus", 2},
+		// So are the experiments of the replicated path-server fleet, the
+		// strategy tournament and the serving layer.
 		{"experiments_failover_removed", "experiments -exp failover", 2},
 		{"experiments_tournament_removed", "experiments -exp tournament", 2},
+		{"experiments_serve_removed", "experiments -exp serve", 2},
 	} {
 		want, err := os.ReadFile(filepath.Join(golden, tc.name+".golden"))
 		if err != nil {
@@ -139,11 +140,6 @@ func TestFlagsMatchRecordedTable(t *testing.T) {
 		},
 		"pathprobe": {
 			{"algo", "diversity"}, {"dst", ""}, {"n", "300"}, {"seed", "1"}, {"src", ""}, {"topo", "demo"},
-		},
-		"pathserve": {
-			{"actors", "64"}, {"cachettl", "2s"}, {"duration", "10s"}, {"endpoints", "1000000"},
-			{"scale", "default"}, {"seed", "1"}, {"shards", "16"}, {"snapshot", ""}, {"telemetry", ""},
-			{"think", "250ms"}, {"tick", "10ms"}, {"trace", ""}, {"workers", "0"}, {"zipf", "1.2"},
 		},
 		"topogen": {
 			{"core", "0"}, {"isd", "0"}, {"isds", "0"}, {"kind", "gen"}, {"n", "12000"}, {"o", ""},
@@ -202,7 +198,6 @@ func TestTraceWriteErrorFails(t *testing.T) {
 		{"trafficsim", "-flows", "200"},
 		{"chaossim", "-duration", "12s"},
 		{"experiments", "-exp", "table1"},
-		{"pathserve", "-scale", "smoke", "-endpoints", "2000", "-actors", "8", "-duration", "4s"},
 	} {
 		if _, err := runCmd(append(args, "-trace", trace)...); err == nil {
 			t.Errorf("%s with an unwritable -trace succeeded", args[0])

@@ -172,8 +172,8 @@ func (p *Plane) ScheduleTicks() {
 // NewChaos builds a fault-injection engine over the control network with
 // the plane's reactions wired: a failed link is revoked at every beacon
 // server (paper §4.1), and a crashed AS's beacon server is deaf and mute
-// until it restarts. Callers may add targets and chain hooks before they
-// Apply a schedule.
+// until it restarts. Callers may add crash targets before they Apply a
+// schedule.
 func (p *Plane) NewChaos() *chaos.Engine {
 	eng := chaos.NewEngine(p.Sim, p.Net)
 	eng.SetTelemetry(p.Cfg.Telemetry)

@@ -56,11 +56,10 @@ type Engine struct {
 	spikes     map[topology.LinkID][]time.Duration
 	crashDepth map[addr.IA]int
 
-	// OnFail / OnRestore are invoked when a link transitions to failed /
-	// healthy (outermost flap edge only). Experiments hook these to feed
-	// beacon-server revocation and to timestamp outages.
-	OnFail    func(id topology.LinkID)
-	OnRestore func(id topology.LinkID)
+	// OnFail is invoked when a link transitions to failed (outermost flap
+	// edge only). The beacon plane sets it to feed beacon-server
+	// revocation.
+	OnFail func(id topology.LinkID)
 
 	// Injections counts fault-plan actions executed so far, by kind.
 	Injections map[Kind]uint64
@@ -196,9 +195,6 @@ func (e *Engine) restoreLink(id topology.LinkID) {
 	delete(e.failDepth, id)
 	e.trace(telemetry.FaultHealed, 0, uint64(id), "flap")
 	e.target.RestoreLink(id)
-	if e.OnRestore != nil {
-		e.OnRestore(id)
-	}
 }
 
 func (e *Engine) pushGray(id topology.LinkID, rate float64) {

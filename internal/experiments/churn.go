@@ -216,7 +216,7 @@ func churnEnd() sim.Time {
 func scionChurn(e *env, name string, factory core.Factory, pairs [][2]addr.IA,
 	sched *chaos.Schedule) (ChurnSeries, error) {
 
-	plane, err := e.livePlane(factory, churnBeaconInterval, churnEnd(), nil, nil)
+	plane, err := e.livePlane(factory, churnBeaconInterval, churnEnd())
 	if err != nil {
 		return ChurnSeries{}, err
 	}

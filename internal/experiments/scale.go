@@ -195,14 +195,11 @@ func (e *env) runCore(factory core.Factory, storeLimit int) (*beacon.RunResult, 
 	return beacon.Run(cfg)
 }
 
-// livePlane builds the compressed-time core beaconing plane the live
-// experiments (churn, serve) run on, ticks scheduled: one-hour
-// PCB lifetime, 10 ms control links, a tick every interval until end.
-// The plane builds its own trust infra (keys are a pure function of the
-// AS); a nil observer behaves as in beacon.RunConfig.
-func (e *env) livePlane(factory core.Factory, interval time.Duration, end sim.Time,
-	reg *telemetry.Registry, tracer *telemetry.Tracer) (*beacon.Plane, error) {
-
+// livePlane builds the compressed-time core beaconing plane the churn
+// experiment runs on, ticks scheduled: one-hour PCB lifetime, 10 ms
+// control links, a tick every interval until end, no telemetry. The
+// plane builds its own trust infra (keys are a pure function of the AS).
+func (e *env) livePlane(factory core.Factory, interval time.Duration, end sim.Time) (*beacon.Plane, error) {
 	p, err := beacon.NewPlane(beacon.RunConfig{
 		Topo:       e.core,
 		Mode:       beacon.CoreMode,
@@ -213,8 +210,6 @@ func (e *env) livePlane(factory core.Factory, interval time.Duration, end sim.Ti
 		Duration:   time.Duration(end),
 		LinkDelay:  10 * time.Millisecond,
 		Workers:    e.scale.Workers,
-		Telemetry:  reg,
-		Tracer:     tracer,
 	})
 	if err != nil {
 		return nil, err

@@ -1,15 +1,11 @@
 package metrics
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 // ZipfRanks draws indices in [0, n) with Zipf-distributed popularity —
 // rank 0 is the most popular. It backs the traffic generator's pair
-// popularity, the path-server client workloads and Table 1's lookup
-// workload: Internet traffic destinations are Zipf distributed (paper
-// §4.1, citing prefix top lists).
+// popularity and Table 1's lookup workload: Internet traffic destinations
+// are Zipf distributed (paper §4.1, citing prefix top lists).
 type ZipfRanks struct {
 	n    int
 	zipf *rand.Zipf
@@ -30,40 +26,3 @@ func NewZipfRanks(n int, s float64, seed int64) *ZipfRanks {
 
 // Next returns the next rank.
 func (z *ZipfRanks) Next() int { return int(z.zipf.Uint64()) % z.n }
-
-// ThinkTimes samples endpoint think times — the closed-loop pause between
-// a client receiving a reply and issuing its next request — as an
-// exponential distribution with the given mean, floored at min so no
-// endpoint busy-loops. The same stylized model as traffic's Poisson flow
-// arrivals, reused by the pathsrv client population.
-type ThinkTimes struct {
-	rng  *rand.Rand
-	mean float64
-	min  float64
-}
-
-// NewThinkTimes builds a deterministic think-time sampler. A mean <= 0
-// defaults to one second; min is clamped into [0, mean].
-func NewThinkTimes(mean, min time.Duration, seed int64) *ThinkTimes {
-	m := float64(mean)
-	if m <= 0 {
-		m = float64(time.Second)
-	}
-	lo := float64(min)
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > m {
-		lo = m
-	}
-	return &ThinkTimes{rng: rand.New(rand.NewSource(seed)), mean: m, min: lo}
-}
-
-// Next returns the next think time.
-func (t *ThinkTimes) Next() time.Duration {
-	d := t.rng.ExpFloat64() * t.mean
-	if d < t.min {
-		d = t.min
-	}
-	return time.Duration(d)
-}

@@ -57,16 +57,6 @@ func BenchmarkServiceLookupParallel(b *testing.B) {
 	})
 }
 
-func BenchmarkCachedLookup(b *testing.B) {
-	svc, sources, dests := benchService(b, 256, 4)
-	cache := NewLocalCache(hour, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.Lookup(0, svc, sources[i&1], dests[i%len(dests)])
-	}
-}
-
 func BenchmarkPublishDirtyShard(b *testing.B) {
 	svc, _, dests := benchService(b, 1024, 4)
 	// Each iteration dirties one shard via a refresh and republishes.
@@ -97,10 +87,9 @@ func BenchmarkRevokeReinstate(b *testing.B) {
 }
 
 // TestConcurrentReadersBesideWriter drives the goroutine form of the
-// concurrency contract: readers with local caches and readers without
-// one look up pairs while one writer refreshes segments, republishes,
-// revokes and reinstates. Run with -race, it is the proof that readers
-// touch only immutable snapshots and their own cache.
+// concurrency contract: readers look up pairs while one writer refreshes
+// segments, republishes, revokes and reinstates. Run with -race, it is the
+// proof that readers touch only immutable snapshots.
 func TestConcurrentReadersBesideWriter(t *testing.T) {
 	svc, sources, dests := benchService(t, 128, 3)
 	refresh := make([]*seg.PCB, len(dests))
@@ -115,19 +104,9 @@ func TestConcurrentReadersBesideWriter(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer done.Add(1)
-			var cache *Cache
-			if g%2 == 0 {
-				cache = NewLocalCache(hour, 256)
-			}
 			for i := 0; i < ops; i++ {
 				src, dst := sources[i&1], dests[(i*7+g)%len(dests)]
-				var segs []*seg.PCB
-				if cache != nil {
-					segs, _ = cache.Lookup(0, svc, src, dst)
-				} else {
-					segs, _ = svc.Lookup(0, src, dst)
-				}
-				if len(segs) == 0 {
+				if segs, _ := svc.Lookup(0, src, dst); len(segs) == 0 {
 					t.Errorf("reader %d: empty reply for %v -> %v in a full mesh", g, src, dst)
 					return
 				}

@@ -1,7 +1,7 @@
-// Package pathsrv is the path-lookup serving layer: a sharded,
-// concurrent path-query service layered over the beaconing control
-// plane, sized for a closed-loop population of millions of
-// endpoints (paper §3 "Deployment", §4.1 "Endpoint Path Lookup").
+// Package pathsrv is the path server: a sharded path-query service
+// layered over the beaconing control plane (paper §2.2 path registration
+// and lookup, §4.1 "Endpoint Path Lookup"). scion.Network's path servers
+// are role views of one Service.
 //
 // # Architecture
 //
@@ -10,32 +10,24 @@
 // through an atomic pointer, so a lookup is a pointer load, a map probe
 // for the pair's slot and a slice index — no locks, no allocation on the
 // fast path. All writes (segment registrations from beacon servers, link
-// revocations and reinstatements from the chaos/fault plane) mutate a
+// revocations and reinstatements from the fault plane) mutate a
 // writer-owned master copy and batch into epoch publications that swap
 // the affected shards' snapshot pointers; a link index lets a revocation
 // recompute only the pairs over that link, and a republished shard copies
 // its dense entries slice, not a map. Lookups observe either the old or
-// the new epoch, never a torn mix.
-//
-// Client-side, a Cache (one per client actor or reader goroutine)
-// memoizes (src, dst) replies. Invalidation is precise rather than
-// flush-everything: every publication diffs each rebuilt pair against
-// the previous snapshot and evicts exactly the cached pairs whose path
-// set changed — so a revocation storm invalidates the affected pairs
-// and nothing else.
+// the new epoch, never a torn mix. Every publication compares each
+// rebuilt pair with the previous snapshot and reports how many pairs'
+// path sets changed, so a revocation counts exactly the pairs over the
+// link.
 //
 // # Determinism and concurrency contract
 //
 // In simulation the writer side (Register, Deregister, RevokeLink,
-// ReinstateLink, Publish) runs in serial simulator events, while lookups
-// run on parallel client-actor shards and touch only immutable snapshots
-// plus the actor's own cache and telemetry cells — worker-count-invariant
-// by the same discipline as internal/sim. Outside the simulation the same
-// structure holds with goroutines: one writer, any number of readers
-// with local caches (TestConcurrentReadersBesideWriter runs this under
-// -race, and the benchmark's lookup_churn workload times it).
-// Registered caches are walked by the writer during publication, so a
-// concurrent reader must use an unregistered local cache (NewLocalCache).
+// ReinstateLink, Publish) runs in serial simulator events. Outside the
+// simulation the same structure holds with goroutines: one writer, any
+// number of readers, which touch only immutable snapshots
+// (TestConcurrentReadersBesideWriter runs this under -race, and the
+// benchmark's lookup_churn workload times it).
 package pathsrv
 
 import (
@@ -170,15 +162,13 @@ type Service struct {
 	stamp     uint64     // counts touches
 	dead      int        // ids no master list holds since the last reindex
 	epoch     uint64
-	caches    []*Cache
 
 	// Stats mirror the telemetry counters for registry-free use.
 	Registrations, Refreshes, Publishes, PublishedShards uint64
-	Revocations, Reinstatements, Invalidations, Rejected uint64
+	Revocations, Reinstatements, Rejected                uint64
 
-	clock                               *sim.Simulator
-	cReg, cRefresh, cPub, cRev, cRein   *telemetry.Cell
-	cInvPublish, cInvRevoke, cInvRetire *telemetry.Cell
+	clock                             *sim.Simulator
+	cReg, cRefresh, cPub, cRev, cRein *telemetry.Cell
 }
 
 // New creates a Service.
@@ -215,9 +205,6 @@ func New(cfg Config) *Service {
 		s.cPub = reg.Counter("pathsrv_publishes_total").Cell(0)
 		s.cRev = reg.Counter("pathsrv_revocations_total").Cell(0)
 		s.cRein = reg.Counter("pathsrv_reinstatements_total").Cell(0)
-		s.cInvPublish = reg.Counter(`pathsrv_cache_invalidations_total{reason="publish"}`).Cell(0)
-		s.cInvRevoke = reg.Counter(`pathsrv_cache_invalidations_total{reason="revoke"}`).Cell(0)
-		s.cInvRetire = reg.Counter(`pathsrv_cache_invalidations_total{reason="reinstate"}`).Cell(0)
 		reg.GaugeFunc("pathsrv_epoch", func() float64 { return float64(s.epoch) })
 		reg.GaugeFunc("pathsrv_revoked_links", func() float64 { return float64(len(s.revoked)) })
 		reg.GaugeFunc("pathsrv_snapshot_pairs", func() float64 {
@@ -230,12 +217,6 @@ func New(cfg Config) *Service {
 	}
 	return s
 }
-
-// NumShards returns the destination shard count.
-func (s *Service) NumShards() int { return int(s.nshards) }
-
-// Epoch returns the current publication epoch (writer context).
-func (s *Service) Epoch() uint64 { return s.epoch }
 
 // ShardOf maps a destination IA to its shard, a pure function usable
 // from any context.
@@ -438,7 +419,7 @@ func segLess(a, b *seg.PCB) bool {
 // safe from any number of concurrent readers. It returns the reply
 // segments (read-only, shared with the snapshot) and the earliest
 // expiry among them: before that instant the exact same reply would be
-// served again, which is what caches key their freshness on.
+// served again.
 func (s *Service) Lookup(now sim.Time, src, dst addr.IA) ([]*seg.PCB, sim.Time) {
 	e := s.snaps[s.ShardOf(dst)].Load().entry(pairKey{src: src, dst: dst})
 	if now < e.minExpiry {
@@ -464,8 +445,8 @@ func (s *Service) Lookup(now sim.Time, src, dst addr.IA) ([]*seg.PCB, sim.Time) 
 // revocation lapses (now+ttl; ttl <= 0 uses the configured default) or
 // the link is explicitly reinstated. Affected shards are republished
 // immediately — revocation freshness does not wait for the next batch
-// publication — and caches holding affected pairs are invalidated.
-// Returns the number of pairs whose reply changed. Writer context only.
+// publication. Returns the number of pairs whose reply changed. Writer
+// context only.
 func (s *Service) RevokeLink(now sim.Time, link seg.LinkKey, ttl sim.Time) int {
 	if ttl <= 0 {
 		ttl = s.revTTL
@@ -482,7 +463,7 @@ func (s *Service) RevokeLink(now sim.Time, link seg.LinkKey, ttl sim.Time) int {
 	if mask == 0 {
 		return 0
 	}
-	return s.publish(now, s.dirty|mask, "revoke", s.cInvRevoke)
+	return s.publish(now, s.dirty|mask, "revoke")
 }
 
 // ReinstateLink lifts a revocation early (the link healed) and
@@ -499,7 +480,7 @@ func (s *Service) ReinstateLink(now sim.Time, link seg.LinkKey) int {
 	if mask == 0 {
 		return 0
 	}
-	return s.publish(now, s.dirty|mask, "reinstate", s.cInvRetire)
+	return s.publish(now, s.dirty|mask, "reinstate")
 }
 
 // Publish applies the accumulated registration batch (and any lapsed
@@ -517,7 +498,7 @@ func (s *Service) Publish(now sim.Time) int {
 	if shards == 0 {
 		return 0
 	}
-	return s.publish(now, shards, "publish", s.cInvPublish)
+	return s.publish(now, shards, "publish")
 }
 
 // expireRevocations lifts the revocations whose TTL passed, in link order
@@ -541,17 +522,17 @@ func (s *Service) expireRevocations(now sim.Time) (shards uint64) {
 }
 
 // publish rebuilds the given shards, swaps their snapshots under a new
-// epoch, and invalidates cached pairs whose reply changed.
-func (s *Service) publish(now sim.Time, shards uint64, reason string, invCell *telemetry.Cell) int {
+// epoch, and returns the number of pairs whose reply changed.
+func (s *Service) publish(now sim.Time, shards uint64, reason string) int {
 	s.epoch++
 	s.Publishes++
 	s.cPub.Inc()
-	var changed []pairKey
+	changed := 0
 	for sh := uint32(0); sh < s.nshards; sh++ {
 		if shards&(1<<sh) == 0 {
 			continue
 		}
-		changed = s.rebuild(sh, now, changed)
+		changed += s.rebuild(sh, now)
 		s.PublishedShards++
 		s.trace(telemetry.SnapshotPublished, uint64(sh), s.epoch,
 			uint64(s.snaps[sh].Load().live), reason)
@@ -560,21 +541,18 @@ func (s *Service) publish(now sim.Time, shards uint64, reason string, invCell *t
 	if s.dead > len(s.segs)/2 {
 		s.reindex()
 	}
-	if len(changed) > 0 {
-		s.invalidate(changed, invCell)
-	}
-	return len(changed)
+	return changed
 }
 
 // rebuild constructs shard sh's new snapshot: the touched pairs are
 // recomputed from the master copy, hiding revoked segments, and every other
-// entry is copied from the old snapshot by slot; every pair whose visible
-// path set changed is appended to changed. With registrations pending or a
+// entry is copied from the old snapshot by slot. It returns how many pairs'
+// visible path sets changed. With registrations pending or a
 // master segment expired, all are touched: expired segments are pruned
 // from the master copy for good, and the pairs keep the old index only when
 // the master copy holds exactly its keys. Expiries and revocations are read
 // from the segments' states, by id.
-func (s *Service) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairKey {
+func (s *Service) rebuild(sh uint32, now sim.Time) (changed int) {
 	old, master := s.snaps[sh].Load(), s.master[sh]
 	snap := &snapshot{epoch: s.epoch, keys: old.keys, at: old.at}
 	recompute := func(pm *pairMaster, prev pairEntry) {
@@ -593,7 +571,7 @@ func (s *Service) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairKey 
 		}
 		snap.entries[pm.slot] = pairEntry{segs: visible, minExpiry: min}
 		if !samePathSet(prev.segs, visible) {
-			changed = append(changed, pm.key)
+			changed++
 		}
 	}
 	touched := s.touched[sh]
@@ -621,7 +599,7 @@ func (s *Service) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairKey 
 				delete(master, key)
 				pm.slot = -1
 				if len(old.entry(key).segs) > 0 {
-					changed = append(changed, key)
+					changed++
 				}
 			} else if int(pm.slot) < len(old.keys) && old.keys[pm.slot] == key {
 				held++
@@ -663,8 +641,8 @@ func (s *Service) rebuild(sh uint32, now sim.Time, changed []pairKey) []pairKey 
 }
 
 // samePathSet reports whether two canonical-ordered replies describe the
-// same set of paths (expiry refreshes do not count as a change: a cached
-// older reply remains correct until its own segments expire).
+// same set of paths (expiry refreshes do not count as a change: the older
+// reply remains correct until its own segments expire).
 func samePathSet(a, b []*seg.PCB) bool {
 	if len(a) != len(b) {
 		return false
@@ -677,24 +655,9 @@ func samePathSet(a, b []*seg.PCB) bool {
 	return true
 }
 
-// invalidate evicts the changed pairs from every registered cache, in
-// cache registration order.
-func (s *Service) invalidate(pairs []pairKey, cell *telemetry.Cell) {
-	for _, c := range s.caches {
-		for _, k := range pairs {
-			if _, ok := c.entries[k]; ok {
-				delete(c.entries, k)
-				c.Invalidations++
-				s.Invalidations++
-				cell.Inc()
-			}
-		}
-	}
-}
-
 // Digest hashes the full serving state — every shard's snapshot in
 // canonical order, plus active revocations — extending the repo's
-// fingerprint guarantee to the serving layer. Writer context only.
+// fingerprint guarantee to the path server. Writer context only.
 func (s *Service) Digest() [sha256.Size]byte {
 	h := sha256.New()
 	for sh := uint32(0); sh < s.nshards; sh++ {

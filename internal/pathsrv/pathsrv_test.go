@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"scionmpr/internal/addr"
-	"scionmpr/internal/chaos"
 	"scionmpr/internal/seg"
 	"scionmpr/internal/sim"
 	"scionmpr/internal/telemetry"
-	"scionmpr/internal/topology"
 	"scionmpr/internal/trust"
 )
 
@@ -109,8 +107,8 @@ func TestLookupServesOldEpochUntilPublish(t *testing.T) {
 	if got, _ := svc.Lookup(0, core1, leafA); len(got) != 2 {
 		t.Fatalf("post-publish lookup = %d segments", len(got))
 	}
-	if svc.Epoch() != 2 {
-		t.Errorf("epoch = %d", svc.Epoch())
+	if svc.epoch != 2 {
+		t.Errorf("epoch = %d", svc.epoch)
 	}
 }
 
@@ -127,22 +125,24 @@ func TestRegisterRejects(t *testing.T) {
 	}
 }
 
+// TestRefreshKeepsReplyAndSkipsInvalidation: re-registering a known path
+// with a later expiry leaves the visible path set as it was, so the
+// publication counts no changed pair and the reply keeps its paths.
 func TestRefreshKeepsReplyAndSkipsInvalidation(t *testing.T) {
 	svc := New(Config{})
-	cache := svc.NewCache(0, 0)
 	svc.Register(0, mkSeg(t, 0, 10, 20, 30))
 	svc.Publish(0)
-	if _, hit := cache.Lookup(0, svc, core1, leafA); hit {
-		t.Fatal("first lookup cannot hit")
-	}
-	// Re-register the same path with a later expiry: the visible path set
-	// is unchanged, so the publication must not evict the cached reply.
+	before, _ := svc.Lookup(0, core1, leafA)
 	svc.Register(hour, mkSeg(t, hour, 10, 20, 30))
 	if n := svc.Publish(hour); n != 0 {
 		t.Fatalf("refresh publication changed %d pairs", n)
 	}
-	if _, hit := cache.Lookup(hour, svc, core1, leafA); !hit {
-		t.Error("refresh evicted the cached reply")
+	after, min := svc.Lookup(hour, core1, leafA)
+	if !samePathSet(before, after) {
+		t.Errorf("refresh changed the reply: %v -> %v", keysOf(before), keysOf(after))
+	}
+	if min != 7*hour {
+		t.Errorf("refreshed minExpiry = %v, want the new segment's 7h", min)
 	}
 	if svc.Refreshes != 1 || svc.Registrations != 1 {
 		t.Errorf("refreshes=%d registrations=%d", svc.Refreshes, svc.Registrations)
@@ -268,93 +268,33 @@ func TestRevokeUnknownLinkChangesNothing(t *testing.T) {
 	}
 }
 
+// TestCacheInvalidationIsPrecise: a revocation counts exactly the pairs
+// whose reply crosses the link, and every other pair keeps the reply it
+// had, down to the shared slice. One shard holds every pair, so the
+// republished shard is the untouched pair's too.
 func TestCacheInvalidationIsPrecise(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	svc := New(Config{Telemetry: reg})
-	cache := svc.NewCache(0, 0)
-	// Pair A routes over AS 20; pair B does not.
+	svc := New(Config{Shards: 1})
+	// Pairs A and (core2, A) route over AS 20; pair B does not.
 	svc.Register(0, mkSeg(t, 0, 10, 20, 30))
+	svc.Register(0, mkSeg(t, 0, 11, 20, 30))
 	svc.Register(0, mkSeg(t, 0, 10, 21, 31))
 	svc.Publish(0)
-	cache.Lookup(0, svc, core1, leafA)
-	cache.Lookup(0, svc, core1, leafB)
-	if len(cache.entries) != 2 {
-		t.Fatalf("cache len = %d", len(cache.entries))
-	}
+	untouched, _ := svc.Lookup(0, core1, leafB)
 
-	svc.RevokeLink(0, seg.LinkKey{IA: addr.MustIA(1, 20), If: 2}, hour)
-	// Only pair A's entry may be evicted.
-	if len(cache.entries) != 1 {
-		t.Fatalf("cache len after revoke = %d, want 1", len(cache.entries))
+	if n := svc.RevokeLink(0, seg.LinkKey{IA: addr.MustIA(1, 20), If: 2}, hour); n != 2 {
+		t.Fatalf("revoke changed %d pairs, want the 2 over the link", n)
 	}
-	if _, hit := cache.Lookup(0, svc, core1, leafB); !hit {
-		t.Error("untouched pair was invalidated")
+	for _, src := range []addr.IA{core1, core2} {
+		if got, _ := svc.Lookup(0, src, leafA); len(got) != 0 {
+			t.Errorf("%v -> %v still served over the revoked link", src, leafA)
+		}
 	}
-	if _, hit := cache.Lookup(0, svc, core1, leafA); hit {
-		t.Error("changed pair still served from cache")
+	if got, _ := svc.Lookup(0, core1, leafB); len(got) != 1 || &got[0] != &untouched[0] {
+		t.Error("pair off the revoked link got a new reply")
 	}
-	if cache.Invalidations != 1 || svc.Invalidations != 1 {
-		t.Errorf("cache inv=%d svc inv=%d", cache.Invalidations, svc.Invalidations)
-	}
-	if v := reg.Counter(`pathsrv_cache_invalidations_total{reason="revoke"}`).Value(); v != 1 {
-		t.Errorf("telemetry invalidations = %d", v)
-	}
-}
-
-func TestCacheTTLAndSegmentExpiry(t *testing.T) {
-	svc := New(Config{})
-	cache := svc.NewCache(hour, 0)
-	svc.Register(0, mkSeg(t, 0, 10, 20, 30))
-	svc.Publish(0)
-	cache.Lookup(0, svc, core1, leafA)
-	if _, hit := cache.Lookup(30*sim.Time(time.Minute), svc, core1, leafA); !hit {
-		t.Fatal("fresh entry missed")
-	}
-	// Past the TTL the entry is evicted and refetched.
-	if _, hit := cache.Lookup(2*hour, svc, core1, leafA); hit {
-		t.Fatal("stale entry served")
-	}
-	if cache.Evictions != 1 {
-		t.Errorf("evictions = %d", cache.Evictions)
-	}
-	// A cached reply is also dropped once its segments expire, even
-	// within the TTL window.
-	long := svc.NewCache(100*hour, 0)
-	long.Lookup(2*hour, svc, core1, leafA)
-	if got, hit := long.Lookup(7*hour, svc, core1, leafA); hit || len(got) != 0 {
-		t.Fatalf("expired segments served from cache: hit=%v n=%d", hit, len(got))
-	}
-}
-
-func TestCacheCapSheds(t *testing.T) {
-	svc := New(Config{})
-	cache := svc.NewCache(hour, 2)
-	for i, dst := range []uint64{30, 31, 32} {
-		svc.Register(0, mkSeg(t, 0, 10, 20+uint64(i), dst))
-	}
-	svc.Publish(0)
-	cache.Lookup(0, svc, core1, addr.MustIA(1, 30))
-	cache.Lookup(0, svc, core1, addr.MustIA(1, 31))
-	cache.Lookup(0, svc, core1, addr.MustIA(1, 32)) // over cap: shed all, insert one
-	if len(cache.entries) != 1 {
-		t.Fatalf("cache len = %d, want 1 after shedding", len(cache.entries))
-	}
-}
-
-func TestNegativeRepliesNotCached(t *testing.T) {
-	svc := New(Config{})
-	cache := svc.NewCache(hour, 0)
-	if _, hit := cache.Lookup(0, svc, core1, leafA); hit {
-		t.Fatal("miss reported as hit")
-	}
-	if len(cache.entries) != 0 {
-		t.Fatal("empty reply cached")
-	}
-	// Once the pair is published the cache must see it immediately.
-	svc.Register(0, mkSeg(t, 0, 10, 20, 30))
-	svc.Publish(0)
-	if got, _ := cache.Lookup(0, svc, core1, leafA); len(got) != 1 {
-		t.Fatal("published pair hidden by a cached miss")
+	// Revoking it again only extends the TTL: no reply changes.
+	if n := svc.RevokeLink(0, seg.LinkKey{IA: addr.MustIA(1, 20), If: 2}, 2*hour); n != 0 {
+		t.Errorf("re-revoke changed %d pairs, want 0", n)
 	}
 }
 
@@ -438,10 +378,10 @@ func TestShardOf(t *testing.T) {
 }
 
 func TestShardsClamped(t *testing.T) {
-	if n := New(Config{Shards: -1}).NumShards(); n != 16 {
+	if n := New(Config{Shards: -1}).nshards; n != 16 {
 		t.Errorf("default shards = %d", n)
 	}
-	if n := New(Config{Shards: 1000}).NumShards(); n != 64 {
+	if n := New(Config{Shards: 1000}).nshards; n != 64 {
 		t.Errorf("clamped shards = %d", n)
 	}
 }
@@ -455,119 +395,5 @@ func TestLookupNoAllocsSteadyState(t *testing.T) {
 		svc.Lookup(0, core1, leafA)
 	}); n != 0 {
 		t.Errorf("Lookup allocates %v per call", n)
-	}
-	cache := svc.NewCache(hour, 0)
-	cache.Lookup(0, svc, core1, leafA)
-	if n := testing.AllocsPerRun(100, func() {
-		cache.Lookup(0, svc, core1, leafA)
-	}); n != 0 {
-		t.Errorf("cached Lookup allocates %v per call", n)
-	}
-}
-
-// TestWireChaosRevokesBothDirections covers the chaos-to-service glue:
-// a failed link revokes both directed interfaces, a heal reinstates
-// them, prior hooks are chained, and unknown links are ignored.
-func TestWireChaosRevokesBothDirections(t *testing.T) {
-	g := topology.Demo()
-	l := g.Links[0]
-	clock := &sim.Simulator{}
-	svc := New(Config{})
-	eng := chaos.NewEngine(clock, nil)
-	var chainedFail, chainedRestore int
-	eng.OnFail = func(topology.LinkID) { chainedFail++ }
-	eng.OnRestore = func(topology.LinkID) { chainedRestore++ }
-	WireChaos(clock, eng, g, svc, hour)
-
-	eng.OnFail(l.ID)
-	if chainedFail != 1 {
-		t.Error("prior OnFail hook not chained")
-	}
-	if svc.Revocations != 2 {
-		t.Fatalf("revocations = %d, want both directed interfaces", svc.Revocations)
-	}
-	eng.OnRestore(l.ID)
-	if chainedRestore != 1 {
-		t.Error("prior OnRestore hook not chained")
-	}
-	if svc.Reinstatements != 2 {
-		t.Fatalf("reinstatements = %d", svc.Reinstatements)
-	}
-	// A link the topology does not know is a no-op.
-	eng.OnFail(topology.LinkID(1 << 30))
-	if svc.Revocations != 2 {
-		t.Error("unknown link revoked something")
-	}
-}
-
-func TestCacheSweepsDeadEntriesOnMiss(t *testing.T) {
-	svc := New(Config{})
-	cache := svc.NewCache(0, 0)                        // no TTL: death comes from segment expiry
-	svc.Register(0, mkSeg(t, 0, 10, 20, 30))           // expires 6h
-	svc.Register(2*hour, mkSeg(t, 2*hour, 10, 21, 31)) // expires 8h
-	svc.Publish(2 * hour)
-	cache.Lookup(2*hour, svc, core1, leafA)
-	cache.Lookup(2*hour, svc, core1, leafB)
-	if len(cache.entries) != 2 {
-		t.Fatalf("len = %d", len(cache.entries))
-	}
-	// A miss on an unrelated pair past the first entry's last-segment
-	// death sweeps that entry — and only it.
-	cache.Lookup(7*hour, svc, core2, leafA)
-	if cache.Sweeps != 1 {
-		t.Fatalf("sweeps = %d", cache.Sweeps)
-	}
-	if len(cache.entries) != 1 {
-		t.Fatalf("len after sweep = %d, want 1", len(cache.entries))
-	}
-	if cache.Evictions != 1 {
-		t.Errorf("evictions = %d", cache.Evictions)
-	}
-	// Before any deadline, misses must not trigger sweep passes.
-	cache.Lookup(3*hour, svc, core2, leafB)
-	if cache.Sweeps != 1 {
-		t.Errorf("early miss swept: %d passes", cache.Sweeps)
-	}
-}
-
-// TestCacheTTLLapseCapacityInteraction pins the eviction interplay: a
-// TTL-lapsed entry is replaced in place (no capacity shed), while a new
-// pair at capacity sheds everything.
-func TestCacheTTLLapseCapacityInteraction(t *testing.T) {
-	svc := New(Config{})
-	cache := svc.NewCache(hour, 2)
-	for i, dst := range []uint64{30, 31, 32} {
-		svc.Register(0, mkSeg(t, 0, 10, 20+uint64(i), dst))
-	}
-	svc.Publish(0)
-	dstA, dstB, dstC := addr.MustIA(1, 30), addr.MustIA(1, 31), addr.MustIA(1, 32)
-	cache.Lookup(0, svc, core1, dstA)
-	cache.Lookup(0, svc, core1, dstB)
-	if len(cache.entries) != 2 {
-		t.Fatalf("len = %d", len(cache.entries))
-	}
-	// TTL lapsed at 2h (segments alive until 6h): the re-lookup evicts
-	// the lapsed entry and re-stores the same key — capacity must not
-	// shed the other entry.
-	if _, hit := cache.Lookup(2*hour, svc, core1, dstA); hit {
-		t.Fatal("lapsed entry served as fresh")
-	}
-	if len(cache.entries) != 2 {
-		t.Fatalf("len after in-place refresh = %d, want 2", len(cache.entries))
-	}
-	if cache.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1 (the lapsed entry only)", cache.Evictions)
-	}
-	// A third pair exceeds the cap: deterministic shed-all, then insert.
-	cache.Lookup(2*hour, svc, core1, dstC)
-	if len(cache.entries) != 1 {
-		t.Fatalf("len after cap shed = %d, want 1", len(cache.entries))
-	}
-	if cache.Evictions != 3 {
-		t.Errorf("evictions = %d, want 1 + cap(2)", cache.Evictions)
-	}
-	// The survivor is the new entry.
-	if _, hit := cache.Lookup(2*hour, svc, core1, dstC); !hit {
-		t.Error("freshly inserted entry missed")
 	}
 }

@@ -221,7 +221,7 @@ type RecoverStats struct {
 // times. It follows stop-at-first-bad-frame semantics: a torn or
 // corrupt frame ends the replay with everything before it applied (the
 // durable prefix), never an error or a panic. The returned service has
-// no clock, telemetry, or registered caches.
+// no clock or telemetry.
 //
 // cfg must carry the same Shards and RevocationTTL the journaling
 // service ran with; Clock and Telemetry are ignored during replay.

@@ -203,42 +203,6 @@ func (h *Histogram) merged() (counts []uint64, count uint64, sum float64) {
 	return counts, count, sum
 }
 
-// Quantile estimates the q-quantile of the merged histogram with linear
-// interpolation inside the containing bucket (the histogram_quantile
-// convention). Mass in the +Inf bucket clamps to the largest finite
-// bound. Returns 0 on a nil or empty histogram. Serial context only:
-// like every read path, it merges cells.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || len(h.bounds) == 0 {
-		return 0
-	}
-	counts, count, _ := h.merged()
-	if count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(count)
-	cum, lower := 0.0, 0.0
-	for i, ub := range h.bounds {
-		c := float64(counts[i])
-		if c > 0 && cum+c >= rank {
-			frac := (rank - cum) / c
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (ub-lower)*frac
-		}
-		cum += c
-		lower = ub
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // gaugeFunc is a lazily evaluated gauge; several funcs registered under
 // one name are summed (so independent subsystems can contribute to one
 // total).

@@ -261,120 +261,3 @@ func TestServe(t *testing.T) {
 		t.Fatalf("/metrics.json = %q", body)
 	}
 }
-
-func TestHistogramQuantile(t *testing.T) {
-	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 {
-		t.Error("nil histogram quantile must be 0")
-	}
-	r := NewRegistry()
-	h := r.Histogram("q_test", []float64{10, 100, 1000})
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile must be 0")
-	}
-	// 90 samples in (10,100], 10 in (100,1000]: p50 interpolates inside
-	// the second bucket, p99 inside the third.
-	for i := 0; i < 90; i++ {
-		h.Observe(50)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(500)
-	}
-	p50 := h.Quantile(0.5)
-	if p50 <= 10 || p50 > 100 {
-		t.Errorf("p50 = %v, want in (10,100]", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 <= 100 || p99 > 1000 {
-		t.Errorf("p99 = %v, want in (100,1000]", p99)
-	}
-	if got := h.Quantile(-1); got > 10 {
-		t.Errorf("q<0 clamps to min, got %v", got)
-	}
-	// Mass in the +Inf bucket clamps to the top finite bound.
-	inf := r.Histogram("q_inf", []float64{1})
-	inf.Observe(99)
-	if got := inf.Quantile(0.99); got != 1 {
-		t.Errorf("+Inf mass quantile = %v, want clamp to 1", got)
-	}
-	// Sharded observation: quantiles merge cells like every other read.
-	sh := r.Histogram("q_shard", []float64{1, 2, 4})
-	sh.Cell(1).Observe(1.5)
-	sh.Cell(2).Observe(3)
-	if q := sh.Quantile(1); q <= 2 || q > 4 {
-		t.Errorf("merged quantile = %v, want in (2,4]", q)
-	}
-}
-
-// TestHistogramQuantileBoundaryRanks pins Quantile at exact bucket-
-// boundary ranks, where an off-by-one in the cumulative comparison
-// (cum+c >= rank vs >) would jump to the wrong bucket. The convention:
-// with rank = q*count, a rank landing exactly on a bucket's cumulative
-// count interpolates to that bucket's UPPER bound — never into the next
-// bucket — and q=0 rests on the first occupied bucket's lower bound.
-func TestHistogramQuantileBoundaryRanks(t *testing.T) {
-	r := NewRegistry()
-	// Two buckets with equal mass: (1,2] and (2,4], 2 samples each.
-	h := r.Histogram("q_boundary", []float64{1, 2, 4})
-	h.Observe(1.5)
-	h.Observe(1.5)
-	h.Observe(3)
-	h.Observe(3)
-	for _, tc := range []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1},      // rank 0: lower bound of the first occupied bucket
-		{0.25, 1.5}, // rank 1: halfway up the first bucket's 2 samples
-		{0.5, 2},    // rank 2 == bucket-0 cum count: exactly the shared bound
-		{0.75, 3},   // rank 3: halfway up the second bucket
-		{1, 4},      // rank 4: the last occupied bucket's upper bound
-	} {
-		if got := h.Quantile(tc.q); got != tc.want {
-			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-
-	// A leading empty bucket must be skipped, not interpolated into:
-	// all mass in (10,100], nothing in (0,10].
-	skip := r.Histogram("q_skip", []float64{10, 100})
-	skip.Observe(50)
-	if got := skip.Quantile(0); got != 10 {
-		t.Errorf("Quantile(0) with empty first bucket = %v, want 10", got)
-	}
-	if got := skip.Quantile(1); got != 100 {
-		t.Errorf("Quantile(1) = %v, want 100", got)
-	}
-
-	// An interior empty bucket is likewise transparent: mass in (1,2]
-	// and (4,8] only. Ranks at the gap resolve to bucket bounds, not to
-	// points inside the empty (2,4] bucket.
-	gap := r.Histogram("q_gap", []float64{1, 2, 4, 8})
-	gap.Observe(1.5)
-	gap.Observe(6)
-	if got := gap.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile(0.5) at gap = %v, want 2 (first bucket's bound)", got)
-	}
-	if got := gap.Quantile(0.75); got != 6 {
-		t.Errorf("Quantile(0.75) = %v, want 6 (midpoint of (4,8])", got)
-	}
-
-	// A single sample: every q > 0 interpolates within its bucket,
-	// q=1 hits the bucket's upper bound exactly.
-	one := r.Histogram("q_one", []float64{1, 2})
-	one.Observe(1.5)
-	if got := one.Quantile(1); got != 2 {
-		t.Errorf("single-sample Quantile(1) = %v, want 2", got)
-	}
-	if got := one.Quantile(0.5); got != 1.5 {
-		t.Errorf("single-sample Quantile(0.5) = %v, want 1.5", got)
-	}
-
-	// q outside [0,1] clamps to the ends.
-	if got, want := one.Quantile(2), one.Quantile(1); got != want {
-		t.Errorf("Quantile(2) = %v, want clamp to Quantile(1) = %v", got, want)
-	}
-	if got, want := one.Quantile(-0.5), one.Quantile(0); got != want {
-		t.Errorf("Quantile(-0.5) = %v, want clamp to Quantile(0) = %v", got, want)
-	}
-}

@@ -24,7 +24,7 @@ const (
 	// Chaos faults. Reason carries the fault kind (flap | gray | ...).
 	FaultApplied
 	FaultHealed
-	// Path-serving layer: one immutable shard snapshot published (Actor:
+	// Path server: one immutable shard snapshot published (Actor:
 	// shard, Subject: epoch, Aux: pair count; Reason: publish | revoke |
 	// reinstate).
 	SnapshotPublished

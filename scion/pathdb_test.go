@@ -406,32 +406,6 @@ func TestRevokeForReinstatementOrdering(t *testing.T) {
 	}
 }
 
-// TestReinstatementFlushesCache asserts a client cache cannot serve a
-// stale mid-revocation reply after the revocation lapses.
-func TestReinstatementFlushesCache(t *testing.T) {
-	s := pathsrv.New(pathsrv.Config{})
-	c := s.NewCache(10*hour, 0)
-	register(t, s, 0, mkSeg(t, 0, 10, 20, 30), mkSeg(t, 0, 10, 40, 30))
-
-	s.RevokeLink(0, link20, hour)
-	mid, hit := c.Lookup(1, s, core1, leafA) // miss, caches the hidden view
-	if len(mid) != 1 || hit {
-		t.Fatalf("mid-revocation reply = %d segments (hit %v)", len(mid), hit)
-	}
-	if got, hit := c.Lookup(2, s, core1, leafA); len(got) != 1 || !hit {
-		t.Fatalf("second mid-revocation lookup = %d segments (hit %v), want a cache hit", len(got), hit)
-	}
-	// Lapse: the publication must evict the 1-segment entry.
-	s.Publish(hour + 1)
-	after, hit := c.Lookup(hour+1, s, core1, leafA)
-	if len(after) != 2 {
-		t.Fatalf("post-reinstatement reply = %d segments, want 2", len(after))
-	}
-	if hit {
-		t.Error("post-reinstatement lookup served from the stale cache")
-	}
-}
-
 // TestReregistrationKeepsOrder checks that refreshing a segment's expiry
 // in place does not disturb the reply order.
 func TestReregistrationKeepsOrder(t *testing.T) {
@@ -446,27 +420,20 @@ func TestReregistrationKeepsOrder(t *testing.T) {
 }
 
 // TestLookupNoAllocsSteadyState pins the hot-path guarantee: with
-// nothing expired or revoked, a lookup (through a client cache or not)
-// and a core path server's role view allocate nothing.
+// nothing expired or revoked, a lookup and a core path server's role view
+// allocate nothing.
 func TestLookupNoAllocsSteadyState(t *testing.T) {
 	s := pathsrv.New(pathsrv.Config{})
 	for i := 0; i < 64; i++ {
 		register(t, s, 0, mkSeg(t, 0, 10, uint64(100+i), 30))
 	}
-	c := s.NewCache(hour, 0)
-	c.Lookup(0, s, core1, leafA) // fill
-	for name, lookup := range map[string]func() []*seg.PCB{
-		"uncached": func() []*seg.PCB { return lookupDown(s, 0) },
-		"cached":   func() []*seg.PCB { segs, _ := c.Lookup(0, s, core1, leafA); return segs },
-	} {
-		allocs := testing.AllocsPerRun(100, func() {
-			if got := lookup(); len(got) != 64 {
-				t.Fatalf("%s lookup = %d segments", name, len(got))
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s lookup allocates %.1f times per op, want 0", name, allocs)
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := lookupDown(s, 0); len(got) != 64 {
+			t.Fatalf("uncached lookup = %d segments", len(got))
 		}
+	})
+	if allocs != 0 {
+		t.Errorf("uncached lookup allocates %.1f times per op, want 0", allocs)
 	}
 
 	n, now := demoNet(t)
